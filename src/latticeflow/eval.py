@@ -47,10 +47,7 @@ class EvalContext:
         self.udf_memo = {}
         self.udf_invocations = 0
         self._query_names = set(program.query_map)
-        self._table_classes = {
-            d.name: program.class_map[d.cls]
-            for d in program.data if d.kind == "table"
-        }
+        self._sorted = {}  # name -> ordered view, fixed for the snapshot
 
     # --- backend hooks ------------------------------------------------------
     def query_value(self, name: str) -> frozenset:
@@ -66,37 +63,41 @@ class EvalContext:
                                               key=lambda kv: scalar_key(kv[0])))
 
     def table_row(self, name: str, key: tuple):
-        cls = self._table_classes[name]
         if not isinstance(key, tuple):
             key = (key,)
-        if len(cls.key) == 1 and len(key) == 1:
-            pass
         return self.snapshot.tables[name].get(key, MISSING)
 
     def collection(self, name: str):
-        """Ordered view of a named collection for iteration."""
+        """Ordered view of a named collection for iteration. Views of
+        queries, tables and vars are sorted once per context; the handler
+        inputs in `firing` change during a tick and are not kept."""
         if name in self.query_overrides:
             return self.query_overrides[name]
+        if name in self._sorted:
+            return self._sorted[name]
         if name in self._query_names:
-            vals = self.query_value(name)
-            return tuple(sorted(vals, key=_order_key))
-        if name in self.firing:
+            view = tuple(sorted(self.query_value(name), key=_order_key))
+        elif name in self.firing:
             return tuple(self.firing[name])
-        if name in self.snapshot.tables:
-            return self.table_rows(name)
-        if name in self.snapshot.vars:
+        elif name in self.snapshot.tables:
+            view = self.table_rows(name)
+        elif name in self.snapshot.vars:
             v = self.snapshot.vars[name]
             if isinstance(v, lattice.SetUnion):
-                return tuple(sorted(v.elems, key=scalar_key))
-            if isinstance(v, frozenset):
-                return tuple(sorted(v, key=scalar_key))
-            if isinstance(v, (lattice.BoolOr, lattice.MaxInt, lattice.MinInt,
-                              lattice.MapUnion, lattice.Pair)):
-                return lattice.unwrap(v)
-            return v
-        if name in self.snapshot.mailboxes:
+                view = tuple(sorted(v.elems, key=scalar_key))
+            elif isinstance(v, frozenset):
+                view = tuple(sorted(v, key=scalar_key))
+            elif isinstance(v, (lattice.BoolOr, lattice.MaxInt, lattice.MinInt,
+                                lattice.MapUnion, lattice.Pair)):
+                view = lattice.unwrap(v)
+            else:
+                view = v
+        elif name in self.snapshot.mailboxes:
             return tuple(self.snapshot.mailboxes[name])
-        raise KeyError(f"unknown collection {name!r}")
+        else:
+            raise KeyError(f"unknown collection {name!r}")
+        self._sorted[name] = view
+        return view
 
     # --- UDFs ---------------------------------------------------------------
     def call_udf(self, name: str, args: tuple):

@@ -4,6 +4,19 @@ Comprehensions compile to chains of Expand / HashJoin / Filter / Project
 operators over binding environments; recursive query groups run semi-naive
 fixpoint iteration (only newly derived facts re-enter the loop each round).
 Per-operator row counts are tracked for Inspect output.
+
+A context keeps every recursive group's result in its `views` dict. Each
+Transducer hands all the contexts it builds one dict that lives as long as
+the node, so results outlive the tick. The next evaluation of the group
+resumes from that result when the group's inputs and base facts only grew
+since it was stored, and recomputes from the base facts on any other
+change: a deletion, an assignment, a replaced table row, a changed scalar,
+or the state of a rejected fork. `max_rounds` caps the rounds that a
+from-scratch evaluation of the current state would take, also when the
+evaluation resumes, so whether it diverges depends on the state alone and
+not on the views. Operators iterate sets in whatever order they come; order
+is fixed only where it is observable, by `EvalContext.collection`, sends
+and canonical encoding.
 """
 
 from __future__ import annotations
@@ -12,8 +25,12 @@ from dataclasses import dataclass, field as dfield
 from typing import Optional, Tuple
 
 from .analysis import _query_edges, _sccs
-from .eval import EvalContext, MISSING, _order_key, bind, eval_expr, iter_source, truthy
-from .ir import BinOp, Comp, Data, Expr, Gen, walk_expr
+from . import lattice
+from .eval import EvalContext, MISSING, bind, eval_expr, iter_source, truthy
+from .ir import (
+    BinOp, Comp, Data, Expr, Fold, In, Index, Len, Lookup, Not, Slice,
+    _children, walk_expr,
+)
 from .state import FixpointDivergence
 
 
@@ -62,6 +79,8 @@ class ProjectStep(Step):
 class Chain:
     steps: list
     comp: Comp
+    side_reads: frozenset = frozenset()  # names read anywhere but as the
+                                         # source of a generator step
 
     def recursive_refs(self, scc) -> list:
         out = []
@@ -129,19 +148,20 @@ def compile_comp(e: Comp, prefix: str = "") -> Chain:
 def run_chain(chain: Chain, env0: dict, ctx: "GraphContext",
               delta_step=None, totals=None, delta=None) -> frozenset:
     """Run a chain; when iterating a fixpoint, `delta_step` marks the one
-    recursive occurrence fed with the delta instead of the running total."""
+    occurrence of a name in `totals` fed with the delta instead of the
+    running total. Sources are iterated unordered: only the set of rows
+    reaches the result."""
 
     def source_rows(step, env):
-        if isinstance(step.source, Data) and totals is not None \
-                and step.source.name in totals:
-            name = step.source.name
-            if step is delta_step:
-                rows = delta[name]
-            else:
-                rows = totals[name]
-            return sorted(rows, key=_order_key)
-        v = eval_expr(step.source, env, ctx)
-        return list(iter_source(v))
+        source = step.source
+        if isinstance(source, Data):
+            name = source.name
+            if totals is not None and name in totals:
+                return delta[name] if step is delta_step else totals[name]
+            if name in ctx._query_names:
+                return ctx.query_value(name)
+        v = eval_expr(source, env, ctx)
+        return v if isinstance(v, frozenset) else iter_source(v)
 
     envs = [env0]
     for step in chain.steps:
@@ -205,6 +225,9 @@ class QueryPlan:
 class FixpointGroup:
     scc: frozenset
     plans: dict  # name -> QueryPlan
+    inputs: frozenset = frozenset()  # names the rules read outside the SCC
+    value_reads: frozenset = frozenset()  # inputs some rule reads as one
+                                          # value rather than per element
 
 
 @dataclass
@@ -212,6 +235,46 @@ class CompiledQueries:
     plans: dict = dfield(default_factory=dict)        # non-recursive
     groups: list = dfield(default_factory=list)       # FixpointGroup
     group_of: dict = dfield(default_factory=dict)
+
+
+def _rule_reads(comp: Comp):
+    """(sources, side) for one rule: the names its generators scan, and each
+    name it reads anywhere else mapped to whether some read takes the
+    collection as one value. The collection of an `In` and a keyed `Lookup`
+    are read element by element, like a generator's source; anything under
+    a fold, a length, an index, a negation or an output is one value."""
+    side = {}
+
+    def walk(e, whole: bool, each: bool = False):
+        if isinstance(e, Data):
+            side[e.name] = side.get(e.name, False) or whole or not each
+        elif isinstance(e, Lookup):
+            side[e.data] = side.get(e.data, False) or whole
+            walk(e.key, whole)
+        elif isinstance(e, Comp):
+            for g in e.gens:
+                walk(g.source, whole, True)
+            for f in e.filters:
+                walk(f, whole)
+            walk(e.output, True)
+        elif isinstance(e, In):
+            walk(e.item, whole)
+            walk(e.coll, whole or e.negated, True)
+        else:
+            whole = whole or isinstance(e, (Fold, Len, Index, Slice, Not))
+            for child in _children(e):
+                walk(child, whole)
+
+    sources = set()
+    for g in comp.gens:
+        if isinstance(g.source, Data):
+            sources.add(g.source.name)
+        else:
+            walk(g.source, False)
+    for f in comp.filters:
+        walk(f, False)
+    walk(comp.output, True)
+    return sources, side
 
 
 def compile_queries(program) -> CompiledQueries:
@@ -238,6 +301,7 @@ def compile_queries(program) -> CompiledQueries:
                 if a in comp and b in comp and label != "pos":
                     raise NonMonotoneRecursion(
                         f"{label} reference to {b} inside recursive group {sorted(comp)}")
+            inputs, value_reads = set(), set()
             for q in comp:
                 for qd in program.query_map[q]:
                     for body in qd.bodies:
@@ -246,7 +310,13 @@ def compile_queries(program) -> CompiledQueries:
                             raise NonMonotoneRecursion(
                                 f"non-monotone rule body in recursive query {q}: "
                                 f"{cls.reasons}")
-            group = FixpointGroup(comp, plans)
+                for chain in plans[q].chains:
+                    sources, side = _rule_reads(chain.comp)
+                    chain.side_reads = frozenset(side)
+                    inputs |= sources | side.keys()
+                    value_reads |= {n for n, whole in side.items() if whole}
+            group = FixpointGroup(comp, plans, frozenset(inputs - comp),
+                                  frozenset(value_reads - comp))
             out.groups.append(group)
             for q in comp:
                 out.group_of[q] = group
@@ -257,10 +327,12 @@ def compile_queries(program) -> CompiledQueries:
 
 class GraphContext(EvalContext):
     def __init__(self, program, snapshot, compiled: CompiledQueries,
-                 firing=None, max_rounds=10000):
+                 firing=None, max_rounds=10000, views=None):
         super().__init__(program, snapshot, firing)
         self.compiled = compiled
         self.max_rounds = max_rounds
+        # scc -> (inputs, base facts, totals, round bound); see apply_fixpoint
+        self.views = {} if views is None else views
         self.rounds = {}
         self.op_rows = {}
         self._qmemo = {}
@@ -278,11 +350,23 @@ class GraphContext(EvalContext):
 
     def base_facts(self, name: str) -> frozenset:
         if name in self.snapshot.tables:
-            return frozenset(self.table_rows(name))
+            return frozenset(self.snapshot.tables[name].values())
         v = self.snapshot.vars.get(name)
         if isinstance(v, frozenset):
             return v
         return frozenset()
+
+    def input_value(self, name: str):
+        """A group input as the resume check compares it: a set for a
+        query, a table or a set var, else the value a rule reads."""
+        if name in self._query_names:
+            return self.query_value(name)
+        if name in self.snapshot.tables:
+            return self.base_facts(name)
+        value = self.collection(name)
+        if isinstance(self.snapshot.vars.get(name), lattice.SetUnion):
+            return frozenset(value)
+        return value
 
     def query_value(self, name: str) -> frozenset:
         if name in self._qmemo:
@@ -304,34 +388,129 @@ class GraphContext(EvalContext):
 def apply_fixpoint(group: FixpointGroup, ctx: GraphContext):
     """Least fixpoint of a recursive query group by semi-naive iteration.
 
-    Returns (totals, rounds). Raises FixpointDivergence past the round cap.
+    The call reads the group's inputs and its members' base facts and
+    compares them with what the view stored in `ctx.views` saw. It resumes
+    when each is equal, or a superset when both are sets, and no input that
+    a rule reads as one value (under a fold, say) has changed: the old
+    totals plus the new base facts get one delta pass per generator over a
+    grown input (a full pass for a rule that reads a grown input anywhere
+    else), then the semi-naive loop runs from the facts that are new. With
+    no stored view, or after any other change (a deletion, an assignment, a
+    replaced table row, a changed scalar, a rejected fork's state), it
+    recomputes from the base facts. Resuming is sound because
+    compile_queries admits only monotone rules into a recursive group, so
+    the old least fixpoint lies below the new one. Either way the inputs,
+    base facts and result are stored for the next call.
+
+    Returns (totals, rounds), where `rounds` counts the rounds of this call.
+    It raises FixpointDivergence exactly when a from-scratch evaluation of
+    the same state would take more than `ctx.max_rounds` rounds, whatever
+    views the context holds. A from-scratch evaluation derives each fact in
+    the round of its shortest derivation, so a view also keeps a bound on
+    that count: a resumed call derives nothing deeper than the stored bound
+    plus its own productive rounds. When that bound would pass the cap the
+    call recomputes from the base facts instead.
     """
+    base = {q: ctx.base_facts(q) for q in group.scc}
+    inputs = {name: ctx.input_value(name) for name in sorted(group.inputs)}
+    view = ctx.views.get(group.scc)
+    grown = _growth(group, view, inputs, base) if view else None
+    result = None
+    if grown is not None:
+        old, bound = view[2], view[3]
+        result = _iterate(group, ctx,
+                          *_resume_round(group, ctx, old, inputs, grown),
+                          cap=ctx.max_rounds - bound + 1)
+        if result is not None:
+            bound += result[1] - 1
+    if result is None:
+        result = _iterate(group, ctx, *_first_round(group, ctx, base),
+                          cap=ctx.max_rounds)
+        if result is None:
+            raise FixpointDivergence(
+                f"semi-naive fixpoint over {sorted(group.scc)} exceeded "
+                f"{ctx.max_rounds} rounds")
+        bound = result[1]
+    ctx.views[group.scc] = (inputs, base, result[0], bound)
+    return result
+
+
+def _growth(group: FixpointGroup, view, inputs: dict, base: dict):
+    """name -> facts added since `view` was stored, for each input or member
+    whose facts grew; None when anything changed other than by growing."""
+    old_inputs, old_base = view[:2]
+    grown = {}
+    for old, new in ((old_inputs, inputs), (old_base, base)):
+        for name, value in new.items():
+            was = old[name]
+            if value is was or value == was:
+                continue
+            if (name in group.value_reads or not isinstance(value, frozenset)
+                    or not isinstance(was, frozenset) or not value > was):
+                return None
+            grown[name] = value - was
+    return grown
+
+
+def _first_round(group: FixpointGroup, ctx: GraphContext, base: dict):
+    """(totals, delta) after the rules with no recursive reference ran once
+    over the base facts."""
     scc = group.scc
-    totals = {q: set(ctx.base_facts(q)) for q in scc}
-    # round 1: all rules with empty recursive inputs
+    totals = {q: set(base[q]) for q in scc}
     empty = {q: frozenset() for q in scc}
     for q in sorted(scc):
         for chain in group.plans[q].chains:
-            refs = chain.recursive_refs(scc)
-            if refs:
+            if chain.recursive_refs(scc):
                 continue  # pure-recursive rules derive nothing yet
             totals[q] |= run_chain(chain, {}, ctx, totals=empty, delta=empty)
-    # also run recursive rules once against the base facts
-    delta = {q: frozenset(totals[q]) for q in scc}
+    return totals, {q: frozenset(totals[q]) for q in scc}
+
+
+def _resume_round(group: FixpointGroup, ctx: GraphContext, old: dict,
+                  inputs: dict, grown: dict):
+    """(totals, delta) after the passes over the grown inputs, starting from
+    the stored totals plus the new base facts."""
+    scc = group.scc
+    totals = {q: set(old[q]).union(grown.get(q, ())) for q in scc}
+    grown_inputs = grown.keys() - scc
+    reads = {**totals, **{n: inputs[n] for n in grown_inputs}}
+    derived = {q: set() for q in scc}
+    for q in sorted(scc):
+        for chain in group.plans[q].chains:
+            if chain.side_reads & grown_inputs:
+                derived[q] |= run_chain(chain, {}, ctx, totals=totals)
+                continue
+            for step in chain.steps:
+                if isinstance(step, (ExpandStep, HashJoinStep)) \
+                        and isinstance(step.source, Data) \
+                        and step.source.name in grown_inputs:
+                    derived[q] |= run_chain(chain, {}, ctx, delta_step=step,
+                                            totals=reads, delta=grown)
+    delta = {}
+    for q in scc:
+        delta[q] = frozenset(derived[q].union(grown.get(q, ())) - old[q])
+        totals[q] |= derived[q]
+    return totals, delta
+
+
+def _iterate(group: FixpointGroup, ctx: GraphContext, totals: dict,
+             delta: dict, cap: int):
+    """(totals, rounds) after semi-naive rounds from `delta` until no new
+    fact appears, where round 1 was the one that produced `delta`; None if
+    that takes more than `cap` rounds."""
+    scc = group.scc
     rounds = 1
     while True:
         rounds += 1
-        if rounds > ctx.max_rounds:
-            raise FixpointDivergence(
-                f"semi-naive fixpoint over {sorted(scc)} exceeded {ctx.max_rounds} rounds")
+        if rounds > cap:
+            return None
+        # totals stay unchanged while the round reads them
         derived = {q: set() for q in scc}
-        frozen_totals = {q: frozenset(v) for q, v in totals.items()}
         for q in sorted(scc):
             for chain in group.plans[q].chains:
-                refs = chain.recursive_refs(scc)
-                for ref in refs:
+                for ref in chain.recursive_refs(scc):
                     derived[q] |= run_chain(chain, {}, ctx, delta_step=ref,
-                                            totals=frozen_totals, delta=delta)
+                                            totals=totals, delta=delta)
         new = {q: derived[q] - totals[q] for q in scc}
         if not any(new.values()):
             break

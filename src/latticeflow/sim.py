@@ -100,6 +100,7 @@ class Cluster:
         self.network = network or NetworkModel()
         self.rng = random.Random(seed)
         self.backend = backend
+        self.max_rounds = max_rounds
         self.groups = {h: list(ids) for h, ids in groups.items()}
         self.proxies = dict(proxies or {})
         self.specs = {s.node_id: s for s in nodes}
@@ -200,7 +201,8 @@ class Cluster:
             self.proxy_state[node_id] = _ProxyState()
         else:
             self.nodes[node_id] = Transducer(
-                self.program, role=spec.role, backend=self.backend)
+                self.program, role=spec.role, backend=self.backend,
+                max_rounds=self.max_rounds)
         self.alive[node_id] = True
         self._serial_seen.pop(node_id, None)
         self._emit("Recovered", node_id, domain=list(spec.domain))

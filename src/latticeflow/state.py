@@ -192,10 +192,6 @@ class NodeState:
     def deliver(self, mailbox: str, payload: Row):
         self.mailboxes.setdefault(mailbox, []).append(payload)
 
-    def has_pending_input(self) -> bool:
-        handler_boxes = {h.name for h in self.program.handlers}
-        return any(self.mailboxes.get(n) for n in handler_boxes)
-
     # --- commit -------------------------------------------------------------
     def commit(self, eff: Effects, advance: bool = True):
         classes = self.program.class_map

@@ -9,6 +9,12 @@ Handlers marked serializable process at most one request per tick: the
 request runs against a forked copy of the state, the handler's invariants
 are checked on the outcome, and the fork is either adopted (accepted) or
 discarded (rejected).
+
+On the graph backend a node's recursive query results outlive the tick:
+every context the node builds, the fork and invariant-check contexts
+included, shares the node's `views`, so a later tick resumes a query whose
+inputs only grew (see `runtime.apply_fixpoint`). A recovered node is a new
+Transducer and starts with none.
 """
 
 from __future__ import annotations
@@ -71,6 +77,7 @@ class Transducer:
                                          for inv in h.consistency.invariants)
                            for h in self.handlers}
         self.compiled = compile_queries(program) if backend == "graph" else None
+        self.views: dict = {}     # recursive query results kept between ticks
         self.request_status: dict = {}
         self.outputs: dict = {}   # non-handler mailbox -> delivered payloads
 
@@ -78,7 +85,7 @@ class Transducer:
     def _context(self, snapshot):
         if self.backend == "graph":
             return GraphContext(self.program, snapshot, self.compiled,
-                                max_rounds=self.max_rounds)
+                                max_rounds=self.max_rounds, views=self.views)
         return InterpContext(self.program, snapshot, max_rounds=self.max_rounds)
 
     # --- message intake -----------------------------------------------------
@@ -122,7 +129,6 @@ class Transducer:
         result.rounds = dict(ctx.rounds)
         result.op_rows = dict(getattr(ctx, "op_rows", {}))
         result.udf_invocations = ctx.udf_invocations
-        result.statuses = {k: v for k, v in result.statuses.items()}
         return result
 
     def _run_eventual(self, h: Handler, ctx, eff: Effects, result: TickResult):

@@ -4,15 +4,19 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import bfs_closure, closure_contexts, closure_program
+from latticeflow.interp import InterpContext
 from latticeflow.ir import (
-    Assign, BinOp, ClassDecl, Comp, ConsistencySpec, Data, DataDecl, Fold,
-    Gen, Handler, In, Len, Lit, MergeMutation, Not, Program, QueryDef, Return,
-    Send, Record, TargetPath, UdfCall, UdfDecl, Var, MESSAGE_ID,
-    response_mailbox,
+    Assign, BinOp, ClassDecl, Comp, ConsistencySpec, Data, DataDecl, Delete,
+    Field, Fold, Gen, Handler, In, Len, Lit, MakeRow, MergeMutation, Not,
+    Program, QueryDef, RangeOf, Return, Send, Record, TargetPath, TupleOf,
+    UdfCall, UdfDecl, Var, MESSAGE_ID, response_mailbox,
 )
-from latticeflow.runtime import NonMonotoneRecursion, compile_queries
+from latticeflow.runtime import (
+    GraphContext, NonMonotoneRecursion, compile_queries,
+)
 from latticeflow.state import FixpointDivergence, Row, canonical_state
 from latticeflow.transducer import Transducer
 
@@ -220,3 +224,137 @@ def test_statement_order_is_immaterial_for_monotone_bodies():
                                     ).__repr__(),
                     tuple(t.outputs.get("out", ()))))
     assert len(finals) == 1
+
+
+# --- views kept across ticks -------------------------------------------------
+
+def edited_closure_program() -> Program:
+    """Paths that start with an edge or a shortcut and go on along edges;
+    ticks can add and delete edges, add edges tentatively, and add
+    shortcuts, the base facts of `tc`. The rule for odd targets joins
+    through a generator over `edges` and the rule for even targets through
+    an `In` on it, so each resume path alone derives part of the result."""
+    e, p, c = Var("e"), Var("p"), Var("c")
+    edge = ClassDecl("Edge", {"a": "int", "b": "int"}, key=("a", "b"))
+
+    def row(a, b):
+        return MakeRow("Edge", a=a, b=b)
+
+    def parity(x, bit):
+        return BinOp("==", BinOp("%", x, Lit(2)), Lit(bit))
+
+    tc = QueryDef(
+        "tc", (),
+        (Comp(e, (Gen("e", Data("edges")),)),
+         Comp(row(Field(p, "a"), Field(e, "b")),
+              (Gen("p", Data("tc")), Gen("e", Data("edges"))),
+              (BinOp("==", Field(p, "b"), Field(e, "a")),
+               parity(Field(e, "b"), 1))),
+         Comp(row(Field(p, "a"), c),
+              (Gen("p", Data("tc")), Gen("c", RangeOf(Lit(NODES)))),
+              (In(row(Field(p, "b"), c), Data("edges")), parity(c, 0)))),
+        recursive=True)
+    new = row(Var("a"), Var("b"))
+    params = {"a": "int", "b": "int"}
+    return Program(
+        "edited_closure",
+        classes=(edge,),
+        data=(DataDecl("edges", "table", cls="Edge"),
+              DataDecl("tc", "table", cls="Edge")),
+        queries=(tc,),
+        handlers=(
+            Handler("link", params, (MergeMutation(TargetPath("edges"), new),)),
+            Handler("cut", params,
+                    (Delete(TargetPath("edges", TupleOf(Var("a"), Var("b")))),)),
+            # accepted unless the new edge closes a cycle through itself
+            Handler("link_acyclic", params,
+                    (MergeMutation(TargetPath("edges"), new),),
+                    consistency=ConsistencySpec("serializable", invariants=(
+                        In(row(Var("b"), Var("a")), Data("tc"), negated=True),))),
+            Handler("shortcut", params, (MergeMutation(TargetPath("tc"), new),)),
+        ))
+
+
+NODES = 6
+
+
+def paths(edges, shortcuts) -> frozenset:
+    """(a, c) where a starts an edge or a shortcut to b and c is b or is
+    reachable from b by breadth-first search over the edges."""
+    reach = bfs_closure(edges)
+    return frozenset((a, c) for a, b in set(edges) | set(shortcuts)
+                     for c in range(NODES) if c == b or (b, c) in reach)
+
+
+ticks = st.lists(
+    st.lists(st.tuples(st.sampled_from(("link", "cut", "link_acyclic",
+                                        "shortcut")),
+                       st.integers(0, NODES - 1), st.integers(0, NODES - 1)),
+             max_size=4),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ticks)
+def test_kept_views_match_a_fresh_evaluation(schedule):
+    program = edited_closure_program()
+    t = Transducer(program)
+    mid = itertools.count()
+    for batch in schedule:
+        for handler, a, b in batch:
+            t.deliver(handler, request(next(mid), a=a, b=b))
+        t.tick()
+        snap = t.state.snapshot()
+        kept = t._context(snap).query_value("tc")
+        assert kept == InterpContext(program, snap).query_value("tc")
+        assert {(r["a"], r["b"]) for r in kept} == paths(
+            snap.tables["edges"], snap.tables["tc"])
+
+
+def test_kept_views_diverge_exactly_when_a_fresh_evaluation_does():
+    # a chain grown one edge per tick passes the cap at its third edge;
+    # shortcuts then bring every path back to one edge
+    program = edited_closure_program()
+    compiled = compile_queries(program)
+    t = Transducer(program, max_rounds=3)
+    chain = [(i, i + 1) for i in range(5)]
+    shortcuts = [(a, b) for a in range(6) for b in range(a + 2, 6)]
+
+    def outcome(ctx):
+        try:
+            return ctx.query_value("tc")
+        except FixpointDivergence:
+            return "diverged"
+
+    seen = []
+    for i, (a, b) in enumerate(chain + shortcuts):
+        t.deliver("link", request(i, a=a, b=b))
+        t.tick()
+        snap = t.state.snapshot()
+        fresh = outcome(GraphContext(program, snap, compiled, max_rounds=3))
+        assert outcome(t._context(snap)) == fresh
+        seen.append(fresh == "diverged")
+    assert seen[:2] == [False, False] and seen[2] and not seen[-1]
+
+
+def test_a_view_whose_input_is_read_whole_is_recomputed_when_it_grows():
+    # every fact carries the size of `acc`, so the facts of a smaller `acc`
+    # are not below the new result and resuming from them would keep them
+    sized = QueryDef(
+        "sized", (),
+        (Comp(TupleOf(Var("x"), Len(Data("acc"))), (Gen("x", Data("acc")),)),
+         Comp(Var("s"), (Gen("s", Data("sized")),))),
+        recursive=True)
+    p = Program("sized",
+                data=(DataDecl("acc", "var", shape="set"),),
+                queries=(sized,),
+                handlers=(Handler("add", {"x": "int"},
+                                  (MergeMutation(TargetPath("acc"), Var("x")),)),))
+    t = Transducer(p)
+    for i, x in enumerate((4, 7, 9)):
+        t.deliver("add", request(i, x=x))
+        t.tick()
+        snap = t.state.snapshot()
+        kept = t._context(snap).query_value("sized")
+        assert kept == InterpContext(p, snap).query_value("sized")
+        assert {n for _, n in kept} == {i + 1}

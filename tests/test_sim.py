@@ -2,9 +2,11 @@
 
 import pytest
 
-from latticeflow.facets import build_cluster
+from latticeflow.facets import build_cluster, make_topology, replication_plan
+from latticeflow.ir import MESSAGE_ID
 from latticeflow.patterns import covid_tracker, covid_workload, run_workload
-from latticeflow.sim import NetworkModel, NoQuiescence, trace_text
+from latticeflow.sim import Cluster, NetworkModel, NoQuiescence, trace_text
+from latticeflow.state import FixpointDivergence, Row
 
 
 def covid_cluster(seed, network=None, dup=0.0):
@@ -129,3 +131,26 @@ def test_recovered_node_rejoins_empty():
     after = cluster.node_state(victim)
     assert before != after
     assert after["tables"]["people"] == {} or after["tables"]["people"] == []
+
+
+def test_recovered_node_keeps_the_round_cap():
+    program = covid_tracker().program
+    plan = replication_plan(program, make_topology())
+    cluster = Cluster(program, plan.nodes, plan.groups, proxies=plan.proxies,
+                      max_rounds=3)
+    victim = sorted(cluster.nodes)[0]
+    cluster.inject_failure(cluster.specs[victim].domain)
+    cluster.recover(victim)
+    node = cluster.nodes[victim]
+    assert node.max_rounds == 3
+    # a contact chain 0-1-...-5 needs more than three rounds to close
+    for i in range(6):
+        node.deliver("add_person", Row(pid=i, name=str(i), country="x",
+                                       **{MESSAGE_ID: f"p{i}"}))
+    for i in range(5):
+        node.deliver("add_contact", Row(pid=i, contact=i + 1,
+                                        **{MESSAGE_ID: f"c{i}"}))
+    node.tick()
+    node.deliver("trace", Row(pid=0, **{MESSAGE_ID: "t0"}))
+    with pytest.raises(FixpointDivergence):
+        node.tick()
