@@ -7,7 +7,10 @@ Subcommands:
   list-patterns  show the bundled example programs
 
 Exit codes: 0 success, 2 validation or input error, 3 the simulation did
-not reach quiescence, 4 the deployment problem is infeasible.
+not reach quiescence, 4 the deployment problem is infeasible, 5 a node
+failed while the simulation ran (a UDF failed, a fixpoint diverged, an
+assignment was ambiguous, a lattice shape mismatched or an integer
+overflowed).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_QUIESCENCE = 3
 EXIT_INFEASIBLE = 4
+EXIT_RUNTIME = 5
 
 
 def _load_program(ref):
@@ -69,7 +73,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     from .scenario import ScenarioError, load_scenario, run_scenario
-    from .sim import NoQuiescence
+    from .sim import NODE_FAILURES, NoQuiescence
     from .state import encode_value
 
     try:
@@ -89,6 +93,12 @@ def cmd_simulate(args) -> int:
         except NoQuiescence as exc:
             print(f"seed {seed}: no quiescence: {exc}", file=sys.stderr)
             return EXIT_NO_QUIESCENCE
+        except NODE_FAILURES as exc:
+            where = (f" at tick {exc.tick} on node {exc.node_id}"
+                     if hasattr(exc, "node_id") else "")
+            print(f"seed {seed}: {type(exc).__name__}{where}: {exc}",
+                  file=sys.stderr)
+            return EXIT_RUNTIME
         print(f"seed {seed}: quiesced at tick {cluster.tick}")
         for client, box in sorted(cluster.responses.items()):
             for mid, payload in sorted(box.items()):

@@ -9,7 +9,6 @@ executable by both backends.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field as dfield
 from typing import Optional
 
@@ -30,8 +29,8 @@ class LoweringError(Exception):
 class Route:
     """Where messages on one mailbox go.
 
-    kinds: ``role`` (any node hosting the role, optionally partitioned by
-    ``partition_field`` via a stable hash), ``reply`` (back to the client
+    kinds: ``role`` (any node hosting the role; ``partition_field`` names
+    the field a handler could be sharded by), ``reply`` (back to the client
     that issued the matching request id), ``client`` (an outbound sink).
     """
 
@@ -39,12 +38,6 @@ class Route:
     kind: str
     role: Optional[str] = None
     partition_field: Optional[str] = None
-
-
-def partition_index(value, buckets: int) -> int:
-    """Stable partition hash; independent of interpreter hash seeding."""
-    data = repr(value).encode("utf-8")
-    return zlib.crc32(data) % buckets
 
 
 @dataclass

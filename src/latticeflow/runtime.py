@@ -14,9 +14,12 @@ change: a deletion, an assignment, a replaced table row, a changed scalar,
 or the state of a rejected fork. `max_rounds` caps the rounds that a
 from-scratch evaluation of the current state would take, also when the
 evaluation resumes, so whether it diverges depends on the state alone and
-not on the views. Operators iterate sets in whatever order they come; order
-is fixed only where it is observable, by `EvalContext.collection`, sends
-and canonical encoding.
+not on the views. Operators iterate sets in whatever order they come, and a
+generator over a table reads the table's rows in storage order; order is
+fixed only where it is observable, by `EvalContext.collection`, sends and
+canonical encoding. A comprehension in a handler is compiled the first time
+it is evaluated and the chain is kept on the node's `CompiledQueries`, so
+every later context of the node reuses it.
 """
 
 from __future__ import annotations
@@ -160,6 +163,8 @@ def run_chain(chain: Chain, env0: dict, ctx: "GraphContext",
                 return delta[name] if step is delta_step else totals[name]
             if name in ctx._query_names:
                 return ctx.query_value(name)
+            if name in ctx.snapshot.tables and name not in ctx.firing:
+                return ctx.snapshot.tables[name].values()
         v = eval_expr(source, env, ctx)
         return v if isinstance(v, frozenset) else iter_source(v)
 
@@ -235,6 +240,7 @@ class CompiledQueries:
     plans: dict = dfield(default_factory=dict)        # non-recursive
     groups: list = dfield(default_factory=list)       # FixpointGroup
     group_of: dict = dfield(default_factory=dict)
+    chains: dict = dfield(default_factory=dict)       # handler Comp -> Chain
 
 
 def _rule_reads(comp: Comp):
@@ -336,16 +342,14 @@ class GraphContext(EvalContext):
         self.rounds = {}
         self.op_rows = {}
         self._qmemo = {}
-        self._chain_cache = {}
 
     def note(self, op_id: str, n: int):
         self.op_rows[op_id] = self.op_rows.get(op_id, 0) + n
 
     def eval_comp(self, e: Comp, env: dict) -> frozenset:
-        chain = self._chain_cache.get(e)
+        chain = self.compiled.chains.get(e)
         if chain is None:
-            chain = compile_comp(e)
-            self._chain_cache[e] = chain
+            chain = self.compiled.chains[e] = compile_comp(e)
         return run_chain(chain, env, self)
 
     def base_facts(self, name: str) -> frozenset:

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .facets import make_topology, replication_plan
 from .ir import Program
-from .progjson import program_from_json
+from .progjson import decode_node
 from .sim import Cluster, NetworkModel, NodeSpec
 
 
@@ -54,9 +54,12 @@ def load_program(ref) -> Program:
                 f"readable file ({exc})") from exc
     _require(isinstance(ref, dict), "program must be a name or an object")
     try:
-        return program_from_json(ref)
+        program = decode_node(ref)
     except Exception as exc:
         raise ScenarioError(f"bad inline program: {exc}") from exc
+    _require(isinstance(program, Program),
+             "bad inline program: document does not describe a program")
+    return program
 
 
 def load_scenario(source) -> Scenario:

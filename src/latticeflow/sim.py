@@ -2,25 +2,40 @@
 
 A cluster runs one transducer per worker node over a simulated network with
 seeded random delays and optional duplication. Messages are never lost to a
-live node; nodes fail crash-stop, taking queued and in-flight messages with
-them. Reruns with the same seed and scenario are byte-identical, including
-the emitted trace.
+live node; nodes fail crash-stop, losing their queued messages and the
+in-flight messages addressed to them. Reruns with the same seed and scenario
+are byte-identical, including the emitted trace.
+
+Messages carry no sender, so a message that a node sent before it crashed
+is still delivered: crash-stop loses what the crashed node held, not what
+it had already put on the network.
 
 Replicated handlers fan requests out to every replica. Serializable
 handlers are sequenced: only the lowest-numbered live replica processes
 client requests; accepted requests are forwarded to the other replicas as
 ordered commit records which they apply in sequence order.
+
+A tick's cost does not grow with the backlog of requests. Scheduled
+requests wait in a queue ordered by (tick, schedule order) and are taken
+from its head. A proxy retransmits a request when every replica it was sent
+to has crashed; since only a crash or a recovery can orphan a request that
+had a live recipient, the proxy rescans all of its pending requests only in
+a tick where a node crashed or recovered, and otherwise checks just the
+requests that arrived in that tick.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 from dataclasses import dataclass, field as dfield
 from typing import Optional
 
 from .ir import MESSAGE_ID, Program, response_mailbox
-from .state import Row, canonical_state, encode_value
+from .lattice import IntOverflow, ShapeMismatch
+from .state import (AmbiguousAssign, FixpointDivergence, Row, UdfFailure,
+                    canonical_state, encode_value)
 from .transducer import Transducer
 
 ORDERED = "_ordered"
@@ -30,6 +45,12 @@ DOMAIN_LEVELS = ("dc", "az", "rack", "vm")
 
 class NoQuiescence(Exception):
     """The cluster still had activity at the tick limit."""
+
+
+# what a node's tick raises on a defect of the program it runs; `step` adds
+# the node id and the tick to the exception as `node_id` and `tick`
+NODE_FAILURES = (UdfFailure, FixpointDivergence, AmbiguousAssign,
+                 ShapeMismatch, IntOverflow)
 
 
 @dataclass(frozen=True)
@@ -88,6 +109,8 @@ class _ProxyState:
         self.seen_requests: set = set()
         self.seen_responses: set = set()
         self.pending: dict = {}  # mid -> {"mailbox", "payload", "dests", "dead_logged"}
+        self.added: list = []    # mids put in `pending` since the last retry check
+        self.checked_at = -1     # the cluster's liveness count at that check
 
 
 class Cluster:
@@ -120,7 +143,9 @@ class Cluster:
         self.trace: list = []
         self.trace_path = trace_path
         self._trace_file = open(trace_path, "w") if trace_path else None
-        self.pending_injections: list = []   # (tick, order, client, mailbox, payload)
+        self.pending_injections: list = []   # heap of (tick, order, client, mailbox, payload)
+        self._order = 0                      # schedule order, never repeats
+        self._liveness = 0                   # crashes and recoveries so far
         self.pending_failures: list = []     # (tick, domain prefix)
         self.client_of: dict = {}            # message_id -> client id
         self.responses: dict = {}            # client -> {message_id: payload}
@@ -169,8 +194,9 @@ class Cluster:
         payload = Row(dict(fields, **{MESSAGE_ID: mid}))
         self.client_of[mid] = client
         self.request_payload[mid] = (handler, payload)
-        self.pending_injections.append(
-            (tick, len(self.pending_injections), client, handler, payload))
+        self._order += 1
+        heapq.heappush(self.pending_injections,
+                       (tick, self._order, client, handler, payload))
         return mid
 
     def inject_failure(self, domain_prefix):
@@ -182,6 +208,7 @@ class Cluster:
                 matched = True
                 if self.alive.get(nid):
                     self.alive[nid] = False
+                    self._liveness += 1
                     self._emit("Crashed", nid, domain=list(spec.domain))
         if not matched:
             raise KeyError(f"no node under failure domain {prefix!r}")
@@ -204,6 +231,7 @@ class Cluster:
                 self.program, role=spec.role, backend=self.backend,
                 max_rounds=self.max_rounds)
         self.alive[node_id] = True
+        self._liveness += 1
         self._serial_seen.pop(node_id, None)
         self._emit("Recovered", node_id, domain=list(spec.domain))
 
@@ -340,14 +368,14 @@ class Cluster:
                 active = True
         self.pending_failures = [x for x in self.pending_failures
                                  if x[0] > self.tick]
-        for (t, _, client, mailbox, payload) in sorted(self.pending_injections):
+        queue = self.pending_injections
+        while queue and queue[0][0] <= self.tick:
+            t, _, client, mailbox, payload = heapq.heappop(queue)
             if t == self.tick:
                 self._emit("Injected", None, client=client, mailbox=mailbox,
                            message_id=payload.get(MESSAGE_ID))
                 self._route(mailbox, payload, sender=None)
                 active = True
-        self.pending_injections = [x for x in self.pending_injections
-                                   if x[0] > self.tick]
         self._deliver_due()
 
         for nid in sorted(self.proxy_state):
@@ -364,7 +392,11 @@ class Cluster:
             node = self.nodes[nid]
             if not node.has_pending_input():
                 continue
-            result = node.tick()
+            try:
+                result = node.tick()
+            except NODE_FAILURES as exc:
+                exc.node_id, exc.tick = nid, self.tick
+                raise
             if result.fired or result.sends:
                 active = True
             for out in result.sends:
@@ -390,6 +422,7 @@ class Cluster:
                     self._post(dest, mailbox, payload)
                 st.pending[mid] = {"mailbox": mailbox, "payload": payload,
                                    "dests": tuple(dests), "dead_logged": False}
+                st.added.append(mid)
             elif mailbox in self._reply_of:
                 st.pending.pop(mid, None)
                 if mid in st.seen_responses:
@@ -407,10 +440,21 @@ class Cluster:
         return self.live_group(mailbox)
 
     def _proxy_retry(self, nid: str) -> bool:
-        """Retransmit pending requests whose recipients have all crashed."""
+        """Retransmit pending requests whose recipients have all crashed.
+
+        Only a crash or a recovery changes what an entry that was already
+        checked would do, so all of `pending` is checked only in a tick
+        after the liveness count moved; otherwise only the entries added
+        since the last check are."""
         st = self.proxy_state[nid]
+        if st.checked_at != self._liveness:
+            st.checked_at = self._liveness
+            mids = sorted(st.pending)
+        else:
+            mids = sorted(mid for mid in st.added if mid in st.pending)
+        st.added = []
         active = False
-        for mid in sorted(st.pending):
+        for mid in mids:
             entry = st.pending[mid]
             if any(self.alive.get(d) for d in entry["dests"]):
                 continue
@@ -462,11 +506,12 @@ class Cluster:
         idle_streak = 0
         while self.tick < max_ticks:
             # idle fast-forward: nothing can happen until the next delivery
-            due = ([m.deliver_tick for m in self.in_flight]
-                   + [x[0] for x in self.pending_injections]
-                   + [x[0] for x in self.pending_failures])
-            if due and min(due) > self.tick and idle_streak > 0:
-                self.tick = min(due)
+            if idle_streak > 0:
+                due = ([m.deliver_tick for m in self.in_flight]
+                       + [x[0] for x in self.pending_injections[:1]]
+                       + [x[0] for x in self.pending_failures])
+                if due and min(due) > self.tick:
+                    self.tick = min(due)
             active = self.step()
             if active:
                 idle_streak = 0

@@ -1,12 +1,18 @@
 """Command-line entry points and exit codes."""
 
 import json
+import re
 
 import pytest
 
 from latticeflow.cli import (
-    EXIT_INFEASIBLE, EXIT_NO_QUIESCENCE, EXIT_OK, EXIT_VALIDATION, main,
+    EXIT_INFEASIBLE, EXIT_NO_QUIESCENCE, EXIT_OK, EXIT_RUNTIME,
+    EXIT_VALIDATION, main,
 )
+from latticeflow.patterns import covid_program
+from latticeflow.progjson import program_to_json
+from latticeflow.scenario import load_scenario, run_scenario
+from latticeflow.sim import trace_text
 
 
 def scenario_dict(**kw):
@@ -112,6 +118,30 @@ def test_simulate_unknown_workload_field(tmp_path):
 def test_simulate_no_quiescence(tmp_path):
     path = write_scenario(tmp_path, max_ticks=1)
     assert main(["simulate", path]) == EXIT_NO_QUIESCENCE
+
+
+def test_inline_program_simulates_like_the_named_pattern():
+    inline = json.loads(program_to_json(covid_program()))
+    traces = []
+    for program in ("covid_tracker", inline):
+        sc = load_scenario(scenario_dict(program=program))
+        traces.append(trace_text(run_scenario(sc)))
+    assert traces[0] == traces[1]
+
+
+def test_simulate_reports_a_failing_udf_without_a_traceback(tmp_path, capsys):
+    text = program_to_json(covid_program()).replace('"covid_predict"',
+                                                    '"not_registered"')
+    sc = scenario_dict(program=json.loads(text))
+    sc["workload"].append({"tick": 2, "client": "c1", "handler": "estimate",
+                           "fields": {"pid": 1, "symptoms": 3}})
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(sc))
+    assert main(["simulate", str(path)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"seed 3: UdfFailure at tick \d+ on node n\d+: "
+        r"udf 'not_registered' has no host implementation\n", err), err
 
 
 def test_plan_defaults_are_feasible(tmp_path, capsys):

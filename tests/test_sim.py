@@ -1,5 +1,7 @@
 """Deterministic network simulation: delays, duplication, failures."""
 
+import random
+
 import pytest
 
 from latticeflow.facets import build_cluster, make_topology, replication_plan
@@ -154,3 +156,121 @@ def test_recovered_node_keeps_the_round_cap():
     node.deliver("trace", Row(pid=0, **{MESSAGE_ID: "t0"}))
     with pytest.raises(FixpointDivergence):
         node.tick()
+
+
+def test_requests_scheduled_mid_run_keep_their_schedule_order():
+    cluster = build_cluster(covid_tracker().program, seed=4,
+                            network=NetworkModel(1, 3, 0.0))
+    cluster.schedule_request(0, "c1", "add_person",
+                             {"pid": 1, "name": "a", "country": "x"})
+    mids = [cluster.schedule_request(10, "c1", "trace", {"pid": 1})
+            for _ in range(3)]
+    cluster.step()
+    # scheduled after the queue has shrunk: must not share a tie-break
+    mids.append(cluster.schedule_request(10, "c1", "trace", {"pid": 1}))
+    cluster.run_to_quiescence()
+    injected = [ev.detail["message_id"] for ev in cluster.trace
+                if ev.kind == "Injected" and ev.tick == 10]
+    assert injected == mids
+    assert set(mids) <= set(cluster.responses["c1"])
+
+
+def _events(cluster, kind):
+    return [(i, ev) for i, ev in enumerate(cluster.trace) if ev.kind == kind]
+
+
+def test_a_request_orphaned_by_crashes_is_retransmitted_after_recovery():
+    cluster = build_cluster(covid_tracker().program, seed=1,
+                            network=NetworkModel(3, 3, 0.0))
+    mid = cluster.schedule_request(0, "c1", "vaccinate", {"pid": 1})
+    # the proxy forwards to the sequencer n01 at tick 3; every replica
+    # crashes before delivery
+    for az in ("az0", "az1", "az2"):
+        cluster.schedule_failure(4, ("dc0", az))
+    for _ in range(9):
+        cluster.step()
+    [(lost_at, lost)] = _events(cluster, "NoLiveReplica")
+    assert (lost.tick, lost.detail["message_id"]) == (4, mid)
+    cluster.recover("n02")
+    cluster.run_to_quiescence()
+    [(recovered_at, _)] = _events(cluster, "Recovered")
+    [(retried_at, retried)] = _events(cluster, "Retransmitted")
+    assert lost_at < recovered_at < retried_at
+    assert retried.detail == {"mailbox": "vaccinate", "message_id": mid,
+                              "dests": ["n02"]}
+    fresh = [m for (_t, _c, m, _p, is_fresh) in cluster.response_log
+             if is_fresh]
+    assert fresh == [mid]
+
+
+class _FullScanCluster(Cluster):
+    """Checks every pending request on every tick, as the proxy once did."""
+
+    def _proxy_retry(self, nid):
+        st = self.proxy_state[nid]
+        active = False
+        for mid in sorted(st.pending):
+            entry = st.pending[mid]
+            if any(self.alive.get(d) for d in entry["dests"]):
+                continue
+            dests = self._proxy_dests(entry["mailbox"])
+            if not dests:
+                if not entry["dead_logged"]:
+                    entry["dead_logged"] = True
+                    self._emit("NoLiveReplica", nid, mailbox=entry["mailbox"],
+                               message_id=mid)
+                    active = True
+                continue
+            for dest in dests:
+                self._post(dest, entry["mailbox"], entry["payload"])
+            entry["dests"] = tuple(dests)
+            entry["dead_logged"] = False
+            self._emit("Retransmitted", nid, mailbox=entry["mailbox"],
+                       message_id=mid, dests=list(dests))
+            active = True
+        return active
+
+
+def _crash_and_recover_run(cls, seed):
+    rng = random.Random(seed)
+    program = covid_tracker(vaccine_count=4).program
+    plan = replication_plan(program, make_topology())
+    cluster = cls(program, plan.nodes, plan.groups, proxies=plan.proxies,
+                  seed=seed, network=NetworkModel(1, 6, 0.2))
+    for pid in range(6):
+        cluster.schedule_request(rng.randrange(4), "c1", "add_person",
+                                 {"pid": pid, "name": str(pid), "country": "x"})
+    for _ in range(30):
+        handler = rng.choice(("add_contact", "trace", "vaccinate"))
+        fields = {"pid": rng.randrange(6)}
+        if handler == "add_contact":
+            fields["contact"] = rng.randrange(6)
+        cluster.schedule_request(rng.randrange(4, 40), rng.choice(("c1", "c2")),
+                                 handler, fields)
+    for _ in range(60):
+        roll = rng.random()
+        down = sorted(n for n, up in cluster.alive.items() if not up)
+        if roll < 0.12:
+            # one node, or every worker at once
+            domains = [cluster.specs[n].domain for n in sorted(cluster.specs)]
+            cluster.inject_failure(rng.choice(domains + [("dc0",)]))
+        elif roll < 0.3 and down:
+            cluster.recover(rng.choice(down))
+        cluster.step()
+    for nid in sorted(n for n, up in cluster.alive.items() if not up):
+        cluster.recover(nid)
+    cluster.run_to_quiescence()
+    return cluster
+
+
+def test_narrowed_proxy_retries_match_a_full_scan():
+    kinds = {"NoLiveReplica": 0, "Retransmitted": 0, "Recovered": 0}
+    for seed in range(12):
+        narrowed = _crash_and_recover_run(Cluster, seed)
+        full = _crash_and_recover_run(_FullScanCluster, seed)
+        assert trace_text(narrowed) == trace_text(full), seed
+        for ev in narrowed.trace:
+            if ev.kind in kinds:
+                kinds[ev.kind] += 1
+    # the schedules exercise every path the narrowing skips work on
+    assert all(kinds.values()), kinds
