@@ -9,13 +9,13 @@ a state-free bound) are treated as monotone: once true they stay true.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .ir import (
     Assign, BinOp, Comp, Data, Delete, Field, Fold, ForEach, Gen, In, Index,
     Len, Lit, Lookup, MakeRow, MergeMutation, Not, Program, Record, Return,
-    RangeOf, Send, Slice, TupleOf, UdfCall, Var, desugar_handler, walk_expr,
-    _children,
+    RangeOf, Send, Slice, TupleOf, UdfCall, Var, desugar_handler,
+    statement_exprs, walk_expr, _children,
 )
 
 MONOTONE_FOLDS = ("count", "set", "merge")
@@ -242,7 +242,6 @@ def _handler_reads(h, p: Program) -> set:
         exprs.append(h.guard)
     exprs.extend(h.consistency.invariants)
     for s in desugar_handler(h):
-        from .ir import statement_exprs
         exprs.extend(statement_exprs(s))
     qmap = p.query_map
     seen_queries = set()
@@ -395,24 +394,53 @@ def _sccs(nodes, edges):
     return out
 
 
+@dataclass(frozen=True)
+class QueryGraph:
+    """The query dependency graph that stratification and both backends read.
+
+    `bad_edge` is the first edge labelled ``neg`` or ``agg`` between two
+    members of a recursive SCC, taking the SCCs in Tarjan order; a program
+    with one can be neither stratified nor evaluated by fixpoint."""
+
+    edges: tuple                  # (query, dependency, label)
+    sccs: tuple                   # frozensets in Tarjan order
+    comp_of: dict                 # query -> its SCC
+    recursive: frozenset          # SCCs with a cycle, self-loops included
+    bad_edge: Optional[tuple]
+
+
+def query_graph(p: Program) -> QueryGraph:
+    """The program's query graph, computed once per program object and
+    kept on it: a cache keyed by the program would hash and compare the
+    whole tree on every lookup."""
+    graph = vars(p).get("_query_graph")
+    if graph is not None:
+        return graph
+    edges = tuple(_query_edges(p))
+    comps = _sccs(sorted(p.query_map), edges)
+    comp_of = {q: comp for comp in comps for q in comp}
+    recursive = set()
+    bad_edge = None
+    for comp in comps:
+        inner = [e for e in edges if e[0] in comp and e[1] in comp]
+        if len(comp) > 1 or any(a == b for a, b, _ in inner):
+            recursive.add(comp)
+            if bad_edge is None:
+                bad_edge = next((e for e in inner if e[2] != "pos"), None)
+    graph = QueryGraph(edges, tuple(comps), comp_of, frozenset(recursive),
+                       bad_edge)
+    object.__setattr__(p, "_query_graph", graph)  # Program is frozen
+    return graph
+
+
 def stratify(p: Program) -> StratumAssignment:
     """Assign strata; negation/aggregation may never occur inside a cycle."""
     qnames = sorted(p.query_map)
-    edges = _query_edges(p)
-    comps = _sccs(qnames, edges)
-    comp_of = {}
-    for comp in comps:
-        for q in comp:
-            comp_of[q] = comp
-
-    recursive = []
-    for comp in comps:
-        self_loop = any(a == b for a, b, _ in edges if a in comp and b in comp)
-        if len(comp) > 1 or self_loop:
-            recursive.append(comp)
-            for a, b, label in edges:
-                if a in comp and b in comp and label != "pos":
-                    raise Unstratifiable(comp, label)
+    graph = query_graph(p)
+    edges, comp_of = graph.edges, graph.comp_of
+    if graph.bad_edge is not None:
+        a, _, label = graph.bad_edge
+        raise Unstratifiable(comp_of[a], label)
 
     # condensation longest path: +1 across neg/agg edges
     strata = {q: 0 for q in qnames}
@@ -439,7 +467,7 @@ def stratify(p: Program) -> StratumAssignment:
     for h in sorted(p.handlers, key=lambda h: h.name):
         refs = set()
         for s in desugar_handler(h):
-            for e in _stmt_exprs(s):
+            for e in statement_exprs(s):
                 for sub in walk_expr(e):
                     if isinstance(sub, Data) and sub.name in strata:
                         refs.add(sub.name)
@@ -448,11 +476,7 @@ def stratify(p: Program) -> StratumAssignment:
 
     return StratumAssignment(
         tuple(sorted(strata.items())),
-        tuple(sorted(recursive, key=lambda c: sorted(c))),
+        tuple(sorted(graph.recursive, key=lambda c: sorted(c))),
         tuple(stmt_strata),
     )
 
-
-def _stmt_exprs(s):
-    from .ir import statement_exprs
-    return statement_exprs(s)

@@ -90,6 +90,9 @@ def cmd_simulate(args) -> int:
         try:
             cluster = run_scenario(sc, backend=args.backend, seed=seed,
                                    trace_path=trace_path)
+        except ScenarioError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
         except NoQuiescence as exc:
             print(f"seed {seed}: no quiescence: {exc}", file=sys.stderr)
             return EXIT_NO_QUIESCENCE

@@ -67,6 +67,15 @@ class EvalContext:
             key = (key,)
         return self.snapshot.tables[name].get(key, MISSING)
 
+    def base_facts(self, name: str) -> frozenset:
+        """Same-name data variable contents, implicitly included in a query."""
+        if name in self.snapshot.tables:
+            return frozenset(self.snapshot.tables[name].values())
+        v = self.snapshot.vars.get(name)
+        if isinstance(v, frozenset):
+            return v
+        return frozenset()
+
     def collection(self, name: str):
         """Ordered view of a named collection for iteration. Views of
         queries, tables and vars are sorted once per context; the handler

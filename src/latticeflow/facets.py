@@ -9,6 +9,9 @@ client.
 Consistency: serializable handlers are sequenced through the lowest-numbered
 live replica (see :mod:`latticeflow.sim`). `facet_warnings` cross-checks the
 two annotations against the monotonicity analysis.
+
+`replication_plan` only places nodes; `scenario.build_scenario_cluster` is
+the one place that turns a plan into a running `Cluster`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field as dfield
 
 from .analysis import calm_report
 from .ir import Program
-from .sim import Cluster, DOMAIN_LEVELS, NetworkModel, NodeSpec
+from .sim import DOMAIN_LEVELS, NodeSpec
 
 PROXY_DOMAIN = ("proxy-dc", "proxy-az", "proxy-rack", "proxy-vm")
 
@@ -73,7 +76,7 @@ class ReplicationPlan:
         }
 
 
-def replication_plan(program: Program, slots, use_proxy: bool = True) -> ReplicationPlan:
+def replication_plan(program: Program, slots) -> ReplicationPlan:
     """Place replicas for every handler over the slot topology.
 
     One worker node is created per slot actually used; handlers sharing a
@@ -117,7 +120,7 @@ def replication_plan(program: Program, slots, use_proxy: bool = True) -> Replica
         if need > 1:
             need_proxy = True
 
-    if use_proxy and need_proxy:
+    if need_proxy:
         proxy_id = "proxy"
         plan.nodes.append(NodeSpec(proxy_id, role="proxy",
                                    domain=PROXY_DOMAIN, behavior="proxy"))
@@ -125,17 +128,6 @@ def replication_plan(program: Program, slots, use_proxy: bool = True) -> Replica
             if len(plan.groups[h.name]) > 1:
                 plan.proxies[h.name] = proxy_id
     return plan
-
-
-def build_cluster(program: Program, slots=None, seed: int = 0,
-                  network: NetworkModel = None, backend: str = "graph",
-                  trace_path=None, use_proxy: bool = True) -> Cluster:
-    if slots is None:
-        slots = make_topology()
-    plan = replication_plan(program, slots, use_proxy=use_proxy)
-    return Cluster(program, plan.nodes, plan.groups, network=network,
-                   seed=seed, backend=backend, proxies=plan.proxies,
-                   trace_path=trace_path)
 
 
 @dataclass(frozen=True)

@@ -7,28 +7,11 @@ for the operator-graph runtime, which must produce identical final state.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .analysis import _query_edges, _sccs
-from .eval import EvalContext, MISSING, bind, eval_expr, iter_source, truthy
-from .ir import Comp, Program
+from .analysis import query_graph
+from .eval import (EvalContext, MISSING, _order_key, bind, eval_expr,
+                   iter_source, truthy)
+from .ir import Comp
 from .state import FixpointDivergence
-
-
-@lru_cache(maxsize=None)
-def query_sccs(program: Program):
-    """(scc_of, edges): query SCC lookup for recursion handling."""
-    edges = tuple(_query_edges(program))
-    comps = _sccs(sorted(program.query_map), edges)
-    comp_of = {}
-    for comp in comps:
-        for q in comp:
-            comp_of[q] = comp
-    recursive = set()
-    for comp in comps:
-        if len(comp) > 1 or any(a == b for a, b, _ in edges if a in comp and b in comp):
-            recursive.add(comp)
-    return comp_of, recursive
 
 
 class InterpContext(EvalContext):
@@ -58,21 +41,12 @@ class InterpContext(EvalContext):
         rec(0, env)
         return frozenset(out)
 
-    def base_facts(self, name: str) -> frozenset:
-        """Same-name data variable contents, implicitly included in a query."""
-        if name in self.snapshot.tables:
-            return frozenset(self.table_rows(name))
-        v = self.snapshot.vars.get(name)
-        if isinstance(v, frozenset):
-            return v
-        return frozenset()
-
     def query_value(self, name: str) -> frozenset:
         if name in self._qmemo:
             return self._qmemo[name]
-        comp_of, recursive = query_sccs(self.program)
-        scc = comp_of[name]
-        if scc not in recursive:
+        graph = query_graph(self.program)
+        scc = graph.comp_of[name]
+        if scc not in graph.recursive:
             val = self.base_facts(name)
             for qd in self.program.query_map[name]:
                 for body in qd.bodies:
@@ -88,7 +62,7 @@ class InterpContext(EvalContext):
                 raise FixpointDivergence(
                     f"naive fixpoint over {sorted(scc)} exceeded {self.max_rounds} rounds")
             self.query_overrides.update(
-                {q: tuple(sorted(v, key=_okey)) for q, v in est.items()})
+                {q: tuple(sorted(v, key=_order_key)) for q, v in est.items()})
             new = {}
             for q in sorted(scc):
                 val = self.base_facts(q)
@@ -115,7 +89,3 @@ class InterpContext(EvalContext):
             return frozenset(v)
         return frozenset([v])
 
-
-def _okey(v):
-    from .eval import _order_key
-    return _order_key(v)

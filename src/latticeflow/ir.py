@@ -837,7 +837,3 @@ def _quantify(s: Statement, h: Handler, mapping: dict, mbox_gen: Gen) -> Stateme
         return Send(s.mailbox, over_mailbox(s.expr))
     raise TypeError(f"cannot quantify statement: {s!r}")
 
-
-def desugared_program(p: Program) -> dict:
-    """handler name -> desugared statement list."""
-    return {h.name: desugar_handler(h) for h in p.handlers}

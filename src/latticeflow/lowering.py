@@ -29,15 +29,14 @@ class LoweringError(Exception):
 class Route:
     """Where messages on one mailbox go.
 
-    kinds: ``role`` (any node hosting the role; ``partition_field`` names
-    the field a handler could be sharded by), ``reply`` (back to the client
-    that issued the matching request id), ``client`` (an outbound sink).
+    kinds: ``role`` (any node hosting the role), ``reply`` (back to the
+    client that issued the matching request id), ``client`` (an outbound
+    sink).
     """
 
     mailbox: str
     kind: str
     role: Optional[str] = None
-    partition_field: Optional[str] = None
 
 
 @dataclass
@@ -70,9 +69,8 @@ class LoweringPlan:
                 for role, g in sorted(self.roles.items())
             },
             "routes": {
-                m: {k: v for k, v in (
-                    ("kind", r.kind), ("role", r.role),
-                    ("partition_field", r.partition_field)) if v is not None}
+                m: {k: v for k, v in (("kind", r.kind), ("role", r.role))
+                    if v is not None}
                 for m, r in sorted(self.routes.items())
             },
         }
@@ -118,19 +116,8 @@ def lower(program: Program) -> LoweringPlan:
         plan.roles[role] = RoleGraph(role, handlers, serial, qstrata,
                                      rec_groups, operators)
 
-    classes = program.class_map
-    datam = program.data_map
     for h in program.handlers:
-        part = None
-        # a handler keyed on a partitioned class can be sharded by that field
-        for d in program.data:
-            if d.kind != "table" or d.cls not in classes:
-                continue
-            pfield = classes[d.cls].partition
-            if pfield and pfield in h.param_names:
-                part = pfield
-                break
-        plan.routes[h.name] = Route(h.name, "role", h.role, part)
+        plan.routes[h.name] = Route(h.name, "role", h.role)
         plan.routes[response_mailbox(h.name)] = Route(
             response_mailbox(h.name), "reply")
     for sink in program.sinks:

@@ -745,16 +745,12 @@ def get_pattern(name: str) -> PatternProgram:
 
 
 def run_workload(program, workload, seed=0, backend="graph", network=None,
-                 slots=None, max_ticks=20000, use_proxy=True, trace_path=None):
+                 trace_path=None):
     """Build a replicated cluster, inject the workload, run to quiescence."""
-    from .facets import build_cluster, make_topology
+    from .scenario import Scenario, build_scenario_cluster
     from .sim import NetworkModel
-    cluster = build_cluster(program, slots or make_topology(), seed=seed,
-                            network=network or NetworkModel(1, 3, 0.0),
-                            backend=backend, use_proxy=use_proxy,
-                            trace_path=trace_path)
-    for req in workload:
-        cluster.schedule_request(req["tick"], req["client"], req["handler"],
-                                 req["fields"], message_id=req.get("message_id"))
-    cluster.run_to_quiescence(max_ticks=max_ticks)
+    sc = Scenario(program, seed, network or NetworkModel(1, 3, 0.0),
+                  workload=workload, max_ticks=20000)
+    cluster = build_scenario_cluster(sc, backend=backend, trace_path=trace_path)
+    cluster.run_to_quiescence(max_ticks=sc.max_ticks)
     return cluster

@@ -36,10 +36,6 @@ def register_udf(name: str, fn):
     _UDF_REGISTRY[name] = fn
 
 
-def registered_udf(name: str):
-    return _UDF_REGISTRY.get(name)
-
-
 def encode_node(v):
     if dataclasses.is_dataclass(v) and not isinstance(v, type):
         fields = {}

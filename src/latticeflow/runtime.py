@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 from typing import Optional, Tuple
 
-from .analysis import _query_edges, _sccs
+from .analysis import classify_expression, query_graph
 from . import lattice
 from .eval import EvalContext, MISSING, bind, eval_expr, iter_source, truthy
 from .ir import (
@@ -284,14 +284,9 @@ def _rule_reads(comp: Comp):
 
 
 def compile_queries(program) -> CompiledQueries:
-    from .analysis import classify_expression
-
-    edges = tuple(_query_edges(program))
-    comps = _sccs(sorted(program.query_map), edges)
+    graph = query_graph(program)
     out = CompiledQueries()
-    for comp in comps:
-        recursive = len(comp) > 1 or any(
-            a == b for a, b, _ in edges if a in comp and b in comp)
+    for comp in graph.sccs:
         plans = {}
         for q in sorted(comp):
             chains = []
@@ -302,11 +297,11 @@ def compile_queries(program) -> CompiledQueries:
                     else:
                         chains.append(compile_comp(Comp(body, ())))
             plans[q] = QueryPlan(q, chains)
-        if recursive:
-            for a, b, label in edges:
-                if a in comp and b in comp and label != "pos":
-                    raise NonMonotoneRecursion(
-                        f"{label} reference to {b} inside recursive group {sorted(comp)}")
+        if comp in graph.recursive:
+            bad = graph.bad_edge
+            if bad is not None and bad[0] in comp:
+                raise NonMonotoneRecursion(
+                    f"{bad[2]} reference to {bad[1]} inside recursive group {sorted(comp)}")
             inputs, value_reads = set(), set()
             for q in comp:
                 for qd in program.query_map[q]:
@@ -351,14 +346,6 @@ class GraphContext(EvalContext):
         if chain is None:
             chain = self.compiled.chains[e] = compile_comp(e)
         return run_chain(chain, env, self)
-
-    def base_facts(self, name: str) -> frozenset:
-        if name in self.snapshot.tables:
-            return frozenset(self.snapshot.tables[name].values())
-        v = self.snapshot.vars.get(name)
-        if isinstance(v, frozenset):
-            return v
-        return frozenset()
 
     def input_value(self, name: str):
         """A group input as the resume check compares it: a set for a

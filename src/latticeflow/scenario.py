@@ -4,6 +4,12 @@ injections, bundled with the seed that makes the run reproducible.
 The program is referenced either by bundled pattern name or inline in the
 program JSON format. Nodes can be listed explicitly or synthesized from the
 availability annotations over a failure-domain topology.
+
+`build_scenario_cluster` is the only code that turns a program into a
+`Cluster`; `patterns.run_workload` builds a `Scenario` to get one. Both
+ways of getting nodes end in one `ReplicationPlan`: explicit nodes give
+each handler every worker of its role and, if a proxy node is listed, put
+it in front of each handler with more than one replica.
 """
 
 from __future__ import annotations
@@ -12,10 +18,11 @@ import json
 from dataclasses import dataclass, field as dfield
 from typing import Optional
 
-from .facets import make_topology, replication_plan
+from .facets import (InsufficientDomains, ReplicationPlan, make_topology,
+                     replication_plan)
 from .ir import Program
 from .progjson import decode_node
-from .sim import Cluster, NetworkModel, NodeSpec
+from .sim import Cluster, NetworkModel, NodeSpec, domain_prefix_matches
 
 
 class ScenarioError(Exception):
@@ -114,8 +121,11 @@ def load_scenario(source) -> Scenario:
         extra = set(payload) - params
         _require(not extra,
                  f"workload[{i}]: unknown fields {sorted(extra)} for {mailbox!r}")
+        tick = int(item.get("tick", 0))
+        if tick < 0:
+            raise ScenarioError(f"workload[{i}]: tick {tick} is negative")
         workload.append({
-            "tick": int(item.get("tick", 0)),
+            "tick": tick,
             "client": item.get("client", "client"),
             "handler": mailbox,
             "fields": dict(payload),
@@ -126,7 +136,10 @@ def load_scenario(source) -> Scenario:
     for i, item in enumerate(raw.get("failures", [])):
         _require("tick" in item and "domain" in item,
                  f"failures[{i}] needs 'tick' and 'domain'")
-        failures.append((int(item["tick"]), tuple(item["domain"])))
+        tick = int(item["tick"])
+        if tick < 0:
+            raise ScenarioError(f"failures[{i}]: tick {tick} is negative")
+        failures.append((tick, tuple(item["domain"])))
 
     return Scenario(
         program=program,
@@ -144,34 +157,40 @@ def load_scenario(source) -> Scenario:
 def build_scenario_cluster(sc: Scenario, backend: str = "graph",
                            seed: Optional[int] = None,
                            trace_path=None) -> Cluster:
-    """Materialize the cluster and schedule workload and failures."""
-    if sc.nodes is not None:
-        workers = [n for n in sc.nodes if n.behavior == "worker"]
-        groups = {}
-        for h in sc.program.handlers:
-            groups[h.name] = sorted(n.node_id for n in workers
-                                    if n.role == h.role)
-        proxy_ids = sorted(n.node_id for n in sc.nodes if n.behavior == "proxy")
-        proxies = {}
-        if proxy_ids:
-            for h, g in groups.items():
-                if len(g) > 1:
-                    proxies[h] = proxy_ids[0]
-        cluster = Cluster(sc.program, sc.nodes, groups, network=sc.network,
-                          seed=seed if seed is not None else sc.seed,
-                          backend=backend, proxies=proxies,
-                          trace_path=trace_path)
+    """Materialize the cluster and schedule workload and failures.
+
+    Raises ScenarioError when a handler has no node to run on or a failure
+    names a domain that holds no node."""
+    if sc.nodes is None:
+        try:
+            plan = replication_plan(sc.program,
+                                    sc.failure_domains or make_topology())
+        except InsufficientDomains as exc:
+            raise ScenarioError(str(exc)) from exc
     else:
-        slots = sc.failure_domains or make_topology()
-        plan = replication_plan(sc.program, slots)
-        cluster = Cluster(sc.program, plan.nodes, plan.groups,
-                          network=sc.network,
-                          seed=seed if seed is not None else sc.seed,
-                          backend=backend, proxies=plan.proxies,
-                          trace_path=trace_path)
+        plan = ReplicationPlan(nodes=list(sc.nodes))
+        workers = [n for n in sc.nodes if n.behavior == "worker"]
+        for h in sc.program.handlers:
+            group = sorted(n.node_id for n in workers if n.role == h.role)
+            _require(group,
+                     f"handler {h.name!r}: no worker node has role {h.role!r}")
+            plan.groups[h.name] = group
+        proxy_ids = sorted(n.node_id for n in sc.nodes
+                           if n.behavior == "proxy")
+        if proxy_ids:
+            plan.proxies = {h: proxy_ids[0] for h, g in plan.groups.items()
+                            if len(g) > 1}
+    for i, (_, prefix) in enumerate(sc.failures):
+        _require(any(domain_prefix_matches(n.domain, prefix)
+                     for n in plan.nodes),
+                 f"failures[{i}]: no node under failure domain {list(prefix)}")
+    cluster = Cluster(sc.program, plan.nodes, plan.groups, network=sc.network,
+                      seed=seed if seed is not None else sc.seed,
+                      backend=backend, proxies=plan.proxies,
+                      trace_path=trace_path)
     for req in sc.workload:
         cluster.schedule_request(req["tick"], req["client"], req["handler"],
-                                 req["fields"], message_id=req["message_id"])
+                                 req["fields"], message_id=req.get("message_id"))
     for tick, prefix in sc.failures:
         cluster.schedule_failure(tick, prefix)
     return cluster

@@ -17,11 +17,12 @@ ordered commit records which they apply in sequence order.
 
 A tick's cost does not grow with the backlog of requests. Scheduled
 requests wait in a queue ordered by (tick, schedule order) and are taken
-from its head. A proxy retransmits a request when every replica it was sent
-to has crashed; since only a crash or a recovery can orphan a request that
-had a live recipient, the proxy rescans all of its pending requests only in
-a tick where a node crashed or recovered, and otherwise checks just the
-requests that arrived in that tick.
+from its head; scheduling a request or a failure for a tick that has
+already run raises ValueError. A proxy retransmits a request when every
+replica it was sent to has crashed; since only a crash or a recovery can
+orphan a request that had a live recipient, the proxy rescans all of its
+pending requests only in a tick where a node crashed or recovered, and
+otherwise checks just the requests that arrived in that tick.
 """
 
 from __future__ import annotations
@@ -190,6 +191,8 @@ class Cluster:
     # --- workload -----------------------------------------------------------
     def schedule_request(self, tick: int, client: str, handler: str, fields: dict,
                          message_id: Optional[str] = None):
+        if tick < self.tick:
+            raise ValueError(f"tick {tick} has passed; now {self.tick}")
         mid = message_id or self.new_message_id()
         payload = Row(dict(fields, **{MESSAGE_ID: mid}))
         self.client_of[mid] = client
@@ -219,6 +222,8 @@ class Cluster:
                           or self.alive.get(m.dest)]
 
     def schedule_failure(self, tick: int, domain_prefix):
+        if tick < self.tick:
+            raise ValueError(f"tick {tick} has passed; now {self.tick}")
         self.pending_failures.append((tick, tuple(domain_prefix)))
 
     def recover(self, node_id: str):
@@ -370,12 +375,11 @@ class Cluster:
                                  if x[0] > self.tick]
         queue = self.pending_injections
         while queue and queue[0][0] <= self.tick:
-            t, _, client, mailbox, payload = heapq.heappop(queue)
-            if t == self.tick:
-                self._emit("Injected", None, client=client, mailbox=mailbox,
-                           message_id=payload.get(MESSAGE_ID))
-                self._route(mailbox, payload, sender=None)
-                active = True
+            _, _, client, mailbox, payload = heapq.heappop(queue)
+            self._emit("Injected", None, client=client, mailbox=mailbox,
+                       message_id=payload.get(MESSAGE_ID))
+            self._route(mailbox, payload, sender=None)
+            active = True
         self._deliver_due()
 
         for nid in sorted(self.proxy_state):

@@ -301,6 +301,3 @@ def canonical_state(state: NodeState, include_mailboxes=True, strip_ids=False) -
         }
     return out
 
-
-def state_json(state: NodeState, **kw) -> str:
-    return json.dumps(canonical_state(state, **kw), sort_keys=True)

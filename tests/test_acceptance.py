@@ -184,12 +184,13 @@ SURVIVABLE_WORKLOAD = [
 
 
 def test_any_two_zone_failures_still_answer_every_request():
-    from latticeflow.facets import build_cluster
+    from latticeflow.scenario import Scenario, build_scenario_cluster
     pat = covid_tracker(vaccine_count=5)
     for pair in itertools.combinations(("az0", "az1", "az2"), 2):
         for seed in range(10):
-            cluster = build_cluster(pat.program, seed=seed,
-                                    network=NetworkModel(1, 4, 0.0))
+            cluster = build_scenario_cluster(Scenario(
+                pat.program, seed=seed,
+                network=NetworkModel(1, 4, 0.0)))
             for req in SURVIVABLE_WORKLOAD:
                 cluster.schedule_request(req["tick"], req["client"],
                                          req["handler"], req["fields"])
@@ -202,12 +203,12 @@ def test_any_two_zone_failures_still_answer_every_request():
 
 
 def test_three_zone_failures_may_lose_requests_but_say_so():
-    from latticeflow.facets import build_cluster
+    from latticeflow.scenario import Scenario, build_scenario_cluster
     pat = covid_tracker(vaccine_count=5)
     lost = 0
     for seed in range(10):
-        cluster = build_cluster(pat.program, seed=seed,
-                                network=NetworkModel(1, 4, 0.0))
+        cluster = build_scenario_cluster(
+            Scenario(pat.program, seed=seed, network=NetworkModel(1, 4, 0.0)))
         for req in SURVIVABLE_WORKLOAD:
             cluster.schedule_request(req["tick"], req["client"],
                                      req["handler"], req["fields"])

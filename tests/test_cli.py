@@ -105,6 +105,11 @@ def test_simulate_rejects_bad_scenario(tmp_path, capsys):
     assert main(["simulate", str(path)]) == EXIT_VALIDATION
     path.write_text("{ not json")
     assert main(["simulate", str(path)]) == EXIT_VALIDATION
+    late = dict(scenario_dict()["workload"][0], tick=-4)
+    for fields in ({"failures": [{"tick": -1, "domain": ["dc0", "az0"]}]},
+                   {"workload": [late]}):
+        path.write_text(json.dumps(scenario_dict(**fields)))
+        assert main(["simulate", str(path)]) == EXIT_VALIDATION
 
 
 def test_simulate_unknown_workload_field(tmp_path):
@@ -142,6 +147,42 @@ def test_simulate_reports_a_failing_udf_without_a_traceback(tmp_path, capsys):
     assert re.fullmatch(
         r"seed 3: UdfFailure at tick \d+ on node n\d+: "
         r"udf 'not_registered' has no host implementation\n", err), err
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"failures": [{"tick": 2, "domain": ["dc0", "az0"]},
+                   {"tick": 5, "domain": ["dc7"]}]},
+     "error: failures[1]: no node under failure domain ['dc7']\n"),
+    ({"failure_domains": [["dc0", "az0", "rack0", "vm0"],
+                          ["dc0", "az1", "rack0", "vm0"]]},
+     "error: handler 'add_contact' needs 3 distinct az domains, "
+     "topology offers 2\n"),
+    ({"nodes": [{"id": "w1", "role": "backup", "domain": ["dc0", "az0"]}]},
+     "error: handler 'add_person': no worker node has role 'main'\n"),
+], ids=["unmatched-failure-domain", "too-few-domains", "handler-without-node"])
+def test_simulate_rejects_a_cluster_it_cannot_build(tmp_path, capsys, fields,
+                                                    message):
+    path = write_scenario(tmp_path, **fields)
+    assert main(["simulate", path]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
+
+
+def test_explicit_nodes_build_groups_and_a_proxy():
+    nodes = [{"id": f"w{i}", "domain": ["dc0", f"az{i}"]} for i in range(3)]
+    nodes.append({"id": "edge", "domain": ["proxy-dc"], "role": "proxy",
+                  "behavior": "proxy"})
+    sc = load_scenario(scenario_dict(nodes=nodes))
+    cluster = run_scenario(sc)
+    handlers = ("add_contact", "add_person", "diagnose", "estimate", "trace",
+                "vaccinate")
+    assert cluster.groups == {h: ["w0", "w1", "w2"] for h in handlers}
+    assert cluster.proxies == {h: "edge" for h in handlers}
+    fresh = [mid for (_t, _c, mid, _p, is_fresh) in cluster.response_log
+             if is_fresh]
+    assert sorted(fresh) == sorted(cluster.request_payload)
+    assert len(fresh) == len(sc.workload)
 
 
 def test_plan_defaults_are_feasible(tmp_path, capsys):

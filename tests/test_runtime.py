@@ -59,12 +59,15 @@ def test_delta_iteration_needs_no_more_rounds_than_naive():
         assert max(gc.rounds.values()) <= max(ic.rounds.values())
 
 
-def test_nonmonotone_recursion_rejected():
-    bad = QueryDef(
-        "odd", (),
-        (Comp(Var("x"), (Gen("x", Data("acc")),),
-              (Not(In(Var("x"), Data("odd"))),)),),
-        recursive=True)
+@pytest.mark.parametrize("body", [
+    Comp(Var("x"), (Gen("x", Data("acc")),),
+         (Not(In(Var("x"), Data("odd"))),)),
+    # classify_expression calls a count monotone; only the edge label
+    # rejects it
+    Comp(Fold("count", Data("odd")), (Gen("x", Data("acc")),)),
+], ids=["negation", "count-over-self"])
+def test_nonmonotone_recursion_rejected(body):
+    bad = QueryDef("odd", (), (body,), recursive=True)
     p = Program("bad",
                 data=(DataDecl("acc", "var", shape="set"),),
                 queries=(bad,))

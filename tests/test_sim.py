@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from latticeflow.facets import build_cluster, make_topology, replication_plan
+from latticeflow.facets import make_topology, replication_plan
 from latticeflow.ir import MESSAGE_ID
 from latticeflow.patterns import covid_tracker, covid_workload, run_workload
+from latticeflow.scenario import Scenario, build_scenario_cluster
 from latticeflow.sim import Cluster, NetworkModel, NoQuiescence, trace_text
 from latticeflow.state import FixpointDivergence, Row
 
@@ -59,8 +60,8 @@ def test_duplicates_are_deduplicated():
 
 def test_crash_loses_state_but_replicas_answer():
     pat = covid_tracker()
-    cluster = build_cluster(pat.program, seed=9,
-                            network=NetworkModel(1, 4, 0.0))
+    cluster = build_scenario_cluster(
+        Scenario(pat.program, seed=9, network=NetworkModel(1, 4, 0.0)))
     cluster.schedule_request(0, "c1", "add_person",
                              {"pid": 1, "name": "a", "country": "x"})
     cluster.schedule_request(8, "c1", "trace", {"pid": 1})
@@ -73,8 +74,8 @@ def test_crash_loses_state_but_replicas_answer():
 
 def test_no_live_replica_is_logged():
     pat = covid_tracker()
-    cluster = build_cluster(pat.program, seed=2,
-                            network=NetworkModel(1, 3, 0.0))
+    cluster = build_scenario_cluster(
+        Scenario(pat.program, seed=2, network=NetworkModel(1, 3, 0.0)))
     for az in ("az0", "az1", "az2"):
         cluster.schedule_failure(1, ("dc0", az))
     cluster.schedule_request(5, "c1", "add_person",
@@ -90,8 +91,8 @@ def test_retransmission_recovers_a_dropped_request():
     pat = covid_tracker(vaccine_count=5)
     found = 0
     for seed in range(30):
-        cluster = build_cluster(pat.program, seed=seed,
-                                network=NetworkModel(2, 6, 0.0))
+        cluster = build_scenario_cluster(
+            Scenario(pat.program, seed=seed, network=NetworkModel(2, 6, 0.0)))
         cluster.schedule_request(0, "c1", "add_person",
                                  {"pid": 1, "name": "a", "country": "x"})
         cluster.schedule_request(0, "c1", "vaccinate", {"pid": 1})
@@ -104,7 +105,7 @@ def test_retransmission_recovers_a_dropped_request():
 
 
 def test_unmatched_failure_domain_raises():
-    cluster = build_cluster(covid_tracker().program)
+    cluster = build_scenario_cluster(Scenario(covid_tracker().program, seed=0))
     with pytest.raises(KeyError):
         cluster.inject_failure(("dc9",))
 
@@ -121,8 +122,8 @@ def test_guard_blocked_messages_still_quiesce():
 
 def test_recovered_node_rejoins_empty():
     pat = covid_tracker()
-    cluster = build_cluster(pat.program, seed=5,
-                            network=NetworkModel(1, 3, 0.0))
+    cluster = build_scenario_cluster(
+        Scenario(pat.program, seed=5, network=NetworkModel(1, 3, 0.0)))
     cluster.schedule_request(0, "c1", "add_person",
                              {"pid": 1, "name": "a", "country": "x"})
     cluster.run_to_quiescence()
@@ -159,8 +160,9 @@ def test_recovered_node_keeps_the_round_cap():
 
 
 def test_requests_scheduled_mid_run_keep_their_schedule_order():
-    cluster = build_cluster(covid_tracker().program, seed=4,
-                            network=NetworkModel(1, 3, 0.0))
+    cluster = build_scenario_cluster(Scenario(
+        covid_tracker().program, seed=4,
+        network=NetworkModel(1, 3, 0.0)))
     cluster.schedule_request(0, "c1", "add_person",
                              {"pid": 1, "name": "a", "country": "x"})
     mids = [cluster.schedule_request(10, "c1", "trace", {"pid": 1})
@@ -175,13 +177,34 @@ def test_requests_scheduled_mid_run_keep_their_schedule_order():
     assert set(mids) <= set(cluster.responses["c1"])
 
 
+
+def test_scheduling_in_a_past_tick_is_rejected():
+    cluster = build_scenario_cluster(Scenario(
+        covid_tracker().program, seed=4,
+        network=NetworkModel(1, 3, 0.0)))
+    for _ in range(5):
+        cluster.step()
+    with pytest.raises(ValueError):
+        cluster.schedule_request(2, "c1", "trace", {"pid": 1})
+    with pytest.raises(ValueError):
+        cluster.schedule_failure(2, ("dc0", "az0"))
+    assert cluster.pending_injections == []
+    assert cluster.pending_failures == []
+    # the current tick has not run yet, so it still takes requests
+    mid = cluster.schedule_request(5, "c1", "add_person",
+                                   {"pid": 1, "name": "a", "country": "x"})
+    cluster.run_to_quiescence()
+    assert [ev.tick for ev in cluster.trace if ev.kind == "Injected"] == [5]
+    assert list(cluster.responses["c1"]) == [mid]
+
 def _events(cluster, kind):
     return [(i, ev) for i, ev in enumerate(cluster.trace) if ev.kind == kind]
 
 
 def test_a_request_orphaned_by_crashes_is_retransmitted_after_recovery():
-    cluster = build_cluster(covid_tracker().program, seed=1,
-                            network=NetworkModel(3, 3, 0.0))
+    cluster = build_scenario_cluster(Scenario(
+        covid_tracker().program, seed=1,
+        network=NetworkModel(3, 3, 0.0)))
     mid = cluster.schedule_request(0, "c1", "vaccinate", {"pid": 1})
     # the proxy forwards to the sequencer n01 at tick 3; every replica
     # crashes before delivery
