@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 from .ir import (
     Assign, BinOp, Comp, Data, Delete, Field, Fold, ForEach, Gen, In, Index,
     Len, Lit, Lookup, MakeRow, MergeMutation, Not, Program, Record, Return,
-    RangeOf, Send, Slice, TupleOf, UdfCall, Var, desugar_handler,
+    RangeOf, Send, Slice, TupleOf, UdfCall, Var, desugar_handler, kept,
     statement_exprs, walk_expr, _children,
 )
 
@@ -411,11 +411,11 @@ class QueryGraph:
 
 def query_graph(p: Program) -> QueryGraph:
     """The program's query graph, computed once per program object and
-    kept on it: a cache keyed by the program would hash and compare the
-    whole tree on every lookup."""
-    graph = vars(p).get("_query_graph")
-    if graph is not None:
-        return graph
+    kept on it (see `ir.kept`)."""
+    return kept(p, "_query_graph", _build_query_graph)
+
+
+def _build_query_graph(p: Program) -> QueryGraph:
     edges = tuple(_query_edges(p))
     comps = _sccs(sorted(p.query_map), edges)
     comp_of = {q: comp for comp in comps for q in comp}
@@ -427,10 +427,8 @@ def query_graph(p: Program) -> QueryGraph:
             recursive.add(comp)
             if bad_edge is None:
                 bad_edge = next((e for e in inner if e[2] != "pos"), None)
-    graph = QueryGraph(edges, tuple(comps), comp_of, frozenset(recursive),
-                       bad_edge)
-    object.__setattr__(p, "_query_graph", graph)  # Program is frozen
-    return graph
+    return QueryGraph(edges, tuple(comps), comp_of, frozenset(recursive),
+                      bad_edge)
 
 
 def stratify(p: Program) -> StratumAssignment:

@@ -46,7 +46,7 @@ class EvalContext:
         self.query_overrides = {}
         self.udf_memo = {}
         self.udf_invocations = 0
-        self._query_names = set(program.query_map)
+        self._query_names = program.query_map  # read for membership
         self._sorted = {}  # name -> ordered view, fixed for the snapshot
 
     # --- backend hooks ------------------------------------------------------
@@ -243,7 +243,7 @@ def eval_expr(e, env: dict, ctx: EvalContext):
     if isinstance(e, Comp):
         return ctx.eval_comp(e, env)
     if isinstance(e, Fold):
-        return eval_fold(e, env, ctx)
+        return fold_value(e.kind, eval_expr(e.source, env, ctx), ctx)
     if isinstance(e, Len):
         v = eval_expr(e.expr, env, ctx)
         return MISSING if v is MISSING else len(v)
@@ -269,12 +269,10 @@ def eval_expr(e, env: dict, ctx: EvalContext):
     raise TypeError(f"unknown expression node: {e!r}")
 
 
-def eval_fold(e: Fold, env: dict, ctx: EvalContext):
-    src = eval_expr(e.source, env, ctx)
-    if src is MISSING:
-        src = ()
-    values = list(iter_source(src))
-    return apply_fold(e.kind, values, ctx)
+def fold_value(kind: str, src, ctx: EvalContext):
+    """Fold an evaluated source; a MISSING source folds as an empty one."""
+    values = list(iter_source(() if src is MISSING else src))
+    return apply_fold(kind, values, ctx)
 
 
 def apply_fold(kind: str, values: list, ctx: EvalContext):

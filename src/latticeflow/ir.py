@@ -375,6 +375,17 @@ class TargetSpec:
         object.__setattr__(self, "features", tuple(features))
 
 
+def kept(obj, name: str, build):
+    """`build(obj)`, computed on first use and kept in `obj`'s own dict
+    under `name`, so it lives and dies with the object. The IR classes are
+    frozen dataclasses whose hash walks the whole tree, so a cache keyed by
+    the object would cost more per lookup than most of what it saves."""
+    d = vars(obj)
+    if name not in d:
+        d[name] = build(obj)
+    return d[name]
+
+
 @dataclass(frozen=True)
 class Program:
     name: str
@@ -404,36 +415,42 @@ class Program:
         object.__setattr__(self, "targets", tuple(targets))
 
     # lookups ----------------------------------------------------------------
+    # Each map is built once per program and shared: callers must not
+    # mutate it.
     @property
     def class_map(self):
-        return {c.name: c for c in self.classes}
+        return kept(self, "_class_map",
+                    lambda p: {c.name: c for c in p.classes})
 
     @property
     def data_map(self):
-        return {d.name: d for d in self.data}
+        return kept(self, "_data_map", lambda p: {d.name: d for d in p.data})
 
     @property
     def query_map(self):
-        q = {}
-        for qd in self.queries:
-            q.setdefault(qd.name, []).append(qd)
-        return q
+        def build(p):
+            q = {}
+            for qd in p.queries:
+                q.setdefault(qd.name, []).append(qd)
+            return q
+        return kept(self, "_query_map", build)
 
     @property
     def handler_map(self):
-        return {h.name: h for h in self.handlers}
+        return kept(self, "_handler_map",
+                    lambda p: {h.name: h for h in p.handlers})
 
     @property
     def udf_map(self):
-        return {u.name: u for u in self.udfs}
+        return kept(self, "_udf_map", lambda p: {u.name: u for u in p.udfs})
 
     @property
     def avail_map(self):
-        return dict(self.availability)
+        return kept(self, "_avail_map", lambda p: dict(p.availability))
 
     @property
     def target_map(self):
-        return dict(self.targets)
+        return kept(self, "_target_map", lambda p: dict(p.targets))
 
     def avail_for(self, handler: str) -> AvailSpec:
         m = self.avail_map

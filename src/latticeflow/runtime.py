@@ -1,9 +1,20 @@
 """Operator-graph runtime backend.
 
 Comprehensions compile to chains of Expand / HashJoin / Filter / Project
-operators over binding environments; recursive query groups run semi-naive
-fixpoint iteration (only newly derived facts re-enter the loop each round).
-Per-operator row counts are tracked for Inspect output.
+operators; recursive query groups run semi-naive fixpoint iteration (only
+newly derived facts re-enter the loop each round). Per-operator row counts
+are tracked for Inspect output.
+
+A chain is compiled once. Each generator binder gets a fixed slot, so a
+binding is a tuple, and every join key, filter and projection becomes a
+closure ``fn(slots, env, ctx)`` that reads its variables by slot, or from
+the caller's `env` for the names bound outside the chain. A nested
+comprehension compiles with its chain into the closure of its parent. A
+subexpression that reads only names bound outside its chain is evaluated
+at most once per run of the chain, at its first use, so a run that never
+reaches it evaluates nothing. The interpreter (`interp`, with
+`eval.eval_expr`) stays the tree-walking oracle that this backend is
+tested against, and it still evaluates handler statements.
 
 A context keeps every recursive group's result in its `views` dict. Each
 Transducer hands all the contexts it builds one dict that lives as long as
@@ -18,23 +29,24 @@ not on the views. Operators iterate sets in whatever order they come, and a
 generator over a table reads the table's rows in storage order; order is
 fixed only where it is observable, by `EvalContext.collection`, sends and
 canonical encoding. A comprehension in a handler is compiled the first time
-it is evaluated and the chain is kept on the node's `CompiledQueries`, so
-every later context of the node reuses it.
+it is evaluated and the chain is kept on the program's `CompiledQueries`
+(see `compile_queries`), so every later context reuses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from typing import Optional, Tuple
+from typing import Optional
 
 from .analysis import classify_expression, query_graph
 from . import lattice
-from .eval import EvalContext, MISSING, bind, eval_expr, iter_source, truthy
+from .eval import _ARITH, EvalContext, MISSING, fold_value, iter_source
 from .ir import (
-    BinOp, Comp, Data, Expr, Fold, In, Index, Len, Lookup, Not, Slice,
-    _children, walk_expr,
+    BinOp, Comp, Data, Expr, Field, Fold, In, Index, Len, Lit, Lookup,
+    MakeRow, Not, Record, RangeOf, Slice, TupleOf, Var, _children, kept,
+    walk_expr,
 )
-from .state import FixpointDivergence
+from .state import FixpointDivergence, Row, default_row
 
 
 class NonMonotoneRecursion(Exception):
@@ -42,8 +54,10 @@ class NonMonotoneRecursion(Exception):
 
 
 def _free_vars(e: Expr) -> set:
-    from .ir import Var
     return {s.name for s in walk_expr(e) if isinstance(s, Var)}
+
+
+_UNBOUND = object()  # a name a short tuple item left without a binding
 
 
 @dataclass
@@ -57,25 +71,31 @@ class ExpandStep(Step):
     binder: object = None
     source: Expr = None
     occurrence: Optional[int] = None  # occurrence index of a recursive ref
+    per_row: object = None  # source closure; None for a Data, read once
+    width: int = 0          # names in a tuple binder, 0 for a single name
+    unpack: object = None   # tuple binder: fn(slots, env, item) -> values
 
 
 @dataclass
 class HashJoinStep(Step):
     binder: object = None
     source: Expr = None
-    left_key: Expr = None   # over previously bound vars
-    right_key: Expr = None  # over this expand's binder
     occurrence: Optional[int] = None
+    left: object = None     # key closures: `left` over previously bound
+    right: object = None    # vars, `right` over the binder's values alone
+    width: int = 0
+    unpack: object = None
+    key_unpack: object = None  # `unpack` for the slots `right` reads
 
 
 @dataclass
 class FilterStep(Step):
-    expr: Expr = None
+    test: object = None
 
 
 @dataclass
 class ProjectStep(Step):
-    expr: Expr = None
+    out: object = None
 
 
 @dataclass
@@ -102,18 +122,256 @@ def _oid(kind: str) -> str:
     return f"{kind}:{_counter[0]}"
 
 
-def compile_comp(e: Comp, prefix: str = "") -> Chain:
-    """Compile a comprehension into an operator chain.
+class _Scope:
+    """Where each name lives while a chain compiles: `slots` maps a name to
+    its slot in the binding tuple, and any other name is read from the
+    caller's env. `local` holds the names the chain has bound so far."""
+
+    def __init__(self, slots=None, width: int = 0, unsure=()):
+        self.slots = dict(slots or {})
+        self.width = width
+        self.unsure = set(unsure)  # slots a short tuple item may leave unbound
+        self.local = set()
+
+    def nested(self) -> "_Scope":
+        """The scope a nested comprehension starts from: every name of this
+        one is bound outside it."""
+        return _Scope(self.slots, self.width, self.unsure)
+
+    def bind(self, binder):
+        """Give the binder's names the next slots. For a tuple binder,
+        returns its unpack function (see `_unpacker`)."""
+        if not isinstance(binder, tuple):
+            self.slots[binder] = self.width
+            self.width += 1
+            self.local.add(binder)
+            return None
+        prev = {n: self.slots.get(n) for n in binder}
+        for j, name in enumerate(binder):
+            if prev[name] is None or prev[name] in self.unsure:
+                self.unsure.add(self.width + j)
+            self.slots[name] = self.width + j  # a repeated name: last wins
+        self.width += len(binder)
+        self.local.update(binder)
+        return _unpacker(binder, prev)
+
+
+def _unpacker(names: tuple, prev: dict):
+    """fn(slots, env, item) -> the values of a tuple binder's slots, as
+    `eval.bind`'s zip assigns them: a name the item is too short for keeps
+    the binding it had before, from a slot or the env, or is left unbound."""
+    k = len(names)
+
+    def unpack(s, env, item):
+        if type(item) is tuple and len(item) == k:
+            return item
+        cur = {n: env.get(n, _UNBOUND) if p is None else s[p]
+               for n, p in prev.items()}
+        for name, value in zip(names, item):
+            cur[name] = value
+        return tuple(cur[n] for n in names)
+
+    return unpack
+
+
+def _expr(e: Expr, scope: _Scope, hoist: bool = True):
+    """fn(slots, env, ctx) giving what `eval.eval_expr` gives for `e` under
+    the same bindings. A subexpression that reads no name the chain binds
+    is hoisted: its value is kept in the run's env under a key of its own
+    the first time it is needed."""
+    if hoist and not isinstance(e, (Lit, Var)) \
+            and not _free_vars(e) & scope.local:
+        fn, cell = _node(e, scope, False), object()
+
+        def hoisted(s, env, ctx):
+            try:
+                return env[cell]
+            except KeyError:
+                pass
+            v = env[cell] = fn(s, env, ctx)
+            return v
+
+        return hoisted
+    return _node(e, scope, hoist)
+
+
+def _node(e: Expr, scope: _Scope, hoist: bool):
+    if isinstance(e, Lit):
+        value = e.value
+        return lambda s, env, ctx: value
+    if isinstance(e, Var):
+        name = e.name
+        i = scope.slots.get(name)
+        if i is None:
+            return lambda s, env, ctx: env[name]
+        if i not in scope.unsure:
+            return lambda s, env, ctx: s[i]
+
+        def var(s, env, ctx):
+            v = s[i]
+            if v is _UNBOUND:
+                raise KeyError(name)
+            return v
+
+        return var
+    if isinstance(e, Data):
+        name = e.name
+        return lambda s, env, ctx: ctx.collection(name)
+    if isinstance(e, Comp):
+        chain = compile_comp(e, scope)
+        return lambda s, env, ctx: ctx.eval_comp(e, env, s, chain)
+    sub = [_expr(c, scope, hoist) for c in _children(e)]
+    if isinstance(e, Field):
+        [base], name = sub, e.name
+
+        def field(s, env, ctx):
+            b = base(s, env, ctx)
+            return MISSING if b is MISSING else b.get(name, MISSING)
+
+        return field
+    if isinstance(e, Lookup):
+        [key], data = sub, e.data
+
+        def lookup(s, env, ctx):
+            k = key(s, env, ctx)
+            if k is MISSING:
+                return MISSING
+            return ctx.table_row(data, k if isinstance(k, tuple) else (k,))
+
+        return lookup
+    if isinstance(e, BinOp):
+        left, right = sub
+        if e.op == "and":
+            def and_(s, env, ctx):
+                v = left(s, env, ctx)
+                if v is MISSING:
+                    return MISSING
+                return right(s, env, ctx) if v else False
+
+            return and_
+        if e.op == "or":
+            def or_(s, env, ctx):
+                v = left(s, env, ctx)
+                if v is not MISSING and v:
+                    return v
+                return right(s, env, ctx)
+
+            return or_
+        op = _ARITH.get(e.op) or (lambda a, b, name=e.op: _ARITH[name])
+
+        def binop(s, env, ctx):
+            a = left(s, env, ctx)
+            b = right(s, env, ctx)
+            if a is MISSING or b is MISSING:
+                return MISSING
+            return op(a, b)
+
+        return binop
+    if isinstance(e, Not):
+        [inner] = sub
+
+        def not_(s, env, ctx):
+            v = inner(s, env, ctx)
+            return MISSING if v is MISSING else not v
+
+        return not_
+    if isinstance(e, In):
+        item, coll = sub
+        negated = e.negated
+
+        def in_(s, env, ctx):
+            x = item(s, env, ctx)
+            c = coll(s, env, ctx)
+            if x is MISSING or c is MISSING:
+                return MISSING
+            return (x not in c) if negated else (x in c)
+
+        return in_
+    if isinstance(e, TupleOf):
+        def tuple_of(s, env, ctx):
+            t = tuple([f(s, env, ctx) for f in sub])
+            return MISSING if MISSING in t else t
+
+        return tuple_of
+    if isinstance(e, (Record, MakeRow)):
+        fields = tuple(zip([name for name, _ in e.fields], sub))
+        cls = e.cls if isinstance(e, MakeRow) else None
+
+        def record(s, env, ctx):
+            out = {}
+            for name, f in fields:
+                v = f(s, env, ctx)
+                if v is MISSING:
+                    return MISSING
+                out[name] = v
+            if cls is None:
+                return Row(out)
+            return default_row(ctx.program.class_map[cls], out)
+
+        return record
+    if isinstance(e, Fold):
+        [source], kind = sub, e.kind
+        return lambda s, env, ctx: fold_value(kind, source(s, env, ctx), ctx)
+    if isinstance(e, Len):
+        [inner] = sub
+
+        def len_(s, env, ctx):
+            v = inner(s, env, ctx)
+            return MISSING if v is MISSING else len(v)
+
+        return len_
+    if isinstance(e, RangeOf):
+        [stop] = sub
+
+        def range_(s, env, ctx):
+            v = stop(s, env, ctx)
+            return MISSING if v is MISSING else tuple(range(v))
+
+        return range_
+    if isinstance(e, Index):
+        base, index = sub
+
+        def index_(s, env, ctx):
+            b = base(s, env, ctx)
+            i = index(s, env, ctx)
+            if b is MISSING or i is MISSING:
+                return MISSING
+            try:
+                return b[i]
+            except (IndexError, KeyError):
+                return MISSING
+
+        return index_
+    if isinstance(e, Slice):
+        base, start, stop = sub
+
+        def slice_(s, env, ctx):
+            b = base(s, env, ctx)
+            i = start(s, env, ctx)
+            j = stop(s, env, ctx)
+            if MISSING in (b, i, j):
+                return MISSING
+            return tuple(b[i:j])
+
+        return slice_
+    raise TypeError(f"unknown expression node: {e!r}")
+
+
+def compile_comp(e: Comp, outer: Optional[_Scope] = None) -> Chain:
+    """Compile a comprehension into an operator chain; `outer` is the scope
+    of the chain a nested comprehension sits in.
 
     Equality filters linking a new generator to already-bound variables turn
     the generator's scan into a hash join.
     """
+    scope = outer.nested() if outer is not None else _Scope()
     steps = []
     bound: set = set()
     remaining = list(e.filters)
     occ = 0
     for g in e.gens:
         new_vars = set(g.binder) if isinstance(g.binder, tuple) else {g.binder}
+        width = len(g.binder) if isinstance(g.binder, tuple) else 0
         occurrence = None
         if isinstance(g.source, Data):
             occurrence = occ
@@ -131,90 +389,123 @@ def compile_comp(e: Comp, prefix: str = "") -> Chain:
                         remaining.remove(f)
                         break
         if join:
-            steps.append(HashJoinStep(_oid("hashjoin"), "hashjoin", g.binder,
-                                      g.source, join[0], join[1], occurrence))
+            keys = _Scope()
+            key_unpack = keys.bind(g.binder)
+            left = _expr(join[0], scope)
+            steps.append(HashJoinStep(
+                _oid("hashjoin"), "hashjoin", g.binder, g.source, occurrence,
+                left, _expr(join[1], keys), width, scope.bind(g.binder),
+                key_unpack))
         else:
+            per_row = None if isinstance(g.source, Data) \
+                else _expr(g.source, scope)
             steps.append(ExpandStep(_oid("expand"), "expand", g.binder,
-                                    g.source, occurrence))
+                                    g.source, occurrence, per_row, width,
+                                    scope.bind(g.binder)))
         bound |= new_vars
         # filters become runnable as soon as their variables are bound
         for f in list(remaining):
             if _free_vars(f) <= bound:
-                steps.append(FilterStep(_oid("filter"), "filter", f))
+                steps.append(FilterStep(_oid("filter"), "filter",
+                                        _expr(f, scope)))
                 remaining.remove(f)
     for f in remaining:
-        steps.append(FilterStep(_oid("filter"), "filter", f))
-    steps.append(ProjectStep(_oid("project"), "project", e.output))
+        steps.append(FilterStep(_oid("filter"), "filter", _expr(f, scope)))
+    steps.append(ProjectStep(_oid("project"), "project",
+                             _expr(e.output, scope)))
     return Chain(steps, e)
 
 
+def _items(value):
+    return value if isinstance(value, frozenset) else iter_source(value)
+
+
+def _extend(pairs: list, step, env: dict) -> list:
+    """Each (binding, item) pair's binding extended by the step's binder."""
+    k, unpack = step.width, step.unpack
+    if not k:
+        return [s + (item,) for s, item in pairs]
+    return [s + (item if type(item) is tuple and len(item) == k
+                 else unpack(s, env, item)) for s, item in pairs]
+
+
+def _expand(step: ExpandStep, rows: list, env: dict, ctx, data_rows) -> list:
+    if step.per_row is not None:
+        fn = step.per_row
+        return _extend([(s, item) for s in rows
+                        for item in _items(fn(s, env, ctx))], step, env)
+    src = data_rows(step)
+    k, unpack = step.width, step.unpack
+    if not k:
+        return [s + (item,) for s in rows for item in src]
+    return [s + (item if type(item) is tuple and len(item) == k
+                 else unpack(s, env, item)) for s in rows for item in src]
+
+
 def run_chain(chain: Chain, env0: dict, ctx: "GraphContext",
-              delta_step=None, totals=None, delta=None) -> frozenset:
-    """Run a chain; when iterating a fixpoint, `delta_step` marks the one
-    occurrence of a name in `totals` fed with the delta instead of the
-    running total. Sources are iterated unordered: only the set of rows
-    reaches the result."""
+              delta_step=None, totals=None, delta=None, slots=()) -> frozenset:
+    """Run a chain from the binding `slots` (a nested comprehension's
+    enclosing row; empty otherwise), reading outer names from `env0`; when
+    iterating a fixpoint, `delta_step` marks the one occurrence of a name in
+    `totals` fed with the delta instead of the running total. Sources are
+    iterated unordered: only the set of rows reaches the result."""
+    env = dict(env0)  # the run's hoisted values join the outer names
 
-    def source_rows(step, env):
-        source = step.source
-        if isinstance(source, Data):
-            name = source.name
-            if totals is not None and name in totals:
-                return delta[name] if step is delta_step else totals[name]
-            if name in ctx._query_names:
-                return ctx.query_value(name)
-            if name in ctx.snapshot.tables and name not in ctx.firing:
-                return ctx.snapshot.tables[name].values()
-        v = eval_expr(source, env, ctx)
-        return v if isinstance(v, frozenset) else iter_source(v)
+    def data_rows(step):
+        name = step.source.name
+        if totals is not None and name in totals:
+            return delta[name] if step is delta_step else totals[name]
+        if name in ctx._query_names:
+            return ctx.query_value(name)
+        if name in ctx.snapshot.tables and name not in ctx.firing:
+            return ctx.snapshot.tables[name].values()
+        return _items(ctx.collection(name))
 
-    envs = [env0]
+    rows = [slots]
     for step in chain.steps:
-        if isinstance(step, HashJoinStep):
-            rows = source_rows(step, env0)
+        kind = step.kind
+        if kind == "filter":
+            test = step.test
+            rows = [s for s in rows if test(s, env, ctx)]
+        elif kind == "expand":
+            if rows:  # an empty input reads no source
+                rows = _expand(step, rows, env, ctx, data_rows)
+        elif kind == "hashjoin":
+            src = data_rows(step)
+            left, right = step.left, step.right
+            k, key_unpack = step.width, step.key_unpack
+
+            def right_key(item):
+                if not k:
+                    t = (item,)
+                elif type(item) is tuple and len(item) == k:
+                    t = item
+                else:
+                    t = key_unpack((), {}, item)
+                return right(t, env, ctx)
+
             # build side = smaller input by row count; ties go to the source
             # side (deterministic by operator structure)
-            if len(rows) <= len(envs):
+            if len(src) <= len(rows):
                 index = {}
-                for item in rows:
-                    tmp = bind({}, step.binder, item)
-                    k = eval_expr(step.right_key, tmp, ctx)
-                    index.setdefault(k, []).append(item)
-                out = []
-                for env in envs:
-                    k = eval_expr(step.left_key, env, ctx)
-                    for item in index.get(k, ()):
-                        out.append(bind(env, step.binder, item))
+                for item in src:
+                    index.setdefault(right_key(item), []).append(item)
+                pairs = [(s, item) for s in rows
+                         for item in index.get(left(s, env, ctx), ())]
             else:
                 index = {}
-                for env in envs:
-                    k = eval_expr(step.left_key, env, ctx)
-                    index.setdefault(k, []).append(env)
-                out = []
-                for item in rows:
-                    tmp = bind({}, step.binder, item)
-                    k = eval_expr(step.right_key, tmp, ctx)
-                    for env in index.get(k, ()):
-                        out.append(bind(env, step.binder, item))
-            envs = out
-        elif isinstance(step, ExpandStep):
-            out = []
-            for env in envs:
-                for item in source_rows(step, env):
-                    out.append(bind(env, step.binder, item))
-            envs = out
-        elif isinstance(step, FilterStep):
-            envs = [env for env in envs
-                    if truthy(eval_expr(step.expr, env, ctx))]
-        elif isinstance(step, ProjectStep):
-            result = set()
-            for env in envs:
-                v = eval_expr(step.expr, env, ctx)
-                if v is not MISSING:
-                    result.add(v)
+                for s in rows:
+                    index.setdefault(left(s, env, ctx), []).append(s)
+                pairs = [(s, item) for item in src
+                         for s in index.get(right_key(item), ())]
+            rows = _extend(pairs, step, env)
+        else:
+            out = step.out
+            result = {out(s, env, ctx) for s in rows}
+            result.discard(MISSING)
             ctx.note(step.op_id, len(result))
             return frozenset(result)
-        ctx.note(step.op_id, len(envs))
+        ctx.note(step.op_id, len(rows))
     raise AssertionError("chain missing project step")
 
 
@@ -240,7 +531,8 @@ class CompiledQueries:
     plans: dict = dfield(default_factory=dict)        # non-recursive
     groups: list = dfield(default_factory=list)       # FixpointGroup
     group_of: dict = dfield(default_factory=dict)
-    chains: dict = dfield(default_factory=dict)       # handler Comp -> Chain
+    chains: dict = dfield(default_factory=dict)       # id(handler Comp) ->
+                                                      # (Comp, Chain)
 
 
 def _rule_reads(comp: Comp):
@@ -284,6 +576,13 @@ def _rule_reads(comp: Comp):
 
 
 def compile_queries(program) -> CompiledQueries:
+    """The program's compiled queries, built once per program object and
+    kept on it (see `ir.kept`), so every node, context and lowering plan of
+    the program shares them and the handler chains they collect."""
+    return kept(program, "_compiled_queries", _compile_queries)
+
+
+def _compile_queries(program) -> CompiledQueries:
     graph = query_graph(program)
     out = CompiledQueries()
     for comp in graph.sccs:
@@ -341,11 +640,19 @@ class GraphContext(EvalContext):
     def note(self, op_id: str, n: int):
         self.op_rows[op_id] = self.op_rows.get(op_id, 0) + n
 
-    def eval_comp(self, e: Comp, env: dict) -> frozenset:
-        chain = self.compiled.chains.get(e)
+    def eval_comp(self, e: Comp, env: dict, slots: tuple = (),
+                  chain: Optional[Chain] = None) -> frozenset:
+        """A comprehension nested in a compiled chain passes its own chain
+        and its enclosing row as `slots`. Any other is looked up by
+        identity, since hashing a `Comp` walks its whole tree, and compiled
+        the first time it is seen; the entry keeps the `Comp`, so its id
+        cannot be reused while the entry lives."""
         if chain is None:
-            chain = self.compiled.chains[e] = compile_comp(e)
-        return run_chain(chain, env, self)
+            entry = self.compiled.chains.get(id(e))
+            if entry is None or entry[0] is not e:
+                entry = self.compiled.chains[id(e)] = (e, compile_comp(e))
+            chain = entry[1]
+        return run_chain(chain, env, self, slots=slots)
 
     def input_value(self, name: str):
         """A group input as the resume check compares it: a set for a

@@ -19,7 +19,9 @@ A tick's cost does not grow with the backlog of requests. Scheduled
 requests wait in a queue ordered by (tick, schedule order) and are taken
 from its head; scheduling a request or a failure for a tick that has
 already run raises ValueError. A proxy retransmits a request when every
-replica it was sent to has crashed; since only a crash or a recovery can
+replica it was sent to has crashed since, recovered or not: each node has
+an incarnation number that every crash bumps, and the proxy records the
+one each recipient had when it sent. Since only a crash or a recovery can
 orphan a request that had a live recipient, the proxy rescans all of its
 pending requests only in a tick where a node crashed or recovered, and
 otherwise checks just the requests that arrived in that tick.
@@ -109,7 +111,8 @@ class _ProxyState:
         self.inbox: list = []
         self.seen_requests: set = set()
         self.seen_responses: set = set()
-        self.pending: dict = {}  # mid -> {"mailbox", "payload", "dests", "dead_logged"}
+        self.pending: dict = {}  # mid -> {"mailbox", "payload", "dests", "dead_logged"};
+                                 # dests holds (node id, incarnation) pairs
         self.added: list = []    # mids put in `pending` since the last retry check
         self.checked_at = -1     # the cluster's liveness count at that check
 
@@ -137,6 +140,7 @@ class Cluster:
                 self.nodes[s.node_id] = Transducer(
                     program, role=s.role, backend=backend, max_rounds=max_rounds)
         self.alive = {s.node_id: True for s in nodes}
+        self.incarnation = {s.node_id: 0 for s in nodes}  # bumped by a crash
         self.tick = 0
         self.in_flight: list = []
         self._seq = 0
@@ -211,6 +215,7 @@ class Cluster:
                 matched = True
                 if self.alive.get(nid):
                     self.alive[nid] = False
+                    self.incarnation[nid] += 1
                     self._liveness += 1
                     self._emit("Crashed", nid, domain=list(spec.domain))
         if not matched:
@@ -425,7 +430,8 @@ class Cluster:
                 for dest in dests:
                     self._post(dest, mailbox, payload)
                 st.pending[mid] = {"mailbox": mailbox, "payload": payload,
-                                   "dests": tuple(dests), "dead_logged": False}
+                                   "dests": self._addressed(dests),
+                                   "dead_logged": False}
                 st.added.append(mid)
             elif mailbox in self._reply_of:
                 st.pending.pop(mid, None)
@@ -459,25 +465,35 @@ class Cluster:
         st.added = []
         active = False
         for mid in mids:
-            entry = st.pending[mid]
-            if any(self.alive.get(d) for d in entry["dests"]):
-                continue
-            dests = self._proxy_dests(entry["mailbox"])
-            if not dests:
-                if not entry["dead_logged"]:
-                    entry["dead_logged"] = True
-                    self._emit("NoLiveReplica", nid, mailbox=entry["mailbox"],
-                               message_id=mid)
-                    active = True
-                continue
-            for dest in dests:
-                self._post(dest, entry["mailbox"], entry["payload"])
-            entry["dests"] = tuple(dests)
-            entry["dead_logged"] = False
-            self._emit("Retransmitted", nid, mailbox=entry["mailbox"],
-                       message_id=mid, dests=list(dests))
-            active = True
+            if self._retry_entry(nid, mid, st.pending[mid]):
+                active = True
         return active
+
+    def _addressed(self, dests) -> tuple:
+        return tuple((d, self.incarnation[d]) for d in dests)
+
+    def _retry_entry(self, nid: str, mid: str, entry: dict) -> bool:
+        """Retransmit one pending request of proxy `nid` if no node it was
+        last sent to is up in the incarnation it was sent to; True if that
+        emitted anything."""
+        if any(self.alive.get(d) and self.incarnation[d] == inc
+               for d, inc in entry["dests"]):
+            return False
+        dests = self._proxy_dests(entry["mailbox"])
+        if not dests:
+            if entry["dead_logged"]:
+                return False
+            entry["dead_logged"] = True
+            self._emit("NoLiveReplica", nid, mailbox=entry["mailbox"],
+                       message_id=mid)
+            return True
+        for dest in dests:
+            self._post(dest, entry["mailbox"], entry["payload"])
+        entry["dests"] = self._addressed(dests)
+        entry["dead_logged"] = False
+        self._emit("Retransmitted", nid, mailbox=entry["mailbox"],
+                   message_id=mid, dests=list(dests))
+        return True
 
     def _serial_results(self, nid: str, result):
         for mid, status in sorted(result.statuses.items()):

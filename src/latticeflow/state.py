@@ -52,6 +52,10 @@ class Row(Mapping):
     def __len__(self):
         return len(self._map)
 
+    def get(self, key, default=None):
+        # Mapping.get would go through __getitem__ and a try per call
+        return self._map.get(key, default)
+
     def __hash__(self):
         return self._hash
 

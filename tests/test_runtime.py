@@ -8,16 +8,19 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import bfs_closure, closure_contexts, closure_program
 from latticeflow.interp import InterpContext
+from latticeflow import lattice
 from latticeflow.ir import (
     Assign, BinOp, ClassDecl, Comp, ConsistencySpec, Data, DataDecl, Delete,
-    Field, Fold, Gen, Handler, In, Len, Lit, MakeRow, MergeMutation, Not,
-    Program, QueryDef, RangeOf, Return, Send, Record, TargetPath, TupleOf,
-    UdfCall, UdfDecl, Var, MESSAGE_ID, response_mailbox,
+    Field, Fold, Gen, Handler, In, Index, Len, Lit, Lookup, MakeRow,
+    MergeMutation, Not, Program, QueryDef, RangeOf, Return, Send, Record,
+    TargetPath, TupleOf, UdfCall, UdfDecl, Var, MESSAGE_ID, response_mailbox,
 )
 from latticeflow.runtime import (
     GraphContext, NonMonotoneRecursion, compile_queries,
 )
-from latticeflow.state import FixpointDivergence, Row, canonical_state
+from latticeflow.state import (
+    FixpointDivergence, NodeState, Row, canonical_state,
+)
 from latticeflow.transducer import Transducer
 
 
@@ -57,6 +60,154 @@ def test_delta_iteration_needs_no_more_rounds_than_naive():
         ic.query_value("tc")
         gc.query_value("tc")
         assert max(gc.rounds.values()) <= max(ic.rounds.values())
+
+
+# --- compiled chains against the interpreter ---------------------------------
+
+ITEM = ClassDecl("Item", {"k": "int", "v": "int", "tags": "set"}, key="k")
+CHAIN_PROGRAM = Program(
+    "chains", classes=(ITEM,),
+    data=(DataDecl("items", "table", cls="Item"),
+          DataDecl("nums", "var", shape="set"),
+          DataDecl("pairs", "var", shape="set")))
+# key -1 is never an item, so a lookup of it is MISSING
+ABSENT = Field(Lookup("items", Lit(-1)), "v")
+# raises ZeroDivisionError where it is evaluated when z is 0; as the last
+# filter it is reached by the same rows on both backends
+TRIPWIRE = BinOp("!=", BinOp("//", Lit(1), Var("z")), Lit(7))
+
+
+@st.composite
+def chain_cases(draw):
+    """(comprehension, outer env, snapshot) over `CHAIN_PROGRAM`. Names the
+    comprehension binds are fresh; `n`, `z` (ints) and `o` (a row with no
+    `tags`) are bound outside it, and only the tripwire reads `z`."""
+    names = itertools.count()
+
+    def pick(options):
+        return draw(st.sampled_from(options))
+
+    def int_expr(ints, rows, depth):
+        kinds = ["lit"] + ["var", "var"] * bool(ints)
+        kinds += ["field", "field", "absent"] * bool(rows)
+        if depth < 3:
+            kinds += ["lookup", "plus", "index", "len"] * bool(rows)
+            kinds += ["lookup", "plus", "index", "fold"]
+        kind = pick(kinds)
+        if kind == "lit":
+            return Lit(draw(st.integers(0, 4)))
+        if kind == "var":
+            return Var(pick(ints))
+        if kind == "field":
+            return Field(Var(pick(rows)), pick(("k", "v")))
+        if kind == "absent":
+            return Field(Var(pick(rows)), "absent")
+        if kind == "len":
+            return Len(Field(Var(pick(rows)), "tags"))
+        if kind == "lookup":
+            return Field(Lookup("items", int_expr(ints, rows, depth + 1)), "v")
+        if kind == "plus":
+            return BinOp("+", int_expr(ints, rows, depth + 1),
+                         int_expr(ints, rows, depth + 1))
+        if kind == "index":
+            return Index(TupleOf(int_expr(ints, rows, depth + 1),
+                                 int_expr(ints, rows, depth + 1)),
+                         Lit(draw(st.integers(0, 2))))
+        return Fold(pick(("count", "sum", "max", "min")),
+                    comp(ints, rows, depth + 1))
+
+    def bool_expr(ints, rows, depth):
+        kinds = ["cmp", "in"]
+        if depth < 3:
+            kinds += ["and_or", "missing_left", "not"]
+        kind = pick(kinds)
+        if kind == "cmp":
+            return BinOp(pick(("==", "!=", "<", "<=")),
+                         int_expr(ints, rows, depth), int_expr(ints, rows, depth))
+        if kind == "in":
+            colls = [Data("nums")] + [Field(Var(r), "tags") for r in rows]
+            if depth < 2:
+                colls.append(comp(ints, rows, depth + 1))
+            return In(int_expr(ints, rows, depth), pick(colls),
+                      negated=draw(st.booleans()))
+        if kind == "and_or":
+            return BinOp(pick(("and", "or")), bool_expr(ints, rows, depth + 1),
+                         bool_expr(ints, rows, depth + 1))
+        if kind == "missing_left":
+            return BinOp(pick(("and", "or")), BinOp("==", ABSENT, Lit(0)),
+                         bool_expr(ints, rows, depth + 1))
+        return Not(bool_expr(ints, rows, depth + 1))
+
+    def comp(ints, rows, depth):
+        ints, rows, gens, filters = list(ints), list(rows), [], []
+        local_ints, local_rows = [], []
+        for i in range(draw(st.integers(1, 3 if depth == 0 else 2))):
+            name = f"x{next(names)}"
+            inner_rows = [r for r in rows if r != "o"]
+            source = pick(["items", "nums", "pairs"] + ["tags"] * bool(inner_rows))
+            if source == "items":
+                gens.append(Gen(name, Data("items")))
+                new = Field(Var(name), pick(("k", "v")))
+            elif source == "pairs":
+                other = f"x{next(names)}"
+                gens.append(Gen((name, other), Data("pairs")))
+                new = Var(pick((name, other)))
+                ints.append(other)
+                local_ints.append(other)
+            else:
+                gens.append(Gen(name, Data("nums") if source == "nums"
+                                else Field(Var(pick(inner_rows)), "tags")))
+                new = Var(name)
+            if i and draw(st.booleans()):
+                # linked to an earlier generator: a hash join when the other
+                # side reads only names this comprehension bound
+                earlier = [Var(x) for x in local_ints] + [
+                    Field(Var(r), f) for r in local_rows for f in ("k", "v")]
+                filters.append(BinOp("==", new, pick(earlier + [
+                    int_expr(ints, rows, 2)])))
+            (rows if source == "items" else ints).append(name)
+            (local_rows if source == "items" else local_ints).append(name)
+        for _ in range(draw(st.integers(0, 2))):
+            filters.append(bool_expr(ints, rows, depth))
+        if depth == 0 and draw(st.booleans()):
+            filters.append(TRIPWIRE)
+        output = int_expr(ints, rows, depth)
+        if depth == 0 and draw(st.booleans()):
+            output = pick((TupleOf(output, int_expr(ints, rows, depth)),
+                           Record(out=output)))
+        return Comp(output, gens, filters)
+
+    cmp = comp(["n"], ["o"], 0)
+    env = {"n": draw(st.integers(0, 4)), "z": draw(st.integers(0, 1)),
+           "o": Row(k=draw(st.integers(0, 4)), v=draw(st.integers(0, 4)))}
+    small = st.integers(0, 4)
+    items = draw(st.dictionaries(small, st.tuples(small, st.frozensets(small)),
+                                 min_size=2, max_size=5))
+    state = NodeState(CHAIN_PROGRAM)
+    state.tables["items"] = {(k,): Row(k=k, v=v, tags=tags)
+                             for k, (v, tags) in items.items()}
+    state.vars["nums"] = lattice.SetUnion(
+        draw(st.frozensets(small, min_size=2, max_size=5)))
+    state.vars["pairs"] = lattice.SetUnion(
+        draw(st.frozensets(st.tuples(small, small), min_size=2, max_size=6)))
+    return cmp, env, state.snapshot()
+
+
+def outcome(ctx, comp, env):
+    try:
+        return ctx.eval_comp(comp, env)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_cases())
+def test_compiled_chains_match_the_interpreter(case):
+    comp, env, snapshot = case
+    graph = GraphContext(CHAIN_PROGRAM, snapshot,
+                         compile_queries(CHAIN_PROGRAM))
+    interp = InterpContext(CHAIN_PROGRAM, snapshot)
+    assert outcome(graph, comp, dict(env)) == outcome(interp, comp, dict(env))
 
 
 @pytest.mark.parametrize("body", [

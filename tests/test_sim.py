@@ -201,13 +201,14 @@ def _events(cluster, kind):
     return [(i, ev) for i, ev in enumerate(cluster.trace) if ev.kind == kind]
 
 
-def test_a_request_orphaned_by_crashes_is_retransmitted_after_recovery():
+def _orphaned_then_recovered(handler, fields):
+    """A request whose every recipient crashes before the proxy's forward
+    arrives must be sent again, to n02 alone, once n02 recovers."""
     cluster = build_scenario_cluster(Scenario(
         covid_tracker().program, seed=1,
         network=NetworkModel(3, 3, 0.0)))
-    mid = cluster.schedule_request(0, "c1", "vaccinate", {"pid": 1})
-    # the proxy forwards to the sequencer n01 at tick 3; every replica
-    # crashes before delivery
+    mid = cluster.schedule_request(0, "c1", handler, fields)
+    # the proxy forwards at tick 3; every replica crashes before delivery
     for az in ("az0", "az1", "az2"):
         cluster.schedule_failure(4, ("dc0", az))
     for _ in range(9):
@@ -219,11 +220,22 @@ def test_a_request_orphaned_by_crashes_is_retransmitted_after_recovery():
     [(recovered_at, _)] = _events(cluster, "Recovered")
     [(retried_at, retried)] = _events(cluster, "Retransmitted")
     assert lost_at < recovered_at < retried_at
-    assert retried.detail == {"mailbox": "vaccinate", "message_id": mid,
+    assert retried.detail == {"mailbox": handler, "message_id": mid,
                               "dests": ["n02"]}
     fresh = [m for (_t, _c, m, _p, is_fresh) in cluster.response_log
              if is_fresh]
     assert fresh == [mid]
+
+
+def test_a_request_orphaned_by_crashes_is_retransmitted_after_recovery():
+    # the sequencer n01 is the only recipient
+    _orphaned_then_recovered("vaccinate", {"pid": 1})
+
+
+def test_a_request_is_retransmitted_to_a_recipient_that_crashed_and_recovered():
+    # all three replicas are recipients, n02 among them; it recovers empty
+    _orphaned_then_recovered("add_person",
+                             {"pid": 1, "name": "a", "country": "x"})
 
 
 class _FullScanCluster(Cluster):
@@ -233,24 +245,8 @@ class _FullScanCluster(Cluster):
         st = self.proxy_state[nid]
         active = False
         for mid in sorted(st.pending):
-            entry = st.pending[mid]
-            if any(self.alive.get(d) for d in entry["dests"]):
-                continue
-            dests = self._proxy_dests(entry["mailbox"])
-            if not dests:
-                if not entry["dead_logged"]:
-                    entry["dead_logged"] = True
-                    self._emit("NoLiveReplica", nid, mailbox=entry["mailbox"],
-                               message_id=mid)
-                    active = True
-                continue
-            for dest in dests:
-                self._post(dest, entry["mailbox"], entry["payload"])
-            entry["dests"] = tuple(dests)
-            entry["dead_logged"] = False
-            self._emit("Retransmitted", nid, mailbox=entry["mailbox"],
-                       message_id=mid, dests=list(dests))
-            active = True
+            if self._retry_entry(nid, mid, st.pending[mid]):
+                active = True
         return active
 
 
