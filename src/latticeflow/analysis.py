@@ -312,7 +312,6 @@ class Unstratifiable(Exception):
 class StratumAssignment:
     query_strata: Tuple[Tuple[str, int], ...]
     recursive_groups: Tuple[frozenset, ...]
-    statement_strata: Tuple[Tuple[str, int], ...]  # handler name -> stratum
 
     @property
     def strata(self) -> dict:
@@ -460,21 +459,8 @@ def stratify(p: Program) -> StratumAssignment:
                         strata[q] = need
                 changed = True
 
-    stmt_strata = []
-    top = max(strata.values(), default=-1) + 1
-    for h in sorted(p.handlers, key=lambda h: h.name):
-        refs = set()
-        for s in desugar_handler(h):
-            for e in statement_exprs(s):
-                for sub in walk_expr(e):
-                    if isinstance(sub, Data) and sub.name in strata:
-                        refs.add(sub.name)
-        level = max((strata[q] for q in refs), default=top - 1) + 1
-        stmt_strata.append((h.name, max(level, top)))
-
     return StratumAssignment(
         tuple(sorted(strata.items())),
         tuple(sorted(graph.recursive, key=lambda c: sorted(c))),
-        tuple(stmt_strata),
     )
 

@@ -20,7 +20,7 @@ from .ir import (
     Not, Record, RangeOf, Slice, TupleOf, Var,
 )
 from .lattice import scalar_key
-from .state import Row, Snapshot, UdfFailure, default_row
+from .state import BindError, Row, Snapshot, UdfFailure, default_row
 
 
 class _Missing:
@@ -67,14 +67,16 @@ class EvalContext:
             key = (key,)
         return self.snapshot.tables[name].get(key, MISSING)
 
+    def var(self, name: str):
+        """A var's plain value: a set var's elements, a scalar's value."""
+        return lattice.unwrap(self.snapshot.vars[name])
+
     def base_facts(self, name: str) -> frozenset:
         """Same-name data variable contents, implicitly included in a query."""
         if name in self.snapshot.tables:
             return frozenset(self.snapshot.tables[name].values())
-        v = self.snapshot.vars.get(name)
-        if isinstance(v, frozenset):
-            return v
-        return frozenset()
+        v = self.var(name) if name in self.snapshot.vars else None
+        return v if isinstance(v, frozenset) else frozenset()
 
     def collection(self, name: str):
         """Ordered view of a named collection for iteration. Views of
@@ -91,16 +93,9 @@ class EvalContext:
         elif name in self.snapshot.tables:
             view = self.table_rows(name)
         elif name in self.snapshot.vars:
-            v = self.snapshot.vars[name]
-            if isinstance(v, lattice.SetUnion):
-                view = tuple(sorted(v.elems, key=scalar_key))
-            elif isinstance(v, frozenset):
-                view = tuple(sorted(v, key=scalar_key))
-            elif isinstance(v, (lattice.BoolOr, lattice.MaxInt, lattice.MinInt,
-                                lattice.MapUnion, lattice.Pair)):
-                view = lattice.unwrap(v)
-            else:
-                view = v
+            view = self.var(name)
+            if isinstance(view, frozenset):
+                view = tuple(sorted(view, key=scalar_key))
         elif name in self.snapshot.mailboxes:
             return tuple(self.snapshot.mailboxes[name])
         else:
@@ -151,13 +146,23 @@ def iter_source(value) -> Iterable:
     raise TypeError(f"not iterable: {value!r}")
 
 
+def unpack(binder: tuple, item) -> tuple:
+    """The values of a tuple binder's names. The item must be a tuple, or a
+    list as JSON payloads carry, with one value per name, else `BindError`."""
+    if isinstance(item, (tuple, list)) and len(item) == len(binder):
+        return tuple(item)
+    raise BindError(f"binder {binder!r} needs {len(binder)} values, "
+                    f"got {item!r}")
+
+
 def bind(env: dict, binder, item) -> dict:
     out = dict(env)
-    if isinstance(binder, tuple):
-        for name, v in zip(binder, item):
-            out[name] = v
-    else:
+    if type(binder) is not tuple:
         out[binder] = item
+    elif type(item) is tuple and len(item) == len(binder):
+        out.update(zip(binder, item))
+    else:
+        out.update(zip(binder, unpack(binder, item)))
     return out
 
 
@@ -177,23 +182,24 @@ _ARITH = {
 
 
 def eval_expr(e, env: dict, ctx: EvalContext):
-    if isinstance(e, Lit):
+    t = type(e)
+    if t is Lit:
         return e.value
-    if isinstance(e, Var):
+    if t is Var:
         return env[e.name]
-    if isinstance(e, Field):
+    if t is Field:
         base = eval_expr(e.base, env, ctx)
         if base is MISSING:
             return MISSING
         return base.get(e.name, MISSING)
-    if isinstance(e, Data):
+    if t is Data:
         return ctx.collection(e.name)
-    if isinstance(e, Lookup):
+    if t is Lookup:
         key = eval_expr(e.key, env, ctx)
         if key is MISSING:
             return MISSING
         return ctx.table_row(e.data, key if isinstance(key, tuple) else (key,))
-    if isinstance(e, BinOp):
+    if t is BinOp:
         if e.op == "and":
             left = eval_expr(e.left, env, ctx)
             if left is MISSING or not left:
@@ -209,22 +215,22 @@ def eval_expr(e, env: dict, ctx: EvalContext):
         if left is MISSING or right is MISSING:
             return MISSING
         return _ARITH[e.op](left, right)
-    if isinstance(e, Not):
+    if t is Not:
         v = eval_expr(e.expr, env, ctx)
         return MISSING if v is MISSING else not v
-    if isinstance(e, In):
+    if t is In:
         item = eval_expr(e.item, env, ctx)
         coll = eval_expr(e.coll, env, ctx)
         if item is MISSING or coll is MISSING:
             return MISSING
         found = item in coll
         return (not found) if e.negated else found
-    if isinstance(e, TupleOf):
+    if t is TupleOf:
         items = tuple(eval_expr(x, env, ctx) for x in e.items)
         if any(x is MISSING for x in items):
             return MISSING
         return items
-    if isinstance(e, Record):
+    if t is Record:
         fields = {}
         for name, sub in e.fields:
             v = eval_expr(sub, env, ctx)
@@ -232,7 +238,7 @@ def eval_expr(e, env: dict, ctx: EvalContext):
                 return MISSING
             fields[name] = v
         return Row(fields)
-    if isinstance(e, MakeRow):
+    if t is MakeRow:
         fields = {}
         for name, sub in e.fields:
             v = eval_expr(sub, env, ctx)
@@ -240,17 +246,17 @@ def eval_expr(e, env: dict, ctx: EvalContext):
                 return MISSING
             fields[name] = v
         return default_row(ctx.program.class_map[e.cls], fields)
-    if isinstance(e, Comp):
+    if t is Comp:
         return ctx.eval_comp(e, env)
-    if isinstance(e, Fold):
+    if t is Fold:
         return fold_value(e.kind, eval_expr(e.source, env, ctx), ctx)
-    if isinstance(e, Len):
+    if t is Len:
         v = eval_expr(e.expr, env, ctx)
         return MISSING if v is MISSING else len(v)
-    if isinstance(e, RangeOf):
+    if t is RangeOf:
         stop = eval_expr(e.stop, env, ctx)
         return MISSING if stop is MISSING else tuple(range(stop))
-    if isinstance(e, Index):
+    if t is Index:
         base = eval_expr(e.base, env, ctx)
         idx = eval_expr(e.index, env, ctx)
         if base is MISSING or idx is MISSING:
@@ -259,7 +265,7 @@ def eval_expr(e, env: dict, ctx: EvalContext):
             return base[idx]
         except (IndexError, KeyError):
             return MISSING
-    if isinstance(e, Slice):
+    if t is Slice:
         base = eval_expr(e.base, env, ctx)
         start = eval_expr(e.start, env, ctx)
         stop = eval_expr(e.stop, env, ctx)

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield, replace
 from typing import Optional, Tuple, Union
 
+from .lattice import FIELD_SHAPES
+
 MESSAGE_ID = "_message_id"
 REPLY_TO = "_reply_to"
 
@@ -120,6 +122,10 @@ class Gen:
     binder: Union[str, Tuple[str, ...]]
     source: "Expr"
 
+    @property
+    def names(self) -> Tuple[str, ...]:
+        return self.binder if isinstance(self.binder, tuple) else (self.binder,)
+
 
 @dataclass(frozen=True)
 class Comp:
@@ -133,6 +139,16 @@ class Comp:
         object.__setattr__(self, "output", output)
         object.__setattr__(self, "gens", tuple(gens))
         object.__setattr__(self, "filters", tuple(filters))
+
+    def repeated_binder(self) -> Optional[str]:
+        """A name that the generators bind twice, if any."""
+        seen = set()
+        for g in self.gens:
+            for name in g.names:
+                if name in seen:
+                    return name
+                seen.add(name)
+        return None
 
 
 @dataclass(frozen=True)
@@ -253,11 +269,11 @@ Statement = Union[MergeMutation, Assign, Delete, Send, Return, UdfCall, ForEach]
 
 # --- program-level declarations ----------------------------------------------
 
-# Field semantic types. set/max/min/bool merge as lattices; int/str are
-# write-once scalars that merge by scalar max (deterministic tie-break);
-# opaque fields only change via non-monotone assignment.
-FIELD_TYPES = ("int", "str", "bool", "set", "max", "min", "ref", "opaque")
-MERGEABLE_FIELD_TYPES = ("bool", "set", "max", "min")
+# Field semantic types (see `lattice.FIELD_SHAPES`); a handler may merge
+# into a field only if its shape is not write-once.
+FIELD_TYPES = tuple(FIELD_SHAPES)
+MERGEABLE_FIELD_TYPES = tuple(t for t, shape in FIELD_SHAPES.items()
+                              if shape != "write_once")
 
 
 @dataclass(frozen=True)
@@ -617,13 +633,14 @@ def validate(p: Program) -> ValidationReport:
             check_expr(e.key, env, where)
             return
         elif isinstance(e, Comp):
+            name = e.repeated_binder()
+            if name is not None:
+                rep.add("RepeatedBinder",
+                        f"{where}: comprehension binds {name!r} twice")
             inner = set(env)
             for g in e.gens:
                 check_expr(g.source, inner, where)
-                if isinstance(g.binder, tuple):
-                    inner |= set(g.binder)
-                else:
-                    inner.add(g.binder)
+                inner.update(g.names)
             for f in e.filters:
                 check_expr(f, inner, where)
             check_expr(e.output, inner, where)
@@ -693,6 +710,8 @@ def validate(p: Program) -> ValidationReport:
         env = set(h.param_names) | {MESSAGE_ID, REPLY_TO}
         if h.guard is not None:
             check_expr(h.guard, set(env), f"handler {h.name} guard")
+        for inv in h.consistency.invariants:
+            check_expr(inv, set(env), f"handler {h.name} invariant")
         body_env = set(env)  # udf binders stay visible to later statements
         for s in h.body:
             check_stmt(s, body_env, f"handler {h.name}")
@@ -734,8 +753,7 @@ def subst(e: Expr, mapping: dict) -> Expr:
         gens = []
         for g in e.gens:
             gens.append(Gen(g.binder, subst(g.source, m)))
-            bound = g.binder if isinstance(g.binder, tuple) else (g.binder,)
-            for b in bound:
+            for b in g.names:
                 m.pop(b, None)
         return Comp(subst(e.output, m), tuple(gens),
                     tuple(subst(f, m) for f in e.filters))

@@ -19,7 +19,8 @@ _KIND_RANK = {bool: 0, int: 1, str: 2, tuple: 3}
 
 
 class ShapeMismatch(Exception):
-    """Raised when two lattice values of different variant shapes are combined."""
+    """Raised when two lattice values of different variant shapes are
+    combined, or a plain value does not fit the shape it is lifted into."""
 
 
 class IntOverflow(Exception):
@@ -32,12 +33,6 @@ def scalar_key(v: Scalar):
     if t is tuple:
         return (3, tuple(scalar_key(x) for x in v))
     return (_KIND_RANK[t], v)
-
-
-def is_scalar(v: Any) -> bool:
-    if isinstance(v, tuple):
-        return all(is_scalar(x) for x in v)
-    return type(v) in (bool, int, str)
 
 
 def _check_int(v: int) -> int:
@@ -107,7 +102,15 @@ class Pair:
     second: "LatticeValue"
 
 
-LatticeValue = Union[BoolOr, MaxInt, MinInt, SetUnion, MapUnion, Pair]
+@dataclass(frozen=True)
+class WriteOnce:
+    """A scalar written once: None is bottom, and conflicting writes keep
+    the `scalar_key` maximum, so every replica settles on the same one."""
+    v: Any = None
+
+
+LatticeValue = Union[BoolOr, MaxInt, MinInt, SetUnion, MapUnion, Pair,
+                     WriteOnce]
 
 _VARIANTS = {
     "bool_or": BoolOr,
@@ -116,8 +119,16 @@ _VARIANTS = {
     "set": SetUnion,
     "map": MapUnion,
     "pair": Pair,
+    "write_once": WriteOnce,
 }
-_NAMES = {cls: name for name, cls in _VARIANTS.items()}
+VARIANT_NAMES = {cls: name for name, cls in _VARIANTS.items()}
+
+# The shape of each row field type; int, str, ref and opaque fields are
+# write-once scalars.
+FIELD_SHAPES = {
+    "int": "write_once", "str": "write_once", "bool": "bool_or", "set": "set",
+    "max": "max", "min": "min", "ref": "write_once", "opaque": "write_once",
+}
 
 
 def shape_of(v: LatticeValue):
@@ -128,7 +139,7 @@ def shape_of(v: LatticeValue):
         return ("map", None)
     if isinstance(v, Pair):
         return ("pair", shape_of(v.first), shape_of(v.second))
-    return _NAMES[type(v)]
+    return VARIANT_NAMES[type(v)]
 
 
 def _shapes_compatible(a, b) -> bool:
@@ -150,22 +161,38 @@ def _require_same_shape(a: LatticeValue, b: LatticeValue):
 def merge(a: LatticeValue, b: LatticeValue) -> LatticeValue:
     """Least upper bound of two same-shape lattice values."""
     _require_same_shape(a, b)
-    if isinstance(a, BoolOr):
+    return _lub(a, b)
+
+
+def _lub(a: LatticeValue, b: LatticeValue) -> LatticeValue:
+    t = type(a)
+    if t is WriteOnce:
+        x, y = a.v, b.v
+        if x is None or (y is not None and y is not x
+                         and scalar_key(y) > scalar_key(x)):
+            return b
+        return a
+    if t is BoolOr:
         return BoolOr(a.flag or b.flag)
-    if isinstance(a, MaxInt):
+    if t is MaxInt:
         return a if a.v >= b.v else b
-    if isinstance(a, MinInt):
+    if t is MinInt:
         return a if a.v <= b.v else b
-    if isinstance(a, SetUnion):
+    if t is SetUnion:
         return SetUnion(a.elems | b.elems)
-    if isinstance(a, MapUnion):
+    if t is MapUnion:
         out = dict(a.items)
         for k, v in b.items:
-            out[k] = merge(out[k], v) if k in out else v
+            out[k] = _lub(out[k], v) if k in out else v
         return MapUnion(out)
-    if isinstance(a, Pair):
-        return Pair(merge(a.first, b.first), merge(a.second, b.second))
+    if t is Pair:
+        return Pair(_lub(a.first, b.first), _lub(a.second, b.second))
     raise TypeError(f"not a lattice value: {a!r}")
+
+
+def join(shape, a, b):
+    """Two plain values merged in the lattice of `shape`, as a plain value."""
+    return unwrap(_lub(wrap(a, shape), wrap(b, shape)))
 
 
 def leq(a: LatticeValue, b: LatticeValue) -> bool:
@@ -188,6 +215,8 @@ def bottom(shape) -> LatticeValue:
         return MapUnion()
     if isinstance(shape, tuple) and shape[0] == "pair":
         return Pair(bottom(shape[1]), bottom(shape[2]))
+    if shape == "write_once":
+        return WriteOnce()
     raise ValueError(f"malformed shape: {shape!r}")
 
 
@@ -223,6 +252,8 @@ def encode(v: LatticeValue) -> dict:
         }
     if isinstance(v, Pair):
         return {"variant": "pair", "value": [encode(v.first), encode(v.second)]}
+    if isinstance(v, WriteOnce):
+        return {"variant": "write_once", "value": _encode_scalar(v.v)}
     raise TypeError(f"not a lattice value: {v!r}")
 
 
@@ -240,39 +271,45 @@ def decode(d: dict) -> LatticeValue:
         return MapUnion({_decode_scalar(k): decode(v) for k, v in value})
     if variant == "pair":
         return Pair(decode(value[0]), decode(value[1]))
+    if variant == "write_once":
+        return WriteOnce(_decode_scalar(value))
     raise ValueError(f"unknown variant: {variant}")
 
 
 def unwrap(v: LatticeValue):
     """Plain-Python view of a lattice value, for expression evaluation."""
-    if isinstance(v, BoolOr):
-        return v.flag
-    if isinstance(v, (MaxInt, MinInt)):
+    t = type(v)
+    if t is WriteOnce or t is MaxInt or t is MinInt:
         return v.v
-    if isinstance(v, SetUnion):
+    if t is SetUnion:
         return v.elems
-    if isinstance(v, MapUnion):
+    if t is BoolOr:
+        return v.flag
+    if t is MapUnion:
         return {k: unwrap(val) for k, val in v.items}
-    if isinstance(v, Pair):
+    if t is Pair:
         return (unwrap(v.first), unwrap(v.second))
     return v
 
 
 def wrap(value, shape) -> LatticeValue:
-    """Lift a plain-Python value into the given lattice shape."""
-    if isinstance(value, (BoolOr, MaxInt, MinInt, SetUnion, MapUnion, Pair)):
+    """Lift a plain-Python value into the given lattice shape. A value that
+    is not a set, a frozenset or a list joins a set as one element."""
+    if type(value) in VARIANT_NAMES:
         _require_same_shape(value, bottom(shape))
         return value
+    if shape == "write_once":
+        return WriteOnce(value)
     if shape == "bool_or":
         return BoolOr(bool(value))
-    if shape == "max":
-        return MaxInt(int(value))
-    if shape == "min":
-        return MinInt(int(value))
+    if shape in ("max", "min"):
+        if not isinstance(value, int):
+            raise ShapeMismatch(f"cannot merge {value!r} into a {shape} lattice")
+        return (MaxInt if shape == "max" else MinInt)(int(value))
     if shape == "set":
-        if is_scalar(value):
-            return SetUnion([value])
-        return SetUnion(value)
+        if isinstance(value, (frozenset, set, list)):
+            return SetUnion(value)
+        return SetUnion([value])
     if isinstance(shape, tuple) and shape[0] == "map":
         return MapUnion({k: wrap(v, shape[1]) for k, v in dict(value).items()})
     if isinstance(shape, tuple) and shape[0] == "pair":

@@ -2,13 +2,15 @@
 
 Comprehensions compile to chains of Expand / HashJoin / Filter / Project
 operators; recursive query groups run semi-naive fixpoint iteration (only
-newly derived facts re-enter the loop each round). Per-operator row counts
-are tracked for Inspect output.
+newly derived facts re-enter the loop each round). Each operator reports
+the rows it produces to `GraphContext.note`.
 
 A chain is compiled once. Each generator binder gets a fixed slot, so a
 binding is a tuple, and every join key, filter and projection becomes a
 closure ``fn(slots, env, ctx)`` that reads its variables by slot, or from
-the caller's `env` for the names bound outside the chain. A nested
+the caller's `env` for the names bound outside the chain. A tuple binder
+takes its item's values by `eval.unpack`, the interpreter's rule, and a
+comprehension that binds a name twice does not compile. A nested
 comprehension compiles with its chain into the closure of its parent. A
 subexpression that reads only names bound outside its chain is evaluated
 at most once per run of the chain, at its first use, so a run that never
@@ -39,10 +41,9 @@ from dataclasses import dataclass, field as dfield
 from typing import Optional
 
 from .analysis import classify_expression, query_graph
-from . import lattice
-from .eval import _ARITH, EvalContext, MISSING, fold_value, iter_source
+from .eval import _ARITH, EvalContext, MISSING, fold_value, iter_source, unpack
 from .ir import (
-    BinOp, Comp, Data, Expr, Field, Fold, In, Index, Len, Lit, Lookup,
+    BinOp, Comp, Data, Expr, Field, Fold, Gen, In, Index, Len, Lit, Lookup,
     MakeRow, Not, Record, RangeOf, Slice, TupleOf, Var, _children, kept,
     walk_expr,
 )
@@ -55,9 +56,6 @@ class NonMonotoneRecursion(Exception):
 
 def _free_vars(e: Expr) -> set:
     return {s.name for s in walk_expr(e) if isinstance(s, Var)}
-
-
-_UNBOUND = object()  # a name a short tuple item left without a binding
 
 
 @dataclass
@@ -73,7 +71,6 @@ class ExpandStep(Step):
     occurrence: Optional[int] = None  # occurrence index of a recursive ref
     per_row: object = None  # source closure; None for a Data, read once
     width: int = 0          # names in a tuple binder, 0 for a single name
-    unpack: object = None   # tuple binder: fn(slots, env, item) -> values
 
 
 @dataclass
@@ -84,8 +81,6 @@ class HashJoinStep(Step):
     left: object = None     # key closures: `left` over previously bound
     right: object = None    # vars, `right` over the binder's values alone
     width: int = 0
-    unpack: object = None
-    key_unpack: object = None  # `unpack` for the slots `right` reads
 
 
 @dataclass
@@ -127,51 +122,22 @@ class _Scope:
     its slot in the binding tuple, and any other name is read from the
     caller's env. `local` holds the names the chain has bound so far."""
 
-    def __init__(self, slots=None, width: int = 0, unsure=()):
+    def __init__(self, slots=None, width: int = 0):
         self.slots = dict(slots or {})
         self.width = width
-        self.unsure = set(unsure)  # slots a short tuple item may leave unbound
         self.local = set()
 
     def nested(self) -> "_Scope":
         """The scope a nested comprehension starts from: every name of this
         one is bound outside it."""
-        return _Scope(self.slots, self.width, self.unsure)
+        return _Scope(self.slots, self.width)
 
-    def bind(self, binder):
-        """Give the binder's names the next slots. For a tuple binder,
-        returns its unpack function (see `_unpacker`)."""
-        if not isinstance(binder, tuple):
-            self.slots[binder] = self.width
+    def bind(self, gen: Gen):
+        """Give the generator's names the next slots."""
+        for name in gen.names:
+            self.slots[name] = self.width
             self.width += 1
-            self.local.add(binder)
-            return None
-        prev = {n: self.slots.get(n) for n in binder}
-        for j, name in enumerate(binder):
-            if prev[name] is None or prev[name] in self.unsure:
-                self.unsure.add(self.width + j)
-            self.slots[name] = self.width + j  # a repeated name: last wins
-        self.width += len(binder)
-        self.local.update(binder)
-        return _unpacker(binder, prev)
-
-
-def _unpacker(names: tuple, prev: dict):
-    """fn(slots, env, item) -> the values of a tuple binder's slots, as
-    `eval.bind`'s zip assigns them: a name the item is too short for keeps
-    the binding it had before, from a slot or the env, or is left unbound."""
-    k = len(names)
-
-    def unpack(s, env, item):
-        if type(item) is tuple and len(item) == k:
-            return item
-        cur = {n: env.get(n, _UNBOUND) if p is None else s[p]
-               for n, p in prev.items()}
-        for name, value in zip(names, item):
-            cur[name] = value
-        return tuple(cur[n] for n in names)
-
-    return unpack
+            self.local.add(name)
 
 
 def _expr(e: Expr, scope: _Scope, hoist: bool = True):
@@ -204,16 +170,7 @@ def _node(e: Expr, scope: _Scope, hoist: bool):
         i = scope.slots.get(name)
         if i is None:
             return lambda s, env, ctx: env[name]
-        if i not in scope.unsure:
-            return lambda s, env, ctx: s[i]
-
-        def var(s, env, ctx):
-            v = s[i]
-            if v is _UNBOUND:
-                raise KeyError(name)
-            return v
-
-        return var
+        return lambda s, env, ctx: s[i]
     if isinstance(e, Data):
         name = e.name
         return lambda s, env, ctx: ctx.collection(name)
@@ -362,15 +319,19 @@ def compile_comp(e: Comp, outer: Optional[_Scope] = None) -> Chain:
     of the chain a nested comprehension sits in.
 
     Equality filters linking a new generator to already-bound variables turn
-    the generator's scan into a hash join.
+    the generator's scan into a hash join. A comprehension that binds a name
+    twice is rejected, as `ir.validate` rejects it.
     """
+    name = e.repeated_binder()
+    if name is not None:
+        raise ValueError(f"comprehension binds {name!r} twice")
     scope = outer.nested() if outer is not None else _Scope()
     steps = []
     bound: set = set()
     remaining = list(e.filters)
     occ = 0
     for g in e.gens:
-        new_vars = set(g.binder) if isinstance(g.binder, tuple) else {g.binder}
+        new_vars = set(g.names)
         width = len(g.binder) if isinstance(g.binder, tuple) else 0
         occurrence = None
         if isinstance(g.source, Data):
@@ -390,18 +351,16 @@ def compile_comp(e: Comp, outer: Optional[_Scope] = None) -> Chain:
                         break
         if join:
             keys = _Scope()
-            key_unpack = keys.bind(g.binder)
-            left = _expr(join[0], scope)
+            keys.bind(g)
             steps.append(HashJoinStep(
                 _oid("hashjoin"), "hashjoin", g.binder, g.source, occurrence,
-                left, _expr(join[1], keys), width, scope.bind(g.binder),
-                key_unpack))
+                _expr(join[0], scope), _expr(join[1], keys), width))
         else:
             per_row = None if isinstance(g.source, Data) \
                 else _expr(g.source, scope)
             steps.append(ExpandStep(_oid("expand"), "expand", g.binder,
-                                    g.source, occurrence, per_row, width,
-                                    scope.bind(g.binder)))
+                                    g.source, occurrence, per_row, width))
+        scope.bind(g)
         bound |= new_vars
         # filters become runnable as soon as their variables are bound
         for f in list(remaining):
@@ -420,26 +379,26 @@ def _items(value):
     return value if isinstance(value, frozenset) else iter_source(value)
 
 
-def _extend(pairs: list, step, env: dict) -> list:
+def _extend(pairs: list, step) -> list:
     """Each (binding, item) pair's binding extended by the step's binder."""
-    k, unpack = step.width, step.unpack
+    k, binder = step.width, step.binder
     if not k:
         return [s + (item,) for s, item in pairs]
     return [s + (item if type(item) is tuple and len(item) == k
-                 else unpack(s, env, item)) for s, item in pairs]
+                 else unpack(binder, item)) for s, item in pairs]
 
 
 def _expand(step: ExpandStep, rows: list, env: dict, ctx, data_rows) -> list:
     if step.per_row is not None:
         fn = step.per_row
         return _extend([(s, item) for s in rows
-                        for item in _items(fn(s, env, ctx))], step, env)
+                        for item in _items(fn(s, env, ctx))], step)
     src = data_rows(step)
-    k, unpack = step.width, step.unpack
+    k, binder = step.width, step.binder
     if not k:
         return [s + (item,) for s in rows for item in src]
     return [s + (item if type(item) is tuple and len(item) == k
-                 else unpack(s, env, item)) for s in rows for item in src]
+                 else unpack(binder, item)) for s in rows for item in src]
 
 
 def run_chain(chain: Chain, env0: dict, ctx: "GraphContext",
@@ -473,7 +432,7 @@ def run_chain(chain: Chain, env0: dict, ctx: "GraphContext",
         elif kind == "hashjoin":
             src = data_rows(step)
             left, right = step.left, step.right
-            k, key_unpack = step.width, step.key_unpack
+            k, binder = step.width, step.binder
 
             def right_key(item):
                 if not k:
@@ -481,7 +440,7 @@ def run_chain(chain: Chain, env0: dict, ctx: "GraphContext",
                 elif type(item) is tuple and len(item) == k:
                     t = item
                 else:
-                    t = key_unpack((), {}, item)
+                    t = unpack(binder, item)
                 return right(t, env, ctx)
 
             # build side = smaller input by row count; ties go to the source
@@ -498,7 +457,7 @@ def run_chain(chain: Chain, env0: dict, ctx: "GraphContext",
                     index.setdefault(left(s, env, ctx), []).append(s)
                 pairs = [(s, item) for item in src
                          for s in index.get(right_key(item), ())]
-            rows = _extend(pairs, step, env)
+            rows = _extend(pairs, step)
         else:
             out = step.out
             result = {out(s, env, ctx) for s in rows}
@@ -661,10 +620,9 @@ class GraphContext(EvalContext):
             return self.query_value(name)
         if name in self.snapshot.tables:
             return self.base_facts(name)
-        value = self.collection(name)
-        if isinstance(self.snapshot.vars.get(name), lattice.SetUnion):
-            return frozenset(value)
-        return value
+        if name in self.snapshot.vars:
+            return self.var(name)
+        return self.collection(name)
 
     def query_value(self, name: str) -> frozenset:
         if name in self._qmemo:

@@ -37,8 +37,8 @@ from typing import Optional
 
 from .ir import MESSAGE_ID, Program, response_mailbox
 from .lattice import IntOverflow, ShapeMismatch
-from .state import (AmbiguousAssign, FixpointDivergence, Row, UdfFailure,
-                    canonical_state, encode_value)
+from .state import (AmbiguousAssign, BindError, FixpointDivergence, Row,
+                    UdfFailure, canonical_state, encode_value)
 from .transducer import Transducer
 
 ORDERED = "_ordered"
@@ -53,7 +53,7 @@ class NoQuiescence(Exception):
 # what a node's tick raises on a defect of the program it runs; `step` adds
 # the node id and the tick to the exception as `node_id` and `tick`
 NODE_FAILURES = (UdfFailure, FixpointDivergence, AmbiguousAssign,
-                 ShapeMismatch, IntOverflow)
+                 ShapeMismatch, IntOverflow, BindError)
 
 
 @dataclass(frozen=True)

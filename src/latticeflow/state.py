@@ -13,8 +13,8 @@ from dataclasses import dataclass, field as dfield
 from typing import Mapping, Optional
 
 from . import lattice
-from .ir import ClassDecl, DataDecl, Program
-from .lattice import scalar_key
+from .ir import ClassDecl, DataDecl, Program, kept
+from .lattice import FIELD_SHAPES, scalar_key
 
 
 class AmbiguousAssign(Exception):
@@ -27,6 +27,10 @@ class FixpointDivergence(Exception):
 
 class UdfFailure(Exception):
     """A host UDF raised; the original error is chained."""
+
+
+class BindError(TypeError):
+    """A tuple binder met an item that is not one value per name."""
 
 
 class Row(Mapping):
@@ -74,56 +78,21 @@ class Row(Mapping):
         return Row(m)
 
 
-_FIELD_DEFAULTS = {
-    "int": None, "str": None, "ref": None, "opaque": None,
-    "bool": False, "set": frozenset(),
-    "max": lattice.INT_MIN, "min": lattice.INT_MAX,
-}
+def _bottoms(cls: ClassDecl) -> dict:
+    return {fname: lattice.unwrap(lattice.bottom(FIELD_SHAPES[ftype]))
+            for fname, ftype in cls.fields}
 
 
 def default_row(cls: ClassDecl, fields: Mapping) -> Row:
-    out = {}
-    for fname, ftype in cls.fields:
-        out[fname] = fields.get(fname, _FIELD_DEFAULTS[ftype])
-    return Row(out)
-
-
-def _merge_scalar(a, b):
-    # write-once scalars: absent loses; conflicting writes keep the scalar
-    # max, which is deterministic, commutative and idempotent
-    if a is None:
-        return b
-    if b is None or a == b:
-        return a
-    return max(a, b, key=scalar_key)
-
-
-def _as_set(v) -> frozenset:
-    # merging a scalar into a set field inserts it as one element
-    if isinstance(v, frozenset):
-        return v
-    if isinstance(v, (set, list)):
-        return frozenset(v)
-    return frozenset([v])
-
-
-def merge_field(ftype: str, a, b):
-    if ftype == "bool":
-        return bool(a) or bool(b)
-    if ftype == "set":
-        return _as_set(a) | _as_set(b)
-    if ftype == "max":
-        return max(a, b)
-    if ftype == "min":
-        return min(a, b)
-    return _merge_scalar(a, b)
+    """A row of `cls` whose missing fields hold their shape's bottom."""
+    return Row({fname: fields.get(fname, bottom)
+                for fname, bottom in kept(cls, "_bottoms", _bottoms).items()})
 
 
 def merge_rows(cls: ClassDecl, a: Row, b: Row) -> Row:
-    out = {}
-    for fname, ftype in cls.fields:
-        out[fname] = merge_field(ftype, a.get(fname), b.get(fname))
-    return Row(out)
+    return Row({fname: lattice.join(FIELD_SHAPES[ftype], a.get(fname),
+                                    b.get(fname))
+                for fname, ftype in cls.fields})
 
 
 def row_key(cls: ClassDecl, row: Mapping) -> tuple:
@@ -197,7 +166,7 @@ class NodeState:
         self.mailboxes.setdefault(mailbox, []).append(payload)
 
     # --- commit -------------------------------------------------------------
-    def commit(self, eff: Effects, advance: bool = True):
+    def commit(self, eff: Effects):
         classes = self.program.class_map
         datam = self.program.data_map
 
@@ -219,8 +188,9 @@ class NodeState:
             else:
                 seed = dict(zip(cls.key, key))
                 old = default_row(cls, seed)
-            ftype = cls.field_map[fname]
-            table[key] = old.updated(**{fname: merge_field(ftype, old.get(fname), value)})
+            merged = lattice.join(FIELD_SHAPES[cls.field_map[fname]],
+                                  old.get(fname), value)
+            table[key] = old.updated(**{fname: merged})
 
         for name, value in eff.var_merges:
             shape = datam[name].shape
@@ -255,9 +225,6 @@ class NodeState:
                 remaining.remove(m)
             self.mailboxes[mailbox] = remaining
 
-        if advance:
-            self.tick += 1
-
 
 class Snapshot:
     """Frozen per-tick view of node state."""
@@ -271,8 +238,7 @@ class Snapshot:
 # --- canonical serialization -------------------------------------------------
 
 def encode_value(v):
-    if isinstance(v, (lattice.BoolOr, lattice.MaxInt, lattice.MinInt,
-                      lattice.SetUnion, lattice.MapUnion, lattice.Pair)):
+    if type(v) in lattice.VARIANT_NAMES:
         return {"lattice": lattice.encode(v)}
     if isinstance(v, frozenset):
         return {"set": [encode_value(x) for x in sorted(v, key=scalar_key)]}
@@ -283,13 +249,7 @@ def encode_value(v):
     return v
 
 
-def canonical_state(state: NodeState, include_mailboxes=True, strip_ids=False) -> dict:
-    def enc_payload(row: Row):
-        if strip_ids:
-            row = Row({k: v for k, v in row.items()
-                       if k not in ("_message_id", "_reply_to")})
-        return encode_value(row)
-
+def canonical_state(state: NodeState, include_mailboxes=True) -> dict:
     out = {
         "tables": {
             name: [[encode_value(k), encode_value(row)]
@@ -300,7 +260,7 @@ def canonical_state(state: NodeState, include_mailboxes=True, strip_ids=False) -
     }
     if include_mailboxes:
         out["mailboxes"] = {
-            name: sorted((json.dumps(enc_payload(m), sort_keys=True) for m in msgs))
+            name: sorted((json.dumps(encode_value(m), sort_keys=True) for m in msgs))
             for name, msgs in sorted(state.mailboxes.items()) if msgs
         }
     return out

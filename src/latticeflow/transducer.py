@@ -43,7 +43,6 @@ class TickResult:
     sends: list = dfield(default_factory=list)        # OutMsg
     statuses: dict = dfield(default_factory=dict)     # message_id -> accepted/rejected
     rounds: dict = dfield(default_factory=dict)       # fixpoint group -> iterations
-    op_rows: dict = dfield(default_factory=dict)      # operator id -> rows produced
     udf_invocations: int = 0
 
 
@@ -78,7 +77,6 @@ class Transducer:
                            for h in self.handlers}
         self.compiled = compile_queries(program) if backend == "graph" else None
         self.views: dict = {}     # recursive query results kept between ticks
-        self.request_status: dict = {}
         self.outputs: dict = {}   # non-handler mailbox -> delivered payloads
 
     # --- context construction -----------------------------------------------
@@ -119,7 +117,7 @@ class Transducer:
                 serializable.append(h)
                 continue
             self._run_eventual(h, ctx, eff, result)
-        self.state.commit(eff, advance=False)
+        self.state.commit(eff)
         result.sends.extend(eff.sends)
 
         for h in serializable:
@@ -127,7 +125,6 @@ class Transducer:
 
         self.state.tick += 1
         result.rounds = dict(ctx.rounds)
-        result.op_rows = dict(getattr(ctx, "op_rows", {}))
         result.udf_invocations = ctx.udf_invocations
         return result
 
@@ -165,7 +162,7 @@ class Transducer:
             else:
                 self._run_stmt(s, {}, fctx, eff, msg)
         eff.consumed.setdefault(h.name, []).append(msg)
-        fork.commit(eff, advance=False)
+        fork.commit(eff)
 
         check = self._context(fork.snapshot())
         ok = all(truthy(eval_expr(inv, {_MSG: msg}, check))
@@ -180,11 +177,10 @@ class Transducer:
         else:
             # reject: consume the request, discard everything else
             drop = Effects(consumed={h.name: [msg]})
-            self.state.commit(drop, advance=False)
+            self.state.commit(drop)
             status = REJECTED
         result.fired.append(h.name)
         if mid is not None:
-            self.request_status[mid] = status
             result.statuses[mid] = status
 
     # --- statement execution ------------------------------------------------

@@ -11,7 +11,9 @@ import pytest
 
 from conftest import bfs_closure, closure_contexts
 from latticeflow.ir import TargetSpec
-from latticeflow.lattice import BoolOr, MapUnion, MaxInt, MinInt, Pair, SetUnion, leq, merge
+from latticeflow.lattice import (
+    BoolOr, MapUnion, MaxInt, MinInt, Pair, SetUnion, WriteOnce, leq, merge,
+)
 from latticeflow.patterns import (
     covid_tracker, covid_workload, get_pattern, run_workload, sample_machines,
     scatter_chunks,
@@ -37,13 +39,17 @@ def test_lattice_laws_hold_for_a_thousand_cases_per_variant():
             return MinInt(rng.randint(-10**12, 10**12))
         if shape == "set":
             return SetUnion(rng.sample(range(60), rng.randint(0, 8)))
+        if shape == "write_once":
+            return WriteOnce(rng.choice((None, True, rng.randint(-9, 9),
+                                         rng.choice("xyz"), (1, "x"))))
         if shape[0] == "map":
             return MapUnion({k: rand(shape[1])
                              for k in rng.sample(range(10), rng.randint(0, 5))})
         return Pair(rand(shape[1]), rand(shape[2]))
 
-    shapes = ["bool_or", "max", "min", "set",
-              ("map", "set"), ("pair", "max", ("map", "min"))]
+    shapes = ["bool_or", "max", "min", "set", "write_once",
+              ("map", "set"), ("pair", "max", ("map", "min")),
+              ("pair", "write_once", "bool_or")]
     start = time.monotonic()
     for shape in shapes:
         for _ in range(1000):

@@ -9,6 +9,10 @@ from latticeflow.cli import (
     EXIT_INFEASIBLE, EXIT_NO_QUIESCENCE, EXIT_OK, EXIT_RUNTIME,
     EXIT_VALIDATION, main,
 )
+from latticeflow.ir import (
+    ClassDecl, Comp, Data, DataDecl, Gen, Handler, MergeMutation, Program,
+    TargetPath, TupleOf, Var,
+)
 from latticeflow.patterns import covid_program
 from latticeflow.progjson import program_to_json
 from latticeflow.scenario import load_scenario, run_scenario
@@ -221,3 +225,52 @@ def test_list_patterns(capsys):
     out = capsys.readouterr().out
     for name in ("covid_tracker", "actors", "futures", "mpi_collectives"):
         assert name in out
+
+
+@pytest.mark.parametrize("target", [
+    TargetPath("hi"),
+    TargetPath("scores", Var("k"), "hi"),
+], ids=["max-var", "max-field"])
+def test_simulate_reports_a_value_that_does_not_fit_its_lattice(
+        tmp_path, capsys, target):
+    program = Program(
+        "bump", classes=(ClassDecl("Score", {"k": "int", "hi": "max"},
+                                   key="k"),),
+        data=(DataDecl("scores", "table", cls="Score"),
+              DataDecl("hi", "var", shape="max")),
+        handlers=(Handler("bump", {"k": "int", "v": "int"},
+                          (MergeMutation(target, Var("v")),)),))
+    sc = scenario_dict(program=json.loads(program_to_json(program)),
+                       workload=[{"tick": 0, "client": "c1", "handler": "bump",
+                                  "fields": {"k": 1, "v": "abc"}}])
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(sc))
+    assert main(["simulate", str(path)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"seed 3: ShapeMismatch at tick \d+ on node n\d+: "
+        r"cannot merge 'abc' into a max lattice\n", err), err
+
+
+def test_simulate_reports_a_tuple_of_the_wrong_length(tmp_path, capsys):
+    program = Program(
+        "triples",
+        data=(DataDecl("acc", "var", shape="set"),
+              DataDecl("out", "var", shape="set")),
+        handlers=(
+            Handler("put", {"x": "int"}, (MergeMutation(
+                TargetPath("acc"), TupleOf(Var("x"), Var("x"), Var("x"))),)),
+            Handler("get", {}, (MergeMutation(TargetPath("out"), Comp(
+                Var("a"), (Gen(("a", "b"), Data("acc")),))),))))
+    sc = scenario_dict(program=json.loads(program_to_json(program)),
+                       workload=[{"tick": 0, "client": "c1", "handler": "put",
+                                  "fields": {"x": 1}},
+                                 {"tick": 5, "client": "c1", "handler": "get",
+                                  "fields": {}}])
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(sc))
+    assert main(["simulate", str(path)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"seed 3: BindError at tick \d+ on node n\d+: binder \('a', 'b'\) "
+        r"needs 2 values, got \(1, 1, 1\)\n", err), err

@@ -1,10 +1,12 @@
 """Program validation, desugaring, and JSON round-trips."""
 
+from dataclasses import replace
+
 import pytest
 
 from latticeflow.ir import (
     Assign, BinOp, ClassDecl, Comp, ConsistencySpec, Data, DataDecl, Field,
-    ForEach, Gen, Handler, Lit, MakeRow, MergeMutation, Program, QueryDef,
+    ForEach, Gen, Handler, In, Lit, MakeRow, MergeMutation, Program, QueryDef,
     Return, Send, TargetPath, UdfCall, UdfDecl, Var, desugar_handler,
     response_mailbox, validate,
 )
@@ -140,3 +142,32 @@ def test_json_reattaches_registered_udfs():
     q = program_from_json(program_to_json(p))
     fn = q.udf_map["future_fn"].fn
     assert fn is not None and fn(3) == p.udf_map["future_fn"].fn(3)
+
+
+def test_a_comprehension_that_binds_a_name_twice_is_rejected():
+    probe = Comp(Var("x"), (Gen("x", Data("items")), Gen("x", Data("items"))),
+                 (BinOp("==", Var("x"), Lit(1)),))
+    pair = Comp(Var("x"), (Gen(("x", "x"), Data("items")),))
+    for body in (probe, pair):
+        rep = validate(tiny_program(queries=(QueryDef("q", (), (body,)),)))
+        assert [e.code for e in rep] == ["RepeatedBinder"], rep.entries
+        assert "binds 'x' twice" in rep.entries[0].message
+
+
+def test_handler_invariants_are_validated():
+    p = get_pattern("covid_tracker").program
+    bad = ConsistencySpec("serializable", invariants=(
+        In(Var("nope"), Data("no_such_table")),))
+    handlers = tuple(replace(h, consistency=bad) if h.name == "vaccinate"
+                     else h for h in p.handlers)
+    rep = validate(replace(p, handlers=handlers))
+    assert sorted(e.message for e in rep) == [
+        "handler vaccinate invariant: unbound variable 'nope'",
+        "handler vaccinate invariant: unknown collection 'no_such_table'",
+    ]
+    # the invariant sees what the guard sees: the params and the message ids
+    ok = ConsistencySpec("serializable", invariants=(
+        BinOp("!=", Var("_message_id"), Var("pid")),))
+    handlers = tuple(replace(h, consistency=ok) if h.name == "vaccinate"
+                     else h for h in p.handlers)
+    assert validate(replace(p, handlers=handlers)).ok

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from latticeflow import lattice
 from latticeflow.lattice import (
     BoolOr, IntOverflow, MapUnion, MaxInt, MinInt, Pair, SetUnion,
-    ShapeMismatch, bottom, decode, encode, leq, merge, shape_of, unwrap, wrap,
+    ShapeMismatch, WriteOnce, bottom, decode, encode, leq, merge, shape_of,
+    unwrap, wrap,
 )
 
 scalars = st.one_of(st.booleans(), st.integers(-50, 50),
@@ -21,6 +22,7 @@ def lattice_values(depth=2):
         st.integers(-10**6, 10**6).map(MaxInt),
         st.integers(-10**6, 10**6).map(MinInt),
         st.frozensets(scalars, max_size=5).map(SetUnion),
+        st.one_of(st.none(), scalars).map(WriteOnce),
     )
     if depth == 0:
         return base
@@ -29,7 +31,8 @@ def lattice_values(depth=2):
         base,
         st.tuples(inner, inner).map(lambda p: Pair(*p)),
         # map values must share one variant: build from a single prototype
-        st.tuples(st.sampled_from(["bool_or", "max", "min", "set"]),
+        st.tuples(st.sampled_from(["bool_or", "max", "min", "set",
+                                   "write_once"]),
                   st.dictionaries(st.integers(0, 5), st.integers(-20, 20),
                                   max_size=4)).map(
             lambda t: MapUnion({k: wrap(v, t[0]) for k, v in t[1].items()})),
@@ -51,6 +54,8 @@ def compatible_with(a):
         return st.integers(-10**6, 10**6).map(MinInt)
     if shape == "set":
         return st.frozensets(scalars, max_size=5).map(SetUnion)
+    if shape == "write_once":
+        return st.one_of(st.none(), scalars).map(WriteOnce)
     if isinstance(a, MapUnion):
         vshape = shape[1] or "max"
         return st.dictionaries(st.integers(0, 5), st.integers(-20, 20),
@@ -151,13 +156,15 @@ def test_seeded_bulk_properties():
             return MinInt(rng.randint(-10**9, 10**9))
         if shape == "set":
             return SetUnion(rng.sample(range(40), rng.randint(0, 6)))
+        if shape == "write_once":
+            return WriteOnce(rng.choice((None, rng.randint(-5, 5), "a", "b")))
         if shape[0] == "map":
             return MapUnion({k: rand(shape[1])
                              for k in rng.sample(range(8), rng.randint(0, 4))})
         return Pair(rand(shape[1]), rand(shape[2]))
 
-    shapes = ["bool_or", "max", "min", "set", ("map", "max"),
-              ("pair", "set", "min")]
+    shapes = ["bool_or", "max", "min", "set", "write_once", ("map", "max"),
+              ("pair", "set", "min"), ("map", "write_once")]
     for shape in shapes:
         for _ in range(1000):
             a, b, c = rand(shape), rand(shape), rand(shape)
@@ -167,3 +174,24 @@ def test_seeded_bulk_properties():
             assert merge(a, a) == a
             assert leq(a, ab) and leq(b, ab)
             assert leq(a, b) == (ab == b)
+
+
+def test_write_once_keeps_the_first_value_or_the_larger_of_two():
+    assert merge(WriteOnce(), WriteOnce(3)) == WriteOnce(3)
+    assert merge(WriteOnce(3), WriteOnce()) == WriteOnce(3)
+    assert merge(WriteOnce(3), WriteOnce("a")) == WriteOnce("a")
+    assert merge(WriteOnce(3), WriteOnce(2)) == WriteOnce(3)
+    assert bottom("write_once") == WriteOnce(None)
+
+
+def test_a_value_that_is_not_a_set_joins_a_set_as_one_element():
+    assert wrap((1, None), "set") == SetUnion([(1, None)])
+    assert wrap(3, "set") == SetUnion([3])
+    assert wrap([1, 2], "set") == SetUnion([1, 2])
+    assert wrap(frozenset({1, 2}), "set") == SetUnion([1, 2])
+
+
+@pytest.mark.parametrize("shape", ["max", "min"])
+def test_a_value_that_does_not_fit_its_shape_is_a_shape_mismatch(shape):
+    with pytest.raises(ShapeMismatch, match=f"'abc' into a {shape}"):
+        wrap("abc", shape)

@@ -512,3 +512,79 @@ def test_a_view_whose_input_is_read_whole_is_recomputed_when_it_grows():
         kept = t._context(snap).query_value("sized")
         assert kept == InterpContext(p, snap).query_value("sized")
         assert {n for _, n in kept} == {i + 1}
+
+
+# --- one binding rule ----------------------------------------------------------
+
+def both_backends(program, state):
+    snap = state.snapshot()
+    return (GraphContext(program, snap, compile_queries(program)),
+            InterpContext(program, snap))
+
+
+def chain_state(**var_elems):
+    state = NodeState(CHAIN_PROGRAM)
+    for name, elems in var_elems.items():
+        state.vars[name] = lattice.SetUnion(elems)
+    return state
+
+
+def test_a_repeated_binder_is_refused_instead_of_shadowed():
+    # the graph backend used to test the first `x` and then bind the second,
+    # giving {3, 4} where the interpreter gives frozenset()
+    probe = Comp(Var("x"), (Gen("x", Data("nums")), Gen("x", Data("pairs"))),
+                 (BinOp("==", Var("x"), Lit(1)),))
+    graph, _ = both_backends(CHAIN_PROGRAM, chain_state(nums={1}, pairs={3, 4}))
+    with pytest.raises(ValueError, match="binds 'x' twice"):
+        graph.eval_comp(probe, {})
+
+
+@pytest.mark.parametrize("comp", [
+    Comp(Var("p"), (Gen(("p", "q"), Data("pairs")),)),
+    # the join's build side unpacks the item to compute its key
+    Comp(Var("p"), (Gen("x", Data("nums")), Gen(("p", "q"), Data("pairs"))),
+         (BinOp("==", Var("p"), Var("x")),)),
+], ids=["expand", "hashjoin"])
+def test_a_wrong_length_tuple_item_raises_on_both_backends(comp):
+    messages = []
+    for ctx in both_backends(CHAIN_PROGRAM,
+                             chain_state(nums={1}, pairs={(1, 2, 3)})):
+        with pytest.raises(TypeError) as err:
+            ctx.eval_comp(comp, {})
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0] == "binder ('p', 'q') needs 2 values, got (1, 2, 3)"
+
+
+def test_a_json_list_of_the_right_length_binds():
+    comp = Comp(TupleOf(Var("q"), Var("p")), (Gen(("p", "q"), Var("src")),))
+    for ctx in both_backends(CHAIN_PROGRAM, chain_state()):
+        assert ctx.eval_comp(comp, {"src": ([1, 2], (3, 4))}) == {(2, 1), (4, 3)}
+        with pytest.raises(TypeError, match=r"needs 2 values, got \[5\]"):
+            ctx.eval_comp(comp, {"src": ([5],)})
+
+
+# --- reading vars ---------------------------------------------------------------
+
+def test_a_query_includes_the_set_var_of_its_name():
+    p = Program("q", data=(DataDecl("q", "var", shape="set", init=[1, 2]),),
+                queries=(QueryDef("q", (), (Comp(Lit(3), ()),)),))
+    for ctx in both_backends(p, NodeState(p)):
+        assert ctx.query_value("q") == {1, 2, 3}
+
+
+def test_a_tuple_merged_into_a_set_is_one_element():
+    p = Program(
+        "sets", classes=(ITEM,),
+        data=(DataDecl("items", "table", cls="Item"),
+              DataDecl("acc", "var", shape="set")),
+        handlers=(Handler("add", {"k": "int"}, (
+            MergeMutation(TargetPath("acc"), TupleOf(Lit(1), Lit(None))),
+            MergeMutation(TargetPath("items", Var("k"), "tags"),
+                          TupleOf(Lit(1), Lit(None))))),))
+    for backend in ("graph", "interp"):
+        t = Transducer(p, backend=backend)
+        t.deliver("add", request(0, k=7))
+        t.tick()
+        assert t.state.vars["acc"] == lattice.SetUnion([(1, None)])
+        assert t.state.tables["items"][(7,)]["tags"] == {(1, None)}
