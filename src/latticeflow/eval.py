@@ -56,6 +56,15 @@ class EvalContext:
     def eval_comp(self, e: Comp, env: dict) -> frozenset:
         raise NotImplementedError
 
+    def eval_in(self, e: In, env: dict):
+        """``e.item in e.coll``, or MISSING when either side is."""
+        item = eval_expr(e.item, env, self)
+        coll = eval_expr(e.coll, env, self)
+        if item is MISSING or coll is MISSING:
+            return MISSING
+        found = item in coll
+        return (not found) if e.negated else found
+
     # --- collections --------------------------------------------------------
     def table_rows(self, name: str):
         table = self.snapshot.tables[name]
@@ -219,12 +228,7 @@ def eval_expr(e, env: dict, ctx: EvalContext):
         v = eval_expr(e.expr, env, ctx)
         return MISSING if v is MISSING else not v
     if t is In:
-        item = eval_expr(e.item, env, ctx)
-        coll = eval_expr(e.coll, env, ctx)
-        if item is MISSING or coll is MISSING:
-            return MISSING
-        found = item in coll
-        return (not found) if e.negated else found
+        return ctx.eval_in(e, env)
     if t is TupleOf:
         items = tuple(eval_expr(x, env, ctx) for x in e.items)
         if any(x is MISSING for x in items):

@@ -660,6 +660,12 @@ def validate(p: Program) -> ValidationReport:
             check_expr(t.key, env, where)
             if d.kind != "table":
                 rep.add("NotATable", f"{where}: keyed target on var {t.data!r}")
+        cls = classes.get(d.cls) if d.kind == "table" else None
+        if cls is not None and t.field in cls.key:
+            # a row is stored under its key fields, so writing one would
+            # leave the row under a key it no longer holds
+            rep.add("KeyFieldWrite",
+                    f"{where}: write to key field {t.data}.{t.field}")
         if merging:
             if d.kind == "var" and d.shape is None:
                 rep.add("NotALattice",

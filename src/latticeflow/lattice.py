@@ -301,7 +301,9 @@ def wrap(value, shape) -> LatticeValue:
     if shape == "write_once":
         return WriteOnce(value)
     if shape == "bool_or":
-        return BoolOr(bool(value))
+        if not isinstance(value, bool):
+            raise ShapeMismatch(f"cannot merge {value!r} into a {shape} lattice")
+        return BoolOr(value)
     if shape in ("max", "min"):
         if not isinstance(value, int):
             raise ShapeMismatch(f"cannot merge {value!r} into a {shape} lattice")

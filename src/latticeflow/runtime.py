@@ -1,9 +1,9 @@
 """Operator-graph runtime backend.
 
-Comprehensions compile to chains of Expand / HashJoin / Filter / Project
-operators; recursive query groups run semi-naive fixpoint iteration (only
-newly derived facts re-enter the loop each round). Each operator reports
-the rows it produces to `GraphContext.note`.
+Comprehensions compile to chains of Expand / Probe / HashJoin / Filter /
+Project operators; recursive query groups run semi-naive fixpoint iteration
+(only newly derived facts re-enter the loop each round). Each operator
+reports the rows it produces to `GraphContext.note`.
 
 A chain is compiled once. Each generator binder gets a fixed slot, so a
 binding is a tuple, and every join key, filter and projection becomes a
@@ -16,23 +16,42 @@ subexpression that reads only names bound outside its chain is evaluated
 at most once per run of the chain, at its first use, so a run that never
 reaches it evaluates nothing. The interpreter (`interp`, with
 `eval.eval_expr`) stays the tree-walking oracle that this backend is
-tested against, and it still evaluates handler statements.
+tested against, and it still evaluates handler statements, apart from the
+memberships that `GraphContext.eval_in` compiles.
+
+Access paths. A generator over a named collection is a probe when an
+equality filter fixes an expression over its binder to one that reads no
+name the comprehension binds: the key is evaluated once per run, and only
+when the step has input rows and the source has items. It is a hash join
+when the filter links the binder to names bound before it, and a scan
+otherwise. A probe or a join over a frozenset source (a query result or a
+kept recursive view) keeps its index of the source in the context's
+`views` under the step's id, unless the step reads a fixpoint's delta or
+its binder-side key reads anything but the binder. The index is reused
+while the source is the same object, grown by the new items when the old
+source is a subset of the new one, and rebuilt otherwise. Mutable sources,
+such as a fixpoint's running totals, are scanned or joined per run, and a
+probe whose key cannot be hashed compares it with each item. A membership
+``x in {p.k for p in t}``, where `k` is the whole key of table `t`, is
+``(x,) in`` the table's dict.
 
 A context keeps every recursive group's result in its `views` dict. Each
 Transducer hands all the contexts it builds one dict that lives as long as
-the node, so results outlive the tick. The next evaluation of the group
-resumes from that result when the group's inputs and base facts only grew
-since it was stored, and recomputes from the base facts on any other
-change: a deletion, an assignment, a replaced table row, a changed scalar,
-or the state of a rejected fork. `max_rounds` caps the rounds that a
-from-scratch evaluation of the current state would take, also when the
-evaluation resumes, so whether it diverges depends on the state alone and
-not on the views. Operators iterate sets in whatever order they come, and a
-generator over a table reads the table's rows in storage order; order is
-fixed only where it is observable, by `EvalContext.collection`, sends and
-canonical encoding. A comprehension in a handler is compiled the first time
-it is evaluated and the chain is kept on the program's `CompiledQueries`
-(see `compile_queries`), so every later context reuses it.
+the node, so results and indexes outlive the tick. The next evaluation of
+the group resumes from that result when the group's inputs and base facts
+only grew since it was stored, and recomputes from the base facts on any
+other change: a deletion, an assignment, a replaced table row, a changed
+scalar, or the state of a rejected fork. A resumed result that gained
+nothing is the stored object itself, so the indexes over it stay valid.
+`max_rounds` caps the rounds that a from-scratch evaluation of the current
+state would take, also when the evaluation resumes, so whether it diverges
+depends on the state alone and not on the views. Operators iterate sets in
+whatever order they come, and a generator over a table reads the table's
+rows in storage order; order is fixed only where it is observable, by
+`EvalContext.collection`, sends and canonical encoding. A comprehension or
+membership in a handler is compiled the first time it is evaluated and kept
+on the program's `CompiledQueries` (see `compile_queries`), so every later
+context reuses it.
 """
 
 from __future__ import annotations
@@ -61,7 +80,7 @@ def _free_vars(e: Expr) -> set:
 @dataclass
 class Step:
     op_id: str
-    kind: str  # expand | hashjoin | filter | project
+    kind: str  # expand | hashjoin | probe | filter | project
 
 
 @dataclass
@@ -81,6 +100,14 @@ class HashJoinStep(Step):
     left: object = None     # key closures: `left` over previously bound
     right: object = None    # vars, `right` over the binder's values alone
     width: int = 0
+    keepable: bool = False  # `right` reads nothing but the binder, so an
+                            # index of a source by it outlives the run
+
+
+@dataclass
+class ProbeStep(HashJoinStep):
+    """A hash join whose `left` reads no name the comprehension binds: one
+    key per run, looked up in an index of the source."""
 
 
 @dataclass
@@ -120,9 +147,11 @@ def _oid(kind: str) -> str:
 class _Scope:
     """Where each name lives while a chain compiles: `slots` maps a name to
     its slot in the binding tuple, and any other name is read from the
-    caller's env. `local` holds the names the chain has bound so far."""
+    caller's env. `local` holds the names the chain has bound so far.
+    `program`, when known, lets a key membership compile to a table probe."""
 
-    def __init__(self, slots=None, width: int = 0):
+    def __init__(self, program=None, slots=None, width: int = 0):
+        self.program = program
         self.slots = dict(slots or {})
         self.width = width
         self.local = set()
@@ -130,7 +159,7 @@ class _Scope:
     def nested(self) -> "_Scope":
         """The scope a nested comprehension starts from: every name of this
         one is bound outside it."""
-        return _Scope(self.slots, self.width)
+        return _Scope(self.program, self.slots, self.width)
 
     def bind(self, gen: Gen):
         """Give the generator's names the next slots."""
@@ -159,6 +188,27 @@ def _expr(e: Expr, scope: _Scope, hoist: bool = True):
 
         return hoisted
     return _node(e, scope, hoist)
+
+
+def _key_table(coll: Expr, program) -> Optional[str]:
+    """The table `t` when `coll` is ``{p.k for p in t}`` and `k` is the whole
+    key of `t`'s class, so that ``x in coll`` is ``(x,) in t``'s dict: rows
+    are stored under their key fields, which no statement may write (see
+    `ir.validate`). None for any other collection, and for a table that a
+    query of the same name extends."""
+    if program is None or not isinstance(coll, Comp) or coll.filters \
+            or len(coll.gens) != 1:
+        return None
+    [g], out = coll.gens, coll.output
+    if not (isinstance(g.source, Data) and isinstance(out, Field)
+            and out.base == Var(g.binder)):
+        return None
+    name = g.source.name
+    d = program.data_map.get(name)
+    if d is None or d.kind != "table" or name in program.query_map:
+        return None
+    cls = program.class_map.get(d.cls)
+    return name if cls is not None and cls.key == (out.name,) else None
 
 
 def _node(e: Expr, scope: _Scope, hoist: bool):
@@ -235,6 +285,19 @@ def _node(e: Expr, scope: _Scope, hoist: bool):
     if isinstance(e, In):
         item, coll = sub
         negated = e.negated
+        table = _key_table(e.coll, scope.program)
+        if table is not None:
+            def key_in(s, env, ctx):
+                x = item(s, env, ctx)
+                if x is MISSING:
+                    return MISSING
+                if table in ctx.firing:
+                    found = x in coll(s, env, ctx)
+                else:
+                    found = (x,) in ctx.snapshot.tables[table]
+                return not found if negated else found
+
+            return key_in
 
         def in_(s, env, ctx):
             x = item(s, env, ctx)
@@ -314,18 +377,24 @@ def _node(e: Expr, scope: _Scope, hoist: bool):
     raise TypeError(f"unknown expression node: {e!r}")
 
 
-def compile_comp(e: Comp, outer: Optional[_Scope] = None) -> Chain:
+def compile_comp(e: Comp, outer: Optional[_Scope] = None,
+                 program=None) -> Chain:
     """Compile a comprehension into an operator chain; `outer` is the scope
-    of the chain a nested comprehension sits in.
+    of the chain a nested comprehension sits in, and `program` the one the
+    comprehension belongs to.
 
-    Equality filters linking a new generator to already-bound variables turn
-    the generator's scan into a hash join. A comprehension that binds a name
-    twice is rejected, as `ir.validate` rejects it.
+    A generator over a named collection picks its access path from the
+    equality filters: one that fixes an expression over the binder to an
+    expression reading no name the comprehension binds makes it a probe,
+    else one linking it to names bound before makes it a hash join, and
+    with neither it is a scan. A comprehension that binds a name twice is
+    rejected, as `ir.validate` rejects it.
     """
     name = e.repeated_binder()
     if name is not None:
         raise ValueError(f"comprehension binds {name!r} twice")
-    scope = outer.nested() if outer is not None else _Scope()
+    scope = outer.nested() if outer is not None else _Scope(program)
+    names = {n for g in e.gens for n in g.names}
     steps = []
     bound: set = set()
     remaining = list(e.filters)
@@ -333,28 +402,21 @@ def compile_comp(e: Comp, outer: Optional[_Scope] = None) -> Chain:
     for g in e.gens:
         new_vars = set(g.names)
         width = len(g.binder) if isinstance(g.binder, tuple) else 0
-        occurrence = None
+        occurrence = path = None
         if isinstance(g.source, Data):
             occurrence = occ
             occ += 1
-        join = None
-        if isinstance(g.source, Data) and bound:
-            for f in list(remaining):
-                if (isinstance(f, BinOp) and f.op == "=="):
-                    lv, rv = _free_vars(f.left), _free_vars(f.right)
-                    if lv <= bound and rv and rv <= new_vars:
-                        join = (f.left, f.right)
-                    elif rv <= bound and lv and lv <= new_vars:
-                        join = (f.right, f.left)
-                    if join:
-                        remaining.remove(f)
-                        break
-        if join:
-            keys = _Scope()
+            path = _access_path(remaining, new_vars, bound, names)
+        if path:
+            kind, f, other, own = path
+            remaining.remove(f)
+            keys = _Scope(scope.program)
             keys.bind(g)
-            steps.append(HashJoinStep(
-                _oid("hashjoin"), "hashjoin", g.binder, g.source, occurrence,
-                _expr(join[0], scope), _expr(join[1], keys), width))
+            cls = ProbeStep if kind == "probe" else HashJoinStep
+            steps.append(cls(
+                _oid(kind), kind, g.binder, g.source, occurrence,
+                _expr(other, scope), _expr(own, keys), width,
+                _context_free(own)))
         else:
             per_row = None if isinstance(g.source, Data) \
                 else _expr(g.source, scope)
@@ -373,6 +435,36 @@ def compile_comp(e: Comp, outer: Optional[_Scope] = None) -> Chain:
     steps.append(ProjectStep(_oid("project"), "project",
                              _expr(e.output, scope)))
     return Chain(steps, e)
+
+
+def _access_path(filters: list, new: set, bound: set, names: set):
+    """(step kind, filter, other side, binder side) for the first `==`
+    filter between an expression over the binder `new` alone and one that
+    reads no name in `names` (a probe), else for the first one between such
+    an expression and one over the names `bound` before it (a hash join);
+    None when no filter is either."""
+    join = None
+    for f in filters:
+        if not (isinstance(f, BinOp) and f.op == "=="):
+            continue
+        for other, own in ((f.left, f.right), (f.right, f.left)):
+            mine = _free_vars(own)
+            if not mine or not mine <= new:
+                continue
+            theirs = _free_vars(other)
+            if not theirs & names:
+                return "probe", f, other, own
+            if join is None and theirs <= bound:
+                join = ("hashjoin", f, other, own)
+    return join
+
+
+def _context_free(e: Expr) -> bool:
+    """Whether `e`'s value depends on its variables alone: it reads no
+    collection, table row or fold, so a key it computed for an item still
+    holds in a later context."""
+    return not any(isinstance(x, (Data, Lookup, Comp, Fold))
+                   for x in walk_expr(e))
 
 
 def _items(value):
@@ -401,13 +493,60 @@ def _expand(step: ExpandStep, rows: list, env: dict, ctx, data_rows) -> list:
                  else unpack(binder, item)) for s in rows for item in src]
 
 
+def _keyer(step: HashJoinStep, env: dict, ctx):
+    """The step's binder-side key of one source item."""
+    k, binder, right = step.width, step.binder, step.right
+
+    def right_key(item):
+        if not k:
+            t = (item,)
+        elif type(item) is tuple and len(item) == k:
+            t = item
+        else:
+            t = unpack(binder, item)
+        return right(t, env, ctx)
+
+    return right_key
+
+
+def _index(items, key) -> dict:
+    """key(item) -> items; an item whose key is MISSING equals nothing."""
+    index = {}
+    for item in items:
+        k = key(item)
+        if k is not MISSING:
+            index.setdefault(k, []).append(item)
+    return index
+
+
+def _kept_index(step: HashJoinStep, src: frozenset, key, views: dict) -> dict:
+    """`_index(src, key)`, kept in `views` under the step's id with the
+    source it was built from: reused while the source is that object, grown
+    by the new items when the old source is a subset of the new one, and
+    rebuilt otherwise."""
+    entry = views.pop(step.op_id, None)
+    if entry is not None and entry[0] is src:
+        index = entry[1]
+    elif entry is not None and entry[0] <= src:
+        index = entry[1]
+        for k, items in _index(src - entry[0], key).items():
+            index.setdefault(k, []).extend(items)
+    else:
+        index = _index(src, key)
+    views[step.op_id] = (src, index)
+    return index
+
+
 def run_chain(chain: Chain, env0: dict, ctx: "GraphContext",
               delta_step=None, totals=None, delta=None, slots=()) -> frozenset:
     """Run a chain from the binding `slots` (a nested comprehension's
     enclosing row; empty otherwise), reading outer names from `env0`; when
     iterating a fixpoint, `delta_step` marks the one occurrence of a name in
     `totals` fed with the delta instead of the running total. Sources are
-    iterated unordered: only the set of rows reaches the result."""
+    iterated unordered: only the set of rows reaches the result, and a step
+    with no input rows reads no source. A probe or hash join over a
+    frozenset source, other than the delta, keeps its index of that source
+    in `ctx.views` (see `_kept_index`)."""
     env = dict(env0)  # the run's hoisted values join the outer names
 
     def data_rows(step):
@@ -420,6 +559,12 @@ def run_chain(chain: Chain, env0: dict, ctx: "GraphContext",
             return ctx.snapshot.tables[name].values()
         return _items(ctx.collection(name))
 
+    def index(step, src, key):
+        """The kept index of `src` by `key`, or None when it is not kept."""
+        if step.keepable and type(src) is frozenset and step is not delta_step:
+            return _kept_index(step, src, key, ctx.views)
+        return None
+
     rows = [slots]
     for step in chain.steps:
         kind = step.kind
@@ -427,37 +572,47 @@ def run_chain(chain: Chain, env0: dict, ctx: "GraphContext",
             test = step.test
             rows = [s for s in rows if test(s, env, ctx)]
         elif kind == "expand":
-            if rows:  # an empty input reads no source
+            if rows:
                 rows = _expand(step, rows, env, ctx, data_rows)
-        elif kind == "hashjoin":
-            src = data_rows(step)
-            left, right = step.left, step.right
-            k, binder = step.width, step.binder
-
-            def right_key(item):
-                if not k:
-                    t = (item,)
-                elif type(item) is tuple and len(item) == k:
-                    t = item
-                else:
-                    t = unpack(binder, item)
-                return right(t, env, ctx)
-
-            # build side = smaller input by row count; ties go to the source
-            # side (deterministic by operator structure)
-            if len(src) <= len(rows):
-                index = {}
-                for item in src:
-                    index.setdefault(right_key(item), []).append(item)
-                pairs = [(s, item) for s in rows
-                         for item in index.get(left(s, env, ctx), ())]
+        elif kind == "probe":
+            src = data_rows(step) if rows else ()
+            key = step.left(rows[0], env, ctx) if src else MISSING
+            if key is MISSING:
+                rows = []
             else:
-                index = {}
-                for s in rows:
-                    index.setdefault(left(s, env, ctx), []).append(s)
-                pairs = [(s, item) for item in src
-                         for s in index.get(right_key(item), ())]
-            rows = _extend(pairs, step)
+                right_key = _keyer(step, env, ctx)
+                found = None
+                try:
+                    kept = index(step, src, right_key)
+                    if kept is not None:
+                        found = kept.get(key, ())
+                except TypeError:  # an unhashable key: compare one by one
+                    pass
+                if found is None:
+                    found = [item for item in src
+                             if (k := right_key(item)) is not MISSING
+                             and k == key]
+                rows = _extend([(s, item) for s in rows for item in found],
+                               step)
+        elif kind == "hashjoin":
+            if rows:
+                src = data_rows(step)
+                left, right_key = step.left, _keyer(step, env, ctx)
+                kept = index(step, src, right_key)
+                if kept is not None:
+                    pairs = [(s, item) for s in rows
+                             for item in kept.get(left(s, env, ctx), ())]
+                # build side = smaller input by row count; ties go to the
+                # source side (deterministic by operator structure)
+                elif len(src) <= len(rows):
+                    built = _index(src, right_key)
+                    pairs = [(s, item) for s in rows
+                             for item in built.get(left(s, env, ctx), ())]
+                else:
+                    built = _index(rows, lambda s: left(s, env, ctx))
+                    pairs = [(s, item) for item in src
+                             for s in built.get(right_key(item), ())]
+                rows = _extend(pairs, step)
         else:
             out = step.out
             result = {out(s, env, ctx) for s in rows}
@@ -490,8 +645,18 @@ class CompiledQueries:
     plans: dict = dfield(default_factory=dict)        # non-recursive
     groups: list = dfield(default_factory=list)       # FixpointGroup
     group_of: dict = dfield(default_factory=dict)
-    chains: dict = dfield(default_factory=dict)       # id(handler Comp) ->
-                                                      # (Comp, Chain)
+    # id(e) -> (e, compiled) for a Comp (a Chain) or an In (a closure)
+    # that a handler evaluates
+    handler_exprs: dict = dfield(default_factory=dict)
+
+    def handler_expr(self, e, build):
+        """`build(e)`, kept by the identity of `e`, since hashing an
+        expression walks its whole tree; the entry keeps `e`, so its id
+        cannot be reused while the entry lives."""
+        entry = self.handler_exprs.get(id(e))
+        if entry is None or entry[0] is not e:
+            entry = self.handler_exprs[id(e)] = (e, build(e))
+        return entry[1]
 
 
 def _rule_reads(comp: Comp):
@@ -550,10 +715,9 @@ def _compile_queries(program) -> CompiledQueries:
             chains = []
             for qd in program.query_map[q]:
                 for body in qd.bodies:
-                    if isinstance(body, Comp):
-                        chains.append(compile_comp(body))
-                    else:
-                        chains.append(compile_comp(Comp(body, ())))
+                    if not isinstance(body, Comp):
+                        body = Comp(body, ())
+                    chains.append(compile_comp(body, program=program))
             plans[q] = QueryPlan(q, chains)
         if comp in graph.recursive:
             bad = graph.bad_edge
@@ -590,28 +754,32 @@ class GraphContext(EvalContext):
         super().__init__(program, snapshot, firing)
         self.compiled = compiled
         self.max_rounds = max_rounds
-        # scc -> (inputs, base facts, totals, round bound); see apply_fixpoint
+        # scc -> (inputs, base facts, totals, round bound), see
+        # apply_fixpoint; step id -> (source, index), see _kept_index
         self.views = {} if views is None else views
         self.rounds = {}
-        self.op_rows = {}
         self._qmemo = {}
 
     def note(self, op_id: str, n: int):
-        self.op_rows[op_id] = self.op_rows.get(op_id, 0) + n
+        """Called with the rows each operator step produced; a hook for
+        instrumentation, which does nothing here."""
 
     def eval_comp(self, e: Comp, env: dict, slots: tuple = (),
                   chain: Optional[Chain] = None) -> frozenset:
         """A comprehension nested in a compiled chain passes its own chain
-        and its enclosing row as `slots`. Any other is looked up by
-        identity, since hashing a `Comp` walks its whole tree, and compiled
-        the first time it is seen; the entry keeps the `Comp`, so its id
-        cannot be reused while the entry lives."""
+        and its enclosing row as `slots`. Any other is compiled the first
+        time it is seen and kept on `self.compiled`."""
         if chain is None:
-            entry = self.compiled.chains.get(id(e))
-            if entry is None or entry[0] is not e:
-                entry = self.compiled.chains[id(e)] = (e, compile_comp(e))
-            chain = entry[1]
+            chain = self.compiled.handler_expr(
+                e, lambda c: compile_comp(c, program=self.program))
         return run_chain(chain, env, self, slots=slots)
+
+    def eval_in(self, e: In, env: dict):
+        """The membership compiled like a chain's, so that a key membership
+        is a table probe; kept on `self.compiled`."""
+        fn = self.compiled.handler_expr(
+            e, lambda m: _node(m, _Scope(self.program), False))
+        return fn((), env, self)
 
     def input_value(self, name: str):
         """A group input as the resume check compares it: a set for a
@@ -679,6 +847,11 @@ def apply_fixpoint(group: FixpointGroup, ctx: GraphContext):
                           cap=ctx.max_rounds - bound + 1)
         if result is not None:
             bound += result[1] - 1
+            # a resumed total holds the old one, so the same size means the
+            # same facts: keep the old sets, which kept indexes know by
+            # identity
+            result = ({q: v if len(v) != len(old[q]) else old[q]
+                       for q, v in result[0].items()}, result[1])
     if result is None:
         result = _iterate(group, ctx, *_first_round(group, ctx, base),
                           cap=ctx.max_rounds)

@@ -69,6 +69,18 @@ def load_program(ref) -> Program:
     return program
 
 
+def _field_value(v, i: int, name: str):
+    """Field `name` of workload item `i` as a row holds it: a JSON array
+    becomes a tuple, at any depth, so that the row is hashable; a JSON
+    object is refused."""
+    if isinstance(v, list):
+        return tuple(_field_value(x, i, name) for x in v)
+    if isinstance(v, dict):
+        raise ScenarioError(f"workload[{i}]: field {name!r} holds an object; "
+                            f"fields hold scalars and arrays")
+    return v
+
+
 def load_scenario(source) -> Scenario:
     """Parse a scenario from a dict, JSON text, or file path."""
     if isinstance(source, str):
@@ -117,6 +129,8 @@ def load_scenario(source) -> Scenario:
         _require(mailbox in program.handler_map,
                  f"workload[{i}]: no handler {mailbox!r}")
         payload = item.get("payload", item.get("fields", {}))
+        if not isinstance(payload, dict):
+            raise ScenarioError(f"workload[{i}]: payload must be an object")
         params = set(program.handler_map[mailbox].param_names)
         extra = set(payload) - params
         _require(not extra,
@@ -124,11 +138,15 @@ def load_scenario(source) -> Scenario:
         tick = int(item.get("tick", 0))
         if tick < 0:
             raise ScenarioError(f"workload[{i}]: tick {tick} is negative")
+        fields = dict(payload)
+        for name, v in fields.items():
+            if isinstance(v, (list, dict)):
+                fields[name] = _field_value(v, i, name)
         workload.append({
             "tick": tick,
             "client": item.get("client", "client"),
             "handler": mailbox,
-            "fields": dict(payload),
+            "fields": fields,
             "message_id": item.get("message_id"),
         })
 

@@ -10,11 +10,17 @@ request runs against a forked copy of the state, the handler's invariants
 are checked on the outcome, and the fork is either adopted (accepted) or
 discarded (rejected).
 
+An eventual handler with no eligible message is skipped when none of its
+desugared statements can act on an empty mailbox (see `_inert_when_empty`),
+which is decided once per handler; a handler with a `when` or a keyed
+target still runs on an idle tick.
+
 On the graph backend a node's recursive query results outlive the tick:
 every context the node builds, the fork and invariant-check contexts
 included, shares the node's `views`, so a later tick resumes a query whose
-inputs only grew (see `runtime.apply_fixpoint`). A recovered node is a new
-Transducer and starts with none.
+inputs only grew (see `runtime.apply_fixpoint`), and so do the indexes
+that probes and joins keep of them. A recovered node is a new Transducer
+and starts with none.
 """
 
 from __future__ import annotations
@@ -69,6 +75,8 @@ class Transducer:
             (h for h in program.handlers if role is None or h.role == role),
             key=lambda h: h.name)
         self.desugared = {h.name: desugar_handler(h) for h in self.handlers}
+        self.idle_when_empty = {name: all(map(_inert_when_empty, stmts))
+                                for name, stmts in self.desugared.items()}
         self.guards = {h.name: (subst(h.guard, _param_mapping(h))
                                 if h.guard is not None else None)
                        for h in self.handlers}
@@ -130,6 +138,8 @@ class Transducer:
 
     def _run_eventual(self, h: Handler, ctx, eff: Effects, result: TickResult):
         msgs = self._eligible(h, ctx)
+        if not msgs and self.idle_when_empty[h.name]:
+            return
         stmts = self.desugared[h.name]
         ctx.firing[h.name] = tuple(msgs)
         try:
@@ -297,6 +307,18 @@ class Transducer:
             if not r.fired and not r.sends:
                 break  # remaining messages are guard-blocked for good
         return results
+
+
+def _inert_when_empty(s) -> bool:
+    """Whether the desugared statement `s` does nothing while its handler
+    has no eligible message: a loop over the messages, or a merge or send
+    of a comprehension over the mailbox with no `when` to evaluate and no
+    keyed target (a keyed merge creates its row even from an empty set)."""
+    if isinstance(s, ForEach):
+        return True
+    if isinstance(s, MergeMutation):
+        return s.when is None and s.target.key is None
+    return isinstance(s, Send) and s.when is None
 
 
 def _as_key(v):

@@ -1,7 +1,9 @@
 """Command-line entry points and exit codes."""
 
+import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -274,3 +276,52 @@ def test_simulate_reports_a_tuple_of_the_wrong_length(tmp_path, capsys):
     assert re.fullmatch(
         r"seed 3: BindError at tick \d+ on node n\d+: binder \('a', 'b'\) "
         r"needs 2 values, got \(1, 1, 1\)\n", err), err
+
+
+def triples_scenario(fields):
+    """A scenario whose handler binds (a, b, c) over each element of its
+    param `ps`."""
+    program = Program(
+        "triples",
+        data=(DataDecl("acc", "var", shape="set"),),
+        handlers=(Handler("put", {"ps": "opaque"}, (MergeMutation(
+            TargetPath("acc"), Comp(TupleOf(Var("c"), Var("b"), Var("a")),
+                                    (Gen(("a", "b", "c"), Var("ps")),))),)),))
+    return scenario_dict(program=json.loads(program_to_json(program)),
+                         workload=[{"tick": 0, "client": "c1",
+                                    "handler": "put", "fields": fields}])
+
+
+def test_json_arrays_in_a_payload_arrive_as_tuples(tmp_path, capsys):
+    # a list in a payload made the row unhashable, and simulate exited 1
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(triples_scenario({"ps": [[1, 2, 3]]})))
+    assert main(["simulate", str(path), "--inspect"]) == EXIT_OK
+    state = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    assert {node["vars"]["acc"]["lattice"]["value"][0]["tuple"] == [3, 2, 1]
+            for node in state.values()} == {True}
+    sc = load_scenario(triples_scenario({"ps": [[1, [2, [3]]], []]}))
+    assert sc.workload[0]["fields"] == {"ps": ((1, (2, (3,))), ())}
+
+
+def test_an_object_in_a_payload_is_refused(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(triples_scenario({"ps": [{"a": 1}]})))
+    assert main(["simulate", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: workload[0]: field 'ps' holds an object; fields hold "
+        "scalars and arrays\n")
+
+
+DEMO = Path(__file__).resolve().parent.parent / "demos" / "covid_scenario.json"
+# sha256 of the demo's trace at seed 9; any change to what a run does or to
+# how the trace is written moves it
+DEMO_TRACE_SHA256 = \
+    "3a682accf2b51ea5c1b634b136d59293c1f7e0e275148a7e556ec8138677d677"
+
+
+def test_the_demo_trace_is_byte_identical(tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    assert main(["simulate", str(DEMO), "--seed", "9",
+                 "--trace", str(trace)]) == EXIT_OK
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == DEMO_TRACE_SHA256

@@ -171,3 +171,19 @@ def test_handler_invariants_are_validated():
     handlers = tuple(replace(h, consistency=ok) if h.name == "vaccinate"
                      else h for h in p.handlers)
     assert validate(replace(p, handlers=handlers)).ok
+
+
+@pytest.mark.parametrize("stmt", [
+    Assign(TargetPath("items", Lit(1), "k"), Lit(5)),
+    MergeMutation(TargetPath("items", Var("k"), "k"), Var("v")),
+], ids=["assign", "merge"])
+def test_a_write_to_a_key_field_is_rejected(stmt):
+    # the row would stay stored under key (1,) while its `k` said 5, so a
+    # lookup by key and a scan of the `k` fields would disagree
+    p = tiny_program(handlers=(Handler("put", {"k": "int", "v": "int"},
+                                       (stmt,)),))
+    # (merging into the int field is also a NotALattice)
+    found = [e.message for e in validate(p) if e.code == "KeyFieldWrite"]
+    assert found == ["handler put: write to key field items.k"]
+    for name in pattern_names():
+        assert validate(get_pattern(name).program).ok, name

@@ -16,6 +16,12 @@ scalars = st.one_of(st.booleans(), st.integers(-50, 50),
                     st.text("abc", max_size=3))
 
 
+def wrap_int(v: int, shape):
+    """An int drawn for a map value, wrapped as a value of `shape`; a bool
+    takes its truth, since only a bool merges into bool_or."""
+    return wrap(bool(v) if shape == "bool_or" else v, shape)
+
+
 def lattice_values(depth=2):
     base = st.one_of(
         st.booleans().map(BoolOr),
@@ -35,7 +41,8 @@ def lattice_values(depth=2):
                                    "write_once"]),
                   st.dictionaries(st.integers(0, 5), st.integers(-20, 20),
                                   max_size=4)).map(
-            lambda t: MapUnion({k: wrap(v, t[0]) for k, v in t[1].items()})),
+            lambda t: MapUnion({k: wrap_int(v, t[0])
+                                for k, v in t[1].items()})),
     )
 
 
@@ -60,7 +67,8 @@ def compatible_with(a):
         vshape = shape[1] or "max"
         return st.dictionaries(st.integers(0, 5), st.integers(-20, 20),
                                max_size=4).map(
-            lambda d: MapUnion({k: wrap(v, vshape) for k, v in d.items()}))
+            lambda d: MapUnion({k: wrap_int(v, vshape)
+                                for k, v in d.items()}))
     return st.tuples(compatible_with(a.first),
                      compatible_with(a.second)).map(lambda p: Pair(*p))
 
@@ -195,3 +203,11 @@ def test_a_value_that_is_not_a_set_joins_a_set_as_one_element():
 def test_a_value_that_does_not_fit_its_shape_is_a_shape_mismatch(shape):
     with pytest.raises(ShapeMismatch, match=f"'abc' into a {shape}"):
         wrap("abc", shape)
+
+
+@pytest.mark.parametrize("value", ["no", 1, None], ids=["str", "int", "none"])
+def test_a_value_that_is_not_a_bool_does_not_merge_into_bool_or(value):
+    # bool('no') is True: a string merged into a bool used to set it
+    with pytest.raises(ShapeMismatch, match="into a bool_or lattice"):
+        wrap(value, "bool_or")
+    assert wrap(False, "bool_or") == bottom("bool_or")

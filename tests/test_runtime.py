@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import bfs_closure, closure_contexts, closure_program
+from latticeflow.eval import MISSING, eval_expr
 from latticeflow.interp import InterpContext
 from latticeflow import lattice
 from latticeflow.ir import (
@@ -16,7 +17,7 @@ from latticeflow.ir import (
     TargetPath, TupleOf, UdfCall, UdfDecl, Var, MESSAGE_ID, response_mailbox,
 )
 from latticeflow.runtime import (
-    GraphContext, NonMonotoneRecursion, compile_queries,
+    GraphContext, NonMonotoneRecursion, compile_comp, compile_queries,
 )
 from latticeflow.state import (
     FixpointDivergence, NodeState, Row, canonical_state,
@@ -69,7 +70,11 @@ CHAIN_PROGRAM = Program(
     "chains", classes=(ITEM,),
     data=(DataDecl("items", "table", cls="Item"),
           DataDecl("nums", "var", shape="set"),
-          DataDecl("pairs", "var", shape="set")))
+          DataDecl("pairs", "var", shape="set")),
+    # a query result is a frozenset, the source a probe or a join indexes
+    queries=(QueryDef("halves", (), (Comp(
+        TupleOf(Var("h"), BinOp("//", Var("h"), Lit(2))),
+        (Gen("h", Data("nums")),)),)),))
 # key -1 is never an item, so a lookup of it is MISSING
 ABSENT = Field(Lookup("items", Lit(-1)), "v")
 # raises ZeroDivisionError where it is evaluated when z is 0; as the last
@@ -117,7 +122,7 @@ def chain_cases(draw):
                     comp(ints, rows, depth + 1))
 
     def bool_expr(ints, rows, depth):
-        kinds = ["cmp", "in"]
+        kinds = ["cmp", "in", "key_in"]
         if depth < 3:
             kinds += ["and_or", "missing_left", "not"]
         kind = pick(kinds)
@@ -130,6 +135,13 @@ def chain_cases(draw):
                 colls.append(comp(ints, rows, depth + 1))
             return In(int_expr(ints, rows, depth), pick(colls),
                       negated=draw(st.booleans()))
+        if kind == "key_in":
+            # `k` is the key of `items`: a key membership
+            item = f"x{next(names)}"
+            return In(int_expr(ints, rows, depth),
+                      Comp(Field(Var(item), pick(("k", "k", "v"))),
+                           (Gen(item, Data("items")),)),
+                      negated=draw(st.booleans()))
         if kind == "and_or":
             return BinOp(pick(("and", "or")), bool_expr(ints, rows, depth + 1),
                          bool_expr(ints, rows, depth + 1))
@@ -139,18 +151,20 @@ def chain_cases(draw):
         return Not(bool_expr(ints, rows, depth + 1))
 
     def comp(ints, rows, depth):
+        outer_ints, outer_rows = list(ints), list(rows)
         ints, rows, gens, filters = list(ints), list(rows), [], []
         local_ints, local_rows = [], []
         for i in range(draw(st.integers(1, 3 if depth == 0 else 2))):
             name = f"x{next(names)}"
             inner_rows = [r for r in rows if r != "o"]
-            source = pick(["items", "nums", "pairs"] + ["tags"] * bool(inner_rows))
+            source = pick(["items", "nums", "pairs", "halves"]
+                          + ["tags"] * bool(inner_rows))
             if source == "items":
                 gens.append(Gen(name, Data("items")))
                 new = Field(Var(name), pick(("k", "v")))
-            elif source == "pairs":
+            elif source in ("pairs", "halves"):
                 other = f"x{next(names)}"
-                gens.append(Gen((name, other), Data("pairs")))
+                gens.append(Gen((name, other), Data(source)))
                 new = Var(pick((name, other)))
                 ints.append(other)
                 local_ints.append(other)
@@ -165,6 +179,10 @@ def chain_cases(draw):
                     Field(Var(r), f) for r in local_rows for f in ("k", "v")]
                 filters.append(BinOp("==", new, pick(earlier + [
                     int_expr(ints, rows, 2)])))
+            elif source != "tags" and draw(st.booleans()):
+                # fixed by names bound outside: a probe, either side
+                key = int_expr(outer_ints, outer_rows, 3)
+                filters.append(BinOp("==", *pick(((new, key), (key, new)))))
             (rows if source == "items" else ints).append(name)
             (local_rows if source == "items" else local_ints).append(name)
         for _ in range(draw(st.integers(0, 2))):
@@ -588,3 +606,135 @@ def test_a_tuple_merged_into_a_set_is_one_element():
         t.tick()
         assert t.state.vars["acc"] == lattice.SetUnion([(1, None)])
         assert t.state.tables["items"][(7,)]["tags"] == {(1, None)}
+
+
+# --- access paths ----------------------------------------------------------------
+
+def test_a_probe_over_a_kept_view_stays_right():
+    """The index a probe keeps of `tc` grows with it, is rebuilt after a
+    deletion, and is rebuilt again when a context reads the node's state
+    after a fork's larger one; every answer is the interpreter's."""
+    program = edited_closure_program()
+    t = Transducer(program)
+    probe = Comp(Field(Var("p"), "b"), (Gen("p", Data("tc")),),
+                 (BinOp("==", Var("x"), Field(Var("p"), "a")),))
+    mid = itertools.count()
+
+    def index_after(state):
+        snap = state.snapshot()
+        ctx = t._context(snap)
+        for x in range(NODES):
+            assert ctx.eval_comp(probe, {"x": x}) == \
+                InterpContext(program, snap).eval_comp(probe, {"x": x})
+        [step] = [s for s in t.compiled.handler_expr(probe, None).steps
+                  if s.kind == "probe"]
+        return t.views[step.op_id][1]
+
+    def tick(*edits):
+        for handler, a, b in edits:
+            t.deliver(handler, request(next(mid), a=a, b=b))
+        t.tick()
+        return index_after(t.state)
+
+    built = tick(("link", 0, 1), ("link", 1, 2))
+    assert tick(("link", 2, 3)) is built                  # grown
+    assert index_after(t.state) is built                  # reused
+    rebuilt = tick(("cut", 1, 2))
+    assert rebuilt is not built
+    fork = t.state.fork()
+    fork.tables["edges"][(3, 4)] = Row(a=3, b=4)
+    assert index_after(fork) is rebuilt                   # grown in the fork
+    assert index_after(t.state) is not rebuilt            # and dropped
+    tick(("link_acyclic", 1, 0))                          # a cycle: rejected
+    assert (1, 0) not in t.state.tables["edges"]
+    tick(("link_acyclic", 3, 5))
+    assert (3, 5) in t.state.tables["edges"]
+
+
+@pytest.mark.parametrize("gen, own", [
+    (Gen(("h", "half"), Data("halves")), Var("h")),   # indexed
+    (Gen("h", Data("items")), Field(Var("h"), "k")),  # scanned
+], ids=["query", "table"])
+def test_an_unhashable_probe_key_is_compared_like_the_interpreter(gen, own):
+    # a list cannot be looked up in an index, so the probe compares it with
+    # each item, as the interpreter's filter does
+    state = chain_state(nums={1, 2})
+    state.tables["items"] = {(k,): Row(k=k, v=k, tags=frozenset())
+                             for k in (1, 2)}
+    comp = Comp(Lit("hit"), (gen,), (BinOp("==", own, Var("key")),))
+    for key, expect in (([1, 2], frozenset()), (2, {"hit"})):
+        for ctx in both_backends(CHAIN_PROGRAM, state):
+            assert ctx.eval_comp(comp, {"key": key}) == expect
+    kinds = [s.kind for s in compile_comp(comp, program=CHAIN_PROGRAM).steps]
+    assert kinds == ["probe", "project"]
+
+
+def test_a_join_on_two_missing_keys_pairs_nothing():
+    # MISSING == MISSING is no match for the interpreter's filter; the join
+    # used to pair every row whose key was absent with every such item
+    state = chain_state()
+    state.tables["items"] = {(k,): Row(k=k, v=0, tags=frozenset())
+                             for k in (1, 2)}
+    comp = Comp(TupleOf(Field(Var("x"), "k"), Field(Var("y"), "k")),
+                (Gen("x", Data("items")), Gen("y", Data("items"))),
+                (BinOp("==", Field(Var("x"), "absent"),
+                       Field(Var("y"), "absent")),))
+    for ctx in both_backends(CHAIN_PROGRAM, state):
+        assert ctx.eval_comp(comp, {}) == frozenset()
+
+
+def test_a_key_membership_answers_like_the_interpreter():
+    """`x in {i.k for i in items}` reads the table's dict on the graph
+    backend, in a chain and in a handler statement; a list raises on both
+    backends, as a set membership of it does, and a table that a firing
+    mailbox shadows is read as the mailbox."""
+    state = chain_state(nums={0, 1, 2, 3})
+    state.tables["items"] = {(k,): Row(k=k, v=0, tags=frozenset())
+                             for k in (1, 3)}
+    keys = Comp(Field(Var("i"), "k"), (Gen("i", Data("items")),))
+    member = In(Var("x"), keys)
+    in_chain = Comp(Var("y"), (Gen("y", Data("nums")),),
+                    (In(Var("y"), keys),))
+    for ctx in both_backends(CHAIN_PROGRAM, state):
+        comps = []
+        eval_comp = ctx.eval_comp
+        ctx.eval_comp = lambda e, *args: comps.append(e) or eval_comp(e, *args)
+        assert [eval_expr(member, {"x": x}, ctx) for x in range(4)] == \
+            [False, True, False, True]
+        assert eval_expr(In(Var("x"), keys, negated=True), {"x": 3},
+                         ctx) is False
+        assert eval_expr(member, {"x": MISSING}, ctx) is MISSING
+        assert eval_comp(in_chain, {}) == {1, 3}
+        with pytest.raises(TypeError, match="unhashable"):
+            eval_expr(member, {"x": [1]}, ctx)
+        # only the interpreter builds the set of keys
+        assert bool(comps) == isinstance(ctx, InterpContext)
+        # `v` is not the key: its values are {0}
+        values = Comp(Field(Var("i"), "v"), (Gen("i", Data("items")),))
+        assert eval_expr(In(Var("x"), values), {"x": 1}, ctx) is False
+    for ctx in both_backends(CHAIN_PROGRAM, state):
+        ctx.firing["items"] = (Row(k=2, v=0, tags=frozenset()),)
+        assert eval_expr(member, {"x": 2}, ctx) is True
+        assert ctx.eval_comp(in_chain, {}) == {2}
+
+
+def test_a_keyed_merge_acts_on_an_idle_tick():
+    # written already desugared: the merge's target key does not depend on
+    # the mailbox, so an empty mailbox still creates the row; only handlers
+    # whose every statement does nothing on an empty mailbox are skipped
+    p = Program(
+        "idle", classes=(ITEM,),
+        data=(DataDecl("items", "table", cls="Item"),
+              DataDecl("acc", "var", shape="set")),
+        handlers=(
+            Handler("touch", {"x": "int"}, (MergeMutation(
+                TargetPath("items", Lit(1), "tags"),
+                Comp(Field(Var("m"), "x"), (Gen("m", Data("touch")),))),)),
+            Handler("add", {"x": "int"},
+                    (MergeMutation(TargetPath("acc"), Var("x")),))))
+    for backend in ("graph", "interp"):
+        t = Transducer(p, backend=backend)
+        assert t.idle_when_empty == {"add": True, "touch": False}
+        assert t.tick().fired == []
+        assert t.state.tables["items"] == {
+            (1,): Row(k=1, v=None, tags=frozenset())}
