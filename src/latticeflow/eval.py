@@ -20,7 +20,8 @@ from .ir import (
     Not, Record, RangeOf, Slice, TupleOf, Var,
 )
 from .lattice import scalar_key
-from .state import BindError, Row, Snapshot, UdfFailure, default_row
+from .state import (BindError, Row, Snapshot, UdfFailure, default_row,
+                    storage_key)
 
 
 class _Missing:
@@ -71,10 +72,11 @@ class EvalContext:
         return tuple(row for _, row in sorted(table.items(),
                                               key=lambda kv: scalar_key(kv[0])))
 
-    def table_row(self, name: str, key: tuple):
-        if not isinstance(key, tuple):
-            key = (key,)
-        return self.snapshot.tables[name].get(key, MISSING)
+    def table_row(self, name: str, key):
+        """The row of table `name` whose key expression has the value `key`
+        (see `state.storage_key`), or MISSING."""
+        cls = self.program.class_map[self.program.data_map[name].cls]
+        return self.snapshot.tables[name].get(storage_key(cls, key), MISSING)
 
     def var(self, name: str):
         """A var's plain value: a set var's elements, a scalar's value."""
@@ -207,7 +209,7 @@ def eval_expr(e, env: dict, ctx: EvalContext):
         key = eval_expr(e.key, env, ctx)
         if key is MISSING:
             return MISSING
-        return ctx.table_row(e.data, key if isinstance(key, tuple) else (key,))
+        return ctx.table_row(e.data, key)
     if t is BinOp:
         if e.op == "and":
             left = eval_expr(e.left, env, ctx)

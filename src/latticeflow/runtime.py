@@ -1,7 +1,7 @@
 """Operator-graph runtime backend.
 
-Comprehensions compile to chains of Expand / Probe / HashJoin / Filter /
-Project operators; recursive query groups run semi-naive fixpoint iteration
+Comprehensions compile to chains of Expand / HashJoin / Filter / Project
+operators; recursive query groups run semi-naive fixpoint iteration
 (only newly derived facts re-enter the loop each round). Each operator
 reports the rows it produces to `GraphContext.note`.
 
@@ -19,21 +19,26 @@ reaches it evaluates nothing. The interpreter (`interp`, with
 tested against, and it still evaluates handler statements, apart from the
 memberships that `GraphContext.eval_in` compiles.
 
-Access paths. A generator over a named collection is a probe when an
-equality filter fixes an expression over its binder to one that reads no
-name the comprehension binds: the key is evaluated once per run, and only
-when the step has input rows and the source has items. It is a hash join
-when the filter links the binder to names bound before it, and a scan
-otherwise. A probe or a join over a frozenset source (a query result or a
-kept recursive view) keeps its index of the source in the context's
-`views` under the step's id, unless the step reads a fixpoint's delta or
-its binder-side key reads anything but the binder. The index is reused
-while the source is the same object, grown by the new items when the old
-source is a subset of the new one, and rebuilt otherwise. Mutable sources,
-such as a fixpoint's running totals, are scanned or joined per run, and a
-probe whose key cannot be hashed compares it with each item. A membership
-``x in {p.k for p in t}``, where `k` is the whole key of table `t`, is
-``(x,) in`` the table's dict.
+Filters run in their written order: a filter over names the chain binds
+runs once they are bound, one that reads a name from outside the chain
+after the last generator, and neither before a filter written earlier, so
+a filter sees only rows that passed every filter before it.
+
+Access paths. A generator over a named collection is a hash join when the
+next filter to run is an equality between an expression over its binder
+and one that reads no name bound after it; otherwise it is a scan. When
+that other side reads only names bound outside the chain, the join is a
+probe: its key is evaluated once per run. A join reads its source only
+when it has input rows, and evaluates no key when the source is empty. A
+join over a frozenset source (a query result or a kept recursive view)
+keeps its index of the source in the context's `views` under the step's
+id, unless the step reads a fixpoint's delta or its binder-side key reads
+anything but the binder. The index is reused while the source is the same
+object, grown by the new items when the old source is a subset of the new
+one, and rebuilt otherwise. Mutable sources, such as a fixpoint's running
+totals, are indexed per run, and a key that cannot be hashed is compared
+with each item. A membership ``x in {p.k for p in t}``, where `k` is the
+whole key of table `t`, is ``(x,) in`` the table's dict.
 
 A context keeps every recursive group's result in its `views` dict. Each
 Transducer hands all the contexts it builds one dict that lives as long as
@@ -80,7 +85,7 @@ def _free_vars(e: Expr) -> set:
 @dataclass
 class Step:
     op_id: str
-    kind: str  # expand | hashjoin | probe | filter | project
+    kind: str  # expand | hashjoin | filter | project
 
 
 @dataclass
@@ -102,12 +107,6 @@ class HashJoinStep(Step):
     width: int = 0
     keepable: bool = False  # `right` reads nothing but the binder, so an
                             # index of a source by it outlives the run
-
-
-@dataclass
-class ProbeStep(HashJoinStep):
-    """A hash join whose `left` reads no name the comprehension binds: one
-    key per run, looked up in an index of the source."""
 
 
 @dataclass
@@ -148,9 +147,10 @@ class _Scope:
     """Where each name lives while a chain compiles: `slots` maps a name to
     its slot in the binding tuple, and any other name is read from the
     caller's env. `local` holds the names the chain has bound so far.
-    `program`, when known, lets a key membership compile to a table probe."""
+    `program` is the one the chain belongs to, whose table keys let a key
+    membership compile to a dict lookup."""
 
-    def __init__(self, program=None, slots=None, width: int = 0):
+    def __init__(self, program, slots=None, width: int = 0):
         self.program = program
         self.slots = dict(slots or {})
         self.width = width
@@ -192,12 +192,12 @@ def _expr(e: Expr, scope: _Scope, hoist: bool = True):
 
 def _key_table(coll: Expr, program) -> Optional[str]:
     """The table `t` when `coll` is ``{p.k for p in t}`` and `k` is the whole
-    key of `t`'s class, so that ``x in coll`` is ``(x,) in t``'s dict: rows
-    are stored under their key fields, which no statement may write (see
-    `ir.validate`). None for any other collection, and for a table that a
-    query of the same name extends."""
-    if program is None or not isinstance(coll, Comp) or coll.filters \
-            or len(coll.gens) != 1:
+    key of `t`'s class, so that ``x in coll`` is ``(x,) in t``'s dict: a row
+    is stored under ``(v,)`` for its key value `v` (see `state.storage_key`),
+    and no statement may write a key field (see `ir.validate`). None for any
+    other collection, and for a table that a query of the same name
+    extends."""
+    if not isinstance(coll, Comp) or coll.filters or len(coll.gens) != 1:
         return None
     [g], out = coll.gens, coll.output
     if not (isinstance(g.source, Data) and isinstance(out, Field)
@@ -225,7 +225,7 @@ def _node(e: Expr, scope: _Scope, hoist: bool):
         name = e.name
         return lambda s, env, ctx: ctx.collection(name)
     if isinstance(e, Comp):
-        chain = compile_comp(e, scope)
+        chain = compile_comp(e, scope.program, scope)
         return lambda s, env, ctx: ctx.eval_comp(e, env, s, chain)
     sub = [_expr(c, scope, hoist) for c in _children(e)]
     if isinstance(e, Field):
@@ -243,7 +243,7 @@ def _node(e: Expr, scope: _Scope, hoist: bool):
             k = key(s, env, ctx)
             if k is MISSING:
                 return MISSING
-            return ctx.table_row(data, k if isinstance(k, tuple) else (k,))
+            return ctx.table_row(data, k)
 
         return lookup
     if isinstance(e, BinOp):
@@ -377,18 +377,15 @@ def _node(e: Expr, scope: _Scope, hoist: bool):
     raise TypeError(f"unknown expression node: {e!r}")
 
 
-def compile_comp(e: Comp, outer: Optional[_Scope] = None,
-                 program=None) -> Chain:
-    """Compile a comprehension into an operator chain; `outer` is the scope
-    of the chain a nested comprehension sits in, and `program` the one the
-    comprehension belongs to.
+def compile_comp(e: Comp, program, outer: Optional[_Scope] = None) -> Chain:
+    """Compile a comprehension of `program` into an operator chain; `outer`
+    is the scope of the chain a nested comprehension sits in.
 
-    A generator over a named collection picks its access path from the
-    equality filters: one that fixes an expression over the binder to an
-    expression reading no name the comprehension binds makes it a probe,
-    else one linking it to names bound before makes it a hash join, and
-    with neither it is a scan. A comprehension that binds a name twice is
-    rejected, as `ir.validate` rejects it.
+    Filters keep their written order: each runs once the chain has bound
+    every name it reads and every filter before it has run. A generator over a named
+    collection is a hash join when the next filter to run is an equality
+    that `_access_path` takes, and a scan otherwise. A comprehension that
+    binds a name twice is rejected, as `ir.validate` rejects it.
     """
     name = e.repeated_binder()
     if name is not None:
@@ -406,15 +403,15 @@ def compile_comp(e: Comp, outer: Optional[_Scope] = None,
         if isinstance(g.source, Data):
             occurrence = occ
             occ += 1
-            path = _access_path(remaining, new_vars, bound, names)
+            if remaining:
+                path = _access_path(remaining[0], new_vars, names - bound)
         if path:
-            kind, f, other, own = path
-            remaining.remove(f)
+            other, own = path
+            remaining.pop(0)
             keys = _Scope(scope.program)
             keys.bind(g)
-            cls = ProbeStep if kind == "probe" else HashJoinStep
-            steps.append(cls(
-                _oid(kind), kind, g.binder, g.source, occurrence,
+            steps.append(HashJoinStep(
+                _oid("hashjoin"), "hashjoin", g.binder, g.source, occurrence,
                 _expr(other, scope), _expr(own, keys), width,
                 _context_free(own)))
         else:
@@ -424,12 +421,10 @@ def compile_comp(e: Comp, outer: Optional[_Scope] = None,
                                     g.source, occurrence, per_row, width))
         scope.bind(g)
         bound |= new_vars
-        # filters become runnable as soon as their variables are bound
-        for f in list(remaining):
-            if _free_vars(f) <= bound:
-                steps.append(FilterStep(_oid("filter"), "filter",
-                                        _expr(f, scope)))
-                remaining.remove(f)
+        # the filters at the front become runnable as their names are bound
+        while remaining and _free_vars(remaining[0]) <= bound:
+            steps.append(FilterStep(_oid("filter"), "filter",
+                                    _expr(remaining.pop(0), scope)))
     for f in remaining:
         steps.append(FilterStep(_oid("filter"), "filter", _expr(f, scope)))
     steps.append(ProjectStep(_oid("project"), "project",
@@ -437,26 +432,18 @@ def compile_comp(e: Comp, outer: Optional[_Scope] = None,
     return Chain(steps, e)
 
 
-def _access_path(filters: list, new: set, bound: set, names: set):
-    """(step kind, filter, other side, binder side) for the first `==`
-    filter between an expression over the binder `new` alone and one that
-    reads no name in `names` (a probe), else for the first one between such
-    an expression and one over the names `bound` before it (a hash join);
-    None when no filter is either."""
-    join = None
-    for f in filters:
-        if not (isinstance(f, BinOp) and f.op == "=="):
-            continue
-        for other, own in ((f.left, f.right), (f.right, f.left)):
-            mine = _free_vars(own)
-            if not mine or not mine <= new:
-                continue
-            theirs = _free_vars(other)
-            if not theirs & names:
-                return "probe", f, other, own
-            if join is None and theirs <= bound:
-                join = ("hashjoin", f, other, own)
-    return join
+def _access_path(f: Expr, new: set, unbound: set):
+    """(other side, binder side) when `f` is an `==` between an expression
+    over the binder's names `new` alone and one that reads none of the
+    comprehension's names still `unbound` (the binder's among them); None
+    otherwise."""
+    if not (isinstance(f, BinOp) and f.op == "=="):
+        return None
+    for other, own in ((f.left, f.right), (f.right, f.left)):
+        mine = _free_vars(own)
+        if mine and mine <= new and not _free_vars(other) & unbound:
+            return other, own
+    return None
 
 
 def _context_free(e: Expr) -> bool:
@@ -519,6 +506,39 @@ def _index(items, key) -> dict:
     return index
 
 
+def _join(step: HashJoinStep, rows: list, src, env: dict, ctx, index) -> list:
+    """The rows extended by the items of `src` whose binder-side key equals
+    the row's `left` key. `index(step, src, key)` is the kept index of
+    `src`, or None when there is none."""
+    left, right_key = step.left, _keyer(step, env, ctx)
+    try:
+        kept = index(step, src, right_key)
+        if kept is not None:
+            pairs = [(s, item) for s in rows
+                     for item in kept.get(left(s, env, ctx), ())]
+        # build side = smaller input by row count; ties go to the source
+        # side (deterministic by operator structure)
+        elif len(src) <= len(rows):
+            built = _index(src, right_key)
+            pairs = [(s, item) for s in rows
+                     for item in built.get(left(s, env, ctx), ())]
+        else:
+            built = _index(rows, lambda s: left(s, env, ctx))
+            pairs = [(s, item) for item in src
+                     for s in built.get(right_key(item), ())]
+    except TypeError:  # a key that cannot be hashed
+        pairs = _compare(rows, src, lambda s: left(s, env, ctx), right_key)
+    return _extend(pairs, step)
+
+
+def _compare(rows: list, src, left, right) -> list:
+    """The (binding, item) pairs whose keys are equal, compared pair by pair
+    as the interpreter's filter compares them; MISSING equals nothing."""
+    keys = [(item, k) for item in src if (k := right(item)) is not MISSING]
+    return [(s, item) for s in rows if (key := left(s)) is not MISSING
+            for item, k in keys if key == k]
+
+
 def _kept_index(step: HashJoinStep, src: frozenset, key, views: dict) -> dict:
     """`_index(src, key)`, kept in `views` under the step's id with the
     source it was built from: reused while the source is that object, grown
@@ -543,10 +563,10 @@ def run_chain(chain: Chain, env0: dict, ctx: "GraphContext",
     enclosing row; empty otherwise), reading outer names from `env0`; when
     iterating a fixpoint, `delta_step` marks the one occurrence of a name in
     `totals` fed with the delta instead of the running total. Sources are
-    iterated unordered: only the set of rows reaches the result, and a step
-    with no input rows reads no source. A probe or hash join over a
-    frozenset source, other than the delta, keeps its index of that source
-    in `ctx.views` (see `_kept_index`)."""
+    iterated unordered: only the set of rows reaches the result, a step
+    with no input rows reads no source, and a join over an empty source
+    evaluates no key. A join over a frozenset source, other than the delta,
+    keeps its index of that source in `ctx.views` (see `_kept_index`)."""
     env = dict(env0)  # the run's hoisted values join the outer names
 
     def data_rows(step):
@@ -574,45 +594,9 @@ def run_chain(chain: Chain, env0: dict, ctx: "GraphContext",
         elif kind == "expand":
             if rows:
                 rows = _expand(step, rows, env, ctx, data_rows)
-        elif kind == "probe":
-            src = data_rows(step) if rows else ()
-            key = step.left(rows[0], env, ctx) if src else MISSING
-            if key is MISSING:
-                rows = []
-            else:
-                right_key = _keyer(step, env, ctx)
-                found = None
-                try:
-                    kept = index(step, src, right_key)
-                    if kept is not None:
-                        found = kept.get(key, ())
-                except TypeError:  # an unhashable key: compare one by one
-                    pass
-                if found is None:
-                    found = [item for item in src
-                             if (k := right_key(item)) is not MISSING
-                             and k == key]
-                rows = _extend([(s, item) for s in rows for item in found],
-                               step)
         elif kind == "hashjoin":
-            if rows:
-                src = data_rows(step)
-                left, right_key = step.left, _keyer(step, env, ctx)
-                kept = index(step, src, right_key)
-                if kept is not None:
-                    pairs = [(s, item) for s in rows
-                             for item in kept.get(left(s, env, ctx), ())]
-                # build side = smaller input by row count; ties go to the
-                # source side (deterministic by operator structure)
-                elif len(src) <= len(rows):
-                    built = _index(src, right_key)
-                    pairs = [(s, item) for s in rows
-                             for item in built.get(left(s, env, ctx), ())]
-                else:
-                    built = _index(rows, lambda s: left(s, env, ctx))
-                    pairs = [(s, item) for item in src
-                             for s in built.get(right_key(item), ())]
-                rows = _extend(pairs, step)
+            src = data_rows(step) if rows else ()
+            rows = _join(step, rows, src, env, ctx, index) if src else []
         else:
             out = step.out
             result = {out(s, env, ctx) for s in rows}
@@ -717,7 +701,7 @@ def _compile_queries(program) -> CompiledQueries:
                 for body in qd.bodies:
                     if not isinstance(body, Comp):
                         body = Comp(body, ())
-                    chains.append(compile_comp(body, program=program))
+                    chains.append(compile_comp(body, program))
             plans[q] = QueryPlan(q, chains)
         if comp in graph.recursive:
             bad = graph.bad_edge
@@ -771,12 +755,12 @@ class GraphContext(EvalContext):
         time it is seen and kept on `self.compiled`."""
         if chain is None:
             chain = self.compiled.handler_expr(
-                e, lambda c: compile_comp(c, program=self.program))
+                e, lambda c: compile_comp(c, self.program))
         return run_chain(chain, env, self, slots=slots)
 
     def eval_in(self, e: In, env: dict):
         """The membership compiled like a chain's, so that a key membership
-        is a table probe; kept on `self.compiled`."""
+        is a dict lookup; kept on `self.compiled`."""
         fn = self.compiled.handler_expr(
             e, lambda m: _node(m, _Scope(self.program), False))
         return fn((), env, self)

@@ -99,6 +99,20 @@ def row_key(cls: ClassDecl, row: Mapping) -> tuple:
     return tuple(row.get(k) for k in cls.key)
 
 
+def storage_key(cls: ClassDecl, value) -> tuple:
+    """The key a table of class `cls` keeps a row under, for the value of a
+    key expression: ``(value,)`` for a one-field key, whatever the value,
+    and for an n-field key the value itself, which must be a tuple of n
+    values. So a row's key fields always equal its key."""
+    if len(cls.key) == 1:
+        return (value,)
+    if isinstance(value, tuple) and len(value) == len(cls.key):
+        return value
+    raise lattice.ShapeMismatch(
+        f"a key of {cls.name} needs {len(cls.key)} values "
+        f"({', '.join(cls.key)}), got {value!r}")
+
+
 @dataclass
 class OutMsg:
     mailbox: str

@@ -36,7 +36,7 @@ from .ir import (
     response_mailbox, subst,
 )
 from .runtime import GraphContext, compile_queries
-from .state import Effects, NodeState, OutMsg, Row
+from .state import Effects, NodeState, OutMsg, Row, storage_key
 
 ACCEPTED = "accepted"
 REJECTED = "rejected"
@@ -210,7 +210,7 @@ class Transducer:
         elif isinstance(s, Delete):
             key = None
             if s.target.key is not None:
-                key = _as_key(eval_expr(s.target.key, env, ctx))
+                key = self._key(s.target, env, ctx)
                 if key is MISSING:
                     return
             eff.deletes.append((s.target.data, key))
@@ -229,6 +229,15 @@ class Transducer:
         else:
             raise TypeError(f"unknown statement: {s!r}")
 
+    def _key(self, target, env, ctx):
+        """The storage key of the row `target` writes (see
+        `state.storage_key`), or MISSING."""
+        value = eval_expr(target.key, env, ctx)
+        if value is MISSING:
+            return MISSING
+        cls = self.program.data_map[target.data].cls
+        return storage_key(self.program.class_map[cls], value)
+
     def _do_merge(self, s: MergeMutation, env, ctx, eff: Effects):
         value = eval_expr(s.expr, env, ctx)
         if value is MISSING:
@@ -236,7 +245,7 @@ class Transducer:
         d = self.program.data_map[s.target.data]
         if d.kind == "table":
             if s.target.key is not None:
-                key = _as_key(eval_expr(s.target.key, env, ctx))
+                key = self._key(s.target, env, ctx)
                 if key is MISSING:
                     return
                 eff.field_merges.append((s.target.data, key, s.target.field, value))
@@ -260,7 +269,7 @@ class Transducer:
             return
         d = self.program.data_map[s.target.data]
         if d.kind == "table":
-            key = _as_key(eval_expr(s.target.key, env, ctx))
+            key = self._key(s.target, env, ctx)
             if key is MISSING:
                 return
             eff.assign((s.target.data, key, s.target.field), value)
@@ -319,9 +328,3 @@ def _inert_when_empty(s) -> bool:
     if isinstance(s, MergeMutation):
         return s.when is None and s.target.key is None
     return isinstance(s, Send) and s.when is None
-
-
-def _as_key(v):
-    if v is MISSING:
-        return MISSING
-    return v if isinstance(v, tuple) else (v,)

@@ -77,8 +77,9 @@ CHAIN_PROGRAM = Program(
         (Gen("h", Data("nums")),)),)),))
 # key -1 is never an item, so a lookup of it is MISSING
 ABSENT = Field(Lookup("items", Lit(-1)), "v")
-# raises ZeroDivisionError where it is evaluated when z is 0; as the last
-# filter it is reached by the same rows on both backends
+# raises ZeroDivisionError where it is evaluated when z is 0; wherever it is
+# drawn among the filters, both backends reach it with the same rows, since
+# each filter sees only the rows that passed the filters before it
 TRIPWIRE = BinOp("!=", BinOp("//", Lit(1), Var("z")), Lit(7))
 
 
@@ -188,7 +189,8 @@ def chain_cases(draw):
         for _ in range(draw(st.integers(0, 2))):
             filters.append(bool_expr(ints, rows, depth))
         if depth == 0 and draw(st.booleans()):
-            filters.append(TRIPWIRE)
+            # before a probe or join filter, it leaves the generator a scan
+            filters.insert(draw(st.integers(0, len(filters))), TRIPWIRE)
         output = int_expr(ints, rows, depth)
         if depth == 0 and draw(st.booleans()):
             output = pick((TupleOf(output, int_expr(ints, rows, depth)),
@@ -627,7 +629,7 @@ def test_a_probe_over_a_kept_view_stays_right():
             assert ctx.eval_comp(probe, {"x": x}) == \
                 InterpContext(program, snap).eval_comp(probe, {"x": x})
         [step] = [s for s in t.compiled.handler_expr(probe, None).steps
-                  if s.kind == "probe"]
+                  if s.kind == "hashjoin"]
         return t.views[step.op_id][1]
 
     def tick(*edits):
@@ -651,22 +653,24 @@ def test_a_probe_over_a_kept_view_stays_right():
     assert (3, 5) in t.state.tables["edges"]
 
 
-@pytest.mark.parametrize("gen, own", [
-    (Gen(("h", "half"), Data("halves")), Var("h")),   # indexed
-    (Gen("h", Data("items")), Field(Var("h"), "k")),  # scanned
-], ids=["query", "table"])
-def test_an_unhashable_probe_key_is_compared_like_the_interpreter(gen, own):
-    # a list cannot be looked up in an index, so the probe compares it with
+@pytest.mark.parametrize("gens, own", [
+    ((Gen(("h", "half"), Data("halves")),), Var("h")),   # a kept index
+    ((Gen("h", Data("items")),), Field(Var("h"), "k")),  # a table
+    # a join: `key` is bound by the comprehension, from `keys`
+    ((Gen("key", Var("keys")), Gen("h", Data("items"))), Field(Var("h"), "k")),
+], ids=["query", "table", "join"])
+def test_an_unhashable_join_key_is_compared_like_the_interpreter(gens, own):
+    # a list cannot be looked up in an index, so the join compares it with
     # each item, as the interpreter's filter does
     state = chain_state(nums={1, 2})
     state.tables["items"] = {(k,): Row(k=k, v=k, tags=frozenset())
                              for k in (1, 2)}
-    comp = Comp(Lit("hit"), (gen,), (BinOp("==", own, Var("key")),))
+    comp = Comp(Lit("hit"), gens, (BinOp("==", own, Var("key")),))
     for key, expect in (([1, 2], frozenset()), (2, {"hit"})):
         for ctx in both_backends(CHAIN_PROGRAM, state):
-            assert ctx.eval_comp(comp, {"key": key}) == expect
-    kinds = [s.kind for s in compile_comp(comp, program=CHAIN_PROGRAM).steps]
-    assert kinds == ["probe", "project"]
+            assert ctx.eval_comp(comp, {"key": key, "keys": (key,)}) == expect
+    kinds = [s.kind for s in compile_comp(comp, CHAIN_PROGRAM).steps]
+    assert kinds[-2:] == ["hashjoin", "project"]
 
 
 def test_a_join_on_two_missing_keys_pairs_nothing():
