@@ -72,6 +72,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .ir import validate
     from .scenario import ScenarioError, load_scenario, run_scenario
     from .sim import NODE_FAILURES, NoQuiescence
     from .state import encode_value
@@ -80,6 +81,11 @@ def cmd_simulate(args) -> int:
         sc = load_scenario(args.scenario)
     except (ScenarioError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    report = validate(sc.program)
+    if not report.ok:
+        for e in report:
+            print(f"invalid: {e.code}: {e.message}", file=sys.stderr)
         return EXIT_VALIDATION
 
     base_seed = args.seed if args.seed is not None else sc.seed

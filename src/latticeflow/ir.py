@@ -713,6 +713,12 @@ def validate(p: Program) -> ValidationReport:
                 check_expr(body, set(), f"query {qname}")
 
     for h in p.handlers:
+        if h.name in datam or h.name in queries:
+            # a comprehension over the handler's mailbox names the same
+            # collection, so it would read the data or the query instead
+            kind = "data" if h.name in datam else "query"
+            rep.add("HandlerNameClash",
+                    f"handler {h.name!r} has the name of a {kind}")
         env = set(h.param_names) | {MESSAGE_ID, REPLY_TO}
         if h.guard is not None:
             check_expr(h.guard, set(env), f"handler {h.name} guard")

@@ -8,7 +8,9 @@ reports the rows it produces to `GraphContext.note`.
 A chain is compiled once. Each generator binder gets a fixed slot, so a
 binding is a tuple, and every join key, filter and projection becomes a
 closure ``fn(slots, env, ctx)`` that reads its variables by slot, or from
-the caller's `env` for the names bound outside the chain. A tuple binder
+the caller's `env` for the names bound outside the chain. A join key or
+projection that is a bound name, or a tuple of two or more, is also an
+`operator.itemgetter`, which the kernels call instead. A tuple binder
 takes its item's values by `eval.unpack`, the interpreter's rule, and a
 comprehension that binds a name twice does not compile. A nested
 comprehension compiles with its chain into the closure of its parent. A
@@ -22,46 +24,62 @@ memberships that `GraphContext.eval_in` compiles.
 Filters run in their written order: a filter over names the chain binds
 runs once they are bound, one that reads a name from outside the chain
 after the last generator, and neither before a filter written earlier, so
-a filter sees only rows that passed every filter before it.
+a filter sees only rows that passed every filter before it. A filter or
+join key placed ahead of a later generator also sees rows that the
+interpreter, which filters complete rows only, never reaches when that
+generator yields nothing; if a run raises, the chain runs again with every
+filter after the last generator (`Chain.in_order`).
 
 Access paths. A generator over a named collection is a hash join when the
 next filter to run is an equality between an expression over its binder
 and one that reads no name bound after it; otherwise it is a scan. When
 that other side reads only names bound outside the chain, the join is a
 probe: its key is evaluated once per run. A join reads its source only
-when it has input rows, and evaluates no key when the source is empty. A
-join over a frozenset source (a query result or a kept recursive view)
-keeps its index of the source in the context's `views` under the step's
-id, unless the step reads a fixpoint's delta or its binder-side key reads
-anything but the binder. The index is reused while the source is the same
-object, grown by the new items when the old source is a subset of the new
-one, and rebuilt otherwise. Mutable sources, such as a fixpoint's running
-totals, are indexed per run, and a key that cannot be hashed is compared
-with each item. A membership ``x in {p.k for p in t}``, where `k` is the
-whole key of table `t`, is ``(x,) in`` the table's dict.
+when it has input rows, and evaluates no key when the source is empty. Its
+index maps a key to the binder's values of the matching items, so a probe
+extends a row without an intermediate list of pairs. A join over a
+frozenset source (a query result or a kept recursive view) keeps its index
+of the source in the context's `views` under the step's id, unless the
+step reads a fixpoint's delta or its binder-side key reads anything but
+the binder. The index is reused while the source is the same object, grown
+by the new items when the old source is a subset of the new one, and
+rebuilt otherwise. Mutable sources, such as a fixpoint's running totals,
+are indexed per run, and a key that cannot be hashed is compared with each
+item. A membership ``x in {p.k for p in t}``, where `k` is the whole key of
+table `t`, is ``(x,) in`` the table's dict.
 
-A context keeps every recursive group's result in its `views` dict. Each
-Transducer hands all the contexts it builds one dict that lives as long as
-the node, so results and indexes outlive the tick. The next evaluation of
-the group resumes from that result when the group's inputs and base facts
-only grew since it was stored, and recomputes from the base facts on any
-other change: a deletion, an assignment, a replaced table row, a changed
-scalar, or the state of a rejected fork. A resumed result that gained
-nothing is the stored object itself, so the indexes over it stay valid.
-`max_rounds` caps the rounds that a from-scratch evaluation of the current
-state would take, also when the evaluation resumes, so whether it diverges
-depends on the state alone and not on the views. Operators iterate sets in
-whatever order they come, and a generator over a table reads the table's
-rows in storage order; order is fixed only where it is observable, by
-`EvalContext.collection`, sends and canonical encoding. A comprehension or
-membership in a handler is compiled the first time it is evaluated and kept
-on the program's `CompiledQueries` (see `compile_queries`), so every later
-context reuses it.
+Kept results. A context keeps every recursive group's result in its `views`
+dict. Each Transducer hands all the contexts it builds one dict that lives
+as long as the node, so results and indexes outlive the tick. The next
+evaluation of the group resumes from that result when the group's inputs
+and base facts only grew since it was stored, and recomputes from the base
+facts on any other change: a deletion, an assignment, a replaced table
+row, a changed scalar, or the state of a rejected fork. A resume pass
+costs what changed: where a grown input's delta joins the rows of one scan
+of the stored totals, each delta item probes an index of those totals,
+which the view keeps and grows by the facts each call adds (see
+`_delta_pass`). A resumed result that gained nothing is the stored object
+itself, so the indexes over it stay valid. `max_rounds` caps the rounds
+that a from-scratch evaluation of the current state would take, also when
+the evaluation resumes, so whether it diverges depends on the state alone
+and not on the views. A non-recursive rule that first scans a table by a
+single name, and reads nothing else but the names it binds, keeps the
+outputs of each table row in shared `views` and runs only over the rows
+that changed (see `_per_row_value`).
+
+Operators iterate sets in whatever order they come, and a generator over
+a table reads the table's rows in storage order; order is fixed only where
+it is observable, by `EvalContext.collection`, sends and canonical
+encoding. A comprehension or membership in a handler is compiled the first
+time it is evaluated and kept on the program's `CompiledQueries` (see
+`compile_queries`), so every later context reuses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from itertools import chain as concat
+from operator import itemgetter
 from typing import Optional
 
 from .analysis import classify_expression, query_graph
@@ -107,6 +125,9 @@ class HashJoinStep(Step):
     width: int = 0
     keepable: bool = False  # `right` reads nothing but the binder, so an
                             # index of a source by it outlives the run
+    left_keepable: bool = False  # `left` reads nothing but bound names
+    left_get: object = None   # `left` and `right` as itemgetters, or None
+    right_get: object = None  # (see _getter)
 
 
 @dataclass
@@ -117,6 +138,7 @@ class FilterStep(Step):
 @dataclass
 class ProjectStep(Step):
     out: object = None
+    get: object = None  # `out` as an itemgetter, or None (see _getter)
 
 
 @dataclass
@@ -125,6 +147,19 @@ class Chain:
     comp: Comp
     side_reads: frozenset = frozenset()  # names read anywhere but as the
                                          # source of a generator step
+    # the same comprehension with every filter after the last generator and
+    # no joins, when some filter or join key runs ahead of a later
+    # generator; None otherwise (see run_chain)
+    in_order: Optional["Chain"] = None
+    per_row: bool = False  # outputs kept per table row (see _per_row_value)
+    totals_join: Optional[HashJoinStep] = None  # see _delta_pass
+
+    def step_at(self, occurrence: int):
+        """The generator step over the `occurrence`th named collection."""
+        for s in self.steps:
+            if getattr(s, "occurrence", None) == occurrence:
+                return s
+        raise KeyError(occurrence)
 
     def recursive_refs(self, scc) -> list:
         out = []
@@ -188,6 +223,18 @@ def _expr(e: Expr, scope: _Scope, hoist: bool = True):
 
         return hoisted
     return _node(e, scope, hoist)
+
+
+def _getter(e: Expr, scope: _Scope):
+    """`e` as an `operator.itemgetter` of a binding, when `e` is a name kept
+    in a slot or a tuple of two or more such names; None otherwise. It gives
+    what `_expr(e, scope)` gives, since no slot holds MISSING."""
+    if isinstance(e, Var) and e.name in scope.slots:
+        return itemgetter(scope.slots[e.name])
+    if isinstance(e, TupleOf) and len(e.items) > 1 and all(
+            isinstance(x, Var) and x.name in scope.slots for x in e.items):
+        return itemgetter(*(scope.slots[x.name] for x in e.items))
+    return None
 
 
 def _key_table(coll: Expr, program) -> Optional[str]:
@@ -377,15 +424,18 @@ def _node(e: Expr, scope: _Scope, hoist: bool):
     raise TypeError(f"unknown expression node: {e!r}")
 
 
-def compile_comp(e: Comp, program, outer: Optional[_Scope] = None) -> Chain:
+def compile_comp(e: Comp, program, outer: Optional[_Scope] = None,
+                 in_order: bool = False) -> Chain:
     """Compile a comprehension of `program` into an operator chain; `outer`
     is the scope of the chain a nested comprehension sits in.
 
     Filters keep their written order: each runs once the chain has bound
     every name it reads and every filter before it has run. A generator over a named
     collection is a hash join when the next filter to run is an equality
-    that `_access_path` takes, and a scan otherwise. A comprehension that
-    binds a name twice is rejected, as `ir.validate` rejects it.
+    that `_access_path` takes, and a scan otherwise. With `in_order`, every
+    generator is a scan and every filter runs after the last one, as the
+    interpreter runs them. A comprehension that binds a name twice is
+    rejected, as `ir.validate` rejects it.
     """
     name = e.repeated_binder()
     if name is not None:
@@ -403,7 +453,7 @@ def compile_comp(e: Comp, program, outer: Optional[_Scope] = None) -> Chain:
         if isinstance(g.source, Data):
             occurrence = occ
             occ += 1
-            if remaining:
+            if remaining and not in_order:
                 path = _access_path(remaining[0], new_vars, names - bound)
         if path:
             other, own = path
@@ -413,7 +463,8 @@ def compile_comp(e: Comp, program, outer: Optional[_Scope] = None) -> Chain:
             steps.append(HashJoinStep(
                 _oid("hashjoin"), "hashjoin", g.binder, g.source, occurrence,
                 _expr(other, scope), _expr(own, keys), width,
-                _context_free(own)))
+                _context_free(own), _context_free(other),
+                _getter(other, scope), _getter(own, keys)))
         else:
             per_row = None if isinstance(g.source, Data) \
                 else _expr(g.source, scope)
@@ -422,14 +473,26 @@ def compile_comp(e: Comp, program, outer: Optional[_Scope] = None) -> Chain:
         scope.bind(g)
         bound |= new_vars
         # the filters at the front become runnable as their names are bound
-        while remaining and _free_vars(remaining[0]) <= bound:
+        while remaining and not in_order \
+                and _free_vars(remaining[0]) <= bound:
             steps.append(FilterStep(_oid("filter"), "filter",
                                     _expr(remaining.pop(0), scope)))
     for f in remaining:
         steps.append(FilterStep(_oid("filter"), "filter", _expr(f, scope)))
     steps.append(ProjectStep(_oid("project"), "project",
-                             _expr(e.output, scope)))
-    return Chain(steps, e)
+                             _expr(e.output, scope), _getter(e.output, scope)))
+    chain = Chain(steps, e)
+    if not in_order and _runs_ahead(steps):
+        chain.in_order = compile_comp(e, program, outer, in_order=True)
+    return chain
+
+
+def _runs_ahead(steps: list) -> bool:
+    """Whether a filter, or a join's key, runs before a later generator: on
+    rows that the interpreter, which filters complete rows only, may never
+    reach."""
+    gens = [i for i, s in enumerate(steps) if s.kind in ("expand", "hashjoin")]
+    return any(s.kind != "expand" for s in steps[:gens[-1]]) if gens else False
 
 
 def _access_path(f: Expr, new: set, unbound: set):
@@ -458,42 +521,79 @@ def _items(value):
     return value if isinstance(value, frozenset) else iter_source(value)
 
 
-def _extend(pairs: list, step) -> list:
-    """Each (binding, item) pair's binding extended by the step's binder."""
+def _values(step):
+    """fn(item) -> the tuple of values the step's binder takes from an item
+    (`eval.unpack` for a tuple binder)."""
     k, binder = step.width, step.binder
     if not k:
-        return [s + (item,) for s, item in pairs]
-    return [s + (item if type(item) is tuple and len(item) == k
-                 else unpack(binder, item)) for s, item in pairs]
+        return lambda item: (item,)
+
+    def values(item):
+        if type(item) is tuple and len(item) == k:
+            return item
+        return unpack(binder, item)
+
+    return values
 
 
-def _expand(step: ExpandStep, rows: list, env: dict, ctx, data_rows) -> list:
-    if step.per_row is not None:
-        fn = step.per_row
-        return _extend([(s, item) for s in rows
-                        for item in _items(fn(s, env, ctx))], step)
-    src = data_rows(step)
-    k, binder = step.width, step.binder
-    if not k:
-        return [s + (item,) for s in rows for item in src]
-    return [s + (item if type(item) is tuple and len(item) == k
-                 else unpack(binder, item)) for s in rows for item in src]
+def _unary(fn, get, env: dict, ctx):
+    """A step's closure `fn` as a function of the binding alone: its
+    itemgetter `get` when it has one."""
+    if get is not None:
+        return get
+    return lambda s: fn(s, env, ctx)
 
 
-def _keyer(step: HashJoinStep, env: dict, ctx):
-    """The step's binder-side key of one source item."""
-    k, binder, right = step.width, step.binder, step.right
+class _Sources:
+    """Where one run of a chain reads a generator's named collection. When
+    iterating a fixpoint, `delta_step` is the one occurrence of a name in
+    `totals` fed with `delta` instead of the running total."""
 
-    def right_key(item):
+    __slots__ = ("ctx", "totals", "delta", "delta_step")
+
+    def __init__(self, ctx, totals=None, delta=None, delta_step=None):
+        self.ctx = ctx
+        self.totals = totals
+        self.delta = delta
+        self.delta_step = delta_step
+
+    def rows(self, step):
+        name, ctx = step.source.name, self.ctx
+        if self.totals is not None and name in self.totals:
+            if step is self.delta_step:
+                return self.delta[name]
+            return self.totals[name]
+        if name in ctx._query_names:
+            return ctx.query_value(name)
+        if name in ctx.snapshot.tables and name not in ctx.firing:
+            return ctx.snapshot.tables[name].values()
+        return _items(ctx.collection(name))
+
+    def index(self, step, src, key):
+        """The kept index of `src` (see `_kept_index`), or None when a join
+        over it indexes per run: a source that is not a frozenset, the
+        delta, or a key that reads more than the binder."""
+        if step.keepable and type(src) is frozenset \
+                and step is not self.delta_step:
+            return _kept_index(step, src, key, self.ctx.views)
+        return None
+
+
+def _expand(step: ExpandStep, rows: list, env: dict, ctx,
+            sources: _Sources) -> list:
+    """Each row extended by each item of the step's source."""
+    k, binder, fn = step.width, step.binder, step.per_row
+    if fn is None:
+        src = sources.rows(step)
         if not k:
-            t = (item,)
-        elif type(item) is tuple and len(item) == k:
-            t = item
-        else:
-            t = unpack(binder, item)
-        return right(t, env, ctx)
-
-    return right_key
+            return [s + (item,) for s in rows for item in src]
+        return [s + (item if type(item) is tuple and len(item) == k
+                     else unpack(binder, item)) for s in rows for item in src]
+    if not k:
+        return [s + (item,) for s in rows for item in _items(fn(s, env, ctx))]
+    return [s + (item if type(item) is tuple and len(item) == k
+                 else unpack(binder, item))
+            for s in rows for item in _items(fn(s, env, ctx))]
 
 
 def _index(items, key) -> dict:
@@ -506,55 +606,115 @@ def _index(items, key) -> dict:
     return index
 
 
-def _join(step: HashJoinStep, rows: list, src, env: dict, ctx, index) -> list:
-    """The rows extended by the items of `src` whose binder-side key equals
-    the row's `left` key. `index(step, src, key)` is the kept index of
-    `src`, or None when there is none."""
-    left, right_key = step.left, _keyer(step, env, ctx)
+def _index_of(step, src, key) -> dict:
+    """`_index(map(_values(step), src), key)`, with the values unpacked in
+    line, since this runs once per item of every index built."""
+    index = {}
+    width, binder = step.width, step.binder
+    for item in src:
+        if not width:
+            t = (item,)
+        elif type(item) is tuple and len(item) == width:
+            t = item
+        else:
+            t = unpack(binder, item)
+        k = key(t)
+        if k is not MISSING:
+            index.setdefault(k, []).append(t)
+    return index
+
+
+def _grow(index: dict, more: dict) -> None:
+    for k, ts in more.items():
+        if k in index:
+            index[k].extend(ts)
+        else:
+            index[k] = ts
+
+
+def _join(step: HashJoinStep, rows: list, src, env: dict, ctx,
+          sources: _Sources) -> list:
+    """Each row extended by the binder's values of each item of `src` whose
+    binder-side key equals the row's `left` key. An index, kept or built
+    per run, maps a key to those values, so a probe extends a row directly.
+    """
+    left = _unary(step.left, step.left_get, env, ctx)
+    right = _unary(step.right, step.right_get, env, ctx)
+    values = _values(step)
     try:
-        kept = index(step, src, right_key)
-        if kept is not None:
-            pairs = [(s, item) for s in rows
-                     for item in kept.get(left(s, env, ctx), ())]
+        index = sources.index(step, src, right)
         # build side = smaller input by row count; ties go to the source
         # side (deterministic by operator structure)
-        elif len(src) <= len(rows):
-            built = _index(src, right_key)
-            pairs = [(s, item) for s in rows
-                     for item in built.get(left(s, env, ctx), ())]
-        else:
-            built = _index(rows, lambda s: left(s, env, ctx))
-            pairs = [(s, item) for item in src
-                     for s in built.get(right_key(item), ())]
+        if index is None and len(src) <= len(rows):
+            index = _index_of(step, src, right)
+        if index is not None:
+            get = index.get
+            return [s + t for s in rows for t in get(left(s), ())]
+        built = _index(rows, left)
+        return [s + t for t in map(values, src)
+                for s in built.get(right(t), ())]
     except TypeError:  # a key that cannot be hashed
-        pairs = _compare(rows, src, lambda s: left(s, env, ctx), right_key)
-    return _extend(pairs, step)
+        return _compare(rows, map(values, src), left, right)
 
 
 def _compare(rows: list, src, left, right) -> list:
-    """The (binding, item) pairs whose keys are equal, compared pair by pair
-    as the interpreter's filter compares them; MISSING equals nothing."""
-    keys = [(item, k) for item in src if (k := right(item)) is not MISSING]
-    return [(s, item) for s in rows if (key := left(s)) is not MISSING
-            for item, k in keys if key == k]
+    """The rows extended by the values in `src` whose keys are equal,
+    compared pair by pair as the interpreter's filter compares them;
+    MISSING equals nothing."""
+    keys = [(t, k) for t in src if (k := right(t)) is not MISSING]
+    return [s + t for s in rows if (key := left(s)) is not MISSING
+            for t, k in keys if key == k]
 
 
 def _kept_index(step: HashJoinStep, src: frozenset, key, views: dict) -> dict:
-    """`_index(src, key)`, kept in `views` under the step's id with the
-    source it was built from: reused while the source is that object, grown
-    by the new items when the old source is a subset of the new one, and
-    rebuilt otherwise."""
+    """`_index_of(step, src, key)`, kept in `views` under the step's id
+    with the source it was built from: reused while the source is that
+    object, grown by the new items when the old source is a subset of the
+    new one, and rebuilt otherwise."""
     entry = views.pop(step.op_id, None)
     if entry is not None and entry[0] is src:
         index = entry[1]
     elif entry is not None and entry[0] <= src:
         index = entry[1]
-        for k, items in _index(src - entry[0], key).items():
-            index.setdefault(k, []).extend(items)
+        _grow(index, _index_of(step, src - entry[0], key))
     else:
-        index = _index(src, key)
+        index = _index_of(step, src, key)
     views[step.op_id] = (src, index)
     return index
+
+
+def _steps(chain: Chain, start: int, rows: list, env: dict, ctx,
+           sources: _Sources) -> list:
+    """The bindings after the chain's steps from `start` up to its project
+    step, run on `rows`. A step with no input rows reads no source, and a
+    join over an empty source evaluates no key."""
+    steps = chain.steps
+    for i in range(start, len(steps) - 1):
+        step = steps[i]
+        kind = step.kind
+        if kind == "filter":
+            test = step.test
+            rows = [s for s in rows if test(s, env, ctx)]
+        elif kind == "expand":
+            if rows:
+                rows = _expand(step, rows, env, ctx, sources)
+        else:
+            src = sources.rows(step) if rows else ()
+            rows = _join(step, rows, src, env, ctx, sources) if src else []
+        ctx.note(step.op_id, len(rows))
+    return rows
+
+
+def _project(step: ProjectStep, rows: list, env: dict, ctx) -> frozenset:
+    if step.get is not None:
+        result = frozenset(map(step.get, rows))
+    else:
+        out = step.out
+        result = frozenset([out(s, env, ctx) for s in rows])
+        if MISSING in result:
+            result = result - {MISSING}
+    ctx.note(step.op_id, len(result))
+    return result
 
 
 def run_chain(chain: Chain, env0: dict, ctx: "GraphContext",
@@ -563,48 +723,33 @@ def run_chain(chain: Chain, env0: dict, ctx: "GraphContext",
     enclosing row; empty otherwise), reading outer names from `env0`; when
     iterating a fixpoint, `delta_step` marks the one occurrence of a name in
     `totals` fed with the delta instead of the running total. Sources are
-    iterated unordered: only the set of rows reaches the result, a step
-    with no input rows reads no source, and a join over an empty source
-    evaluates no key. A join over a frozenset source, other than the delta,
-    keeps its index of that source in `ctx.views` (see `_kept_index`)."""
+    iterated unordered: only the set of rows reaches the result. A join over
+    a frozenset source, other than the delta, keeps its index of that source
+    in `ctx.views` (see `_kept_index`).
+
+    A chain with a filter or join key ahead of a later generator evaluates
+    it on rows that the interpreter may never complete, since a later
+    generator may yield nothing. If such a run raises, the chain runs again
+    in the interpreter's order (`Chain.in_order`), which raises exactly
+    when the interpreter does."""
+    try:
+        return _run(chain, slots, env0, ctx,
+                    _Sources(ctx, totals, delta, delta_step))
+    except Exception:  # the run below raises again if the interpreter does
+        if chain.in_order is None:
+            raise
+    chain = chain.in_order
+    if delta_step is not None:
+        delta_step = chain.step_at(delta_step.occurrence)
+    return _run(chain, slots, env0, ctx,
+                _Sources(ctx, totals, delta, delta_step))
+
+
+def _run(chain: Chain, slots: tuple, env0: dict, ctx,
+         sources: _Sources) -> frozenset:
     env = dict(env0)  # the run's hoisted values join the outer names
-
-    def data_rows(step):
-        name = step.source.name
-        if totals is not None and name in totals:
-            return delta[name] if step is delta_step else totals[name]
-        if name in ctx._query_names:
-            return ctx.query_value(name)
-        if name in ctx.snapshot.tables and name not in ctx.firing:
-            return ctx.snapshot.tables[name].values()
-        return _items(ctx.collection(name))
-
-    def index(step, src, key):
-        """The kept index of `src` by `key`, or None when it is not kept."""
-        if step.keepable and type(src) is frozenset and step is not delta_step:
-            return _kept_index(step, src, key, ctx.views)
-        return None
-
-    rows = [slots]
-    for step in chain.steps:
-        kind = step.kind
-        if kind == "filter":
-            test = step.test
-            rows = [s for s in rows if test(s, env, ctx)]
-        elif kind == "expand":
-            if rows:
-                rows = _expand(step, rows, env, ctx, data_rows)
-        elif kind == "hashjoin":
-            src = data_rows(step) if rows else ()
-            rows = _join(step, rows, src, env, ctx, index) if src else []
-        else:
-            out = step.out
-            result = {out(s, env, ctx) for s in rows}
-            result.discard(MISSING)
-            ctx.note(step.op_id, len(result))
-            return frozenset(result)
-        ctx.note(step.op_id, len(rows))
-    raise AssertionError("chain missing project step")
+    return _project(chain.steps[-1],
+                    _steps(chain, 0, [slots], env, ctx, sources), env, ctx)
 
 
 # --- query plans -------------------------------------------------------------
@@ -720,6 +865,7 @@ def _compile_queries(program) -> CompiledQueries:
                 for chain in plans[q].chains:
                     sources, side = _rule_reads(chain.comp)
                     chain.side_reads = frozenset(side)
+                    chain.totals_join = _totals_join(chain, comp)
                     inputs |= sources | side.keys()
                     value_reads |= {n for n, whole in side.items() if whole}
             group = FixpointGroup(comp, plans, frozenset(inputs - comp),
@@ -728,8 +874,43 @@ def _compile_queries(program) -> CompiledQueries:
             for q in comp:
                 out.group_of[q] = group
         else:
+            for plan in plans.values():
+                for chain in plan.chains:
+                    chain.per_row = _per_row(chain, program)
             out.plans.update(plans)
     return out
+
+
+def _totals_join(chain: Chain, scc: frozenset) -> Optional[HashJoinStep]:
+    """The chain's second step when it is a join right after a scan of a
+    member of `scc`, whose row-side key reads only the scanned item: a
+    resume pass can then probe an index of the stored totals by that key
+    (see `_delta_pass`). None otherwise."""
+    if chain.in_order is not None or len(chain.steps) < 3:
+        return None
+    scan, join = chain.steps[:2]
+    if isinstance(scan, ExpandStep) and scan.per_row is None \
+            and scan.source.name in scc and isinstance(join, HashJoinStep) \
+            and join.left_keepable:
+        return join
+    return None
+
+
+def _per_row(chain: Chain, program) -> bool:
+    """Whether the chain scans a table by a single name first, and all else
+    it reads is the names it binds, context-free: the outputs of one table
+    row then depend on the row alone (see `_per_row_value`)."""
+    comp, scan = chain.comp, chain.steps[0]
+    if chain.in_order is not None or not isinstance(scan, ExpandStep) \
+            or scan.per_row is not None or scan.width:
+        return False
+    d = program.data_map.get(scan.source.name)
+    if d is None or d.kind != "table" or d.name in program.query_map:
+        return False
+    names = {n for g in comp.gens for n in g.names}
+    rest = [g.source for g in comp.gens[1:]] + list(comp.filters) \
+        + [comp.output]
+    return all(_context_free(e) and _free_vars(e) <= names for e in rest)
 
 
 class GraphContext(EvalContext):
@@ -738,9 +919,12 @@ class GraphContext(EvalContext):
         super().__init__(program, snapshot, firing)
         self.compiled = compiled
         self.max_rounds = max_rounds
-        # scc -> (inputs, base facts, totals, round bound), see
-        # apply_fixpoint; step id -> (source, index), see _kept_index
+        # scc -> _View, see apply_fixpoint; join step id -> (source, index),
+        # see _kept_index; scan step id -> (rows, outputs, value), see
+        # _per_row_value
         self.views = {} if views is None else views
+        # per-row outputs pay off only in views that later contexts read
+        self._shared_views = views is not None
         self.rounds = {}
         self._qmemo = {}
 
@@ -783,7 +967,12 @@ class GraphContext(EvalContext):
         if group is None:
             val = self.base_facts(name)
             for chain in self.compiled.plans[name].chains:
-                val |= run_chain(chain, {}, self)
+                if chain.per_row and self._shared_views \
+                        and chain.steps[0].source.name not in self.firing:
+                    v = _per_row_value(chain, self)
+                else:
+                    v = run_chain(chain, {}, self)
+                val = val | v if val else v  # a kept value stays that object
             self._qmemo[name] = val
             return val
         totals, rounds = apply_fixpoint(group, self)
@@ -791,6 +980,55 @@ class GraphContext(EvalContext):
             self._qmemo[q] = v
         self.rounds[",".join(sorted(group.scc))] = rounds
         return self._qmemo[name]
+
+
+def _per_row_value(chain: Chain, ctx: GraphContext) -> frozenset:
+    """`run_chain(chain, {}, ctx)` for a chain that `_per_row` admits. The
+    outputs of each row of the scanned table are kept in `ctx.views` under
+    the scan's id, with the row they came from, by the row's key: a row is
+    immutable, so they hold while the table keeps that row object. A call
+    runs the chain once, over the rows not kept yet, and drops the keys that
+    left the table; the value is the object kept with the outputs while no
+    row changed. (Keys are looked up rather than rows, since a key tuple
+    hashes in C.)"""
+    scan, env = chain.steps[0], {}
+    table = ctx.snapshot.tables[scan.source.name]
+    rows, outputs, value = ctx.views.get(scan.op_id) or ({}, {}, frozenset())
+    new = [(k, row) for k, row in table.items() if rows.get(k) is not row]
+    if not new and len(rows) == len(table):
+        return value
+    if new:
+        ctx.note(scan.op_id, len(new))
+        bindings = _steps(chain, 1, [(row,) for _, row in new], env, ctx, None)
+        project = chain.steps[-1]
+        out = _unary(project.out, project.get, env, ctx)
+        found = {id(row): [] for _, row in new}
+        for s in bindings:
+            v = out(s)
+            if v is not MISSING:
+                found[id(s[0])].append(v)
+        # an output that cannot be hashed raises here, before it is kept
+        ctx.note(project.op_id, len(frozenset(concat.from_iterable(
+            found.values()))))
+        for k, row in new:
+            rows[k], outputs[k] = row, tuple(found[id(row)])
+    if len(rows) != len(table):
+        for k in [k for k in rows if k not in table]:
+            del rows[k], outputs[k]
+    value = frozenset(concat.from_iterable(outputs.values()))
+    ctx.views[scan.op_id] = (rows, outputs, value)
+    return value
+
+
+@dataclass
+class _View:
+    """What `apply_fixpoint` keeps of a group's last evaluation."""
+    inputs: dict   # input name -> the value the call read
+    base: dict     # member -> its base facts
+    totals: dict   # member -> its facts
+    bound: int     # rounds a from-scratch evaluation would take, at most
+    # join step id -> the index of the totals that `_delta_pass` probes
+    indexes: dict = dfield(default_factory=dict)
 
 
 def apply_fixpoint(group: FixpointGroup, ctx: GraphContext):
@@ -802,13 +1040,17 @@ def apply_fixpoint(group: FixpointGroup, ctx: GraphContext):
     a rule reads as one value (under a fold, say) has changed: the old
     totals plus the new base facts get one delta pass per generator over a
     grown input (a full pass for a rule that reads a grown input anywhere
-    else), then the semi-naive loop runs from the facts that are new. With
+    else), then the semi-naive loop runs from the facts that are new. A
+    delta pass over a join right after a scan of the totals probes an index
+    of the stored totals once per delta item (see `_delta_pass`); the view
+    keeps that index and grows it by the facts each resumed call adds. With
     no stored view, or after any other change (a deletion, an assignment, a
     replaced table row, a changed scalar, a rejected fork's state), it
-    recomputes from the base facts. Resuming is sound because
-    compile_queries admits only monotone rules into a recursive group, so
-    the old least fixpoint lies below the new one. Either way the inputs,
-    base facts and result are stored for the next call.
+    recomputes from the base facts, and the view starts with no index.
+    Resuming is sound because compile_queries admits only monotone rules
+    into a recursive group, so the old least fixpoint lies below the new
+    one. Either way the inputs, base facts and result are stored for the
+    next call.
 
     Returns (totals, rounds), where `rounds` counts the rounds of this call.
     It raises FixpointDivergence exactly when a from-scratch evaluation of
@@ -825,12 +1067,15 @@ def apply_fixpoint(group: FixpointGroup, ctx: GraphContext):
     grown = _growth(group, view, inputs, base) if view else None
     result = None
     if grown is not None:
-        old, bound = view[2], view[3]
-        result = _iterate(group, ctx,
-                          *_resume_round(group, ctx, old, inputs, grown),
-                          cap=ctx.max_rounds - bound + 1)
+        old = view.totals
+        totals, delta = _resume_round(group, ctx, view, inputs, grown)
+        added = [delta]
+        result = _iterate(group, ctx, totals, delta,
+                          cap=ctx.max_rounds - view.bound + 1, added=added)
         if result is not None:
-            bound += result[1] - 1
+            bound = view.bound + result[1] - 1
+            indexes = view.indexes
+            _grow_indexes(group, ctx, indexes, added)
             # a resumed total holds the old one, so the same size means the
             # same facts: keep the old sets, which kept indexes know by
             # identity
@@ -843,17 +1088,16 @@ def apply_fixpoint(group: FixpointGroup, ctx: GraphContext):
             raise FixpointDivergence(
                 f"semi-naive fixpoint over {sorted(group.scc)} exceeded "
                 f"{ctx.max_rounds} rounds")
-        bound = result[1]
-    ctx.views[group.scc] = (inputs, base, result[0], bound)
+        bound, indexes = result[1], {}
+    ctx.views[group.scc] = _View(inputs, base, result[0], bound, indexes)
     return result
 
 
-def _growth(group: FixpointGroup, view, inputs: dict, base: dict):
+def _growth(group: FixpointGroup, view: _View, inputs: dict, base: dict):
     """name -> facts added since `view` was stored, for each input or member
     whose facts grew; None when anything changed other than by growing."""
-    old_inputs, old_base = view[:2]
     grown = {}
-    for old, new in ((old_inputs, inputs), (old_base, base)):
+    for old, new in ((view.inputs, inputs), (view.base, base)):
         for name, value in new.items():
             was = old[name]
             if value is was or value == was:
@@ -879,11 +1123,11 @@ def _first_round(group: FixpointGroup, ctx: GraphContext, base: dict):
     return totals, {q: frozenset(totals[q]) for q in scc}
 
 
-def _resume_round(group: FixpointGroup, ctx: GraphContext, old: dict,
+def _resume_round(group: FixpointGroup, ctx: GraphContext, view: _View,
                   inputs: dict, grown: dict):
     """(totals, delta) after the passes over the grown inputs, starting from
     the stored totals plus the new base facts."""
-    scc = group.scc
+    scc, old = group.scc, view.totals
     totals = {q: set(old[q]).union(grown.get(q, ())) for q in scc}
     grown_inputs = grown.keys() - scc
     reads = {**totals, **{n: inputs[n] for n in grown_inputs}}
@@ -897,8 +1141,8 @@ def _resume_round(group: FixpointGroup, ctx: GraphContext, old: dict,
                 if isinstance(step, (ExpandStep, HashJoinStep)) \
                         and isinstance(step.source, Data) \
                         and step.source.name in grown_inputs:
-                    derived[q] |= run_chain(chain, {}, ctx, delta_step=step,
-                                            totals=reads, delta=grown)
+                    derived[q] |= _delta_pass(chain, step, ctx, view, reads,
+                                              grown)
     delta = {}
     for q in scc:
         delta[q] = frozenset(derived[q].union(grown.get(q, ())) - old[q])
@@ -906,11 +1150,83 @@ def _resume_round(group: FixpointGroup, ctx: GraphContext, old: dict,
     return totals, delta
 
 
+def _delta_pass(chain: Chain, step, ctx: GraphContext, view: _View,
+                reads: dict, grown: dict) -> frozenset:
+    """`run_chain(chain, {}, ctx, delta_step=step, totals=reads,
+    delta=grown)`: the rule's facts that read the delta of a grown input at
+    `step`. When `step` is the chain's `totals_join`, its input rows are one
+    scan of a member's totals, which are the stored totals plus the
+    member's new base facts. Then each delta item probes the view's index
+    of the stored totals by the join's row-side key (see `_probe_totals`),
+    and only the new base facts are scanned."""
+    if step is chain.totals_join:
+        rows = _probe_totals(chain, ctx, view, grown)
+        if rows is not None:
+            env, sources = {}, _Sources(ctx, reads, grown, step)
+            member, src = chain.steps[0].source.name, grown[step.source.name]
+            old = view.totals[member]
+            new = [_values(chain.steps[0])(f)
+                   for f in grown.get(member, ()) if f not in old]
+            if new:
+                rows += _join(step, new, src, env, ctx, sources)
+            ctx.note(step.op_id, len(rows))
+            return _project(chain.steps[-1],
+                            _steps(chain, 2, rows, env, ctx, sources),
+                            env, ctx)
+    return run_chain(chain, {}, ctx, delta_step=step, totals=reads,
+                     delta=grown)
+
+
+def _probe_totals(chain: Chain, ctx: GraphContext, view: _View,
+                  grown: dict) -> Optional[list]:
+    """The bindings of the chain's `totals_join` over the stored totals and
+    the delta of its source: one probe of the view's index of the totals
+    per delta item. The first call builds the index. None when building or
+    probing raises (a key that cannot be hashed, say), so that the plain
+    pass runs and raises exactly when an unindexed evaluation does."""
+    scan, join = chain.steps[0], chain.totals_join
+    left = _unary(join.left, join.left_get, {}, ctx)
+    right = _unary(join.right, join.right_get, {}, ctx)
+    try:
+        index = view.indexes.get(join.op_id)
+        if index is None:
+            index = _index_of(scan, view.totals[scan.source.name], left)
+            view.indexes[join.op_id] = index
+        get = index.get
+        return [s + t for t in map(_values(join), grown[join.source.name])
+                for s in get(right(t), ())]
+    except Exception:  # the index is an aid; the plain pass is exact
+        return None
+
+
+def _grow_indexes(group: FixpointGroup, ctx: GraphContext, indexes: dict,
+                  added: list) -> None:
+    """`indexes` (see `_delta_pass`) grown by the facts a resumed call
+    added, one dict of new facts per round. An index whose key raises on a
+    new fact is dropped, to be built again by the pass that needs it."""
+    for plan in group.plans.values():
+        for chain in plan.chains:
+            join = chain.totals_join
+            index = indexes.get(join.op_id) if join is not None else None
+            if index is None:
+                continue
+            scan = chain.steps[0]
+            facts = concat.from_iterable(d[scan.source.name] for d in added)
+            try:
+                more = _index_of(scan, facts, _unary(join.left, join.left_get,
+                                                     {}, ctx))
+            except Exception:  # the index is an aid; the pass is exact
+                del indexes[join.op_id]
+            else:
+                _grow(index, more)
+
+
 def _iterate(group: FixpointGroup, ctx: GraphContext, totals: dict,
-             delta: dict, cap: int):
+             delta: dict, cap: int, added: Optional[list] = None):
     """(totals, rounds) after semi-naive rounds from `delta` until no new
     fact appears, where round 1 was the one that produced `delta`; None if
-    that takes more than `cap` rounds."""
+    that takes more than `cap` rounds. Each round's new facts are appended
+    to `added` when it is given."""
     scc = group.scc
     rounds = 1
     while True:
@@ -930,4 +1246,6 @@ def _iterate(group: FixpointGroup, ctx: GraphContext, totals: dict,
         for q in scc:
             totals[q] |= new[q]
         delta = {q: frozenset(new[q]) for q in scc}
+        if added is not None:
+            added.append(delta)
     return {q: frozenset(v) for q, v in totals.items()}, rounds

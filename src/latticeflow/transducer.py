@@ -19,8 +19,9 @@ On the graph backend a node's recursive query results outlive the tick:
 every context the node builds, the fork and invariant-check contexts
 included, shares the node's `views`, so a later tick resumes a query whose
 inputs only grew (see `runtime.apply_fixpoint`), and so do the indexes
-that probes and joins keep of them. A recovered node is a new Transducer
-and starts with none.
+that probes, joins and resume passes keep of them and the outputs that a
+non-recursive query keeps per table row. A recovered node is a new
+Transducer and starts with none.
 """
 
 from __future__ import annotations
@@ -250,12 +251,16 @@ class Transducer:
                     return
                 eff.field_merges.append((s.target.data, key, s.target.field, value))
             else:
-                rows = value if isinstance(value, frozenset) else frozenset([value])
-                for row in sorted(rows, key=_order_key):
-                    if not isinstance(row, Row):
-                        raise TypeError(
-                            f"merge into table {s.target.data!r} needs rows, got {row!r}")
-                    eff.table_merges.append((s.target.data, row))
+                # commit joins rows field by field, so their order cannot
+                # matter; only the bad item an error names is picked in
+                # sorted order, to keep the message deterministic
+                rows = value if isinstance(value, frozenset) else (value,)
+                if not all(isinstance(row, Row) for row in rows):
+                    bad = next(row for row in sorted(rows, key=_order_key)
+                               if not isinstance(row, Row))
+                    raise TypeError(
+                        f"merge into table {s.target.data!r} needs rows, got {bad!r}")
+                eff.table_merges.extend((s.target.data, row) for row in rows)
         else:
             if isinstance(value, frozenset) and d.shape != "set":
                 for v in sorted(value, key=_order_key):

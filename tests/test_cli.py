@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -304,6 +307,24 @@ def test_json_arrays_in_a_payload_arrive_as_tuples(tmp_path, capsys):
     assert sc.workload[0]["fields"] == {"ps": ((1, (2, (3,))), ())}
 
 
+def test_a_handler_named_like_its_data_is_a_validation_error(tmp_path,
+                                                              capsys):
+    # a comprehension over the mailbox `acc` would read the set var
+    program = Program(
+        "clash",
+        data=(DataDecl("acc", "var", shape="set"),),
+        handlers=(Handler("acc", {"x": "int"},
+                          (MergeMutation(TargetPath("acc"), Var("x")),)),))
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario_dict(
+        program=json.loads(program_to_json(program)),
+        workload=[{"tick": 0, "client": "c1", "handler": "acc",
+                   "fields": {"x": 1}}])))
+    assert main(["simulate", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "invalid: HandlerNameClash: handler 'acc' has the name of a data\n")
+
+
 def test_an_object_in_a_payload_is_refused(tmp_path, capsys):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(triples_scenario({"ps": [{"a": 1}]})))
@@ -324,4 +345,17 @@ def test_the_demo_trace_is_byte_identical(tmp_path):
     trace = tmp_path / "trace.jsonl"
     assert main(["simulate", str(DEMO), "--seed", "9",
                  "--trace", str(trace)]) == EXIT_OK
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == DEMO_TRACE_SHA256
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_the_demo_trace_does_not_depend_on_the_hash_seed(tmp_path, hash_seed):
+    # operators iterate sets in hash order, which PYTHONHASHSEED changes
+    # from one process to the next; only a new process can try another
+    trace = tmp_path / "trace.jsonl"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-m", "latticeflow.cli", "simulate",
+                    str(DEMO), "--seed", "9", "--trace", str(trace)],
+                   env=env, check=True, capture_output=True, timeout=120)
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == DEMO_TRACE_SHA256

@@ -187,3 +187,27 @@ def test_a_write_to_a_key_field_is_rejected(stmt):
     assert found == ["handler put: write to key field items.k"]
     for name in pattern_names():
         assert validate(get_pattern(name).program).ok, name
+
+
+def mailbox_clash_program(name: str = "items") -> Program:
+    """A table `items` (one row, k=7) and a query `seen`; handler `name`
+    merges the `k` of each message in its mailbox into `got`."""
+    return tiny_program(
+        data=(DataDecl("items", "table", cls="Item"),
+              DataDecl("got", "var", shape="set")),
+        queries=(QueryDef("seen", (), (Comp(Field(Var("i"), "k"),
+                                            (Gen("i", Data("items")),)),)),),
+        handlers=(Handler(name, {"k": "int"}, (MergeMutation(
+            TargetPath("got"),
+            Comp(Field(Var("m"), "k"), (Gen("m", Data(name)),))),)),))
+
+
+@pytest.mark.parametrize("name, kind", [("items", "data"), ("seen", "query")])
+def test_a_handler_named_like_a_collection_is_rejected(name, kind):
+    # the comprehension over the handler's mailbox would read the table or
+    # the query of the same name: with a row k=7 and a message k=1, both
+    # backends merged {7} into `got`
+    rep = validate(mailbox_clash_program(name))
+    assert [(e.code, e.message) for e in rep] == [
+        ("HandlerNameClash", f"handler {name!r} has the name of a {kind}")]
+    assert validate(mailbox_clash_program("put")).ok

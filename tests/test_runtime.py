@@ -403,13 +403,18 @@ def test_statement_order_is_immaterial_for_monotone_bodies():
 # --- views kept across ticks -------------------------------------------------
 
 def edited_closure_program() -> Program:
-    """Paths that start with an edge or a shortcut and go on along edges;
-    ticks can add and delete edges, add edges tentatively, and add
-    shortcuts, the base facts of `tc`. The rule for odd targets joins
-    through a generator over `edges` and the rule for even targets through
-    an `In` on it, so each resume path alone derives part of the result."""
+    """Paths that start with an edge or a shortcut and go on along edges and
+    jumps; ticks can add and delete edges, add edges tentatively, add
+    shortcuts, the base facts of `tc`, and add, clear or delete a node's
+    jump targets. The rule for odd targets joins through a generator over
+    `edges` and the rule for even targets through an `In` on it, so each
+    resume path alone derives part of the result. `jumps` is a query over
+    the rows of `hops`, which a merge replaces by a larger row, an
+    assignment by an empty one and a deletion drops, and the rule that
+    reads it joins right after a scan of `tc`."""
     e, p, c = Var("e"), Var("p"), Var("c")
     edge = ClassDecl("Edge", {"a": "int", "b": "int"}, key=("a", "b"))
+    hop = ClassDecl("Hop", {"a": "int", "to": "set"}, key="a")
 
     def row(a, b):
         return MakeRow("Edge", a=a, b=b)
@@ -426,16 +431,24 @@ def edited_closure_program() -> Program:
                parity(Field(e, "b"), 1))),
          Comp(row(Field(p, "a"), c),
               (Gen("p", Data("tc")), Gen("c", RangeOf(Lit(NODES)))),
-              (In(row(Field(p, "b"), c), Data("edges")), parity(c, 0)))),
+              (In(row(Field(p, "b"), c), Data("edges")), parity(c, 0))),
+         Comp(row(Field(p, "a"), c),
+              (Gen("p", Data("tc")), Gen(("b", "c"), Data("jumps"))),
+              (BinOp("==", Field(p, "b"), Var("b")),))),
         recursive=True)
+    jumps = QueryDef(
+        "jumps", (),
+        (Comp(TupleOf(Field(Var("h"), "a"), Var("t")),
+              (Gen("h", Data("hops")), Gen("t", Field(Var("h"), "to")))),))
     new = row(Var("a"), Var("b"))
     params = {"a": "int", "b": "int"}
     return Program(
         "edited_closure",
-        classes=(edge,),
+        classes=(edge, hop),
         data=(DataDecl("edges", "table", cls="Edge"),
-              DataDecl("tc", "table", cls="Edge")),
-        queries=(tc,),
+              DataDecl("tc", "table", cls="Edge"),
+              DataDecl("hops", "table", cls="Hop")),
+        queries=(tc, jumps),
         handlers=(
             Handler("link", params, (MergeMutation(TargetPath("edges"), new),)),
             Handler("cut", params,
@@ -446,23 +459,34 @@ def edited_closure_program() -> Program:
                     consistency=ConsistencySpec("serializable", invariants=(
                         In(row(Var("b"), Var("a")), Data("tc"), negated=True),))),
             Handler("shortcut", params, (MergeMutation(TargetPath("tc"), new),)),
+            Handler("hop", params, (MergeMutation(
+                TargetPath("hops", Var("a"), "to"), Var("b")),)),
+            # every clear of one node writes the same value, so two in one
+            # tick do not conflict
+            Handler("unhop", params, (Assign(
+                TargetPath("hops", Var("a"), "to"), Lit(frozenset())),)),
+            Handler("drop", params,
+                    (Delete(TargetPath("hops", Var("a"))),)),
         ))
 
 
 NODES = 6
 
 
-def paths(edges, shortcuts) -> frozenset:
+def paths(edges, shortcuts, hops=None) -> frozenset:
     """(a, c) where a starts an edge or a shortcut to b and c is b or is
-    reachable from b by breadth-first search over the edges."""
-    reach = bfs_closure(edges)
+    reachable from b by breadth-first search over the edges and the jumps
+    that `hops` rows hold."""
+    jumps = [(h["a"], t) for h in (hops or {}).values() for t in h["to"]]
+    reach = bfs_closure(list(edges) + jumps)
     return frozenset((a, c) for a, b in set(edges) | set(shortcuts)
                      for c in range(NODES) if c == b or (b, c) in reach)
 
 
 ticks = st.lists(
     st.lists(st.tuples(st.sampled_from(("link", "cut", "link_acyclic",
-                                        "shortcut")),
+                                        "shortcut", "hop", "unhop",
+                                        "drop")),
                        st.integers(0, NODES - 1), st.integers(0, NODES - 1)),
              max_size=4),
     min_size=1, max_size=8)
@@ -479,10 +503,48 @@ def test_kept_views_match_a_fresh_evaluation(schedule):
             t.deliver(handler, request(next(mid), a=a, b=b))
         t.tick()
         snap = t.state.snapshot()
-        kept = t._context(snap).query_value("tc")
-        assert kept == InterpContext(program, snap).query_value("tc")
-        assert {(r["a"], r["b"]) for r in kept} == paths(
-            snap.tables["edges"], snap.tables["tc"])
+        fresh = GraphContext(program, snap, t.compiled)
+        interp = InterpContext(program, snap)
+        kept = t._context(snap)
+        for q in ("jumps", "tc"):
+            assert kept.query_value(q) == fresh.query_value(q) \
+                == interp.query_value(q)
+        assert {(r["a"], r["b"]) for r in kept.query_value("tc")} == paths(
+            snap.tables["edges"], snap.tables["tc"], snap.tables["hops"])
+
+
+def test_a_resume_pass_probes_an_index_of_the_totals():
+    """A grown `jumps` is joined with the stored `tc` by probing the view's
+    index of it, and the facts and rounds are those of the plain pass,
+    which scans `tc`; the index grows with `tc`, and a recompute from the
+    base facts starts without one."""
+    indexed, plain = (Transducer(edited_closure_program()) for _ in range(2))
+    [group] = plain.compiled.groups
+    for chain in group.plans["tc"].chains:
+        chain.totals_join = None
+    scc = group.scc
+    mid = itertools.count()
+    for edits, has_index in (
+            ((("link", 0, 1), ("hop", 1, 2)), False),   # from scratch
+            ((("hop", 2, 3),), True),                    # index built
+            # a new base fact meets the new jump in the resume pass
+            ((("shortcut", 5, 3), ("hop", 3, 0)), True),
+            ((("cut", 0, 1),), False),                   # recomputed
+            # a kept index would still send (0, 3) on to 4
+            ((("hop", 3, 4),), True)):
+        seen = []
+        for t in (indexed, plain):
+            for handler, a, b in edits:
+                t.deliver(handler, request(next(mid), a=a, b=b))
+            t.tick()
+            snap = t.state.snapshot()
+            ctx = t._context(snap)
+            value = ctx.query_value("tc")
+            assert value == InterpContext(t.program, snap).query_value("tc")
+            seen.append((value, ctx.rounds))
+        assert seen[0] == seen[1]
+        assert bool(indexed.views[scc].indexes) == has_index
+        assert not plain.views[scc].indexes
 
 
 def test_kept_views_diverge_exactly_when_a_fresh_evaluation_does():
@@ -582,6 +644,61 @@ def test_a_json_list_of_the_right_length_binds():
         assert ctx.eval_comp(comp, {"src": ([1, 2], (3, 4))}) == {(2, 1), (4, 3)}
         with pytest.raises(TypeError, match=r"needs 2 values, got \[5\]"):
             ctx.eval_comp(comp, {"src": ([5],)})
+
+
+X, Z = Var("x"), Var("z")
+ONE_OVER_X = BinOp("//", Lit(1), X)
+
+
+@pytest.mark.parametrize("comp, pairs, expect", [
+    # the guard on the outer `z` runs before the probe key that divides by it
+    (Comp(X, (Gen("x", Data("nums")),),
+          (BinOp("!=", Z, Lit(0)), BinOp("==", X, BinOp("//", Lit(1), Z)))),
+     set(), frozenset()),
+    # the join key divides by `x` only on rows that passed `x != 0`
+    (Comp(X, (Gen("x", Data("nums")), Gen("i", Data("items"))),
+          (BinOp("!=", X, Lit(0)),
+           BinOp("==", Field(Var("i"), "k"), ONE_OVER_X))),
+     set(), {1}),
+    # a filter over `x` alone, and a join key, run ahead of a generator
+    # that yields nothing, so the interpreter never evaluates them
+    (Comp(X, (Gen("x", Data("nums")), Gen("t", Data("pairs"))),
+          (BinOp("==", ONE_OVER_X, Lit(1)),)),
+     set(), frozenset()),
+    (Comp(X, (Gen("x", Data("nums")), Gen("i", Data("items")),
+              Gen("t", Data("pairs"))),
+          (BinOp("==", Field(Var("i"), "k"), ONE_OVER_X),)),
+     set(), frozenset()),
+    # once that generator yields, both backends raise
+    (Comp(X, (Gen("x", Data("nums")), Gen("t", Data("pairs"))),
+          (BinOp("==", ONE_OVER_X, Lit(1)),)),
+     {(1, 1)}, ZeroDivisionError),
+], ids=["outer-guard", "join-guard", "filter-ahead", "join-ahead", "raises"])
+def test_a_filter_sees_only_rows_that_passed_the_filters_before_it(
+        comp, pairs, expect):
+    state = chain_state(nums={0, 1}, pairs=pairs)
+    state.tables["items"] = {(1,): Row(k=1, v=0, tags=frozenset())}
+    for ctx in both_backends(CHAIN_PROGRAM, state):
+        assert outcome(ctx, comp, {"z": 0}) == expect
+
+
+def test_a_recursive_rule_with_a_filter_ahead_runs_in_order_on_a_raise():
+    # the fixpoint's delta feeds the in-order run of the rule, whose filter
+    # meets only complete rows: none, since `pairs` is empty
+    r = QueryDef("r", (), (
+        Comp(X, (Gen("x", Data("nums")),)),
+        Comp(X, (Gen("x", Data("r")), Gen("t", Data("pairs"))),
+             (BinOp("==", ONE_OVER_X, Lit(1)),))), recursive=True)
+    p = Program("ahead", data=CHAIN_PROGRAM.data, queries=(r,))
+    for pairs, expect in ((set(), {0, 1}), ({(1, 1)}, ZeroDivisionError)):
+        state = NodeState(p)
+        state.vars["nums"] = lattice.SetUnion({0, 1})
+        state.vars["pairs"] = lattice.SetUnion(pairs)
+        for ctx in both_backends(p, state):
+            try:
+                assert ctx.query_value("r") == expect
+            except ZeroDivisionError:
+                assert expect is ZeroDivisionError
 
 
 # --- reading vars ---------------------------------------------------------------
