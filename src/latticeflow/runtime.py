@@ -41,12 +41,18 @@ extends a row without an intermediate list of pairs. A join over a
 frozenset source (a query result or a kept recursive view) keeps its index
 of the source in the context's `views` under the step's id, unless the
 step reads a fixpoint's delta or its binder-side key reads anything but
-the binder. The index is reused while the source is the same object, grown
-by the new items when the old source is a subset of the new one, and
-rebuilt otherwise. Mutable sources, such as a fixpoint's running totals,
-are indexed per run, and a key that cannot be hashed is compared with each
-item. A membership ``x in {p.k for p in t}``, where `k` is the whole key of
-table `t`, is ``(x,) in`` the table's dict.
+the binder. A chain that scans a named collection and then joins on a
+row-side key over that scan's names alone keeps, the same way, an index of
+the scanned collection by that key: when the scanned source is such a
+frozenset and the join's source is smaller, each item of the join's source
+probes it and the scan is never expanded (see `_scan_join`). Every kept
+index lives in `views` and follows one rule (`_kept_index`): it is reused
+while its source is the same object, grown by the new items when the old
+source is a subset of the new one, and rebuilt otherwise. Mutable sources,
+such as a fixpoint's running totals, are indexed per run, and a key that
+cannot be hashed is compared with each item. A membership
+``x in {p.k for p in t}``, where `k` is the whole key of table `t`, is
+``(x,) in`` the table's dict.
 
 Kept results. A context keeps every recursive group's result in its `views`
 dict. Each Transducer hands all the contexts it builds one dict that lives
@@ -55,11 +61,11 @@ evaluation of the group resumes from that result when the group's inputs
 and base facts only grew since it was stored, and recomputes from the base
 facts on any other change: a deletion, an assignment, a replaced table
 row, a changed scalar, or the state of a rejected fork. A resume pass
-costs what changed: where a grown input's delta joins the rows of one scan
-of the stored totals, each delta item probes an index of those totals,
-which the view keeps and grows by the facts each call adds (see
-`_delta_pass`). A resumed result that gained nothing is the stored object
-itself, so the indexes over it stay valid. `max_rounds` caps the rounds
+costs what changed: it reads the stored totals themselves, so where a
+grown input's delta joins the rows of a scan of them, each delta item
+probes the kept index of the scanned totals, which grows with them. A
+resumed result that gained nothing is the stored object itself, so the
+indexes over it are reused as they are. `max_rounds` caps the rounds
 that a from-scratch evaluation of the current state would take, also when
 the evaluation resumes, so whether it diverges depends on the state alone
 and not on the views. A non-recursive rule that first scans a table by a
@@ -125,7 +131,6 @@ class HashJoinStep(Step):
     width: int = 0
     keepable: bool = False  # `right` reads nothing but the binder, so an
                             # index of a source by it outlives the run
-    left_keepable: bool = False  # `left` reads nothing but bound names
     left_get: object = None   # `left` and `right` as itemgetters, or None
     right_get: object = None  # (see _getter)
 
@@ -152,7 +157,10 @@ class Chain:
     # generator; None otherwise (see run_chain)
     in_order: Optional["Chain"] = None
     per_row: bool = False  # outputs kept per table row (see _per_row_value)
-    totals_join: Optional[HashJoinStep] = None  # see _delta_pass
+    # where `views` keeps an index of the collection that the chain first
+    # scans, by the key of the join after it; None for other chains (see
+    # _scan_join)
+    scan_index: Optional[str] = None
 
     def step_at(self, occurrence: int):
         """The generator step over the `occurrence`th named collection."""
@@ -446,6 +454,7 @@ def compile_comp(e: Comp, program, outer: Optional[_Scope] = None,
     bound: set = set()
     remaining = list(e.filters)
     occ = 0
+    scan_index = None
     for g in e.gens:
         new_vars = set(g.names)
         width = len(g.binder) if isinstance(g.binder, tuple) else 0
@@ -463,8 +472,14 @@ def compile_comp(e: Comp, program, outer: Optional[_Scope] = None,
             steps.append(HashJoinStep(
                 _oid("hashjoin"), "hashjoin", g.binder, g.source, occurrence,
                 _expr(other, scope), _expr(own, keys), width,
-                _context_free(own), _context_free(other),
-                _getter(other, scope), _getter(own, keys)))
+                _context_free(own), _getter(other, scope), _getter(own, keys)))
+            # a scan of a named collection, then this join on a key over the
+            # scan's names alone: an index of the collection answers both
+            first = steps[0]
+            if outer is None and len(steps) == 2 and first.kind == "expand" \
+                    and first.per_row is None and _context_free(other) \
+                    and _free_vars(other) <= bound:
+                scan_index = _oid("scanindex")
         else:
             per_row = None if isinstance(g.source, Data) \
                 else _expr(g.source, scope)
@@ -481,7 +496,7 @@ def compile_comp(e: Comp, program, outer: Optional[_Scope] = None,
         steps.append(FilterStep(_oid("filter"), "filter", _expr(f, scope)))
     steps.append(ProjectStep(_oid("project"), "project",
                              _expr(e.output, scope), _getter(e.output, scope)))
-    chain = Chain(steps, e)
+    chain = Chain(steps, e, scan_index=scan_index)
     if not in_order and _runs_ahead(steps):
         chain.in_order = compile_comp(e, program, outer, in_order=True)
     return chain
@@ -575,16 +590,15 @@ class _Sources:
         delta, or a key that reads more than the binder."""
         if step.keepable and type(src) is frozenset \
                 and step is not self.delta_step:
-            return _kept_index(step, src, key, self.ctx.views)
+            return _kept_index(step.op_id, step, src, key, self.ctx.views)
         return None
 
 
-def _expand(step: ExpandStep, rows: list, env: dict, ctx,
-            sources: _Sources) -> list:
-    """Each row extended by each item of the step's source."""
+def _expand(step: ExpandStep, rows: list, env: dict, ctx, src=None) -> list:
+    """Each row extended by each item of the step's source: `src`, the
+    named collection it scans, or else what its `per_row` closure gives."""
     k, binder, fn = step.width, step.binder, step.per_row
     if fn is None:
-        src = sources.rows(step)
         if not k:
             return [s + (item,) for s in rows for item in src]
         return [s + (item if type(item) is tuple and len(item) == k
@@ -624,14 +638,6 @@ def _index_of(step, src, key) -> dict:
     return index
 
 
-def _grow(index: dict, more: dict) -> None:
-    for k, ts in more.items():
-        if k in index:
-            index[k].extend(ts)
-        else:
-            index[k] = ts
-
-
 def _join(step: HashJoinStep, rows: list, src, env: dict, ctx,
           sources: _Sources) -> list:
     """Each row extended by the binder's values of each item of `src` whose
@@ -666,21 +672,60 @@ def _compare(rows: list, src, left, right) -> list:
             for t, k in keys if key == k]
 
 
-def _kept_index(step: HashJoinStep, src: frozenset, key, views: dict) -> dict:
-    """`_index_of(step, src, key)`, kept in `views` under the step's id
-    with the source it was built from: reused while the source is that
-    object, grown by the new items when the old source is a subset of the
-    new one, and rebuilt otherwise."""
-    entry = views.pop(step.op_id, None)
-    if entry is not None and entry[0] is src:
-        index = entry[1]
-    elif entry is not None and entry[0] <= src:
-        index = entry[1]
-        _grow(index, _index_of(step, src - entry[0], key))
-    else:
+def _kept_index(slot, step, src: frozenset, key, views: dict) -> dict:
+    """`_index_of(step, src, key)`, kept in `views` under `slot` with the
+    source it was built from: reused while the source is that object, grown
+    by the new items when the old source is a subset of the new one, and
+    rebuilt otherwise. One set difference tells both: the old source is a
+    subset exactly when the new items leave as many as it holds."""
+    entry = views.pop(slot, None)
+    if entry is None:
         index = _index_of(step, src, key)
-    views[step.op_id] = (src, index)
+    elif entry[0] is src:
+        index = entry[1]
+    else:
+        old, index = entry
+        more = src - old
+        if len(src) - len(more) == len(old):
+            for k, ts in _index_of(step, more, key).items():
+                index.setdefault(k, []).extend(ts)
+        else:
+            index = _index_of(step, src, key)
+    views[slot] = (src, index)
     return index
+
+
+def _scan_join(chain: Chain, env: dict, ctx, sources: _Sources) -> list:
+    """The bindings after the chain's first two steps, a scan and a join.
+    When the scanned source is a frozenset other than the delta and the
+    join's source has fewer items, but some, each of them probes the kept
+    index of the scanned source by the join's row-side key instead of the
+    scan being expanded. Otherwise, or when a key cannot be hashed, the two
+    steps run as `_steps` runs them; each source is read once either way."""
+    scan, join = chain.steps[0], chain.steps[1]
+    items, src = sources.rows(scan), None
+    if type(items) is frozenset and scan is not sources.delta_step:
+        src = sources.rows(join)
+        if 0 < len(src) < len(items):
+            left = _unary(join.left, join.left_get, env, ctx)
+            right = _unary(join.right, join.right_get, env, ctx)
+            try:
+                get = _kept_index(chain.scan_index, scan, items, left,
+                                  ctx.views).get
+                rows = [s + t for t in map(_values(join), src)
+                        for s in get(right(t), ())]
+            except TypeError:  # a key that cannot be hashed
+                pass
+            else:
+                ctx.note(join.op_id, len(rows))
+                return rows
+    rows = _expand(scan, [()], env, ctx, items)
+    ctx.note(scan.op_id, len(rows))
+    if src is None:
+        src = sources.rows(join) if rows else ()
+    rows = _join(join, rows, src, env, ctx, sources) if src else []
+    ctx.note(join.op_id, len(rows))
+    return rows
 
 
 def _steps(chain: Chain, start: int, rows: list, env: dict, ctx,
@@ -697,7 +742,8 @@ def _steps(chain: Chain, start: int, rows: list, env: dict, ctx,
             rows = [s for s in rows if test(s, env, ctx)]
         elif kind == "expand":
             if rows:
-                rows = _expand(step, rows, env, ctx, sources)
+                src = sources.rows(step) if step.per_row is None else None
+                rows = _expand(step, rows, env, ctx, src)
         else:
             src = sources.rows(step) if rows else ()
             rows = _join(step, rows, src, env, ctx, sources) if src else []
@@ -725,7 +771,8 @@ def run_chain(chain: Chain, env0: dict, ctx: "GraphContext",
     `totals` fed with the delta instead of the running total. Sources are
     iterated unordered: only the set of rows reaches the result. A join over
     a frozenset source, other than the delta, keeps its index of that source
-    in `ctx.views` (see `_kept_index`).
+    in `ctx.views` (see `_kept_index`), and so may the scan before a join
+    (see `_scan_join`).
 
     A chain with a filter or join key ahead of a later generator evaluates
     it on rows that the interpreter may never complete, since a later
@@ -748,8 +795,12 @@ def run_chain(chain: Chain, env0: dict, ctx: "GraphContext",
 def _run(chain: Chain, slots: tuple, env0: dict, ctx,
          sources: _Sources) -> frozenset:
     env = dict(env0)  # the run's hoisted values join the outer names
-    return _project(chain.steps[-1],
-                    _steps(chain, 0, [slots], env, ctx, sources), env, ctx)
+    if chain.scan_index is None:
+        rows = _steps(chain, 0, [slots], env, ctx, sources)
+    else:  # a top-level chain (see compile_comp), so `slots` is empty
+        rows = _steps(chain, 2, _scan_join(chain, env, ctx, sources), env,
+                      ctx, sources)
+    return _project(chain.steps[-1], rows, env, ctx)
 
 
 # --- query plans -------------------------------------------------------------
@@ -865,7 +916,6 @@ def _compile_queries(program) -> CompiledQueries:
                 for chain in plans[q].chains:
                     sources, side = _rule_reads(chain.comp)
                     chain.side_reads = frozenset(side)
-                    chain.totals_join = _totals_join(chain, comp)
                     inputs |= sources | side.keys()
                     value_reads |= {n for n, whole in side.items() if whole}
             group = FixpointGroup(comp, plans, frozenset(inputs - comp),
@@ -879,21 +929,6 @@ def _compile_queries(program) -> CompiledQueries:
                     chain.per_row = _per_row(chain, program)
             out.plans.update(plans)
     return out
-
-
-def _totals_join(chain: Chain, scc: frozenset) -> Optional[HashJoinStep]:
-    """The chain's second step when it is a join right after a scan of a
-    member of `scc`, whose row-side key reads only the scanned item: a
-    resume pass can then probe an index of the stored totals by that key
-    (see `_delta_pass`). None otherwise."""
-    if chain.in_order is not None or len(chain.steps) < 3:
-        return None
-    scan, join = chain.steps[:2]
-    if isinstance(scan, ExpandStep) and scan.per_row is None \
-            and scan.source.name in scc and isinstance(join, HashJoinStep) \
-            and join.left_keepable:
-        return join
-    return None
 
 
 def _per_row(chain: Chain, program) -> bool:
@@ -919,9 +954,9 @@ class GraphContext(EvalContext):
         super().__init__(program, snapshot, firing)
         self.compiled = compiled
         self.max_rounds = max_rounds
-        # scc -> _View, see apply_fixpoint; join step id -> (source, index),
-        # see _kept_index; scan step id -> (rows, outputs, value), see
-        # _per_row_value
+        # scc -> _View, see apply_fixpoint; a join step's id or a chain's
+        # scan_index -> (source, index), see _kept_index; scan step id ->
+        # (rows, outputs, value), see _per_row_value
         self.views = {} if views is None else views
         # per-row outputs pay off only in views that later contexts read
         self._shared_views = views is not None
@@ -1027,8 +1062,6 @@ class _View:
     base: dict     # member -> its base facts
     totals: dict   # member -> its facts
     bound: int     # rounds a from-scratch evaluation would take, at most
-    # join step id -> the index of the totals that `_delta_pass` probes
-    indexes: dict = dfield(default_factory=dict)
 
 
 def apply_fixpoint(group: FixpointGroup, ctx: GraphContext):
@@ -1040,13 +1073,12 @@ def apply_fixpoint(group: FixpointGroup, ctx: GraphContext):
     a rule reads as one value (under a fold, say) has changed: the old
     totals plus the new base facts get one delta pass per generator over a
     grown input (a full pass for a rule that reads a grown input anywhere
-    else), then the semi-naive loop runs from the facts that are new. A
-    delta pass over a join right after a scan of the totals probes an index
-    of the stored totals once per delta item (see `_delta_pass`); the view
-    keeps that index and grows it by the facts each resumed call adds. With
-    no stored view, or after any other change (a deletion, an assignment, a
-    replaced table row, a changed scalar, a rejected fork's state), it
-    recomputes from the base facts, and the view starts with no index.
+    else), then the semi-naive loop runs from the facts that are new. The
+    passes read the stored totals as they are, so a delta pass over a join
+    right after a scan of them probes the scan's kept index once per delta
+    item (see `_scan_join`). With no stored view, or after any other change
+    (a deletion, an assignment, a replaced table row, a changed scalar, a
+    rejected fork's state), it recomputes from the base facts.
     Resuming is sound because compile_queries admits only monotone rules
     into a recursive group, so the old least fixpoint lies below the new
     one. Either way the inputs, base facts and result are stored for the
@@ -1068,14 +1100,11 @@ def apply_fixpoint(group: FixpointGroup, ctx: GraphContext):
     result = None
     if grown is not None:
         old = view.totals
-        totals, delta = _resume_round(group, ctx, view, inputs, grown)
-        added = [delta]
-        result = _iterate(group, ctx, totals, delta,
-                          cap=ctx.max_rounds - view.bound + 1, added=added)
+        result = _iterate(group, ctx,
+                          *_resume_round(group, ctx, view, inputs, grown),
+                          cap=ctx.max_rounds - view.bound + 1)
         if result is not None:
             bound = view.bound + result[1] - 1
-            indexes = view.indexes
-            _grow_indexes(group, ctx, indexes, added)
             # a resumed total holds the old one, so the same size means the
             # same facts: keep the old sets, which kept indexes know by
             # identity
@@ -1088,8 +1117,8 @@ def apply_fixpoint(group: FixpointGroup, ctx: GraphContext):
             raise FixpointDivergence(
                 f"semi-naive fixpoint over {sorted(group.scc)} exceeded "
                 f"{ctx.max_rounds} rounds")
-        bound, indexes = result[1], {}
-    ctx.views[group.scc] = _View(inputs, base, result[0], bound, indexes)
+        bound = result[1]
+    ctx.views[group.scc] = _View(inputs, base, result[0], bound)
     return result
 
 
@@ -1125,108 +1154,36 @@ def _first_round(group: FixpointGroup, ctx: GraphContext, base: dict):
 
 def _resume_round(group: FixpointGroup, ctx: GraphContext, view: _View,
                   inputs: dict, grown: dict):
-    """(totals, delta) after the passes over the grown inputs, starting from
-    the stored totals plus the new base facts."""
+    """(totals, delta) after the passes over the grown inputs. The passes
+    read the stored totals plus the new base facts as frozensets, so a scan
+    of them followed by a join with a delta probes the scan's kept index
+    (see `_scan_join`)."""
     scc, old = group.scc, view.totals
-    totals = {q: set(old[q]).union(grown.get(q, ())) for q in scc}
+    members = {q: old[q] | grown[q] if q in grown else old[q] for q in scc}
     grown_inputs = grown.keys() - scc
-    reads = {**totals, **{n: inputs[n] for n in grown_inputs}}
+    reads = {**members, **{n: inputs[n] for n in grown_inputs}}
     derived = {q: set() for q in scc}
     for q in sorted(scc):
         for chain in group.plans[q].chains:
             if chain.side_reads & grown_inputs:
-                derived[q] |= run_chain(chain, {}, ctx, totals=totals)
+                derived[q] |= run_chain(chain, {}, ctx, totals=members)
                 continue
             for step in chain.steps:
                 if isinstance(step, (ExpandStep, HashJoinStep)) \
                         and isinstance(step.source, Data) \
                         and step.source.name in grown_inputs:
-                    derived[q] |= _delta_pass(chain, step, ctx, view, reads,
-                                              grown)
-    delta = {}
-    for q in scc:
-        delta[q] = frozenset(derived[q].union(grown.get(q, ())) - old[q])
-        totals[q] |= derived[q]
-    return totals, delta
-
-
-def _delta_pass(chain: Chain, step, ctx: GraphContext, view: _View,
-                reads: dict, grown: dict) -> frozenset:
-    """`run_chain(chain, {}, ctx, delta_step=step, totals=reads,
-    delta=grown)`: the rule's facts that read the delta of a grown input at
-    `step`. When `step` is the chain's `totals_join`, its input rows are one
-    scan of a member's totals, which are the stored totals plus the
-    member's new base facts. Then each delta item probes the view's index
-    of the stored totals by the join's row-side key (see `_probe_totals`),
-    and only the new base facts are scanned."""
-    if step is chain.totals_join:
-        rows = _probe_totals(chain, ctx, view, grown)
-        if rows is not None:
-            env, sources = {}, _Sources(ctx, reads, grown, step)
-            member, src = chain.steps[0].source.name, grown[step.source.name]
-            old = view.totals[member]
-            new = [_values(chain.steps[0])(f)
-                   for f in grown.get(member, ()) if f not in old]
-            if new:
-                rows += _join(step, new, src, env, ctx, sources)
-            ctx.note(step.op_id, len(rows))
-            return _project(chain.steps[-1],
-                            _steps(chain, 2, rows, env, ctx, sources),
-                            env, ctx)
-    return run_chain(chain, {}, ctx, delta_step=step, totals=reads,
-                     delta=grown)
-
-
-def _probe_totals(chain: Chain, ctx: GraphContext, view: _View,
-                  grown: dict) -> Optional[list]:
-    """The bindings of the chain's `totals_join` over the stored totals and
-    the delta of its source: one probe of the view's index of the totals
-    per delta item. The first call builds the index. None when building or
-    probing raises (a key that cannot be hashed, say), so that the plain
-    pass runs and raises exactly when an unindexed evaluation does."""
-    scan, join = chain.steps[0], chain.totals_join
-    left = _unary(join.left, join.left_get, {}, ctx)
-    right = _unary(join.right, join.right_get, {}, ctx)
-    try:
-        index = view.indexes.get(join.op_id)
-        if index is None:
-            index = _index_of(scan, view.totals[scan.source.name], left)
-            view.indexes[join.op_id] = index
-        get = index.get
-        return [s + t for t in map(_values(join), grown[join.source.name])
-                for s in get(right(t), ())]
-    except Exception:  # the index is an aid; the plain pass is exact
-        return None
-
-
-def _grow_indexes(group: FixpointGroup, ctx: GraphContext, indexes: dict,
-                  added: list) -> None:
-    """`indexes` (see `_delta_pass`) grown by the facts a resumed call
-    added, one dict of new facts per round. An index whose key raises on a
-    new fact is dropped, to be built again by the pass that needs it."""
-    for plan in group.plans.values():
-        for chain in plan.chains:
-            join = chain.totals_join
-            index = indexes.get(join.op_id) if join is not None else None
-            if index is None:
-                continue
-            scan = chain.steps[0]
-            facts = concat.from_iterable(d[scan.source.name] for d in added)
-            try:
-                more = _index_of(scan, facts, _unary(join.left, join.left_get,
-                                                     {}, ctx))
-            except Exception:  # the index is an aid; the pass is exact
-                del indexes[join.op_id]
-            else:
-                _grow(index, more)
+                    derived[q] |= run_chain(chain, {}, ctx, delta_step=step,
+                                            totals=reads, delta=grown)
+    delta = {q: frozenset(derived[q].union(grown.get(q, ())) - old[q])
+             for q in scc}
+    return {q: set(members[q]).union(derived[q]) for q in scc}, delta
 
 
 def _iterate(group: FixpointGroup, ctx: GraphContext, totals: dict,
-             delta: dict, cap: int, added: Optional[list] = None):
+             delta: dict, cap: int):
     """(totals, rounds) after semi-naive rounds from `delta` until no new
     fact appears, where round 1 was the one that produced `delta`; None if
-    that takes more than `cap` rounds. Each round's new facts are appended
-    to `added` when it is given."""
+    that takes more than `cap` rounds."""
     scc = group.scc
     rounds = 1
     while True:
@@ -1246,6 +1203,4 @@ def _iterate(group: FixpointGroup, ctx: GraphContext, totals: dict,
         for q in scc:
             totals[q] |= new[q]
         delta = {q: frozenset(new[q]) for q in scc}
-        if added is not None:
-            added.append(delta)
     return {q: frozenset(v) for q, v in totals.items()}, rounds

@@ -18,10 +18,11 @@ target still runs on an idle tick.
 On the graph backend a node's recursive query results outlive the tick:
 every context the node builds, the fork and invariant-check contexts
 included, shares the node's `views`, so a later tick resumes a query whose
-inputs only grew (see `runtime.apply_fixpoint`), and so do the indexes
-that probes, joins and resume passes keep of them and the outputs that a
-non-recursive query keeps per table row. A recovered node is a new
-Transducer and starts with none.
+inputs only grew (see `runtime.apply_fixpoint`). The same dict holds the
+outputs that a non-recursive query keeps per table row, and every index
+that a join keeps of a query result or a kept view, the ones that resume
+passes probe included, under one growth rule (see `runtime._kept_index`).
+A recovered node is a new Transducer and starts with none.
 """
 
 from __future__ import annotations

@@ -514,24 +514,29 @@ def test_kept_views_match_a_fresh_evaluation(schedule):
 
 
 def test_a_resume_pass_probes_an_index_of_the_totals():
-    """A grown `jumps` is joined with the stored `tc` by probing the view's
-    index of it, and the facts and rounds are those of the plain pass,
-    which scans `tc`; the index grows with `tc`, and a recompute from the
-    base facts starts without one."""
+    """A grown `jumps` or `edges` is joined with the stored `tc` by probing
+    the kept index of `tc` once per delta item (see `runtime._scan_join`).
+    The facts and rounds are those of a transducer whose chains expand the
+    scan of `tc` instead, and the interpreter's; the index grows with `tc`,
+    and is rebuilt after a recompute from the base facts."""
     indexed, plain = (Transducer(edited_closure_program()) for _ in range(2))
-    [group] = plain.compiled.groups
-    for chain in group.plans["tc"].chains:
-        chain.totals_join = None
-    scc = group.scc
+    for chain in plain.compiled.groups[0].plans["tc"].chains:
+        chain.scan_index = None
+    chains = indexed.compiled.groups[0].plans["tc"].chains
+    slots = [c.scan_index for c in chains if c.scan_index is not None]
+    assert len(slots) == 2  # the rules that join `edges` and `jumps`
     mid = itertools.count()
-    for edits, has_index in (
+    for edits, probed in (
             ((("link", 0, 1), ("hop", 1, 2)), False),   # from scratch
             ((("hop", 2, 3),), True),                    # index built
-            # a new base fact meets the new jump in the resume pass
+            # the index grows by (0, 3) and the new base fact (5, 3), which
+            # both meet the new jump
             ((("shortcut", 5, 3), ("hop", 3, 0)), True),
             ((("cut", 0, 1),), False),                   # recomputed
-            # a kept index would still send (0, 3) on to 4
-            ((("hop", 3, 4),), True)):
+            # an index that was not rebuilt would send (0, 3) on to 4
+            ((("hop", 3, 4),), True),
+            ((("link", 4, 5),), True)):                  # `edges` grew
+        before = [indexed.views.get(slot) for slot in slots]
         seen = []
         for t in (indexed, plain):
             for handler, a, b in edits:
@@ -543,8 +548,9 @@ def test_a_resume_pass_probes_an_index_of_the_totals():
             assert value == InterpContext(t.program, snap).query_value("tc")
             seen.append((value, ctx.rounds))
         assert seen[0] == seen[1]
-        assert bool(indexed.views[scc].indexes) == has_index
-        assert not plain.views[scc].indexes
+        after = [indexed.views.get(slot) for slot in slots]
+        assert any(a is not b for a, b in zip(after, before)) == probed
+    assert not [k for k in plain.views if str(k).startswith("scanindex")]
 
 
 def test_kept_views_diverge_exactly_when_a_fresh_evaluation_does():
@@ -770,6 +776,52 @@ def test_a_probe_over_a_kept_view_stays_right():
     assert (3, 5) in t.state.tables["edges"]
 
 
+def test_a_scan_then_join_probes_the_kept_index_of_the_scan():
+    """A scan of `halves` joined with smaller `items` probes a kept index of
+    `halves` by `half` once per item, in contexts that share views: it is
+    built, grown with `halves` and rebuilt when `halves` shrinks. With no
+    item, as many items as halves, or an item key that cannot be hashed,
+    the scan is expanded and joined as before, and the index stays the
+    same. Every answer is the interpreter's."""
+    # an item's key is its `v`, or the list [0] when it has a tag
+    key = Index(TupleOf(Field(Var("i"), "v"), Lit([0])),
+                Len(Field(Var("i"), "tags")))
+    comp = Comp(TupleOf(Var("h"), Field(Var("i"), "k")),
+                (Gen(("h", "half"), Data("halves")), Gen("i", Data("items"))),
+                (BinOp("==", Var("half"), key),))
+    compiled, views = compile_queries(CHAIN_PROGRAM), {}
+    chain = compiled.handler_expr(
+        comp, lambda c: compile_comp(c, CHAIN_PROGRAM))
+    assert chain.scan_index is not None
+
+    def answer(nums, vs, tagged=()):
+        state = chain_state(nums=nums)
+        state.tables["items"] = {
+            (k,): Row(k=k, v=v, tags=frozenset({0} if k in tagged else ()))
+            for k, v in enumerate(vs)}
+        snap = state.snapshot()
+        graph = GraphContext(CHAIN_PROGRAM, snap, compiled, views=views)
+        value = graph.eval_comp(comp, {})
+        assert value == InterpContext(CHAIN_PROGRAM, snap).eval_comp(comp, {})
+        return value, views.get(chain.scan_index)
+
+    value, built = answer(range(6), (1, 2))
+    assert value == {(2, 0), (3, 0), (4, 1), (5, 1)} and built is not None
+    value, grown = answer(range(10), (1, 4))
+    assert value == {(2, 0), (3, 0), (8, 1), (9, 1)}
+    assert grown[1] is built[1] and len(grown[0]) == 10
+    value, rebuilt = answer(range(4, 8), (2, 3))
+    assert value == {(4, 0), (5, 0), (6, 1), (7, 1)}
+    assert rebuilt[1] is not grown[1]
+    for vs, tagged, expect in (
+            ((), (), frozenset()),
+            ((2, 2, 3, 3), (), {(4, 0), (5, 0), (4, 1), (5, 1),
+                                (6, 2), (7, 2), (6, 3), (7, 3)}),
+            ((2, 3), (0,), {(6, 1), (7, 1)})):
+        value, entry = answer(range(4, 8), vs, tagged)
+        assert value == expect and entry[1] is rebuilt[1]
+
+
 @pytest.mark.parametrize("gens, own", [
     ((Gen(("h", "half"), Data("halves")),), Var("h")),   # a kept index
     ((Gen("h", Data("items")),), Field(Var("h"), "k")),  # a table
@@ -837,6 +889,42 @@ def test_a_key_membership_answers_like_the_interpreter():
         ctx.firing["items"] = (Row(k=2, v=0, tags=frozenset()),)
         assert eval_expr(member, {"x": 2}, ctx) is True
         assert ctx.eval_comp(in_chain, {}) == {2}
+
+
+def test_a_tuple_key_is_one_value_of_a_one_field_key():
+    """A one-field key holds a tuple as one value, in a keyed write, a
+    `Lookup` and a key membership, on both backends; a two-field key given
+    anything but a pair raises `ShapeMismatch`."""
+    edge = ClassDecl("Edge", {"a": "int", "b": "int", "w": "int"},
+                     key=("a", "b"))
+    p = Program(
+        "keys", classes=(ITEM, edge),
+        data=(DataDecl("items", "table", cls="Item"),
+              DataDecl("edges", "table", cls="Edge")),
+        handlers=(
+            Handler("put", {"a": "int", "b": "int"}, (MergeMutation(
+                TargetPath("items", TupleOf(Var("a"), Var("b")), "tags"),
+                Var("a")),)),
+            Handler("weigh", {"a": "int"}, (MergeMutation(
+                TargetPath("edges", Var("a"), "w"), Var("a")),))))
+    pair = TupleOf(Lit(1), Lit(2))
+    keys = Comp(Field(Var("i"), "k"), (Gen("i", Data("items")),))
+    for backend in ("graph", "interp"):
+        t = Transducer(p, backend=backend)
+        t.deliver("put", request(0, a=1, b=2))
+        t.tick()
+        assert t.state.tables["items"] == {
+            ((1, 2),): Row(k=(1, 2), v=None, tags=frozenset({1}))}
+        ctx = t._context(t.state.snapshot())
+        assert eval_expr(Field(Lookup("items", pair), "tags"), {}, ctx) == {1}
+        assert eval_expr(Lookup("items", Lit(1)), {}, ctx) is MISSING
+        assert [eval_expr(In(Var("x"), keys), {"x": x}, ctx)
+                for x in ((1, 2), 1, (1,))] == [True, False, False]
+        with pytest.raises(lattice.ShapeMismatch, match="needs 2 values"):
+            eval_expr(Lookup("edges", Lit(1)), {}, ctx)
+        t.deliver("weigh", request(1, a=1))
+        with pytest.raises(lattice.ShapeMismatch, match="needs 2 values"):
+            t.tick()
 
 
 def test_a_keyed_merge_acts_on_an_idle_tick():
