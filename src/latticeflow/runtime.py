@@ -695,35 +695,32 @@ def _kept_index(slot, step, src: frozenset, key, views: dict) -> dict:
     return index
 
 
-def _scan_join(chain: Chain, env: dict, ctx, sources: _Sources) -> list:
-    """The bindings after the chain's first two steps, a scan and a join.
-    When the scanned source is a frozenset other than the delta and the
-    join's source has fewer items, but some, each of them probes the kept
+def _scan_join(chain: Chain, env: dict, ctx,
+               sources: _Sources) -> Optional[list]:
+    """The bindings after the chain's first two steps, a scan and a join,
+    when the scanned source is a frozenset other than the delta and the
+    join's source has fewer items, but some: each of them probes the kept
     index of the scanned source by the join's row-side key instead of the
-    scan being expanded. Otherwise, or when a key cannot be hashed, the two
-    steps run as `_steps` runs them; each source is read once either way."""
+    scan being expanded. None when the two steps are to run as `_steps`
+    runs them: for any other sizes or sources, or a key that cannot be
+    hashed. An empty scan reads no other source, as in `_steps`."""
     scan, join = chain.steps[0], chain.steps[1]
-    items, src = sources.rows(scan), None
-    if type(items) is frozenset and scan is not sources.delta_step:
-        src = sources.rows(join)
-        if 0 < len(src) < len(items):
-            left = _unary(join.left, join.left_get, env, ctx)
-            right = _unary(join.right, join.right_get, env, ctx)
-            try:
-                get = _kept_index(chain.scan_index, scan, items, left,
-                                  ctx.views).get
-                rows = [s + t for t in map(_values(join), src)
-                        for s in get(right(t), ())]
-            except TypeError:  # a key that cannot be hashed
-                pass
-            else:
-                ctx.note(join.op_id, len(rows))
-                return rows
-    rows = _expand(scan, [()], env, ctx, items)
-    ctx.note(scan.op_id, len(rows))
-    if src is None:
-        src = sources.rows(join) if rows else ()
-    rows = _join(join, rows, src, env, ctx, sources) if src else []
+    if scan is sources.delta_step:
+        return None
+    items = sources.rows(scan)
+    if type(items) is not frozenset or not items:
+        return None
+    src = sources.rows(join)
+    if not 0 < len(src) < len(items):
+        return None
+    left = _unary(join.left, join.left_get, env, ctx)
+    right = _unary(join.right, join.right_get, env, ctx)
+    try:
+        get = _kept_index(chain.scan_index, scan, items, left, ctx.views).get
+        rows = [s + t for t in map(_values(join), src)
+                for s in get(right(t), ())]
+    except TypeError:  # a key that cannot be hashed
+        return None
     ctx.note(join.op_id, len(rows))
     return rows
 
@@ -795,11 +792,14 @@ def run_chain(chain: Chain, env0: dict, ctx: "GraphContext",
 def _run(chain: Chain, slots: tuple, env0: dict, ctx,
          sources: _Sources) -> frozenset:
     env = dict(env0)  # the run's hoisted values join the outer names
-    if chain.scan_index is None:
+    # a chain with a scan index is top-level (see compile_comp), so
+    # `slots` is empty
+    rows = None if chain.scan_index is None \
+        else _scan_join(chain, env, ctx, sources)
+    if rows is None:
         rows = _steps(chain, 0, [slots], env, ctx, sources)
-    else:  # a top-level chain (see compile_comp), so `slots` is empty
-        rows = _steps(chain, 2, _scan_join(chain, env, ctx, sources), env,
-                      ctx, sources)
+    else:
+        rows = _steps(chain, 2, rows, env, ctx, sources)
     return _project(chain.steps[-1], rows, env, ctx)
 
 

@@ -518,7 +518,8 @@ def test_a_resume_pass_probes_an_index_of_the_totals():
     the kept index of `tc` once per delta item (see `runtime._scan_join`).
     The facts and rounds are those of a transducer whose chains expand the
     scan of `tc` instead, and the interpreter's; the index grows with `tc`,
-    and is rebuilt after a recompute from the base facts."""
+    and the first probe after a recompute from the base facts rebuilds it.
+    """
     indexed, plain = (Transducer(edited_closure_program()) for _ in range(2))
     for chain in plain.compiled.groups[0].plans["tc"].chains:
         chain.scan_index = None
@@ -526,16 +527,26 @@ def test_a_resume_pass_probes_an_index_of_the_totals():
     slots = [c.scan_index for c in chains if c.scan_index is not None]
     assert len(slots) == 2  # the rules that join `edges` and `jumps`
     mid = itertools.count()
-    for edits, probed in (
-            ((("link", 0, 1), ("hop", 1, 2)), False),   # from scratch
-            ((("hop", 2, 3),), True),                    # index built
+
+    def change(before, after):
+        if after is before:
+            return None if after is None else "kept"
+        if before is None:
+            return "built"
+        return "grown" if after[1] is before[1] else "rebuilt"
+
+    # what each tick does to the index of the rules that join `edges` and
+    # `jumps`
+    for edits, changes in (
+            ((("link", 0, 1), ("hop", 1, 2)), (None, None)),  # from scratch
+            ((("hop", 2, 3),), (None, "built")),
             # the index grows by (0, 3) and the new base fact (5, 3), which
             # both meet the new jump
-            ((("shortcut", 5, 3), ("hop", 3, 0)), True),
-            ((("cut", 0, 1),), False),                   # recomputed
+            ((("shortcut", 5, 3), ("hop", 3, 0)), (None, "grown")),
+            ((("cut", 0, 1),), (None, "kept")),               # recomputed
             # an index that was not rebuilt would send (0, 3) on to 4
-            ((("hop", 3, 4),), True),
-            ((("link", 4, 5),), True)):                  # `edges` grew
+            ((("hop", 3, 4),), (None, "rebuilt")),
+            ((("link", 4, 5),), ("built", "kept"))):          # `edges` grew
         before = [indexed.views.get(slot) for slot in slots]
         seen = []
         for t in (indexed, plain):
@@ -549,7 +560,7 @@ def test_a_resume_pass_probes_an_index_of_the_totals():
             seen.append((value, ctx.rounds))
         assert seen[0] == seen[1]
         after = [indexed.views.get(slot) for slot in slots]
-        assert any(a is not b for a, b in zip(after, before)) == probed
+        assert tuple(map(change, before, after)) == changes
     assert not [k for k in plain.views if str(k).startswith("scanindex")]
 
 
@@ -782,7 +793,8 @@ def test_a_scan_then_join_probes_the_kept_index_of_the_scan():
     built, grown with `halves` and rebuilt when `halves` shrinks. With no
     item, as many items as halves, or an item key that cannot be hashed,
     the scan is expanded and joined as before, and the index stays the
-    same. Every answer is the interpreter's."""
+    same. An empty scan builds no index and evaluates no item's key. Every
+    answer is the interpreter's."""
     # an item's key is its `v`, or the list [0] when it has a tag
     key = Index(TupleOf(Field(Var("i"), "v"), Lit([0])),
                 Len(Field(Var("i"), "tags")))
@@ -820,6 +832,24 @@ def test_a_scan_then_join_probes_the_kept_index_of_the_scan():
             ((2, 3), (0,), {(6, 1), (7, 1)})):
         value, entry = answer(range(4, 8), vs, tagged)
         assert value == expect and entry[1] is rebuilt[1]
+    # an empty scan reads no other source, so no item's key is evaluated and
+    # no item is unpacked: 1 // 0 and a row bound to (a, b) would raise
+    state = chain_state(nums=())
+    state.tables["items"] = {(0,): Row(k=0, v=0, tags=frozenset())}
+    snap = state.snapshot()
+    for empty in (
+            Comp(TupleOf(Var("h"), Field(Var("i"), "k")), comp.gens,
+                 (BinOp("==", Var("half"),
+                        BinOp("//", Lit(1), Field(Var("i"), "v"))),)),
+            Comp(Var("h"), (comp.gens[0], Gen(("a", "b"), Data("items"))),
+                 (BinOp("==", Var("half"), Var("a")),))):
+        chain = compiled.handler_expr(
+            empty, lambda c: compile_comp(c, CHAIN_PROGRAM))
+        assert chain.scan_index is not None
+        graph = GraphContext(CHAIN_PROGRAM, snap, compiled, views=views)
+        assert graph.eval_comp(empty, {}) == frozenset() == \
+            InterpContext(CHAIN_PROGRAM, snap).eval_comp(empty, {})
+        assert chain.scan_index not in views
 
 
 @pytest.mark.parametrize("gens, own", [
