@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 from .ir import (
     Assign, BinOp, Comp, Data, Delete, Field, Fold, ForEach, Gen, In, Index,
     Len, Lit, Lookup, MakeRow, MergeMutation, Not, Program, Record, Return,
-    RangeOf, Send, Slice, TupleOf, UdfCall, Var, desugar_handler, kept,
+    RangeOf, Send, Slice, TupleOf, UdfCall, Var, kept, prepared,
     statement_exprs, walk_expr, _children,
 )
 
@@ -151,7 +151,7 @@ def classify_handler(h, p: Program) -> MonoClass:
         cls = classify_expression(h.guard, p, f"handler {h.name} guard")
         if not (isinstance(h.guard, BinOp) and _is_threshold(h.guard, p)):
             out = out & cls
-    for i, s in enumerate(desugar_handler(h)):
+    for i, s in enumerate(prepared(h).stmts):
         out = out & classify_statement(s, p, f"handler {h.name} stmt {i}")
     return out
 
@@ -230,18 +230,15 @@ def _handler_writes(h, p: Program) -> set:
         elif isinstance(s, (MergeMutation, Assign, Delete)):
             out.add(s.target.data)
 
-    for s in desugar_handler(h):
+    for s in prepared(h).stmts:
         visit(s)
     return out
 
 
 def _handler_reads(h, p: Program) -> set:
-    out = set()
-    exprs = []
-    if h.guard is not None:
-        exprs.append(h.guard)
-    exprs.extend(h.consistency.invariants)
-    for s in desugar_handler(h):
+    out, prep = set(), prepared(h)
+    exprs = [e for e in (prep.guard, *prep.invariants) if e is not None]
+    for s in prep.stmts:
         exprs.extend(statement_exprs(s))
     qmap = p.query_map
     seen_queries = set()

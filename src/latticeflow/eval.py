@@ -1,9 +1,10 @@
 """Expression evaluation shared by the direct interpreter and the operator
 runtime.
 
-Leaf evaluation (arithmetic, field access, membership) is common; the two
-backends differ in how they evaluate comprehensions and named queries, which
-they provide through the :class:`EvalContext` hooks.
+Each backend evaluates expressions its own way, through the
+:class:`EvalContext` hooks `eval`, `eval_comp` and `query_value`: the
+interpreter walks the tree with :func:`eval_expr`, which only it calls, and
+the graph backend compiles each expression (see `runtime`).
 
 A lookup on a missing key evaluates to the ``MISSING`` sentinel, which makes
 enclosing generators contribute nothing and guards evaluate false, keeping
@@ -57,14 +58,9 @@ class EvalContext:
     def eval_comp(self, e: Comp, env: dict) -> frozenset:
         raise NotImplementedError
 
-    def eval_in(self, e: In, env: dict):
-        """``e.item in e.coll``, or MISSING when either side is."""
-        item = eval_expr(e.item, env, self)
-        coll = eval_expr(e.coll, env, self)
-        if item is MISSING or coll is MISSING:
-            return MISSING
-        found = item in coll
-        return (not found) if e.negated else found
+    def eval(self, e, env: dict):
+        """The value of `e` under `env`: how handler statements evaluate."""
+        raise NotImplementedError
 
     # --- collections --------------------------------------------------------
     def table_rows(self, name: str):
@@ -230,27 +226,25 @@ def eval_expr(e, env: dict, ctx: EvalContext):
         v = eval_expr(e.expr, env, ctx)
         return MISSING if v is MISSING else not v
     if t is In:
-        return ctx.eval_in(e, env)
+        item = eval_expr(e.item, env, ctx)
+        coll = eval_expr(e.coll, env, ctx)
+        if item is MISSING or coll is MISSING:
+            return MISSING
+        return (item not in coll) if e.negated else (item in coll)
     if t is TupleOf:
         items = tuple(eval_expr(x, env, ctx) for x in e.items)
         if any(x is MISSING for x in items):
             return MISSING
         return items
-    if t is Record:
+    if t is Record or t is MakeRow:
         fields = {}
         for name, sub in e.fields:
             v = eval_expr(sub, env, ctx)
             if v is MISSING:
                 return MISSING
             fields[name] = v
-        return Row(fields)
-    if t is MakeRow:
-        fields = {}
-        for name, sub in e.fields:
-            v = eval_expr(sub, env, ctx)
-            if v is MISSING:
-                return MISSING
-            fields[name] = v
+        if t is Record:
+            return Row(fields)
         return default_row(ctx.program.class_map[e.cls], fields)
     if t is Comp:
         return ctx.eval_comp(e, env)

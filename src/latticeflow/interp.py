@@ -21,6 +21,9 @@ class InterpContext(EvalContext):
         self.rounds = {}
         self._qmemo = {}
 
+    def eval(self, e, env: dict):
+        return eval_expr(e, env, self)
+
     def eval_comp(self, e: Comp, env: dict) -> frozenset:
         out = set()
         gens = e.gens

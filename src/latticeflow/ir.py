@@ -9,13 +9,13 @@ format in :mod:`latticeflow.progjson`.
 Handlers are syntactic sugar: :func:`desugar_handler` rewrites a handler
 body into statements quantified over the handler's mailbox, with ``Return``
 turned into a send on the implicit ``<name><response>`` mailbox keyed by
-message id.
+message id; :func:`prepared` does it once per handler object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield, replace
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 from .lattice import FIELD_SHAPES
 
@@ -719,7 +719,7 @@ def validate(p: Program) -> ValidationReport:
             kind = "data" if h.name in datam else "query"
             rep.add("HandlerNameClash",
                     f"handler {h.name!r} has the name of a {kind}")
-        env = set(h.param_names) | {MESSAGE_ID, REPLY_TO}
+        env = set(_message_fields(h))
         if h.guard is not None:
             check_expr(h.guard, set(env), f"handler {h.name} guard")
         for inv in h.consistency.invariants:
@@ -809,6 +809,33 @@ def is_desugared(stmts, mailbox: str) -> bool:
     return True
 
 
+def _message_fields(h: Handler) -> dict:
+    """Each name a handler may read unbound, as a field of the message
+    `_MSG`: `validate` checks the handler in this scope."""
+    return {n: Field(Var(_MSG), n)
+            for n in h.param_names + (MESSAGE_ID, REPLY_TO)}
+
+
+class Prepared(NamedTuple):
+    """A handler's desugared statements, guard and invariants."""
+    stmts: tuple
+    guard: Optional[Expr]
+    invariants: tuple
+
+
+def prepared(h: Handler) -> Prepared:
+    """`h` prepared once and kept on it (see `kept`), so all its readers
+    share one set of expression objects, and so of closures compiled."""
+    return kept(h, "_prepared", _prepare)
+
+
+def _prepare(h: Handler) -> Prepared:
+    mapping = _message_fields(h)
+    return Prepared(tuple(desugar_handler(h)), _sub_when(h.guard, mapping),
+                    tuple(subst(inv, mapping)
+                          for inv in h.consistency.invariants))
+
+
 def desugar_handler(h: Handler) -> list:
     """Rewrite a handler body into mailbox-quantified statements.
 
@@ -818,8 +845,7 @@ def desugar_handler(h: Handler) -> list:
     if is_desugared(h.body, h.name):
         return list(h.body)
 
-    mapping = {p: Field(Var(_MSG), p) for p in h.param_names}
-    mapping[MESSAGE_ID] = Field(Var(_MSG), MESSAGE_ID)
+    mapping = _message_fields(h)
     mbox_gen = Gen(_MSG, Data(h.name))
 
     if any(_needs_foreach(s) for s in h.body):

@@ -18,8 +18,7 @@ subexpression that reads only names bound outside its chain is evaluated
 at most once per run of the chain, at its first use, so a run that never
 reaches it evaluates nothing. The interpreter (`interp`, with
 `eval.eval_expr`) stays the tree-walking oracle that this backend is
-tested against, and it still evaluates handler statements, apart from the
-memberships that `GraphContext.eval_in` compiles.
+tested against; this backend never calls it.
 
 Filters run in their written order: a filter over names the chain binds
 runs once they are bound, one that reads a name from outside the chain
@@ -76,9 +75,10 @@ that changed (see `_per_row_value`).
 Operators iterate sets in whatever order they come, and a generator over
 a table reads the table's rows in storage order; order is fixed only where
 it is observable, by `EvalContext.collection`, sends and canonical
-encoding. A comprehension or membership in a handler is compiled the first
-time it is evaluated and kept on the program's `CompiledQueries` (see
-`compile_queries`), so every later context reuses it.
+encoding. A handler's comprehension compiles to its chain, and any other
+expression it evaluates as a chain's do at a scope binding no slot
+(`GraphContext.eval`); each is kept by identity on the program's
+`CompiledQueries`, and `ir.prepared` gives all nodes the same objects.
 """
 
 from __future__ import annotations
@@ -449,6 +449,7 @@ def compile_comp(e: Comp, program, outer: Optional[_Scope] = None,
     if name is not None:
         raise ValueError(f"comprehension binds {name!r} twice")
     scope = outer.nested() if outer is not None else _Scope(program)
+    top = not scope.slots  # no enclosing chain binds a slot
     names = {n for g in e.gens for n in g.names}
     steps = []
     bound: set = set()
@@ -476,7 +477,7 @@ def compile_comp(e: Comp, program, outer: Optional[_Scope] = None,
             # a scan of a named collection, then this join on a key over the
             # scan's names alone: an index of the collection answers both
             first = steps[0]
-            if outer is None and len(steps) == 2 and first.kind == "expand" \
+            if top and len(steps) == 2 and first.kind == "expand" \
                     and first.per_row is None and _context_free(other) \
                     and _free_vars(other) <= bound:
                 scan_index = _oid("scanindex")
@@ -792,8 +793,8 @@ def run_chain(chain: Chain, env0: dict, ctx: "GraphContext",
 def _run(chain: Chain, slots: tuple, env0: dict, ctx,
          sources: _Sources) -> frozenset:
     env = dict(env0)  # the run's hoisted values join the outer names
-    # a chain with a scan index is top-level (see compile_comp), so
-    # `slots` is empty
+    # no enclosing chain binds a slot of a chain with a scan index (see
+    # compile_comp), so `slots` is empty
     rows = None if chain.scan_index is None \
         else _scan_join(chain, env, ctx, sources)
     if rows is None:
@@ -825,8 +826,8 @@ class CompiledQueries:
     plans: dict = dfield(default_factory=dict)        # non-recursive
     groups: list = dfield(default_factory=list)       # FixpointGroup
     group_of: dict = dfield(default_factory=dict)
-    # id(e) -> (e, compiled) for a Comp (a Chain) or an In (a closure)
-    # that a handler evaluates
+    # id(e) -> (e, compiled) for an expression a handler evaluates: a Chain
+    # for a Comp, a closure for any other (see GraphContext.eval)
     handler_exprs: dict = dfield(default_factory=dict)
 
     def handler_expr(self, e, build):
@@ -969,19 +970,20 @@ class GraphContext(EvalContext):
 
     def eval_comp(self, e: Comp, env: dict, slots: tuple = (),
                   chain: Optional[Chain] = None) -> frozenset:
-        """A comprehension nested in a compiled chain passes its own chain
-        and its enclosing row as `slots`. Any other is compiled the first
-        time it is seen and kept on `self.compiled`."""
+        """A compiled comprehension passes its chain, and its enclosing row
+        as `slots`; any other is compiled once, kept on `self.compiled`."""
         if chain is None:
             chain = self.compiled.handler_expr(
                 e, lambda c: compile_comp(c, self.program))
         return run_chain(chain, env, self, slots=slots)
 
-    def eval_in(self, e: In, env: dict):
-        """The membership compiled like a chain's, so that a key membership
-        is a dict lookup; kept on `self.compiled`."""
+    def eval(self, e, env: dict):
+        """`e` run by `eval_comp` if a Comp, else compiled as a chain compiles
+        it at a scope binding no slot, once, and kept on `self.compiled`."""
+        if type(e) is Comp:
+            return self.eval_comp(e, env)
         fn = self.compiled.handler_expr(
-            e, lambda m: _node(m, _Scope(self.program), False))
+            e, lambda x: _node(x, _Scope(self.program), False))
         return fn((), env, self)
 
     def input_value(self, name: str):

@@ -5,6 +5,11 @@ it, buffers the resulting effects, and commits them atomically at the end of
 the tick. Sends buffered during a tick become visible no earlier than the
 next tick, even to the sending node itself.
 
+Every expression of a handler is evaluated by the context's `eval` hook,
+each backend's own evaluator. Handlers are prepared once per handler object
+(`ir.prepared`), so on the graph backend every node of a program, recovered
+ones included, runs the same compiled closures.
+
 Handlers marked serializable process at most one request per tick: the
 request runs against a forked copy of the state, the handler's invariants
 are checked on the outcome, and the fork is either adopted (accepted) or
@@ -30,12 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 from typing import Optional
 
-from .eval import MISSING, _order_key, bind, eval_expr, truthy
+from .eval import MISSING, _order_key, bind, truthy
 from .interp import InterpContext
 from .ir import (
-    Assign, Comp, Delete, Field, ForEach, Handler, MergeMutation, Program,
-    Send, UdfCall, Var, _MSG, MESSAGE_ID, REPLY_TO, desugar_handler,
-    response_mailbox, subst,
+    Assign, Delete, ForEach, Handler, MergeMutation, Program, Send, UdfCall,
+    _MSG, MESSAGE_ID, REPLY_TO, prepared,
 )
 from .runtime import GraphContext, compile_queries
 from .state import Effects, NodeState, OutMsg, Row, storage_key
@@ -50,15 +54,7 @@ class TickResult:
     fired: list = dfield(default_factory=list)        # handler names that consumed input
     sends: list = dfield(default_factory=list)        # OutMsg
     statuses: dict = dfield(default_factory=dict)     # message_id -> accepted/rejected
-    rounds: dict = dfield(default_factory=dict)       # fixpoint group -> iterations
     udf_invocations: int = 0
-
-
-def _param_mapping(h: Handler):
-    m = {p: Field(Var(_MSG), p) for p in h.param_names}
-    m[MESSAGE_ID] = Field(Var(_MSG), MESSAGE_ID)
-    m[REPLY_TO] = Field(Var(_MSG), REPLY_TO)
-    return m
 
 
 class Transducer:
@@ -76,15 +72,9 @@ class Transducer:
         self.handlers = sorted(
             (h for h in program.handlers if role is None or h.role == role),
             key=lambda h: h.name)
-        self.desugared = {h.name: desugar_handler(h) for h in self.handlers}
-        self.idle_when_empty = {name: all(map(_inert_when_empty, stmts))
-                                for name, stmts in self.desugared.items()}
-        self.guards = {h.name: (subst(h.guard, _param_mapping(h))
-                                if h.guard is not None else None)
-                       for h in self.handlers}
-        self.invariants = {h.name: tuple(subst(inv, _param_mapping(h))
-                                         for inv in h.consistency.invariants)
-                           for h in self.handlers}
+        self.prepared = {h.name: prepared(h) for h in self.handlers}
+        self.idle_when_empty = {name: all(map(_inert_when_empty, p.stmts))
+                                for name, p in self.prepared.items()}
         self.compiled = compile_queries(program) if backend == "graph" else None
         self.views: dict = {}     # recursive query results kept between ticks
         self.outputs: dict = {}   # non-handler mailbox -> delivered payloads
@@ -106,14 +96,10 @@ class Transducer:
     def _eligible(self, h: Handler, ctx) -> list:
         """Pending messages whose guard passes, in arrival order."""
         pending = self.state.mailboxes.get(h.name, [])
-        guard = self.guards[h.name]
+        guard = self.prepared[h.name].guard
         if guard is None:
             return list(pending)
-        out = []
-        for msg in pending:
-            if truthy(eval_expr(guard, {_MSG: msg}, ctx)):
-                out.append(msg)
-        return out
+        return [msg for msg in pending if truthy(ctx.eval(guard, {_MSG: msg}))]
 
     # --- tick ---------------------------------------------------------------
     def tick(self) -> TickResult:
@@ -134,7 +120,6 @@ class Transducer:
             self._run_serializable(h, ctx, result)
 
         self.state.tick += 1
-        result.rounds = dict(ctx.rounds)
         result.udf_invocations = ctx.udf_invocations
         return result
 
@@ -142,15 +127,9 @@ class Transducer:
         msgs = self._eligible(h, ctx)
         if not msgs and self.idle_when_empty[h.name]:
             return
-        stmts = self.desugared[h.name]
         ctx.firing[h.name] = tuple(msgs)
         try:
-            for s in stmts:
-                if isinstance(s, ForEach):
-                    for msg in msgs:
-                        self._run_body(s.body, {s.binder: msg}, ctx, eff, msg)
-                else:
-                    self._run_stmt(s, {}, ctx, eff, None)
+            self._run_stmts(h, msgs, ctx, eff, None)
         finally:
             ctx.firing.pop(h.name, None)
         if msgs:
@@ -162,23 +141,17 @@ class Transducer:
         if not msgs:
             return
         msg = msgs[0]
-        stmts = self.desugared[h.name]
         fork = self.state.fork()
         eff = Effects()
         fctx = self._context(fork.snapshot())
         fctx.firing[h.name] = (msg,)
-        env = {_MSG: msg}
-        for s in stmts:
-            if isinstance(s, ForEach):
-                self._run_body(s.body, dict(env), fctx, eff, msg)
-            else:
-                self._run_stmt(s, {}, fctx, eff, msg)
+        self._run_stmts(h, (msg,), fctx, eff, msg)
         eff.consumed.setdefault(h.name, []).append(msg)
         fork.commit(eff)
 
         check = self._context(fork.snapshot())
-        ok = all(truthy(eval_expr(inv, {_MSG: msg}, check))
-                 for inv in self.invariants[h.name])
+        ok = all(truthy(check.eval(inv, {_MSG: msg}))
+                 for inv in self.prepared[h.name].invariants)
         mid = msg.get(MESSAGE_ID)
         if ok:
             self.state.tables = fork.tables
@@ -196,30 +169,37 @@ class Transducer:
             result.statuses[mid] = status
 
     # --- statement execution ------------------------------------------------
+    def _run_stmts(self, h: Handler, msgs, ctx, eff: Effects, msg: Optional[Row]):
+        """The handler's statements: a loop body once per message of `msgs`,
+        any other statement once, with `msg` as the message it answers."""
+        for s in self.prepared[h.name].stmts:
+            if isinstance(s, ForEach):
+                for m in msgs:
+                    self._run_body(s.body, {s.binder: m}, ctx, eff, m)
+            else:
+                self._run_stmt(s, {}, ctx, eff, msg)
+
     def _run_body(self, body, env: dict, ctx, eff: Effects, msg: Optional[Row]):
-        env = dict(env)
+        """`body` under `env`, a dict of its own that a UDF binder extends."""
         for s in body:
             self._run_stmt(s, env, ctx, eff, msg)
 
     def _run_stmt(self, s, env: dict, ctx, eff: Effects, msg: Optional[Row]):
         when = getattr(s, "when", None)
-        if when is not None and not truthy(eval_expr(when, env, ctx)):
+        if when is not None and not truthy(ctx.eval(when, env)):
             return
         if isinstance(s, MergeMutation):
             self._do_merge(s, env, ctx, eff)
         elif isinstance(s, Assign):
             self._do_assign(s, env, ctx, eff)
         elif isinstance(s, Delete):
-            key = None
-            if s.target.key is not None:
-                key = self._key(s.target, env, ctx)
-                if key is MISSING:
-                    return
-            eff.deletes.append((s.target.data, key))
+            key = None if s.target.key is None else self._key(s.target, env, ctx)
+            if key is not MISSING:
+                eff.deletes.append((s.target.data, key))
         elif isinstance(s, Send):
             self._do_send(s, env, ctx, eff, msg)
         elif isinstance(s, UdfCall):
-            args = tuple(eval_expr(a, env, ctx) for a in s.args)
+            args = tuple(ctx.eval(a, env) for a in s.args)
             if any(a is MISSING for a in args):
                 return
             value = ctx.call_udf(s.udf, args)
@@ -234,14 +214,14 @@ class Transducer:
     def _key(self, target, env, ctx):
         """The storage key of the row `target` writes (see
         `state.storage_key`), or MISSING."""
-        value = eval_expr(target.key, env, ctx)
+        value = ctx.eval(target.key, env)
         if value is MISSING:
             return MISSING
         cls = self.program.data_map[target.data].cls
         return storage_key(self.program.class_map[cls], value)
 
     def _do_merge(self, s: MergeMutation, env, ctx, eff: Effects):
-        value = eval_expr(s.expr, env, ctx)
+        value = ctx.eval(s.expr, env)
         if value is MISSING:
             return
         d = self.program.data_map[s.target.data]
@@ -270,7 +250,7 @@ class Transducer:
                 eff.var_merges.append((s.target.data, value))
 
     def _do_assign(self, s: Assign, env, ctx, eff: Effects):
-        value = eval_expr(s.expr, env, ctx)
+        value = ctx.eval(s.expr, env)
         if value is MISSING:
             return
         d = self.program.data_map[s.target.data]
@@ -286,12 +266,10 @@ class Transducer:
             eff.assign((s.target.data, None, None), value)
 
     def _do_send(self, s: Send, env, ctx, eff: Effects, msg: Optional[Row]):
-        value = eval_expr(s.expr, env, ctx)
+        value = ctx.eval(s.expr, env)
         if value is MISSING:
             return
-        hint = None
-        if msg is not None and REPLY_TO in msg:
-            hint = msg[REPLY_TO]
+        hint = msg.get(REPLY_TO) if msg is not None else None
         payloads = (sorted(value, key=_order_key)
                     if isinstance(value, frozenset) else [value])
         for p in payloads:

@@ -1,12 +1,14 @@
 """Deterministic network simulation: delays, duplication, failures."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from latticeflow.facets import make_topology, replication_plan
-from latticeflow.ir import MESSAGE_ID
+from latticeflow.ir import MESSAGE_ID, AvailSpec
 from latticeflow.patterns import covid_tracker, covid_workload, run_workload
+from latticeflow.runtime import compile_queries
 from latticeflow.scenario import Scenario, build_scenario_cluster
 from latticeflow.sim import Cluster, NetworkModel, NoQuiescence, trace_text
 from latticeflow.state import FixpointDivergence, Row
@@ -134,6 +136,31 @@ def test_recovered_node_rejoins_empty():
     after = cluster.node_state(victim)
     assert before != after
     assert after["tables"]["people"] == {} or after["tables"]["people"] == []
+
+
+def test_every_node_of_a_program_runs_one_compiled_handler():
+    """A handler's expressions are compiled once per program: a run with
+    three replicas of each handler, and a node that crashed and recovered
+    and then ran more requests, keep as many compiled expressions as a run
+    with one replica."""
+    three = covid_tracker().program
+    one = replace(three, availability={"default": AvailSpec("az", 0)})
+    sizes = []
+    for program in (one, three):
+        cluster = run_workload(program, covid_workload(2), seed=2)
+        sizes.append(len(compile_queries(program).handler_exprs))
+    assert len(cluster.nodes) > len(run_workload(one, []).nodes)
+    victim = sorted(cluster.nodes)[0]
+    cluster.inject_failure(cluster.specs[victim].domain)
+    cluster.recover(victim)
+    for i, (handler, fields) in enumerate(
+            (("add_person", {"pid": 9, "name": "z", "country": "x"}),
+             ("add_contact", {"pid": 9, "contact": 1}))):
+        cluster.schedule_request(cluster.tick + i, "c1", handler, fields)
+    cluster.run_to_quiescence()
+    assert any(e.kind == "Recovered" for e in cluster.trace)
+    sizes.append(len(compile_queries(three).handler_exprs))
+    assert sizes[0] > 0 and sizes == [sizes[0]] * 3
 
 
 def test_recovered_node_keeps_the_round_cap():
