@@ -105,6 +105,10 @@ def cmd_simulate(args) -> int:
         except NODE_FAILURES as exc:
             where = (f" at tick {exc.tick} on node {exc.node_id}"
                      if hasattr(exc, "node_id") else "")
+            handlers = getattr(exc, "handlers", ())
+            if handlers:
+                where += (f" in handler{'s' if len(handlers) > 1 else ''} "
+                          f"{', '.join(handlers)}")
             print(f"seed {seed}: {type(exc).__name__}{where}: {exc}",
                   file=sys.stderr)
             return EXIT_RUNTIME

@@ -36,10 +36,8 @@ from dataclasses import dataclass, field as dfield
 from typing import Optional
 
 from .ir import MESSAGE_ID, Program, response_mailbox
-from .lattice import IntOverflow, ShapeMismatch
-from .state import (AmbiguousAssign, BindError, FixpointDivergence, Row,
-                    UdfFailure, canonical_state, encode_value)
-from .transducer import Transducer
+from .state import Row, canonical_state, encode_value
+from .transducer import NODE_FAILURES, Transducer
 
 ORDERED = "_ordered"
 
@@ -48,12 +46,6 @@ DOMAIN_LEVELS = ("dc", "az", "rack", "vm")
 
 class NoQuiescence(Exception):
     """The cluster still had activity at the tick limit."""
-
-
-# what a node's tick raises on a defect of the program it runs; `step` adds
-# the node id and the tick to the exception as `node_id` and `tick`
-NODE_FAILURES = (UdfFailure, FixpointDivergence, AmbiguousAssign,
-                 ShapeMismatch, IntOverflow, BindError)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,19 @@
 """Per-node transducer state: tables, vars, mailboxes, and the end-of-tick
 commit of buffered effects.
 
-Tables and vars are mutated only between ticks; all reads during a tick go
-against an immutable snapshot. Rows are frozen mappings so snapshots are
-cheap shallow copies.
+Tables and vars change only between ticks; all reads during a tick go
+against a snapshot. State is persistent at container granularity: commit
+and deliver replace a table dict or a mailbox list, and never mutate one
+that a snapshot or fork may hold. Commit copies a table dict at most once,
+the first time it writes it. So a snapshot or fork copies only the outer
+dicts of tables, vars and mailboxes; rows are frozen mappings and shared.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dfield
-from typing import Mapping, Optional
+from typing import Mapping
 
 from . import lattice
 from .ir import ClassDecl, DataDecl, Program, kept
@@ -117,7 +120,6 @@ def storage_key(cls: ClassDecl, value) -> tuple:
 class OutMsg:
     mailbox: str
     payload: Row
-    dest_hint: Optional[str] = None  # reply-to routing for responses
 
 
 @dataclass
@@ -141,7 +143,9 @@ class Effects:
 
 
 class NodeState:
-    """Mutable between ticks only; reads during a tick use `snapshot()`."""
+    """Changed between ticks only; reads during a tick use `snapshot()`.
+    Every change replaces the table dict or mailbox list it touches (see
+    the module docstring), so snapshots and forks share the rest."""
 
     def __init__(self, program: Program):
         self.program = program
@@ -160,43 +164,49 @@ class NodeState:
 
     # --- snapshots ----------------------------------------------------------
     def snapshot(self) -> "Snapshot":
-        return Snapshot(
-            tables={n: dict(t) for n, t in self.tables.items()},
-            vars=dict(self.vars),
-            mailboxes={n: list(m) for n, m in self.mailboxes.items()},
-        )
+        """The state as it is now; it shares every table dict and mailbox
+        list, which no later commit or deliver mutates."""
+        return Snapshot(tables=dict(self.tables), vars=dict(self.vars),
+                        mailboxes=dict(self.mailboxes))
 
     def fork(self) -> "NodeState":
-        """Cheap copy for rollback; rows and values are immutable."""
+        """A copy for rollback that shares every table dict and mailbox
+        list with this state until one of the two replaces it."""
         other = NodeState.__new__(NodeState)
         other.program = self.program
-        other.tables = {n: dict(t) for n, t in self.tables.items()}
+        other.tables = dict(self.tables)
         other.vars = dict(self.vars)
-        other.mailboxes = {n: list(m) for n, m in self.mailboxes.items()}
+        other.mailboxes = dict(self.mailboxes)
         other.tick = self.tick
         return other
 
     def deliver(self, mailbox: str, payload: Row):
-        self.mailboxes.setdefault(mailbox, []).append(payload)
+        self.mailboxes[mailbox] = [*self.mailboxes.get(mailbox, ()), payload]
 
     # --- commit -------------------------------------------------------------
+    def _own(self, name: str, owned: set) -> dict:
+        """Table `name`, copied the first time this commit writes it, so
+        the dict that a snapshot or fork holds is left as it was."""
+        if name not in owned:
+            owned.add(name)
+            self.tables[name] = dict(self.tables[name])
+        return self.tables[name]
+
     def commit(self, eff: Effects):
         classes = self.program.class_map
         datam = self.program.data_map
-
-        def table_cls(name) -> ClassDecl:
-            return classes[datam[name].cls]
+        owned: set = set()   # tables this commit has copied
 
         for name, row in eff.table_merges:
-            cls = table_cls(name)
+            cls = classes[datam[name].cls]
             full = default_row(cls, row)
             key = row_key(cls, full)
-            table = self.tables[name]
+            table = self._own(name, owned)
             table[key] = merge_rows(cls, table[key], full) if key in table else full
 
         for name, key, fname, value in eff.field_merges:
-            cls = table_cls(name)
-            table = self.tables[name]
+            cls = classes[datam[name].cls]
+            table = self._own(name, owned)
             if key in table:
                 old = table[key]
             else:
@@ -214,8 +224,8 @@ class NodeState:
             if key is None and fname is None:
                 self.vars[name] = value
             else:
-                cls = table_cls(name)
-                table = self.tables[name]
+                cls = classes[datam[name].cls]
+                table = self._own(name, owned)
                 if key in table:
                     old = table[key]
                 else:
@@ -226,8 +236,9 @@ class NodeState:
             if name in self.tables:
                 if key is None:
                     self.tables[name] = {}
+                    owned.add(name)
                 else:
-                    self.tables[name].pop(key, None)
+                    self._own(name, owned).pop(key, None)
             else:
                 d = datam[name]
                 self.vars[name] = (lattice.bottom(d.shape)

@@ -11,9 +11,13 @@ each backend's own evaluator. Handlers are prepared once per handler object
 ones included, runs the same compiled closures.
 
 Handlers marked serializable process at most one request per tick: the
-request runs against a forked copy of the state, the handler's invariants
-are checked on the outcome, and the fork is either adopted (accepted) or
-discarded (rejected).
+request runs against a fork of the state, the handler's invariants are
+checked on the outcome, and the fork is either adopted (accepted) or
+discarded (rejected). A fork and its snapshots share every table dict and
+mailbox list with the node, since commit and deliver replace, and never
+mutate, one (see `state`): a request copies only the tables it writes, an
+accepted one leaves the node's other tables the same objects, and a
+rejected one leaves every table so.
 
 An eventual handler with no eligible message is skipped when none of its
 desugared statements can act on an empty mailbox (see `_inert_when_empty`),
@@ -33,19 +37,28 @@ A recovered node is a new Transducer and starts with none.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from typing import Optional
 
 from .eval import MISSING, _order_key, bind, truthy
 from .interp import InterpContext
 from .ir import (
     Assign, Delete, ForEach, Handler, MergeMutation, Program, Send, UdfCall,
-    _MSG, MESSAGE_ID, REPLY_TO, prepared,
+    _MSG, MESSAGE_ID, prepared,
 )
+from .lattice import IntOverflow, ShapeMismatch
 from .runtime import GraphContext, compile_queries
-from .state import Effects, NodeState, OutMsg, Row, storage_key
+from .state import (
+    AmbiguousAssign, BindError, Effects, FixpointDivergence, NodeState,
+    OutMsg, Row, UdfFailure, storage_key,
+)
 
 ACCEPTED = "accepted"
 REJECTED = "rejected"
+
+# what a tick raises on a defect of the program it runs; `Transducer.tick`
+# names the handlers it blames in the exception's `handlers`, and
+# `sim.Cluster.step` adds the node id and the tick as `node_id` and `tick`
+NODE_FAILURES = (UdfFailure, FixpointDivergence, AmbiguousAssign,
+                 ShapeMismatch, IntOverflow, BindError)
 
 
 @dataclass
@@ -94,47 +107,62 @@ class Transducer:
         return any(self.state.mailboxes.get(h.name) for h in self.handlers)
 
     def _eligible(self, h: Handler, ctx) -> list:
-        """Pending messages whose guard passes, in arrival order."""
+        """Pending messages whose guard passes, in arrival order; with no
+        guard, the mailbox list itself, which is never mutated."""
         pending = self.state.mailboxes.get(h.name, [])
         guard = self.prepared[h.name].guard
         if guard is None:
-            return list(pending)
+            return pending
         return [msg for msg in pending if truthy(ctx.eval(guard, {_MSG: msg}))]
 
     # --- tick ---------------------------------------------------------------
     def tick(self) -> TickResult:
+        """One tick. A `NODE_FAILURES` exception leaves it with `handlers`,
+        the names of the handlers it is blamed on: the one that raised, or,
+        when the commit of the eventual effects raises, every eventual
+        handler whose statements ran."""
         snap = self.state.snapshot()
         ctx = self._context(snap)
         result = TickResult(tick=self.state.tick)
         eff = Effects()
         serializable = []
-        for h in self.handlers:
-            if h.consistency.level == "serializable":
-                serializable.append(h)
-                continue
-            self._run_eventual(h, ctx, eff, result)
-        self.state.commit(eff)
-        result.sends.extend(eff.sends)
+        ran = []
+        h = None
+        try:
+            for h in self.handlers:
+                if h.consistency.level == "serializable":
+                    serializable.append(h)
+                elif self._run_eventual(h, ctx, eff, result):
+                    ran.append(h.name)
+            h = None
+            self.state.commit(eff)
+            result.sends.extend(eff.sends)
 
-        for h in serializable:
-            self._run_serializable(h, ctx, result)
+            for h in serializable:
+                self._run_serializable(h, ctx, result)
+        except NODE_FAILURES as exc:
+            exc.handlers = (h.name,) if h is not None else tuple(ran)
+            raise
 
         self.state.tick += 1
         result.udf_invocations = ctx.udf_invocations
         return result
 
-    def _run_eventual(self, h: Handler, ctx, eff: Effects, result: TickResult):
+    def _run_eventual(self, h: Handler, ctx, eff: Effects,
+                      result: TickResult) -> bool:
+        """Run `h` on its eligible messages; whether its statements ran."""
         msgs = self._eligible(h, ctx)
         if not msgs and self.idle_when_empty[h.name]:
-            return
+            return False
         ctx.firing[h.name] = tuple(msgs)
         try:
-            self._run_stmts(h, msgs, ctx, eff, None)
+            self._run_stmts(h, msgs, ctx, eff)
         finally:
             ctx.firing.pop(h.name, None)
         if msgs:
             eff.consumed.setdefault(h.name, []).extend(msgs)
             result.fired.append(h.name)
+        return True
 
     def _run_serializable(self, h: Handler, ctx, result: TickResult):
         msgs = self._eligible(h, ctx)
@@ -145,7 +173,7 @@ class Transducer:
         eff = Effects()
         fctx = self._context(fork.snapshot())
         fctx.firing[h.name] = (msg,)
-        self._run_stmts(h, (msg,), fctx, eff, msg)
+        self._run_stmts(h, (msg,), fctx, eff)
         eff.consumed.setdefault(h.name, []).append(msg)
         fork.commit(eff)
 
@@ -169,22 +197,22 @@ class Transducer:
             result.statuses[mid] = status
 
     # --- statement execution ------------------------------------------------
-    def _run_stmts(self, h: Handler, msgs, ctx, eff: Effects, msg: Optional[Row]):
+    def _run_stmts(self, h: Handler, msgs, ctx, eff: Effects):
         """The handler's statements: a loop body once per message of `msgs`,
-        any other statement once, with `msg` as the message it answers."""
+        any other statement once."""
         for s in self.prepared[h.name].stmts:
             if isinstance(s, ForEach):
                 for m in msgs:
-                    self._run_body(s.body, {s.binder: m}, ctx, eff, m)
+                    self._run_body(s.body, {s.binder: m}, ctx, eff)
             else:
-                self._run_stmt(s, {}, ctx, eff, msg)
+                self._run_stmt(s, {}, ctx, eff)
 
-    def _run_body(self, body, env: dict, ctx, eff: Effects, msg: Optional[Row]):
+    def _run_body(self, body, env: dict, ctx, eff: Effects):
         """`body` under `env`, a dict of its own that a UDF binder extends."""
         for s in body:
-            self._run_stmt(s, env, ctx, eff, msg)
+            self._run_stmt(s, env, ctx, eff)
 
-    def _run_stmt(self, s, env: dict, ctx, eff: Effects, msg: Optional[Row]):
+    def _run_stmt(self, s, env: dict, ctx, eff: Effects):
         when = getattr(s, "when", None)
         if when is not None and not truthy(ctx.eval(when, env)):
             return
@@ -197,7 +225,7 @@ class Transducer:
             if key is not MISSING:
                 eff.deletes.append((s.target.data, key))
         elif isinstance(s, Send):
-            self._do_send(s, env, ctx, eff, msg)
+            self._do_send(s, env, ctx, eff)
         elif isinstance(s, UdfCall):
             args = tuple(ctx.eval(a, env) for a in s.args)
             if any(a is MISSING for a in args):
@@ -207,7 +235,7 @@ class Transducer:
                 env[s.binder] = value
         elif isinstance(s, ForEach):
             for m in ctx.snapshot.mailboxes.get(s.mailbox, []):
-                self._run_body(s.body, bind(env, s.binder, m), ctx, eff, m)
+                self._run_body(s.body, bind(env, s.binder, m), ctx, eff)
         else:
             raise TypeError(f"unknown statement: {s!r}")
 
@@ -265,17 +293,16 @@ class Transducer:
                 value = lattice.wrap(value, d.shape)
             eff.assign((s.target.data, None, None), value)
 
-    def _do_send(self, s: Send, env, ctx, eff: Effects, msg: Optional[Row]):
+    def _do_send(self, s: Send, env, ctx, eff: Effects):
         value = ctx.eval(s.expr, env)
         if value is MISSING:
             return
-        hint = msg.get(REPLY_TO) if msg is not None else None
         payloads = (sorted(value, key=_order_key)
                     if isinstance(value, frozenset) else [value])
         for p in payloads:
             if not isinstance(p, Row):
                 raise TypeError(f"send to {s.mailbox!r} needs records, got {p!r}")
-            eff.sends.append(OutMsg(s.mailbox, p, hint))
+            eff.sends.append(OutMsg(s.mailbox, p))
 
     # --- local loop ----------------------------------------------------------
     def pump(self, result: TickResult):

@@ -72,8 +72,7 @@ def bfs_closure(edges) -> frozenset:
 
 def loaded_state(program: Program, edges) -> NodeState:
     st = NodeState(program)
-    for a, b in edges:
-        st.tables["edges"][(a, b)] = Row(a=a, b=b)
+    st.tables["edges"] = {(a, b): Row(a=a, b=b) for a, b in edges}
     return st
 
 

@@ -154,7 +154,7 @@ def test_simulate_reports_a_failing_udf_without_a_traceback(tmp_path, capsys):
     assert main(["simulate", str(path)]) == EXIT_RUNTIME
     err = capsys.readouterr().err
     assert re.fullmatch(
-        r"seed 3: UdfFailure at tick \d+ on node n\d+: "
+        r"seed 3: UdfFailure at tick \d+ on node n\d+ in handler estimate: "
         r"udf 'not_registered' has no host implementation\n", err), err
 
 
@@ -253,7 +253,7 @@ def test_simulate_reports_a_value_that_does_not_fit_its_lattice(
     assert main(["simulate", str(path)]) == EXIT_RUNTIME
     err = capsys.readouterr().err
     assert re.fullmatch(
-        r"seed 3: ShapeMismatch at tick \d+ on node n\d+: "
+        r"seed 3: ShapeMismatch at tick \d+ on node n\d+ in handler bump: "
         r"cannot merge 'abc' into a max lattice\n", err), err
 
 
@@ -277,7 +277,8 @@ def test_simulate_reports_a_tuple_of_the_wrong_length(tmp_path, capsys):
     assert main(["simulate", str(path)]) == EXIT_RUNTIME
     err = capsys.readouterr().err
     assert re.fullmatch(
-        r"seed 3: BindError at tick \d+ on node n\d+: binder \('a', 'b'\) "
+        r"seed 3: BindError at tick \d+ on node n\d+ in handler get: "
+        r"binder \('a', 'b'\) "
         r"needs 2 values, got \(1, 1, 1\)\n", err), err
 
 
@@ -348,14 +349,65 @@ def test_the_demo_trace_is_byte_identical(tmp_path):
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == DEMO_TRACE_SHA256
 
 
-@pytest.mark.parametrize("hash_seed", ["1", "2"])
-def test_the_demo_trace_does_not_depend_on_the_hash_seed(tmp_path, hash_seed):
-    # operators iterate sets in hash order, which PYTHONHASHSEED changes
-    # from one process to the next; only a new process can try another
+def trace_in_a_new_process(tmp_path, scenario, hash_seed, *args):
+    """sha256 of the trace `simulate` writes for `scenario` in a process of
+    its own under PYTHONHASHSEED `hash_seed`: operators iterate sets in hash
+    order, which that seed changes, and only a new process can try another."""
     trace = tmp_path / "trace.jsonl"
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
     subprocess.run([sys.executable, "-m", "latticeflow.cli", "simulate",
-                    str(DEMO), "--seed", "9", "--trace", str(trace)],
+                    str(scenario), *args, "--trace", str(trace)],
                    env=env, check=True, capture_output=True, timeout=120)
-    assert hashlib.sha256(trace.read_bytes()).hexdigest() == DEMO_TRACE_SHA256
+    return hashlib.sha256(trace.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_the_demo_trace_does_not_depend_on_the_hash_seed(tmp_path, hash_seed):
+    assert trace_in_a_new_process(tmp_path, DEMO, hash_seed, "--seed", "9") \
+        == DEMO_TRACE_SHA256
+
+
+def sequenced_scenario() -> dict:
+    """Eighteen serializable `vaccinate` requests, three a tick, queue at the
+    sequencer with six doses in stock, and one in five names a pid that is
+    no person, so some are accepted and some rejected; messages are
+    duplicated, and the sequencer's zone crashes while requests wait."""
+    workload = [{"tick": 0, "client": "c0", "handler": "add_person",
+                 "fields": {"pid": pid, "name": f"p{pid}", "country": country}}
+                for pid, country in ((1, "ar"), (2, "br"), (3, "cl"), (4, "ar"))]
+    workload += [{"tick": 3 + i // 3, "client": f"c{i % 3}",
+                  "handler": "vaccinate", "fields": {"pid": 1 + i % 5}}
+                 for i in range(18)]
+    program = covid_program(coordinated=True, vaccine_count=6)
+    return scenario_dict(
+        program=json.loads(program_to_json(program)), seed=5,
+        network={"delay_min": 1, "delay_max": 6, "dup_prob": 0.2},
+        workload=workload, failures=[{"tick": 9, "domain": ["dc0", "az0"]}])
+
+
+# sha256 of the trace of `sequenced_scenario`, which the demo's trace does
+# not cover: it has no serializable request
+SEQUENCED_TRACE_SHA256 = \
+    "243a44706dcd1f8556459cd22aa0bd71dca71f69015e63fe931e24bfc8f56ac5"
+
+
+def test_the_sequenced_trace_is_byte_identical(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(sequenced_scenario()))
+    trace = tmp_path / "trace.jsonl"
+    assert main(["simulate", str(path), "--trace", str(trace)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert '"status": "accepted"' in out and '"status": "rejected"' in out
+    assert '"kind": "Crashed"' in trace.read_text()
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == \
+        SEQUENCED_TRACE_SHA256
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_the_sequenced_trace_does_not_depend_on_the_hash_seed(tmp_path,
+                                                               hash_seed):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(sequenced_scenario()))
+    assert trace_in_a_new_process(tmp_path, path, hash_seed) == \
+        SEQUENCED_TRACE_SHA256

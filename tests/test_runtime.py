@@ -20,8 +20,10 @@ from latticeflow.ir import (
 from latticeflow.runtime import (
     GraphContext, NonMonotoneRecursion, compile_comp, compile_queries,
 )
+from latticeflow.lattice import ShapeMismatch
 from latticeflow.state import (
-    BindError, FixpointDivergence, NodeState, Row, canonical_state,
+    BindError, Effects, FixpointDivergence, NodeState, Row, UdfFailure,
+    canonical_state,
 )
 from latticeflow.transducer import Transducer
 
@@ -365,6 +367,104 @@ def test_serializable_reject_leaves_state_untouched():
     assert r.statuses == {"m0": "rejected"}
     assert t.state.vars["n"] == 1
     assert not t.has_pending_input()
+
+
+# --- copy-on-write state ---------------------------------------------------------
+
+def ledger_program() -> Program:
+    """A serializable `spend` that takes one from `n`, refused below zero,
+    and tags an item; an eventual `note` tags a row of `log`."""
+    spend = Handler(
+        "spend", {"k": "int"},
+        (Assign(TargetPath("n"), BinOp("-", Data("n"), Lit(1))),
+         MergeMutation(TargetPath("items", Var("k"), "tags"), Lit(1))),
+        consistency=ConsistencySpec(
+            "serializable", invariants=(BinOp(">=", Data("n"), Lit(0)),)))
+    note = Handler("note", {"k": "int"},
+                   (MergeMutation(TargetPath("log", Var("k"), "tags"), Lit(1)),))
+    return Program("ledger", classes=(ITEM,),
+                   data=(DataDecl("items", "table", cls="Item"),
+                         DataDecl("log", "table", cls="Item"),
+                         DataDecl("n", "var", scalar="int", init=1)),
+                   handlers=(spend, note))
+
+
+def test_a_snapshot_or_fork_is_unchanged_by_a_later_commit_and_deliver():
+    state = NodeState(ledger_program())
+    state.commit(Effects(table_merges=[
+        ("items", Row(k=k, v=0, tags=frozenset())) for k in (1, 2)]))
+    state.deliver("note", request(0, k=1))
+    snap, fork = state.snapshot(), state.fork()
+    held = (dict(snap.tables["items"]), dict(snap.tables["log"]),
+            list(snap.mailboxes["note"]), dict(snap.vars))
+
+    state.commit(Effects(
+        table_merges=[("items", Row(k=3, v=0, tags=frozenset()))],
+        field_merges=[("items", (1,), "tags", 5), ("log", (1,), "tags", 5)],
+        assigns={("items", (2,), "v"): 7, ("n", None, None): 0},
+        deletes=[("items", (2,)), ("log", None)],
+        consumed={"note": [request(0, k=1)]}))
+    state.deliver("note", request(1, k=2))
+    state.deliver("spend", request(2, k=2))
+    assert (snap.tables["items"], snap.tables["log"], snap.mailboxes["note"],
+            snap.vars) == held
+    assert (fork.tables["items"], fork.tables["log"], fork.mailboxes["note"],
+            fork.vars) == held
+
+    fork.commit(Effects(field_merges=[("items", (3,), "tags", 6)],
+                        consumed={"note": [request(0, k=1)]}))
+    fork.deliver("spend", request(3, k=3))
+    assert state.tables["items"].keys() == {(1,), (3,)}
+    assert state.tables["items"][(3,)]["tags"] == frozenset()
+    assert state.mailboxes["note"] == [request(1, k=2)]
+    assert state.mailboxes["spend"] == [request(2, k=2)]
+
+
+def test_a_serializable_request_replaces_only_the_tables_it_wrote():
+    t = Transducer(ledger_program())
+    t.deliver("note", request(0, k=1))
+    t.tick()
+    tables = dict(t.state.tables)
+
+    t.deliver("spend", request(1, k=1))
+    assert t.tick().statuses == {"m1": "accepted"}
+    assert t.state.tables["items"] is not tables["items"]
+    assert t.state.tables["log"] is tables["log"]
+    tables = dict(t.state.tables)
+
+    t.deliver("spend", request(2, k=2))
+    assert t.tick().statuses == {"m2": "rejected"}
+    assert all(t.state.tables[name] is table for name, table in tables.items())
+    assert (2,) not in t.state.tables["items"] and t.state.vars["n"] == 0
+
+
+def test_a_failing_tick_names_the_handlers_it_is_blamed_on():
+    """A handler that raises is named alone; a failed commit of eventual
+    effects names every eventual handler whose statements ran."""
+    p = Program(
+        "blame", data=(DataDecl("hi", "var", shape="max"),
+                       DataDecl("acc", "var", shape="set")),
+        udfs=(UdfDecl("boom", 1, fn=lambda x: 1 // 0),),
+        handlers=(
+            Handler("bump", {"v": "int"},
+                    (MergeMutation(TargetPath("hi"), Var("v")),)),
+            Handler("put", {"x": "int"},
+                    (MergeMutation(TargetPath("acc"), Var("x")),)),
+            Handler("crash", {"x": "int"}, (UdfCall("boom", (Var("x"),)),),
+                    consistency=ConsistencySpec("serializable"))))
+    t = Transducer(p)
+    t.deliver("bump", request(0, v="abc"))
+    t.deliver("put", request(1, x=1))
+    with pytest.raises(ShapeMismatch) as info:
+        t.tick()
+    assert info.value.handlers == ("bump", "put")
+
+    t = Transducer(p)
+    t.deliver("put", request(0, x=1))
+    t.deliver("crash", request(1, x=1))
+    with pytest.raises(UdfFailure) as info:
+        t.tick()
+    assert info.value.handlers == ("crash",)
 
 
 def test_backends_agree_on_transducer_runs():
@@ -779,7 +879,7 @@ def test_a_probe_over_a_kept_view_stays_right():
     rebuilt = tick(("cut", 1, 2))
     assert rebuilt is not built
     fork = t.state.fork()
-    fork.tables["edges"][(3, 4)] = Row(a=3, b=4)
+    fork.tables["edges"] = {**fork.tables["edges"], (3, 4): Row(a=3, b=4)}
     assert index_after(fork) is rebuilt                   # grown in the fork
     assert index_after(t.state) is not rebuilt            # and dropped
     tick(("link_acyclic", 1, 0))                          # a cycle: rejected
