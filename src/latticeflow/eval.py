@@ -13,6 +13,7 @@ queries total.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable
 
 from . import lattice
@@ -174,26 +175,47 @@ def bind(env: dict, binder, item) -> dict:
 
 
 _ARITH = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "//": lambda a, b: a // b,
-    "%": lambda a, b: a % b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "//": operator.floordiv,
+    "%": operator.mod,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 
 def eval_expr(e, env: dict, ctx: EvalContext):
+    # the kinds a comprehension row evaluates most, a name and a binary
+    # operator over names, are tested first
     t = type(e)
-    if t is Lit:
-        return e.value
     if t is Var:
         return env[e.name]
+    if t is BinOp:
+        op = e.op
+        if op == "and":
+            left = eval_expr(e.left, env, ctx)
+            if left is MISSING or not left:
+                return False if left is not MISSING else MISSING
+            return eval_expr(e.right, env, ctx)
+        if op == "or":
+            left = eval_expr(e.left, env, ctx)
+            if left is not MISSING and left:
+                return left
+            return eval_expr(e.right, env, ctx)
+        left, right = e.left, e.right
+        left = env[left.name] if type(left) is Var else eval_expr(left, env, ctx)
+        right = (env[right.name] if type(right) is Var
+                 else eval_expr(right, env, ctx))
+        if left is MISSING or right is MISSING:
+            return MISSING
+        return _ARITH[op](left, right)
+    if t is Lit:
+        return e.value
     if t is Field:
         base = eval_expr(e.base, env, ctx)
         if base is MISSING:
@@ -206,22 +228,6 @@ def eval_expr(e, env: dict, ctx: EvalContext):
         if key is MISSING:
             return MISSING
         return ctx.table_row(e.data, key)
-    if t is BinOp:
-        if e.op == "and":
-            left = eval_expr(e.left, env, ctx)
-            if left is MISSING or not left:
-                return False if left is not MISSING else MISSING
-            return eval_expr(e.right, env, ctx)
-        if e.op == "or":
-            left = eval_expr(e.left, env, ctx)
-            if left is not MISSING and left:
-                return left
-            return eval_expr(e.right, env, ctx)
-        left = eval_expr(e.left, env, ctx)
-        right = eval_expr(e.right, env, ctx)
-        if left is MISSING or right is MISSING:
-            return MISSING
-        return _ARITH[e.op](left, right)
     if t is Not:
         v = eval_expr(e.expr, env, ctx)
         return MISSING if v is MISSING else not v

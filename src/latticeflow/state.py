@@ -128,7 +128,7 @@ class Effects:
 
     table_merges: list = dfield(default_factory=list)   # (name, Row)
     field_merges: list = dfield(default_factory=list)   # (name, key, field, value)
-    var_merges: list = dfield(default_factory=list)     # (name, value)
+    var_merges: list = dfield(default_factory=list)     # (name, wrapped value)
     assigns: dict = dfield(default_factory=dict)        # target tuple -> value
     deletes: list = dfield(default_factory=list)        # (name, key-or-None)
     sends: list = dfield(default_factory=list)          # OutMsg
@@ -217,8 +217,7 @@ class NodeState:
             table[key] = old.updated(**{fname: merged})
 
         for name, value in eff.var_merges:
-            shape = datam[name].shape
-            self.vars[name] = lattice.merge(self.vars[name], lattice.wrap(value, shape))
+            self.vars[name] = lattice.merge(self.vars[name], value)
 
         for (name, key, fname), value in eff.assigns.items():
             if key is None and fname is None:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 
+from . import lattice
 from .eval import MISSING, _order_key, bind, truthy
 from .interp import InterpContext
 from .ir import (
@@ -271,11 +272,13 @@ class Transducer:
                         f"merge into table {s.target.data!r} needs rows, got {bad!r}")
                 eff.table_merges.extend((s.target.data, row) for row in rows)
         else:
-            if isinstance(value, frozenset) and d.shape != "set":
-                for v in sorted(value, key=_order_key):
-                    eff.var_merges.append((s.target.data, v))
-            else:
-                eff.var_merges.append((s.target.data, value))
+            values = (sorted(value, key=_order_key)
+                      if isinstance(value, frozenset) and d.shape != "set"
+                      else (value,))
+            # wrapped here, so that a value of the wrong shape raises in the
+            # handler that merges it and not in the end-of-tick commit
+            eff.var_merges.extend((s.target.data, lattice.wrap(v, d.shape))
+                                  for v in values)
 
     def _do_assign(self, s: Assign, env, ctx, eff: Effects):
         value = ctx.eval(s.expr, env)
@@ -289,7 +292,6 @@ class Transducer:
             eff.assign((s.target.data, key, s.target.field), value)
         else:
             if d.shape is not None:
-                from . import lattice
                 value = lattice.wrap(value, d.shape)
             eff.assign((s.target.data, None, None), value)
 
