@@ -13,13 +13,12 @@ queries total.
 
 from __future__ import annotations
 
-import operator
 from typing import Iterable
 
 from . import lattice
 from .ir import (
-    BinOp, Comp, Data, Field, Fold, In, Index, Len, Lit, Lookup, MakeRow,
-    Not, Record, RangeOf, Slice, TupleOf, Var,
+    ARITH, BinOp, Comp, Data, Field, Fold, In, Index, Len, Lit, Lookup,
+    MakeRow, Not, Record, RangeOf, Slice, TupleOf, Var,
 )
 from .lattice import scalar_key
 from .state import (BindError, Row, Snapshot, UdfFailure, default_row,
@@ -174,21 +173,6 @@ def bind(env: dict, binder, item) -> dict:
     return out
 
 
-_ARITH = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "//": operator.floordiv,
-    "%": operator.mod,
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-
 def eval_expr(e, env: dict, ctx: EvalContext):
     # the kinds a comprehension row evaluates most, a name and a binary
     # operator over names, are tested first
@@ -213,7 +197,7 @@ def eval_expr(e, env: dict, ctx: EvalContext):
                  else eval_expr(right, env, ctx))
         if left is MISSING or right is MISSING:
             return MISSING
-        return _ARITH[op](left, right)
+        return ARITH[op](left, right)
     if t is Lit:
         return e.value
     if t is Field:

@@ -14,6 +14,7 @@ message id; :func:`prepared` does it once per handler object.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dfield, replace
 from typing import NamedTuple, Optional, Tuple, Union
 
@@ -62,9 +63,26 @@ class Lookup:
 
 @dataclass(frozen=True)
 class BinOp:
-    op: str  # + - * // % == != < <= > >= and or
+    op: str  # a key of ARITH, or "and" / "or"
     left: "Expr"
     right: "Expr"
+
+
+# the function of every binary operator but the short-circuiting "and" and
+# "or": the one table that both evaluators apply and `validate` checks
+ARITH = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "//": operator.floordiv,
+    "%": operator.mod,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 @dataclass(frozen=True)
@@ -648,6 +666,10 @@ def validate(p: Program) -> ValidationReport:
         elif isinstance(e, MakeRow):
             if e.cls not in classes:
                 rep.add("UnknownClass", f"{where}: class {e.cls!r}")
+        elif isinstance(e, BinOp):
+            if e.op not in ARITH and e.op not in ("and", "or"):
+                rep.add("UnknownOperator",
+                        f"{where}: unknown operator {e.op!r}")
         for child in _children(e):
             check_expr(child, env, where)
 

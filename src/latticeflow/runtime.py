@@ -89,11 +89,11 @@ from operator import itemgetter
 from typing import Optional
 
 from .analysis import classify_expression, query_graph
-from .eval import _ARITH, EvalContext, MISSING, fold_value, iter_source, unpack
+from .eval import EvalContext, MISSING, fold_value, iter_source, unpack
 from .ir import (
-    BinOp, Comp, Data, Expr, Field, Fold, Gen, In, Index, Len, Lit, Lookup,
-    MakeRow, Not, Record, RangeOf, Slice, TupleOf, Var, _children, kept,
-    walk_expr,
+    ARITH, BinOp, Comp, Data, Expr, Field, Fold, Gen, In, Index, Len, Lit,
+    Lookup, MakeRow, Not, Record, RangeOf, Slice, TupleOf, Var, _children,
+    kept, walk_expr,
 )
 from .state import FixpointDivergence, Row, default_row
 
@@ -319,7 +319,9 @@ def _node(e: Expr, scope: _Scope, hoist: bool):
                 return right(s, env, ctx)
 
             return or_
-        op = _ARITH.get(e.op) or (lambda a, b, name=e.op: _ARITH[name])
+        # an operator `validate` rejects raises only when evaluated, as on
+        # the interpreter
+        op = ARITH.get(e.op) or (lambda a, b, name=e.op: ARITH[name])
 
         def binop(s, env, ctx):
             a = left(s, env, ctx)
@@ -982,9 +984,13 @@ class GraphContext(EvalContext):
         it at a scope binding no slot, once, and kept on `self.compiled`."""
         if type(e) is Comp:
             return self.eval_comp(e, env)
-        fn = self.compiled.handler_expr(
-            e, lambda x: _node(x, _Scope(self.program), False))
-        return fn((), env, self)
+        # looked up here first: the builder `handler_expr` takes would be a
+        # new closure on every call
+        entry = self.compiled.handler_exprs.get(id(e))
+        if entry is None or entry[0] is not e:
+            entry = (e, self.compiled.handler_expr(
+                e, lambda x: _node(x, _Scope(self.program), False)))
+        return entry[1]((), env, self)
 
     def input_value(self, name: str):
         """A group input as the resume check compares it: a set for a

@@ -16,15 +16,18 @@ client requests; accepted requests are forwarded to the other replicas as
 ordered commit records which they apply in sequence order.
 
 A tick's cost does not grow with the backlog of requests. Scheduled
-requests wait in a queue ordered by (tick, schedule order) and are taken
-from its head; scheduling a request or a failure for a tick that has
-already run raises ValueError. A proxy retransmits a request when every
-replica it was sent to has crashed since, recovered or not: each node has
-an incarnation number that every crash bumps, and the proxy records the
-one each recipient had when it sent. Since only a crash or a recovery can
-orphan a request that had a live recipient, the proxy rescans all of its
-pending requests only in a tick where a node crashed or recovered, and
-otherwise checks just the requests that arrived in that tick.
+requests wait in a queue ordered by (tick, schedule order), and messages on
+the network in a heap ordered by (delivery tick, send order); a tick takes
+only what is due from the head of each. Scheduling a request or a failure
+for a tick that has already run raises ValueError. Node and proxy ids are
+sorted once, since a recovery keeps its node's id. A proxy retransmits a
+request when every replica it was sent to has crashed since, recovered or
+not: each node has an incarnation number that every crash bumps, and the
+proxy records the one each recipient had when it sent. Since only a crash
+or a recovery can orphan a request that had a live recipient, the proxy
+rescans all of its pending requests only in a tick where a node crashed or
+recovered, and otherwise checks just the requests that arrived in that
+tick.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field as dfield
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .ir import MESSAGE_ID, Program, response_mailbox
 from .state import Row, canonical_state, encode_value
@@ -81,11 +84,12 @@ class NetworkModel:
             raise ValueError("delays must satisfy 1 <= min <= max")
 
 
-@dataclass
-class _InFlight:
+class _InFlight(NamedTuple):
+    # ordered by (deliver_tick, seq) in the in-flight heap; seq is unique,
+    # so no two compare further
     deliver_tick: int
     seq: int
-    dest: str                      # node id or "client:<id>"
+    dest: str                      # node id, "client:<id>" or "sink"
     mailbox: str
     payload: Row
 
@@ -133,8 +137,10 @@ class Cluster:
                     program, role=s.role, backend=backend, max_rounds=max_rounds)
         self.alive = {s.node_id: True for s in nodes}
         self.incarnation = {s.node_id: 0 for s in nodes}  # bumped by a crash
+        self._node_ids = sorted(self.nodes)   # a recovery keeps the ids
+        self._proxy_ids = sorted(self.proxy_state)
         self.tick = 0
-        self.in_flight: list = []
+        self.in_flight: list = []            # heap of _InFlight
         self._seq = 0
         self._mid = 0
         self.trace: list = []
@@ -217,6 +223,7 @@ class Cluster:
                           if m.dest in ("sink",)
                           or m.dest.startswith("client:")
                           or self.alive.get(m.dest)]
+        heapq.heapify(self.in_flight)
 
     def schedule_failure(self, tick: int, domain_prefix):
         if tick < self.tick:
@@ -269,18 +276,21 @@ class Cluster:
         return []
 
     def _post(self, dest: str, mailbox: str, payload: Row):
-        delay = self.rng.randint(self.network.delay_min, self.network.delay_max)
+        # randrange(lo, hi + 1) is randint(lo, hi)'s own body, so the draws
+        # are the same
+        net = self.network
+        delay = self.rng.randrange(net.delay_min, net.delay_max + 1)
         self._seq += 1
-        self.in_flight.append(_InFlight(self.tick + delay, self._seq,
-                                        dest, mailbox, payload))
+        heapq.heappush(self.in_flight, _InFlight(
+            self.tick + delay, self._seq, dest, mailbox, payload))
         self._emit("Sent", None, dest=dest, mailbox=mailbox,
                    deliver_tick=self.tick + delay,
                    message_id=payload.get(MESSAGE_ID))
-        if self.network.dup_prob and self.rng.random() < self.network.dup_prob:
-            delay2 = self.rng.randint(self.network.delay_min, self.network.delay_max)
+        if net.dup_prob and self.rng.random() < net.dup_prob:
+            delay2 = self.rng.randrange(net.delay_min, net.delay_max + 1)
             self._seq += 1
-            self.in_flight.append(_InFlight(self.tick + delay2, self._seq,
-                                            dest, mailbox, payload))
+            heapq.heappush(self.in_flight, _InFlight(
+                self.tick + delay2, self._seq, dest, mailbox, payload))
             self._emit("Duplicated", None, dest=dest, mailbox=mailbox,
                        deliver_tick=self.tick + delay2,
                        message_id=payload.get(MESSAGE_ID))
@@ -291,10 +301,11 @@ class Cluster:
 
     # --- delivery -----------------------------------------------------------
     def _deliver_due(self):
-        due = sorted((m for m in self.in_flight if m.deliver_tick <= self.tick),
-                     key=lambda m: (m.deliver_tick, m.seq))
-        self.in_flight = [m for m in self.in_flight if m.deliver_tick > self.tick]
-        for m in due:
+        """Deliver the due messages in (deliver_tick, seq) order, popped
+        from the heap; a delivery posts nothing, so none becomes due."""
+        heap = self.in_flight
+        while heap and heap[0].deliver_tick <= self.tick:
+            m = heapq.heappop(heap)
             if m.dest == "sink":
                 self.sink_outputs.setdefault(m.mailbox, []).append(m.payload)
                 self._emit("Delivered", "sink", mailbox=m.mailbox)
@@ -379,7 +390,7 @@ class Cluster:
             active = True
         self._deliver_due()
 
-        for nid in sorted(self.proxy_state):
+        for nid in self._proxy_ids:
             if not self.alive.get(nid):
                 continue
             if self._proxy_tick(nid):
@@ -387,7 +398,7 @@ class Cluster:
             if self._proxy_retry(nid):
                 active = True
 
-        for nid in sorted(self.nodes):
+        for nid in self._node_ids:
             if not self.alive.get(nid):
                 continue
             node = self.nodes[nid]
@@ -519,7 +530,7 @@ class Cluster:
         while self.tick < max_ticks:
             # idle fast-forward: nothing can happen until the next delivery
             if idle_streak > 0:
-                due = ([m.deliver_tick for m in self.in_flight]
+                due = ([m.deliver_tick for m in self.in_flight[:1]]
                        + [x[0] for x in self.pending_injections[:1]]
                        + [x[0] for x in self.pending_failures])
                 if due and min(due) > self.tick:

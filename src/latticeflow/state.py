@@ -12,8 +12,9 @@ dicts of tables, vars and mailboxes; rows are frozen mappings and shared.
 from __future__ import annotations
 
 import json
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dfield
-from typing import Mapping
 
 from . import lattice
 from .ir import ClassDecl, DataDecl, Program, kept
@@ -58,6 +59,10 @@ class Row(Mapping):
 
     def __len__(self):
         return len(self._map)
+
+    def __contains__(self, key):
+        # Mapping.__contains__ would raise and catch a KeyError for a miss
+        return key in self._map
 
     def get(self, key, default=None):
         # Mapping.get would go through __getitem__ and a try per call
@@ -244,7 +249,14 @@ class NodeState:
                                    if d.shape is not None else None)
 
         for mailbox, msgs in eff.consumed.items():
-            remaining = list(self.mailboxes.get(mailbox, []))
+            box = self.mailboxes.get(mailbox, [])
+            n = len(msgs)
+            if n <= len(box) and all(map(operator.is_, box, msgs)):
+                # the messages head the mailbox, as a request and an
+                # unguarded handler's whole mailbox do
+                self.mailboxes[mailbox] = box[n:]
+                continue
+            remaining = list(box)
             for m in msgs:
                 remaining.remove(m)
             self.mailboxes[mailbox] = remaining

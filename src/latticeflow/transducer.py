@@ -5,6 +5,14 @@ it, buffers the resulting effects, and commits them atomically at the end of
 the tick. Sends buffered during a tick become visible no earlier than the
 next tick, even to the sending node itself.
 
+A tick pays only for what its input needs: it builds its context, over the
+snapshot taken as it starts, only when some handler will read it (an
+eventual handler with a pending message or one that acts on an idle tick,
+or a serializable handler with a pending message and a guard), and commits
+the eventual effects only when some eventual handler's statements ran. A
+tick whose only input is a request builds two contexts, the request's
+fork's and its invariant check's.
+
 Every expression of a handler is evaluated by the context's `eval` hook,
 each backend's own evaluator. Handlers are prepared once per handler object
 (`ir.prepared`), so on the graph backend every node of a program, recovered
@@ -22,7 +30,8 @@ rejected one leaves every table so.
 An eventual handler with no eligible message is skipped when none of its
 desugared statements can act on an empty mailbox (see `_inert_when_empty`),
 which is decided once per handler; a handler with a `when` or a keyed
-target still runs on an idle tick.
+target still runs on an idle tick, so with one the tick always builds its
+context.
 
 On the graph backend a node's recursive query results outlive the tick:
 every context the node builds, the fork and invariant-check contexts
@@ -89,6 +98,19 @@ class Transducer:
         self.prepared = {h.name: prepared(h) for h in self.handlers}
         self.idle_when_empty = {name: all(map(_inert_when_empty, p.stmts))
                                 for name, p in self.prepared.items()}
+        self.eventual = [h for h in self.handlers
+                         if h.consistency.level != "serializable"]
+        self.serializable = [h for h in self.handlers
+                             if h.consistency.level == "serializable"]
+        # a tick builds its context only if some eventual handler acts on
+        # an idle tick, or one of these handlers has a pending message: an
+        # eventual one, or a serializable one whose guard picks its request
+        self._acts_when_idle = not all(self.idle_when_empty[h.name]
+                                       for h in self.eventual)
+        self._context_readers = tuple(
+            h.name for h in self.handlers
+            if h.consistency.level != "serializable"
+            or self.prepared[h.name].guard is not None)
         self.compiled = compile_queries(program) if backend == "graph" else None
         self.views: dict = {}     # recursive query results kept between ticks
         self.outputs: dict = {}   # non-handler mailbox -> delivered payloads
@@ -105,7 +127,8 @@ class Transducer:
         self.state.deliver(mailbox, payload)
 
     def has_pending_input(self) -> bool:
-        return any(self.state.mailboxes.get(h.name) for h in self.handlers)
+        boxes = self.state.mailboxes
+        return any(boxes.get(name) for name in self.prepared)
 
     def _eligible(self, h: Handler, ctx) -> list:
         """Pending messages whose guard passes, in arrival order; with no
@@ -118,35 +141,44 @@ class Transducer:
 
     # --- tick ---------------------------------------------------------------
     def tick(self) -> TickResult:
-        """One tick. A `NODE_FAILURES` exception leaves it with `handlers`,
-        the names of the handlers it is blamed on: the one that raised, or,
-        when the commit of the eventual effects raises, every eventual
-        handler whose statements ran."""
-        snap = self.state.snapshot()
-        ctx = self._context(snap)
+        """One tick. It builds its context, over a snapshot taken as it
+        starts, only when a handler will read it (see `__init__`), and
+        commits the eventual effects only when some eventual handler's
+        statements ran; a request builds its own two contexts (see
+        `_run_serializable`).
+
+        A `NODE_FAILURES` exception leaves it with `handlers`, the names of
+        the handlers it is blamed on: the one that raised, or, when the
+        commit of the eventual effects raises, every eventual handler whose
+        statements ran."""
+        boxes = self.state.mailboxes
+        ctx = None
+        if self._acts_when_idle or any(boxes.get(name)
+                                       for name in self._context_readers):
+            ctx = self._context(self.state.snapshot())
         result = TickResult(tick=self.state.tick)
-        eff = Effects()
-        serializable = []
         ran = []
         h = None
         try:
-            for h in self.handlers:
-                if h.consistency.level == "serializable":
-                    serializable.append(h)
-                elif self._run_eventual(h, ctx, eff, result):
-                    ran.append(h.name)
-            h = None
-            self.state.commit(eff)
-            result.sends.extend(eff.sends)
+            if ctx is not None:
+                eff = Effects()
+                for h in self.eventual:
+                    if self._run_eventual(h, ctx, eff, result):
+                        ran.append(h.name)
+                h = None
+                if ran:
+                    self.state.commit(eff)
+                    result.sends.extend(eff.sends)
 
-            for h in serializable:
+            for h in self.serializable:
                 self._run_serializable(h, ctx, result)
         except NODE_FAILURES as exc:
             exc.handlers = (h.name,) if h is not None else tuple(ran)
             raise
 
         self.state.tick += 1
-        result.udf_invocations = ctx.udf_invocations
+        if ctx is not None:
+            result.udf_invocations = ctx.udf_invocations
         return result
 
     def _run_eventual(self, h: Handler, ctx, eff: Effects,
@@ -166,6 +198,10 @@ class Transducer:
         return True
 
     def _run_serializable(self, h: Handler, ctx, result: TickResult):
+        """Run the first eligible request of `h` on a fork, and adopt the
+        fork if the invariants hold on it. `ctx`, the tick's context, picks
+        the request by the guard; it is None only if `h` has no guard or no
+        pending message."""
         msgs = self._eligible(h, ctx)
         if not msgs:
             return

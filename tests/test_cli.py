@@ -15,8 +15,8 @@ from latticeflow.cli import (
     EXIT_VALIDATION, main,
 )
 from latticeflow.ir import (
-    ClassDecl, Comp, Data, DataDecl, Gen, Handler, MergeMutation, Program,
-    TargetPath, TupleOf, Var,
+    BinOp, ClassDecl, Comp, Data, DataDecl, Gen, Handler, Lit, MergeMutation,
+    Program, TargetPath, TupleOf, Var,
 )
 from latticeflow.patterns import covid_program
 from latticeflow.progjson import program_to_json
@@ -324,6 +324,24 @@ def test_a_handler_named_like_its_data_is_a_validation_error(tmp_path,
     assert main(["simulate", str(path)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == (
         "invalid: HandlerNameClash: handler 'acc' has the name of a data\n")
+
+
+def test_an_unknown_operator_is_a_validation_error(tmp_path, capsys):
+    # `**` validated ok and raised a bare KeyError at the first tick, which
+    # is no NODE_FAILURES exception, so simulate ended in a traceback
+    program = Program(
+        "square",
+        data=(DataDecl("acc", "var", shape="set"),),
+        handlers=(Handler("square", {"x": "int"}, (MergeMutation(
+            TargetPath("acc"), BinOp("**", Var("x"), Lit(2))),)),))
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario_dict(
+        program=json.loads(program_to_json(program)),
+        workload=[{"tick": 0, "client": "c1", "handler": "square",
+                   "fields": {"x": 3}}])))
+    assert main(["simulate", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "invalid: UnknownOperator: handler square: unknown operator '**'\n")
 
 
 def test_an_object_in_a_payload_is_refused(tmp_path, capsys):

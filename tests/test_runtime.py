@@ -23,6 +23,7 @@ from latticeflow.runtime import (
     GraphContext, NonMonotoneRecursion, compile_comp, compile_queries,
 )
 from latticeflow.lattice import ShapeMismatch
+from latticeflow.patterns import covid_program
 from latticeflow.state import (
     BindError, Effects, FixpointDivergence, NodeState, Row, UdfFailure,
     canonical_state,
@@ -469,6 +470,92 @@ def test_a_serializable_request_replaces_only_the_tables_it_wrote():
     assert t.tick().statuses == {"m2": "rejected"}
     assert all(t.state.tables[name] is table for name, table in tables.items())
     assert (2,) not in t.state.tables["items"] and t.state.vars["n"] == 0
+
+
+class CountingTransducer(Transducer):
+    """Counts the evaluation contexts it builds."""
+
+    contexts = 0
+
+    def _context(self, snapshot):
+        self.contexts += 1
+        return super()._context(snapshot)
+
+
+@pytest.mark.parametrize("backend", ["graph", "interp"])
+def test_a_lone_request_builds_only_its_fork_and_check_contexts(
+        backend, monkeypatch):
+    """A sequencer tick whose only input is one request builds no tick
+    context and commits no empty effects: the request's fork and invariant
+    check are its two contexts, and it commits the fork, plus, when
+    rejected, the request's consumption."""
+    commits = []
+    commit = NodeState.commit
+
+    def counted(state, eff):
+        commits.append(state)
+        commit(state, eff)
+
+    monkeypatch.setattr(NodeState, "commit", counted)
+    t = CountingTransducer(covid_program(coordinated=True, vaccine_count=1),
+                           backend=backend)
+
+    def tick(mailbox, *ids, **fields):
+        for i in ids:
+            t.deliver(mailbox, request(i, **fields))
+        t.contexts = 0
+        commits.clear()
+        return t.tick().statuses
+
+    assert tick("add_person", 0, pid=1, name="ana", country="ar") == {}
+    assert (t.contexts, commits) == (1, [t.state])
+
+    assert tick("vaccinate", 1, pid=1) == {"m1": "accepted"}
+    assert (t.contexts, len(commits)) == (2, 1)
+    assert commits[0] is not t.state   # the fork's, adopted as the state
+    assert t.state.vars["vaccine_count"] == 0
+
+    assert tick("vaccinate", 2, pid=1) == {"m2": "rejected"}
+    assert (t.contexts, len(commits)) == (2, 2)
+    assert commits[1] is t.state and t.state.vars["vaccine_count"] == 0
+
+    # the backlog behind a request stays, in arrival order
+    assert tick("vaccinate", 3, 4, pid=1) == {"m3": "rejected"}
+    assert [m[MESSAGE_ID] for m in t.state.mailboxes["vaccinate"]] == ["m4"]
+
+
+def test_a_guard_consumes_only_the_messages_it_picked():
+    # the picked messages do not head the mailbox, so commit cannot consume
+    # them as a prefix
+    t = Transducer(counter_program(guard=BinOp(">=", Var("x"), Lit(5))))
+    for i, x in enumerate((1, 7, 2, 9, 3)):
+        t.deliver("add", request(i, x=x))
+    assert t.tick().fired == ["add"]
+    assert [m["x"] for m in t.state.mailboxes["add"]] == [1, 2, 3]
+    assert lattice.unwrap(t.state.vars["acc"]) == frozenset({7, 9})
+
+
+def test_a_guarded_request_is_picked_in_the_tick_context():
+    # the guard is the one read of a tick context on a tick whose only
+    # input is a request
+    p = Program(
+        "gate", data=(DataDecl("n", "var", scalar="int", init=1),),
+        handlers=(Handler(
+            "take", {}, (Assign(TargetPath("n"),
+                                BinOp("-", Data("n"), Lit(1))),),
+            guard=BinOp(">=", Data("n"), Lit(1)),
+            consistency=ConsistencySpec(
+                "serializable",
+                invariants=(BinOp(">=", Data("n"), Lit(0)),))),))
+    t = CountingTransducer(p)
+    t.deliver("take", request(1))
+    t.deliver("take", request(2))
+    assert t.tick().statuses == {"m1": "accepted"}
+    assert t.contexts == 3
+    t.contexts = 0
+    result = t.tick()
+    assert (result.statuses, result.fired, t.contexts) == ({}, [], 1)
+    assert [m[MESSAGE_ID] for m in t.state.mailboxes["take"]] == ["m2"]
 
 
 def test_a_failing_tick_names_the_handlers_it_is_blamed_on():
