@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field as dfield, replace
+from functools import cached_property
 from typing import NamedTuple, Optional, Tuple, Union
 
 from .lattice import FIELD_SHAPES
@@ -309,7 +310,7 @@ class ClassDecl:
         object.__setattr__(self, "key", tuple([key] if isinstance(key, str) else key))
         object.__setattr__(self, "partition", partition)
 
-    @property
+    @cached_property
     def field_map(self) -> dict:
         return dict(self.fields)
 
@@ -449,42 +450,39 @@ class Program:
         object.__setattr__(self, "targets", tuple(targets))
 
     # lookups ----------------------------------------------------------------
-    # Each map is built once per program and shared: callers must not
-    # mutate it.
-    @property
+    # Each map is built on first use, kept in the program's own dict (the
+    # dataclass is frozen, but `cached_property` writes that dict directly)
+    # and shared: callers must not mutate it.
+    @cached_property
     def class_map(self):
-        return kept(self, "_class_map",
-                    lambda p: {c.name: c for c in p.classes})
+        return {c.name: c for c in self.classes}
 
-    @property
+    @cached_property
     def data_map(self):
-        return kept(self, "_data_map", lambda p: {d.name: d for d in p.data})
+        return {d.name: d for d in self.data}
 
-    @property
+    @cached_property
     def query_map(self):
-        def build(p):
-            q = {}
-            for qd in p.queries:
-                q.setdefault(qd.name, []).append(qd)
-            return q
-        return kept(self, "_query_map", build)
+        q = {}
+        for qd in self.queries:
+            q.setdefault(qd.name, []).append(qd)
+        return q
 
-    @property
+    @cached_property
     def handler_map(self):
-        return kept(self, "_handler_map",
-                    lambda p: {h.name: h for h in p.handlers})
+        return {h.name: h for h in self.handlers}
 
-    @property
+    @cached_property
     def udf_map(self):
-        return kept(self, "_udf_map", lambda p: {u.name: u for u in p.udfs})
+        return {u.name: u for u in self.udfs}
 
-    @property
+    @cached_property
     def avail_map(self):
-        return kept(self, "_avail_map", lambda p: dict(p.availability))
+        return dict(self.availability)
 
-    @property
+    @cached_property
     def target_map(self):
-        return kept(self, "_target_map", lambda p: dict(p.targets))
+        return dict(self.targets)
 
     def avail_for(self, handler: str) -> AvailSpec:
         m = self.avail_map

@@ -11,9 +11,18 @@ is still delivered: crash-stop loses what the crashed node held, not what
 it had already put on the network.
 
 Replicated handlers fan requests out to every replica. Serializable
-handlers are sequenced: only the lowest-numbered live replica processes
-client requests; accepted requests are forwarded to the other replicas as
-ordered commit records which they apply in sequence order.
+handlers are sequenced: only the lowest-numbered live replica decides
+client requests. Each accepted request goes to the other live replicas as
+a commit record that carries the effects the sequencer committed (a
+`state.Delta`) and its sequence number; a replica applies the records in
+sequence order as they are delivered, drops a duplicate below its applied
+prefix, and never re-runs the handler (see `transducer`). A node decides a
+request only when its applied prefix equals the number of records issued
+for the handler, so a replica promoted by a crash first applies the records
+still on their way to it. A recovered node rejoins empty and starts its
+prefix at the count issued when it recovers. The count of records issued
+(`_commit_seq`) and the decided outcomes (`_committed`) are still kept by
+the cluster, not by any node.
 
 A tick's cost does not grow with the backlog of requests. Scheduled
 requests wait in a queue ordered by (tick, schedule order), and messages on
@@ -40,9 +49,7 @@ from typing import NamedTuple, Optional
 
 from .ir import MESSAGE_ID, Program, response_mailbox
 from .state import Row, canonical_state, encode_value
-from .transducer import NODE_FAILURES, Transducer
-
-ORDERED = "_ordered"
+from .transducer import NODE_FAILURES, ORDERED, Transducer, commit_record
 
 DOMAIN_LEVELS = ("dc", "az", "rack", "vm")
 
@@ -127,14 +134,14 @@ class Cluster:
         self.groups = {h: list(ids) for h, ids in groups.items()}
         self.proxies = dict(proxies or {})
         self.specs = {s.node_id: s for s in nodes}
+        self._commit_seq: dict = {}          # handler -> commit records issued
         self.nodes: dict = {}
         self.proxy_state: dict = {}
         for s in nodes:
             if s.behavior == "proxy":
                 self.proxy_state[s.node_id] = _ProxyState()
             else:
-                self.nodes[s.node_id] = Transducer(
-                    program, role=s.role, backend=backend, max_rounds=max_rounds)
+                self.nodes[s.node_id] = self._worker(s)
         self.alive = {s.node_id: True for s in nodes}
         self.incarnation = {s.node_id: 0 for s in nodes}  # bumped by a crash
         self._node_ids = sorted(self.nodes)   # a recovery keeps the ids
@@ -155,9 +162,6 @@ class Cluster:
         self.response_log: list = []         # every response delivery, in order
         self.sink_outputs: dict = {}         # sink mailbox -> payload list
         self.request_payload: dict = {}      # message_id -> (mailbox, payload)
-        self._commit_seq: dict = {}          # handler -> next seq to assign
-        self._expect_seq: dict = {}          # (node, handler) -> next seq to apply
-        self._held: dict = {}                # (node, handler) -> {seq: payload}
         self._serial_seen: dict = {}         # node -> set of message ids
         self._committed: dict = {}           # message id -> accepted/rejected
         self._handler_names = {h.name for h in program.handlers}
@@ -178,6 +182,12 @@ class Cluster:
         if self._trace_file:
             self._trace_file.close()
             self._trace_file = None
+
+    def _worker(self, spec: NodeSpec) -> Transducer:
+        """A worker node; its applied prefix starts at the records issued
+        so far (see `transducer.Transducer`)."""
+        return Transducer(self.program, role=spec.role, backend=self.backend,
+                          max_rounds=self.max_rounds, issued=self._commit_seq)
 
     def new_message_id(self) -> str:
         self._mid += 1
@@ -231,14 +241,13 @@ class Cluster:
         self.pending_failures.append((tick, tuple(domain_prefix)))
 
     def recover(self, node_id: str):
-        """Crash-stop recovery: the node rejoins with empty state."""
+        """Crash-stop recovery: the node rejoins with empty state, and
+        applies only the commit records issued from now on."""
         spec = self.specs[node_id]
         if spec.behavior == "proxy":
             self.proxy_state[node_id] = _ProxyState()
         else:
-            self.nodes[node_id] = Transducer(
-                self.program, role=spec.role, backend=self.backend,
-                max_rounds=self.max_rounds)
+            self.nodes[node_id] = self._worker(spec)
         self.alive[node_id] = True
         self._liveness += 1
         self._serial_seen.pop(node_id, None)
@@ -300,10 +309,13 @@ class Cluster:
             self._post(dest, mailbox, payload)
 
     # --- delivery -----------------------------------------------------------
-    def _deliver_due(self):
+    def _deliver_due(self) -> bool:
         """Deliver the due messages in (deliver_tick, seq) order, popped
-        from the heap; a delivery posts nothing, so none becomes due."""
+        from the heap; a delivery posts nothing, so none becomes due.
+        True if a node applied a commit record, which makes the tick
+        active as the decision it replays did."""
         heap = self.in_flight
+        applied = False
         while heap and heap[0].deliver_tick <= self.tick:
             m = heapq.heappop(heap)
             if m.dest == "sink":
@@ -322,7 +334,9 @@ class Cluster:
                 self._emit("Delivered", m.dest, mailbox=m.mailbox,
                            message_id=m.payload.get(MESSAGE_ID))
                 continue
-            self._deliver_worker(m)
+            if self._deliver_worker(m):
+                applied = True
+        return applied
 
     def _deliver_client(self, m: _InFlight):
         client = m.dest.split(":", 1)[1]
@@ -335,17 +349,20 @@ class Cluster:
         self._emit("Response", None, client=client, message_id=mid,
                    duplicate=not fresh)
 
-    def _deliver_worker(self, m: _InFlight):
+    def _deliver_worker(self, m: _InFlight) -> bool:
+        """Deliver `m` to its worker; True if it applied commit records."""
         node = self.nodes[m.dest]
         payload = m.payload
         if m.mailbox in self._serializable:
             if ORDERED in payload:
-                # commit records apply strictly in sequence order
-                seq = payload[ORDERED]
-                key = (m.dest, m.mailbox)
-                self._held.setdefault(key, {})[seq] = payload
-                self._drain_held(key)
-                return
+                # commit records apply strictly in sequence order, as they
+                # arrive; a duplicate of an applied one is dropped unseen
+                applied = node.apply_record(m.mailbox, payload)
+                for record in applied:
+                    self._emit("Delivered", m.dest, mailbox=m.mailbox,
+                               ordered=record[ORDERED],
+                               message_id=record.get(MESSAGE_ID))
+                return bool(applied)
             seen = self._serial_seen.setdefault(m.dest, set())
             mid = payload.get(MESSAGE_ID)
             # a retransmission may reach a new sequencer after the original
@@ -353,23 +370,12 @@ class Cluster:
             if mid in seen or mid in self._committed:
                 self._emit("Deduplicated", m.dest, mailbox=m.mailbox,
                            message_id=mid)
-                return
+                return False
             seen.add(mid)
         node.deliver(m.mailbox, payload)
         self._emit("Delivered", m.dest, mailbox=m.mailbox,
                    message_id=payload.get(MESSAGE_ID))
-
-    def _drain_held(self, key):
-        node_id, handler = key
-        expect = self._expect_seq.setdefault(key, 0)
-        held = self._held.get(key, {})
-        while expect in held:
-            payload = held.pop(expect)
-            self.nodes[node_id].deliver(handler, payload)
-            self._emit("Delivered", node_id, mailbox=handler, ordered=expect,
-                       message_id=payload.get(MESSAGE_ID))
-            expect += 1
-        self._expect_seq[key] = expect
+        return False
 
     # --- tick ---------------------------------------------------------------
     def step(self) -> bool:
@@ -388,7 +394,8 @@ class Cluster:
                        message_id=payload.get(MESSAGE_ID))
             self._route(mailbox, payload, sender=None)
             active = True
-        self._deliver_due()
+        if self._deliver_due():
+            active = True
 
         for nid in self._proxy_ids:
             if not self.alive.get(nid):
@@ -499,18 +506,22 @@ class Cluster:
         return True
 
     def _serial_results(self, nid: str, result):
+        """Answer the requests that sequencer `nid` decided, and ship each
+        accepted one's effects to the other live replicas as the next
+        commit record, which the sequencer's own prefix already counts."""
         for mid, status in sorted(result.statuses.items()):
             entry = self.request_payload.get(mid)
             if entry is None:
-                continue  # commit record applied at a backup
-            handler, payload = entry
+                continue  # not a client's request
+            handler = entry[0]
             if self.sequencer(handler) != nid:
                 continue
             self._committed[mid] = status
             if status == "accepted":
                 seq = self._commit_seq.get(handler, 0)
                 self._commit_seq[handler] = seq + 1
-                record = Row(dict(payload, **{ORDERED: seq}))
+                self.nodes[nid].applied[handler] = seq + 1
+                record = commit_record(mid, seq, result.deltas[mid])
                 for backup in self.live_group(handler):
                     if backup != nid:
                         self._post(backup, handler, record)

@@ -7,6 +7,10 @@ and deliver replace a table dict or a mailbox list, and never mutate one
 that a snapshot or fork may hold. Commit copies a table dict at most once,
 the first time it writes it. So a snapshot or fork copies only the outer
 dicts of tables, vars and mailboxes; rows are frozen mappings and shared.
+
+A `Delta` is the frozen state part of a tick's `Effects`: the merges,
+assigns and deletes, without the consumed messages and the sends. It is
+what a sequencer's commit record carries, and a replica commits it as is.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import json
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dfield
+from typing import NamedTuple
 
 from . import lattice
 from .ir import ClassDecl, DataDecl, Program, kept
@@ -127,6 +132,17 @@ class OutMsg:
     payload: Row
 
 
+class Delta(NamedTuple):
+    """The state effects of one commit, frozen: immutable and hashable, so
+    a commit record (a `Row`) can carry them."""
+
+    table_merges: tuple   # (name, Row)
+    field_merges: tuple   # (name, key, field, value)
+    var_merges: tuple     # (name, wrapped value)
+    assigns: tuple        # (target tuple, value)
+    deletes: tuple        # (name, key-or-None)
+
+
 @dataclass
 class Effects:
     """Buffered within-tick effects, applied atomically at commit."""
@@ -145,6 +161,11 @@ class Effects:
                 f"conflicting assignments to {target}: "
                 f"{self.assigns[target]!r} vs {value!r}")
         self.assigns[target] = value
+
+    def delta(self) -> Delta:
+        return Delta(tuple(self.table_merges), tuple(self.field_merges),
+                     tuple(self.var_merges), tuple(self.assigns.items()),
+                     tuple(self.deletes))
 
 
 class NodeState:
@@ -197,19 +218,30 @@ class NodeState:
             self.tables[name] = dict(self.tables[name])
         return self.tables[name]
 
-    def commit(self, eff: Effects):
+    def commit(self, eff):
+        """Apply `eff`: a tick's `Effects`, or a commit record's `Delta`,
+        which consumes no message."""
+        if isinstance(eff, Delta):
+            self._apply(*eff)
+            return
+        self._apply(eff.table_merges, eff.field_merges, eff.var_merges,
+                    eff.assigns.items(), eff.deletes)
+        self._consume(eff.consumed)
+
+    def _apply(self, table_merges, field_merges, var_merges, assigns,
+               deletes):
         classes = self.program.class_map
         datam = self.program.data_map
         owned: set = set()   # tables this commit has copied
 
-        for name, row in eff.table_merges:
+        for name, row in table_merges:
             cls = classes[datam[name].cls]
             full = default_row(cls, row)
             key = row_key(cls, full)
             table = self._own(name, owned)
             table[key] = merge_rows(cls, table[key], full) if key in table else full
 
-        for name, key, fname, value in eff.field_merges:
+        for name, key, fname, value in field_merges:
             cls = classes[datam[name].cls]
             table = self._own(name, owned)
             if key in table:
@@ -221,10 +253,10 @@ class NodeState:
                                   old.get(fname), value)
             table[key] = old.updated(**{fname: merged})
 
-        for name, value in eff.var_merges:
+        for name, value in var_merges:
             self.vars[name] = lattice.merge(self.vars[name], value)
 
-        for (name, key, fname), value in eff.assigns.items():
+        for (name, key, fname), value in assigns:
             if key is None and fname is None:
                 self.vars[name] = value
             else:
@@ -236,7 +268,7 @@ class NodeState:
                     old = default_row(cls, dict(zip(cls.key, key)))
                 table[key] = old.updated(**{fname: value})
 
-        for name, key in eff.deletes:
+        for name, key in deletes:
             if name in self.tables:
                 if key is None:
                     self.tables[name] = {}
@@ -248,7 +280,8 @@ class NodeState:
                 self.vars[name] = (lattice.bottom(d.shape)
                                    if d.shape is not None else None)
 
-        for mailbox, msgs in eff.consumed.items():
+    def _consume(self, consumed: dict):
+        for mailbox, msgs in consumed.items():
             box = self.mailboxes.get(mailbox, [])
             n = len(msgs)
             if n <= len(box) and all(map(operator.is_, box, msgs)):

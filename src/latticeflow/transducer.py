@@ -27,6 +27,20 @@ mutate, one (see `state`): a request copies only the tables it writes, an
 accepted one leaves the node's other tables the same objects, and a
 rejected one leaves every table so.
 
+Under a cluster a node keeps, for each serializable handler, its applied
+prefix (`applied`): the commit records it has applied, or issued itself as
+the sequencer. A commit record carries the `state.Delta` its request
+committed on the sequencer; `apply_record` commits the records in sequence
+order, holds one that arrives early, drops one below the prefix, and builds
+no fork, context, guard or invariant check, and needs no tick. The node
+decides a request only when its applied prefix equals `issued`, the count
+of records issued for the handler; the gate is checked in
+`_run_serializable`, so a tick of eventual handlers pays nothing for it. A
+node starts its prefix at the count issued when it is built, so a
+recovered node applies only the records issued after it rejoined. A
+serializable handler's guard runs on its pending messages only up to the
+first that passes.
+
 An eventual handler with no eligible message is skipped when none of its
 desugared statements can act on an empty mailbox (see `_inert_when_empty`),
 which is decided once per handler; a handler with a `when` or a keyed
@@ -57,12 +71,17 @@ from .ir import (
 from .lattice import IntOverflow, ShapeMismatch
 from .runtime import GraphContext, compile_queries
 from .state import (
-    AmbiguousAssign, BindError, Effects, FixpointDivergence, NodeState,
-    OutMsg, Row, UdfFailure, storage_key,
+    AmbiguousAssign, BindError, Delta, Effects, FixpointDivergence,
+    NodeState, OutMsg, Row, UdfFailure, storage_key,
 )
 
 ACCEPTED = "accepted"
 REJECTED = "rejected"
+
+# the fields of a commit record besides the request's message id: its
+# sequence number and the `Delta` the sequencer committed
+ORDERED = "_ordered"
+EFFECTS = "_effects"
 
 # what a tick raises on a defect of the program it runs; `Transducer.tick`
 # names the handlers it blames in the exception's `handlers`, and
@@ -71,12 +90,19 @@ NODE_FAILURES = (UdfFailure, FixpointDivergence, AmbiguousAssign,
                  ShapeMismatch, IntOverflow, BindError)
 
 
+def commit_record(message_id: str, seq: int, delta: Delta) -> Row:
+    """The commit record that ships accepted request `message_id`, the
+    `seq`-th of its handler, with the effects it committed."""
+    return Row({MESSAGE_ID: message_id, ORDERED: seq, EFFECTS: delta})
+
+
 @dataclass
 class TickResult:
     tick: int
     fired: list = dfield(default_factory=list)        # handler names that consumed input
     sends: list = dfield(default_factory=list)        # OutMsg
     statuses: dict = dfield(default_factory=dict)     # message_id -> accepted/rejected
+    deltas: dict = dfield(default_factory=dict)       # message_id -> Delta, if accepted
     udf_invocations: int = 0
 
 
@@ -84,7 +110,11 @@ class Transducer:
     """Single-node executor; `backend` picks the evaluation strategy."""
 
     def __init__(self, program: Program, role: str = "main",
-                 backend: str = "graph", max_rounds: int = 10000):
+                 backend: str = "graph", max_rounds: int = 10000,
+                 issued=None):
+        """`issued`: serializable handler -> commit records issued for it so
+        far, a dict its owner keeps counting; None for a node that stands
+        alone, which decides without waiting for records."""
         if backend not in ("graph", "interp"):
             raise ValueError(f"unknown backend {backend!r}")
         self.program = program
@@ -114,6 +144,11 @@ class Transducer:
         self.compiled = compile_queries(program) if backend == "graph" else None
         self.views: dict = {}     # recursive query results kept between ticks
         self.outputs: dict = {}   # non-handler mailbox -> delivered payloads
+        self.issued = issued
+        # serializable handler -> its applied prefix: the records applied or
+        # issued here, starting from the count issued as the node starts
+        self.applied: dict = dict(issued or {})
+        self.held: dict = {}      # handler -> {seq: record} past the prefix
 
     # --- context construction -----------------------------------------------
     def _context(self, snapshot):
@@ -130,6 +165,27 @@ class Transducer:
         boxes = self.state.mailboxes
         return any(boxes.get(name) for name in self.prepared)
 
+    def apply_record(self, handler: str, record: Row) -> list:
+        """Take commit record `record` of serializable `handler` and commit,
+        in sequence order, every record that the applied prefix now reaches;
+        returns those. A record below the prefix is a duplicate, dropped;
+        one past it waits in `held`. No context is built and no guard or
+        invariant runs: the record carries the sequencer's decision."""
+        done = self.applied.get(handler, 0)
+        seq = record[ORDERED]
+        if seq < done:
+            return []
+        held = self.held.setdefault(handler, {})
+        held[seq] = record
+        applied = []
+        while done in held:
+            record = held.pop(done)
+            self.state.commit(record[EFFECTS])
+            applied.append(record)
+            done += 1
+        self.applied[handler] = done
+        return applied
+
     def _eligible(self, h: Handler, ctx) -> list:
         """Pending messages whose guard passes, in arrival order; with no
         guard, the mailbox list itself, which is never mutated."""
@@ -138,6 +194,16 @@ class Transducer:
         if guard is None:
             return pending
         return [msg for msg in pending if truthy(ctx.eval(guard, {_MSG: msg}))]
+
+    def _next_request(self, h: Handler, ctx):
+        """The first pending message whose guard passes, or None; the guard
+        runs on no message after it."""
+        pending = self.state.mailboxes.get(h.name, ())
+        guard = self.prepared[h.name].guard
+        if guard is None:
+            return pending[0] if pending else None
+        return next((msg for msg in pending
+                     if truthy(ctx.eval(guard, {_MSG: msg}))), None)
 
     # --- tick ---------------------------------------------------------------
     def tick(self) -> TickResult:
@@ -201,11 +267,17 @@ class Transducer:
         """Run the first eligible request of `h` on a fork, and adopt the
         fork if the invariants hold on it. `ctx`, the tick's context, picks
         the request by the guard; it is None only if `h` has no guard or no
-        pending message."""
-        msgs = self._eligible(h, ctx)
-        if not msgs:
+        pending message.
+
+        Under a cluster the node decides only once its applied prefix
+        equals the records issued for `h`, so no decision reads a state
+        that misses one already made."""
+        if (self.issued is not None
+                and self.applied.get(h.name, 0) != self.issued.get(h.name, 0)):
             return
-        msg = msgs[0]
+        msg = self._next_request(h, ctx)
+        if msg is None:
+            return
         fork = self.state.fork()
         eff = Effects()
         fctx = self._context(fork.snapshot())
@@ -224,6 +296,8 @@ class Transducer:
             self.state.mailboxes = fork.mailboxes
             result.sends.extend(eff.sends)
             status = ACCEPTED
+            if mid is not None:
+                result.deltas[mid] = eff.delta()
         else:
             # reject: consume the request, discard everything else
             drop = Effects(consumed={h.name: [msg]})

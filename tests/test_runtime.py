@@ -22,13 +22,13 @@ from latticeflow.ir import (
 from latticeflow.runtime import (
     GraphContext, NonMonotoneRecursion, compile_comp, compile_queries,
 )
-from latticeflow.lattice import ShapeMismatch
+from latticeflow.lattice import INT_MIN, ShapeMismatch
 from latticeflow.patterns import covid_program
 from latticeflow.state import (
     BindError, Effects, FixpointDivergence, NodeState, Row, UdfFailure,
     canonical_state,
 )
-from latticeflow.transducer import Transducer
+from latticeflow.transducer import Transducer, commit_record
 
 
 def counter_program(**handler_kw):
@@ -556,6 +556,68 @@ def test_a_guarded_request_is_picked_in_the_tick_context():
     result = t.tick()
     assert (result.statuses, result.fired, t.contexts) == ({}, [], 1)
     assert [m[MESSAGE_ID] for m in t.state.mailboxes["take"]] == ["m2"]
+
+
+@pytest.mark.parametrize("backend", ["graph", "interp"])
+def test_a_guarded_request_stops_the_guard_at_the_first_pass(backend):
+    """A serializable handler takes one request a tick, so its guard runs
+    on the pending messages only up to the first that passes."""
+
+    class GuardCounting(Transducer):
+        guards = 0
+
+        def _context(self, snapshot):
+            ctx = super()._context(snapshot)
+            guard, inner = self.prepared["take"].guard, ctx.eval
+
+            def counted(expr, env):
+                self.guards += expr is guard
+                return inner(expr, env)
+
+            ctx.eval = counted
+            return ctx
+
+    p = Program(
+        "gate", data=(DataDecl("n", "var", scalar="int", init=0),),
+        handlers=(Handler(
+            "take", {"x": "int"}, (Assign(TargetPath("n"), Var("x")),),
+            guard=BinOp(">=", Var("x"), Lit(3)),
+            consistency=ConsistencySpec("serializable")),))
+    t = GuardCounting(p, backend=backend)
+    for i in range(200):
+        t.deliver("take", request(i, x=i))
+    assert t.tick().statuses == {"m3": "accepted"}
+    assert t.guards == 4
+
+
+@pytest.mark.parametrize("backend", ["graph", "interp"])
+def test_a_backup_applies_a_commit_record_without_a_context(backend):
+    """The sequencer's accepted request yields its committed effects; a
+    backup commits them as a record in sequence order, with no context,
+    guard or invariant, even where its own state would reject the request
+    (it has no row for the person), and drops a duplicate."""
+    program = covid_program(coordinated=True, vaccine_count=2)
+    sequencer = Transducer(program, backend=backend)
+    sequencer.deliver("add_person", request(0, pid=1, name="ana", country="ar"))
+    sequencer.tick()
+    records = []
+    for i in (1, 2):
+        sequencer.deliver("vaccinate", request(i, pid=1))
+        result = sequencer.tick()
+        assert result.statuses == {f"m{i}": "accepted"}
+        records.append(commit_record(f"m{i}", i - 1, result.deltas[f"m{i}"]))
+    backup = CountingTransducer(program, backend=backend)
+    assert backup.apply_record("vaccinate", records[1]) == []
+    assert backup.held == {"vaccinate": {1: records[1]}}
+    assert backup.apply_record("vaccinate", records[0]) == records
+    assert backup.apply_record("vaccinate", records[0]) == []
+    assert (backup.contexts, backup.applied, backup.held) == \
+        (0, {"vaccinate": 2}, {"vaccinate": {}})
+    assert backup.state.vars["vaccine_count"] == 0
+    assert backup.state.tables["people"] == {
+        (1,): Row(pid=1, name=None, country=None, contacts=frozenset(),
+                  diagnosed=False, vaccinated=True, likelihood=INT_MIN)}
+    assert not backup.has_pending_input()
 
 
 def test_a_failing_tick_names_the_handlers_it_is_blamed_on():

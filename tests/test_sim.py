@@ -138,6 +138,80 @@ def test_recovered_node_rejoins_empty():
     assert after["tables"]["people"] == {} or after["tables"]["people"] == []
 
 
+def vaccinations(cluster, tick, count):
+    for i in range(count):
+        cluster.schedule_request(tick + i, "c1", "vaccinate", {"pid": 1})
+
+
+def test_a_recovered_node_applies_the_records_issued_after_it_rejoined():
+    """A recovered node starts its applied prefix at the records issued as
+    it rejoins, so it applies the later ones and ends at the sequencer's
+    stock, though it missed the person and the doses given before."""
+    pat = covid_tracker(coordinated=True, vaccine_count=5)
+    cluster = build_scenario_cluster(
+        Scenario(pat.program, seed=1, network=NetworkModel(1, 3, 0.0)))
+    cluster.schedule_request(0, "c1", "add_person",
+                             {"pid": 1, "name": "a", "country": "x"})
+    vaccinations(cluster, 3, 1)
+    cluster.run_to_quiescence()
+    cluster.inject_failure(cluster.specs["n03"].domain)
+    vaccinations(cluster, cluster.tick, 1)
+    cluster.run_to_quiescence()
+    cluster.recover("n03")
+    assert cluster.nodes["n03"].applied == {"vaccinate": 2}
+    vaccinations(cluster, cluster.tick, 2)
+    cluster.run_to_quiescence()
+    node = cluster.nodes["n03"]
+    assert node.applied == cluster.nodes["n01"].applied == {"vaccinate": 4}
+    assert not any(node.held.values())
+    assert [cluster.nodes[n].state.vars["vaccine_count"]
+            for n in ("n01", "n02", "n03")] == [1, 1, 1]
+    assert node.state.tables["people"][(1,)]["vaccinated"] is True
+
+
+def test_no_commit_record_is_held_after_quiescence():
+    """Every message is duplicated, so every record reaches each backup
+    twice; the copy below the applied prefix is dropped, not held, and
+    leaves no trace event."""
+    pat = covid_tracker(coordinated=True, vaccine_count=3)
+    cluster = build_scenario_cluster(
+        Scenario(pat.program, seed=2, network=NetworkModel(1, 6, 1.0)))
+    for pid in (1, 2):
+        cluster.schedule_request(0, "c1", "add_person",
+                                 {"pid": pid, "name": "a", "country": "x"})
+    vaccinations(cluster, 4, 5)
+    cluster.run_to_quiescence()
+    assert cluster._commit_seq == {"vaccinate": 3}
+    ordered = [ev.detail["ordered"] for ev in cluster.trace
+               if ev.kind == "Delivered" and "ordered" in ev.detail]
+    assert sorted(ordered) == [0, 0, 1, 1, 2, 2]
+    for node in cluster.nodes.values():
+        assert node.applied == {"vaccinate": 3}
+        assert not any(node.held.values())
+
+
+def test_a_tick_that_only_applies_commit_records_is_active():
+    """A record applied as it is delivered is the node's work in that tick,
+    so the tick is active and the idle fast-forward does not skip the
+    next one."""
+    pat = covid_tracker(coordinated=True, vaccine_count=5)
+    cluster = build_scenario_cluster(
+        Scenario(pat.program, seed=0, network=NetworkModel(1, 6, 0.0)))
+    cluster.schedule_request(0, "c1", "add_person",
+                             {"pid": 1, "name": "a", "country": "x"})
+    vaccinations(cluster, 8, 1)
+    cluster.run_to_quiescence()
+    ticks = {}
+    for ev in cluster.trace:
+        ticks.setdefault(ev.tick, []).append(ev)
+    applying = [evs[-1] for evs in ticks.values()
+                if all("ordered" in ev.detail for ev in evs[:-1])
+                and len(evs) > 1]
+    assert applying
+    assert all(ev.kind == "TickCompleted" and ev.detail["active"]
+               for ev in applying)
+
+
 def test_every_node_of_a_program_runs_one_compiled_handler():
     """A handler's expressions are compiled once per program: a run with
     three replicas of each handler, and a node that crashed and recovered
