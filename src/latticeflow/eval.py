@@ -128,13 +128,22 @@ class EvalContext:
         return result
 
 
+# the values that `_order_key` and `iter_source` test by type before they
+# test for a `Row`: it is a `Mapping`, and an ABC instance check that misses
+# costs far more than a type test
+_NOT_ROWS = frozenset((bool, int, str, tuple, frozenset))
+
+
 def _order_key(v):
-    if isinstance(v, Row):
+    t = type(v)
+    if t is int or t is str or t is bool:
+        return scalar_key(v)
+    if t not in _NOT_ROWS and isinstance(v, Row):
         return (6, tuple((k, _order_key(x)) for k, x in sorted(v.items())))
     if isinstance(v, frozenset):
-        return (5, tuple(sorted(_order_key(x) for x in v)))
+        return (5, tuple(sorted([_order_key(x) for x in v])))
     if isinstance(v, tuple):
-        return (4, tuple(_order_key(x) for x in v))
+        return (4, tuple([_order_key(x) for x in v]))
     if v is None:
         return (-1, 0)
     return scalar_key(v)
@@ -144,7 +153,7 @@ def iter_source(value) -> Iterable:
     """Iterate a generator source value; MISSING yields nothing."""
     if value is MISSING:
         return ()
-    if isinstance(value, Row):
+    if type(value) not in _NOT_ROWS and isinstance(value, Row):
         return (value,)
     if isinstance(value, frozenset):
         return sorted(value, key=_order_key)

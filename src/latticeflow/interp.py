@@ -18,8 +18,14 @@ second graph backend. Within the rules it may do less work per row:
 `eval.eval_expr` tests the commonest node kinds first and reads a name
 operand without a call, and the last generator's loop binds each row
 into one dict in place, a name or a pair by plain stores, and runs the
-filters and the output itself. Where a filter runs is the language's semantics,
-not a speed-up: if that changes, only the loop level that runs it moves.
+filters and the output itself. That loop evaluates two shapes, recognized
+once per `eval_comp` call, without `eval_expr`: a filter that is an
+`ir.ARITH` operator between two names, and an output that is a name or a
+tuple of names. It reads the row dict directly and keeps `eval_expr`'s
+rules: an unbound name raises `KeyError`, a `MISSING` operand fails the
+filter, and an output holding `MISSING` gives nothing. Where a filter runs
+is the language's semantics, not a speed-up: if that changes, only the
+loop level that runs it moves.
 """
 
 from __future__ import annotations
@@ -27,8 +33,28 @@ from __future__ import annotations
 from .analysis import query_graph
 from .eval import (EvalContext, MISSING, _order_key, bind, eval_expr,
                    iter_source, truthy, unpack)
-from .ir import Comp
+from .ir import ARITH, BinOp, Comp, TupleOf, Var
 from .state import FixpointDivergence
+
+
+def _inline_filter(f) -> tuple:
+    """(f, op, left, right) for a filter that is an ARITH operator between
+    two names, which the last generator's loop evaluates itself; else
+    (f, None, None, None)."""
+    if (type(f) is BinOp and f.op in ARITH and type(f.left) is Var
+            and type(f.right) is Var):
+        return f, ARITH[f.op], f.left.name, f.right.name
+    return f, None, None, None
+
+
+def _inline_output(output):
+    """The name, or the tuple of names, that an output reads, which the
+    last generator's loop evaluates itself; else None."""
+    if type(output) is Var:
+        return output.name
+    if type(output) is TupleOf and all(type(x) is Var for x in output.items):
+        return tuple(x.name for x in output.items)
+    return None
 
 
 class InterpContext(EvalContext):
@@ -51,6 +77,8 @@ class InterpContext(EvalContext):
                     out.add(v)
             return frozenset(out)
         last = len(gens) - 1
+        tests = [_inline_filter(f) for f in filters]
+        names = _inline_output(output)
 
         def rec(i, env):
             gen = gens[i]
@@ -75,12 +103,26 @@ class InterpContext(EvalContext):
                     row[x], row[y] = item
                 else:
                     row.update(zip(binder, unpack(binder, item)))
-                for f in filters:
-                    v = eval_expr(f, row, self)
-                    if v is MISSING or not v:
-                        break
+                for f, fn, a, b in tests:
+                    if fn is None:
+                        v = eval_expr(f, row, self)
+                        if v is MISSING or not v:
+                            break
+                    else:
+                        a_v, b_v = row[a], row[b]
+                        if a_v is MISSING or b_v is MISSING or not fn(a_v, b_v):
+                            break
                 else:
-                    v = eval_expr(output, row, self)
+                    if names is None:
+                        v = eval_expr(output, row, self)
+                    elif type(names) is str:
+                        v = row[names]
+                    else:
+                        v = tuple([row[n] for n in names])
+                        for w in v:
+                            if w is MISSING:
+                                v = MISSING
+                                break
                     if v is not MISSING:
                         out.add(v)
 

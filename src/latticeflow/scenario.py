@@ -69,16 +69,40 @@ def load_program(ref) -> Program:
     return program
 
 
+_SCALARS = (bool, int, str)
+
+
 def _field_value(v, i: int, name: str):
     """Field `name` of workload item `i` as a row holds it: a JSON array
     becomes a tuple, at any depth, so that the row is hashable; a JSON
-    object is refused."""
+    object, a fraction or null is refused, as no lattice orders it."""
     if isinstance(v, list):
         return tuple(_field_value(x, i, name) for x in v)
     if isinstance(v, dict):
         raise ScenarioError(f"workload[{i}]: field {name!r} holds an object; "
                             f"fields hold scalars and arrays")
+    if not isinstance(v, _SCALARS):
+        raise ScenarioError(f"workload[{i}]: field {name!r} holds "
+                            f"{json.dumps(v)}; fields hold bools, integers, "
+                            f"strings and arrays of them")
     return v
+
+
+def _count(v, where: str) -> int:
+    """`v` if it is a non-negative integer, else a ScenarioError naming
+    `where`; a JSON fraction is refused, not truncated."""
+    if type(v) is not int or v < 0:
+        raise ScenarioError(f"{where} must be a non-negative integer, "
+                            f"got {json.dumps(v)}")
+    return v
+
+
+def _domain(v, where: str) -> tuple:
+    """A failure-domain path: a JSON array of strings."""
+    if not (isinstance(v, list) and all(isinstance(x, str) for x in v)):
+        raise ScenarioError(f"{where} must be an array of strings, "
+                            f"got {json.dumps(v)}")
+    return tuple(v)
 
 
 def load_scenario(source) -> Scenario:
@@ -94,33 +118,53 @@ def load_scenario(source) -> Scenario:
     _require(isinstance(raw, dict), "scenario must be an object")
     _require("program" in raw, "scenario needs a 'program'")
     _require("seed" in raw, "scenario needs an explicit 'seed'")
-    _require(isinstance(raw["seed"], int), "'seed' must be an integer")
+    _require(type(raw["seed"]) is int, "'seed' must be an integer")
 
     program = load_program(raw["program"])
 
     net = raw.get("network", {})
+    _require(isinstance(net, dict), "'network' must be an object")
+    dup_prob = net.get("dup_prob", 0.0)
+    if type(dup_prob) not in (int, float) or not 0 <= dup_prob <= 1:
+        raise ScenarioError(f"network.dup_prob must be a number in [0, 1], "
+                            f"got {json.dumps(dup_prob)}")
     try:
         network = NetworkModel(
-            delay_min=net.get("delay_min", 1),
-            delay_max=net.get("delay_max", 20),
-            dup_prob=net.get("dup_prob", 0.0))
+            delay_min=_count(net.get("delay_min", 1), "network.delay_min"),
+            delay_max=_count(net.get("delay_max", 20), "network.delay_max"),
+            dup_prob=dup_prob)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
     nodes = None
     if "nodes" in raw:
+        _require(isinstance(raw["nodes"], list), "'nodes' must be an array")
         nodes = []
-        for n in raw["nodes"]:
-            _require("id" in n and "domain" in n,
+        for i, n in enumerate(raw["nodes"]):
+            _require(isinstance(n, dict) and "id" in n and "domain" in n,
                      "each node needs 'id' and 'domain'")
+            for key in ("id", "role", "behavior"):
+                if not isinstance(n.get(key, ""), str):
+                    raise ScenarioError(f"nodes[{i}].{key} must be a string, "
+                                        f"got {json.dumps(n[key])}")
             nodes.append(NodeSpec(n["id"], role=n.get("role", "main"),
-                                  domain=tuple(n["domain"]),
+                                  domain=_domain(n["domain"],
+                                                 f"nodes[{i}].domain"),
                                   behavior=n.get("behavior", "worker")))
+    failure_domains = None
+    if "failure_domains" in raw:
+        paths = raw["failure_domains"]
+        if not isinstance(paths, list):
+            raise ScenarioError(f"'failure_domains' must be an array of "
+                                f"domain paths, got {json.dumps(paths)}")
+        failure_domains = [_domain(d, f"failure_domains[{i}]")
+                           for i, d in enumerate(paths)]
 
     workload = []
     item_keys = {"tick", "client", "mailbox", "handler", "payload", "fields",
                  "message_id"}
     for i, item in enumerate(raw.get("workload", [])):
+        _require(isinstance(item, dict), f"workload[{i}] must be an object")
         unknown = set(item) - item_keys
         _require(not unknown,
                  f"workload[{i}]: unknown keys {sorted(unknown)}")
@@ -135,12 +179,10 @@ def load_scenario(source) -> Scenario:
         extra = set(payload) - params
         _require(not extra,
                  f"workload[{i}]: unknown fields {sorted(extra)} for {mailbox!r}")
-        tick = int(item.get("tick", 0))
-        if tick < 0:
-            raise ScenarioError(f"workload[{i}]: tick {tick} is negative")
+        tick = _count(item.get("tick", 0), f"workload[{i}].tick")
         fields = dict(payload)
         for name, v in fields.items():
-            if isinstance(v, (list, dict)):
+            if type(v) not in _SCALARS:
                 fields[name] = _field_value(v, i, name)
         workload.append({
             "tick": tick,
@@ -152,23 +194,21 @@ def load_scenario(source) -> Scenario:
 
     failures = []
     for i, item in enumerate(raw.get("failures", [])):
-        _require("tick" in item and "domain" in item,
+        _require(isinstance(item, dict) and "tick" in item
+                 and "domain" in item,
                  f"failures[{i}] needs 'tick' and 'domain'")
-        tick = int(item["tick"])
-        if tick < 0:
-            raise ScenarioError(f"failures[{i}]: tick {tick} is negative")
-        failures.append((tick, tuple(item["domain"])))
+        failures.append((_count(item["tick"], f"failures[{i}].tick"),
+                         _domain(item["domain"], f"failures[{i}].domain")))
 
     return Scenario(
         program=program,
         seed=raw["seed"],
         network=network,
         nodes=nodes,
-        failure_domains=[tuple(d) for d in raw["failure_domains"]]
-        if "failure_domains" in raw else None,
+        failure_domains=failure_domains,
         workload=workload,
         failures=failures,
-        max_ticks=int(raw.get("max_ticks", 10000)),
+        max_ticks=_count(raw.get("max_ticks", 10000), "'max_ticks'"),
     )
 
 

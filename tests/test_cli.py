@@ -178,6 +178,68 @@ def test_simulate_rejects_a_cluster_it_cannot_build(tmp_path, capsys, fields,
     assert captured.out == ""
 
 
+def person(**payload):
+    return {"tick": 0, "client": "c1", "handler": "add_person",
+            "fields": dict({"pid": 1, "name": "ana", "country": "ar"},
+                           **payload)}
+
+
+def failure(tick, domain=None):
+    return {"failures": [{"tick": tick,
+                          "domain": ["dc0", "az0"] if domain is None
+                          else domain}]}
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"workload": [dict(person(), tick="a")]},
+     'workload[0].tick must be a non-negative integer, got "a"'),
+    ({"workload": [dict(person(), tick=0.7)]},
+     "workload[0].tick must be a non-negative integer, got 0.7"),
+    (failure("a"), 'failures[0].tick must be a non-negative integer, got "a"'),
+    (failure(0.7), "failures[0].tick must be a non-negative integer, got 0.7"),
+    (failure(2, domain="dc0"),
+     'failures[0].domain must be an array of strings, got "dc0"'),
+    ({"max_ticks": "x"},
+     "'max_ticks' must be a non-negative integer, got \"x\""),
+    ({"max_ticks": 1.5}, "'max_ticks' must be a non-negative integer, got 1.5"),
+    ({"seed": True}, "'seed' must be an integer"),
+    ({"nodes": [{"id": "w1", "domain": 5}]},
+     "nodes[0].domain must be an array of strings, got 5"),
+    ({"nodes": [{"id": 5, "domain": ["dc0", "az0"]}]},
+     "nodes[0].id must be a string, got 5"),
+    ({"failure_domains": 3},
+     "'failure_domains' must be an array of domain paths, got 3"),
+    ({"network": {"dup_prob": "x"}},
+     'network.dup_prob must be a number in [0, 1], got "x"'),
+    ({"network": {"delay_min": 1.5}},
+     "network.delay_min must be a non-negative integer, got 1.5"),
+    ({"workload": [person(pid=1.5)]},
+     "workload[0]: field 'pid' holds 1.5; fields hold bools, integers, "
+     "strings and arrays of them"),
+    ({"workload": [person(pid=None)]},
+     "workload[0]: field 'pid' holds null; fields hold bools, integers, "
+     "strings and arrays of them"),
+    ({"workload": [person(name=["ana", [None]])]},
+     "workload[0]: field 'name' holds null; fields hold bools, integers, "
+     "strings and arrays of them"),
+], ids=["tick-text", "tick-fraction", "failure-tick-text",
+        "failure-tick-fraction", "failure-domain-text", "max-ticks-text",
+        "max-ticks-fraction", "seed-bool", "node-domain-number",
+        "node-id-number", "failure-domains-number", "dup-prob-text",
+        "delay-fraction", "payload-fraction", "payload-null",
+        "payload-nested-null"])
+def test_a_malformed_scenario_field_is_named_without_a_traceback(
+        tmp_path, capsys, fields, message):
+    # a value of the wrong type is refused with its field named: it used to
+    # end in a traceback, be truncated, be split into letters, or load and
+    # then fail in `simulate --inspect`
+    path = write_scenario(tmp_path, **fields)
+    assert main(["simulate", path, "--inspect"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_explicit_nodes_build_groups_and_a_proxy():
     nodes = [{"id": f"w{i}", "domain": ["dc0", f"az{i}"]} for i in range(3)]
     nodes.append({"id": "edge", "domain": ["proxy-dc"], "role": "proxy",

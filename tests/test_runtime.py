@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (bfs_closure, closure_contexts, closure_program,
                       loaded_state)
-from latticeflow.eval import MISSING, eval_expr
+from latticeflow.eval import (MISSING, _order_key, bind, eval_expr,
+                              iter_source, truthy)
 from latticeflow.interp import InterpContext
 from latticeflow import lattice
 from latticeflow.ir import (
-    Assign, BinOp, ClassDecl, Comp, ConsistencySpec, Data, DataDecl, Delete,
+    ARITH, Assign, BinOp, ClassDecl, Comp, ConsistencySpec, Data, DataDecl, Delete,
     Field, Fold, Gen, Handler, In, Index, Len, Lit, Lookup, MakeRow,
     MergeMutation, Not, Program, QueryDef, RangeOf, Return, Send, Record, Slice,
     TargetPath, TupleOf, UdfCall, UdfDecl, Var, Expr, MESSAGE_ID, REPLY_TO,
@@ -999,6 +1000,139 @@ def test_a_recursive_rule_with_a_filter_ahead_runs_in_order_on_a_raise():
                 assert ctx.query_value("r") == expect
             except ZeroDivisionError:
                 assert expect is ZeroDivisionError
+
+
+# --- the interpreter's inline filters and outputs ------------------------------
+
+def by_eval_expr(ctx, comp, env):
+    """A comprehension's value with every source, filter and output evaluated
+    by `eval_expr`, row by row: what the interpreter's inline shapes must
+    give."""
+    rows = [env]
+    for gen in comp.gens:
+        rows = [bind(r, gen.binder, item) for r in rows
+                for item in iter_source(eval_expr(gen.source, r, ctx))]
+    out = set()
+    for r in rows:
+        if all(truthy(eval_expr(f, r, ctx)) for f in comp.filters):
+            v = eval_expr(comp.output, r, ctx)
+            if v is not MISSING:
+                out.add(v)
+    return frozenset(out)
+
+
+def inline_state():
+    return chain_state(nums={1, 2, 3, 5}, pairs={(1, 2), (2, 2), (3, 1), (5, 3)})
+
+
+O, P, Q = Var("o"), Var("p"), Var("q")
+GEN_X, GEN_PQ = Gen("x", Data("nums")), Gen(("p", "q"), Data("pairs"))
+
+
+@pytest.mark.parametrize("op", sorted(ARITH))
+@pytest.mark.parametrize("outside", [2, MISSING], ids=["bound", "missing"])
+def test_a_name_against_a_name_filters_like_eval_expr(op, outside):
+    comps = [
+        # a name bound outside against one the generator binds, both ways
+        Comp(X, (GEN_X,), (BinOp(op, O, X),)),
+        Comp(X, (GEN_X,), (BinOp(op, X, O),)),
+        # a name from an earlier generator against the last one's
+        Comp(TupleOf(X, Q), (GEN_X, GEN_PQ), (BinOp(op, X, P),)),
+        Comp(TupleOf(X, Q), (GEN_X, GEN_PQ), (BinOp(op, Q, X),)),
+    ]
+    for comp in comps:
+        values = {outcome(ctx, comp, {"o": outside})
+                  for ctx in both_backends(CHAIN_PROGRAM, inline_state())}
+        ctx = InterpContext(CHAIN_PROGRAM, inline_state().snapshot())
+        try:
+            want = by_eval_expr(ctx, comp, {"o": outside})
+        except ZeroDivisionError:
+            want = ZeroDivisionError
+        assert values == {want}, comp
+        if outside is MISSING and O in (comp.filters[0].left,
+                                        comp.filters[0].right):
+            assert want == frozenset()
+
+
+def test_an_inline_filter_raises_on_an_unbound_name_like_eval_expr():
+    interp = InterpContext(CHAIN_PROGRAM, inline_state().snapshot())
+    for f in (BinOp("<", X, Var("nope")), BinOp("<", Var("nope"), X)):
+        with pytest.raises(KeyError, match="nope"):
+            eval_expr(f, {"x": 1}, interp)
+        with pytest.raises(KeyError, match="nope"):
+            interp.eval_comp(Comp(X, (GEN_X,), (f,)), {})
+
+
+@pytest.mark.parametrize("f, expect", [
+    # the right operand is never bound: a filter that read it would raise
+    (BinOp("and", Var("no"), Var("nope")), frozenset()),
+    (BinOp("or", Var("yes"), Var("nope")), frozenset({1, 2, 3, 5})),
+], ids=["and", "or"])
+def test_and_or_filters_still_short_circuit(f, expect):
+    comp = Comp(X, (GEN_X,), (f,))
+    env = {"no": False, "yes": True}
+    interp = InterpContext(CHAIN_PROGRAM, inline_state().snapshot())
+    assert interp.eval_comp(comp, dict(env)) == expect
+    assert by_eval_expr(interp, comp, dict(env)) == expect
+
+
+@pytest.mark.parametrize("output", [
+    X, O, TupleOf(X, O), TupleOf(O, Q, P), TupleOf(),
+], ids=["name", "outside-name", "pair", "triple", "empty-tuple"])
+@pytest.mark.parametrize("outside", [2, MISSING], ids=["bound", "missing"])
+def test_a_name_output_gives_what_eval_expr_gives(output, outside):
+    comp = Comp(output, (GEN_X, GEN_PQ), (BinOp("<=", X, P),))
+    interp = InterpContext(CHAIN_PROGRAM, inline_state().snapshot())
+    want = by_eval_expr(interp, comp, {"o": outside})
+    for ctx in both_backends(CHAIN_PROGRAM, inline_state()):
+        assert ctx.eval_comp(comp, {"o": outside}) == want
+    if outside is MISSING and O in getattr(output, "items", (output,)):
+        # a name or a tuple holding MISSING contributes nothing
+        assert want == frozenset()
+    else:
+        assert want
+
+
+def test_a_missing_item_is_no_output():
+    # a tuple source may hold MISSING; a row that binds it outputs nothing
+    comp = Comp(TupleOf(X, O), (Gen("x", Var("src")),))
+    interp = InterpContext(CHAIN_PROGRAM, inline_state().snapshot())
+    env = {"src": (1, MISSING, 3), "o": 0}
+    assert interp.eval_comp(comp, dict(env)) == {(1, 0), (3, 0)}
+    assert interp.eval_comp(Comp(X, comp.gens), dict(env)) == {1, 3}
+    assert by_eval_expr(interp, comp, dict(env)) == {(1, 0), (3, 0)}
+
+
+# --- order keys ------------------------------------------------------------------
+
+def old_order_key(v):
+    """The sort rule `eval._order_key` keeps: a Row, then a frozenset, then
+    a tuple, then None, then a scalar, each tested in that order."""
+    if isinstance(v, Row):
+        return (6, tuple((k, old_order_key(x)) for k, x in sorted(v.items())))
+    if isinstance(v, frozenset):
+        return (5, tuple(sorted(old_order_key(x) for x in v)))
+    if isinstance(v, tuple):
+        return (4, tuple(old_order_key(x) for x in v))
+    if v is None:
+        return (-1, 0)
+    return lattice.scalar_key(v)
+
+
+ORDERED_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3).map(tuple)
+                   | st.frozensets(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from("abc"), inner,
+                                     max_size=3).map(Row)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ORDERED_VALUES, st.frozensets(ORDERED_VALUES, max_size=5))
+def test_the_order_key_keeps_its_rule(v, values):
+    assert _order_key(v) == old_order_key(v)
+    assert list(iter_source(values)) == sorted(values, key=old_order_key)
 
 
 # --- reading vars ---------------------------------------------------------------
