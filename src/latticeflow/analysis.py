@@ -183,23 +183,6 @@ class CalmReport:
     def needs_coordination(self) -> Tuple[str, ...]:
         return tuple(n for n, _, c in self.handlers if c == "NeedsCoordination")
 
-    def to_dict(self) -> dict:
-        return {
-            "handlers": {
-                name: {
-                    "monotone": cls.monotone,
-                    "reasons": [list(r) for r in cls.reasons],
-                    "coordination": coord,
-                }
-                for name, cls, coord in self.handlers
-            },
-            "summary": {
-                "coordination_free": list(self.coordination_free),
-                "needs_coordination": list(self.needs_coordination),
-            },
-            "trusted_udfs": list(self.trusted_udfs),
-        }
-
     def render_table(self) -> str:
         lines = [f"{'handler':24} {'monotone':9} coordination"]
         for name, cls, coord in self.handlers:

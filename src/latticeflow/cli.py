@@ -35,7 +35,7 @@ def cmd_analyze(args) -> int:
     from .analysis import calm_report, metaconsistency_conflicts
     from .facets import facet_warnings
     from .ir import validate
-    from .lowering import LoweringError, lower
+    from .lowering import lower
     from .scenario import ScenarioError
 
     try:
@@ -60,9 +60,6 @@ def cmd_analyze(args) -> int:
 
     try:
         plan = lower(program)
-    except LoweringError as exc:
-        print(f"lowering failed: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except Exception as exc:
         print(f"lowering failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -1,10 +1,11 @@
 """Expression evaluation shared by the direct interpreter and the operator
 runtime.
 
-Each backend evaluates expressions its own way, through the
-:class:`EvalContext` hooks `eval`, `eval_comp` and `query_value`: the
-interpreter walks the tree with :func:`eval_expr`, which only it calls, and
-the graph backend compiles each expression (see `runtime`).
+Each backend evaluates expressions its own way: its subclass of
+:class:`EvalContext` defines `eval` (how handler statements evaluate),
+`eval_comp` and `query_value`. The interpreter walks the tree with
+:func:`eval_expr`, which only it calls, and the graph backend compiles each
+expression (see `runtime`).
 
 A lookup on a missing key evaluates to the ``MISSING`` sentinel, which makes
 enclosing generators contribute nothing and guards evaluate false, keeping
@@ -50,17 +51,6 @@ class EvalContext:
         self.udf_invocations = 0
         self._query_names = program.query_map  # read for membership
         self._sorted = {}  # name -> ordered view, fixed for the snapshot
-
-    # --- backend hooks ------------------------------------------------------
-    def query_value(self, name: str) -> frozenset:
-        raise NotImplementedError
-
-    def eval_comp(self, e: Comp, env: dict) -> frozenset:
-        raise NotImplementedError
-
-    def eval(self, e, env: dict):
-        """The value of `e` under `env`: how handler statements evaluate."""
-        raise NotImplementedError
 
     # --- collections --------------------------------------------------------
     def table_rows(self, name: str):

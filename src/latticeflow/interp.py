@@ -7,9 +7,10 @@ Four rules keep its algorithm naive:
 
 - a comprehension is nested loops over its generators in written order;
 - each generator's source is evaluated once per row of the generators
-  before it, and iterated in sorted order (`eval.iter_source`);
-- every filter runs, in written order, on complete rows only, after the
-  last generator;
+  before it that passed the filters due there, and iterated in sorted
+  order (`eval.iter_source`);
+- each filter runs at the level where its names are bound, inside that
+  generator's loop (`ir.Comp.filter_levels` states the rule);
 - every round of a recursive query re-evaluates every body from scratch,
   until a round changes nothing.
 
@@ -18,14 +19,14 @@ second graph backend. Within the rules it may do less work per row:
 `eval.eval_expr` tests the commonest node kinds first and reads a name
 operand without a call, and the last generator's loop binds each row
 into one dict in place, a name or a pair by plain stores, and runs the
-filters and the output itself. That loop evaluates two shapes, recognized
-once per `eval_comp` call, without `eval_expr`: a filter that is an
-`ir.ARITH` operator between two names, and an output that is a name or a
-tuple of names. It reads the row dict directly and keeps `eval_expr`'s
+filters due there and the output itself. That loop evaluates two shapes,
+recognized once per `eval_comp` call, without `eval_expr`: a filter that
+is an `ir.ARITH` operator between two names, and an output that is a name
+or a tuple of names. It reads the row dict directly and keeps `eval_expr`'s
 rules: an unbound name raises `KeyError`, a `MISSING` operand fails the
 filter, and an output holding `MISSING` gives nothing. Where a filter runs
-is the language's semantics, not a speed-up: if that changes, only the
-loop level that runs it moves.
+is the language's semantics, shared with the graph backend, not a
+speed-up.
 """
 
 from __future__ import annotations
@@ -76,20 +77,25 @@ class InterpContext(EvalContext):
                 if v is not MISSING:
                     out.add(v)
             return frozenset(out)
+        levels = e.filter_levels()
         last = len(gens) - 1
-        tests = [_inline_filter(f) for f in filters]
+        tests = [_inline_filter(f) for f in levels[last]]
         names = _inline_output(output)
 
         def rec(i, env):
             gen = gens[i]
             items = iter_source(eval_expr(gen.source, env, self))
             if i < last:
+                due = levels[i]
                 for item in items:
-                    rec(i + 1, bind(env, gen.binder, item))
+                    row = bind(env, gen.binder, item)
+                    if not due or all(truthy(eval_expr(f, row, self))
+                                      for f in due):
+                        rec(i + 1, row)
                 return
             # the last generator's loop binds each complete row, runs the
-            # filters and emits the output itself; it rebinds one dict in
-            # place, as no evaluation keeps the env it is given
+            # filters due there and emits the output itself; it rebinds one
+            # dict in place, as no evaluation keeps the env it is given
             row = dict(env)
             binder = gen.binder
             single = type(binder) is not tuple

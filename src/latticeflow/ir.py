@@ -169,6 +169,31 @@ class Comp:
                 seen.add(name)
         return None
 
+    def filter_levels(self) -> Tuple[Tuple["Expr", ...], ...]:
+        """The filters that run right after each generator, one tuple per
+        generator: where a filter runs, on both backends.
+
+        A filter runs right after the last generator that binds a name it
+        reads. A filter that reads none of those names runs after the first
+        generator. No filter runs before the filter written ahead of it. So
+        a filter sees only the rows that passed every filter before it, and
+        a later generator's source is evaluated, and its items bound, only
+        for rows that passed the filters due before it. A comprehension
+        without generators has no levels: its filters run once, in written
+        order, before its output."""
+        if not self.gens:
+            return ()
+        level_of = {name: i for i, g in enumerate(self.gens)
+                    for name in g.names}
+        levels = [[] for _ in self.gens]
+        at = 0
+        for f in self.filters:
+            for s in walk_expr(f):
+                if isinstance(s, Var) and level_of.get(s.name, 0) > at:
+                    at = level_of[s.name]
+            levels[at].append(f)
+        return tuple(map(tuple, levels))
+
 
 @dataclass(frozen=True)
 class Fold:

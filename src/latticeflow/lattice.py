@@ -85,16 +85,6 @@ class MapUnion:
             raise ShapeMismatch(f"MapUnion values must share a variant, got {variants}")
         object.__setattr__(self, "items", items)
 
-    @property
-    def entries(self) -> dict:
-        return dict(self.items)
-
-    def get(self, key, default=None):
-        for k, v in self.items:
-            if k == key:
-                return v
-        return default
-
 
 @dataclass(frozen=True)
 class Pair:

@@ -20,18 +20,13 @@ reaches it evaluates nothing. The interpreter (`interp`, with
 `eval.eval_expr`) stays the tree-walking oracle that this backend is
 tested against; this backend never calls it.
 
-Filters run in their written order: a filter over names the chain binds
-runs once they are bound, one that reads a name from outside the chain
-after the last generator, and neither before a filter written earlier, so
-a filter sees only rows that passed every filter before it. A filter or
-join key placed ahead of a later generator also sees rows that the
-interpreter, which filters complete rows only, never reaches when that
-generator yields nothing; if a run raises, the chain runs again with every
-filter after the last generator (`Chain.in_order`).
+Each filter runs right after the generator that `ir.Comp.filter_levels`
+puts it at, the interpreter's rule, so both backends evaluate a filter, a
+join key or a later generator's source on the same rows.
 
 Access paths. A generator over a named collection is a hash join when the
-next filter to run is an equality between an expression over its binder
-and one that reads no name bound after it; otherwise it is a scan. When
+first filter due after it is an equality between an expression over its
+binder and one that reads no name bound after it; otherwise it is a scan. When
 that other side reads only names bound outside the chain, the join is a
 probe: its key is evaluated once per run. A join reads its source only
 when it has input rows, and evaluates no key when the source is empty. Its
@@ -116,7 +111,6 @@ class Step:
 class ExpandStep(Step):
     binder: object = None
     source: Expr = None
-    occurrence: Optional[int] = None  # occurrence index of a recursive ref
     per_row: object = None  # source closure; None for a Data, read once
     width: int = 0          # names in a tuple binder, 0 for a single name
 
@@ -125,7 +119,6 @@ class ExpandStep(Step):
 class HashJoinStep(Step):
     binder: object = None
     source: Expr = None
-    occurrence: Optional[int] = None
     left: object = None     # key closures: `left` over previously bound
     right: object = None    # vars, `right` over the binder's values alone
     width: int = 0
@@ -152,22 +145,11 @@ class Chain:
     comp: Comp
     side_reads: frozenset = frozenset()  # names read anywhere but as the
                                          # source of a generator step
-    # the same comprehension with every filter after the last generator and
-    # no joins, when some filter or join key runs ahead of a later
-    # generator; None otherwise (see run_chain)
-    in_order: Optional["Chain"] = None
     per_row: bool = False  # outputs kept per table row (see _per_row_value)
     # where `views` keeps an index of the collection that the chain first
     # scans, by the key of the join after it; None for other chains (see
     # _scan_join)
     scan_index: Optional[str] = None
-
-    def step_at(self, occurrence: int):
-        """The generator step over the `occurrence`th named collection."""
-        for s in self.steps:
-            if getattr(s, "occurrence", None) == occurrence:
-                return s
-        raise KeyError(occurrence)
 
     def recursive_refs(self, scc) -> list:
         out = []
@@ -434,18 +416,15 @@ def _node(e: Expr, scope: _Scope, hoist: bool):
     raise TypeError(f"unknown expression node: {e!r}")
 
 
-def compile_comp(e: Comp, program, outer: Optional[_Scope] = None,
-                 in_order: bool = False) -> Chain:
+def compile_comp(e: Comp, program, outer: Optional[_Scope] = None) -> Chain:
     """Compile a comprehension of `program` into an operator chain; `outer`
     is the scope of the chain a nested comprehension sits in.
 
-    Filters keep their written order: each runs once the chain has bound
-    every name it reads and every filter before it has run. A generator over a named
-    collection is a hash join when the next filter to run is an equality
-    that `_access_path` takes, and a scan otherwise. With `in_order`, every
-    generator is a scan and every filter runs after the last one, as the
-    interpreter runs them. A comprehension that binds a name twice is
-    rejected, as `ir.validate` rejects it.
+    Each filter runs right after the generator that `Comp.filter_levels`
+    puts it at. A generator over a named collection is a hash join when the
+    first filter due after it is an equality that `_access_path` takes, and
+    a scan otherwise. A comprehension that binds a name twice is rejected,
+    as `ir.validate` rejects it.
     """
     name = e.repeated_binder()
     if name is not None:
@@ -455,25 +434,20 @@ def compile_comp(e: Comp, program, outer: Optional[_Scope] = None,
     names = {n for g in e.gens for n in g.names}
     steps = []
     bound: set = set()
-    remaining = list(e.filters)
-    occ = 0
     scan_index = None
-    for g in e.gens:
+    for g, due in zip(e.gens, e.filter_levels()):
         new_vars = set(g.names)
         width = len(g.binder) if isinstance(g.binder, tuple) else 0
-        occurrence = path = None
-        if isinstance(g.source, Data):
-            occurrence = occ
-            occ += 1
-            if remaining and not in_order:
-                path = _access_path(remaining[0], new_vars, names - bound)
+        path = None
+        if isinstance(g.source, Data) and due:
+            path = _access_path(due[0], new_vars, names - bound)
         if path:
             other, own = path
-            remaining.pop(0)
+            due = due[1:]
             keys = _Scope(scope.program)
             keys.bind(g)
             steps.append(HashJoinStep(
-                _oid("hashjoin"), "hashjoin", g.binder, g.source, occurrence,
+                _oid("hashjoin"), "hashjoin", g.binder, g.source,
                 _expr(other, scope), _expr(own, keys), width,
                 _context_free(own), _getter(other, scope), _getter(own, keys)))
             # a scan of a named collection, then this join on a key over the
@@ -487,30 +461,17 @@ def compile_comp(e: Comp, program, outer: Optional[_Scope] = None,
             per_row = None if isinstance(g.source, Data) \
                 else _expr(g.source, scope)
             steps.append(ExpandStep(_oid("expand"), "expand", g.binder,
-                                    g.source, occurrence, per_row, width))
+                                    g.source, per_row, width))
         scope.bind(g)
         bound |= new_vars
-        # the filters at the front become runnable as their names are bound
-        while remaining and not in_order \
-                and _free_vars(remaining[0]) <= bound:
-            steps.append(FilterStep(_oid("filter"), "filter",
-                                    _expr(remaining.pop(0), scope)))
-    for f in remaining:
-        steps.append(FilterStep(_oid("filter"), "filter", _expr(f, scope)))
+        steps += [FilterStep(_oid("filter"), "filter", _expr(f, scope))
+                  for f in due]
+    if not e.gens:
+        steps += [FilterStep(_oid("filter"), "filter", _expr(f, scope))
+                  for f in e.filters]
     steps.append(ProjectStep(_oid("project"), "project",
                              _expr(e.output, scope), _getter(e.output, scope)))
-    chain = Chain(steps, e, scan_index=scan_index)
-    if not in_order and _runs_ahead(steps):
-        chain.in_order = compile_comp(e, program, outer, in_order=True)
-    return chain
-
-
-def _runs_ahead(steps: list) -> bool:
-    """Whether a filter, or a join's key, runs before a later generator: on
-    rows that the interpreter, which filters complete rows only, may never
-    reach."""
-    gens = [i for i, s in enumerate(steps) if s.kind in ("expand", "hashjoin")]
-    return any(s.kind != "expand" for s in steps[:gens[-1]]) if gens else False
+    return Chain(steps, e, scan_index=scan_index)
 
 
 def _access_path(f: Expr, new: set, unbound: set):
@@ -772,28 +733,8 @@ def run_chain(chain: Chain, env0: dict, ctx: "GraphContext",
     iterated unordered: only the set of rows reaches the result. A join over
     a frozenset source, other than the delta, keeps its index of that source
     in `ctx.views` (see `_kept_index`), and so may the scan before a join
-    (see `_scan_join`).
-
-    A chain with a filter or join key ahead of a later generator evaluates
-    it on rows that the interpreter may never complete, since a later
-    generator may yield nothing. If such a run raises, the chain runs again
-    in the interpreter's order (`Chain.in_order`), which raises exactly
-    when the interpreter does."""
-    try:
-        return _run(chain, slots, env0, ctx,
-                    _Sources(ctx, totals, delta, delta_step))
-    except Exception:  # the run below raises again if the interpreter does
-        if chain.in_order is None:
-            raise
-    chain = chain.in_order
-    if delta_step is not None:
-        delta_step = chain.step_at(delta_step.occurrence)
-    return _run(chain, slots, env0, ctx,
-                _Sources(ctx, totals, delta, delta_step))
-
-
-def _run(chain: Chain, slots: tuple, env0: dict, ctx,
-         sources: _Sources) -> frozenset:
+    (see `_scan_join`)."""
+    sources = _Sources(ctx, totals, delta, delta_step)
     env = dict(env0)  # the run's hoisted values join the outer names
     # no enclosing chain binds a slot of a chain with a scan index (see
     # compile_comp), so `slots` is empty
@@ -939,8 +880,8 @@ def _per_row(chain: Chain, program) -> bool:
     it reads is the names it binds, context-free: the outputs of one table
     row then depend on the row alone (see `_per_row_value`)."""
     comp, scan = chain.comp, chain.steps[0]
-    if chain.in_order is not None or not isinstance(scan, ExpandStep) \
-            or scan.per_row is not None or scan.width:
+    if not isinstance(scan, ExpandStep) or scan.per_row is not None \
+            or scan.width:
         return False
     d = program.data_map.get(scan.source.name)
     if d is None or d.kind != "table" or d.name in program.query_map:
