@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .ir import (
-    Assign, BinOp, Comp, Data, Delete, Field, Fold, ForEach, Gen, In, Index,
-    Len, Lit, Lookup, MakeRow, MergeMutation, Not, Program, Record, Return,
-    RangeOf, Send, Slice, TupleOf, UdfCall, Var, kept, prepared,
+    Assign, BinOp, Data, Delete, Fold, ForEach, In, Len, Lookup,
+    MergeMutation, Not, Program, Return, Send, UdfCall, kept, prepared,
     statement_exprs, walk_expr, _children,
 )
 

@@ -7,8 +7,11 @@ requests out and forwards the first response per request back to the
 client.
 
 Consistency: serializable handlers are sequenced through the lowest-numbered
-live replica (see :mod:`latticeflow.sim`). `facet_warnings` cross-checks the
-two annotations against the monotonicity analysis.
+live replica of their group; the plan places the group, and
+`sim.Cluster.sequencer` is the one place that picks the sequencer as nodes
+crash and recover. A handler runs only on the nodes of its own group.
+`facet_warnings` cross-checks the two annotations against the monotonicity
+analysis.
 
 `replication_plan` only places nodes; `scenario.build_scenario_cluster` is
 the one place that turns a plan into a running `Cluster`.
@@ -61,8 +64,6 @@ class ReplicationPlan:
     groups: dict = dfield(default_factory=dict)    # handler -> node ids
     proxies: dict = dfield(default_factory=dict)   # handler -> proxy node id
 
-    sequencers: dict = dfield(default_factory=dict)  # handler -> node id
-
     def to_dict(self) -> dict:
         return {
             "nodes": [{"id": n.node_id, "role": n.role,
@@ -71,8 +72,6 @@ class ReplicationPlan:
             "groups": {h: list(ids) for h, ids in sorted(self.groups.items())},
             "proxies": {h: {"node": p, "synthesized": True}
                         for h, p in sorted(self.proxies.items())},
-            "sequencers": {h: {"node": n, "synthesized": True}
-                           for h, n in sorted(self.sequencers.items())},
         }
 
 
@@ -115,8 +114,6 @@ def replication_plan(program: Program, slots) -> ReplicationPlan:
         if len(chosen) < need:
             raise InsufficientDomains(h.name, spec.domain, need, len(seen_domains))
         plan.groups[h.name] = [node_for(h.role, s) for s in chosen]
-        if h.consistency.level == "serializable":
-            plan.sequencers[h.name] = min(plan.groups[h.name])
         if need > 1:
             need_proxy = True
 

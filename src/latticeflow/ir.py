@@ -15,7 +15,7 @@ message id; :func:`prepared` does it once per handler object.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field as dfield, replace
+from dataclasses import dataclass, field as dfield
 from functools import cached_property
 from typing import NamedTuple, Optional, Tuple, Union
 
@@ -23,6 +23,12 @@ from .lattice import FIELD_SHAPES
 
 MESSAGE_ID = "_message_id"
 REPLY_TO = "_reply_to"
+# the fields of a commit record besides the request's message id: its
+# sequence number and the `state.Delta` the sequencer committed (see
+# `transducer.commit_record`); `validate` refuses them as program fields, so
+# that no request looks like a record
+ORDERED = "_ordered"
+EFFECTS = "_effects"
 
 
 def response_mailbox(handler_name: str) -> str:
@@ -649,6 +655,9 @@ def validate(p: Program) -> ValidationReport:
         for fname, ftype in c.fields:
             if ftype not in FIELD_TYPES:
                 rep.add("BadFieldType", f"class {c.name}.{fname}: {ftype!r}")
+            if fname in (ORDERED, EFFECTS):
+                rep.add("ReservedField",
+                        f"class {c.name}: field {fname!r} is reserved")
 
     for d in p.data:
         if d.kind == "table":
@@ -686,6 +695,12 @@ def validate(p: Program) -> ValidationReport:
                 check_expr(f, inner, where)
             check_expr(e.output, inner, where)
             return
+        elif isinstance(e, Record):
+            # a record may carry a message id: desugared responses write one
+            for fname, _ in e.fields:
+                if fname in (ORDERED, EFFECTS):
+                    rep.add("ReservedField",
+                            f"{where}: record field {fname!r} is reserved")
         elif isinstance(e, MakeRow):
             if e.cls not in classes:
                 rep.add("UnknownClass", f"{where}: class {e.cls!r}")
@@ -764,6 +779,10 @@ def validate(p: Program) -> ValidationReport:
             kind = "data" if h.name in datam else "query"
             rep.add("HandlerNameClash",
                     f"handler {h.name!r} has the name of a {kind}")
+        for pname in h.param_names:
+            if pname in (MESSAGE_ID, ORDERED, EFFECTS):
+                rep.add("ReservedField",
+                        f"handler {h.name}: parameter {pname!r} is reserved")
         env = set(_message_fields(h))
         if h.guard is not None:
             check_expr(h.guard, set(env), f"handler {h.name} guard")

@@ -2,9 +2,10 @@
 
 The plan names one node role per handler role, assigns each mailbox a
 routing rule, and records the compiled operator chains and query strata for
-inspection. Lowering refuses programs that validation, stratification, or
-recursive-group compilation reject, so anything that lowers cleanly is
-executable by both backends.
+inspection. The routes are the ones `sim.Cluster` runs, so `analyze
+--inspect` prints what the simulator does. Lowering refuses programs that
+validation, stratification, or recursive-group compilation reject, so
+anything that lowers cleanly is executable by both backends.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field as dfield
 from typing import Optional
 
 from .analysis import metaconsistency_conflicts, stratify
-from .ir import Program, response_mailbox, validate
+from .ir import Program, kept, response_mailbox, validate
 from .runtime import compile_queries
 
 
@@ -29,14 +30,16 @@ class LoweringError(Exception):
 class Route:
     """Where messages on one mailbox go.
 
-    kinds: ``role`` (any node hosting the role), ``reply`` (back to the
-    client that issued the matching request id), ``client`` (an outbound
-    sink).
+    kinds: ``role`` (the handler's replica group, or its sequencer when
+    `sequenced`), ``reply`` (back to the client that issued the matching
+    request id of `handler`), ``client`` (an outbound sink).
     """
 
     mailbox: str
     kind: str
     role: Optional[str] = None
+    handler: Optional[str] = None      # the handler a reply route answers
+    sequenced: bool = False            # a sequencer decides its requests
 
 
 @dataclass
@@ -69,7 +72,9 @@ class LoweringPlan:
                 for role, g in sorted(self.roles.items())
             },
             "routes": {
-                m: {k: v for k, v in (("kind", r.kind), ("role", r.role))
+                m: {k: v for k, v in (("kind", r.kind), ("role", r.role),
+                                      ("handler", r.handler),
+                                      ("sequenced", r.sequenced or None))
                     if v is not None}
                 for m, r in sorted(self.routes.items())
             },
@@ -84,6 +89,12 @@ def _chain_kinds(chains) -> list:
 
 
 def lower(program: Program) -> LoweringPlan:
+    """The program's plan, built on first use and kept on the program (see
+    `ir.kept`), so the analysis and every cluster of a program share it."""
+    return kept(program, "_lowered", _lower)
+
+
+def _lower(program: Program) -> LoweringPlan:
     report = validate(program)
     if not report.ok:
         raise LoweringError(
@@ -109,17 +120,18 @@ def lower(program: Program) -> LoweringPlan:
         for name, qplan in group.plans.items():
             operators[f"query:{name}"] = _chain_kinds(qplan.chains)
 
-    for role in program.roles():
-        handlers = sorted(h.name for h in program.handlers if h.role == role)
-        serial = sorted(h.name for h in program.handlers
-                        if h.role == role and h.consistency.level == "serializable")
-        plan.roles[role] = RoleGraph(role, handlers, serial, qstrata,
-                                     rec_groups, operators)
-
     for h in program.handlers:
-        plan.routes[h.name] = Route(h.name, "role", h.role)
+        plan.routes[h.name] = Route(
+            h.name, "role", h.role,
+            sequenced=h.consistency.level == "serializable")
         plan.routes[response_mailbox(h.name)] = Route(
-            response_mailbox(h.name), "reply")
+            response_mailbox(h.name), "reply", handler=h.name)
     for sink in program.sinks:
         plan.routes[sink] = Route(sink, "client")
+
+    for role in program.roles():
+        handlers = sorted(h.name for h in program.handlers if h.role == role)
+        serial = [name for name in handlers if plan.routes[name].sequenced]
+        plan.roles[role] = RoleGraph(role, handlers, serial, qstrata,
+                                     rec_groups, operators)
     return plan

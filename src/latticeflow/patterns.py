@@ -11,14 +11,13 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .ir import (
     Assign, AvailSpec, BinOp, ClassDecl, Comp, ConsistencySpec, Data,
-    DataDecl, Delete, Field, Fold, ForEach, Gen, Handler, In, Index, Len,
-    Lit, Lookup, MakeRow, MergeMutation, MESSAGE_ID, Not, Program, QueryDef,
-    RangeOf, Record, Return, Send, Slice, TargetSpec, TupleOf, UdfCall,
-    UdfDecl, Var,
+    DataDecl, Field, Fold, Gen, Handler, In, Index, Len, Lit, Lookup,
+    MakeRow, MergeMutation, MESSAGE_ID, Not, Program, QueryDef, RangeOf,
+    Record, Return, Send, Slice, TargetSpec, TupleOf, UdfCall, UdfDecl, Var,
 )
 from .progjson import register_udf
 

@@ -17,7 +17,6 @@ deterministic: fewer instances, then lower cost, then machine name.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dfield
 from typing import Optional
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 
-from . import ir, lattice
+from . import ir
 from .lattice import scalar_key
 
 _NODE_TYPES = {

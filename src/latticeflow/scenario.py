@@ -21,6 +21,7 @@ from typing import Optional
 from .facets import (InsufficientDomains, ReplicationPlan, make_topology,
                      replication_plan)
 from .ir import Program
+from .lowering import LoweringError
 from .progjson import decode_node
 from .sim import Cluster, NetworkModel, NodeSpec, domain_prefix_matches
 
@@ -217,8 +218,8 @@ def build_scenario_cluster(sc: Scenario, backend: str = "graph",
                            trace_path=None) -> Cluster:
     """Materialize the cluster and schedule workload and failures.
 
-    Raises ScenarioError when a handler has no node to run on or a failure
-    names a domain that holds no node."""
+    Raises ScenarioError when the program does not lower, a handler has no
+    node to run on or a failure names a domain that holds no node."""
     if sc.nodes is None:
         try:
             plan = replication_plan(sc.program,
@@ -242,10 +243,14 @@ def build_scenario_cluster(sc: Scenario, backend: str = "graph",
         _require(any(domain_prefix_matches(n.domain, prefix)
                      for n in plan.nodes),
                  f"failures[{i}]: no node under failure domain {list(prefix)}")
-    cluster = Cluster(sc.program, plan.nodes, plan.groups, network=sc.network,
-                      seed=seed if seed is not None else sc.seed,
-                      backend=backend, proxies=plan.proxies,
-                      trace_path=trace_path)
+    try:
+        cluster = Cluster(sc.program, plan.nodes, plan.groups,
+                          network=sc.network,
+                          seed=seed if seed is not None else sc.seed,
+                          backend=backend, proxies=plan.proxies,
+                          trace_path=trace_path)
+    except LoweringError as exc:
+        raise ScenarioError(f"lowering failed: {exc}") from exc
     for req in sc.workload:
         cluster.schedule_request(req["tick"], req["client"], req["handler"],
                                  req["fields"], message_id=req.get("message_id"))

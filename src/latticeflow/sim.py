@@ -10,13 +10,19 @@ Messages carry no sender, so a message that a node sent before it crashed
 is still delivered: crash-stop loses what the crashed node held, not what
 it had already put on the network.
 
-Replicated handlers fan requests out to every replica. Serializable
-handlers are sequenced: only the lowest-numbered live replica decides
-client requests. Each accepted request goes to the other live replicas as
-a commit record that carries the effects the sequencer committed (a
-`state.Delta`) and its sequence number; a replica applies the records in
-sequence order as they are delivered, drops a duplicate below its applied
-prefix, and never re-runs the handler (see `transducer`). A node decides a
+Messages go where the program's lowered plan (`lowering.lower`) routes
+their mailbox, so the plan `analyze --inspect` prints is the one the
+cluster runs. A handler's requests reach only the nodes of its own group:
+a replicated handler fans them out to every live replica, and a sequenced
+(serializable) one sends them to its sequencer, which `Cluster.sequencer`
+alone picks as the lowest-numbered live replica. A request whose group has
+no live node is traced as `NoLiveReplica`.
+
+Each accepted request goes to the other live replicas as a commit record
+that carries the effects the sequencer committed (a `state.Delta`) and its
+sequence number; a replica applies the records in sequence order as they
+are delivered, drops a duplicate below its applied prefix, and never
+re-runs the handler (see `transducer`). A node decides a
 request only when its applied prefix equals the number of records issued
 for the handler, so a replica promoted by a crash first applies the records
 still on their way to it. A recovered node rejoins empty and starts its
@@ -44,12 +50,13 @@ from __future__ import annotations
 import heapq
 import json
 import random
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .ir import MESSAGE_ID, Program, response_mailbox
-from .state import Row, canonical_state, encode_value
-from .transducer import NODE_FAILURES, ORDERED, Transducer, commit_record
+from .ir import MESSAGE_ID, ORDERED, Program, response_mailbox
+from .lowering import lower
+from .state import Row, canonical_state
+from .transducer import NODE_FAILURES, Transducer, commit_record
 
 DOMAIN_LEVELS = ("dc", "az", "rack", "vm")
 
@@ -125,8 +132,10 @@ class Cluster:
                  seed: int = 0, backend: str = "graph",
                  proxies=None, trace_path=None, max_rounds: int = 10000):
         """groups: handler name -> ordered list of worker node ids.
-        proxies: handler name -> proxy node id (optional per handler)."""
+        proxies: handler name -> proxy node id (optional per handler).
+        Raises `lowering.LoweringError` for a program that does not lower."""
         self.program = program
+        self.routes = lower(program).routes  # mailbox -> lowering.Route
         self.network = network or NetworkModel()
         self.rng = random.Random(seed)
         self.backend = backend
@@ -164,12 +173,6 @@ class Cluster:
         self.request_payload: dict = {}      # message_id -> (mailbox, payload)
         self._serial_seen: dict = {}         # node -> set of message ids
         self._committed: dict = {}           # message id -> accepted/rejected
-        self._handler_names = {h.name for h in program.handlers}
-        self._serializable = {h.name for h in program.handlers
-                              if h.consistency.level == "serializable"}
-        self._reply_of = {response_mailbox(h.name): h.name
-                          for h in program.handlers}
-        self._sinks = set(program.sinks)
 
     # --- bookkeeping --------------------------------------------------------
     def _emit(self, kind, node, **detail):
@@ -254,35 +257,28 @@ class Cluster:
         self._emit("Recovered", node_id, domain=list(spec.domain))
 
     # --- message routing ----------------------------------------------------
-    def _dests(self, mailbox: str, payload: Row, sender: Optional[str]) -> list:
-        if mailbox in self._handler_names:
-            proxy = self.proxies.get(mailbox)
-            from_client = sender is None
-            if proxy is not None and from_client and self.alive.get(proxy):
+    def _dests(self, route, payload: Row, sender: Optional[str]) -> list:
+        if route.kind == "role":
+            proxy = self.proxies.get(route.mailbox)
+            if proxy is not None and sender is None and self.alive.get(proxy):
                 return [proxy]
-            if mailbox in self._serializable and ORDERED not in payload:
-                seq = self.sequencer(mailbox)
-                return [seq] if seq else []
-            group = self.live_group(mailbox)
-            if group:
-                return list(group)
-            # unreplicated handler: any live worker hosting the role
-            role = self.program.handler_map[mailbox].role
-            cands = sorted(n for n, s in self.specs.items()
-                           if s.behavior == "worker" and s.role == role
-                           and self.alive.get(n))
-            return cands[:1]
-        if mailbox in self._reply_of:
-            handler = self._reply_of[mailbox]
-            proxy = self.proxies.get(handler)
+            return self._group_dests(route)
+        if route.kind == "reply":
+            proxy = self.proxies.get(route.handler)
             if proxy is not None and sender != proxy and self.alive.get(proxy):
                 return [proxy]
-            mid = payload.get(MESSAGE_ID)
-            client = self.client_of.get(mid)
+            client = self.client_of.get(payload.get(MESSAGE_ID))
             return [f"client:{client}"] if client is not None else []
-        if mailbox in self._sinks:
-            return ["sink"]
-        return []
+        return ["sink"]
+
+    def _group_dests(self, route) -> list:
+        """Where a request on handler route `route` goes inside the
+        handler's group: its sequencer if sequenced, else every live
+        replica."""
+        if route.sequenced:
+            seq = self.sequencer(route.mailbox)
+            return [seq] if seq else []
+        return self.live_group(route.mailbox)
 
     def _post(self, dest: str, mailbox: str, payload: Row):
         # randrange(lo, hi + 1) is randint(lo, hi)'s own body, so the draws
@@ -305,7 +301,12 @@ class Cluster:
                        message_id=payload.get(MESSAGE_ID))
 
     def _route(self, mailbox: str, payload: Row, sender: Optional[str]):
-        for dest in self._dests(mailbox, payload, sender):
+        route = self.routes[mailbox]
+        dests = self._dests(route, payload, sender)
+        if not dests and route.kind == "role":
+            self._emit("NoLiveReplica", None, mailbox=mailbox,
+                       message_id=payload.get(MESSAGE_ID))
+        for dest in dests:
             self._post(dest, mailbox, payload)
 
     # --- delivery -----------------------------------------------------------
@@ -353,7 +354,7 @@ class Cluster:
         """Deliver `m` to its worker; True if it applied commit records."""
         node = self.nodes[m.dest]
         payload = m.payload
-        if m.mailbox in self._serializable:
+        if self.routes[m.mailbox].sequenced:
             if ORDERED in payload:
                 # commit records apply strictly in sequence order, as they
                 # arrive; a duplicate of an applied one is dropped unseen
@@ -432,18 +433,19 @@ class Cluster:
         inbox, st.inbox = st.inbox, []
         for mailbox, payload in inbox:
             mid = payload.get(MESSAGE_ID)
-            if mailbox in self._handler_names:
+            route = self.routes[mailbox]
+            if route.kind == "role":
                 if mid in st.seen_requests:
                     continue
                 st.seen_requests.add(mid)
-                dests = self._proxy_dests(mailbox)
+                dests = self._group_dests(route)
                 for dest in dests:
                     self._post(dest, mailbox, payload)
                 st.pending[mid] = {"mailbox": mailbox, "payload": payload,
                                    "dests": self._addressed(dests),
                                    "dead_logged": False}
                 st.added.append(mid)
-            elif mailbox in self._reply_of:
+            else:  # a reply
                 st.pending.pop(mid, None)
                 if mid in st.seen_responses:
                     continue
@@ -452,12 +454,6 @@ class Cluster:
                 if client is not None:
                     self._post(f"client:{client}", mailbox, payload)
         return True
-
-    def _proxy_dests(self, mailbox: str) -> list:
-        if mailbox in self._serializable:
-            seq = self.sequencer(mailbox)
-            return [seq] if seq else []
-        return self.live_group(mailbox)
 
     def _proxy_retry(self, nid: str) -> bool:
         """Retransmit pending requests whose recipients have all crashed.
@@ -489,7 +485,7 @@ class Cluster:
         if any(self.alive.get(d) and self.incarnation[d] == inc
                for d, inc in entry["dests"]):
             return False
-        dests = self._proxy_dests(entry["mailbox"])
+        dests = self._group_dests(self.routes[entry["mailbox"]])
         if not dests:
             if entry["dead_logged"]:
                 return False

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dfield
 from typing import NamedTuple
 
 from . import lattice
-from .ir import ClassDecl, DataDecl, Program, kept
+from .ir import ClassDecl, Program, kept
 from .lattice import FIELD_SHAPES, scalar_key
 
 

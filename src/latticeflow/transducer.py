@@ -35,7 +35,7 @@ order, holds one that arrives early, drops one below the prefix, and builds
 no fork, context, guard or invariant check, and needs no tick. The node
 decides a request only when its applied prefix equals `issued`, the count
 of records issued for the handler; the gate is checked in
-`_run_serializable`, so a tick of eventual handlers pays nothing for it. A
+`_run_request`, so a tick of eventual handlers pays nothing for it. A
 node starts its prefix at the count issued when it is built, so a
 recovered node applies only the records issued after it rejoined. A
 serializable handler's guard runs on its pending messages only up to the
@@ -66,7 +66,7 @@ from .eval import MISSING, _order_key, bind, truthy
 from .interp import InterpContext
 from .ir import (
     Assign, Delete, ForEach, Handler, MergeMutation, Program, Send, UdfCall,
-    _MSG, MESSAGE_ID, prepared,
+    _MSG, EFFECTS, MESSAGE_ID, ORDERED, prepared,
 )
 from .lattice import IntOverflow, ShapeMismatch
 from .runtime import GraphContext, compile_queries
@@ -77,11 +77,6 @@ from .state import (
 
 ACCEPTED = "accepted"
 REJECTED = "rejected"
-
-# the fields of a commit record besides the request's message id: its
-# sequence number and the `Delta` the sequencer committed
-ORDERED = "_ordered"
-EFFECTS = "_effects"
 
 # what a tick raises on a defect of the program it runs; `Transducer.tick`
 # names the handlers it blames in the exception's `handlers`, and
@@ -107,7 +102,8 @@ class TickResult:
 
 
 class Transducer:
-    """Single-node executor; `backend` picks the evaluation strategy."""
+    """Single-node executor; `backend` picks the evaluation strategy. A
+    tick returns its sends, and `sim.Cluster` routes them."""
 
     def __init__(self, program: Program, role: str = "main",
                  backend: str = "graph", max_rounds: int = 10000,
@@ -123,7 +119,7 @@ class Transducer:
         self.max_rounds = max_rounds
         self.state = NodeState(program)
         self.handlers = sorted(
-            (h for h in program.handlers if role is None or h.role == role),
+            (h for h in program.handlers if h.role == role),
             key=lambda h: h.name)
         self.prepared = {h.name: prepared(h) for h in self.handlers}
         self.idle_when_empty = {name: all(map(_inert_when_empty, p.stmts))
@@ -143,7 +139,6 @@ class Transducer:
             or self.prepared[h.name].guard is not None)
         self.compiled = compile_queries(program) if backend == "graph" else None
         self.views: dict = {}     # recursive query results kept between ticks
-        self.outputs: dict = {}   # non-handler mailbox -> delivered payloads
         self.issued = issued
         # serializable handler -> its applied prefix: the records applied or
         # issued here, starting from the count issued as the node starts
@@ -211,7 +206,7 @@ class Transducer:
         starts, only when a handler will read it (see `__init__`), and
         commits the eventual effects only when some eventual handler's
         statements ran; a request builds its own two contexts (see
-        `_run_serializable`).
+        `_run_request`).
 
         A `NODE_FAILURES` exception leaves it with `handlers`, the names of
         the handlers it is blamed on: the one that raised, or, when the
@@ -237,7 +232,7 @@ class Transducer:
                     result.sends.extend(eff.sends)
 
             for h in self.serializable:
-                self._run_serializable(h, ctx, result)
+                self._run_request(h, ctx, result)
         except NODE_FAILURES as exc:
             exc.handlers = (h.name,) if h is not None else tuple(ran)
             raise
@@ -263,7 +258,7 @@ class Transducer:
             result.fired.append(h.name)
         return True
 
-    def _run_serializable(self, h: Handler, ctx, result: TickResult):
+    def _run_request(self, h: Handler, ctx, result: TickResult):
         """Run the first eligible request of `h` on a fork, and adopt the
         fork if the invariants hold on it. `ctx`, the tick's context, picks
         the request by the guard; it is None only if `h` has no guard or no
@@ -415,30 +410,6 @@ class Transducer:
             if not isinstance(p, Row):
                 raise TypeError(f"send to {s.mailbox!r} needs records, got {p!r}")
             eff.sends.append(OutMsg(s.mailbox, p))
-
-    # --- local loop ----------------------------------------------------------
-    def pump(self, result: TickResult):
-        """Deliver this node's own sends: handler mailboxes loop back on the
-        next tick, everything else is collected as output."""
-        handler_boxes = {h.name for h in self.program.handlers}
-        for out in result.sends:
-            if out.mailbox in handler_boxes:
-                self.state.deliver(out.mailbox, out.payload)
-            else:
-                self.outputs.setdefault(out.mailbox, []).append(out.payload)
-
-    def run(self, max_ticks: int = 1000) -> list:
-        """Tick until quiescent, looping sends back locally."""
-        results = []
-        for _ in range(max_ticks):
-            if not self.has_pending_input():
-                break
-            r = self.tick()
-            results.append(r)
-            self.pump(r)
-            if not r.fired and not r.sends:
-                break  # remaining messages are guard-blocked for good
-        return results
 
 
 def _inert_when_empty(s) -> bool:

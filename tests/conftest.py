@@ -1,5 +1,5 @@
-"""Shared builders: a transitive-closure program, random graphs, and a
-breadth-first-search reachability oracle."""
+"""Shared builders: a transitive-closure program, random graphs, a
+breadth-first-search reachability oracle, and a one-node cluster."""
 
 import random
 
@@ -10,6 +10,7 @@ from latticeflow.ir import (
     Var,
 )
 from latticeflow.runtime import GraphContext, compile_queries
+from latticeflow.sim import Cluster, NetworkModel, NodeSpec
 from latticeflow.state import NodeState, Row
 
 
@@ -82,3 +83,11 @@ def closure_contexts(edges):
     snap = loaded_state(p, edges).snapshot()
     return (InterpContext(p, snap),
             GraphContext(p, snap, compile_queries(p)))
+
+
+def one_node_cluster(program: Program, backend: str = "graph") -> Cluster:
+    """A cluster of one worker, ``n1``, hosting every handler, on a network
+    that delivers each message one tick after it is sent."""
+    return Cluster(program, [NodeSpec("n1")],
+                   {h.name: ["n1"] for h in program.handlers},
+                   network=NetworkModel(1, 1), backend=backend)

@@ -15,8 +15,9 @@ from latticeflow.cli import (
     EXIT_VALIDATION, main,
 )
 from latticeflow.ir import (
-    BinOp, ClassDecl, Comp, Data, DataDecl, Gen, Handler, Lit, MergeMutation,
-    Program, TargetPath, TupleOf, Var,
+    Assign, AvailSpec, BinOp, ClassDecl, Comp, ConsistencySpec, Data,
+    DataDecl, Gen, Handler, Lit, MergeMutation, Program, TargetPath, TupleOf,
+    Var,
 )
 from latticeflow.patterns import covid_program
 from latticeflow.progjson import program_to_json
@@ -404,6 +405,51 @@ def test_an_unknown_operator_is_a_validation_error(tmp_path, capsys):
     assert main(["simulate", str(path)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == (
         "invalid: UnknownOperator: handler square: unknown operator '**'\n")
+
+
+def test_a_reserved_request_field_is_a_validation_error(tmp_path, capsys):
+    # the sequencer's replicas took the request for a commit record, and the
+    # run ended in KeyError: '_effects'
+    program = Program(
+        "stock",
+        data=(DataDecl("n", "var", scalar="int", init=5),),
+        handlers=(Handler("spend", {"_ordered": "int"}, (Assign(
+            TargetPath("n"), BinOp("-", Data("n"), Lit(1))),),
+            consistency=ConsistencySpec("serializable")),),
+        availability={"spend": AvailSpec("az", 2)})
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario_dict(
+        program=json.loads(program_to_json(program)),
+        workload=[{"tick": 0, "client": "c1", "handler": "spend",
+                   "fields": {"_ordered": 0}}])))
+    assert main(["simulate", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "invalid: ReservedField: handler spend: parameter '_ordered' is "
+        "reserved\n")
+
+
+def test_a_program_that_does_not_lower_is_an_input_error(tmp_path, capsys):
+    # the serializable handler reads `n`, which an eventual handler assigns
+    program = Program(
+        "dirty",
+        data=(DataDecl("acc", "var", shape="set"),
+              DataDecl("n", "var", scalar="int", init=0)),
+        handlers=(
+            Handler("messy", {"x": "int"},
+                    (Assign(TargetPath("n"), Var("x")),)),
+            Handler("serial", {},
+                    (MergeMutation(TargetPath("acc"), Data("n")),),
+                    consistency=ConsistencySpec("serializable"))))
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario_dict(
+        program=json.loads(program_to_json(program)),
+        workload=[{"tick": 0, "client": "c1", "handler": "messy",
+                   "fields": {"x": 1}}])))
+    assert main(["simulate", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: lowering failed: MetaconsistencyConflict: serializable "
+        "handler 'serial' reads 'n', which non-monotone eventual handler "
+        "'messy' mutates\n")
 
 
 def test_an_object_in_a_payload_is_refused(tmp_path, capsys):

@@ -9,7 +9,13 @@ from latticeflow.ir import (
     Assign, AvailSpec, BinOp, ConsistencySpec, Data, DataDecl, Handler, Lit,
     MergeMutation, Program, TargetPath, Var,
 )
+from latticeflow.lowering import lower
 from latticeflow.patterns import covid_tracker
+from latticeflow.sim import Cluster
+
+
+def planned_cluster(p, plan) -> Cluster:
+    return Cluster(p, plan.nodes, plan.groups, proxies=plan.proxies)
 
 
 def prog(handlers, availability=None):
@@ -83,9 +89,9 @@ def test_sequencer_is_synthesized_for_serializable_handlers():
                 consistency=ConsistencySpec("serializable"))
     p = prog([h], {"spend": AvailSpec("az", 2)})
     plan = replication_plan(p, make_topology())
-    assert plan.sequencers["spend"] in plan.groups["spend"]
+    assert lower(p).routes["spend"].sequenced
+    assert planned_cluster(p, plan).sequencer("spend") in plan.groups["spend"]
     marks = plan.to_dict()
-    assert marks["sequencers"]["spend"]["synthesized"] is True
     assert marks["proxies"]["spend"]["synthesized"] is True
 
 
@@ -101,7 +107,10 @@ def test_covid_plan_matches_annotations():
     plan = replication_plan(p, make_topology())
     assert len(plan.groups["vaccinate"]) == 3   # tolerates 2 az failures
     assert len(plan.groups["estimate"]) == 2    # tolerates 1
-    assert "vaccinate" in plan.sequencers and "estimate" not in plan.sequencers
+    routes = lower(p).routes
+    assert routes["vaccinate"].sequenced and not routes["estimate"].sequenced
+    assert (planned_cluster(p, plan).sequencer("vaccinate")
+            in plan.groups["vaccinate"])
 
 
 # --- warnings ----------------------------------------------------------------

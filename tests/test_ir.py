@@ -7,7 +7,7 @@ import pytest
 from latticeflow.ir import (
     Assign, BinOp, ClassDecl, Comp, ConsistencySpec, Data, DataDecl, Field,
     ForEach, Gen, Handler, In, Lit, MakeRow, MergeMutation, Program, QueryDef,
-    Return, Send, TargetPath, UdfCall, UdfDecl, Var, desugar_handler,
+    Record, Return, Send, TargetPath, UdfCall, UdfDecl, Var, desugar_handler,
     response_mailbox, validate,
 )
 from latticeflow.patterns import get_pattern, pattern_names
@@ -152,6 +152,21 @@ def test_a_comprehension_that_binds_a_name_twice_is_rejected():
         rep = validate(tiny_program(queries=(QueryDef("q", (), (body,)),)))
         assert [e.code for e in rep] == ["RepeatedBinder"], rep.entries
         assert "binds 'x' twice" in rep.entries[0].message
+
+
+def test_commit_record_fields_are_reserved():
+    # a sequenced replica takes a message with `_ordered` for a commit
+    # record; a record literal may still carry a message id
+    p = tiny_program(
+        classes=(ClassDecl("Item", {"k": "int", "_effects": "int"}, key="k"),),
+        handlers=(Handler("h", {"_ordered": "int", "_message_id": "str"}, (
+            Send("h", Record(_ordered=Lit(1), _message_id=Lit("m1"))),)),))
+    assert sorted((e.code, e.message) for e in validate(p)) == [
+        ("ReservedField", "class Item: field '_effects' is reserved"),
+        ("ReservedField", "handler h: parameter '_message_id' is reserved"),
+        ("ReservedField", "handler h: parameter '_ordered' is reserved"),
+        ("ReservedField", "handler h: record field '_ordered' is reserved"),
+    ]
 
 
 def test_handler_invariants_are_validated():

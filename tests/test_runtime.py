@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (bfs_closure, closure_contexts, closure_program,
-                      loaded_state)
+                      loaded_state, one_node_cluster)
 from latticeflow.eval import (MISSING, _order_key, bind, eval_expr,
                               iter_source, truthy)
 from latticeflow.interp import InterpContext
@@ -358,13 +358,14 @@ def test_self_sends_arrive_next_tick():
             Handler("back", {"x": "int"},
                     (MergeMutation(TargetPath("acc"), Var("x")),)),
         ))
-    t = Transducer(p)
-    t.deliver("front", request(0, x=3))
-    r = t.tick()
-    t.pump(r)
-    assert t.state.vars["acc"].elems == frozenset()
-    t.tick()
-    assert t.state.vars["acc"].elems == frozenset({3})
+    c = one_node_cluster(p)
+    c.schedule_request(0, "c1", "front", {"x": 3})
+    c.step()  # the request arrives at tick 1
+    c.step()  # front runs and sends to back
+    node = c.nodes["n1"]
+    assert node.state.vars["acc"].elems == frozenset()
+    c.step()
+    assert node.state.vars["acc"].elems == frozenset({3})
 
 
 def test_udf_memoized_within_a_tick():
@@ -388,17 +389,15 @@ def test_udf_memoized_within_a_tick():
 
 
 def test_batching_does_not_change_final_state():
-    msgs = [request(i, x=v) for i, v in enumerate([4, 9, 1, 9, 2])]
+    msgs = [{"x": v} for v in [4, 9, 1, 9, 2]]
 
     def run(schedule):
-        t = Transducer(counter_program())
-        for batch in schedule:
+        c = one_node_cluster(counter_program())
+        for tick, batch in enumerate(schedule):
             for m in batch:
-                t.deliver("add", m)
-            t.pump(t.tick())
-        while t.has_pending_input():
-            t.pump(t.tick())
-        return canonical_state(t.state, include_mailboxes=False)
+                c.schedule_request(tick, "c1", "add", m)
+        c.run_to_quiescence()
+        return c.node_state("n1", include_mailboxes=False)
 
     one_shot = run([msgs])
     for i in range(1, len(msgs)):
@@ -696,11 +695,11 @@ def test_backends_agree_on_transducer_runs():
                  for _ in range(rng.randint(1, 12))]
         states = []
         for backend in ("interp", "graph"):
-            t = Transducer(closure_program(), backend=backend)
-            for i, (a, b) in enumerate(pairs):
-                t.deliver("add_edge", request(i, a=a, b=b))
-            t.run()
-            states.append(canonical_state(t.state, include_mailboxes=False))
+            c = one_node_cluster(closure_program(), backend=backend)
+            for a, b in pairs:
+                c.schedule_request(0, "c1", "add_edge", {"a": a, "b": b})
+            c.run_to_quiescence()
+            states.append(c.node_state("n1", include_mailboxes=False))
         assert states[0] == states[1], pairs
 
 
@@ -714,12 +713,11 @@ def test_statement_order_is_immaterial_for_monotone_bodies():
                     data=(DataDecl("acc", "var", shape="set"),),
                     handlers=(Handler("go", {"x": "int"}, perm),),
                     sinks=("out",))
-        t = Transducer(p)
-        t.deliver("go", request(0, x=1))
-        t.pump(t.tick())
-        finals.add((canonical_state(t.state, include_mailboxes=False
-                                    ).__repr__(),
-                    tuple(t.outputs.get("out", ()))))
+        c = one_node_cluster(p)
+        c.schedule_request(0, "c1", "go", {"x": 1})
+        c.run_to_quiescence()
+        finals.add((repr(c.node_state("n1", include_mailboxes=False)),
+                    tuple(c.sink_outputs.get("out", ()))))
     assert len(finals) == 1
 
 

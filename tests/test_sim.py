@@ -6,7 +6,10 @@ from dataclasses import replace
 import pytest
 
 from latticeflow.facets import make_topology, replication_plan
-from latticeflow.ir import MESSAGE_ID, AvailSpec
+from latticeflow.ir import (
+    MESSAGE_ID, AvailSpec, DataDecl, Handler, MergeMutation, Program,
+    TargetPath, Var,
+)
 from latticeflow.patterns import covid_tracker, covid_workload, run_workload
 from latticeflow.runtime import compile_queries
 from latticeflow.scenario import Scenario, build_scenario_cluster
@@ -85,6 +88,30 @@ def test_no_live_replica_is_logged():
     cluster.run_to_quiescence()
     assert any(ev.kind == "NoLiveReplica" for ev in cluster.trace)
     assert cluster.responses.get("c1", {}) == {}
+
+
+def test_a_request_reaches_only_its_own_group():
+    # `a` has one replica and shares its role with the three of `b`; with
+    # that replica down, a request for `a` goes to no node of `b`
+    program = Program(
+        "shared", data=(DataDecl("acc", "var", shape="set"),),
+        handlers=tuple(Handler(name, {"x": "int"},
+                               (MergeMutation(TargetPath("acc"), Var("x")),))
+                       for name in ("a", "b")),
+        availability={"a": AvailSpec("az", 0), "b": AvailSpec("az", 2)})
+    cluster = build_scenario_cluster(
+        Scenario(program, seed=1, network=NetworkModel(1, 3, 0.0)))
+    [only] = cluster.groups["a"]
+    assert len(cluster.groups["b"]) == 3 and only in cluster.groups["b"]
+    cluster.schedule_failure(0, cluster.specs[only].domain)
+    mid = cluster.schedule_request(1, "c1", "a", {"x": 1})
+    cluster.run_to_quiescence()
+    assert [(ev.node, ev.detail) for _, ev in _events(cluster,
+                                                      "NoLiveReplica")] == [
+        (None, {"mailbox": "a", "message_id": mid})]
+    assert not _events(cluster, "Sent")
+    assert all(node.state.vars["acc"].elems == frozenset()
+               for node in cluster.nodes.values())
 
 
 def test_retransmission_recovers_a_dropped_request():
