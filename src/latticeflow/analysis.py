@@ -2,8 +2,9 @@
 
 The classifier is strictly syntactic and conservative: assignment, deletion,
 negation, extrema extraction, and undeclared UDFs are never Monotone.
-Threshold comparisons (a growing count or merge compared with ``>=`` against
-a state-free bound) are treated as monotone: once true they stay true.
+Threshold comparisons (a growing count or set fold compared with ``>=``
+against a state-free bound) are treated as monotone: once true they stay
+true.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .ir import (
     statement_exprs, walk_expr, _children,
 )
 
-MONOTONE_FOLDS = ("count", "set", "merge")
+MONOTONE_FOLDS = ("count", "set")
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ def _reads_state(e, p: Program) -> bool:
 
 
 def _is_threshold(e: BinOp, p: Program) -> bool:
-    """count/merge-style growing value >= state-free bound (or flipped)."""
+    """count-style growing value >= state-free bound (or flipped)."""
     if e.op in (">=", ">"):
         grow, bound = e.left, e.right
     elif e.op in ("<=", "<"):

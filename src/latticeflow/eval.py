@@ -42,10 +42,10 @@ MISSING = _Missing()
 class EvalContext:
     """Per-tick evaluation context over an immutable snapshot."""
 
-    def __init__(self, program, snapshot: Snapshot, firing=None):
+    def __init__(self, program, snapshot: Snapshot):
         self.program = program
         self.snapshot = snapshot
-        self.firing = firing if firing is not None else {}
+        self.firing = {}  # handler -> the messages it runs on this tick
         self.query_overrides = {}
         self.udf_memo = {}
         self.udf_invocations = 0
@@ -286,13 +286,6 @@ def apply_fold(kind: str, values: list, ctx: EvalContext):
         return max(values, key=scalar_key) if values else MISSING
     if kind == "set":
         return frozenset(values)
-    if kind == "merge":
-        if not values:
-            return MISSING
-        acc = values[0]
-        for v in values[1:]:
-            acc = lattice.merge(acc, v)
-        return acc
     if kind == "array_agg":
         # values are (ix, val) pairs; emit vals ordered by ix
         pairs = sorted(values, key=lambda p: scalar_key(p[0]))

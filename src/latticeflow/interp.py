@@ -59,8 +59,8 @@ def _inline_output(output):
 
 
 class InterpContext(EvalContext):
-    def __init__(self, program, snapshot, firing=None, max_rounds=10000):
-        super().__init__(program, snapshot, firing)
+    def __init__(self, program, snapshot, max_rounds=10000):
+        super().__init__(program, snapshot)
         self.max_rounds = max_rounds
         self.rounds = {}
         self._qmemo = {}

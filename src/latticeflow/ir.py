@@ -205,12 +205,15 @@ class Comp:
 class Fold:
     """Aggregate over a collection.
 
-    kinds: count, sum, min, max, set, merge, array_agg (sorts (ix, val)
-    pairs by ix and projects val), or udf:<name> for a binary user fold.
+    kinds: those in FOLD_KINDS (array_agg sorts (ix, val) pairs by ix and
+    projects val), or udf:<name> for a binary user fold.
     """
 
     kind: str
     source: "Expr"
+
+
+FOLD_KINDS = ("count", "sum", "min", "max", "set", "array_agg")
 
 
 @dataclass(frozen=True)
@@ -708,6 +711,18 @@ def validate(p: Program) -> ValidationReport:
             if e.op not in ARITH and e.op not in ("and", "or"):
                 rep.add("UnknownOperator",
                         f"{where}: unknown operator {e.op!r}")
+        elif isinstance(e, Fold):
+            if e.kind.startswith("udf:"):
+                u = udfs.get(e.kind[4:])
+                if u is None:
+                    rep.add("UnresolvedName",
+                            f"{where}: fold by unknown udf {e.kind[4:]!r}")
+                elif u.arity != 2:
+                    rep.add("ArityMismatch", f"{where}: fold by udf {u.name} "
+                            f"needs 2 args, it takes {u.arity}")
+            elif e.kind not in FOLD_KINDS:
+                rep.add("UnknownFold",
+                        f"{where}: unknown fold kind {e.kind!r}")
         for child in _children(e):
             check_expr(child, env, where)
 

@@ -6,6 +6,11 @@ inspection. The routes are the ones `sim.Cluster` runs, so `analyze
 --inspect` prints what the simulator does. Lowering refuses programs that
 validation, stratification, or recursive-group compilation reject, so
 anything that lowers cleanly is executable by both backends.
+
+It also refuses what the cluster cannot sequence: a send into a
+serializable handler's mailbox, since a sequenced request must be a
+client's, and a return from a serializable handler or a send into its
+reply mailbox, since a sequenced request's one reply is its status.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ from dataclasses import dataclass, field as dfield
 from typing import Optional
 
 from .analysis import metaconsistency_conflicts, stratify
-from .ir import Program, kept, response_mailbox, validate
+from .ir import (
+    ForEach, Program, Send, kept, prepared, response_mailbox, validate,
+)
 from .runtime import compile_queries
 
 
@@ -129,9 +136,41 @@ def _lower(program: Program) -> LoweringPlan:
     for sink in program.sinks:
         plan.routes[sink] = Route(sink, "client")
 
+    refused = _unsequenceable(program, plan.routes)
+    if refused:
+        raise LoweringError("NotSequenceable: " + "; ".join(refused),
+                            entries=refused)
+
     for role in program.roles():
         handlers = sorted(h.name for h in program.handlers if h.role == role)
         serial = [name for name in handlers if plan.routes[name].sequenced]
         plan.roles[role] = RoleGraph(role, handlers, serial, qstrata,
                                      rec_groups, operators)
     return plan
+
+
+def _unsequenceable(program: Program, routes: dict) -> list:
+    """Each send of a handler that the cluster cannot sequence: one into a
+    serializable handler's mailbox or into its reply mailbox."""
+    out = []
+    for h in program.handlers:
+        for s in _sends(prepared(h).stmts):
+            route = routes[s.mailbox]
+            if route.sequenced:
+                out.append(f"handler {h.name!r} sends to serializable handler "
+                           f"{s.mailbox!r}, whose requests must be clients'")
+            elif route.kind == "reply" and routes[route.handler].sequenced:
+                what = ("returns a value" if route.handler == h.name
+                        else f"sends to {s.mailbox!r}")
+                out.append(f"handler {h.name!r} {what}, but serializable "
+                           f"handler {route.handler!r} replies with its "
+                           "request's status alone")
+    return out
+
+
+def _sends(stmts):
+    for s in stmts:
+        if isinstance(s, ForEach):
+            yield from _sends(s.body)
+        elif isinstance(s, Send):
+            yield s

@@ -894,8 +894,8 @@ def _per_row(chain: Chain, program) -> bool:
 
 class GraphContext(EvalContext):
     def __init__(self, program, snapshot, compiled: CompiledQueries,
-                 firing=None, max_rounds=10000, views=None):
-        super().__init__(program, snapshot, firing)
+                 max_rounds=10000, views=None):
+        super().__init__(program, snapshot)
         self.compiled = compiled
         self.max_rounds = max_rounds
         # scc -> _View, see apply_fixpoint; a join step's id or a chain's

@@ -14,19 +14,16 @@ Messages go where the program's lowered plan (`lowering.lower`) routes
 their mailbox, so the plan `analyze --inspect` prints is the one the
 cluster runs. A handler's requests reach only the nodes of its own group:
 a replicated handler fans them out to every live replica, and a sequenced
-(serializable) one sends them to its sequencer, which `Cluster.sequencer`
-alone picks as the lowest-numbered live replica. A request whose group has
-no live node is traced as `NoLiveReplica`.
+(serializable) one sends them to its sequencer, the lowest-numbered live
+replica; `Cluster.sequencer` picks it for routing and for nothing else. A
+request whose group has no live node is traced as `NoLiveReplica`.
 
-Each accepted request goes to the other live replicas as a commit record
-that carries the effects the sequencer committed (a `state.Delta`) and its
-sequence number; a replica applies the records in sequence order as they
-are delivered, drops a duplicate below its applied prefix, and never
-re-runs the handler (see `transducer`). A node decides a
-request only when its applied prefix equals the number of records issued
-for the handler, so a replica promoted by a crash first applies the records
-still on their way to it. A recovered node rejoins empty and starts its
-prefix at the count issued when it recovers. The count of records issued
+Which node may decide a sequenced request is the node's own rule, and the
+deciding node issues the request's commit record (see `transducer`): a
+node decides only when its applied prefix equals the number of records
+issued for the handler. The cluster posts each record to the other live
+replicas, which apply it without re-running the handler, and answers the
+client. A recovered node rejoins empty. The count of records issued
 (`_commit_seq`) and the decided outcomes (`_committed`) are still kept by
 the cluster, not by any node.
 
@@ -56,7 +53,7 @@ from typing import NamedTuple, Optional
 from .ir import MESSAGE_ID, ORDERED, Program, response_mailbox
 from .lowering import lower
 from .state import Row, canonical_state
-from .transducer import NODE_FAILURES, Transducer, commit_record
+from .transducer import NODE_FAILURES, Transducer
 
 DOMAIN_LEVELS = ("dc", "az", "rack", "vm")
 
@@ -160,7 +157,6 @@ class Cluster:
         self._seq = 0
         self._mid = 0
         self.trace: list = []
-        self.trace_path = trace_path
         self._trace_file = open(trace_path, "w") if trace_path else None
         self.pending_injections: list = []   # heap of (tick, order, client, mailbox, payload)
         self._order = 0                      # schedule order, never repeats
@@ -171,7 +167,6 @@ class Cluster:
         self.response_log: list = []         # every response delivery, in order
         self.sink_outputs: dict = {}         # sink mailbox -> payload list
         self.request_payload: dict = {}      # message_id -> (mailbox, payload)
-        self._serial_seen: dict = {}         # node -> set of message ids
         self._committed: dict = {}           # message id -> accepted/rejected
 
     # --- bookkeeping --------------------------------------------------------
@@ -253,7 +248,6 @@ class Cluster:
             self.nodes[node_id] = self._worker(spec)
         self.alive[node_id] = True
         self._liveness += 1
-        self._serial_seen.pop(node_id, None)
         self._emit("Recovered", node_id, domain=list(spec.domain))
 
     # --- message routing ----------------------------------------------------
@@ -364,16 +358,16 @@ class Cluster:
                                ordered=record[ORDERED],
                                message_id=record.get(MESSAGE_ID))
                 return bool(applied)
-            seen = self._serial_seen.setdefault(m.dest, set())
-            mid = payload.get(MESSAGE_ID)
             # a retransmission may reach a new sequencer after the original
             # already decided; the decided outcome must not run twice
-            if mid in seen or mid in self._committed:
+            mid = payload.get(MESSAGE_ID)
+            if mid in self._committed or not node.take_request(m.mailbox,
+                                                                payload):
                 self._emit("Deduplicated", m.dest, mailbox=m.mailbox,
                            message_id=mid)
                 return False
-            seen.add(mid)
-        node.deliver(m.mailbox, payload)
+        else:
+            node.deliver(m.mailbox, payload)
         self._emit("Delivered", m.dest, mailbox=m.mailbox,
                    message_id=payload.get(MESSAGE_ID))
         return False
@@ -502,22 +496,14 @@ class Cluster:
         return True
 
     def _serial_results(self, nid: str, result):
-        """Answer the requests that sequencer `nid` decided, and ship each
-        accepted one's effects to the other live replicas as the next
-        commit record, which the sequencer's own prefix already counts."""
+        """Answer the requests that node `nid` decided, and post each commit
+        record it issued to the other live replicas."""
         for mid, status in sorted(result.statuses.items()):
-            entry = self.request_payload.get(mid)
-            if entry is None:
-                continue  # not a client's request
-            handler = entry[0]
-            if self.sequencer(handler) != nid:
-                continue
+            handler = self.request_payload[mid][0]
             self._committed[mid] = status
-            if status == "accepted":
-                seq = self._commit_seq.get(handler, 0)
-                self._commit_seq[handler] = seq + 1
-                self.nodes[nid].applied[handler] = seq + 1
-                record = commit_record(mid, seq, result.deltas[mid])
+            record = result.records.get(mid)
+            if record is not None:
+                self._commit_seq[handler] = record[ORDERED] + 1
                 for backup in self.live_group(handler):
                     if backup != nid:
                         self._post(backup, handler, record)

@@ -178,7 +178,6 @@ class NodeState:
         self.tables: dict = {}
         self.vars: dict = {}
         self.mailboxes: dict = {name: [] for name in program.mailboxes}
-        self.tick = 0
         for d in program.data:
             if d.kind == "table":
                 self.tables[d.name] = {}
@@ -203,7 +202,6 @@ class NodeState:
         other.tables = dict(self.tables)
         other.vars = dict(self.vars)
         other.mailboxes = dict(self.mailboxes)
-        other.tick = self.tick
         return other
 
     def deliver(self, mailbox: str, payload: Row):

@@ -28,16 +28,19 @@ accepted one leaves the node's other tables the same objects, and a
 rejected one leaves every table so.
 
 Under a cluster a node keeps, for each serializable handler, its applied
-prefix (`applied`): the commit records it has applied, or issued itself as
-the sequencer. A commit record carries the `state.Delta` its request
-committed on the sequencer; `apply_record` commits the records in sequence
-order, holds one that arrives early, drops one below the prefix, and builds
-no fork, context, guard or invariant check, and needs no tick. The node
-decides a request only when its applied prefix equals `issued`, the count
-of records issued for the handler; the gate is checked in
+prefix (`applied`): the commit records it has applied or issued. A node
+that accepts a request issues its record itself: it takes its prefix as
+the record's sequence number and advances the prefix. A commit record
+carries the `state.Delta` its request committed; `apply_record` commits
+the records in sequence order, holds one that arrives early, drops one
+below the prefix, and builds no fork, context, guard or invariant check,
+and needs no tick. The node decides a request only when its applied
+prefix equals `issued`, the count of records issued for the handler, and
+this gate alone decides which node may decide; it is checked in
 `_run_request`, so a tick of eventual handlers pays nothing for it. A
 node starts its prefix at the count issued when it is built, so a
-recovered node applies only the records issued after it rejoined. A
+recovered node applies only the records issued after it rejoined. A node
+takes each sequenced request's message id once (`take_request`). A
 serializable handler's guard runs on its pending messages only up to the
 first that passes.
 
@@ -93,11 +96,10 @@ def commit_record(message_id: str, seq: int, delta: Delta) -> Row:
 
 @dataclass
 class TickResult:
-    tick: int
     fired: list = dfield(default_factory=list)        # handler names that consumed input
     sends: list = dfield(default_factory=list)        # OutMsg
     statuses: dict = dfield(default_factory=dict)     # message_id -> accepted/rejected
-    deltas: dict = dfield(default_factory=dict)       # message_id -> Delta, if accepted
+    records: dict = dfield(default_factory=dict)      # message_id -> commit record, if accepted
     udf_invocations: int = 0
 
 
@@ -144,6 +146,7 @@ class Transducer:
         # issued here, starting from the count issued as the node starts
         self.applied: dict = dict(issued or {})
         self.held: dict = {}      # handler -> {seq: record} past the prefix
+        self.taken: set = set()   # message ids of the sequenced requests taken
 
     # --- context construction -----------------------------------------------
     def _context(self, snapshot):
@@ -159,6 +162,16 @@ class Transducer:
     def has_pending_input(self) -> bool:
         boxes = self.state.mailboxes
         return any(boxes.get(name) for name in self.prepared)
+
+    def take_request(self, mailbox: str, payload: Row) -> bool:
+        """Queue request `payload` of a serializable handler unless this
+        node has taken its message id before; whether it did."""
+        mid = payload.get(MESSAGE_ID)
+        if mid in self.taken:
+            return False
+        self.taken.add(mid)
+        self.state.deliver(mailbox, payload)
+        return True
 
     def apply_record(self, handler: str, record: Row) -> list:
         """Take commit record `record` of serializable `handler` and commit,
@@ -217,7 +230,7 @@ class Transducer:
         if self._acts_when_idle or any(boxes.get(name)
                                        for name in self._context_readers):
             ctx = self._context(self.state.snapshot())
-        result = TickResult(tick=self.state.tick)
+        result = TickResult()
         ran = []
         h = None
         try:
@@ -237,7 +250,6 @@ class Transducer:
             exc.handlers = (h.name,) if h is not None else tuple(ran)
             raise
 
-        self.state.tick += 1
         if ctx is not None:
             result.udf_invocations = ctx.udf_invocations
         return result
@@ -266,7 +278,8 @@ class Transducer:
 
         Under a cluster the node decides only once its applied prefix
         equals the records issued for `h`, so no decision reads a state
-        that misses one already made."""
+        that misses one already made. An accepted request's commit record
+        takes the prefix as its sequence number and advances it."""
         if (self.issued is not None
                 and self.applied.get(h.name, 0) != self.issued.get(h.name, 0)):
             return
@@ -292,7 +305,9 @@ class Transducer:
             result.sends.extend(eff.sends)
             status = ACCEPTED
             if mid is not None:
-                result.deltas[mid] = eff.delta()
+                seq = self.applied.get(h.name, 0)
+                self.applied[h.name] = seq + 1
+                result.records[mid] = commit_record(mid, seq, eff.delta())
         else:
             # reject: consume the request, discard everything else
             drop = Effects(consumed={h.name: [msg]})

@@ -198,6 +198,21 @@ def test_serializable_reading_dirty_data_conflicts():
     assert conflicts == [MetaconsistencyConflict("serial", "messy", "n")]
 
 
+def test_a_read_through_queries_conflicts():
+    # `serial` reads `n` only inside `above`, which it reads through `top`
+    above = QueryDef("above", (), (Comp(Var("x"), (Gen("x", Data("acc")),),
+                                        (BinOp(">", Var("x"), Data("n")),)),))
+    top = QueryDef("top", (), (Comp(Var("x"), (Gen("x", Data("above")),)),))
+    p = prog([
+        Handler("messy", {"x": "int"}, (Assign(TargetPath("n"), Var("x")),)),
+        Handler("serial", {},
+                (MergeMutation(TargetPath("acc"), Data("top")),),
+                consistency=ConsistencySpec("serializable")),
+    ], queries=[above, top])
+    assert metaconsistency_conflicts(p) == [
+        MetaconsistencyConflict("serial", "messy", "n")]
+
+
 def test_monotone_writers_do_not_conflict():
     p = prog([
         Handler("grow", {"x": "int"},

@@ -16,8 +16,8 @@ from latticeflow.cli import (
 )
 from latticeflow.ir import (
     Assign, AvailSpec, BinOp, ClassDecl, Comp, ConsistencySpec, Data,
-    DataDecl, Gen, Handler, Lit, MergeMutation, Program, TargetPath, TupleOf,
-    Var,
+    DataDecl, Fold, Gen, Handler, Lit, MergeMutation, Program, Record,
+    Return, Send, TargetPath, TupleOf, UdfDecl, Var,
 )
 from latticeflow.patterns import covid_program
 from latticeflow.progjson import program_to_json
@@ -450,6 +450,98 @@ def test_a_program_that_does_not_lower_is_an_input_error(tmp_path, capsys):
         "error: lowering failed: MetaconsistencyConflict: serializable "
         "handler 'serial' reads 'n', which non-monotone eventual handler "
         "'messy' mutates\n")
+
+
+def simulate_inline(tmp_path, program, workload, **kw):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario_dict(
+        program=json.loads(program_to_json(program)), workload=[
+            {"tick": tick, "client": "c1", "handler": handler,
+             "fields": fields} for tick, handler, fields in workload],
+        **kw)))
+    return main(["simulate", str(path)])
+
+
+def stock_program(n, *handlers, returns=False):
+    """A serializable `spend` that takes one of `n` units, returning the
+    stock left if `returns`, next to `handlers`, each with three replicas."""
+    spend = Handler(
+        "spend", {},
+        (Assign(TargetPath("n"), BinOp("-", Data("n"), Lit(1))),)
+        + ((Return(Data("n")),) if returns else ()),
+        consistency=ConsistencySpec(
+            "serializable", invariants=(BinOp(">=", Data("n"), Lit(0)),)))
+    return Program(
+        "stock", data=(DataDecl("n", "var", scalar="int", init=n),),
+        handlers=(spend,) + handlers,
+        availability={h.name: AvailSpec("az", 2) for h in (spend,) + handlers})
+
+
+def test_a_send_into_a_serializable_mailbox_does_not_lower(tmp_path, capsys):
+    # node-sent requests carry no message id: the sequencer took the second
+    # one for a duplicate of the first, and only it spent a unit
+    program = stock_program(5, Handler("kick", {"k": "int"},
+                                       (Send("spend", Record()),)))
+    assert simulate_inline(tmp_path, program, [(0, "kick", {"k": 1}),
+                                               (9, "kick", {"k": 2})],
+                           network={"delay_min": 1, "delay_max": 3}) \
+        == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: lowering failed: NotSequenceable: handler 'kick' sends to "
+        "serializable handler 'spend', whose requests must be clients'\n")
+
+
+def test_a_return_from_a_serializable_handler_does_not_lower(tmp_path,
+                                                             capsys):
+    # the accepted client got the returned value and the proxy dropped its
+    # status as a duplicate reply
+    program = stock_program(1, returns=True)
+    assert simulate_inline(tmp_path, program, [(0, "spend", {}),
+                                               (0, "spend", {})]) \
+        == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: lowering failed: NotSequenceable: handler 'spend' returns a "
+        "value, but serializable handler 'spend' replies with its request's "
+        "status alone\n")
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("merge", "UnknownFold: handler ask: unknown fold kind 'merge'"),
+    ("bogus", "UnknownFold: handler ask: unknown fold kind 'bogus'"),
+    ("udf:nope", "UnresolvedName: handler ask: fold by unknown udf 'nope'"),
+    ("udf:one", "ArityMismatch: handler ask: fold by udf one needs 2 args, "
+                "it takes 1"),
+], ids=["merge", "bogus", "undeclared-udf", "unary-udf"])
+def test_a_fold_that_cannot_run_is_a_validation_error(tmp_path, capsys, kind,
+                                                      message):
+    # each failed once the fold saw two values: the first three with a
+    # traceback, the unary UDF as a node failure (exit 5)
+    program = Program(
+        "folds", data=(DataDecl("s", "var", shape="set"),),
+        udfs=(UdfDecl("one", 1),),
+        handlers=(Handler("add", {"x": "int"},
+                          (MergeMutation(TargetPath("s"), Var("x")),)),
+                  Handler("ask", {}, (Return(Fold(kind, Data("s"))),))))
+    assert simulate_inline(tmp_path, program, [(0, "add", {"x": 1}),
+                                               (0, "add", {"x": 2}),
+                                               (5, "ask", {})]) \
+        == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"invalid: {message}\n"
+
+
+def test_two_assigns_of_one_var_in_a_tick_fail_the_node(tmp_path, capsys):
+    program = Program(
+        "last", data=(DataDecl("n", "var", scalar="int", init=0),),
+        handlers=(Handler("put", {"x": "int"},
+                          (Assign(TargetPath("n"), Var("x")),)),))
+    assert simulate_inline(tmp_path, program, [(0, "put", {"x": 1}),
+                                               (0, "put", {"x": 2})],
+                           network={"delay_min": 1, "delay_max": 1}) \
+        == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"seed 3: AmbiguousAssign at tick \d+ on node n\d+ in handler put: "
+        r"conflicting assignments to \('n', None, None\): 1 vs 2\n", err), err
 
 
 def test_an_object_in_a_payload_is_refused(tmp_path, capsys):

@@ -6,9 +6,9 @@ import pytest
 
 from latticeflow.ir import (
     Assign, BinOp, ClassDecl, Comp, ConsistencySpec, Data, DataDecl, Field,
-    ForEach, Gen, Handler, In, Lit, MakeRow, MergeMutation, Program, QueryDef,
-    Record, Return, Send, TargetPath, UdfCall, UdfDecl, Var, desugar_handler,
-    response_mailbox, validate,
+    ForEach, Gen, Handler, In, Lit, Lookup, MakeRow, MergeMutation, Program,
+    QueryDef, Record, Return, Send, TargetPath, UdfCall, UdfDecl, Var,
+    desugar_handler, response_mailbox, validate,
 )
 from latticeflow.patterns import get_pattern, pattern_names
 from latticeflow.progjson import program_from_json, program_to_json
@@ -167,6 +167,59 @@ def test_commit_record_fields_are_reserved():
         ("ReservedField", "handler h: parameter '_ordered' is reserved"),
         ("ReservedField", "handler h: record field '_ordered' is reserved"),
     ]
+
+
+def put(*stmts):
+    """`tiny_program`'s one handler, `put`, with body `stmts`."""
+    return (Handler("put", {"k": "int", "v": "int"}, stmts),)
+
+
+ITEM = ClassDecl("Item", {"k": "int", "v": "set"}, key="k")
+COUNTER = (DataDecl("items", "table", cls="Item"),
+           DataDecl("n", "var", scalar="int", init=0))
+
+
+@pytest.mark.parametrize("kw, code, message", [
+    (dict(classes=(replace(ITEM, key=("id",)),)),
+     "BadKey", "class Item: key field 'id' not declared"),
+    (dict(classes=(replace(ITEM, partition="zone"),)),
+     "BadPartition", "class Item: partition field 'zone' not declared"),
+    (dict(classes=(replace(ITEM, fields=(("k", "int"), ("v", "list"))),),
+          handlers=()),
+     "BadFieldType", "class Item.v: 'list'"),
+    (dict(data=(DataDecl("items", "table", cls="Thing"),), handlers=()),
+     "UnknownClass", "table items: class 'Thing' undeclared"),
+    (dict(handlers=put(MergeMutation(TargetPath("items"),
+                                     MakeRow("Thing", k=Var("k"))))),
+     "UnknownClass", "handler put: class 'Thing'"),
+    (dict(data=(DataDecl("items", "table", cls="Item"),
+                DataDecl("log", "list"))),
+     "BadDataKind", "log: kind 'list'"),
+    (dict(data=COUNTER,
+          handlers=put(Assign(TargetPath("n", Var("k")), Var("v")))),
+     "NotATable", "handler put: keyed target on var 'n'"),
+    (dict(handlers=put(Assign(TargetPath("ghost"), Var("v")))),
+     "UnresolvedName", "handler put: unknown data 'ghost'"),
+    (dict(data=COUNTER, handlers=put(Return(Lookup("n", Var("k"))))),
+     "UnresolvedName", "handler put: lookup on non-table 'n'"),
+    (dict(handlers=put(Send("ghost", Record(k=Var("k"))))),
+     "UnresolvedName", "handler put: send to unknown mailbox 'ghost'"),
+    (dict(handlers=put(UdfCall("ghost", (Var("k"),)))),
+     "UnresolvedName", "handler put: unknown udf 'ghost'"),
+    (dict(data=(DataDecl("items", "table", cls="Item"),
+                DataDecl("seen", "var", shape="set")),
+          queries=(QueryDef("seen", (), (Comp(Field(Var("i"), "k"),
+                                              (Gen("i", Data("items")),)),)),),
+          handlers=put(MergeMutation(TargetPath("seen"), Var("k")))),
+     "QueryVarMergeConflict",
+     "query 'seen' replaces var also merge-mutated in put"),
+], ids=["BadKey", "BadPartition", "BadFieldType", "UnknownClass-table",
+        "UnknownClass-row", "BadDataKind", "NotATable", "unknown-target",
+        "lookup-on-var", "unknown-mailbox", "unknown-udf",
+        "QueryVarMergeConflict"])
+def test_each_validation_code_names_its_fault(kw, code, message):
+    assert [(e.code, e.message) for e in validate(tiny_program(**kw))] == [
+        (code, message)]
 
 
 def test_handler_invariants_are_validated():

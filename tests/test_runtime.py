@@ -29,7 +29,7 @@ from latticeflow.state import (
     Effects, FixpointDivergence, NodeState, Row, UdfFailure,
     canonical_state,
 )
-from latticeflow.transducer import Transducer, commit_record
+from latticeflow.transducer import Transducer
 
 
 def counter_program(**handler_kw):
@@ -99,6 +99,27 @@ def test_the_oracle_stays_naive():
     assert len(cycle.query_value("tc")) == 12
     assert cycle.rounds == {"tc": 4}
     assert cycle.reads == {"links": 28, "edges": 1, "tc": 4}
+
+
+def test_a_udf_fold_agrees_on_both_backends():
+    """A `udf:` fold calls its UDF on the values in sorted order, first on
+    the first two and then on the result and the next, on both backends;
+    one value folds to itself and none to MISSING."""
+    program = Program(
+        "folds", data=(DataDecl("s", "var", shape="set"),
+                       DataDecl("none", "var", shape="set")),
+        udfs=(UdfDecl("cat", 2, fn=lambda a, b: f"({a}{b})"),))
+    state = NodeState(program)
+    state.vars["s"] = lattice.SetUnion(frozenset({3, 1, 2}))
+    tens = Comp(BinOp("*", Var("x"), Lit(10)), (Gen("x", Data("s")),))
+    one = Comp(Var("x"), (Gen("x", Data("s")),), (BinOp("==", Var("x"),
+                                                         Lit(2)),))
+    for source, want in ((Data("s"), "((12)3)"), (tens, "((1020)30)"),
+                         (one, 2), (Data("none"), MISSING)):
+        graph, interp = both_backends(program, state)
+        fold = Fold("udf:cat", source)
+        assert graph.eval(fold, {}) == interp.eval(fold, {}) == want
+        assert graph.udf_invocations == interp.udf_invocations
 
 
 # --- compiled chains against the interpreter ---------------------------------
@@ -631,10 +652,11 @@ def test_a_guarded_request_stops_the_guard_at_the_first_pass(backend):
 
 @pytest.mark.parametrize("backend", ["graph", "interp"])
 def test_a_backup_applies_a_commit_record_without_a_context(backend):
-    """The sequencer's accepted request yields its committed effects; a
-    backup commits them as a record in sequence order, with no context,
-    guard or invariant, even where its own state would reject the request
-    (it has no row for the person), and drops a duplicate."""
+    """The sequencer's accepted request yields a commit record of its
+    committed effects; a backup commits the records in sequence order,
+    with no context, guard or invariant, even where its own state would
+    reject the request (it has no row for the person), and drops a
+    duplicate."""
     program = covid_program(coordinated=True, vaccine_count=2)
     sequencer = Transducer(program, backend=backend)
     sequencer.deliver("add_person", request(0, pid=1, name="ana", country="ar"))
@@ -644,7 +666,7 @@ def test_a_backup_applies_a_commit_record_without_a_context(backend):
         sequencer.deliver("vaccinate", request(i, pid=1))
         result = sequencer.tick()
         assert result.statuses == {f"m{i}": "accepted"}
-        records.append(commit_record(f"m{i}", i - 1, result.deltas[f"m{i}"]))
+        records.append(result.records[f"m{i}"])
     backup = CountingTransducer(program, backend=backend)
     assert backup.apply_record("vaccinate", records[1]) == []
     assert backup.held == {"vaccinate": {1: records[1]}}

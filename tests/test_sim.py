@@ -421,3 +421,73 @@ def test_narrowed_proxy_retries_match_a_full_scan():
                 kinds[ev.kind] += 1
     # the schedules exercise every path the narrowing skips work on
     assert all(kinds.values()), kinds
+
+
+def _vaccinations_across_a_demotion(seed):
+    """Twenty vaccinations against three doses, while one zone's node
+    crashes and recovers; returns the cluster and that node's id. When the
+    node is the sequencer, the replica promoted in its place still holds
+    requests as the recovered node takes the role back."""
+    rng = random.Random(seed)
+    program = covid_tracker(coordinated=True, vaccine_count=3).program
+    plan = replication_plan(program, make_topology())
+    cluster = Cluster(program, plan.nodes, plan.groups, proxies=plan.proxies,
+                      seed=seed, network=NetworkModel(1, 6, 0.2))
+    for pid in range(3):
+        cluster.schedule_request(0, "c1", "add_person",
+                                 {"pid": pid, "name": str(pid), "country": "x"})
+    for i in range(12):
+        cluster.schedule_request(4 + i // 3, "c1", "vaccinate",
+                                 {"pid": rng.randrange(3)})
+    for pid in range(3, 6):
+        cluster.schedule_request(25, "c1", "add_person",
+                                 {"pid": pid, "name": str(pid), "country": "x"})
+    for i in range(8):
+        cluster.schedule_request(27 + i // 3, "c1", "vaccinate",
+                                 {"pid": 3 + rng.randrange(3)})
+    zone = rng.choice(("az0", "az1", "az2"))
+    down = rng.randint(5, 12)
+    back = down + rng.randint(2, 8)
+    cluster.schedule_failure(down, ("dc0", zone))
+    [victim] = [n for n in cluster.nodes if cluster.specs[n].domain[1] == zone]
+    while cluster.tick < 60:
+        if cluster.tick == back:
+            cluster.recover(victim)
+        cluster.step()
+    cluster.run_to_quiescence()
+    return cluster, victim
+
+
+def _assert_answered_and_agreed(cluster, victim):
+    """Each request has one fresh response, no request two statuses, and
+    the replicas that never crashed the same state."""
+    fresh, statuses = {}, {}
+    for _tick, _client, mid, payload, is_fresh in cluster.response_log:
+        fresh[mid] = fresh.get(mid, 0) + is_fresh
+        if "status" in payload:
+            statuses.setdefault(mid, set()).add(payload["status"])
+    assert fresh == dict.fromkeys(cluster.request_payload, 1)
+    assert all(len(s) == 1 for s in statuses.values())
+    a, b = sorted(n for n in cluster.nodes if n != victim)
+    assert cluster.node_state(a) == cluster.node_state(b)
+
+
+@pytest.mark.parametrize("seed", [4, 5, 28])
+def test_a_demoted_sequencer_s_decisions_are_answered_and_shipped(seed):
+    """At seed 5 the sequencer n01 is down from tick 8 to tick 10; n02,
+    promoted meanwhile, keeps deciding the requests it holds after n01
+    takes the role back. Each decision is answered and its record reaches
+    the other replicas, n01 included, so no request waits for an answer
+    that never comes and the replicas that never crashed agree."""
+    cluster, victim = _vaccinations_across_a_demotion(seed)
+    assert victim == "n01"
+    [back] = [ev.tick for ev in cluster.trace if ev.kind == "Recovered"]
+    assert any(ev.kind == "Delivered" and ev.node == victim
+               and "ordered" in ev.detail and ev.tick >= back
+               for ev in cluster.trace)
+    _assert_answered_and_agreed(cluster, victim)
+
+
+def test_every_crash_and_recovery_leaves_each_request_answered():
+    for seed in range(100):
+        _assert_answered_and_agreed(*_vaccinations_across_a_demotion(seed))
