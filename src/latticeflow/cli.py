@@ -10,13 +10,16 @@ Exit codes: 0 success, 2 validation or input error, 3 the simulation did
 not reach quiescence, 4 the deployment problem is infeasible, 5 a node
 failed while the simulation ran (a UDF failed, a fixpoint diverged, an
 assignment was ambiguous, a lattice shape mismatched or an integer
-overflowed).
+overflowed), 141 the reader of standard output closed it before the
+output ended (as ``| head`` does), the status a shell gives a process
+that SIGPIPE ends.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 EXIT_OK = 0
@@ -24,6 +27,7 @@ EXIT_VALIDATION = 2
 EXIT_NO_QUIESCENCE = 3
 EXIT_INFEASIBLE = 4
 EXIT_RUNTIME = 5
+EXIT_CLOSED_PIPE = 141
 
 
 def _load_program(ref):
@@ -226,7 +230,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # nothing more can be written; the interpreter flushes stdout again
+        # as it exits, so it is pointed at the null device first
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
 
 
 if __name__ == "__main__":

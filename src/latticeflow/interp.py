@@ -105,8 +105,12 @@ class InterpContext(EvalContext):
             for item in items:
                 if single:
                     row[binder] = item
-                elif pair and type(item) is tuple and len(item) == 2:
-                    row[x], row[y] = item
+                elif pair and type(item) is tuple:
+                    # unpacking checks the length before it stores a name
+                    try:
+                        row[x], row[y] = item
+                    except ValueError:
+                        row.update(zip(binder, unpack(binder, item)))
                 else:
                     row.update(zip(binder, unpack(binder, item)))
                 for f, fn, a, b in tests:

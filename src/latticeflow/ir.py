@@ -152,6 +152,12 @@ class Gen:
         return self.binder if isinstance(self.binder, tuple) else (self.binder,)
 
 
+# the most generators a comprehension may have: the graph backend runs each
+# as a loop of one generated Python function, and Python nests at most 20
+# blocks in a function, loops and a join's try/except among them
+MAX_GENERATORS = 16
+
+
 @dataclass(frozen=True)
 class Comp:
     """Set comprehension: output projected over generators and filters."""
@@ -690,6 +696,10 @@ def validate(p: Program) -> ValidationReport:
             if name is not None:
                 rep.add("RepeatedBinder",
                         f"{where}: comprehension binds {name!r} twice")
+            if len(e.gens) > MAX_GENERATORS:
+                rep.add("TooManyGenerators",
+                        f"{where}: comprehension has {len(e.gens)} "
+                        f"generators, more than {MAX_GENERATORS}")
             inner = set(env)
             for g in e.gens:
                 check_expr(g.source, inner, where)

@@ -1,7 +1,8 @@
 """Lowering: turn a validated program into a deployable plan.
 
 The plan names one node role per handler role, assigns each mailbox a
-routing rule, and records the compiled operator chains and query strata for
+routing rule, and records the compiled operator chains, the text of the
+function generated for each query rule, and the query strata for
 inspection. The routes are the ones `sim.Cluster` runs, so `analyze
 --inspect` prints what the simulator does. Lowering refuses programs that
 validation, stratification, or recursive-group compilation reject, so
@@ -57,6 +58,7 @@ class RoleGraph:
     query_strata: dict                 # query -> stratum
     recursive_groups: list             # sorted lists of query names
     operators: dict                    # handler/query -> operator kinds
+    chains: dict                       # query -> its rules' chains
 
 
 @dataclass
@@ -75,6 +77,8 @@ class LoweringPlan:
                     "query_strata": dict(g.query_strata),
                     "recursive_groups": [list(x) for x in g.recursive_groups],
                     "operators": {k: list(v) for k, v in sorted(g.operators.items())},
+                    "source": {k: [_chain_source(c) for c in v]
+                               for k, v in sorted(g.chains.items())},
                 }
                 for role, g in sorted(self.roles.items())
             },
@@ -93,6 +97,16 @@ def _chain_kinds(chains) -> list:
     for chain in chains:
         out.append("|".join(s.kind for s in chain.steps))
     return out
+
+
+def _chain_source(chain) -> list:
+    """The lines of a chain's generated function, then of its twin's."""
+    lines = chain.source.splitlines()
+    if chain.scan_index is not None:
+        lines += ["# runs instead when the join's source is the smaller "
+                  "(see runtime._scan_join):"]
+        lines += chain.swapped().source.splitlines()
+    return lines
 
 
 def lower(program: Program) -> LoweringPlan:
@@ -120,12 +134,11 @@ def _lower(program: Program) -> LoweringPlan:
     qstrata = dict(strata.query_strata)
     rec_groups = [sorted(g) for g in strata.recursive_groups]
 
-    operators = {}
-    for name, qplan in compiled.plans.items():
-        operators[f"query:{name}"] = _chain_kinds(qplan.chains)
-    for group in compiled.groups:
-        for name, qplan in group.plans.items():
+    operators, chains = {}, {}
+    for plans in [compiled.plans] + [group.plans for group in compiled.groups]:
+        for name, qplan in plans.items():
             operators[f"query:{name}"] = _chain_kinds(qplan.chains)
+            chains[f"query:{name}"] = qplan.chains
 
     for h in program.handlers:
         plan.routes[h.name] = Route(
@@ -145,7 +158,7 @@ def _lower(program: Program) -> LoweringPlan:
         handlers = sorted(h.name for h in program.handlers if h.role == role)
         serial = [name for name in handlers if plan.routes[name].sequenced]
         plan.roles[role] = RoleGraph(role, handlers, serial, qstrata,
-                                     rec_groups, operators)
+                                     rec_groups, operators, chains)
     return plan
 
 

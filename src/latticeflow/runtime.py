@@ -1,84 +1,55 @@
 """Operator-graph runtime backend.
 
 Comprehensions compile to chains of Expand / HashJoin / Filter / Project
-operators; recursive query groups run semi-naive fixpoint iteration
-(only newly derived facts re-enter the loop each round). Each operator
-reports the rows it produces to `GraphContext.note`.
+steps, and recursive query groups run semi-naive fixpoint iteration (only
+newly derived facts re-enter the loop each round).
 
-A chain is compiled once. Each generator binder gets a fixed slot, so a
-binding is a tuple, and every join key, filter and projection becomes a
-closure ``fn(slots, env, ctx)`` that reads its variables by slot, or from
-the caller's `env` for the names bound outside the chain. A join key or
-projection that is a bound name, or a tuple of two or more, is also an
-`operator.itemgetter`, which the kernels call instead. A tuple binder
-takes its item's values by `eval.unpack`, the interpreter's rule, and a
-comprehension that binds a name twice does not compile. A nested
-comprehension compiles with its chain into the closure of its parent. A
-subexpression that reads only names bound outside its chain is evaluated
-at most once per run of the chain, at its first use, so a run that never
-reaches it evaluates nothing. The interpreter (`interp`, with
-`eval.eval_expr`) stays the tree-walking oracle that this backend is
-tested against; this backend never calls it.
+`compile_comp` compiles a chain once, into its plan and one Python
+function generated from the plan. The plan is data: the steps, with op
+ids, sources and the ids under which joins keep indexes. The function is
+nested loops, one per generator, that bind each name in a local, run each
+filter right after the generator that `ir.Comp.filter_levels` puts it at,
+the interpreter's rule, and add each output straight into one set, so no
+row tuple is built. Names, literals, field reads, `ir.ARITH` operators and
+tuples over those are written inline, with `eval.eval_expr`'s `MISSING`
+rules. Any other expression, a nested comprehension among them, is a
+closure ``fn(slots, env, ctx)`` called with the tuple of the names bound
+so far; its subexpressions that read no name the chain binds are
+evaluated at most once per run, at first use. The text holds identifiers
+and no value of the program (see `_Writer`), so `analyze --inspect` prints
+it, and chains of one shape share one code object (`_code`). A tuple
+binder takes its item's values by `eval.unpack`. The interpreter
+(`interp`) stays the tree-walking oracle that this backend is tested
+against and never calls.
 
-Each filter runs right after the generator that `ir.Comp.filter_levels`
-puts it at, the interpreter's rule, so both backends evaluate a filter, a
-join key or a later generator's source on the same rows.
+Access paths. A generator over a named collection is a hash join or a
+scan (`compile_comp`). The function reads the run-time choices from the
+plan: which step reads a fixpoint's delta, which index a join keeps
+(`_join_index`), whether a key can be hashed (if not, it is compared with
+each item), and whether a scan and a join run as their twin
+(`_scan_join`). A generator reads its named source when a row first
+reaches it, and a join over an empty source evaluates no key. A
+membership ``x in {p.k for p in t}``, where `k` is the whole key of table
+`t`, is ``(x,) in`` the table's dict.
 
-Access paths. A generator over a named collection is a hash join when the
-first filter due after it is an equality between an expression over its
-binder and one that reads no name bound after it; otherwise it is a scan. When
-that other side reads only names bound outside the chain, the join is a
-probe: its key is evaluated once per run. A join reads its source only
-when it has input rows, and evaluates no key when the source is empty. Its
-index maps a key to the binder's values of the matching items, so a probe
-extends a row without an intermediate list of pairs. A join over a
-frozenset source (a query result or a kept recursive view) keeps its index
-of the source in the context's `views` under the step's id, unless the
-step reads a fixpoint's delta or its binder-side key reads anything but
-the binder. A chain that scans a named collection and then joins on a
-row-side key over that scan's names alone keeps, the same way, an index of
-the scanned collection by that key: when the scanned source is such a
-frozenset and the join's source is smaller, each item of the join's source
-probes it and the scan is never expanded (see `_scan_join`). Every kept
-index lives in `views` and follows one rule (`_kept_index`): it is reused
-while its source is the same object, grown by the new items when the old
-source is a subset of the new one, and rebuilt otherwise. Mutable sources,
-such as a fixpoint's running totals, are indexed per run, and a key that
-cannot be hashed is compared with each item. A membership
-``x in {p.k for p in t}``, where `k` is the whole key of table `t`, is
-``(x,) in`` the table's dict.
+Kept results. A context's `views`, which a Transducer shares among its
+contexts, keep each recursive group's result, resumed while its inputs
+only grow (`apply_fixpoint`), and the outputs per table row of a rule
+that scans a table (`_per_row_value`).
 
-Kept results. A context keeps every recursive group's result in its `views`
-dict. Each Transducer hands all the contexts it builds one dict that lives
-as long as the node, so results and indexes outlive the tick. The next
-evaluation of the group resumes from that result when the group's inputs
-and base facts only grew since it was stored, and recomputes from the base
-facts on any other change: a deletion, an assignment, a replaced table
-row, a changed scalar, or the state of a rejected fork. A resume pass
-costs what changed: it reads the stored totals themselves, so where a
-grown input's delta joins the rows of a scan of them, each delta item
-probes the kept index of the scanned totals, which grows with them. A
-resumed result that gained nothing is the stored object itself, so the
-indexes over it are reused as they are. `max_rounds` caps the rounds
-that a from-scratch evaluation of the current state would take, also when
-the evaluation resumes, so whether it diverges depends on the state alone
-and not on the views. A non-recursive rule that first scans a table by a
-single name, and reads nothing else but the names it binds, keeps the
-outputs of each table row in shared `views` and runs only over the rows
-that changed (see `_per_row_value`).
-
-Operators iterate sets in whatever order they come, and a generator over
-a table reads the table's rows in storage order; order is fixed only where
+Loops iterate sets in whatever order they come; order is fixed only where
 it is observable, by `EvalContext.collection`, sends and canonical
-encoding. A handler's comprehension compiles to its chain, and any other
-expression it evaluates as a chain's do at a scope binding no slot
-(`GraphContext.eval`); each is kept by identity on the program's
-`CompiledQueries`, and `ir.prepared` gives all nodes the same objects.
+encoding. Each run of a chain notes the size of its result under its
+project step's id (`GraphContext.note`). A handler's comprehension
+compiles to its chain and any other expression to a closure at a scope
+binding no slot (`GraphContext.eval`), each kept by identity on the
+program's `CompiledQueries`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from functools import lru_cache
 from itertools import chain as concat
 from operator import itemgetter
 from typing import Optional
@@ -86,9 +57,9 @@ from typing import Optional
 from .analysis import classify_expression, query_graph
 from .eval import EvalContext, MISSING, fold_value, iter_source, unpack
 from .ir import (
-    ARITH, BinOp, Comp, Data, Expr, Field, Fold, Gen, In, Index, Len, Lit,
-    Lookup, MakeRow, Not, Record, RangeOf, Slice, TupleOf, Var, _children,
-    kept, walk_expr,
+    ARITH, MAX_GENERATORS, BinOp, Comp, Data, Expr, Field, Fold, Gen, In,
+    Index, Len, Lit, Lookup, MakeRow, Not, Record, RangeOf, Slice, TupleOf,
+    Var, _children, kept, walk_expr,
 )
 from .state import FixpointDivergence, Row, default_row
 
@@ -111,32 +82,16 @@ class Step:
 class ExpandStep(Step):
     binder: object = None
     source: Expr = None
-    per_row: object = None  # source closure; None for a Data, read once
     width: int = 0          # names in a tuple binder, 0 for a single name
 
 
 @dataclass
-class HashJoinStep(Step):
-    binder: object = None
-    source: Expr = None
-    left: object = None     # key closures: `left` over previously bound
-    right: object = None    # vars, `right` over the binder's values alone
-    width: int = 0
-    keepable: bool = False  # `right` reads nothing but the binder, so an
+class HashJoinStep(ExpandStep):
+    key: object = None      # closure of the binder-side key, over the
+                            # binder's values alone
+    keepable: bool = False  # `key` reads nothing but the binder, so an
                             # index of a source by it outlives the run
-    left_get: object = None   # `left` and `right` as itemgetters, or None
-    right_get: object = None  # (see _getter)
-
-
-@dataclass
-class FilterStep(Step):
-    test: object = None
-
-
-@dataclass
-class ProjectStep(Step):
-    out: object = None
-    get: object = None  # `out` as an itemgetter, or None (see _getter)
+    key_get: object = None  # `key` as an itemgetter, or None (see _getter)
 
 
 @dataclass
@@ -146,18 +101,32 @@ class Chain:
     side_reads: frozenset = frozenset()  # names read anywhere but as the
                                          # source of a generator step
     per_row: bool = False  # outputs kept per table row (see _per_row_value)
-    # where `views` keeps an index of the collection that the chain first
-    # scans, by the key of the join after it; None for other chains (see
-    # _scan_join)
+    # fn(env, ctx, sources, slots) -> the set of outputs of one run, and
+    # its text
+    fn: object = None
+    source: str = ""
+    # for a scan and then a join on a key over the scan's names: the id
+    # under which the twin's join keeps its index of the scanned collection
+    # in `views`, the twin once compiled, and its program (see _scan_join)
     scan_index: Optional[str] = None
+    twin: Optional["Chain"] = None
+    program: object = None
 
     def recursive_refs(self, scc) -> list:
-        out = []
-        for s in self.steps:
-            if isinstance(s, (ExpandStep, HashJoinStep)):
-                if isinstance(s.source, Data) and s.source.name in scc:
-                    out.append(s)
-        return out
+        return [s for s in self.steps if isinstance(s, ExpandStep)
+                and isinstance(s.source, Data) and s.source.name in scc]
+
+    def swapped(self) -> "Chain":
+        """The twin: the chain with its first two generators swapped, so
+        that its join probes an index of the scanned collection; compiled
+        at first use."""
+        if self.twin is None:
+            first, second, *rest = self.comp.gens
+            self.twin = compile_comp(
+                Comp(self.comp.output, (second, first, *rest),
+                     self.comp.filters), self.program)
+            self.twin.steps[1].op_id = self.scan_index
+        return self.twin
 
 
 _counter = [0]
@@ -171,20 +140,23 @@ def _oid(kind: str) -> str:
 class _Scope:
     """Where each name lives while a chain compiles: `slots` maps a name to
     its slot in the binding tuple, and any other name is read from the
-    caller's env. `local` holds the names the chain has bound so far.
-    `program` is the one the chain belongs to, whose table keys let a key
-    membership compile to a dict lookup."""
+    caller's env. `local` holds the names the chain has bound so far, and
+    `sure` the slots that cannot hold MISSING: those bound from a named
+    collection, none of whose items is or holds MISSING. `program` is the
+    one the chain belongs to, whose table keys let a key membership compile
+    to a dict lookup."""
 
-    def __init__(self, program, slots=None, width: int = 0):
+    def __init__(self, program, slots=None, width: int = 0, sure=()):
         self.program = program
         self.slots = dict(slots or {})
         self.width = width
         self.local = set()
+        self.sure = set(sure)
 
     def nested(self) -> "_Scope":
         """The scope a nested comprehension starts from: every name of this
         one is bound outside it."""
-        return _Scope(self.program, self.slots, self.width)
+        return _Scope(self.program, self.slots, self.width, self.sure)
 
     def bind(self, gen: Gen):
         """Give the generator's names the next slots."""
@@ -192,6 +164,10 @@ class _Scope:
             self.slots[name] = self.width
             self.width += 1
             self.local.add(name)
+            if isinstance(gen.source, Data):
+                self.sure.add(name)
+            else:
+                self.sure.discard(name)
 
 
 def _expr(e: Expr, scope: _Scope, hoist: bool = True):
@@ -217,12 +193,12 @@ def _expr(e: Expr, scope: _Scope, hoist: bool = True):
 
 def _getter(e: Expr, scope: _Scope):
     """`e` as an `operator.itemgetter` of a binding, when `e` is a name kept
-    in a slot or a tuple of two or more such names; None otherwise. It gives
-    what `_expr(e, scope)` gives, since no slot holds MISSING."""
-    if isinstance(e, Var) and e.name in scope.slots:
+    in a slot that cannot hold MISSING or a tuple of two or more such names;
+    None otherwise. It gives what `_expr(e, scope)` gives."""
+    if isinstance(e, Var) and e.name in scope.sure:
         return itemgetter(scope.slots[e.name])
     if isinstance(e, TupleOf) and len(e.items) > 1 and all(
-            isinstance(x, Var) and x.name in scope.slots for x in e.items):
+            isinstance(x, Var) and x.name in scope.sure for x in e.items):
         return itemgetter(*(scope.slots[x.name] for x in e.items))
     return None
 
@@ -248,6 +224,42 @@ def _key_table(coll: Expr, program) -> Optional[str]:
     return name if cls is not None and cls.key == (out.name,) else None
 
 
+def _strict(fn, sub: list):
+    """fn(slots, env, ctx) giving `fn` of the values of the closures `sub`,
+    or MISSING when one is MISSING, after each is evaluated."""
+    if len(sub) == 1:
+        [a] = sub
+        return lambda s, env, ctx: \
+            MISSING if (x := a(s, env, ctx)) is MISSING else fn(x)
+    if len(sub) == 2:
+        a, b = sub
+
+        def two(s, env, ctx):
+            x, y = a(s, env, ctx), b(s, env, ctx)
+            return MISSING if x is MISSING or y is MISSING else fn(x, y)
+
+        return two
+
+    def many(s, env, ctx):
+        xs = [f(s, env, ctx) for f in sub]
+        return MISSING if MISSING in xs else fn(*xs)
+
+    return many
+
+
+def _item(base, i):
+    try:
+        return base[i]
+    except (IndexError, KeyError):
+        return MISSING
+
+
+# the nodes that `_strict` evaluates, but for a field read and an operator
+_STRICT = {Not: lambda v: not v, TupleOf: lambda *xs: xs, Len: len,
+           RangeOf: lambda n: tuple(range(n)), Index: _item,
+           Slice: lambda b, i, j: tuple(b[i:j])}
+
+
 def _node(e: Expr, scope: _Scope, hoist: bool):
     if isinstance(e, Lit):
         value = e.value
@@ -266,13 +278,8 @@ def _node(e: Expr, scope: _Scope, hoist: bool):
         return lambda s, env, ctx: ctx.eval_comp(e, env, s, chain)
     sub = [_expr(c, scope, hoist) for c in _children(e)]
     if isinstance(e, Field):
-        [base], name = sub, e.name
-
-        def field(s, env, ctx):
-            b = base(s, env, ctx)
-            return MISSING if b is MISSING else b.get(name, MISSING)
-
-        return field
+        name = e.name
+        return _strict(lambda b: b.get(name, MISSING), sub)
     if isinstance(e, Lookup):
         [key], data = sub, e.data
 
@@ -303,24 +310,8 @@ def _node(e: Expr, scope: _Scope, hoist: bool):
             return or_
         # an operator `validate` rejects raises only when evaluated, as on
         # the interpreter
-        op = ARITH.get(e.op) or (lambda a, b, name=e.op: ARITH[name])
-
-        def binop(s, env, ctx):
-            a = left(s, env, ctx)
-            b = right(s, env, ctx)
-            if a is MISSING or b is MISSING:
-                return MISSING
-            return op(a, b)
-
-        return binop
-    if isinstance(e, Not):
-        [inner] = sub
-
-        def not_(s, env, ctx):
-            v = inner(s, env, ctx)
-            return MISSING if v is MISSING else not v
-
-        return not_
+        return _strict(ARITH.get(e.op)
+                       or (lambda a, b, name=e.op: ARITH[name]), sub)
     if isinstance(e, In):
         item, coll = sub
         negated = e.negated
@@ -337,21 +328,10 @@ def _node(e: Expr, scope: _Scope, hoist: bool):
                 return not found if negated else found
 
             return key_in
-
-        def in_(s, env, ctx):
-            x = item(s, env, ctx)
-            c = coll(s, env, ctx)
-            if x is MISSING or c is MISSING:
-                return MISSING
-            return (x not in c) if negated else (x in c)
-
-        return in_
-    if isinstance(e, TupleOf):
-        def tuple_of(s, env, ctx):
-            t = tuple([f(s, env, ctx) for f in sub])
-            return MISSING if MISSING in t else t
-
-        return tuple_of
+        return _strict((lambda x, c: x not in c) if negated
+                       else (lambda x, c: x in c), sub)
+    if type(e) in _STRICT:
+        return _strict(_STRICT[type(e)], sub)
     if isinstance(e, (Record, MakeRow)):
         fields = tuple(zip([name for name, _ in e.fields], sub))
         cls = e.cls if isinstance(e, MakeRow) else None
@@ -371,71 +351,222 @@ def _node(e: Expr, scope: _Scope, hoist: bool):
     if isinstance(e, Fold):
         [source], kind = sub, e.kind
         return lambda s, env, ctx: fold_value(kind, source(s, env, ctx), ctx)
-    if isinstance(e, Len):
-        [inner] = sub
-
-        def len_(s, env, ctx):
-            v = inner(s, env, ctx)
-            return MISSING if v is MISSING else len(v)
-
-        return len_
-    if isinstance(e, RangeOf):
-        [stop] = sub
-
-        def range_(s, env, ctx):
-            v = stop(s, env, ctx)
-            return MISSING if v is MISSING else tuple(range(v))
-
-        return range_
-    if isinstance(e, Index):
-        base, index = sub
-
-        def index_(s, env, ctx):
-            b = base(s, env, ctx)
-            i = index(s, env, ctx)
-            if b is MISSING or i is MISSING:
-                return MISSING
-            try:
-                return b[i]
-            except (IndexError, KeyError):
-                return MISSING
-
-        return index_
-    if isinstance(e, Slice):
-        base, start, stop = sub
-
-        def slice_(s, env, ctx):
-            b = base(s, env, ctx)
-            i = start(s, env, ctx)
-            j = stop(s, env, ctx)
-            if MISSING in (b, i, j):
-                return MISSING
-            return tuple(b[i:j])
-
-        return slice_
     raise TypeError(f"unknown expression node: {e!r}")
 
 
+# --- generated chain functions ---------------------------------------------
+
+# the ARITH operators as Python writes them: `operator.add(a, b)` is `a + b`
+_PY_OPS = {op: op for op in ("+", "-", "*", "//", "%", "==", "!=", "<",
+                             "<=", ">", ">=")}
+
+
+def _inline(e: Expr) -> bool:
+    """Whether a chain's function writes `e` inline: a name, a literal, a
+    field read, an ARITH operator or a tuple over such expressions."""
+    t = type(e)
+    if t is Field:
+        return _inline(e.base)
+    if t is BinOp:
+        return e.op in _PY_OPS and _inline(e.left) and _inline(e.right)
+    return t is Var or t is Lit or t is TupleOf and all(map(_inline, e.items))
+
+
+def _tuple(items: list) -> str:
+    return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+
+
+def _target(names: list) -> str:
+    return ", ".join(names) if len(names) > 1 else _tuple(names)
+
+
+@lru_cache(maxsize=1024)
+def _code(text: str):
+    """The code object of a chain function's text: chains of one shape, in
+    any program, share it, so compiling a program again compiles nothing."""
+    return compile(text, "<chain>", "exec")
+
+
+class _Writer:
+    """The text of a chain's function, written as `compile_comp` walks the
+    chain, and the namespace its names are bound in. A name bound by the
+    chain or an enclosing one is the local ``v<slot>``; a value of the
+    program (a literal, a field or outer name, a binder, a step, a closure)
+    is an entry ``c<n>``, ``b<n>``, ``s<n>`` or ``f<n>``, numbered in the
+    order of use, so the text depends on the chain's shape alone."""
+
+    def __init__(self, scope: _Scope):
+        self.scope, self.outer = scope, scope.width
+        self.lines, self.depth = [], 1  # (depth, text) of the loops
+        self.ns, self.counts = dict(_HELPERS), {}
+        self.lazy = []  # locals that start as None
+        self.skip = "return out"  # what drops a row: "continue" in a loop
+
+    def emit(self, text: str, indent: int = 0):
+        self.lines.append((self.depth, text))
+        self.depth += indent
+
+    def unless(self, test: str):
+        """Drop the row, or the run outside any loop, unless `test`."""
+        self.emit(f"if not {test}:", 1)
+        self.emit(self.skip, -1)
+
+    def name(self, prefix: str, value=None) -> str:
+        n = self.counts[prefix] = self.counts.get(prefix, -1) + 1
+        if prefix != "t":
+            self.ns[f"{prefix}{n}"] = value
+        return f"{prefix}{n}"
+
+    def atom(self, text: str) -> str:
+        """`text` as a name: itself, or a local assigned its value."""
+        if text.isidentifier():
+            return text
+        local = self.name("t")
+        self.emit(f"{local} = {text}")
+        return local
+
+    def value(self, e: Expr) -> tuple:
+        """(text, whether it may be MISSING) of an inline expression, after
+        the statements that evaluate its parts in `eval.eval_expr`'s order."""
+        t = type(e)
+        if t is Var:
+            slot = self.scope.slots.get(e.name)
+            if slot is None:
+                return self.atom(f"env[{self.name('c', e.name)}]"), True
+            return f"v{slot}", e.name not in self.scope.sure
+        if t is Lit:
+            return self.name("c", e.value), e.value is MISSING
+        if t is Field:
+            base, missing = self.value(e.base)
+            get = f"{base}.get({self.name('c', e.name)}, MISSING)"
+            return self.atom(f"MISSING if {base} is MISSING else {get}"
+                             if missing else get), True
+        # every operand is evaluated, in order, before any is tested for
+        # MISSING
+        parts = [(self.atom(p), m) for p, m in map(self.value, _children(e))]
+        texts = [p for p, _ in parts]
+        text = _tuple(texts) if t is TupleOf \
+            else f"({texts[0]} {_PY_OPS[e.op]} {texts[1]})"
+        tests = " or ".join(f"{p} is MISSING" for p, m in parts if m)
+        if not tests:
+            return text, False
+        return self.atom(f"MISSING if {tests} else {text}"), True
+
+    def eval(self, e: Expr) -> tuple:
+        """(text, whether it may be MISSING) of `e`: inline, or a call of its
+        closure with the names bound so far."""
+        if _inline(e):
+            return self.value(e)
+        bound = _tuple([f"v{i}" for i in range(self.scope.width)])
+        f = self.name("f", _expr(e, self.scope))
+        return f"{f}({bound}, env, ctx)", True
+
+    def source(self, step, level: int, join: bool) -> str:
+        """What holds a step's named source: read when a row first reaches
+        it, with a join's index of it."""
+        s, src = self.name("s", step), f"src{level}"
+        if not (level or join):
+            return f"sources.rows({s})"
+        self.lazy.append(src)
+        self.emit(f"if {src} is None:", 1)
+        self.emit(f"{src} = sources.rows({s})")
+        if join:
+            self.lazy.append(f"index{level}")
+            self.emit(f"index{level} = join_index({s}, {src}, sources, env, "
+                      "ctx)")
+        self.depth -= 1
+        return src
+
+    def generator(self, step, g: Gen, level: int, other: Optional[Expr]):
+        """The loop of a generator step at `level`, which binds `g`'s names:
+        over the items of its source, or for a join, over the binder's
+        values in the entries of its source's index under the row-side key
+        `other`, evaluated only when the source has items."""
+        if other is not None:
+            src = self.source(step, level, True)
+            self.unless(src)
+            key, items = self.atom(self.eval(other)[0]), f"found{level}"
+            self.emit("try:", 1)
+            self.emit(f"{items} = index{level}.get({key}, ())", -1)
+            self.emit("except TypeError:  # a key that cannot be hashed", 1)
+            self.emit(f"{items} = compare(index{level}, {key})", -1)
+        elif isinstance(step.source, Data):
+            items = self.source(step, level, False)
+        else:
+            items = f"source_items({self.eval(step.source)[0]})"
+        self.scope.bind(g)
+        self.skip = "continue"
+        names = [f"v{self.scope.slots[n]}" for n in g.names]
+        if other is not None:  # an index entry holds the binder's values
+            self.emit(f"for {_target(names)} in {items}:", 1)
+        elif not step.width:
+            self.emit(f"for {names[0]} in {items}:", 1)
+        else:
+            item, binder = f"item{level}", self.name("b", step.binder)
+            self.emit(f"for {item} in {items}:", 1)
+            self.emit(f"{_target(names)} = {item} if type({item}) is tuple "
+                      f"and len({item}) == {step.width} else "
+                      f"unpack({binder}, {item})")
+
+    def output(self, e: Expr):
+        text, missing = self.eval(e)
+        if missing:
+            text = self.atom(text)
+            self.emit(f"if {text} is not MISSING:", 1)
+        self.emit(f"add({text})")
+
+    def function(self) -> tuple:
+        """(function, text) of the chain."""
+        lines = [(0, "def chain(env, ctx, sources, slots):")]
+        if self.outer:
+            names = [f"v{i}" for i in range(self.outer)]
+            lines.append((1, f"{_target(names)} = slots"))
+        # the run's hoisted values join the outer names
+        lines += [(1, "env = dict(env)"), (1, "out = set()"),
+                  (1, "add = out.add")]
+        if self.lazy:
+            lines.append((1, " = ".join(self.lazy) + " = None"))
+        text = "".join(f"{'    ' * d}{line}\n"
+                       for d, line in lines + self.lines + [(1, "return out")])
+        exec(_code(text), self.ns)
+        # taken out of its own globals, so that no cycle keeps it alive
+        return self.ns.pop("chain"), text
+
+
 def compile_comp(e: Comp, program, outer: Optional[_Scope] = None) -> Chain:
-    """Compile a comprehension of `program` into an operator chain; `outer`
-    is the scope of the chain a nested comprehension sits in.
+    """Compile a comprehension of `program` into a chain: its plan and the
+    function generated from it; `outer` is the scope of the chain a nested
+    comprehension sits in.
 
     Each filter runs right after the generator that `Comp.filter_levels`
     puts it at. A generator over a named collection is a hash join when the
     first filter due after it is an equality that `_access_path` takes, and
-    a scan otherwise. A comprehension that binds a name twice is rejected,
-    as `ir.validate` rejects it.
+    a scan otherwise. A scan of a named collection and then a join on a key
+    over the scan's names also get a twin (see `Chain.swapped`). A
+    comprehension that binds a name twice, or has more than
+    `ir.MAX_GENERATORS` generators, is rejected, as `ir.validate` rejects
+    it.
     """
     name = e.repeated_binder()
     if name is not None:
         raise ValueError(f"comprehension binds {name!r} twice")
+    if len(e.gens) > MAX_GENERATORS:
+        raise ValueError(f"comprehension has more than {MAX_GENERATORS} "
+                         "generators")
     scope = outer.nested() if outer is not None else _Scope(program)
     top = not scope.slots  # no enclosing chain binds a slot
     names = {n for g in e.gens for n in g.names}
+    code = _Writer(scope)
     steps = []
     bound: set = set()
-    scan_index = None
-    for g, due in zip(e.gens, e.filter_levels()):
+    swap = False
+
+    def filter_steps(filters):
+        for f in filters:
+            steps.append(Step(_oid("filter"), "filter"))
+            code.unless(code.eval(f)[0])
+
+    for level, (g, due) in enumerate(zip(e.gens, e.filter_levels())):
         new_vars = set(g.names)
         width = len(g.binder) if isinstance(g.binder, tuple) else 0
         path = None
@@ -446,32 +577,32 @@ def compile_comp(e: Comp, program, outer: Optional[_Scope] = None) -> Chain:
             due = due[1:]
             keys = _Scope(scope.program)
             keys.bind(g)
-            steps.append(HashJoinStep(
-                _oid("hashjoin"), "hashjoin", g.binder, g.source,
-                _expr(other, scope), _expr(own, keys), width,
-                _context_free(own), _getter(other, scope), _getter(own, keys)))
+            step = HashJoinStep(
+                _oid("hashjoin"), "hashjoin", g.binder, g.source, width,
+                _expr(own, keys), _context_free(own), _getter(own, keys))
             # a scan of a named collection, then this join on a key over the
-            # scan's names alone: an index of the collection answers both
-            first = steps[0]
-            if top and len(steps) == 2 and first.kind == "expand" \
-                    and first.per_row is None and _context_free(other) \
-                    and _free_vars(other) <= bound:
-                scan_index = _oid("scanindex")
+            # scan's names: the twin indexes the collection by that key
+            swap = swap or top and len(steps) == 1 \
+                and steps[0].kind == "expand" \
+                and isinstance(steps[0].source, Data) \
+                and _context_free(other) and _free_vars(other) \
+                and _free_vars(other) <= bound
         else:
-            per_row = None if isinstance(g.source, Data) \
-                else _expr(g.source, scope)
-            steps.append(ExpandStep(_oid("expand"), "expand", g.binder,
-                                    g.source, per_row, width))
-        scope.bind(g)
+            other, step = None, ExpandStep(_oid("expand"), "expand", g.binder,
+                                           g.source, width)
+        steps.append(step)
+        code.generator(step, g, level, other)
         bound |= new_vars
-        steps += [FilterStep(_oid("filter"), "filter", _expr(f, scope))
-                  for f in due]
+        filter_steps(due)
     if not e.gens:
-        steps += [FilterStep(_oid("filter"), "filter", _expr(f, scope))
-                  for f in e.filters]
-    steps.append(ProjectStep(_oid("project"), "project",
-                             _expr(e.output, scope), _getter(e.output, scope)))
-    return Chain(steps, e, scan_index=scan_index)
+        filter_steps(e.filters)
+    steps.append(Step(_oid("project"), "project"))
+    code.output(e.output)
+    chain = Chain(steps, e)
+    chain.fn, chain.source = code.function()
+    if swap:
+        chain.scan_index, chain.program = _oid("scanindex"), program
+    return chain
 
 
 def _access_path(f: Expr, new: set, unbound: set):
@@ -496,31 +627,20 @@ def _context_free(e: Expr) -> bool:
                    for x in walk_expr(e))
 
 
+# --- what a chain's function calls -----------------------------------------
+
 def _items(value):
     return value if isinstance(value, frozenset) else iter_source(value)
 
 
-def _values(step):
-    """fn(item) -> the tuple of values the step's binder takes from an item
+def _entries(step, src) -> list:
+    """The tuple of values the step's binder takes from each item of `src`
     (`eval.unpack` for a tuple binder)."""
     k, binder = step.width, step.binder
     if not k:
-        return lambda item: (item,)
-
-    def values(item):
-        if type(item) is tuple and len(item) == k:
-            return item
-        return unpack(binder, item)
-
-    return values
-
-
-def _unary(fn, get, env: dict, ctx):
-    """A step's closure `fn` as a function of the binding alone: its
-    itemgetter `get` when it has one."""
-    if get is not None:
-        return get
-    return lambda s: fn(s, env, ctx)
+        return [(item,) for item in src]
+    return [item if type(item) is tuple and len(item) == k
+            else unpack(binder, item) for item in src]
 
 
 class _Sources:
@@ -531,10 +651,8 @@ class _Sources:
     __slots__ = ("ctx", "totals", "delta", "delta_step")
 
     def __init__(self, ctx, totals=None, delta=None, delta_step=None):
-        self.ctx = ctx
-        self.totals = totals
-        self.delta = delta
-        self.delta_step = delta_step
+        self.ctx, self.totals = ctx, totals
+        self.delta, self.delta_step = delta, delta_step
 
     def rows(self, step):
         name, ctx = step.source.name, self.ctx
@@ -548,92 +666,16 @@ class _Sources:
             return ctx.snapshot.tables[name].values()
         return _items(ctx.collection(name))
 
-    def index(self, step, src, key):
-        """The kept index of `src` (see `_kept_index`), or None when a join
-        over it indexes per run: a source that is not a frozenset, the
-        delta, or a key that reads more than the binder."""
-        if step.keepable and type(src) is frozenset \
-                and step is not self.delta_step:
-            return _kept_index(step.op_id, step, src, key, self.ctx.views)
-        return None
-
-
-def _expand(step: ExpandStep, rows: list, env: dict, ctx, src=None) -> list:
-    """Each row extended by each item of the step's source: `src`, the
-    named collection it scans, or else what its `per_row` closure gives."""
-    k, binder, fn = step.width, step.binder, step.per_row
-    if fn is None:
-        if not k:
-            return [s + (item,) for s in rows for item in src]
-        return [s + (item if type(item) is tuple and len(item) == k
-                     else unpack(binder, item)) for s in rows for item in src]
-    if not k:
-        return [s + (item,) for s in rows for item in _items(fn(s, env, ctx))]
-    return [s + (item if type(item) is tuple and len(item) == k
-                 else unpack(binder, item))
-            for s in rows for item in _items(fn(s, env, ctx))]
-
-
-def _index(items, key) -> dict:
-    """key(item) -> items; an item whose key is MISSING equals nothing."""
-    index = {}
-    for item in items:
-        k = key(item)
-        if k is not MISSING:
-            index.setdefault(k, []).append(item)
-    return index
-
 
 def _index_of(step, src, key) -> dict:
-    """`_index(map(_values(step), src), key)`, with the values unpacked in
-    line, since this runs once per item of every index built."""
+    """key(values) -> the binder's values of the items of `src` with that
+    key; an item whose key is MISSING equals nothing."""
     index = {}
-    width, binder = step.width, step.binder
-    for item in src:
-        if not width:
-            t = (item,)
-        elif type(item) is tuple and len(item) == width:
-            t = item
-        else:
-            t = unpack(binder, item)
+    for t in _entries(step, src):
         k = key(t)
         if k is not MISSING:
             index.setdefault(k, []).append(t)
     return index
-
-
-def _join(step: HashJoinStep, rows: list, src, env: dict, ctx,
-          sources: _Sources) -> list:
-    """Each row extended by the binder's values of each item of `src` whose
-    binder-side key equals the row's `left` key. An index, kept or built
-    per run, maps a key to those values, so a probe extends a row directly.
-    """
-    left = _unary(step.left, step.left_get, env, ctx)
-    right = _unary(step.right, step.right_get, env, ctx)
-    values = _values(step)
-    try:
-        index = sources.index(step, src, right)
-        # build side = smaller input by row count; ties go to the source
-        # side (deterministic by operator structure)
-        if index is None and len(src) <= len(rows):
-            index = _index_of(step, src, right)
-        if index is not None:
-            get = index.get
-            return [s + t for s in rows for t in get(left(s), ())]
-        built = _index(rows, left)
-        return [s + t for t in map(values, src)
-                for s in built.get(right(t), ())]
-    except TypeError:  # a key that cannot be hashed
-        return _compare(rows, map(values, src), left, right)
-
-
-def _compare(rows: list, src, left, right) -> list:
-    """The rows extended by the values in `src` whose keys are equal,
-    compared pair by pair as the interpreter's filter compares them;
-    MISSING equals nothing."""
-    keys = [(t, k) for t in src if (k := right(t)) is not MISSING]
-    return [s + t for s in rows if (key := left(s)) is not MISSING
-            for t, k in keys if key == k]
 
 
 def _kept_index(slot, step, src: frozenset, key, views: dict) -> dict:
@@ -659,92 +701,84 @@ def _kept_index(slot, step, src: frozenset, key, views: dict) -> dict:
     return index
 
 
-def _scan_join(chain: Chain, env: dict, ctx,
-               sources: _Sources) -> Optional[list]:
-    """The bindings after the chain's first two steps, a scan and a join,
-    when the scanned source is a frozenset other than the delta and the
-    join's source has fewer items, but some: each of them probes the kept
-    index of the scanned source by the join's row-side key instead of the
-    scan being expanded. None when the two steps are to run as `_steps`
-    runs them: for any other sizes or sources, or a key that cannot be
-    hashed. An empty scan reads no other source, as in `_steps`."""
+class _Compared(list):
+    """What stands for a join's index when a key of its source cannot be
+    hashed: (key, values) for each item whose key is not MISSING, and a
+    lookup compares a key with each, as the interpreter's filter does."""
+
+    def __init__(self, step, src, key):
+        super().__init__((k, (t,)) for t in _entries(step, src)
+                         if (k := key(t)) is not MISSING)
+
+    def items(self):
+        return self
+
+    def get(self, k, default=()):
+        return _compare(self, k)
+
+
+def _compare(index, k) -> list:
+    """The values under each key of `index` equal to `k`, compared one by
+    one: the lookup of a key that cannot be hashed."""
+    return [t for key, ts in index.items() if k == key for t in ts]
+
+
+def _join_index(step: HashJoinStep, src, sources: _Sources, env: dict, ctx):
+    """The index of a join's source `src` that its rows probe: a `_Compared`
+    when a key of the source cannot be hashed, else the one kept in `views`
+    (see `_kept_index`) of a frozenset other than the delta, by a key that
+    reads the binder alone, else one built for the run. An empty source
+    evaluates no key."""
+    if not src:
+        return {}
+    key = step.key_get or (lambda t: step.key(t, env, ctx))
+    try:
+        if step.keepable and type(src) is frozenset \
+                and step is not sources.delta_step:
+            return _kept_index(step.op_id, step, src, key, ctx.views)
+        return _index_of(step, src, key)
+    except TypeError:  # a key that cannot be hashed
+        return _Compared(step, src, key)
+
+
+def _scan_join(chain: Chain, sources: _Sources) -> bool:
+    """Whether a chain is to run as its twin, whose join probes the kept
+    index of the chain's scanned source once per item of the chain's join
+    source: when the scan reads a frozenset other than the delta, and the
+    join's source has fewer items, but some. An empty scan reads no other
+    source."""
     scan, join = chain.steps[0], chain.steps[1]
     if scan is sources.delta_step:
-        return None
+        return False
     items = sources.rows(scan)
     if type(items) is not frozenset or not items:
-        return None
-    src = sources.rows(join)
-    if not 0 < len(src) < len(items):
-        return None
-    left = _unary(join.left, join.left_get, env, ctx)
-    right = _unary(join.right, join.right_get, env, ctx)
-    try:
-        get = _kept_index(chain.scan_index, scan, items, left, ctx.views).get
-        rows = [s + t for t in map(_values(join), src)
-                for s in get(right(t), ())]
-    except TypeError:  # a key that cannot be hashed
-        return None
-    ctx.note(join.op_id, len(rows))
-    return rows
+        return False
+    return 0 < len(sources.rows(join)) < len(items)
 
 
-def _steps(chain: Chain, start: int, rows: list, env: dict, ctx,
-           sources: _Sources) -> list:
-    """The bindings after the chain's steps from `start` up to its project
-    step, run on `rows`. A step with no input rows reads no source, and a
-    join over an empty source evaluates no key."""
-    steps = chain.steps
-    for i in range(start, len(steps) - 1):
-        step = steps[i]
-        kind = step.kind
-        if kind == "filter":
-            test = step.test
-            rows = [s for s in rows if test(s, env, ctx)]
-        elif kind == "expand":
-            if rows:
-                src = sources.rows(step) if step.per_row is None else None
-                rows = _expand(step, rows, env, ctx, src)
-        else:
-            src = sources.rows(step) if rows else ()
-            rows = _join(step, rows, src, env, ctx, sources) if src else []
-        ctx.note(step.op_id, len(rows))
-    return rows
-
-
-def _project(step: ProjectStep, rows: list, env: dict, ctx) -> frozenset:
-    if step.get is not None:
-        result = frozenset(map(step.get, rows))
-    else:
-        out = step.out
-        result = frozenset([out(s, env, ctx) for s in rows])
-        if MISSING in result:
-            result = result - {MISSING}
-    ctx.note(step.op_id, len(result))
-    return result
+# the names a chain's function reads besides its namespace entries
+_HELPERS = {"MISSING": MISSING, "unpack": unpack, "source_items": _items,
+            "join_index": _join_index, "compare": _compare}
 
 
 def run_chain(chain: Chain, env0: dict, ctx: "GraphContext",
-              delta_step=None, totals=None, delta=None, slots=()) -> frozenset:
-    """Run a chain from the binding `slots` (a nested comprehension's
-    enclosing row; empty otherwise), reading outer names from `env0`; when
-    iterating a fixpoint, `delta_step` marks the one occurrence of a name in
-    `totals` fed with the delta instead of the running total. Sources are
-    iterated unordered: only the set of rows reaches the result. A join over
-    a frozenset source, other than the delta, keeps its index of that source
-    in `ctx.views` (see `_kept_index`), and so may the scan before a join
-    (see `_scan_join`)."""
-    sources = _Sources(ctx, totals, delta, delta_step)
-    env = dict(env0)  # the run's hoisted values join the outer names
-    # no enclosing chain binds a slot of a chain with a scan index (see
-    # compile_comp), so `slots` is empty
-    rows = None if chain.scan_index is None \
-        else _scan_join(chain, env, ctx, sources)
-    if rows is None:
-        rows = _steps(chain, 0, [slots], env, ctx, sources)
-    else:
-        rows = _steps(chain, 2, rows, env, ctx, sources)
-    return _project(chain.steps[-1], rows, env, ctx)
+              delta_step=None, totals=None, delta=None, slots=()) -> set:
+    """The new set of outputs of a run of the chain's function (or its
+    twin's) from the binding `slots` (a nested comprehension's enclosing
+    row), reading outer names from `env0`; `delta_step` marks the one
+    occurrence of a name in `totals` fed with `delta` instead. The set's
+    size is noted under the project step's id."""
+    sources, fn = _Sources(ctx, totals, delta, delta_step), chain.fn
+    if chain.scan_index is not None and _scan_join(chain, sources):
+        twin = chain.swapped()
+        fn = twin.fn
+        if delta_step is not None:
+            # the twin has the chain's steps, the first two swapped
+            i = [s is delta_step for s in chain.steps].index(True)
+            sources.delta_step = twin.steps[i ^ 1 if i < 2 else i]
+    out = fn(env0, ctx, sources, slots)
+    ctx.note(chain.steps[-1].op_id, len(out))
+    return out
 
 
 # --- query plans -------------------------------------------------------------
@@ -880,7 +914,7 @@ def _per_row(chain: Chain, program) -> bool:
     it reads is the names it binds, context-free: the outputs of one table
     row then depend on the row alone (see `_per_row_value`)."""
     comp, scan = chain.comp, chain.steps[0]
-    if not isinstance(scan, ExpandStep) or scan.per_row is not None \
+    if scan.kind != "expand" or not isinstance(scan.source, Data) \
             or scan.width:
         return False
     d = program.data_map.get(scan.source.name)
@@ -908,8 +942,9 @@ class GraphContext(EvalContext):
         self._qmemo = {}
 
     def note(self, op_id: str, n: int):
-        """Called with the rows each operator step produced; a hook for
-        instrumentation, which does nothing here."""
+        """Called with the size of each chain run's result, under the id of
+        the chain's project step; a hook for instrumentation, which does
+        nothing here."""
 
     def eval_comp(self, e: Comp, env: dict, slots: tuple = (),
                   chain: Optional[Chain] = None) -> frozenset:
@@ -918,7 +953,7 @@ class GraphContext(EvalContext):
         if chain is None:
             chain = self.compiled.handler_expr(
                 e, lambda c: compile_comp(c, self.program))
-        return run_chain(chain, env, self, slots=slots)
+        return frozenset(run_chain(chain, env, self, slots=slots))
 
     def eval(self, e, env: dict):
         """`e` run by `eval_comp` if a Comp, else compiled as a chain compiles
@@ -955,7 +990,7 @@ class GraphContext(EvalContext):
                         and chain.steps[0].source.name not in self.firing:
                     v = _per_row_value(chain, self)
                 else:
-                    v = run_chain(chain, {}, self)
+                    v = frozenset(run_chain(chain, {}, self))
                 val = val | v if val else v  # a kept value stays that object
             self._qmemo[name] = val
             return val
@@ -971,31 +1006,24 @@ def _per_row_value(chain: Chain, ctx: GraphContext) -> frozenset:
     outputs of each row of the scanned table are kept in `ctx.views` under
     the scan's id, with the row they came from, by the row's key: a row is
     immutable, so they hold while the table keeps that row object. A call
-    runs the chain once, over the rows not kept yet, and drops the keys that
-    left the table; the value is the object kept with the outputs while no
-    row changed. (Keys are looked up rather than rows, since a key tuple
-    hashes in C.)"""
-    scan, env = chain.steps[0], {}
+    runs the chain's function once on each row not kept yet, and drops the
+    keys that left the table; the value is the object kept with the outputs
+    while no row changed. (Keys are looked up rather than rows, since a key
+    tuple hashes in C.)"""
+    scan = chain.steps[0]
     table = ctx.snapshot.tables[scan.source.name]
     rows, outputs, value = ctx.views.get(scan.op_id) or ({}, {}, frozenset())
     new = [(k, row) for k, row in table.items() if rows.get(k) is not row]
     if not new and len(rows) == len(table):
         return value
     if new:
-        ctx.note(scan.op_id, len(new))
-        bindings = _steps(chain, 1, [(row,) for _, row in new], env, ctx, None)
-        project = chain.steps[-1]
-        out = _unary(project.out, project.get, env, ctx)
-        found = {id(row): [] for _, row in new}
-        for s in bindings:
-            v = out(s)
-            if v is not MISSING:
-                found[id(s[0])].append(v)
-        # an output that cannot be hashed raises here, before it is kept
-        ctx.note(project.op_id, len(frozenset(concat.from_iterable(
-            found.values()))))
-        for k, row in new:
-            rows[k], outputs[k] = row, tuple(found[id(row)])
+        name = scan.source.name
+        found = [tuple(chain.fn({}, ctx, _Sources(ctx, {name: (row,)}), ()))
+                 for _, row in new]
+        ctx.note(chain.steps[-1].op_id,
+                 len(frozenset(concat.from_iterable(found))))
+        for (k, row), outs in zip(new, found):
+            rows[k], outputs[k] = row, outs
     if len(rows) != len(table):
         for k in [k for k in rows if k not in table]:
             del rows[k], outputs[k]
@@ -1016,22 +1044,20 @@ class _View:
 def apply_fixpoint(group: FixpointGroup, ctx: GraphContext):
     """Least fixpoint of a recursive query group by semi-naive iteration.
 
-    The call reads the group's inputs and its members' base facts and
-    compares them with what the view stored in `ctx.views` saw. It resumes
-    when each is equal, or a superset when both are sets, and no input that
-    a rule reads as one value (under a fold, say) has changed: the old
-    totals plus the new base facts get one delta pass per generator over a
-    grown input (a full pass for a rule that reads a grown input anywhere
-    else), then the semi-naive loop runs from the facts that are new. The
-    passes read the stored totals as they are, so a delta pass over a join
-    right after a scan of them probes the scan's kept index once per delta
-    item (see `_scan_join`). With no stored view, or after any other change
+    The call compares the group's inputs and its members' base facts with
+    what the view stored in `ctx.views` saw. It resumes when each is equal,
+    or a superset when both are sets, and no input that a rule reads as one
+    value (under a fold, say) has changed: the old totals plus the new base
+    facts get one delta pass per generator over a grown input (a full pass
+    for a rule that reads a grown input anywhere else), then the
+    semi-naive loop runs from the facts that are new. The passes read the
+    stored totals as they are, so a delta joined after a scan of them
+    probes the scan's kept index (see `_scan_join`). After any other change
     (a deletion, an assignment, a replaced table row, a changed scalar, a
-    rejected fork's state), it recomputes from the base facts.
-    Resuming is sound because compile_queries admits only monotone rules
-    into a recursive group, so the old least fixpoint lies below the new
-    one. Either way the inputs, base facts and result are stored for the
-    next call.
+    rejected fork's state) it recomputes from the base facts. Resuming is
+    sound because compile_queries admits only monotone rules into a
+    recursive group. Either way the inputs, base facts and result are
+    stored for the next call.
 
     Returns (totals, rounds), where `rounds` counts the rounds of this call.
     It raises FixpointDivergence exactly when a from-scratch evaluation of
@@ -1118,7 +1144,7 @@ def _resume_round(group: FixpointGroup, ctx: GraphContext, view: _View,
                 derived[q] |= run_chain(chain, {}, ctx, totals=members)
                 continue
             for step in chain.steps:
-                if isinstance(step, (ExpandStep, HashJoinStep)) \
+                if isinstance(step, ExpandStep) \
                         and isinstance(step.source, Data) \
                         and step.source.name in grown_inputs:
                     derived[q] |= run_chain(chain, {}, ctx, delta_step=step,
@@ -1151,5 +1177,5 @@ def _iterate(group: FixpointGroup, ctx: GraphContext, totals: dict,
             break
         for q in scc:
             totals[q] |= new[q]
-        delta = {q: frozenset(new[q]) for q in scc}
+        delta = new  # a delta is never indexed beyond its run, so a set
     return {q: frozenset(v) for q, v in totals.items()}, rounds

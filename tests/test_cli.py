@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from latticeflow.cli import (
-    EXIT_INFEASIBLE, EXIT_NO_QUIESCENCE, EXIT_OK, EXIT_RUNTIME,
-    EXIT_VALIDATION, main,
+    EXIT_CLOSED_PIPE, EXIT_INFEASIBLE, EXIT_NO_QUIESCENCE, EXIT_OK,
+    EXIT_RUNTIME, EXIT_VALIDATION, main,
 )
 from latticeflow.ir import (
     Assign, AvailSpec, BinOp, ClassDecl, Comp, ConsistencySpec, Data,
@@ -57,6 +57,44 @@ def test_analyze_pattern(capsys):
 def test_analyze_inspect_prints_plan(capsys):
     assert main(["analyze", "mpi_collectives", "--inspect"]) == EXIT_OK
     assert '"routes"' in capsys.readouterr().out
+
+
+def run_in_a_new_process(*args, hash_seed="0", **kw):
+    """The CLI run with `args` in a process of its own, from the source
+    tree, under PYTHONHASHSEED `hash_seed`."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "latticeflow", *args],
+                          env=env, timeout=120, **kw)
+
+
+def test_inspect_prints_each_rules_function_alike_under_any_hash_seed():
+    out = [run_in_a_new_process("analyze", "covid_tracker", "--inspect",
+                                hash_seed=seed, check=True,
+                                capture_output=True).stdout
+           for seed in ("1", "2")]
+    assert out[0] == out[1]
+    plan = json.loads(out[0][out[0].index(b"\n{") + 1:])
+    [role] = plan["roles"].values()
+    first, joined = role["source"]["query:reachable"]
+    assert first[0] == joined[0] == "def chain(env, ctx, sources, slots):"
+    # the twin probes an index of `reachable`, the collection scanned first
+    assert joined.count("def chain(env, ctx, sources, slots):") == 2
+
+
+def test_a_closed_pipe_ends_without_a_traceback():
+    """As `analyze --inspect | head -1` may: the reader is gone before the
+    output ends, here before the process writes anything."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = run_in_a_new_process("analyze", "covid_tracker", "--inspect",
+                                    stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert done.returncode == EXIT_CLOSED_PIPE
+    assert b"Traceback" not in done.stderr
+    assert b"BrokenPipeError" not in done.stderr
 
 
 def test_analyze_unknown_program():
@@ -572,11 +610,9 @@ def trace_in_a_new_process(tmp_path, scenario, hash_seed, *args):
     its own under PYTHONHASHSEED `hash_seed`: operators iterate sets in hash
     order, which that seed changes, and only a new process can try another."""
     trace = tmp_path / "trace.jsonl"
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
-    subprocess.run([sys.executable, "-m", "latticeflow.cli", "simulate",
-                    str(scenario), *args, "--trace", str(trace)],
-                   env=env, check=True, capture_output=True, timeout=120)
+    run_in_a_new_process("simulate", str(scenario), *args, "--trace",
+                         str(trace), hash_seed=hash_seed, check=True,
+                         capture_output=True)
     return hashlib.sha256(trace.read_bytes()).hexdigest()
 
 

@@ -5,10 +5,10 @@ from dataclasses import replace
 import pytest
 
 from latticeflow.ir import (
-    Assign, BinOp, ClassDecl, Comp, ConsistencySpec, Data, DataDecl, Field,
-    ForEach, Gen, Handler, In, Lit, Lookup, MakeRow, MergeMutation, Program,
-    QueryDef, Record, Return, Send, TargetPath, UdfCall, UdfDecl, Var,
-    desugar_handler, response_mailbox, validate,
+    MAX_GENERATORS, Assign, BinOp, ClassDecl, Comp, ConsistencySpec, Data,
+    DataDecl, Field, ForEach, Gen, Handler, In, Lit, Lookup, MakeRow,
+    MergeMutation, Program, QueryDef, Record, Return, Send, TargetPath,
+    UdfCall, UdfDecl, Var, desugar_handler, response_mailbox, validate,
 )
 from latticeflow.patterns import get_pattern, pattern_names
 from latticeflow.progjson import program_from_json, program_to_json
@@ -152,6 +152,17 @@ def test_a_comprehension_that_binds_a_name_twice_is_rejected():
         rep = validate(tiny_program(queries=(QueryDef("q", (), (body,)),)))
         assert [e.code for e in rep] == ["RepeatedBinder"], rep.entries
         assert "binds 'x' twice" in rep.entries[0].message
+
+
+def test_a_comprehension_with_too_many_generators_is_rejected():
+    def body(n):
+        return Comp(Var("x0"), [Gen(f"x{i}", Data("items")) for i in range(n)])
+
+    queries = (QueryDef("q", (), (body(MAX_GENERATORS),)),)
+    assert validate(tiny_program(queries=queries)).ok
+    queries = (QueryDef("q", (), (body(MAX_GENERATORS + 1),)),)
+    rep = validate(tiny_program(queries=queries))
+    assert [e.code for e in rep] == ["TooManyGenerators"], rep.entries
 
 
 def test_commit_record_fields_are_reserved():

@@ -14,7 +14,8 @@ from latticeflow.eval import (MISSING, _order_key, bind, eval_expr,
 from latticeflow.interp import InterpContext
 from latticeflow import lattice
 from latticeflow.ir import (
-    ARITH, Assign, BinOp, ClassDecl, Comp, ConsistencySpec, Data, DataDecl, Delete,
+    ARITH, MAX_GENERATORS, Assign, BinOp, ClassDecl, Comp, ConsistencySpec,
+    Data, DataDecl, Delete,
     Field, Fold, Gen, Handler, In, Index, Len, Lit, Lookup, MakeRow,
     MergeMutation, Not, Program, QueryDef, RangeOf, Return, Send, Record, Slice,
     TargetPath, TupleOf, UdfCall, UdfDecl, Var, Expr, MESSAGE_ID, REPLY_TO,
@@ -1173,6 +1174,44 @@ def test_a_missing_item_is_no_output():
     assert by_eval_expr(interp, comp, dict(env)) == {(1, 0), (3, 0)}
 
 
+@pytest.mark.parametrize("output", [
+    X, TupleOf(X, O), BinOp("+", X, Lit(1)), Lit("any"),
+], ids=["name", "pair", "arith", "literal"])
+def test_a_missing_item_binds_alike_on_both_backends(output):
+    # a slot bound from a named collection never holds MISSING; one bound
+    # from another source may, and a chain's inline code tests it
+    comp = Comp(output, (Gen("x", Var("src")),))
+    env = {"src": (1, MISSING, 3), "o": 0}
+    graph, interp = both_backends(CHAIN_PROGRAM, inline_state())
+    assert graph.eval_comp(comp, dict(env)) == interp.eval_comp(comp, dict(env))
+
+
+@pytest.mark.parametrize("e", [
+    # an operator or a tuple evaluates every operand before it tests them
+    # for MISSING, so 1 // 0 raises beside a MISSING operand
+    BinOp("+", O, BinOp("//", Lit(1), X)),
+    BinOp("+", BinOp("//", Lit(1), X), O),
+    TupleOf(O, BinOp("//", Lit(1), X)),
+    TupleOf(BinOp("//", Lit(1), X), Field(O, "k")),
+    # a field of MISSING is MISSING, and reads nothing
+    BinOp("==", Field(O, "k"), X),
+    BinOp("-", Field(Field(O, "k"), "v"), Var("n")),
+], ids=["right", "left", "tuple", "tuple-field", "field", "field-of-field"])
+@pytest.mark.parametrize("outside", [Row(k=Row(v=1)), MISSING],
+                         ids=["bound", "missing"])
+def test_inline_code_keeps_the_missing_rules(e, outside):
+    """A chain's function writes names, literals, field reads, operators and
+    tuples inline, as filters and outputs, and gives what the interpreter
+    gives, raising where it raises."""
+    state = chain_state(nums={0, 1, 2})
+    for comp in (Comp(e, (GEN_X,)), Comp(X, (GEN_X,), (e,))):
+        env = {"o": outside, "n": 1}
+        assert {outcome(ctx, comp, dict(env))
+                for ctx in both_backends(CHAIN_PROGRAM, state)} == {
+            outcome(InterpContext(CHAIN_PROGRAM, state.snapshot()), comp,
+                    dict(env))}, comp
+
+
 # --- order keys ------------------------------------------------------------------
 
 def old_order_key(v):
@@ -1337,6 +1376,29 @@ def test_a_scan_then_join_probes_the_kept_index_of_the_scan():
         assert graph.eval_comp(empty, {}) == frozenset() == \
             InterpContext(CHAIN_PROGRAM, snap).eval_comp(empty, {})
         assert chain.scan_index not in views
+
+
+def test_the_twin_runs_the_generators_after_the_join():
+    """A scan, a join on the scan's names and a third generator: when the
+    join's source is the smaller, the twin runs, probes the scan's kept
+    index, and runs the third generator as the chain would."""
+    comp = Comp(TupleOf(Var("h"), Var("q")),
+                (Gen(("h", "half"), Data("halves")), Gen("i", Data("items")),
+                 Gen(("p", "q"), Data("pairs"))),
+                (BinOp("==", Var("half"), Field(Var("i"), "k")),
+                 BinOp("==", Var("p"), Var("h"))))
+    compiled, views = compile_queries(CHAIN_PROGRAM), {}
+    chain = compiled.handler_expr(
+        comp, lambda c: compile_comp(c, CHAIN_PROGRAM))
+    state = chain_state(nums=range(8), pairs={(h, h * 10) for h in range(8)})
+    state.tables["items"] = {(k,): Row(k=k, v=0, tags=frozenset())
+                             for k in (1, 3)}
+    snap = state.snapshot()
+    graph = GraphContext(CHAIN_PROGRAM, snap, compiled, views=views)
+    assert graph.eval_comp(comp, {}) == \
+        InterpContext(CHAIN_PROGRAM, snap).eval_comp(comp, {}) == \
+        {(2, 20), (3, 30), (6, 60), (7, 70)}
+    assert chain.scan_index in views
 
 
 @pytest.mark.parametrize("gens, own", [
@@ -1644,3 +1706,73 @@ def test_a_keyed_merge_acts_on_an_idle_tick():
         assert t.tick().fired == []
         assert t.state.tables["items"] == {
             (1,): Row(k=1, v=None, tags=frozenset())}
+
+
+# --- generated chain functions ---------------------------------------------------
+
+# strings that would change a program if a chain's text held them as code
+HOSTILE = ('"); import os; ("', "\n", "__import__")
+
+
+def hostile_program() -> Program:
+    """A program whose literals, table rows and a binder name hold Python
+    source."""
+    note = ClassDecl("Note", {"k": "int", "text": "str"}, key=("k",))
+    text = Field(Var("n"), "text")
+    marked = QueryDef("marked", (), (
+        Comp(TupleOf(text, Lit(HOSTILE[0])), (Gen("n", Data("notes")),),
+             (BinOp("!=", text, Lit(HOSTILE[1])),)),
+        Comp(TupleOf(Var("__import__"), Lit(HOSTILE[2])),
+             (Gen(("__import__", "t"), Data("pairs")),),
+             (BinOp("==", Var("t"), Lit(HOSTILE[2])),)),
+        Comp(TupleOf(text, Var("t")),
+             (Gen("n", Data("notes")), Gen(("u", "t"), Data("pairs"))),
+             (BinOp("==", Var("u"), text),))))
+    return Program("hostile", classes=(note,),
+                   data=(DataDecl("notes", "table", cls="Note"),
+                         DataDecl("pairs", "var", shape="set")),
+                   queries=(marked,))
+
+
+def test_generated_code_holds_no_value_of_the_program():
+    """Literals, row values and names that hold Python source reach a
+    chain's function only as entries of its namespace: its text holds no
+    string and no name of the program, and the graph backend gives the
+    interpreter's value. The same program compiled again reuses each
+    chain's code object."""
+    program = hostile_program()
+    state = NodeState(program)
+    state.tables["notes"] = {(k,): Row(k=k, text=text)
+                             for k, text in enumerate(HOSTILE + ("plain",))}
+    state.vars["pairs"] = lattice.SetUnion(
+        frozenset((a, b) for a in HOSTILE for b in HOSTILE))
+    snap = state.snapshot()
+    compiled = compile_queries(program)
+    value = GraphContext(program, snap, compiled).query_value("marked")
+    assert value == InterpContext(program, snap).query_value("marked")
+    assert len(value) == 10
+    chains = compiled.plans["marked"].chains
+    assert [s.kind for s in chains[1].steps] == ["hashjoin", "project"]
+    for chain in chains:
+        for word in ("'", '"', "import", "text", "notes", "pairs"):
+            assert word not in chain.source
+    again = compile_queries(hostile_program()).plans["marked"].chains
+    for chain, twin in zip(chains, again, strict=True):
+        assert twin.source == chain.source and twin.fn is not chain.fn
+        assert twin.fn.__code__ is chain.fn.__code__
+
+
+def test_the_most_generators_and_many_filters_compile():
+    """A chain's function nests one loop per generator and no block per
+    filter: the most generators `ir.validate` allows compile, with a hundred
+    filters, and give the interpreter's value; one more is refused."""
+    gens = [Gen(f"x{i}", Data("nums")) for i in range(MAX_GENERATORS)]
+    joins = [BinOp("==", Var(f"x{i}"), Var(f"x{i - 1}"))
+             for i in range(1, MAX_GENERATORS)]
+    bounds = [BinOp("<", Var("x0"), Lit(k)) for k in range(3, 103)]
+    comp = Comp(Var(f"x{MAX_GENERATORS - 1}"), gens, joins + bounds)
+    graph, interp = both_backends(CHAIN_PROGRAM, chain_state(nums={1, 2}))
+    assert graph.eval_comp(comp, {}) == interp.eval_comp(comp, {}) == {1, 2}
+    with pytest.raises(ValueError, match="more than"):
+        compile_comp(Comp(Var("x0"), gens + [Gen("y", Data("nums"))]),
+                     CHAIN_PROGRAM)
