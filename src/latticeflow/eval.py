@@ -4,8 +4,9 @@ runtime.
 Each backend evaluates expressions its own way: its subclass of
 :class:`EvalContext` defines `eval` (how handler statements evaluate),
 `eval_comp` and `query_value`. The interpreter walks the tree with
-:func:`eval_expr`, which only it calls, and the graph backend compiles each
-expression (see `runtime`).
+:func:`eval_expr`, which only it calls, and the graph backend runs Python
+code generated for each expression with `eval_expr`'s rules (see
+`runtime._Writer`).
 
 A lookup on a missing key evaluates to the ``MISSING`` sentinel, which makes
 enclosing generators contribute nothing and guards evaluate false, keeping

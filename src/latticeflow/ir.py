@@ -914,7 +914,7 @@ class Prepared(NamedTuple):
 
 def prepared(h: Handler) -> Prepared:
     """`h` prepared once and kept on it (see `kept`), so all its readers
-    share one set of expression objects, and so of closures compiled."""
+    share one set of expression objects, and so of functions compiled."""
     return kept(h, "_prepared", _prepare)
 
 

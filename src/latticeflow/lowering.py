@@ -2,11 +2,12 @@
 
 The plan names one node role per handler role, assigns each mailbox a
 routing rule, and records the compiled operator chains, the text of the
-function generated for each query rule, and the query strata for
-inspection. The routes are the ones `sim.Cluster` runs, so `analyze
---inspect` prints what the simulator does. Lowering refuses programs that
-validation, stratification, or recursive-group compilation reject, so
-anything that lowers cleanly is executable by both backends.
+function generated for each query rule and each handler expression, and
+the query strata for inspection. The routes are the ones `sim.Cluster`
+runs, so `analyze --inspect` prints what the simulator does. Lowering
+refuses programs that validation, stratification, or recursive-group
+compilation reject, so anything that lowers cleanly is executable by both
+backends.
 
 It also refuses what the cluster cannot sequence: a send into a
 serializable handler's mailbox, since a sequenced request must be a
@@ -21,9 +22,10 @@ from typing import Optional
 
 from .analysis import metaconsistency_conflicts, stratify
 from .ir import (
-    ForEach, Program, Send, kept, prepared, response_mailbox, validate,
+    Comp, ForEach, Program, Send, kept, prepared, response_mailbox,
+    statement_exprs, validate,
 )
-from .runtime import compile_queries
+from .runtime import compile_comp, compile_expr, compile_queries
 
 
 class LoweringError(Exception):
@@ -77,8 +79,11 @@ class LoweringPlan:
                     "query_strata": dict(g.query_strata),
                     "recursive_groups": [list(x) for x in g.recursive_groups],
                     "operators": {k: list(v) for k, v in sorted(g.operators.items())},
-                    "source": {k: [_chain_source(c) for c in v]
-                               for k, v in sorted(g.chains.items())},
+                    "source": {
+                        **{k: [_chain_source(c) for c in v]
+                           for k, v in g.chains.items()},
+                        **{f"handler:{h}": _handler_source(self.program, h)
+                           for h in g.handlers}},
                 }
                 for role, g in sorted(self.roles.items())
             },
@@ -107,6 +112,17 @@ def _chain_source(chain) -> list:
                   "(see runtime._scan_join):"]
         lines += chain.swapped().source.splitlines()
     return lines
+
+
+def _handler_source(program: Program, name: str) -> list:
+    """The lines of the function generated for each expression of handler
+    `name`: its guard, its statements' and its invariants, in that order."""
+    p = prepared(program.handler_map[name])
+    exprs = [p.guard] if p.guard is not None else []
+    exprs += [e for s in p.stmts for e in statement_exprs(s)]
+    return [_chain_source(compile_comp(e, program)) if isinstance(e, Comp)
+            else compile_expr(e, program)[1].splitlines()
+            for e in exprs + list(p.invariants)]
 
 
 def lower(program: Program) -> LoweringPlan:

@@ -4,23 +4,29 @@ Comprehensions compile to chains of Expand / HashJoin / Filter / Project
 steps, and recursive query groups run semi-naive fixpoint iteration (only
 newly derived facts re-enter the loop each round).
 
-`compile_comp` compiles a chain once, into its plan and one Python
-function generated from the plan. The plan is data: the steps, with op
-ids, sources and the ids under which joins keep indexes. The function is
-nested loops, one per generator, that bind each name in a local, run each
-filter right after the generator that `ir.Comp.filter_levels` puts it at,
-the interpreter's rule, and add each output straight into one set, so no
-row tuple is built. Names, literals, field reads, `ir.ARITH` operators and
-tuples over those are written inline, with `eval.eval_expr`'s `MISSING`
-rules. Any other expression, a nested comprehension among them, is a
-closure ``fn(slots, env, ctx)`` called with the tuple of the names bound
-so far; its subexpressions that read no name the chain binds are
-evaluated at most once per run, at first use. The text holds identifiers
-and no value of the program (see `_Writer`), so `analyze --inspect` prints
-it, and chains of one shape share one code object (`_code`). A tuple
-binder takes its item's values by `eval.unpack`. The interpreter
-(`interp`) stays the tree-walking oracle that this backend is tested
-against and never calls.
+One code generator. `_Writer` writes every expression of this backend as
+Python text, with `eval.eval_expr`'s `MISSING` rules: each strict operand
+is evaluated, in order, before any is tested, and `and`, `or` and a record
+stop early; the statements of an operand they may skip run under a guard,
+one line each, so no depth of expression adds a block. A nested
+comprehension is a call of `ctx.eval_comp` with its chain. Three kinds of
+function are generated:
+- `compile_comp` compiles a chain once, into its plan and one function:
+  nested loops, one per generator, that bind each name in a local, run
+  each filter right after the generator that `ir.Comp.filter_levels` puts
+  it at, the interpreter's rule, and add each output straight into one
+  set, so no row tuple is built. A subexpression that reads no name the
+  chain binds is evaluated at most once per run, at first use, into a
+  local that starts `UNSET`.
+- A join's index of its source is built by a function of its own, a loop
+  over the source's items that adds each under its binder-side key
+  (`_Writer.index`).
+- A handler expression compiles to ``expr(env, ctx)`` (`compile_expr`).
+The text holds identifiers and no value of the program (see `_Writer`), so
+`analyze --inspect` prints it, and functions of one shape share one code
+object (`_code`). A tuple binder takes its item's values by
+`eval.unpack`. The interpreter (`interp`) stays the tree-walking oracle
+that this backend is tested against and never calls.
 
 Access paths. A generator over a named collection is a hash join or a
 scan (`compile_comp`). The function reads the run-time choices from the
@@ -34,24 +40,22 @@ membership ``x in {p.k for p in t}``, where `k` is the whole key of table
 
 Kept results. A context's `views`, which a Transducer shares among its
 contexts, keep each recursive group's result, resumed while its inputs
-only grow (`apply_fixpoint`), and the outputs per table row of a rule
-that scans a table (`_per_row_value`).
+only grow (`apply_fixpoint`), and the indexes that joins keep
+(`_kept_index`).
 
 Loops iterate sets in whatever order they come; order is fixed only where
 it is observable, by `EvalContext.collection`, sends and canonical
 encoding. Each run of a chain notes the size of its result under its
 project step's id (`GraphContext.note`). A handler's comprehension
-compiles to its chain and any other expression to a closure at a scope
-binding no slot (`GraphContext.eval`), each kept by identity on the
-program's `CompiledQueries`.
+compiles to its chain and any other expression to its function
+(`GraphContext.eval`), each kept by identity on the program's
+`CompiledQueries`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from functools import lru_cache
-from itertools import chain as concat
-from operator import itemgetter
 from typing import Optional
 
 from .analysis import classify_expression, query_graph
@@ -87,11 +91,11 @@ class ExpandStep(Step):
 
 @dataclass
 class HashJoinStep(ExpandStep):
-    key: object = None      # closure of the binder-side key, over the
-                            # binder's values alone
-    keepable: bool = False  # `key` reads nothing but the binder, so an
+    keepable: bool = False  # the key reads nothing but the binder, so an
                             # index of a source by it outlives the run
-    key_get: object = None  # `key` as an itemgetter, or None (see _getter)
+    # fill(items, env, ctx, index) adds each item to `index` under its key
+    # (see _Writer.index)
+    fill: object = None
 
 
 @dataclass
@@ -100,9 +104,8 @@ class Chain:
     comp: Comp
     side_reads: frozenset = frozenset()  # names read anywhere but as the
                                          # source of a generator step
-    per_row: bool = False  # outputs kept per table row (see _per_row_value)
-    # fn(env, ctx, sources, slots) -> the set of outputs of one run, and
-    # its text
+    # fn(env, ctx, sources, slots) -> the set of outputs of one run; its
+    # text, then the text of its joins' index functions
     fn: object = None
     source: str = ""
     # for a scan and then a join on a key over the scan's names: the id
@@ -138,13 +141,13 @@ def _oid(kind: str) -> str:
 
 
 class _Scope:
-    """Where each name lives while a chain compiles: `slots` maps a name to
-    its slot in the binding tuple, and any other name is read from the
-    caller's env. `local` holds the names the chain has bound so far, and
-    `sure` the slots that cannot hold MISSING: those bound from a named
-    collection, none of whose items is or holds MISSING. `program` is the
-    one the chain belongs to, whose table keys let a key membership compile
-    to a dict lookup."""
+    """Where each name lives while a function is written: `slots` maps a
+    name to its slot, the local ``v<slot>``, and any other name is read
+    from the caller's env. `local` holds the names the function has bound
+    so far, and `sure` the slots that cannot hold MISSING: those bound from
+    a named collection, none of whose items is or holds MISSING. `program`
+    is the one the function belongs to, whose table keys let a key
+    membership compile to a dict lookup."""
 
     def __init__(self, program, slots=None, width: int = 0, sure=()):
         self.program = program
@@ -170,39 +173,6 @@ class _Scope:
                 self.sure.discard(name)
 
 
-def _expr(e: Expr, scope: _Scope, hoist: bool = True):
-    """fn(slots, env, ctx) giving what `eval.eval_expr` gives for `e` under
-    the same bindings. A subexpression that reads no name the chain binds
-    is hoisted: its value is kept in the run's env under a key of its own
-    the first time it is needed."""
-    if hoist and not isinstance(e, (Lit, Var)) \
-            and not _free_vars(e) & scope.local:
-        fn, cell = _node(e, scope, False), object()
-
-        def hoisted(s, env, ctx):
-            try:
-                return env[cell]
-            except KeyError:
-                pass
-            v = env[cell] = fn(s, env, ctx)
-            return v
-
-        return hoisted
-    return _node(e, scope, hoist)
-
-
-def _getter(e: Expr, scope: _Scope):
-    """`e` as an `operator.itemgetter` of a binding, when `e` is a name kept
-    in a slot that cannot hold MISSING or a tuple of two or more such names;
-    None otherwise. It gives what `_expr(e, scope)` gives."""
-    if isinstance(e, Var) and e.name in scope.sure:
-        return itemgetter(scope.slots[e.name])
-    if isinstance(e, TupleOf) and len(e.items) > 1 and all(
-            isinstance(x, Var) and x.name in scope.sure for x in e.items):
-        return itemgetter(*(scope.slots[x.name] for x in e.items))
-    return None
-
-
 def _key_table(coll: Expr, program) -> Optional[str]:
     """The table `t` when `coll` is ``{p.k for p in t}`` and `k` is the whole
     key of `t`'s class, so that ``x in coll`` is ``(x,) in t``'s dict: a row
@@ -224,152 +194,11 @@ def _key_table(coll: Expr, program) -> Optional[str]:
     return name if cls is not None and cls.key == (out.name,) else None
 
 
-def _strict(fn, sub: list):
-    """fn(slots, env, ctx) giving `fn` of the values of the closures `sub`,
-    or MISSING when one is MISSING, after each is evaluated."""
-    if len(sub) == 1:
-        [a] = sub
-        return lambda s, env, ctx: \
-            MISSING if (x := a(s, env, ctx)) is MISSING else fn(x)
-    if len(sub) == 2:
-        a, b = sub
-
-        def two(s, env, ctx):
-            x, y = a(s, env, ctx), b(s, env, ctx)
-            return MISSING if x is MISSING or y is MISSING else fn(x, y)
-
-        return two
-
-    def many(s, env, ctx):
-        xs = [f(s, env, ctx) for f in sub]
-        return MISSING if MISSING in xs else fn(*xs)
-
-    return many
-
-
-def _item(base, i):
-    try:
-        return base[i]
-    except (IndexError, KeyError):
-        return MISSING
-
-
-# the nodes that `_strict` evaluates, but for a field read and an operator
-_STRICT = {Not: lambda v: not v, TupleOf: lambda *xs: xs, Len: len,
-           RangeOf: lambda n: tuple(range(n)), Index: _item,
-           Slice: lambda b, i, j: tuple(b[i:j])}
-
-
-def _node(e: Expr, scope: _Scope, hoist: bool):
-    if isinstance(e, Lit):
-        value = e.value
-        return lambda s, env, ctx: value
-    if isinstance(e, Var):
-        name = e.name
-        i = scope.slots.get(name)
-        if i is None:
-            return lambda s, env, ctx: env[name]
-        return lambda s, env, ctx: s[i]
-    if isinstance(e, Data):
-        name = e.name
-        return lambda s, env, ctx: ctx.collection(name)
-    if isinstance(e, Comp):
-        chain = compile_comp(e, scope.program, scope)
-        return lambda s, env, ctx: ctx.eval_comp(e, env, s, chain)
-    sub = [_expr(c, scope, hoist) for c in _children(e)]
-    if isinstance(e, Field):
-        name = e.name
-        return _strict(lambda b: b.get(name, MISSING), sub)
-    if isinstance(e, Lookup):
-        [key], data = sub, e.data
-
-        def lookup(s, env, ctx):
-            k = key(s, env, ctx)
-            if k is MISSING:
-                return MISSING
-            return ctx.table_row(data, k)
-
-        return lookup
-    if isinstance(e, BinOp):
-        left, right = sub
-        if e.op == "and":
-            def and_(s, env, ctx):
-                v = left(s, env, ctx)
-                if v is MISSING:
-                    return MISSING
-                return right(s, env, ctx) if v else False
-
-            return and_
-        if e.op == "or":
-            def or_(s, env, ctx):
-                v = left(s, env, ctx)
-                if v is not MISSING and v:
-                    return v
-                return right(s, env, ctx)
-
-            return or_
-        # an operator `validate` rejects raises only when evaluated, as on
-        # the interpreter
-        return _strict(ARITH.get(e.op)
-                       or (lambda a, b, name=e.op: ARITH[name]), sub)
-    if isinstance(e, In):
-        item, coll = sub
-        negated = e.negated
-        table = _key_table(e.coll, scope.program)
-        if table is not None:
-            def key_in(s, env, ctx):
-                x = item(s, env, ctx)
-                if x is MISSING:
-                    return MISSING
-                if table in ctx.firing:
-                    found = x in coll(s, env, ctx)
-                else:
-                    found = (x,) in ctx.snapshot.tables[table]
-                return not found if negated else found
-
-            return key_in
-        return _strict((lambda x, c: x not in c) if negated
-                       else (lambda x, c: x in c), sub)
-    if type(e) in _STRICT:
-        return _strict(_STRICT[type(e)], sub)
-    if isinstance(e, (Record, MakeRow)):
-        fields = tuple(zip([name for name, _ in e.fields], sub))
-        cls = e.cls if isinstance(e, MakeRow) else None
-
-        def record(s, env, ctx):
-            out = {}
-            for name, f in fields:
-                v = f(s, env, ctx)
-                if v is MISSING:
-                    return MISSING
-                out[name] = v
-            if cls is None:
-                return Row(out)
-            return default_row(ctx.program.class_map[cls], out)
-
-        return record
-    if isinstance(e, Fold):
-        [source], kind = sub, e.kind
-        return lambda s, env, ctx: fold_value(kind, source(s, env, ctx), ctx)
-    raise TypeError(f"unknown expression node: {e!r}")
-
-
-# --- generated chain functions ---------------------------------------------
+# --- generated functions ---------------------------------------------------
 
 # the ARITH operators as Python writes them: `operator.add(a, b)` is `a + b`
 _PY_OPS = {op: op for op in ("+", "-", "*", "//", "%", "==", "!=", "<",
                              "<=", ">", ">=")}
-
-
-def _inline(e: Expr) -> bool:
-    """Whether a chain's function writes `e` inline: a name, a literal, a
-    field read, an ARITH operator or a tuple over such expressions."""
-    t = type(e)
-    if t is Field:
-        return _inline(e.base)
-    if t is BinOp:
-        return e.op in _PY_OPS and _inline(e.left) and _inline(e.right)
-    return t is Var or t is Lit or t is TupleOf and all(map(_inline, e.items))
 
 
 def _tuple(items: list) -> str:
@@ -382,25 +211,36 @@ def _target(names: list) -> str:
 
 @lru_cache(maxsize=1024)
 def _code(text: str):
-    """The code object of a chain function's text: chains of one shape, in
-    any program, share it, so compiling a program again compiles nothing."""
-    return compile(text, "<chain>", "exec")
+    """The code object of a generated function's text: functions of one
+    shape, in any program, share it, so compiling a program again compiles
+    nothing."""
+    return compile(text, "<generated>", "exec")
 
 
 class _Writer:
-    """The text of a chain's function, written as `compile_comp` walks the
-    chain, and the namespace its names are bound in. A name bound by the
-    chain or an enclosing one is the local ``v<slot>``; a value of the
-    program (a literal, a field or outer name, a binder, a step, a closure)
-    is an entry ``c<n>``, ``b<n>``, ``s<n>`` or ``f<n>``, numbered in the
-    order of use, so the text depends on the chain's shape alone."""
+    """The text of one generated function, written as its chain, index or
+    expression is walked, and the namespace its names are bound in.
+
+    A name bound by the chain or an enclosing one is the local ``v<slot>``;
+    a value of the program (a literal, a field, table or outer name, a
+    binder, a step, a nested comprehension and its chain) is an entry
+    ``c<n>``, ``b<n>`` or ``s<n>``, numbered in the order of use, so the
+    text depends on the shape alone. A local ``t<n>`` holds a value,
+    ``h<n>`` one kept for the run (see `once`), and ``g<n>`` a guard: while
+    a guard is set, each statement written runs only when it is true (see
+    `assign`)."""
 
     def __init__(self, scope: _Scope):
         self.scope, self.outer = scope, scope.width
-        self.lines, self.depth = [], 1  # (depth, text) of the loops
+        self.lines, self.depth = [], 1  # (depth, text) of the body
         self.ns, self.counts = dict(_HELPERS), {}
-        self.lazy = []  # locals that start as None
+        self.lazy = []   # locals that start as None
+        self.unset = []  # locals kept for the run, which start as UNSET
         self.skip = "return out"  # what drops a row: "continue" in a loop
+        self.guard = None
+        # whether a value that reads no name bound here is kept for the run
+        # (see `once`): inside a loop, and not inside a value already kept
+        self.keep = False
 
     def emit(self, text: str, indent: int = 0):
         self.lines.append((self.depth, text))
@@ -413,53 +253,170 @@ class _Writer:
 
     def name(self, prefix: str, value=None) -> str:
         n = self.counts[prefix] = self.counts.get(prefix, -1) + 1
-        if prefix != "t":
+        if prefix in ("c", "b", "s"):
             self.ns[f"{prefix}{n}"] = value
         return f"{prefix}{n}"
 
-    def atom(self, text: str) -> str:
+    def let(self, text: str) -> str:
         """`text` as a name: itself, or a local assigned its value."""
         if text.isidentifier():
             return text
         local = self.name("t")
-        self.emit(f"{local} = {text}")
+        self.assign(local, text)
         return local
 
+    def assign(self, local: str, text: str):
+        """``local = text``, on one line, run only while the guard holds."""
+        self.emit(f"if {self.guard}: {local} = {text}" if self.guard
+                  else f"{local} = {text}")
+
+    def when(self, test: str) -> str:
+        """A new guard, true when the current one is and `test` holds."""
+        local = self.name("g")
+        self.emit(f"{local} = {self.guard} and ({test})" if self.guard
+                  else f"{local} = {test}")
+        return local
+
+    def under(self, guard: str, e: Expr) -> tuple:
+        """`value(e)`, its statements run only when `guard` holds."""
+        outer, self.guard = self.guard, guard
+        out = self.value(e)
+        self.guard = outer
+        return out
+
     def value(self, e: Expr) -> tuple:
-        """(text, whether it may be MISSING) of an inline expression, after
-        the statements that evaluate its parts in `eval.eval_expr`'s order."""
+        """(text, whether it may be MISSING) of `e`, after the statements
+        that evaluate its parts in `eval.eval_expr`'s order."""
         t = type(e)
         if t is Var:
             slot = self.scope.slots.get(e.name)
             if slot is None:
-                return self.atom(f"env[{self.name('c', e.name)}]"), True
+                return self.let(f"env[{self.name('c', e.name)}]"), True
             return f"v{slot}", e.name not in self.scope.sure
         if t is Lit:
             return self.name("c", e.value), e.value is MISSING
-        if t is Field:
-            base, missing = self.value(e.base)
-            get = f"{base}.get({self.name('c', e.name)}, MISSING)"
-            return self.atom(f"MISSING if {base} is MISSING else {get}"
-                             if missing else get), True
-        # every operand is evaluated, in order, before any is tested for
-        # MISSING
-        parts = [(self.atom(p), m) for p, m in map(self.value, _children(e))]
-        texts = [p for p, _ in parts]
-        text = _tuple(texts) if t is TupleOf \
-            else f"({texts[0]} {_PY_OPS[e.op]} {texts[1]})"
-        tests = " or ".join(f"{p} is MISSING" for p, m in parts if m)
-        if not tests:
-            return text, False
-        return self.atom(f"MISSING if {tests} else {text}"), True
+        if self.keep and not _free_vars(e) & self.scope.local:
+            return self.once(e)
+        if t is BinOp and e.op in ("and", "or"):
+            return self.junction(e)
+        if t is In:
+            table = _key_table(e.coll, self.scope.program)
+            if table is not None:
+                return self.member(e, table)
+        if t is Record or t is MakeRow:
+            return self.record(e)
+        if t is Data:
+            return f"ctx.collection({self.name('c', e.name)})", False
+        if t is Comp:
+            chain = compile_comp(e, self.scope.program, self.scope)
+            slots = _tuple([f"v{i}" for i in range(self.scope.width)])
+            return (f"ctx.eval_comp({self.name('c', e)}, env, {slots}, "
+                    f"{self.name('c', chain)})"), False
+        if t is Fold:
+            source = self.value(e.source)[0]
+            return self.let(f"fold_value({self.name('c', e.kind)}, {source}, "
+                            "ctx)"), True
+        return self.strict(e)
 
-    def eval(self, e: Expr) -> tuple:
-        """(text, whether it may be MISSING) of `e`: inline, or a call of its
-        closure with the names bound so far."""
-        if _inline(e):
-            return self.value(e)
-        bound = _tuple([f"v{i}" for i in range(self.scope.width)])
-        f = self.name("f", _expr(e, self.scope))
-        return f"{f}({bound}, env, ctx)", True
+    def strict(self, e: Expr) -> tuple:
+        """A node that is MISSING when an operand is: every operand is
+        evaluated, in order, before any is tested."""
+        parts = [(self.let(p), m) for p, m in map(self.value, _children(e))]
+        xs, t, missing = [p for p, _ in parts], type(e), False
+        if t is BinOp:
+            text = (f"({xs[0]} {_PY_OPS[e.op]} {xs[1]})" if e.op in _PY_OPS
+                    # an operator `validate` rejects raises only when
+                    # evaluated, as on the interpreter
+                    else f"ARITH[{self.name('c', e.op)}]({xs[0]}, {xs[1]})")
+        elif t is Field:
+            text = f"{xs[0]}.get({self.name('c', e.name)}, MISSING)"
+            missing = True
+        elif t is TupleOf:
+            text = _tuple(xs)
+        elif t is Lookup:
+            text = f"ctx.table_row({self.name('c', e.data)}, {xs[0]})"
+            missing = True
+        elif t is In:
+            text = f"({xs[0]} {'not in' if e.negated else 'in'} {xs[1]})"
+        elif t is Not:
+            text = f"(not {xs[0]})"
+        elif t is Len:
+            text = f"len({xs[0]})"
+        elif t is RangeOf:
+            text = f"tuple(range({xs[0]}))"
+        elif t is Index:
+            text, missing = f"at({xs[0]}, {xs[1]})", True
+        else:  # Slice; `_children` raised on a kind it does not know
+            text = f"tuple({xs[0]}[{xs[1]}:{xs[2]}])"
+        tests = " or ".join(f"{p} is MISSING" for p, m in parts if m)
+        if tests:
+            text, missing = f"MISSING if {tests} else {text}", True
+        return (self.let(text), True) if missing else (text, False)
+
+    def junction(self, e: BinOp) -> tuple:
+        """`and` or `or`: the right operand runs only when the left one
+        does not decide."""
+        left, maybe = self.value(e.left)
+        left = self.let(left)
+        if e.op == "and":
+            test = f"{left} is not MISSING and {left}" if maybe else left
+            other = f"(MISSING if {left} is MISSING else False)" if maybe \
+                else "False"
+        else:
+            test = f"{left} is MISSING or not {left}" if maybe \
+                else f"not {left}"
+            other = left
+        go = self.when(test)
+        right, missing = self.under(go, e.right)
+        return (self.let(f"{right} if {go} else {other}"),
+                missing or maybe and e.op == "and")
+
+    def member(self, e: In, table: str) -> tuple:
+        """``x in {p.k for p in t}`` for a key `k` of table `t`: a lookup of
+        ``(x,)`` in the table's dict, or, while `t` is a firing mailbox, the
+        membership in the comprehension's value."""
+        item, maybe = self.value(e.item)
+        item, name = self.let(item), self.name("c", table)
+        firing = f"{name} in ctx.firing"
+        go = self.when(f"{item} is not MISSING and {firing}" if maybe
+                       else firing)
+        coll = self.under(go, e.coll)[0]
+        op = "not in" if e.negated else "in"
+        text = (f"({item} {op} {coll}) if {go} else "
+                f"(({item},) {op} ctx.snapshot.tables[{name}])")
+        if maybe:
+            text = f"MISSING if {item} is MISSING else ({text})"
+        return self.let(text), maybe
+
+    def record(self, e) -> tuple:
+        """A record or a row: MISSING at its first MISSING field, whose
+        later fields are not evaluated."""
+        outer, fields, maybe = self.guard, [], False
+        for name, sub in e.fields:
+            value, missing = self.value(sub)
+            value = self.let(value)
+            fields.append(f"{self.name('c', name)}: {value}")
+            if missing:
+                self.guard, maybe = self.when(f"{value} is not MISSING"), True
+        text = "{" + ", ".join(fields) + "}"
+        text = f"Row({text})" if type(e) is Record else \
+            f"default_row(ctx.program.class_map[{self.name('c', e.cls)}], " \
+            f"{text})"
+        if maybe:
+            text = f"{text} if {self.guard} else MISSING"
+        self.guard = outer
+        return self.let(text), maybe
+
+    def once(self, e: Expr) -> tuple:
+        """`e`, which reads no name bound here, evaluated at its first use
+        in a run and kept in a local for the rest."""
+        local, outer = self.name("h"), self.guard
+        self.unset.append(local)
+        self.guard, self.keep = self.when(f"{local} is UNSET"), False
+        text, missing = self.value(e)
+        self.assign(local, text)
+        self.guard, self.keep = outer, True
+        return local, missing
 
     def source(self, step, level: int, join: bool) -> str:
         """What holds a step's named source: read when a row first reaches
@@ -479,13 +436,13 @@ class _Writer:
 
     def generator(self, step, g: Gen, level: int, other: Optional[Expr]):
         """The loop of a generator step at `level`, which binds `g`'s names:
-        over the items of its source, or for a join, over the binder's
-        values in the entries of its source's index under the row-side key
-        `other`, evaluated only when the source has items."""
+        over the items of its source, or for a join, over the entries of its
+        source's index under the row-side key `other`, evaluated only when
+        the source has items."""
         if other is not None:
             src = self.source(step, level, True)
             self.unless(src)
-            key, items = self.atom(self.eval(other)[0]), f"found{level}"
+            key, items = self.let(self.value(other)[0]), f"found{level}"
             self.emit("try:", 1)
             self.emit(f"{items} = index{level}.get({key}, ())", -1)
             self.emit("except TypeError:  # a key that cannot be hashed", 1)
@@ -493,44 +450,83 @@ class _Writer:
         elif isinstance(step.source, Data):
             items = self.source(step, level, False)
         else:
-            items = f"source_items({self.eval(step.source)[0]})"
+            items = f"source_items({self.value(step.source)[0]})"
         self.scope.bind(g)
-        self.skip = "continue"
+        self.skip, self.keep = "continue", True
         names = [f"v{self.scope.slots[n]}" for n in g.names]
         if other is not None:  # an index entry holds the binder's values
-            self.emit(f"for {_target(names)} in {items}:", 1)
+            self.emit(f"for {_target(names) if step.width else names[0]} in "
+                      f"{items}:", 1)
         elif not step.width:
             self.emit(f"for {names[0]} in {items}:", 1)
         else:
-            item, binder = f"item{level}", self.name("b", step.binder)
-            self.emit(f"for {item} in {items}:", 1)
-            self.emit(f"{_target(names)} = {item} if type({item}) is tuple "
-                      f"and len({item}) == {step.width} else "
-                      f"unpack({binder}, {item})")
+            self.emit(f"for item{level} in {items}:", 1)
+            self.emit(f"{_target(names)} = {self.entry(step, f'item{level}')}")
+
+    def entry(self, step, item: str) -> str:
+        """The values of a tuple binder's names in `item`."""
+        return (f"{item} if type({item}) is tuple and len({item}) == "
+                f"{step.width} else unpack({self.name('b', step.binder)}, "
+                f"{item})")
+
+    def filter(self, f: Expr):
+        """Drop the row unless `f` holds; an `and` is two filters."""
+        if type(f) is BinOp and f.op == "and":
+            self.filter(f.left)
+            self.filter(f.right)
+        else:
+            self.unless(self.value(f)[0])
 
     def output(self, e: Expr):
-        text, missing = self.eval(e)
+        text, missing = self.value(e)
         if missing:
-            text = self.atom(text)
+            text = self.let(text)
             self.emit(f"if {text} is not MISSING:", 1)
         self.emit(f"add({text})")
 
-    def function(self) -> tuple:
-        """(function, text) of the chain."""
-        lines = [(0, "def chain(env, ctx, sources, slots):")]
+    def index(self, step, g: Gen, own: Expr) -> tuple:
+        """(function, text) of a join's index function: it adds each item of
+        the join's source to an index under the binder-side key `own`, unless
+        that is MISSING; an entry holds the binder's values."""
+        self.scope.bind(g)
+        self.skip, self.keep = "continue", True
+        if step.width:
+            self.emit("for item in items:", 1)
+            self.emit(f"entry = {self.entry(step, 'item')}")
+            self.emit(f"{_target([f'v{i}' for i in range(step.width)])} = "
+                      "entry")
+        else:
+            self.emit("for v0 in items:", 1)
+        key, missing = self.value(own)
+        if missing:
+            self.emit(f"if {key} is not MISSING:", 1)
+        self.emit(f"out.setdefault({key}, []).append("
+                  f"{'entry' if step.width else 'v0'})")
+        return self.function("index(items, env, ctx, out)")
+
+    def function(self, head: str, first=(), last: str = "return out"):
+        """(function, text) of the body written so far under `head`."""
+        lines = [(0, f"def {head}:")]
         if self.outer:
             names = [f"v{i}" for i in range(self.outer)]
             lines.append((1, f"{_target(names)} = slots"))
-        # the run's hoisted values join the outer names
-        lines += [(1, "env = dict(env)"), (1, "out = set()"),
-                  (1, "add = out.add")]
-        if self.lazy:
-            lines.append((1, " = ".join(self.lazy) + " = None"))
+        lines += [(1, line) for line in first]
+        for names, start in ((self.lazy, "None"), (self.unset, "UNSET")):
+            if names:
+                lines.append((1, " = ".join(names) + f" = {start}"))
         text = "".join(f"{'    ' * d}{line}\n"
-                       for d, line in lines + self.lines + [(1, "return out")])
+                       for d, line in lines + self.lines + [(1, last)])
         exec(_code(text), self.ns)
         # taken out of its own globals, so that no cycle keeps it alive
-        return self.ns.pop("chain"), text
+        return self.ns.pop(head[:head.index("(")]), text
+
+
+def compile_expr(e: Expr, program) -> tuple:
+    """(function, text) of a handler expression of `program` that is not a
+    comprehension: ``expr(env, ctx)`` gives what `eval.eval_expr` gives."""
+    code = _Writer(_Scope(program))
+    text = code.value(e)[0]
+    return code.function("expr(env, ctx)", last=f"return {text}")
 
 
 def compile_comp(e: Comp, program, outer: Optional[_Scope] = None) -> Chain:
@@ -557,14 +553,14 @@ def compile_comp(e: Comp, program, outer: Optional[_Scope] = None) -> Chain:
     top = not scope.slots  # no enclosing chain binds a slot
     names = {n for g in e.gens for n in g.names}
     code = _Writer(scope)
-    steps = []
+    steps, texts = [], []
     bound: set = set()
     swap = False
 
     def filter_steps(filters):
         for f in filters:
             steps.append(Step(_oid("filter"), "filter"))
-            code.unless(code.eval(f)[0])
+            code.filter(f)
 
     for level, (g, due) in enumerate(zip(e.gens, e.filter_levels())):
         new_vars = set(g.names)
@@ -575,11 +571,11 @@ def compile_comp(e: Comp, program, outer: Optional[_Scope] = None) -> Chain:
         if path:
             other, own = path
             due = due[1:]
-            keys = _Scope(scope.program)
-            keys.bind(g)
-            step = HashJoinStep(
-                _oid("hashjoin"), "hashjoin", g.binder, g.source, width,
-                _expr(own, keys), _context_free(own), _getter(own, keys))
+            step = HashJoinStep(_oid("hashjoin"), "hashjoin", g.binder,
+                                g.source, width, _context_free(own))
+            step.fill, text = _Writer(_Scope(scope.program)).index(step, g,
+                                                                   own)
+            texts.append(text)
             # a scan of a named collection, then this join on a key over the
             # scan's names: the twin indexes the collection by that key
             swap = swap or top and len(steps) == 1 \
@@ -599,7 +595,9 @@ def compile_comp(e: Comp, program, outer: Optional[_Scope] = None) -> Chain:
     steps.append(Step(_oid("project"), "project"))
     code.output(e.output)
     chain = Chain(steps, e)
-    chain.fn, chain.source = code.function()
+    chain.fn, text = code.function("chain(env, ctx, sources, slots)",
+                                   ("out = set()", "add = out.add"))
+    chain.source = text + "".join(texts)
     if swap:
         chain.scan_index, chain.program = _oid("scanindex"), program
     return chain
@@ -627,20 +625,17 @@ def _context_free(e: Expr) -> bool:
                    for x in walk_expr(e))
 
 
-# --- what a chain's function calls -----------------------------------------
+# --- what a generated function calls ---------------------------------------
 
 def _items(value):
     return value if isinstance(value, frozenset) else iter_source(value)
 
 
-def _entries(step, src) -> list:
-    """The tuple of values the step's binder takes from each item of `src`
-    (`eval.unpack` for a tuple binder)."""
-    k, binder = step.width, step.binder
-    if not k:
-        return [(item,) for item in src]
-    return [item if type(item) is tuple and len(item) == k
-            else unpack(binder, item) for item in src]
+def _item(base, i):
+    try:
+        return base[i]
+    except (IndexError, KeyError):
+        return MISSING
 
 
 class _Sources:
@@ -667,48 +662,38 @@ class _Sources:
         return _items(ctx.collection(name))
 
 
-def _index_of(step, src, key) -> dict:
-    """key(values) -> the binder's values of the items of `src` with that
-    key; an item whose key is MISSING equals nothing."""
-    index = {}
-    for t in _entries(step, src):
-        k = key(t)
-        if k is not MISSING:
-            index.setdefault(k, []).append(t)
-    return index
-
-
-def _kept_index(slot, step, src: frozenset, key, views: dict) -> dict:
-    """`_index_of(step, src, key)`, kept in `views` under `slot` with the
-    source it was built from: reused while the source is that object, grown
-    by the new items when the old source is a subset of the new one, and
-    rebuilt otherwise. One set difference tells both: the old source is a
-    subset exactly when the new items leave as many as it holds."""
-    entry = views.pop(slot, None)
+def _kept_index(step: HashJoinStep, src: frozenset, env: dict, ctx) -> dict:
+    """The index `step.fill` builds of `src`, kept in `ctx.views` under the
+    step's id with the source it was built from: reused while the source
+    is that object, grown by the new items when the old source is a subset
+    of the new one, and rebuilt otherwise. One set difference tells both:
+    the old source is a subset exactly when the new items leave as many as
+    it holds."""
+    views = ctx.views
+    entry = views.pop(step.op_id, None)
     if entry is None:
-        index = _index_of(step, src, key)
+        index = step.fill(src, env, ctx, {})
     elif entry[0] is src:
         index = entry[1]
     else:
         old, index = entry
         more = src - old
         if len(src) - len(more) == len(old):
-            for k, ts in _index_of(step, more, key).items():
-                index.setdefault(k, []).extend(ts)
+            step.fill(more, env, ctx, index)
         else:
-            index = _index_of(step, src, key)
-    views[slot] = (src, index)
+            index = step.fill(src, env, ctx, {})
+    views[step.op_id] = (src, index)
     return index
 
 
 class _Compared(list):
     """What stands for a join's index when a key of its source cannot be
-    hashed: (key, values) for each item whose key is not MISSING, and a
-    lookup compares a key with each, as the interpreter's filter does."""
+    hashed: `fill` adds (key, entries) for each item, and a lookup compares
+    a key with each, as the interpreter's filter does."""
 
-    def __init__(self, step, src, key):
-        super().__init__((k, (t,)) for t in _entries(step, src)
-                         if (k := key(t)) is not MISSING)
+    def setdefault(self, key, entries: list) -> list:
+        self.append((key, entries))
+        return entries
 
     def items(self):
         return self
@@ -718,7 +703,7 @@ class _Compared(list):
 
 
 def _compare(index, k) -> list:
-    """The values under each key of `index` equal to `k`, compared one by
+    """The entries under each key of `index` equal to `k`, compared one by
     one: the lookup of a key that cannot be hashed."""
     return [t for key, ts in index.items() if k == key for t in ts]
 
@@ -731,14 +716,13 @@ def _join_index(step: HashJoinStep, src, sources: _Sources, env: dict, ctx):
     evaluates no key."""
     if not src:
         return {}
-    key = step.key_get or (lambda t: step.key(t, env, ctx))
     try:
         if step.keepable and type(src) is frozenset \
                 and step is not sources.delta_step:
-            return _kept_index(step.op_id, step, src, key, ctx.views)
-        return _index_of(step, src, key)
+            return _kept_index(step, src, env, ctx)
+        return step.fill(src, env, ctx, {})
     except TypeError:  # a key that cannot be hashed
-        return _Compared(step, src, key)
+        return step.fill(src, env, ctx, _Compared())
 
 
 def _scan_join(chain: Chain, sources: _Sources) -> bool:
@@ -756,8 +740,10 @@ def _scan_join(chain: Chain, sources: _Sources) -> bool:
     return 0 < len(sources.rows(join)) < len(items)
 
 
-# the names a chain's function reads besides its namespace entries
-_HELPERS = {"MISSING": MISSING, "unpack": unpack, "source_items": _items,
+# the names a generated function reads besides its namespace entries
+_HELPERS = {"MISSING": MISSING, "UNSET": object(), "ARITH": ARITH,
+            "Row": Row, "default_row": default_row, "fold_value": fold_value,
+            "at": _item, "unpack": unpack, "source_items": _items,
             "join_index": _join_index, "compare": _compare}
 
 
@@ -804,7 +790,7 @@ class CompiledQueries:
     groups: list = dfield(default_factory=list)       # FixpointGroup
     group_of: dict = dfield(default_factory=dict)
     # id(e) -> (e, compiled) for an expression a handler evaluates: a Chain
-    # for a Comp, a closure for any other (see GraphContext.eval)
+    # for a Comp, its function for any other (see GraphContext.eval)
     handler_exprs: dict = dfield(default_factory=dict)
 
     def handler_expr(self, e, build):
@@ -902,28 +888,8 @@ def _compile_queries(program) -> CompiledQueries:
             for q in comp:
                 out.group_of[q] = group
         else:
-            for plan in plans.values():
-                for chain in plan.chains:
-                    chain.per_row = _per_row(chain, program)
             out.plans.update(plans)
     return out
-
-
-def _per_row(chain: Chain, program) -> bool:
-    """Whether the chain scans a table by a single name first, and all else
-    it reads is the names it binds, context-free: the outputs of one table
-    row then depend on the row alone (see `_per_row_value`)."""
-    comp, scan = chain.comp, chain.steps[0]
-    if scan.kind != "expand" or not isinstance(scan.source, Data) \
-            or scan.width:
-        return False
-    d = program.data_map.get(scan.source.name)
-    if d is None or d.kind != "table" or d.name in program.query_map:
-        return False
-    names = {n for g in comp.gens for n in g.names}
-    rest = [g.source for g in comp.gens[1:]] + list(comp.filters) \
-        + [comp.output]
-    return all(_context_free(e) and _free_vars(e) <= names for e in rest)
 
 
 class GraphContext(EvalContext):
@@ -933,11 +899,8 @@ class GraphContext(EvalContext):
         self.compiled = compiled
         self.max_rounds = max_rounds
         # scc -> _View, see apply_fixpoint; a join step's id or a chain's
-        # scan_index -> (source, index), see _kept_index; scan step id ->
-        # (rows, outputs, value), see _per_row_value
+        # scan_index -> (source, index), see _kept_index
         self.views = {} if views is None else views
-        # per-row outputs pay off only in views that later contexts read
-        self._shared_views = views is not None
         self.rounds = {}
         self._qmemo = {}
 
@@ -956,17 +919,15 @@ class GraphContext(EvalContext):
         return frozenset(run_chain(chain, env, self, slots=slots))
 
     def eval(self, e, env: dict):
-        """`e` run by `eval_comp` if a Comp, else compiled as a chain compiles
-        it at a scope binding no slot, once, and kept on `self.compiled`."""
+        """`e` run by `eval_comp` if a Comp, else by its generated function
+        (see `compile_expr`), compiled once and kept on `self.compiled`."""
         if type(e) is Comp:
             return self.eval_comp(e, env)
-        # looked up here first: the builder `handler_expr` takes would be a
-        # new closure on every call
-        entry = self.compiled.handler_exprs.get(id(e))
+        exprs = self.compiled.handler_exprs
+        entry = exprs.get(id(e))
         if entry is None or entry[0] is not e:
-            entry = (e, self.compiled.handler_expr(
-                e, lambda x: _node(x, _Scope(self.program), False)))
-        return entry[1]((), env, self)
+            entry = exprs[id(e)] = (e, compile_expr(e, self.program)[0])
+        return entry[1](env, self)
 
     def input_value(self, name: str):
         """A group input as the resume check compares it: a set for a
@@ -986,12 +947,8 @@ class GraphContext(EvalContext):
         if group is None:
             val = self.base_facts(name)
             for chain in self.compiled.plans[name].chains:
-                if chain.per_row and self._shared_views \
-                        and chain.steps[0].source.name not in self.firing:
-                    v = _per_row_value(chain, self)
-                else:
-                    v = frozenset(run_chain(chain, {}, self))
-                val = val | v if val else v  # a kept value stays that object
+                v = frozenset(run_chain(chain, {}, self))
+                val = val | v if val else v
             self._qmemo[name] = val
             return val
         totals, rounds = apply_fixpoint(group, self)
@@ -999,37 +956,6 @@ class GraphContext(EvalContext):
             self._qmemo[q] = v
         self.rounds[",".join(sorted(group.scc))] = rounds
         return self._qmemo[name]
-
-
-def _per_row_value(chain: Chain, ctx: GraphContext) -> frozenset:
-    """`run_chain(chain, {}, ctx)` for a chain that `_per_row` admits. The
-    outputs of each row of the scanned table are kept in `ctx.views` under
-    the scan's id, with the row they came from, by the row's key: a row is
-    immutable, so they hold while the table keeps that row object. A call
-    runs the chain's function once on each row not kept yet, and drops the
-    keys that left the table; the value is the object kept with the outputs
-    while no row changed. (Keys are looked up rather than rows, since a key
-    tuple hashes in C.)"""
-    scan = chain.steps[0]
-    table = ctx.snapshot.tables[scan.source.name]
-    rows, outputs, value = ctx.views.get(scan.op_id) or ({}, {}, frozenset())
-    new = [(k, row) for k, row in table.items() if rows.get(k) is not row]
-    if not new and len(rows) == len(table):
-        return value
-    if new:
-        name = scan.source.name
-        found = [tuple(chain.fn({}, ctx, _Sources(ctx, {name: (row,)}), ()))
-                 for _, row in new]
-        ctx.note(chain.steps[-1].op_id,
-                 len(frozenset(concat.from_iterable(found))))
-        for (k, row), outs in zip(new, found):
-            rows[k], outputs[k] = row, outs
-    if len(rows) != len(table):
-        for k in [k for k in rows if k not in table]:
-            del rows[k], outputs[k]
-    value = frozenset(concat.from_iterable(outputs.values()))
-    ctx.views[scan.op_id] = (rows, outputs, value)
-    return value
 
 
 @dataclass

@@ -16,7 +16,7 @@ fork's and its invariant check's.
 Every expression of a handler is evaluated by the context's `eval` hook,
 each backend's own evaluator. Handlers are prepared once per handler object
 (`ir.prepared`), so on the graph backend every node of a program, recovered
-ones included, runs the same compiled closures.
+ones included, runs the same generated functions (see `runtime`).
 
 Handlers marked serializable process at most one request per tick: the
 request runs against a fork of the state, the handler's invariants are
@@ -53,10 +53,10 @@ context.
 On the graph backend a node's recursive query results outlive the tick:
 every context the node builds, the fork and invariant-check contexts
 included, shares the node's `views`, so a later tick resumes a query whose
-inputs only grew (see `runtime.apply_fixpoint`). The same dict holds the
-outputs that a non-recursive query keeps per table row, and every index
-that a join keeps of a query result or a kept view, the ones that resume
-passes probe included, under one growth rule (see `runtime._kept_index`).
+inputs only grew (see `runtime.apply_fixpoint`). The same dict holds every
+index that a join keeps of a query result or a kept view, the ones that
+resume passes probe included, under one growth rule (see
+`runtime._kept_index`).
 A recovered node is a new Transducer and starts with none.
 """
 

@@ -25,6 +25,7 @@ from latticeflow.runtime import (
     GraphContext, NonMonotoneRecursion, compile_comp, compile_queries,
 )
 from latticeflow.lattice import INT_MIN, ShapeMismatch
+from latticeflow.lowering import lower
 from latticeflow.patterns import covid_program
 from latticeflow.state import (
     Effects, FixpointDivergence, NodeState, Row, UdfFailure,
@@ -324,8 +325,10 @@ def test_compiled_chains_match_the_interpreter(case):
     if seen[0] != seen[1]:
         # both may raise, each a different error, only in a case that can
         # raise in two places: which a run meets first is evaluation order,
-        # which the backends do not share (the graph backend runs each step
-        # over every row, the interpreter each row through every level)
+        # which the backends do not share. Both run each row through every
+        # level, but the graph backend iterates a set in its own order, not
+        # sorted, and a join indexes its whole source, binding each item and
+        # computing its key, before the first row probes it
         assert all(isinstance(v, type) for v in seen) and raisers(comp) > 1
 
 
@@ -849,7 +852,6 @@ def test_kept_views_match_a_fresh_evaluation(schedule):
     program = edited_closure_program()
     t = Transducer(program)
     [low] = t.compiled.plans["low_jumps"].chains
-    assert low.per_row
     mid = itertools.count()
     for batch in schedule:
         for handler, a, b in batch:
@@ -1421,6 +1423,23 @@ def test_an_unhashable_join_key_is_compared_like_the_interpreter(gens, own):
     assert kinds[-2:] == ["hashjoin", "project"]
 
 
+def test_a_join_whose_source_keys_cannot_be_hashed_is_probed_by_rows():
+    # payloads as JSON carries them, lists, bound by a tuple binder: a list
+    # cannot key a dict, so the join's index of the mailbox is a list of
+    # (key, entries), and each row's key, a list or a tuple, is compared
+    # with every one of them
+    box = ([1, [1, 2]], [2, [1, 2]], [3, [3]], [4, (3,)])
+    comp = Comp(TupleOf(Var("i"), Var("j")),
+                (Gen(("i", "a"), Data("box")), Gen(("j", "b"), Data("box"))),
+                (BinOp("==", Var("b"), Var("a")),))
+    assert [s.kind for s in compile_comp(comp, CHAIN_PROGRAM).steps] == \
+        ["expand", "hashjoin", "project"]
+    for ctx in both_backends(CHAIN_PROGRAM, chain_state()):
+        ctx.firing["box"] = box
+        assert ctx.eval_comp(comp, {}) == {(1, 1), (1, 2), (2, 1), (2, 2),
+                                           (3, 3), (4, 4)}
+
+
 def test_a_join_on_two_missing_keys_pairs_nothing():
     # MISSING == MISSING is no match for the interpreter's filter; the join
     # used to pair every row whose key was absent with every such item
@@ -1715,8 +1734,8 @@ HOSTILE = ('"); import os; ("', "\n", "__import__")
 
 
 def hostile_program() -> Program:
-    """A program whose literals, table rows and a binder name hold Python
-    source."""
+    """A program whose literals, table rows, a binder name and a handler's
+    literals hold Python source."""
     note = ClassDecl("Note", {"k": "int", "text": "str"}, key=("k",))
     text = Field(Var("n"), "text")
     marked = QueryDef("marked", (), (
@@ -1728,16 +1747,21 @@ def hostile_program() -> Program:
         Comp(TupleOf(text, Var("t")),
              (Gen("n", Data("notes")), Gen(("u", "t"), Data("pairs"))),
              (BinOp("==", Var("u"), text),))))
+    said = Var("text")
+    jot = Handler("jot", {"text": "str"}, (Return(TupleOf(
+        said, Lit(HOSTILE[0]), Field(Lookup("notes", Lit(0)), "text"))),),
+        guard=BinOp("!=", said, Lit(HOSTILE[1])))
     return Program("hostile", classes=(note,),
                    data=(DataDecl("notes", "table", cls="Note"),
                          DataDecl("pairs", "var", shape="set")),
-                   queries=(marked,))
+                   queries=(marked,), handlers=(jot,))
 
 
 def test_generated_code_holds_no_value_of_the_program():
     """Literals, row values and names that hold Python source reach a
-    chain's function only as entries of its namespace: its text holds no
-    string and no name of the program, and the graph backend gives the
+    chain's or a handler expression's function only as entries of its
+    namespace: its text, as `analyze --inspect` prints it, holds no string
+    and no name of the program, and the graph backend gives the
     interpreter's value. The same program compiled again reuses each
     chain's code object."""
     program = hostile_program()
@@ -1760,6 +1784,48 @@ def test_generated_code_holds_no_value_of_the_program():
     for chain, twin in zip(chains, again, strict=True):
         assert twin.source == chain.source and twin.fn is not chain.fn
         assert twin.fn.__code__ is chain.fn.__code__
+    [role] = lower(program).to_dict()["roles"].values()
+    texts = role["source"]["handler:jot"]
+    assert [t[0] for t in texts] == ["def expr(env, ctx):",
+                                     "def chain(env, ctx, sources, slots):"]
+    for word in ("'", '"', "import", "text", "notes"):
+        assert not any(word in line for t in texts for line in t)
+    replies = []
+    for backend in ("graph", "interp"):
+        t = Transducer(program, backend=backend)
+        t.state.tables = state.tables
+        for i, text in enumerate(HOSTILE):
+            t.deliver("jot", request(i, text=text))
+        replies.append(sorted(m.payload["payload"] for m in t.tick().sends))
+    assert replies[0] == replies[1] == sorted(
+        (text, HOSTILE[0], HOSTILE[0]) for text in HOSTILE
+        if text != HOSTILE[1])
+
+
+def test_deep_junctions_and_operators_compile():
+    """The most generators, joined, with a last filter of 30 right-nested
+    `and`s and `or`s and an output 60 operators deep that looks up rows,
+    compile and give the interpreter's value: a skipped operand adds no
+    block and no parenthesis."""
+    xs = [Var(f"x{i}") for i in range(MAX_GENERATORS)]
+    gens = [Gen(x.name, Data("nums")) for x in xs]
+    joins = [BinOp("==", xs[i], xs[i - 1]) for i in range(1, len(xs))]
+    last = BinOp("<", xs[-1], Lit(3))
+    for k in range(30):
+        leaf = BinOp("==" if k % 3 else "!=", xs[k % len(xs)], Lit(k % 4))
+        last = BinOp("and" if k % 2 else "or", leaf, last)
+    output = xs[0]
+    for k in range(60):
+        row = Lookup("items", xs[k % len(xs)])
+        output = BinOp(("+", "-", "*")[k % 3], output,
+                       Field(row, "v") if k % 2 else Lit(k % 5))
+    comp = Comp(output, gens, joins + [last])
+    state = chain_state(nums={0, 1, 2, 3})
+    state.tables["items"] = {(k,): Row(k=k, v=k + 1, tags=frozenset())
+                             for k in (1, 2)}
+    graph, interp = both_backends(CHAIN_PROGRAM, state)
+    want = interp.eval_comp(comp, {})
+    assert graph.eval_comp(comp, {}) == want != frozenset()
 
 
 def test_the_most_generators_and_many_filters_compile():
