@@ -3,8 +3,8 @@
 A cluster runs one transducer per worker node over a simulated network with
 seeded random delays and optional duplication. Messages are never lost to a
 live node; nodes fail crash-stop, losing their queued messages and the
-in-flight messages addressed to them. Reruns with the same seed and scenario
-are byte-identical, including the emitted trace.
+in-flight messages addressed to them, each traced as `Dropped`. Reruns with
+the same seed and scenario are byte-identical, including the emitted trace.
 
 Messages carry no sender, so a message that a node sent before it crashed
 is still delivered: crash-stop loses what the crashed node held, not what
@@ -21,9 +21,11 @@ request whose group has no live node is traced as `NoLiveReplica`.
 Which node may decide a sequenced request is the node's own rule, and the
 deciding node issues the request's commit record (see `transducer`): a
 node decides only when its applied prefix equals the number of records
-issued for the handler. The cluster posts each record to the other live
-replicas, which apply it without re-running the handler, and answers the
-client. A recovered node rejoins empty. The count of records issued
+issued for the handler, and then decides its whole backlog in one tick,
+so the count issued becomes one past the highest sequence number issued in
+that tick. The cluster posts each record to the other live replicas, which
+apply it without re-running the handler, and answers the client. A
+recovered node rejoins empty. The count of records issued
 (`_commit_seq`) and the decided outcomes (`_committed`) are still kept by
 the cluster, not by any node.
 
@@ -226,12 +228,17 @@ class Cluster:
                     self._emit("Crashed", nid, domain=list(spec.domain))
         if not matched:
             raise KeyError(f"no node under failure domain {prefix!r}")
-        # in-flight messages to crashed nodes are lost
-        self.in_flight = [m for m in self.in_flight
-                          if m.dest in ("sink",)
-                          or m.dest.startswith("client:")
-                          or self.alive.get(m.dest)]
-        heapq.heapify(self.in_flight)
+        # in-flight messages to crashed nodes are lost, each with an event;
+        # a sorted list is a heap
+        kept = []
+        for m in sorted(self.in_flight):
+            if (m.dest == "sink" or m.dest.startswith("client:")
+                    or self.alive.get(m.dest)):
+                kept.append(m)
+            else:
+                self._emit("Dropped", m.dest, mailbox=m.mailbox,
+                           message_id=m.payload.get(MESSAGE_ID))
+        self.in_flight = kept
 
     def schedule_failure(self, tick: int, domain_prefix):
         if tick < self.tick:
@@ -307,6 +314,8 @@ class Cluster:
     def _deliver_due(self) -> bool:
         """Deliver the due messages in (deliver_tick, seq) order, popped
         from the heap; a delivery posts nothing, so none becomes due.
+        Every destination is up: nothing is posted to a crashed node, and
+        `inject_failure` drops what was on its way to one.
         True if a node applied a commit record, which makes the tick
         active as the decision it replays did."""
         heap = self.in_flight
@@ -319,10 +328,6 @@ class Cluster:
                 continue
             if m.dest.startswith("client:"):
                 self._deliver_client(m)
-                continue
-            if not self.alive.get(m.dest):
-                self._emit("Dropped", m.dest, mailbox=m.mailbox,
-                           message_id=m.payload.get(MESSAGE_ID))
                 continue
             if m.dest in self.proxy_state:
                 self.proxy_state[m.dest].inbox.append((m.mailbox, m.payload))
@@ -503,7 +508,9 @@ class Cluster:
             self._committed[mid] = status
             record = result.records.get(mid)
             if record is not None:
-                self._commit_seq[handler] = record[ORDERED] + 1
+                issued = self._commit_seq
+                issued[handler] = max(issued.get(handler, 0),
+                                      record[ORDERED] + 1)
                 for backup in self.live_group(handler):
                     if backup != nid:
                         self._post(backup, handler, record)

@@ -9,23 +9,29 @@ A tick pays only for what its input needs: it builds its context, over the
 snapshot taken as it starts, only when some handler will read it (an
 eventual handler with a pending message or one that acts on an idle tick,
 or a serializable handler with a pending message and a guard), and commits
-the eventual effects only when some eventual handler's statements ran. A
-tick whose only input is a request builds two contexts, the request's
-fork's and its invariant check's.
+the eventual effects only when some eventual handler's statements ran.
 
 Every expression of a handler is evaluated by the context's `eval` hook,
 each backend's own evaluator. Handlers are prepared once per handler object
 (`ir.prepared`), so on the graph backend every node of a program, recovered
 ones included, runs the same generated functions (see `runtime`).
 
-Handlers marked serializable process at most one request per tick: the
-request runs against a fork of the state, the handler's invariants are
-checked on the outcome, and the fork is either adopted (accepted) or
-discarded (rejected). A fork and its snapshots share every table dict and
-mailbox list with the node, since commit and deliver replace, and never
-mutate, one (see `state`): a request copies only the tables it writes, an
-accepted one leaves the node's other tables the same objects, and a
-rejected one leaves every table so.
+Handlers marked serializable decide their whole backlog in one tick, one
+request at a time in arrival order, until the mailbox is empty or the guard
+passes on no pending message. Each request runs against a fork of the
+state the previous decision left, the handler's invariants are checked on
+the outcome, and the fork is either adopted (accepted) or discarded
+(rejected), so the tick's decisions are one serial order. The guard picks
+each request on that same state, and runs on the pending messages only up
+to the first that passes: after an accept it reads the accepted request's
+check context, whose snapshot is the adopted state, and after a reject a
+fresh context over the node's state, since an expression can read a
+mailbox. Each request builds two contexts, its fork's and its invariant
+check's. A fork and its snapshots share every table dict and mailbox list
+with the node, since commit and deliver replace, and never mutate, one (see
+`state`): a request copies only the tables it writes, an accepted one
+leaves the node's other tables the same objects, and a rejected one leaves
+every table so.
 
 Under a cluster a node keeps, for each serializable handler, its applied
 prefix (`applied`): the commit records it has applied or issued. A node
@@ -40,9 +46,10 @@ this gate alone decides which node may decide; it is checked in
 `_run_request`, so a tick of eventual handlers pays nothing for it. A
 node starts its prefix at the count issued when it is built, so a
 recovered node applies only the records issued after it rejoined. A node
-takes each sequenced request's message id once (`take_request`). A
-serializable handler's guard runs on its pending messages only up to the
-first that passes.
+takes each sequenced request's message id once (`take_request`). The gate
+is checked once a tick: every request of the batch issues its own record,
+with consecutive sequence numbers, so backups apply a batch as they apply
+single records.
 
 An eventual handler with no eligible message is skipped when none of its
 desugared statements can act on an empty mailbox (see `_inert_when_empty`),
@@ -218,7 +225,7 @@ class Transducer:
         """One tick. It builds its context, over a snapshot taken as it
         starts, only when a handler will read it (see `__init__`), and
         commits the eventual effects only when some eventual handler's
-        statements ran; a request builds its own two contexts (see
+        statements ran; each request builds its own two contexts (see
         `_run_request`).
 
         A `NODE_FAILURES` exception leaves it with `handlers`, the names of
@@ -271,51 +278,57 @@ class Transducer:
         return True
 
     def _run_request(self, h: Handler, ctx, result: TickResult):
-        """Run the first eligible request of `h` on a fork, and adopt the
-        fork if the invariants hold on it. `ctx`, the tick's context, picks
-        the request by the guard; it is None only if `h` has no guard or no
-        pending message.
+        """Decide the backlog of `h` by the batch rule of this module's
+        docstring. `ctx`, the tick's context, picks the first request by
+        the guard; it is None only if `h` has no guard or no pending
+        message.
 
         Under a cluster the node decides only once its applied prefix
         equals the records issued for `h`, so no decision reads a state
-        that misses one already made. An accepted request's commit record
+        that misses one already made. Each accepted request's commit record
         takes the prefix as its sequence number and advances it."""
         if (self.issued is not None
                 and self.applied.get(h.name, 0) != self.issued.get(h.name, 0)):
             return
+        guarded = self.prepared[h.name].guard is not None
         msg = self._next_request(h, ctx)
-        if msg is None:
-            return
-        fork = self.state.fork()
-        eff = Effects()
-        fctx = self._context(fork.snapshot())
-        fctx.firing[h.name] = (msg,)
-        self._run_stmts(h, (msg,), fctx, eff)
-        eff.consumed.setdefault(h.name, []).append(msg)
-        fork.commit(eff)
+        if msg is not None:
+            result.fired.append(h.name)
+        while msg is not None:
+            fork = self.state.fork()
+            eff = Effects()
+            fctx = self._context(fork.snapshot())
+            fctx.firing[h.name] = (msg,)
+            self._run_stmts(h, (msg,), fctx, eff)
+            eff.consumed.setdefault(h.name, []).append(msg)
+            fork.commit(eff)
 
-        check = self._context(fork.snapshot())
-        ok = all(truthy(check.eval(inv, {_MSG: msg}))
-                 for inv in self.prepared[h.name].invariants)
-        mid = msg.get(MESSAGE_ID)
-        if ok:
-            self.state.tables = fork.tables
-            self.state.vars = fork.vars
-            self.state.mailboxes = fork.mailboxes
-            result.sends.extend(eff.sends)
-            status = ACCEPTED
+            ctx = self._context(fork.snapshot())
+            ok = all(truthy(ctx.eval(inv, {_MSG: msg}))
+                     for inv in self.prepared[h.name].invariants)
+            mid = msg.get(MESSAGE_ID)
+            if ok:
+                self.state.tables = fork.tables
+                self.state.vars = fork.vars
+                self.state.mailboxes = fork.mailboxes
+                result.sends.extend(eff.sends)
+                status = ACCEPTED
+                if mid is not None:
+                    seq = self.applied.get(h.name, 0)
+                    self.applied[h.name] = seq + 1
+                    result.records[mid] = commit_record(mid, seq, eff.delta())
+            else:
+                # reject: consume the request, discard everything else
+                drop = Effects(consumed={h.name: [msg]})
+                self.state.commit(drop)
+                status = REJECTED
+                # the check context saw the discarded fork
+                ctx = (self._context(self.state.snapshot())
+                       if guarded and self.state.mailboxes.get(h.name)
+                       else None)
             if mid is not None:
-                seq = self.applied.get(h.name, 0)
-                self.applied[h.name] = seq + 1
-                result.records[mid] = commit_record(mid, seq, eff.delta())
-        else:
-            # reject: consume the request, discard everything else
-            drop = Effects(consumed={h.name: [msg]})
-            self.state.commit(drop)
-            status = REJECTED
-        result.fired.append(h.name)
-        if mid is not None:
-            result.statuses[mid] = status
+                result.statuses[mid] = status
+            msg = self._next_request(h, ctx)
 
     # --- statement execution ------------------------------------------------
     def _run_stmts(self, h: Handler, msgs, ctx, eff: Effects):

@@ -595,7 +595,7 @@ DEMO = Path(__file__).resolve().parent.parent / "demos" / "covid_scenario.json"
 # sha256 of the demo's trace at seed 9; any change to what a run does or to
 # how the trace is written moves it
 DEMO_TRACE_SHA256 = \
-    "3a682accf2b51ea5c1b634b136d59293c1f7e0e275148a7e556ec8138677d677"
+    "c34b9000ca40e787b47d450f2432cc5ce3c9f3198ecee4a3bdab1236b27fd9a6"
 
 
 def test_the_demo_trace_is_byte_identical(tmp_path):
@@ -643,7 +643,7 @@ def sequenced_scenario() -> dict:
 # sha256 of the trace of `sequenced_scenario`, which the demo's trace does
 # not cover: it has no serializable request
 SEQUENCED_TRACE_SHA256 = \
-    "243a44706dcd1f8556459cd22aa0bd71dca71f69015e63fe931e24bfc8f56ac5"
+    "4c805721b496fb86cd03a63c2562dc28de07d49d428dce784ac6e6506f6c6592"
 
 
 def test_the_sequenced_trace_is_byte_identical(tmp_path, capsys):

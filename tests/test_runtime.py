@@ -18,7 +18,8 @@ from latticeflow.ir import (
     Data, DataDecl, Delete,
     Field, Fold, Gen, Handler, In, Index, Len, Lit, Lookup, MakeRow,
     MergeMutation, Not, Program, QueryDef, RangeOf, Return, Send, Record, Slice,
-    TargetPath, TupleOf, UdfCall, UdfDecl, Var, Expr, MESSAGE_ID, REPLY_TO,
+    TargetPath, TupleOf, UdfCall, UdfDecl, Var, Expr, MESSAGE_ID, ORDERED,
+    REPLY_TO,
     response_mailbox, validate, walk_expr,
 )
 from latticeflow.runtime import (
@@ -583,9 +584,35 @@ def test_a_lone_request_builds_only_its_fork_and_check_contexts(
     assert (t.contexts, len(commits)) == (2, 2)
     assert commits[1] is t.state and t.state.vars["vaccine_count"] == 0
 
-    # the backlog behind a request stays, in arrival order
-    assert tick("vaccinate", 3, 4, pid=1) == {"m3": "rejected"}
-    assert [m[MESSAGE_ID] for m in t.state.mailboxes["vaccinate"]] == ["m4"]
+    # a backlog is decided in the same tick, two contexts a request
+    assert tick("vaccinate", 3, 4, pid=1) == {"m3": "rejected",
+                                              "m4": "rejected"}
+    assert (t.contexts, len(commits)) == (4, 4)
+    assert t.state.mailboxes["vaccinate"] == []
+
+
+@pytest.mark.parametrize("backend", ["graph", "interp"])
+def test_a_tick_decides_the_whole_backlog_in_arrival_order(backend):
+    """Five requests against three doses in one tick: each runs on the
+    state the one before left, so the first three are accepted with
+    consecutive sequence numbers and the last two rejected, and each
+    request builds only its fork and check contexts."""
+    t = CountingTransducer(covid_program(coordinated=True, vaccine_count=3),
+                           backend=backend)
+    t.deliver("add_person", request(0, pid=1, name="ana", country="ar"))
+    t.tick()
+    for i in range(1, 6):
+        t.deliver("vaccinate", request(i, pid=1))
+    t.contexts = 0
+    result = t.tick()
+    assert result.statuses == {"m1": "accepted", "m2": "accepted",
+                               "m3": "accepted", "m4": "rejected",
+                               "m5": "rejected"}
+    assert {mid: r[ORDERED] for mid, r in result.records.items()} == \
+        {"m1": 0, "m2": 1, "m3": 2}
+    assert (result.fired, t.contexts) == (["vaccinate"], 10)
+    assert t.state.mailboxes["vaccinate"] == []
+    assert t.state.vars["vaccine_count"] == 0
 
 
 def test_a_guard_consumes_only_the_messages_it_picked():
@@ -599,33 +626,59 @@ def test_a_guard_consumes_only_the_messages_it_picked():
     assert lattice.unwrap(t.state.vars["acc"]) == frozenset({7, 9})
 
 
-def test_a_guarded_request_is_picked_in_the_tick_context():
-    # the guard is the one read of a tick context on a tick whose only
-    # input is a request
-    p = Program(
-        "gate", data=(DataDecl("n", "var", scalar="int", init=1),),
+def gate_program(n: int, amount) -> Program:
+    """`take` subtracts `amount` from `n` while `n >= 1`, and no request
+    may leave `n` below 0."""
+    return Program(
+        "gate", data=(DataDecl("n", "var", scalar="int", init=n),),
         handlers=(Handler(
-            "take", {}, (Assign(TargetPath("n"),
-                                BinOp("-", Data("n"), Lit(1))),),
+            "take", {"x": "int"},
+            (Assign(TargetPath("n"), BinOp("-", Data("n"), amount)),),
             guard=BinOp(">=", Data("n"), Lit(1)),
             consistency=ConsistencySpec(
                 "serializable",
                 invariants=(BinOp(">=", Data("n"), Lit(0)),))),))
-    t = CountingTransducer(p)
-    t.deliver("take", request(1))
-    t.deliver("take", request(2))
-    assert t.tick().statuses == {"m1": "accepted"}
-    assert t.contexts == 3
-    t.contexts = 0
-    result = t.tick()
-    assert (result.statuses, result.fired, t.contexts) == ({}, [], 1)
-    assert [m[MESSAGE_ID] for m in t.state.mailboxes["take"]] == ["m2"]
+
+
+def test_a_guarded_request_is_picked_in_the_tick_context():
+    # the guard reads the tick context for the first request and the
+    # accepted request's check context for the next, so m2 stays pending in
+    # the tick that accepts m1: its guard reads the state m1 left
+    for backend in ("graph", "interp"):
+        t = CountingTransducer(gate_program(1, Lit(1)), backend=backend)
+        t.deliver("take", request(1, x=1))
+        t.deliver("take", request(2, x=1))
+        assert t.tick().statuses == {"m1": "accepted"}
+        assert t.contexts == 3
+        assert [m[MESSAGE_ID] for m in t.state.mailboxes["take"]] == ["m2"]
+        t.contexts = 0
+        result = t.tick()
+        assert (result.statuses, result.fired, t.contexts) == ({}, [], 1)
+        assert [m[MESSAGE_ID] for m in t.state.mailboxes["take"]] == ["m2"]
+
+
+@pytest.mark.parametrize("backend", ["graph", "interp"])
+def test_after_a_rejection_the_guard_reads_the_node_s_state(backend):
+    """m1 would leave `n` at -1 and is rejected; the guard then reads a
+    fresh context over the node's state, where `n` is still 2, not the
+    rejected fork's check context, so m2 and m3 are taken in the same
+    tick, and m4 waits on the state m3 left."""
+    t = CountingTransducer(gate_program(2, Var("x")), backend=backend)
+    for i, x in enumerate((3, 1, 1, 1), start=1):
+        t.deliver("take", request(i, x=x))
+    assert t.tick().statuses == {"m1": "rejected", "m2": "accepted",
+                                 "m3": "accepted"}
+    # the tick's, one fork and one check per request, and the fresh one
+    assert t.contexts == 1 + 3 * 2 + 1
+    assert [m[MESSAGE_ID] for m in t.state.mailboxes["take"]] == ["m4"]
+    assert t.state.vars["n"] == 0
 
 
 @pytest.mark.parametrize("backend", ["graph", "interp"])
 def test_a_guarded_request_stops_the_guard_at_the_first_pass(backend):
-    """A serializable handler takes one request a tick, so its guard runs
-    on the pending messages only up to the first that passes."""
+    """Each decision runs the guard on the pending messages only up to the
+    first that passes: m0-m2 fail it before each of the 197 decisions and
+    once more when no message passes."""
 
     class GuardCounting(Transducer):
         guards = 0
@@ -650,8 +703,9 @@ def test_a_guarded_request_stops_the_guard_at_the_first_pass(backend):
     t = GuardCounting(p, backend=backend)
     for i in range(200):
         t.deliver("take", request(i, x=i))
-    assert t.tick().statuses == {"m3": "accepted"}
-    assert t.guards == 4
+    assert t.tick().statuses == {f"m{i}": "accepted" for i in range(3, 200)}
+    assert t.guards == 197 * 4 + 3
+    assert [m["x"] for m in t.state.mailboxes["take"]] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("backend", ["graph", "interp"])
