@@ -36,12 +36,10 @@ only what is due from the head of each. Scheduling a request or a failure
 for a tick that has already run raises ValueError. Node and proxy ids are
 sorted once, since a recovery keeps its node's id. A proxy retransmits a
 request when every replica it was sent to has crashed since, recovered or
-not: each node has an incarnation number that every crash bumps, and the
-proxy records the one each recipient had when it sent. Since only a crash
-or a recovery can orphan a request that had a live recipient, the proxy
-rescans all of its pending requests only in a tick where a node crashed or
-recovered, and otherwise checks just the requests that arrived in that
-tick.
+not: a crash removes the crashed node from the recipients of each pending
+request and marks a request left with none as an orphan, and a proxy's
+tick retries only its orphans. A request forwarded to no live node is an
+orphan from the start.
 """
 
 from __future__ import annotations
@@ -113,7 +111,7 @@ def domain_prefix_matches(domain: tuple, prefix: tuple) -> bool:
 
 class _ProxyState:
     """Client-facing fan-out node: forwards each request id to the replica
-    group, retransmits when every recipient has crashed, and forwards the
+    group, retransmits its orphans, and forwards the
     first response per request id back to the client."""
 
     def __init__(self):
@@ -121,9 +119,8 @@ class _ProxyState:
         self.seen_requests: set = set()
         self.seen_responses: set = set()
         self.pending: dict = {}  # mid -> {"mailbox", "payload", "dests", "dead_logged"};
-                                 # dests holds (node id, incarnation) pairs
-        self.added: list = []    # mids put in `pending` since the last retry check
-        self.checked_at = -1     # the cluster's liveness count at that check
+                                 # dests: the recipients that have not crashed since
+        self.orphans: set = set()  # mids in `pending` whose dests are empty
 
 
 class Cluster:
@@ -151,7 +148,6 @@ class Cluster:
             else:
                 self.nodes[s.node_id] = self._worker(s)
         self.alive = {s.node_id: True for s in nodes}
-        self.incarnation = {s.node_id: 0 for s in nodes}  # bumped by a crash
         self._node_ids = sorted(self.nodes)   # a recovery keeps the ids
         self._proxy_ids = sorted(self.proxy_state)
         self.tick = 0
@@ -162,7 +158,6 @@ class Cluster:
         self._trace_file = open(trace_path, "w") if trace_path else None
         self.pending_injections: list = []   # heap of (tick, order, client, mailbox, payload)
         self._order = 0                      # schedule order, never repeats
-        self._liveness = 0                   # crashes and recoveries so far
         self.pending_failures: list = []     # (tick, domain prefix)
         self.client_of: dict = {}            # message_id -> client id
         self.responses: dict = {}            # client -> {message_id: payload}
@@ -223,11 +218,14 @@ class Cluster:
                 matched = True
                 if self.alive.get(nid):
                     self.alive[nid] = False
-                    self.incarnation[nid] += 1
-                    self._liveness += 1
                     self._emit("Crashed", nid, domain=list(spec.domain))
         if not matched:
             raise KeyError(f"no node under failure domain {prefix!r}")
+        for st in self.proxy_state.values():
+            for mid, entry in st.pending.items():
+                entry["dests"] = [d for d in entry["dests"] if self.alive[d]]
+                if not entry["dests"]:
+                    st.orphans.add(mid)
         # in-flight messages to crashed nodes are lost, each with an event;
         # a sorted list is a heap
         kept = []
@@ -254,7 +252,6 @@ class Cluster:
         else:
             self.nodes[node_id] = self._worker(spec)
         self.alive[node_id] = True
-        self._liveness += 1
         self._emit("Recovered", node_id, domain=list(spec.domain))
 
     # --- message routing ----------------------------------------------------
@@ -441,11 +438,12 @@ class Cluster:
                 for dest in dests:
                     self._post(dest, mailbox, payload)
                 st.pending[mid] = {"mailbox": mailbox, "payload": payload,
-                                   "dests": self._addressed(dests),
-                                   "dead_logged": False}
-                st.added.append(mid)
+                                   "dests": dests, "dead_logged": False}
+                if not dests:
+                    st.orphans.add(mid)
             else:  # a reply
                 st.pending.pop(mid, None)
+                st.orphans.discard(mid)
                 if mid in st.seen_responses:
                     continue
                 st.seen_responses.add(mid)
@@ -455,35 +453,19 @@ class Cluster:
         return True
 
     def _proxy_retry(self, nid: str) -> bool:
-        """Retransmit pending requests whose recipients have all crashed.
-
-        Only a crash or a recovery changes what an entry that was already
-        checked would do, so all of `pending` is checked only in a tick
-        after the liveness count moved; otherwise only the entries added
-        since the last check are."""
+        """Retransmit the orphans of proxy `nid`: the pending requests
+        whose every recipient has crashed since it was sent."""
         st = self.proxy_state[nid]
-        if st.checked_at != self._liveness:
-            st.checked_at = self._liveness
-            mids = sorted(st.pending)
-        else:
-            mids = sorted(mid for mid in st.added if mid in st.pending)
-        st.added = []
         active = False
-        for mid in mids:
+        for mid in sorted(st.orphans):
             if self._retry_entry(nid, mid, st.pending[mid]):
                 active = True
         return active
 
-    def _addressed(self, dests) -> tuple:
-        return tuple((d, self.incarnation[d]) for d in dests)
-
     def _retry_entry(self, nid: str, mid: str, entry: dict) -> bool:
-        """Retransmit one pending request of proxy `nid` if no node it was
-        last sent to is up in the incarnation it was sent to; True if that
-        emitted anything."""
-        if any(self.alive.get(d) and self.incarnation[d] == inc
-               for d, inc in entry["dests"]):
-            return False
+        """Send orphan `mid` of proxy `nid` to its group again, or trace
+        once that the group has no live node; True if that emitted
+        anything."""
         dests = self._group_dests(self.routes[entry["mailbox"]])
         if not dests:
             if entry["dead_logged"]:
@@ -494,8 +476,9 @@ class Cluster:
             return True
         for dest in dests:
             self._post(dest, entry["mailbox"], entry["payload"])
-        entry["dests"] = self._addressed(dests)
+        entry["dests"] = dests
         entry["dead_logged"] = False
+        self.proxy_state[nid].orphans.discard(mid)
         self._emit("Retransmitted", nid, mailbox=entry["mailbox"],
                    message_id=mid, dests=list(dests))
         return True

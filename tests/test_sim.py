@@ -397,14 +397,38 @@ def test_a_request_is_retransmitted_to_a_recipient_that_crashed_and_recovered():
 
 
 class _FullScanCluster(Cluster):
-    """Checks every pending request on every tick, as the proxy once did."""
+    """Checks every pending request on every tick, as the proxy once did:
+    each node has an incarnation number that every crash bumps, each entry
+    keeps the incarnation each recipient had when the proxy sent it, and an
+    entry is retried when no recipient is up in that incarnation."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.incarnation = dict.fromkeys(self.specs, 0)
+
+    def inject_failure(self, domain_prefix):
+        for nid, spec in self.specs.items():
+            if self.alive[nid] and spec.domain[:len(domain_prefix)] == \
+                    tuple(domain_prefix):
+                self.incarnation[nid] += 1
+        super().inject_failure(domain_prefix)
+
+    def _addressed(self, entry):
+        entry["addressed"] = [(d, self.incarnation[d]) for d in entry["dests"]]
 
     def _proxy_retry(self, nid):
         st = self.proxy_state[nid]
         active = False
         for mid in sorted(st.pending):
-            if self._retry_entry(nid, mid, st.pending[mid]):
+            entry = st.pending[mid]
+            if "addressed" not in entry:   # forwarded in this tick
+                self._addressed(entry)
+            if any(self.alive[d] and self.incarnation[d] == inc
+                   for d, inc in entry["addressed"]):
+                continue
+            if self._retry_entry(nid, mid, entry):
                 active = True
+            self._addressed(entry)
         return active
 
 
