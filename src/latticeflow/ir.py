@@ -23,10 +23,10 @@ from .lattice import FIELD_SHAPES
 
 MESSAGE_ID = "_message_id"
 REPLY_TO = "_reply_to"
-# the fields of a commit record besides the request's message id: its
-# sequence number and the `state.Delta` the sequencer committed (see
-# `transducer.commit_record`); `validate` refuses them as program fields, so
-# that no request looks like a record
+# the fields of a commit record: its sequence number and its batch's
+# decisions, each request's message id with the `state.Delta` it committed
+# or None if rejected (see `transducer.commit_record`); `validate` refuses
+# them as program fields, so that no request looks like a record
 ORDERED = "_ordered"
 EFFECTS = "_effects"
 

@@ -19,15 +19,18 @@ replica; `Cluster.sequencer` picks it for routing and for nothing else. A
 request whose group has no live node is traced as `NoLiveReplica`.
 
 Which node may decide a sequenced request is the node's own rule, and the
-deciding node issues the request's commit record (see `transducer`): a
-node decides only when its applied prefix equals the number of records
-issued for the handler, and then decides its whole backlog in one tick,
-so the count issued becomes one past the highest sequence number issued in
-that tick. The cluster posts each record to the other live replicas, which
-apply it without re-running the handler, and answers the client. A
-recovered node rejoins empty. The count of records issued
-(`_commit_seq`) and the decided outcomes (`_committed`) are still kept by
-the cluster, not by any node.
+deciding node issues the commit record (see `transducer`): a node decides
+only when its applied prefix equals the number of records issued for the
+handler, and then decides its whole backlog in one tick, which ships as
+one record of every accepted and rejected decision, so the count issued
+becomes one past that record's sequence number. The cluster posts the
+record to the other live replicas, which apply it without re-running the
+handler, and answers each client. A node that applies a record takes
+every request id it decided, so a retransmission of a decided request is
+traced as `Deduplicated` wherever it lands: on arrival if the record came
+first, or as the record applies if the retransmission outran it. A
+recovered node rejoins empty. The count of records issued (`_commit_seq`)
+is still kept by the cluster, not by any node.
 
 A tick's cost does not grow with the backlog of requests. Scheduled
 requests wait in a queue ordered by (tick, schedule order), and messages on
@@ -50,7 +53,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .ir import MESSAGE_ID, ORDERED, Program, response_mailbox
+from .ir import EFFECTS, MESSAGE_ID, ORDERED, Program, response_mailbox
 from .lowering import lower
 from .state import Row, canonical_state
 from .transducer import NODE_FAILURES, Transducer
@@ -111,8 +114,8 @@ def domain_prefix_matches(domain: tuple, prefix: tuple) -> bool:
 
 class _ProxyState:
     """Client-facing fan-out node: forwards each request id to the replica
-    group, retransmits its orphans, and forwards the
-    first response per request id back to the client."""
+    group, retransmits its orphans, and forwards the first response per
+    request id back to the client."""
 
     def __init__(self):
         self.inbox: list = []
@@ -164,7 +167,6 @@ class Cluster:
         self.response_log: list = []         # every response delivery, in order
         self.sink_outputs: dict = {}         # sink mailbox -> payload list
         self.request_payload: dict = {}      # message_id -> (mailbox, payload)
-        self._committed: dict = {}           # message id -> accepted/rejected
 
     # --- bookkeeping --------------------------------------------------------
     def _emit(self, kind, node, **detail):
@@ -353,20 +355,21 @@ class Cluster:
         if self.routes[m.mailbox].sequenced:
             if ORDERED in payload:
                 # commit records apply strictly in sequence order, as they
-                # arrive; a duplicate of an applied one is dropped unseen
-                applied = node.apply_record(m.mailbox, payload)
+                # arrive; a duplicate of an applied one is dropped unseen,
+                # and a retransmission that outran its record leaves the
+                # mailbox as the record applies
+                applied, removed = node.apply_record(m.mailbox, payload)
                 for record in applied:
                     self._emit("Delivered", m.dest, mailbox=m.mailbox,
                                ordered=record[ORDERED],
-                               message_id=record.get(MESSAGE_ID))
+                               message_ids=[mid for mid, _ in record[EFFECTS]])
+                for mid in removed:
+                    self._emit("Deduplicated", m.dest, mailbox=m.mailbox,
+                               message_id=mid)
                 return bool(applied)
-            # a retransmission may reach a new sequencer after the original
-            # already decided; the decided outcome must not run twice
-            mid = payload.get(MESSAGE_ID)
-            if mid in self._committed or not node.take_request(m.mailbox,
-                                                                payload):
+            if not node.take_request(m.mailbox, payload):
                 self._emit("Deduplicated", m.dest, mailbox=m.mailbox,
-                           message_id=mid)
+                           message_id=payload.get(MESSAGE_ID))
                 return False
         else:
             node.deliver(m.mailbox, payload)
@@ -484,21 +487,16 @@ class Cluster:
         return True
 
     def _serial_results(self, nid: str, result):
-        """Answer the requests that node `nid` decided, and post each commit
-        record it issued to the other live replicas."""
-        for mid, status in sorted(result.statuses.items()):
-            handler = self.request_payload[mid][0]
-            self._committed[mid] = status
-            record = result.records.get(mid)
-            if record is not None:
-                issued = self._commit_seq
-                issued[handler] = max(issued.get(handler, 0),
-                                      record[ORDERED] + 1)
-                for backup in self.live_group(handler):
-                    if backup != nid:
-                        self._post(backup, handler, record)
-            reply = Row({MESSAGE_ID: mid, "status": status})
-            self._route(response_mailbox(handler), reply, sender=nid)
+        """Post each commit record that node `nid` issued to the other live
+        replicas, and answer the requests it decided, in decision order."""
+        for handler, record in sorted(result.records.items()):
+            self._commit_seq[handler] = record[ORDERED] + 1
+            for backup in self.live_group(handler):
+                if backup != nid:
+                    self._post(backup, handler, record)
+            for mid, _ in record[EFFECTS]:
+                reply = Row({MESSAGE_ID: mid, "status": result.statuses[mid]})
+                self._route(response_mailbox(handler), reply, sender=nid)
 
     # --- run loop -----------------------------------------------------------
     def _has_work(self) -> bool:

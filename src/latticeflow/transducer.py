@@ -35,21 +35,23 @@ every table so.
 
 Under a cluster a node keeps, for each serializable handler, its applied
 prefix (`applied`): the commit records it has applied or issued. A node
-that accepts a request issues its record itself: it takes its prefix as
-the record's sequence number and advances the prefix. A commit record
-carries the `state.Delta` its request committed; `apply_record` commits
-the records in sequence order, holds one that arrives early, drops one
-below the prefix, and builds no fork, context, guard or invariant check,
-and needs no tick. The node decides a request only when its applied
-prefix equals `issued`, the count of records issued for the handler, and
-this gate alone decides which node may decide; it is checked in
-`_run_request`, so a tick of eventual handlers pays nothing for it. A
-node starts its prefix at the count issued when it is built, so a
-recovered node applies only the records issued after it rejoined. A node
-takes each sequenced request's message id once (`take_request`). The gate
-is checked once a tick: every request of the batch issues its own record,
-with consecutive sequence numbers, so backups apply a batch as they apply
-single records.
+that decides a batch issues one record for it: it takes its prefix as
+the record's sequence number and advances the prefix. The record lists
+the batch's decisions in decision order, the `state.Delta` each accepted
+request committed and None for each rejected one, so backups learn
+rejections too. `apply_record` commits the records in sequence order,
+holds one that arrives early, drops one below the prefix, and builds no
+fork, context, guard or invariant check, and needs no tick. The node
+decides only when its applied prefix equals `issued`, the count of
+records issued for the handler, and this gate alone decides which node
+may decide; it is checked once a tick, in `_run_request`, so a tick of
+eventual handlers pays nothing for it. A node starts its prefix at the
+count issued when it is built, so a recovered node applies only the
+records issued after it rejoined. A node takes each sequenced request's
+message id once (`take_request`), and takes every id that a record it
+applies decided, so it decides no request that another node decided
+before: a pending copy of a decided request, a retransmission that
+outran the record, leaves the mailbox as the record applies.
 
 An eventual handler with no eligible message is skipped when none of its
 desugared statements can act on an empty mailbox (see `_inert_when_empty`),
@@ -81,7 +83,7 @@ from .ir import (
 from .lattice import IntOverflow, ShapeMismatch
 from .runtime import GraphContext, compile_queries
 from .state import (
-    AmbiguousAssign, BindError, Delta, Effects, FixpointDivergence,
+    AmbiguousAssign, BindError, Effects, FixpointDivergence,
     NodeState, OutMsg, Row, UdfFailure, storage_key,
 )
 
@@ -95,10 +97,11 @@ NODE_FAILURES = (UdfFailure, FixpointDivergence, AmbiguousAssign,
                  ShapeMismatch, IntOverflow, BindError)
 
 
-def commit_record(message_id: str, seq: int, delta: Delta) -> Row:
-    """The commit record that ships accepted request `message_id`, the
-    `seq`-th of its handler, with the effects it committed."""
-    return Row({MESSAGE_ID: message_id, ORDERED: seq, EFFECTS: delta})
+def commit_record(seq: int, decisions: tuple) -> Row:
+    """The `seq`-th commit record of a handler: one tick's `decisions`, in
+    decision order, each `(message id, Delta)` for an accepted request and
+    `(message id, None)` for a rejected one."""
+    return Row({ORDERED: seq, EFFECTS: decisions})
 
 
 @dataclass
@@ -106,7 +109,7 @@ class TickResult:
     fired: list = dfield(default_factory=list)        # handler names that consumed input
     sends: list = dfield(default_factory=list)        # OutMsg
     statuses: dict = dfield(default_factory=dict)     # message_id -> accepted/rejected
-    records: dict = dfield(default_factory=dict)      # message_id -> commit record, if accepted
+    records: dict = dfield(default_factory=dict)      # handler -> the commit record of its batch
     udf_invocations: int = 0
 
 
@@ -180,26 +183,36 @@ class Transducer:
         self.state.deliver(mailbox, payload)
         return True
 
-    def apply_record(self, handler: str, record: Row) -> list:
+    def apply_record(self, handler: str, record: Row) -> tuple:
         """Take commit record `record` of serializable `handler` and commit,
-        in sequence order, every record that the applied prefix now reaches;
-        returns those. A record below the prefix is a duplicate, dropped;
-        one past it waits in `held`. No context is built and no guard or
-        invariant runs: the record carries the sequencer's decision."""
+        in sequence order, every record that the applied prefix now reaches.
+        A record below the prefix is a duplicate, dropped; one past it waits
+        in `held`. No context is built and no guard or invariant runs: the
+        record carries the sequencer's decisions. Every decided id is taken,
+        and a pending copy of a decided request leaves the mailbox. Returns
+        the records applied and the message ids of the copies removed."""
         done = self.applied.get(handler, 0)
         seq = record[ORDERED]
         if seq < done:
-            return []
+            return [], []
         held = self.held.setdefault(handler, {})
         held[seq] = record
-        applied = []
+        applied, decided = [], set()
         while done in held:
             record = held.pop(done)
-            self.state.commit(record[EFFECTS])
+            for mid, delta in record[EFFECTS]:
+                if delta is not None:
+                    self.state.commit(delta)
+                decided.add(mid)
             applied.append(record)
             done += 1
         self.applied[handler] = done
-        return applied
+        self.taken |= decided
+        pending = self.state.mailboxes[handler]
+        self.state.mailboxes[handler] = [m for m in pending
+                                         if m.get(MESSAGE_ID) not in decided]
+        return applied, [m[MESSAGE_ID] for m in pending
+                         if m.get(MESSAGE_ID) in decided]
 
     def _eligible(self, h: Handler, ctx) -> list:
         """Pending messages whose guard passes, in arrival order; with no
@@ -285,8 +298,8 @@ class Transducer:
 
         Under a cluster the node decides only once its applied prefix
         equals the records issued for `h`, so no decision reads a state
-        that misses one already made. Each accepted request's commit record
-        takes the prefix as its sequence number and advances it."""
+        that misses one already made. The batch's commit record takes the
+        prefix as its sequence number and advances it."""
         if (self.issued is not None
                 and self.applied.get(h.name, 0) != self.issued.get(h.name, 0)):
             return
@@ -294,6 +307,7 @@ class Transducer:
         msg = self._next_request(h, ctx)
         if msg is not None:
             result.fired.append(h.name)
+        decisions = []
         while msg is not None:
             fork = self.state.fork()
             eff = Effects()
@@ -312,23 +326,24 @@ class Transducer:
                 self.state.vars = fork.vars
                 self.state.mailboxes = fork.mailboxes
                 result.sends.extend(eff.sends)
-                status = ACCEPTED
-                if mid is not None:
-                    seq = self.applied.get(h.name, 0)
-                    self.applied[h.name] = seq + 1
-                    result.records[mid] = commit_record(mid, seq, eff.delta())
+                status, delta = ACCEPTED, eff.delta()
             else:
                 # reject: consume the request, discard everything else
                 drop = Effects(consumed={h.name: [msg]})
                 self.state.commit(drop)
-                status = REJECTED
+                status, delta = REJECTED, None
                 # the check context saw the discarded fork
                 ctx = (self._context(self.state.snapshot())
                        if guarded and self.state.mailboxes.get(h.name)
                        else None)
             if mid is not None:
                 result.statuses[mid] = status
+                decisions.append((mid, delta))
             msg = self._next_request(h, ctx)
+        if decisions:
+            seq = self.applied.get(h.name, 0)
+            self.applied[h.name] = seq + 1
+            result.records[h.name] = commit_record(seq, tuple(decisions))
 
     # --- statement execution ------------------------------------------------
     def _run_stmts(self, h: Handler, msgs, ctx, eff: Effects):

@@ -1,6 +1,8 @@
 """Shared builders: a transitive-closure program, random graphs, a
-breadth-first-search reachability oracle, and a one-node cluster."""
+breadth-first-search reachability oracle, a one-node cluster, and the
+statuses that a cluster's clients heard."""
 
+import collections
 import random
 
 from latticeflow.interp import InterpContext
@@ -91,3 +93,15 @@ def one_node_cluster(program: Program, backend: str = "graph") -> Cluster:
     return Cluster(program, [NodeSpec("n1")],
                    {h.name: ["n1"] for h in program.handlers},
                    network=NetworkModel(1, 1), backend=backend)
+
+
+def client_statuses(cluster, handler: str = "vaccinate") -> dict:
+    """The status of each request of `handler`, from its client's first
+    fresh response; asserts that every request has exactly one fresh
+    response."""
+    fresh = collections.Counter(
+        mid for _t, _c, mid, _p, is_fresh in cluster.response_log if is_fresh)
+    assert fresh == dict.fromkeys(cluster.request_payload, 1)
+    return {mid: cluster.responses[cluster.client_of[mid]][mid]["status"]
+            for mid, (h, _payload) in cluster.request_payload.items()
+            if h == handler}

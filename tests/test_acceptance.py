@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from conftest import bfs_closure, closure_contexts
+from conftest import bfs_closure, client_statuses, closure_contexts
 from latticeflow.ir import TargetSpec
 from latticeflow.lattice import (
     BoolOr, MapUnion, MaxInt, MinInt, Pair, SetUnion, WriteOnce, leq, merge,
@@ -124,7 +124,8 @@ def test_sequenced_decrements_never_violate_the_stock_invariant():
         counts = stock_counts(cluster)
         assert all(c >= 0 for c in counts), seed
         assert len(set(counts)) == 1, seed
-        assert sorted(cluster._committed.values()) == ["accepted", "rejected"]
+        assert sorted(client_statuses(cluster).values()) == \
+            ["accepted", "rejected"]
 
 
 # serial equivalence ----------------------------------------------------------
@@ -162,8 +163,7 @@ def test_vaccinate_outcomes_match_an_actual_serial_order():
     for seed in range(100):
         cluster = run_workload(pat.program, workload, seed=seed,
                                network=NetworkModel(1, 6, 0.2))
-        statuses = tuple(sorted((m, s) for m, s in cluster._committed.items()
-                                if m in requests))
+        statuses = tuple(sorted(client_statuses(cluster).items()))
         replicas = [cluster.nodes[n].state
                     for n in cluster.groups["vaccinate"]
                     if cluster.alive.get(n)]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import client_statuses
 from latticeflow.analysis import calm_report
 from latticeflow.ir import validate
 from latticeflow.patterns import (
@@ -90,7 +91,8 @@ def test_coordinated_vaccinate_never_oversells():
         counts = [cluster.nodes[n].state.vars["vaccine_count"]
                   for n in cluster.nodes if cluster.alive.get(n)]
         assert all(c >= 0 for c in counts), seed
-        assert sorted(cluster._committed.values()) == ["accepted", "rejected"]
+        assert sorted(client_statuses(cluster).values()) == \
+            ["accepted", "rejected"]
 
 
 def test_vaccinating_an_unknown_person_is_rejected():
@@ -98,7 +100,7 @@ def test_vaccinating_an_unknown_person_is_rejected():
     workload = [{"tick": 0, "client": "c1", "handler": "vaccinate",
                  "fields": {"pid": 99}}]
     cluster = run_workload(pat.program, workload, seed=1)
-    assert list(cluster._committed.values()) == ["rejected"]
+    assert list(client_statuses(cluster).values()) == ["rejected"]
 
 
 def test_actor_messages_wait_for_spawn():

@@ -18,8 +18,8 @@ from latticeflow.ir import (
     Data, DataDecl, Delete,
     Field, Fold, Gen, Handler, In, Index, Len, Lit, Lookup, MakeRow,
     MergeMutation, Not, Program, QueryDef, RangeOf, Return, Send, Record, Slice,
-    TargetPath, TupleOf, UdfCall, UdfDecl, Var, Expr, MESSAGE_ID, ORDERED,
-    REPLY_TO,
+    TargetPath, TupleOf, UdfCall, UdfDecl, Var, Expr, EFFECTS, MESSAGE_ID,
+    ORDERED, REPLY_TO,
     response_mailbox, validate, walk_expr,
 )
 from latticeflow.runtime import (
@@ -594,9 +594,9 @@ def test_a_lone_request_builds_only_its_fork_and_check_contexts(
 @pytest.mark.parametrize("backend", ["graph", "interp"])
 def test_a_tick_decides_the_whole_backlog_in_arrival_order(backend):
     """Five requests against three doses in one tick: each runs on the
-    state the one before left, so the first three are accepted with
-    consecutive sequence numbers and the last two rejected, and each
-    request builds only its fork and check contexts."""
+    state the one before left, so the first three are accepted and the
+    last two rejected, all five ship in one commit record in decision
+    order, and each request builds only its fork and check contexts."""
     t = CountingTransducer(covid_program(coordinated=True, vaccine_count=3),
                            backend=backend)
     t.deliver("add_person", request(0, pid=1, name="ana", country="ar"))
@@ -608,8 +608,11 @@ def test_a_tick_decides_the_whole_backlog_in_arrival_order(backend):
     assert result.statuses == {"m1": "accepted", "m2": "accepted",
                                "m3": "accepted", "m4": "rejected",
                                "m5": "rejected"}
-    assert {mid: r[ORDERED] for mid, r in result.records.items()} == \
-        {"m1": 0, "m2": 1, "m3": 2}
+    [record] = result.records.values()
+    assert list(result.records) == ["vaccinate"] and record[ORDERED] == 0
+    assert [(mid, delta is not None) for mid, delta in record[EFFECTS]] == \
+        [("m1", True), ("m2", True), ("m3", True), ("m4", False),
+         ("m5", False)]
     assert (result.fired, t.contexts) == (["vaccinate"], 10)
     assert t.state.mailboxes["vaccinate"] == []
     assert t.state.vars["vaccine_count"] == 0
@@ -710,28 +713,38 @@ def test_a_guarded_request_stops_the_guard_at_the_first_pass(backend):
 
 @pytest.mark.parametrize("backend", ["graph", "interp"])
 def test_a_backup_applies_a_commit_record_without_a_context(backend):
-    """The sequencer's accepted request yields a commit record of its
-    committed effects; a backup commits the records in sequence order,
-    with no context, guard or invariant, even where its own state would
-    reject the request (it has no row for the person), and drops a
-    duplicate."""
+    """Each of the sequencer's ticks yields a commit record of its
+    decisions: the committed effects of an accepted request, None for a
+    rejected one. A backup commits the records in sequence order, with no
+    context, guard or invariant, even where its own state would reject the
+    request (it has no row for the person), and drops a duplicate. It takes
+    every decided id, the rejected one too, and a pending copy of a decided
+    request leaves its mailbox as the record applies."""
     program = covid_program(coordinated=True, vaccine_count=2)
     sequencer = Transducer(program, backend=backend)
     sequencer.deliver("add_person", request(0, pid=1, name="ana", country="ar"))
     sequencer.tick()
     records = []
-    for i in (1, 2):
+    for i, status in ((1, "accepted"), (2, "accepted"), (3, "rejected")):
         sequencer.deliver("vaccinate", request(i, pid=1))
         result = sequencer.tick()
-        assert result.statuses == {f"m{i}": "accepted"}
-        records.append(result.records[f"m{i}"])
+        assert result.statuses == {f"m{i}": status}
+        records.append(result.records["vaccinate"])
+    assert [r[ORDERED] for r in records] == [0, 1, 2]
+    assert records[2][EFFECTS] == (("m3", None),)
     backup = CountingTransducer(program, backend=backend)
-    assert backup.apply_record("vaccinate", records[1]) == []
+    # a retransmission of m2 that outran the record of its decision
+    assert backup.take_request("vaccinate", request(2, pid=1))
+    assert backup.apply_record("vaccinate", records[1]) == ([], [])
     assert backup.held == {"vaccinate": {1: records[1]}}
-    assert backup.apply_record("vaccinate", records[0]) == records
-    assert backup.apply_record("vaccinate", records[0]) == []
+    assert backup.apply_record("vaccinate", records[0]) == \
+        (records[:2], ["m2"])
+    assert backup.apply_record("vaccinate", records[2]) == (records[2:], [])
+    assert backup.apply_record("vaccinate", records[0]) == ([], [])
+    assert backup.taken == {"m1", "m2", "m3"}
+    assert not backup.take_request("vaccinate", request(3, pid=1))
     assert (backup.contexts, backup.applied, backup.held) == \
-        (0, {"vaccinate": 2}, {"vaccinate": {}})
+        (0, {"vaccinate": 3}, {"vaccinate": {}})
     assert backup.state.vars["vaccine_count"] == 0
     assert backup.state.tables["people"] == {
         (1,): Row(pid=1, name=None, country=None, contacts=frozenset(),

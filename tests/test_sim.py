@@ -220,9 +220,9 @@ def test_no_commit_record_is_held_after_quiescence():
 
 def test_the_issued_count_follows_a_batch_decided_out_of_id_order():
     """Two requests whose ids sort against their arrival order reach the
-    sequencer n01 in one tick, which decides both; the count of records
-    issued must be one past the higher sequence number, not the one of the
-    last id, or n01's gate never reopens for the third request."""
+    sequencer n01 in one tick, which decides both in one record that names
+    them in decision order; the count of records issued follows n01's
+    applied prefix, so its gate reopens for the third request."""
     pat = covid_tracker(coordinated=True, vaccine_count=5)
     cluster = build_scenario_cluster(
         Scenario(pat.program, seed=0, network=NetworkModel(1, 1, 0.0)))
@@ -237,13 +237,11 @@ def test_the_issued_count_follows_a_batch_decided_out_of_id_order():
         cluster.step()
         assert cluster._commit_seq.get("vaccinate", 0) == \
             cluster.nodes["n01"].applied.get("vaccinate", 0)
-    ordered = {ev.detail["message_id"]: (ev.tick, ev.detail["ordered"])
+    ordered = [(ev.detail["ordered"], ev.detail["message_ids"])
                for ev in cluster.trace
                if ev.kind == "Delivered" and ev.node == "n02"
-               and "ordered" in ev.detail}
-    assert ordered["b"][1] == 0 and ordered["a"][1] == 1
-    assert ordered["b"][0] == ordered["a"][0]
-    assert ordered["c"][1] == 2
+               and "ordered" in ev.detail]
+    assert ordered == [(0, ["b", "a"]), (1, ["c"])]
     assert set(cluster.responses["c1"]) == set(cluster.request_payload)
 
 
@@ -576,3 +574,79 @@ def test_a_demoted_sequencer_s_decisions_are_answered_and_shipped(seed):
 def test_every_crash_and_recovery_leaves_each_request_answered():
     for seed in range(100):
         _assert_answered_and_agreed(*_vaccinations_across_a_demotion(seed))
+
+
+class _DecisionLog(Cluster):
+    """Keeps every decision of every node as (tick, node, message id,
+    status)."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.decisions = []
+
+    def _serial_results(self, nid, result):
+        self.decisions += [(self.tick, nid, mid, status)
+                           for mid, status in sorted(result.statuses.items())]
+        super()._serial_results(nid, result)
+
+
+def _sequencer_crash_run(seed, crash_tick):
+    """One dose and four requests for it from tick 4, while the zone of
+    the sequencer n01 crashes at `crash_tick`; no message is duplicated."""
+    program = covid_tracker(coordinated=True, vaccine_count=1).program
+    plan = replication_plan(program, make_topology())
+    cluster = _DecisionLog(program, plan.nodes, plan.groups,
+                           proxies=plan.proxies, seed=seed,
+                           network=NetworkModel(1, 6, 0.0))
+    cluster.schedule_request(0, "c1", "add_person",
+                             {"pid": 1, "name": "a", "country": "x"})
+    for i in range(4):
+        cluster.schedule_request(4 + i, f"c{i}", "vaccinate", {"pid": 1})
+    cluster.schedule_failure(crash_tick, ("dc0", "az0"))
+    cluster.run_to_quiescence()
+    return cluster
+
+
+def _assert_outran_its_record(cluster, mid, status):
+    """n01 decided `mid` as `status` in the tick before it crashed, before
+    the proxy heard the answer, so the proxy sent `mid` again to the
+    promoted n02; the copy reached n02 before n01's record of the decision
+    and left n02's mailbox as the record applied, traced `Deduplicated`.
+    Every request is decided once and answered once."""
+    [(decided_at, node, _mid, decided)] = [d for d in cluster.decisions
+                                           if d[2] == mid]
+    assert (node, decided) == ("n01", status)
+    [crash] = [ev.tick for ev in cluster.trace if ev.kind == "Crashed"]
+    [retry] = [ev for ev in cluster.trace if ev.kind == "Retransmitted"
+               and ev.detail["message_id"] == mid]
+    assert crash == retry.tick == decided_at + 1
+    assert retry.detail["dests"] == ["n02"]
+    at_n02 = [(ev.tick, ev.kind, "ordered" in ev.detail)
+              for ev in cluster.trace if ev.node == "n02" and mid in
+              (ev.detail.get("message_id"), *ev.detail.get("message_ids", ()))]
+    [(copy, *arrived), (applied, *record), (dropped, *removed)] = at_n02
+    assert [arrived, record, removed] == [
+        ["Delivered", False], ["Delivered", True], ["Deduplicated", False]]
+    assert copy < applied == dropped
+    requests = [m for m, (h, _p) in cluster.request_payload.items()
+                if h == "vaccinate"]
+    assert sorted(d[2] for d in cluster.decisions) == sorted(requests)
+    assert any(d[1] == "n02" for d in cluster.decisions)
+    answers = collections.Counter(m for _t, _c, m, _p, _f
+                                  in cluster.response_log)
+    assert answers == dict.fromkeys(cluster.request_payload, 1)
+    assert cluster.responses[cluster.client_of[mid]][mid]["status"] == status
+
+
+def test_a_retransmission_that_outran_its_record_leaves_as_it_applies():
+    # n01 accepts m000003 at tick 11 and crashes at 12; the copy reaches
+    # n02 at 13, the record at 15
+    _assert_outran_its_record(_sequencer_crash_run(6, 12), "m000003",
+                              "accepted")
+
+
+def test_a_request_rejected_before_the_crash_is_not_decided_again():
+    # n01 rejects m000002 at tick 12 and crashes at 13; the copy reaches
+    # n02 at 15, the record, which names the rejection, at 16
+    _assert_outran_its_record(_sequencer_crash_run(1, 13), "m000002",
+                              "rejected")
