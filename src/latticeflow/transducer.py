@@ -110,7 +110,7 @@ class TickResult:
     sends: list = dfield(default_factory=list)        # OutMsg
     statuses: dict = dfield(default_factory=dict)     # message_id -> accepted/rejected
     records: dict = dfield(default_factory=dict)      # handler -> the commit record of its batch
-    udf_invocations: int = 0
+    udf_invocations: int = 0                          # host UDF calls in every context the tick built
 
 
 class Transducer:
@@ -157,13 +157,18 @@ class Transducer:
         self.applied: dict = dict(issued or {})
         self.held: dict = {}      # handler -> {seq: record} past the prefix
         self.taken: set = set()   # message ids of the sequenced requests taken
+        self._built: list = []    # the contexts the current tick has built
 
     # --- context construction -----------------------------------------------
     def _context(self, snapshot):
         if self.backend == "graph":
-            return GraphContext(self.program, snapshot, self.compiled,
-                                max_rounds=self.max_rounds, views=self.views)
-        return InterpContext(self.program, snapshot, max_rounds=self.max_rounds)
+            ctx = GraphContext(self.program, snapshot, self.compiled,
+                               max_rounds=self.max_rounds, views=self.views)
+        else:
+            ctx = InterpContext(self.program, snapshot,
+                                max_rounds=self.max_rounds)
+        self._built.append(ctx)
+        return ctx
 
     # --- message intake -----------------------------------------------------
     def deliver(self, mailbox: str, payload: Row):
@@ -246,6 +251,7 @@ class Transducer:
         commit of the eventual effects raises, every eventual handler whose
         statements ran."""
         boxes = self.state.mailboxes
+        self._built = []
         ctx = None
         if self._acts_when_idle or any(boxes.get(name)
                                        for name in self._context_readers):
@@ -270,8 +276,8 @@ class Transducer:
             exc.handlers = (h.name,) if h is not None else tuple(ran)
             raise
 
-        if ctx is not None:
-            result.udf_invocations = ctx.udf_invocations
+        result.udf_invocations = sum(c.udf_invocations for c in self._built)
+        self._built.clear()
         return result
 
     def _run_eventual(self, h: Handler, ctx, eff: Effects,

@@ -414,6 +414,30 @@ def test_udf_memoized_within_a_tick():
     assert calls == [5, 5]
 
 
+@pytest.mark.parametrize("backend", ["graph", "interp"])
+def test_a_tick_counts_the_udf_calls_of_every_context_it_builds(backend):
+    """A serializable request runs in its own fork context, so the UDF
+    calls of three requests decided in one tick are counted from those
+    contexts, not only from the tick's."""
+    calls = []
+    p = Program(
+        "gate",
+        data=(DataDecl("n", "var", scalar="int", init=0),),
+        udfs=(UdfDecl("f", 1, fn=lambda x: calls.append(x) or x),),
+        handlers=(Handler(
+            "take", {"x": "int"},
+            (UdfCall("f", (Var("x"),), binder="y"),
+             Assign(TargetPath("n"), Var("y"))),
+            consistency=ConsistencySpec("serializable")),))
+    t = Transducer(p, backend=backend)
+    for i in range(3):
+        t.deliver("take", request(i, x=i))
+    r = t.tick()
+    assert r.statuses == {"m0": "accepted", "m1": "accepted",
+                          "m2": "accepted"}
+    assert calls == [0, 1, 2] and r.udf_invocations == 3
+
+
 def test_batching_does_not_change_final_state():
     msgs = [{"x": v} for v in [4, 9, 1, 9, 2]]
 

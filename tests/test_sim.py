@@ -14,7 +14,9 @@ from latticeflow.ir import (
 from latticeflow.patterns import covid_tracker, covid_workload, run_workload
 from latticeflow.runtime import compile_queries
 from latticeflow.scenario import Scenario, build_scenario_cluster
-from latticeflow.sim import Cluster, NetworkModel, NoQuiescence, trace_text
+from latticeflow.sim import (
+    Cluster, NetworkModel, NoQuiescence, domain_prefix_matches, trace_text,
+)
 from latticeflow.state import FixpointDivergence, Row
 
 
@@ -406,8 +408,8 @@ class _FullScanCluster(Cluster):
 
     def inject_failure(self, domain_prefix):
         for nid, spec in self.specs.items():
-            if self.alive[nid] and spec.domain[:len(domain_prefix)] == \
-                    tuple(domain_prefix):
+            if self.alive[nid] and domain_prefix_matches(spec.domain,
+                                                         domain_prefix):
                 self.incarnation[nid] += 1
         super().inject_failure(domain_prefix)
 
