@@ -29,8 +29,12 @@ handler, and answers each client. A node that applies a record takes
 every request id it decided, so a retransmission of a decided request is
 traced as `Deduplicated` wherever it lands: on arrival if the record came
 first, or as the record applies if the retransmission outran it. A
-recovered node rejoins empty. The count of records issued (`_commit_seq`)
-is still kept by the cluster, not by any node.
+recovered node rejoins empty but for the log that the cluster still keeps
+in place of one that outlives a node: the count of records issued
+(`_commit_seq`) starts its applied prefix, and the request ids those
+records decided (`_decided`) start its taken ids, so a retransmission
+that reaches it after every replica that decided or applied the request
+has crashed is not decided again.
 
 A tick's cost does not grow with the backlog of requests. Scheduled
 requests wait in a queue ordered by (tick, schedule order), and messages on
@@ -42,7 +46,9 @@ request when every replica it was sent to has crashed since, recovered or
 not: a crash removes the crashed node from the recipients of each pending
 request and marks a request left with none as an orphan, and a proxy's
 tick retries only its orphans. A request forwarded to no live node is an
-orphan from the start.
+orphan from the start. An orphan whose group has no live node leaves the
+proxy's orphans once that is traced, and a recovery marks it again, so a
+tick costs nothing for the requests waiting out an outage.
 """
 
 from __future__ import annotations
@@ -112,6 +118,14 @@ def domain_prefix_matches(domain: tuple, prefix: tuple) -> bool:
     return tuple(domain[:len(prefix)]) == tuple(prefix)
 
 
+def _carried_ids(payload: Row) -> dict:
+    """The trace detail naming the requests `payload` carries: the ids a
+    commit record decided, or a message's own id."""
+    if ORDERED in payload:
+        return {"message_ids": [mid for mid, _ in payload[EFFECTS]]}
+    return {"message_id": payload.get(MESSAGE_ID)}
+
+
 class _ProxyState:
     """Client-facing fan-out node: forwards each request id to the replica
     group, retransmits its orphans, and forwards the first response per
@@ -123,7 +137,7 @@ class _ProxyState:
         self.seen_responses: set = set()
         self.pending: dict = {}  # mid -> {"mailbox", "payload", "dests", "dead_logged"};
                                  # dests: the recipients that have not crashed since
-        self.orphans: set = set()  # mids in `pending` whose dests are empty
+        self.orphans: set = set()  # mids in `pending` to retry: their dests are empty
 
 
 class Cluster:
@@ -143,6 +157,7 @@ class Cluster:
         self.proxies = dict(proxies or {})
         self.specs = {s.node_id: s for s in nodes}
         self._commit_seq: dict = {}          # handler -> commit records issued
+        self._decided: set = set()           # request ids those records decided
         self.nodes: dict = {}
         self.proxy_state: dict = {}
         for s in nodes:
@@ -224,10 +239,9 @@ class Cluster:
         if not matched:
             raise KeyError(f"no node under failure domain {prefix!r}")
         for st in self.proxy_state.values():
-            for mid, entry in st.pending.items():
+            for entry in st.pending.values():
                 entry["dests"] = [d for d in entry["dests"] if self.alive[d]]
-                if not entry["dests"]:
-                    st.orphans.add(mid)
+            st.orphans.update(m for m, e in st.pending.items() if not e["dests"])
         # in-flight messages to crashed nodes are lost, each with an event;
         # a sorted list is a heap
         kept = []
@@ -237,7 +251,7 @@ class Cluster:
                 kept.append(m)
             else:
                 self._emit("Dropped", m.dest, mailbox=m.mailbox,
-                           message_id=m.payload.get(MESSAGE_ID))
+                           **_carried_ids(m.payload))
         self.in_flight = kept
 
     def schedule_failure(self, tick: int, domain_prefix):
@@ -246,14 +260,19 @@ class Cluster:
         self.pending_failures.append((tick, tuple(domain_prefix)))
 
     def recover(self, node_id: str):
-        """Crash-stop recovery: the node rejoins with empty state, and
-        applies only the commit records issued from now on."""
+        """Crash-stop recovery: the node rejoins with empty state, takes
+        the request ids decided so far, and applies only the commit records
+        issued from now on. Every proxy marks again the requests it holds
+        with no live recipient."""
         spec = self.specs[node_id]
         if spec.behavior == "proxy":
             self.proxy_state[node_id] = _ProxyState()
         else:
             self.nodes[node_id] = self._worker(spec)
+            self.nodes[node_id].taken = set(self._decided)
         self.alive[node_id] = True
+        for st in self.proxy_state.values():
+            st.orphans.update(m for m, e in st.pending.items() if not e["dests"])
         self._emit("Recovered", node_id, domain=list(spec.domain))
 
     # --- message routing ----------------------------------------------------
@@ -289,16 +308,14 @@ class Cluster:
         heapq.heappush(self.in_flight, _InFlight(
             self.tick + delay, self._seq, dest, mailbox, payload))
         self._emit("Sent", None, dest=dest, mailbox=mailbox,
-                   deliver_tick=self.tick + delay,
-                   message_id=payload.get(MESSAGE_ID))
+                   deliver_tick=self.tick + delay, **_carried_ids(payload))
         if net.dup_prob and self.rng.random() < net.dup_prob:
             delay2 = self.rng.randrange(net.delay_min, net.delay_max + 1)
             self._seq += 1
             heapq.heappush(self.in_flight, _InFlight(
                 self.tick + delay2, self._seq, dest, mailbox, payload))
             self._emit("Duplicated", None, dest=dest, mailbox=mailbox,
-                       deliver_tick=self.tick + delay2,
-                       message_id=payload.get(MESSAGE_ID))
+                       deliver_tick=self.tick + delay2, **_carried_ids(payload))
 
     def _route(self, mailbox: str, payload: Row, sender: Optional[str]):
         route = self.routes[mailbox]
@@ -361,8 +378,7 @@ class Cluster:
                 applied, removed = node.apply_record(m.mailbox, payload)
                 for record in applied:
                     self._emit("Delivered", m.dest, mailbox=m.mailbox,
-                               ordered=record[ORDERED],
-                               message_ids=[mid for mid, _ in record[EFFECTS]])
+                               ordered=record[ORDERED], **_carried_ids(record))
                 for mid in removed:
                     self._emit("Deduplicated", m.dest, mailbox=m.mailbox,
                                message_id=mid)
@@ -467,8 +483,10 @@ class Cluster:
 
     def _retry_entry(self, nid: str, mid: str, entry: dict) -> bool:
         """Send orphan `mid` of proxy `nid` to its group again, or trace
-        once that the group has no live node; True if that emitted
+        once that the group has no live node; either way `mid` leaves the
+        orphans, until a recovery marks it again. True if that emitted
         anything."""
+        self.proxy_state[nid].orphans.discard(mid)
         dests = self._group_dests(self.routes[entry["mailbox"]])
         if not dests:
             if entry["dead_logged"]:
@@ -481,7 +499,6 @@ class Cluster:
             self._post(dest, entry["mailbox"], entry["payload"])
         entry["dests"] = dests
         entry["dead_logged"] = False
-        self.proxy_state[nid].orphans.discard(mid)
         self._emit("Retransmitted", nid, mailbox=entry["mailbox"],
                    message_id=mid, dests=list(dests))
         return True
@@ -491,6 +508,7 @@ class Cluster:
         replicas, and answer the requests it decided, in decision order."""
         for handler, record in sorted(result.records.items()):
             self._commit_seq[handler] = record[ORDERED] + 1
+            self._decided.update(mid for mid, _ in record[EFFECTS])
             for backup in self.live_group(handler):
                 if backup != nid:
                     self._post(backup, handler, record)

@@ -51,7 +51,9 @@ records issued after it rejoined. A node takes each sequenced request's
 message id once (`take_request`), and takes every id that a record it
 applies decided, so it decides no request that another node decided
 before: a pending copy of a decided request, a retransmission that
-outran the record, leaves the mailbox as the record applies.
+outran the record, leaves the mailbox as the record applies. A
+recovered node learns the ids decided before it rejoined from its owner
+(`sim.Cluster.recover` sets `taken`).
 
 An eventual handler with no eligible message is skipped when none of its
 desugared statements can act on an empty mailbox (see `_inert_when_empty`),
@@ -157,18 +159,13 @@ class Transducer:
         self.applied: dict = dict(issued or {})
         self.held: dict = {}      # handler -> {seq: record} past the prefix
         self.taken: set = set()   # message ids of the sequenced requests taken
-        self._built: list = []    # the contexts the current tick has built
 
     # --- context construction -----------------------------------------------
     def _context(self, snapshot):
         if self.backend == "graph":
-            ctx = GraphContext(self.program, snapshot, self.compiled,
-                               max_rounds=self.max_rounds, views=self.views)
-        else:
-            ctx = InterpContext(self.program, snapshot,
-                                max_rounds=self.max_rounds)
-        self._built.append(ctx)
-        return ctx
+            return GraphContext(self.program, snapshot, self.compiled,
+                                max_rounds=self.max_rounds, views=self.views)
+        return InterpContext(self.program, snapshot, max_rounds=self.max_rounds)
 
     # --- message intake -----------------------------------------------------
     def deliver(self, mailbox: str, payload: Row):
@@ -251,7 +248,6 @@ class Transducer:
         commit of the eventual effects raises, every eventual handler whose
         statements ran."""
         boxes = self.state.mailboxes
-        self._built = []
         ctx = None
         if self._acts_when_idle or any(boxes.get(name)
                                        for name in self._context_readers):
@@ -276,8 +272,8 @@ class Transducer:
             exc.handlers = (h.name,) if h is not None else tuple(ran)
             raise
 
-        result.udf_invocations = sum(c.udf_invocations for c in self._built)
-        self._built.clear()
+        if ctx is not None:
+            result.udf_invocations += ctx.udf_invocations
         return result
 
     def _run_eventual(self, h: Handler, ctx, eff: Effects,
@@ -320,6 +316,7 @@ class Transducer:
             fctx = self._context(fork.snapshot())
             fctx.firing[h.name] = (msg,)
             self._run_stmts(h, (msg,), fctx, eff)
+            result.udf_invocations += fctx.udf_invocations
             eff.consumed.setdefault(h.name, []).append(msg)
             fork.commit(eff)
 
@@ -339,6 +336,7 @@ class Transducer:
                 self.state.commit(drop)
                 status, delta = REJECTED, None
                 # the check context saw the discarded fork
+                result.udf_invocations += ctx.udf_invocations
                 ctx = (self._context(self.state.snapshot())
                        if guarded and self.state.mailboxes.get(h.name)
                        else None)
@@ -346,6 +344,8 @@ class Transducer:
                 result.statuses[mid] = status
                 decisions.append((mid, delta))
             msg = self._next_request(h, ctx)
+            if ctx is not None:   # the check or fresh context is done
+                result.udf_invocations += ctx.udf_invocations
         if decisions:
             seq = self.applied.get(h.name, 0)
             self.applied[h.name] = seq + 1

@@ -643,7 +643,7 @@ def sequenced_scenario() -> dict:
 # sha256 of the trace of `sequenced_scenario`, which the demo's trace does
 # not cover: it has no serializable request
 SEQUENCED_TRACE_SHA256 = \
-    "ab40e083868d43429b6e149668d1da81bf5353d645efa6de88ac1efd6cc18dd8"
+    "01b7a88b24a40e64651cc809fa875f692a1754a94e664902272490d9723b2921"
 
 
 def test_the_sequenced_trace_is_byte_identical(tmp_path, capsys):

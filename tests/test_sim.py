@@ -5,6 +5,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from conftest import client_statuses
 
 from latticeflow.facets import make_topology, replication_plan
 from latticeflow.ir import (
@@ -477,12 +478,20 @@ def test_narrowed_proxy_retries_match_a_full_scan():
     assert all(kinds.values()), kinds
 
 
+def _carried(detail):
+    """What a traced message carries: a commit record's decided ids, or a
+    message's own id."""
+    if "message_ids" in detail:
+        return tuple(detail["message_ids"])
+    return detail["message_id"]
+
+
 def test_every_message_lost_to_a_crash_is_dropped_with_an_event():
     """Each message on the network to a node as it crashes, duplicates
     included, is removed with one `Dropped` event naming the node, the
-    mailbox and the message id; judged from the `Sent`, `Duplicated` and
-    `Crashed` events alone."""
-    dropped = 0
+    mailbox and the message id, or a commit record's decided ids; judged
+    from the `Sent`, `Duplicated` and `Crashed` events alone."""
+    dropped = records = 0
     for seed in range(12):
         cluster = _crash_and_recover_run(Cluster, seed)
         crashed_at = {}
@@ -492,7 +501,7 @@ def test_every_message_lost_to_a_crash_is_dropped_with_an_event():
                 crashed_at.setdefault(ev.node, []).append(ev.tick)
             elif ev.kind == "Dropped":
                 seen[ev.tick, ev.node, ev.detail["mailbox"],
-                     ev.detail["message_id"]] += 1
+                     _carried(ev.detail)] += 1
         for ev in cluster.trace:
             if ev.kind not in ("Sent", "Duplicated"):
                 continue
@@ -502,10 +511,11 @@ def test_every_message_lost_to_a_crash_is_dropped_with_an_event():
                     if ev.tick < t <= due][:1]
             for t in lost:
                 expected[t, dest, ev.detail["mailbox"],
-                         ev.detail["message_id"]] += 1
+                         _carried(ev.detail)] += 1
         assert seen == expected, seed
         dropped += sum(seen.values())
-    assert dropped
+        records += sum(isinstance(key[3], tuple) for key in seen)
+    assert dropped and records
 
 
 def _vaccinations_across_a_demotion(seed):
@@ -652,3 +662,64 @@ def test_a_request_rejected_before_the_crash_is_not_decided_again():
     # n02 at 15, the record, which names the rejection, at 16
     _assert_outran_its_record(_sequencer_crash_run(1, 13), "m000002",
                               "rejected")
+
+
+def test_no_request_is_decided_twice_while_every_worker_crashes():
+    """A schedule that at times crashes every worker sends orphans again
+    to nodes that rejoined empty after the decision; a recovered node
+    takes the ids that the records issued before it rejoined decided, so
+    each sequenced request is decided at most once."""
+    redecided = 0
+    for seed in range(40):
+        cluster = _crash_and_recover_run(_DecisionLog, seed)
+        decided = collections.Counter(d[2] for d in cluster.decisions)
+        assert all(n == 1 for n in decided.values()), seed
+        back = {}
+        for ev in cluster.trace:
+            if ev.kind == "Recovered":
+                back[ev.node] = ev.tick
+            elif ev.kind == "Deduplicated" and ev.node in back:
+                redecided += any(d[2] == ev.detail["message_id"]
+                                 and d[0] < back[ev.node]
+                                 for d in cluster.decisions)
+    # the schedules send a decided request to a node that rejoined since
+    assert redecided
+
+
+def test_a_request_decided_before_its_whole_group_crashed_is_not_decided_again():
+    """n01 accepts m000002 at tick 11 and crashes at 12, and n02 and n03
+    at 13, before the proxy hears the answer; the proxy sends m000002 to
+    n02, then to no live node, then again to n01 as it rejoins empty at
+    14. n01 takes it as decided: it is decided and answered once."""
+    program = covid_tracker(coordinated=True, vaccine_count=3).program
+    plan = replication_plan(program, make_topology())
+    cluster = _DecisionLog(program, plan.nodes, plan.groups,
+                           proxies=plan.proxies, seed=0,
+                           network=NetworkModel(1, 6, 0.0))
+    cluster.schedule_request(0, "c1", "add_person",
+                             {"pid": 1, "name": "a", "country": "x"})
+    mid = cluster.schedule_request(4, "c1", "vaccinate", {"pid": 1})
+    while not cluster.decisions:
+        cluster.step()
+    assert cluster.decisions == [(11, "n01", mid, "accepted")]
+    cluster.inject_failure(("dc0", "az0"))
+    cluster.step()
+    cluster.inject_failure(("dc0",))
+    cluster.step()
+    # traced once with no live node, the request waits unvisited until a
+    # recovery marks it again
+    proxy = cluster.proxy_state["proxy"]
+    assert mid in proxy.pending and not proxy.orphans
+    cluster.recover("n01")
+    assert proxy.orphans == {mid}
+    cluster.run_to_quiescence()
+    assert cluster.decisions == [(11, "n01", mid, "accepted")]
+    events = [(ev.tick, ev.kind, ev.node, ev.detail.get("dests"))
+              for ev in cluster.trace
+              if ev.kind in ("NoLiveReplica", "Retransmitted", "Deduplicated")
+              and ev.detail["message_id"] == mid]
+    assert events == [(12, "Retransmitted", "proxy", ["n02"]),
+                      (13, "NoLiveReplica", "proxy", None),
+                      (14, "Retransmitted", "proxy", ["n01"]),
+                      (17, "Deduplicated", "n01", None)]
+    assert client_statuses(cluster) == {mid: "accepted"}
