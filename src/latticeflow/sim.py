@@ -20,21 +20,25 @@ request whose group has no live node is traced as `NoLiveReplica`.
 
 Which node may decide a sequenced request is the node's own rule, and the
 deciding node issues the commit record (see `transducer`): a node decides
-only when its applied prefix equals the number of records issued for the
-handler, and then decides its whole backlog in one tick, which ships as
-one record of every accepted and rejected decision, so the count issued
-becomes one past that record's sequence number. The cluster posts the
-record to the other live replicas, which apply it without re-running the
-handler, and answers each client. A node that applies a record takes
-every request id it decided, so a retransmission of a decided request is
-traced as `Deduplicated` wherever it lands: on arrival if the record came
-first, or as the record applies if the retransmission outran it. A
-recovered node rejoins empty but for the log that the cluster still keeps
-in place of one that outlives a node: the count of records issued
-(`_commit_seq`) starts its applied prefix, and the request ids those
-records decided (`_decided`) start its taken ids, so a retransmission
-that reaches it after every replica that decided or applied the request
-has crashed is not decided again.
+only when it has applied every record of the handler's commit log, and
+then decides its whole backlog in one tick, which ships as one record of
+every accepted and rejected decision, appended to the log. The cluster
+posts the record to the other live replicas, which apply it without
+re-running the handler, and answers each client. A node that applies a
+record takes every request id it decided, so a retransmission of a
+decided request is traced as `Deduplicated` wherever it lands: on arrival
+if the record came first, or as the record applies if the retransmission
+outran it.
+
+The failure model: the commit log (`Cluster.log`, handler -> the records
+issued, in sequence order) is durable and outlives every node's crash,
+as a replicated log service would; every other piece of a node's state
+is lost when it crashes. A recovered node rejoins empty and replays the
+log, so it holds the sequenced state and the decided request ids of
+every record issued before it rejoined, and a retransmission that
+reaches it after every replica that decided or applied the request has
+crashed is not decided again. It holds none of the eventual data written
+before it rejoined.
 
 A tick's cost does not grow with the backlog of requests. Scheduled
 requests wait in a queue ordered by (tick, schedule order), and messages on
@@ -44,11 +48,12 @@ for a tick that has already run raises ValueError. Node and proxy ids are
 sorted once, since a recovery keeps its node's id. A proxy retransmits a
 request when every replica it was sent to has crashed since, recovered or
 not: a crash removes the crashed node from the recipients of each pending
-request and marks a request left with none as an orphan, and a proxy's
-tick retries only its orphans. A request forwarded to no live node is an
-orphan from the start. An orphan whose group has no live node leaves the
-proxy's orphans once that is traced, and a recovery marks it again, so a
-tick costs nothing for the requests waiting out an outage.
+request and marks a request that it leaves with none as an orphan, and a
+proxy's tick retries only its orphans. A request forwarded to no live
+node is an orphan from the start. An orphan whose group has no live node
+leaves the proxy's orphans once that is traced, and only a recovery of a
+node of its group marks it again, so a tick costs nothing for the
+requests waiting out an outage.
 """
 
 from __future__ import annotations
@@ -135,7 +140,7 @@ class _ProxyState:
         self.inbox: list = []
         self.seen_requests: set = set()
         self.seen_responses: set = set()
-        self.pending: dict = {}  # mid -> {"mailbox", "payload", "dests", "dead_logged"};
+        self.pending: dict = {}  # mid -> {"mailbox", "payload", "dests"};
                                  # dests: the recipients that have not crashed since
         self.orphans: set = set()  # mids in `pending` to retry: their dests are empty
 
@@ -156,8 +161,8 @@ class Cluster:
         self.groups = {h: list(ids) for h, ids in groups.items()}
         self.proxies = dict(proxies or {})
         self.specs = {s.node_id: s for s in nodes}
-        self._commit_seq: dict = {}          # handler -> commit records issued
-        self._decided: set = set()           # request ids those records decided
+        self.log: dict = {}                  # handler -> commit records issued,
+                                             # in sequence order; outlives crashes
         self.nodes: dict = {}
         self.proxy_state: dict = {}
         for s in nodes:
@@ -196,10 +201,10 @@ class Cluster:
             self._trace_file = None
 
     def _worker(self, spec: NodeSpec) -> Transducer:
-        """A worker node; its applied prefix starts at the records issued
-        so far (see `transducer.Transducer`)."""
+        """A worker node on the cluster's commit log; it replays the records
+        issued so far (see `transducer.Transducer`)."""
         return Transducer(self.program, role=spec.role, backend=self.backend,
-                          max_rounds=self.max_rounds, issued=self._commit_seq)
+                          max_rounds=self.max_rounds, log=self.log)
 
     def new_message_id(self) -> str:
         self._mid += 1
@@ -239,9 +244,11 @@ class Cluster:
         if not matched:
             raise KeyError(f"no node under failure domain {prefix!r}")
         for st in self.proxy_state.values():
-            for entry in st.pending.values():
-                entry["dests"] = [d for d in entry["dests"] if self.alive[d]]
-            st.orphans.update(m for m, e in st.pending.items() if not e["dests"])
+            for mid, entry in st.pending.items():
+                if entry["dests"]:
+                    entry["dests"] = [d for d in entry["dests"] if self.alive[d]]
+                    if not entry["dests"]:
+                        st.orphans.add(mid)
         # in-flight messages to crashed nodes are lost, each with an event;
         # a sorted list is a heap
         kept = []
@@ -260,19 +267,19 @@ class Cluster:
         self.pending_failures.append((tick, tuple(domain_prefix)))
 
     def recover(self, node_id: str):
-        """Crash-stop recovery: the node rejoins with empty state, takes
-        the request ids decided so far, and applies only the commit records
-        issued from now on. Every proxy marks again the requests it holds
-        with no live recipient."""
+        """Crash-stop recovery: the node rejoins with empty state but for
+        the commit log, which it replays (see `_worker`). Every proxy marks
+        again the requests it holds with no live recipient whose group holds
+        the node."""
         spec = self.specs[node_id]
         if spec.behavior == "proxy":
             self.proxy_state[node_id] = _ProxyState()
         else:
             self.nodes[node_id] = self._worker(spec)
-            self.nodes[node_id].taken = set(self._decided)
         self.alive[node_id] = True
         for st in self.proxy_state.values():
-            st.orphans.update(m for m, e in st.pending.items() if not e["dests"])
+            st.orphans.update(m for m, e in st.pending.items() if not e["dests"]
+                              and node_id in self.groups.get(e["mailbox"], ()))
         self._emit("Recovered", node_id, domain=list(spec.domain))
 
     # --- message routing ----------------------------------------------------
@@ -457,7 +464,7 @@ class Cluster:
                 for dest in dests:
                     self._post(dest, mailbox, payload)
                 st.pending[mid] = {"mailbox": mailbox, "payload": payload,
-                                   "dests": dests, "dead_logged": False}
+                                   "dests": dests}
                 if not dests:
                     st.orphans.add(mid)
             else:  # a reply
@@ -473,42 +480,34 @@ class Cluster:
 
     def _proxy_retry(self, nid: str) -> bool:
         """Retransmit the orphans of proxy `nid`: the pending requests
-        whose every recipient has crashed since it was sent."""
+        whose every recipient has crashed since it was sent. True if it
+        had any, since each emits an event."""
         st = self.proxy_state[nid]
-        active = False
-        for mid in sorted(st.orphans):
-            if self._retry_entry(nid, mid, st.pending[mid]):
-                active = True
-        return active
+        orphans = sorted(st.orphans)
+        for mid in orphans:
+            self._retry_entry(nid, mid, st.pending[mid])
+        return bool(orphans)
 
-    def _retry_entry(self, nid: str, mid: str, entry: dict) -> bool:
+    def _retry_entry(self, nid: str, mid: str, entry: dict):
         """Send orphan `mid` of proxy `nid` to its group again, or trace
-        once that the group has no live node; either way `mid` leaves the
-        orphans, until a recovery marks it again. True if that emitted
-        anything."""
+        that the group has no live node; either way `mid` leaves the
+        orphans, until a crash or a recovery marks it again."""
         self.proxy_state[nid].orphans.discard(mid)
         dests = self._group_dests(self.routes[entry["mailbox"]])
         if not dests:
-            if entry["dead_logged"]:
-                return False
-            entry["dead_logged"] = True
             self._emit("NoLiveReplica", nid, mailbox=entry["mailbox"],
                        message_id=mid)
-            return True
+            return
         for dest in dests:
             self._post(dest, entry["mailbox"], entry["payload"])
         entry["dests"] = dests
-        entry["dead_logged"] = False
         self._emit("Retransmitted", nid, mailbox=entry["mailbox"],
                    message_id=mid, dests=list(dests))
-        return True
 
     def _serial_results(self, nid: str, result):
         """Post each commit record that node `nid` issued to the other live
         replicas, and answer the requests it decided, in decision order."""
         for handler, record in sorted(result.records.items()):
-            self._commit_seq[handler] = record[ORDERED] + 1
-            self._decided.update(mid for mid, _ in record[EFFECTS])
             for backup in self.live_group(handler):
                 if backup != nid:
                     self._post(backup, handler, record)

@@ -33,27 +33,29 @@ with the node, since commit and deliver replace, and never mutate, one (see
 leaves the node's other tables the same objects, and a rejected one leaves
 every table so.
 
-Under a cluster a node keeps, for each serializable handler, its applied
-prefix (`applied`): the commit records it has applied or issued. A node
-that decides a batch issues one record for it: it takes its prefix as
-the record's sequence number and advances the prefix. The record lists
-the batch's decisions in decision order, the `state.Delta` each accepted
-request committed and None for each rejected one, so backups learn
-rejections too. `apply_record` commits the records in sequence order,
-holds one that arrives early, drops one below the prefix, and builds no
-fork, context, guard or invariant check, and needs no tick. The node
-decides only when its applied prefix equals `issued`, the count of
-records issued for the handler, and this gate alone decides which node
+A node keeps, for each serializable handler, a commit log (`log`): the
+records issued for the handler, in sequence order. Under a cluster every
+node shares the cluster's log, which outlives their crashes; a node that
+stands alone keeps its own. A node's applied prefix (`applied`) counts
+the records of the log it has applied or issued. A node that decides a
+batch issues one record for it: it takes its prefix as the record's
+sequence number, appends the record to the log and advances the prefix.
+The record lists the batch's decisions in decision order, the
+`state.Delta` each accepted request committed and None for each
+rejected one, so backups learn rejections too. `apply_record` commits
+the log from the applied prefix through the record it is given, so a
+record that arrives early fills the gap from the log and one below the
+prefix applies nothing; it builds no fork, context, guard or invariant
+check, and needs no tick. The node decides only when its applied prefix
+equals the length of the log, and this gate alone decides which node
 may decide; it is checked once a tick, in `_run_request`, so a tick of
-eventual handlers pays nothing for it. A node starts its prefix at the
-count issued when it is built, so a recovered node applies only the
-records issued after it rejoined. A node takes each sequenced request's
-message id once (`take_request`), and takes every id that a record it
-applies decided, so it decides no request that another node decided
-before: a pending copy of a decided request, a retransmission that
-outran the record, leaves the mailbox as the record applies. A
-recovered node learns the ids decided before it rejoined from its owner
-(`sim.Cluster.recover` sets `taken`).
+eventual handlers pays nothing for it. A node built on a non-empty log
+replays it, so a recovered node starts from every decision made before
+it rejoined. A node takes each sequenced request's message id once
+(`take_request`), and takes every id that a record it applies decided,
+so it decides no request that another node decided before: a pending
+copy of a decided request, a retransmission that outran the record,
+leaves the mailbox as the record applies.
 
 An eventual handler with no eligible message is skipped when none of its
 desugared statements can act on an empty mailbox (see `_inert_when_empty`),
@@ -121,10 +123,12 @@ class Transducer:
 
     def __init__(self, program: Program, role: str = "main",
                  backend: str = "graph", max_rounds: int = 10000,
-                 issued=None):
-        """`issued`: serializable handler -> commit records issued for it so
-        far, a dict its owner keeps counting; None for a node that stands
-        alone, which decides without waiting for records."""
+                 log=None):
+        """`log`: serializable handler -> the commit records issued for it,
+        in sequence order, a dict shared by every node of a cluster and kept
+        by its owner across crashes; a node that stands alone keeps its
+        own. A node built on a non-empty log replays it (`apply_record`)
+        before it serves."""
         if backend not in ("graph", "interp"):
             raise ValueError(f"unknown backend {backend!r}")
         self.program = program
@@ -153,12 +157,14 @@ class Transducer:
             or self.prepared[h.name].guard is not None)
         self.compiled = compile_queries(program) if backend == "graph" else None
         self.views: dict = {}     # recursive query results kept between ticks
-        self.issued = issued
-        # serializable handler -> its applied prefix: the records applied or
-        # issued here, starting from the count issued as the node starts
-        self.applied: dict = dict(issued or {})
-        self.held: dict = {}      # handler -> {seq: record} past the prefix
+        self.log: dict = {} if log is None else log
+        # serializable handler -> its applied prefix: the records of the log
+        # applied or issued here
+        self.applied: dict = {}
         self.taken: set = set()   # message ids of the sequenced requests taken
+        for h in self.serializable:
+            if self.log.setdefault(h.name, []):
+                self.apply_record(h.name, self.log[h.name][-1])
 
     # --- context construction -----------------------------------------------
     def _context(self, snapshot):
@@ -186,29 +192,24 @@ class Transducer:
         return True
 
     def apply_record(self, handler: str, record: Row) -> tuple:
-        """Take commit record `record` of serializable `handler` and commit,
-        in sequence order, every record that the applied prefix now reaches.
-        A record below the prefix is a duplicate, dropped; one past it waits
-        in `held`. No context is built and no guard or invariant runs: the
-        record carries the sequencer's decisions. Every decided id is taken,
-        and a pending copy of a decided request leaves the mailbox. Returns
-        the records applied and the message ids of the copies removed."""
+        """Commit the records of `handler`'s log from the applied prefix
+        through `record`, so one that arrives early fills the gap from the
+        log and one below the prefix, a duplicate, applies nothing. No
+        context is built and no guard or invariant runs: the records carry
+        the sequencer's decisions. Every decided id is taken, and a pending
+        copy of a decided request leaves the mailbox. Returns the records
+        applied and the message ids of the copies removed."""
         done = self.applied.get(handler, 0)
-        seq = record[ORDERED]
-        if seq < done:
+        applied = self.log[handler][done:record[ORDERED] + 1]
+        if not applied:
             return [], []
-        held = self.held.setdefault(handler, {})
-        held[seq] = record
-        applied, decided = [], set()
-        while done in held:
-            record = held.pop(done)
-            for mid, delta in record[EFFECTS]:
+        decided = set()
+        for rec in applied:
+            for mid, delta in rec[EFFECTS]:
                 if delta is not None:
                     self.state.commit(delta)
                 decided.add(mid)
-            applied.append(record)
-            done += 1
-        self.applied[handler] = done
+        self.applied[handler] = done + len(applied)
         self.taken |= decided
         pending = self.state.mailboxes[handler]
         self.state.mailboxes[handler] = [m for m in pending
@@ -298,12 +299,12 @@ class Transducer:
         the guard; it is None only if `h` has no guard or no pending
         message.
 
-        Under a cluster the node decides only once its applied prefix
-        equals the records issued for `h`, so no decision reads a state
-        that misses one already made. The batch's commit record takes the
-        prefix as its sequence number and advances it."""
-        if (self.issued is not None
-                and self.applied.get(h.name, 0) != self.issued.get(h.name, 0)):
+        The node decides only once it has applied every record of `h`'s
+        log, so no decision reads a state that misses one already made.
+        The batch's commit record takes the prefix as its sequence number,
+        joins the log and advances the prefix."""
+        log = self.log[h.name]
+        if self.applied.get(h.name, 0) != len(log):
             return
         guarded = self.prepared[h.name].guard is not None
         msg = self._next_request(h, ctx)
@@ -347,9 +348,10 @@ class Transducer:
             if ctx is not None:   # the check or fresh context is done
                 result.udf_invocations += ctx.udf_invocations
         if decisions:
-            seq = self.applied.get(h.name, 0)
-            self.applied[h.name] = seq + 1
-            result.records[h.name] = commit_record(seq, tuple(decisions))
+            record = commit_record(len(log), tuple(decisions))
+            log.append(record)
+            self.applied[h.name] = len(log)
+            result.records[h.name] = record
 
     # --- statement execution ------------------------------------------------
     def _run_stmts(self, h: Handler, msgs, ctx, eff: Effects):

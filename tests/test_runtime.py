@@ -737,15 +737,20 @@ def test_a_guarded_request_stops_the_guard_at_the_first_pass(backend):
 
 @pytest.mark.parametrize("backend", ["graph", "interp"])
 def test_a_backup_applies_a_commit_record_without_a_context(backend):
-    """Each of the sequencer's ticks yields a commit record of its
-    decisions: the committed effects of an accepted request, None for a
-    rejected one. A backup commits the records in sequence order, with no
-    context, guard or invariant, even where its own state would reject the
-    request (it has no row for the person), and drops a duplicate. It takes
-    every decided id, the rejected one too, and a pending copy of a decided
-    request leaves its mailbox as the record applies."""
+    """Each of the sequencer's ticks appends a commit record of its
+    decisions to the log it shares with the backup: the committed effects
+    of an accepted request, None for a rejected one. A backup commits the
+    log through each record it is given, with no context, guard or
+    invariant, even where its own state would reject the request (it has
+    no row for the person): a record that arrives early fills the gap from
+    the log, and a late or duplicate one applies nothing. It takes every
+    decided id, the rejected one too, and a pending copy of a decided
+    request leaves its mailbox as the record applies. A node built on the
+    log once it holds every record replays it and ends in the same state."""
     program = covid_program(coordinated=True, vaccine_count=2)
-    sequencer = Transducer(program, backend=backend)
+    log = {}
+    sequencer = Transducer(program, backend=backend, log=log)
+    backup = CountingTransducer(program, backend=backend, log=log)
     sequencer.deliver("add_person", request(0, pid=1, name="ana", country="ar"))
     sequencer.tick()
     records = []
@@ -754,26 +759,29 @@ def test_a_backup_applies_a_commit_record_without_a_context(backend):
         result = sequencer.tick()
         assert result.statuses == {f"m{i}": status}
         records.append(result.records["vaccinate"])
+    assert log == {"vaccinate": records}
     assert [r[ORDERED] for r in records] == [0, 1, 2]
     assert records[2][EFFECTS] == (("m3", None),)
-    backup = CountingTransducer(program, backend=backend)
     # a retransmission of m2 that outran the record of its decision
     assert backup.take_request("vaccinate", request(2, pid=1))
-    assert backup.apply_record("vaccinate", records[1]) == ([], [])
-    assert backup.held == {"vaccinate": {1: records[1]}}
-    assert backup.apply_record("vaccinate", records[0]) == \
+    assert backup.apply_record("vaccinate", records[1]) == \
         (records[:2], ["m2"])
+    assert backup.apply_record("vaccinate", records[0]) == ([], [])
     assert backup.apply_record("vaccinate", records[2]) == (records[2:], [])
     assert backup.apply_record("vaccinate", records[0]) == ([], [])
     assert backup.taken == {"m1", "m2", "m3"}
     assert not backup.take_request("vaccinate", request(3, pid=1))
-    assert (backup.contexts, backup.applied, backup.held) == \
-        (0, {"vaccinate": 3}, {"vaccinate": {}})
+    assert (backup.contexts, backup.applied) == (0, {"vaccinate": 3})
     assert backup.state.vars["vaccine_count"] == 0
     assert backup.state.tables["people"] == {
         (1,): Row(pid=1, name=None, country=None, contacts=frozenset(),
                   diagnosed=False, vaccinated=True, likelihood=INT_MIN)}
     assert not backup.has_pending_input()
+    late = CountingTransducer(program, backend=backend, log=log)
+    assert (late.contexts, late.applied, late.taken) == \
+        (0, {"vaccinate": 3}, {"m1", "m2", "m3"})
+    assert late.state.vars == backup.state.vars
+    assert late.state.tables == backup.state.tables
 
 
 def test_a_failing_tick_names_the_handlers_it_is_blamed_on():

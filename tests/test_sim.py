@@ -9,8 +9,8 @@ from conftest import client_statuses
 
 from latticeflow.facets import make_topology, replication_plan
 from latticeflow.ir import (
-    MESSAGE_ID, AvailSpec, DataDecl, Handler, MergeMutation, Program,
-    TargetPath, Var,
+    EFFECTS, MESSAGE_ID, ORDERED, AvailSpec, DataDecl, Handler, MergeMutation,
+    Program, TargetPath, Var,
 )
 from latticeflow.patterns import covid_tracker, covid_workload, run_workload
 from latticeflow.runtime import compile_queries
@@ -19,6 +19,7 @@ from latticeflow.sim import (
     Cluster, NetworkModel, NoQuiescence, domain_prefix_matches, trace_text,
 )
 from latticeflow.state import FixpointDivergence, Row
+from latticeflow.transducer import Transducer
 
 
 def covid_cluster(seed, network=None, dup=0.0):
@@ -175,9 +176,10 @@ def vaccinations(cluster, tick, count):
 
 
 def test_a_recovered_node_applies_the_records_issued_after_it_rejoined():
-    """A recovered node starts its applied prefix at the records issued as
-    it rejoins, so it applies the later ones and ends at the sequencer's
-    stock, though it missed the person and the doses given before."""
+    """A recovered node replays the commit log as it rejoins, so it holds
+    the stock and the ids of the two doses given before, and of the person
+    only the field those records wrote; it then applies the records issued
+    after it rejoined and ends at the sequencer's stock."""
     pat = covid_tracker(coordinated=True, vaccine_count=5)
     cluster = build_scenario_cluster(
         Scenario(pat.program, seed=1, network=NetworkModel(1, 3, 0.0)))
@@ -189,12 +191,16 @@ def test_a_recovered_node_applies_the_records_issued_after_it_rejoined():
     vaccinations(cluster, cluster.tick, 1)
     cluster.run_to_quiescence()
     cluster.recover("n03")
-    assert cluster.nodes["n03"].applied == {"vaccinate": 2}
+    node = cluster.nodes["n03"]
+    assert node.applied == {"vaccinate": 2}
+    assert node.taken == {"m000002", "m000003"}
+    assert node.state.vars["vaccine_count"] == 3
+    person = node.state.tables["people"][(1,)]
+    assert (person["name"], person["vaccinated"]) == (None, True)
     vaccinations(cluster, cluster.tick, 2)
     cluster.run_to_quiescence()
-    node = cluster.nodes["n03"]
     assert node.applied == cluster.nodes["n01"].applied == {"vaccinate": 4}
-    assert not any(node.held.values())
+    assert len(cluster.log["vaccinate"]) == 4
     assert [cluster.nodes[n].state.vars["vaccine_count"]
             for n in ("n01", "n02", "n03")] == [1, 1, 1]
     assert node.state.tables["people"][(1,)]["vaccinated"] is True
@@ -202,8 +208,9 @@ def test_a_recovered_node_applies_the_records_issued_after_it_rejoined():
 
 def test_no_commit_record_is_held_after_quiescence():
     """Every message is duplicated, so every record reaches each backup
-    twice; the copy below the applied prefix is dropped, not held, and
-    leaves no trace event."""
+    twice; the copy below the applied prefix applies nothing and leaves no
+    trace event. A node built on the log afterwards replays it to the
+    replicas' stock."""
     pat = covid_tracker(coordinated=True, vaccine_count=3)
     cluster = build_scenario_cluster(
         Scenario(pat.program, seed=2, network=NetworkModel(1, 6, 1.0)))
@@ -212,20 +219,24 @@ def test_no_commit_record_is_held_after_quiescence():
                                  {"pid": pid, "name": "a", "country": "x"})
     vaccinations(cluster, 4, 5)
     cluster.run_to_quiescence()
-    assert cluster._commit_seq == {"vaccinate": 3}
+    assert [r[ORDERED] for r in cluster.log["vaccinate"]] == [0, 1, 2]
     ordered = [ev.detail["ordered"] for ev in cluster.trace
                if ev.kind == "Delivered" and "ordered" in ev.detail]
     assert sorted(ordered) == [0, 0, 1, 1, 2, 2]
     for node in cluster.nodes.values():
         assert node.applied == {"vaccinate": 3}
-        assert not any(node.held.values())
+        assert node.state.vars["vaccine_count"] == 0
+    replayed = Transducer(pat.program, log=cluster.log)
+    assert replayed.applied == {"vaccinate": 3}
+    assert replayed.state.vars["vaccine_count"] == 0
 
 
 def test_the_issued_count_follows_a_batch_decided_out_of_id_order():
     """Two requests whose ids sort against their arrival order reach the
     sequencer n01 in one tick, which decides both in one record that names
-    them in decision order; the count of records issued follows n01's
-    applied prefix, so its gate reopens for the third request."""
+    them in decision order; the log's length, the count of records issued,
+    follows n01's applied prefix, so its gate reopens for the third
+    request."""
     pat = covid_tracker(coordinated=True, vaccine_count=5)
     cluster = build_scenario_cluster(
         Scenario(pat.program, seed=0, network=NetworkModel(1, 1, 0.0)))
@@ -238,8 +249,10 @@ def test_the_issued_count_follows_a_batch_decided_out_of_id_order():
                              message_id="c")
     while cluster.tick < 40:
         cluster.step()
-        assert cluster._commit_seq.get("vaccinate", 0) == \
+        assert len(cluster.log["vaccinate"]) == \
             cluster.nodes["n01"].applied.get("vaccinate", 0)
+    assert [[mid for mid, _ in r[EFFECTS]]
+            for r in cluster.log["vaccinate"]] == [["b", "a"], ["c"]]
     ordered = [(ev.detail["ordered"], ev.detail["message_ids"])
                for ev in cluster.trace
                if ev.kind == "Delivered" and ev.node == "n02"
@@ -401,7 +414,9 @@ class _FullScanCluster(Cluster):
     """Checks every pending request on every tick, as the proxy once did:
     each node has an incarnation number that every crash bumps, each entry
     keeps the incarnation each recipient had when the proxy sent it, and an
-    entry is retried when no recipient is up in that incarnation."""
+    entry is retried when no recipient is up in that incarnation. An entry
+    whose group has no live node is traced once, until a node of its group
+    recovers."""
 
     def __init__(self, *args, **kw):
         super().__init__(*args, **kw)
@@ -427,8 +442,12 @@ class _FullScanCluster(Cluster):
             if any(self.alive[d] and self.incarnation[d] == inc
                    for d, inc in entry["addressed"]):
                 continue
-            if self._retry_entry(nid, mid, entry):
-                active = True
+            lost = not self.live_group(entry["mailbox"])
+            if lost and entry.get("lost_traced"):
+                continue
+            self._retry_entry(nid, mid, entry)
+            entry["lost_traced"] = lost
+            active = True
             self._addressed(entry)
         return active
 
@@ -518,15 +537,16 @@ def test_every_message_lost_to_a_crash_is_dropped_with_an_event():
     assert dropped and records
 
 
-def _vaccinations_across_a_demotion(seed):
+def _vaccinations_across_a_demotion(seed, cls=Cluster):
     """Twenty vaccinations against three doses, while one zone's node
-    crashes and recovers; returns the cluster and that node's id. When the
-    node is the sequencer, the replica promoted in its place still holds
-    requests as the recovered node takes the role back."""
+    crashes and recovers, on a cluster of class `cls`; returns the cluster
+    and that node's id. When the node is the sequencer, the replica
+    promoted in its place still holds requests as the recovered node takes
+    the role back."""
     rng = random.Random(seed)
     program = covid_tracker(coordinated=True, vaccine_count=3).program
     plan = replication_plan(program, make_topology())
-    cluster = Cluster(program, plan.nodes, plan.groups, proxies=plan.proxies,
+    cluster = cls(program, plan.nodes, plan.groups, proxies=plan.proxies,
                       seed=seed, network=NetworkModel(1, 6, 0.2))
     for pid in range(3):
         cluster.schedule_request(0, "c1", "add_person",
@@ -553,9 +573,23 @@ def _vaccinations_across_a_demotion(seed):
     return cluster, victim
 
 
+def _assert_stock_kept(cluster, stock):
+    """The clients heard at most `stock` doses accepted, and every live
+    replica holds one `vaccine_count`."""
+    accepted = sum(cluster.request_payload[mid][0] == "vaccinate"
+                   and payload["status"] == "accepted"
+                   for box in cluster.responses.values()
+                   for mid, payload in box.items())
+    assert accepted <= stock
+    assert len({node.state.vars["vaccine_count"]
+                for nid, node in cluster.nodes.items()
+                if cluster.alive[nid]}) == 1
+
+
 def _assert_answered_and_agreed(cluster, victim):
-    """Each request has one fresh response, no request two statuses, and
-    the replicas that never crashed the same state."""
+    """Each request has one fresh response, no request two statuses, the
+    replicas that never crashed the same state, at most the three doses in
+    stock accepted and one stock on every live replica."""
     fresh, statuses = {}, {}
     for _tick, _client, mid, payload, is_fresh in cluster.response_log:
         fresh[mid] = fresh.get(mid, 0) + is_fresh
@@ -565,6 +599,7 @@ def _assert_answered_and_agreed(cluster, victim):
     assert all(len(s) == 1 for s in statuses.values())
     a, b = sorted(n for n in cluster.nodes if n != victim)
     assert cluster.node_state(a) == cluster.node_state(b)
+    _assert_stock_kept(cluster, 3)
 
 
 @pytest.mark.parametrize("seed", [16, 21, 28])
@@ -586,6 +621,27 @@ def test_a_demoted_sequencer_s_decisions_are_answered_and_shipped(seed):
 def test_every_crash_and_recovery_leaves_each_request_answered():
     for seed in range(100):
         _assert_answered_and_agreed(*_vaccinations_across_a_demotion(seed))
+
+
+def test_a_recovered_sequencer_decides_on_the_stock_it_replayed():
+    """At seed 4 the sequencer n01 is down from tick 9 to 12 while n02,
+    promoted, accepts the three doses in stock. n01 rejoins holding the
+    two records issued meanwhile, replayed from the commit log, and
+    applies the later ones as they arrive. It takes the role back and
+    decides the last eight requests and rejects them all; a node that
+    rejoined with the initial stock would accept three more."""
+    cluster, victim = _vaccinations_across_a_demotion(4, _DecisionLog)
+    assert victim == "n01"
+    assert [(ev.tick, ev.kind) for ev in cluster.trace
+            if ev.kind in ("Crashed", "Recovered")] == [(9, "Crashed"),
+                                                        (12, "Recovered")]
+    assert [ev.detail["ordered"] for ev in cluster.trace
+            if ev.kind == "Delivered" and ev.node == "n01"
+            and "ordered" in ev.detail] == [2, 3, 4, 5, 6]
+    assert collections.Counter((d[1], d[3]) for d in cluster.decisions) == {
+        ("n02", "accepted"): 3, ("n02", "rejected"): 9,
+        ("n01", "rejected"): 8}
+    _assert_answered_and_agreed(cluster, victim)
 
 
 class _DecisionLog(Cluster):
@@ -667,13 +723,16 @@ def test_a_request_rejected_before_the_crash_is_not_decided_again():
 def test_no_request_is_decided_twice_while_every_worker_crashes():
     """A schedule that at times crashes every worker sends orphans again
     to nodes that rejoined empty after the decision; a recovered node
-    takes the ids that the records issued before it rejoined decided, so
-    each sequenced request is decided at most once."""
+    replays the commit log, so it takes the ids that the records issued
+    before it rejoined decided, and each sequenced request is decided at
+    most once; nor are more than the four doses in stock accepted, and the
+    replicas hold one stock."""
     redecided = 0
     for seed in range(40):
         cluster = _crash_and_recover_run(_DecisionLog, seed)
         decided = collections.Counter(d[2] for d in cluster.decisions)
         assert all(n == 1 for n in decided.values()), seed
+        _assert_stock_kept(cluster, 4)
         back = {}
         for ev in cluster.trace:
             if ev.kind == "Recovered":
@@ -689,8 +748,9 @@ def test_no_request_is_decided_twice_while_every_worker_crashes():
 def test_a_request_decided_before_its_whole_group_crashed_is_not_decided_again():
     """n01 accepts m000002 at tick 11 and crashes at 12, and n02 and n03
     at 13, before the proxy hears the answer; the proxy sends m000002 to
-    n02, then to no live node, then again to n01 as it rejoins empty at
-    14. n01 takes it as decided: it is decided and answered once."""
+    n02, then to no live node, then again to n01 as it rejoins at 14.
+    n01 replayed the commit log as it rejoined and takes the request as
+    decided: it is decided and answered once."""
     program = covid_tracker(coordinated=True, vaccine_count=3).program
     plan = replication_plan(program, make_topology())
     cluster = _DecisionLog(program, plan.nodes, plan.groups,
