@@ -119,17 +119,11 @@ class EvalContext:
         return result
 
 
-# the values that `_order_key` and `iter_source` test by type before they
-# test for a `Row`: it is a `Mapping`, and an ABC instance check that misses
-# costs far more than a type test
-_NOT_ROWS = frozenset((bool, int, str, tuple, frozenset))
-
-
 def _order_key(v):
     t = type(v)
     if t is int or t is str or t is bool:
         return scalar_key(v)
-    if t not in _NOT_ROWS and isinstance(v, Row):
+    if isinstance(v, Row):
         return (6, tuple((k, _order_key(x)) for k, x in sorted(v.items())))
     if isinstance(v, frozenset):
         return (5, tuple(sorted([_order_key(x) for x in v])))
@@ -144,7 +138,7 @@ def iter_source(value) -> Iterable:
     """Iterate a generator source value; MISSING yields nothing."""
     if value is MISSING:
         return ()
-    if type(value) not in _NOT_ROWS and isinstance(value, Row):
+    if isinstance(value, Row):
         return (value,)
     if isinstance(value, frozenset):
         return sorted(value, key=_order_key)

@@ -6,7 +6,11 @@ against a snapshot. State is persistent at container granularity: commit
 and deliver replace a table dict or a mailbox list, and never mutate one
 that a snapshot or fork may hold. Commit copies a table dict at most once,
 the first time it writes it. So a snapshot or fork copies only the outer
-dicts of tables, vars and mailboxes; rows are frozen mappings and shared.
+dicts of tables, vars and mailboxes; rows are shared.
+
+A `Row` is every table row, message and commit record: a `dict` that
+refuses mutation, so its reads are dict's own, hashed once at
+construction, and equal only to another `Row`.
 
 A `Delta` is the frozen state part of a tick's `Effects`: the merges,
 assigns and deletes, without the consumed messages and the sends. It is
@@ -42,53 +46,53 @@ class BindError(TypeError):
     """A tuple binder met an item that is not one value per name."""
 
 
-class Row(Mapping):
-    """Immutable, hashable field mapping used for table rows and messages."""
+def _frozen(self, *args, **kw):
+    raise TypeError("a Row is immutable; build another with Row(...) or "
+                    ".updated(...)")
 
-    __slots__ = ("_items", "_map", "_hash")
+
+class Row(dict):
+    """An immutable, hashable table row, message or commit record.
+
+    A `dict` that refuses mutation: reads are dict's own methods, and every
+    mutator raises `TypeError`. The hash is computed once, at construction,
+    as ``hash(tuple(sorted(items)))``, so a value that is not hashable is
+    refused there. A Row equals only a Row: it never compares equal to a
+    plain dict with the same items."""
+
+    __slots__ = ("_hash",)
 
     def __init__(self, fields=(), **kw):
-        if isinstance(fields, Mapping):
-            fields = fields.items()
-        m = dict(fields)
-        m.update(kw)
-        self._items = tuple(sorted(m.items()))
-        self._map = m
-        self._hash = hash(self._items)
+        dict.__init__(self, fields, **kw)
+        self._hash = hash(tuple(sorted(self.items())))
 
-    def __getitem__(self, key):
-        return self._map[key]
-
-    def __iter__(self):
-        return iter(self._map)
-
-    def __len__(self):
-        return len(self._map)
-
-    def __contains__(self, key):
-        # Mapping.__contains__ would raise and catch a KeyError for a miss
-        return key in self._map
-
-    def get(self, key, default=None):
-        # Mapping.get would go through __getitem__ and a try per call
-        return self._map.get(key, default)
+    __setitem__ = __delitem__ = __ior__ = _frozen
+    update = pop = popitem = setdefault = clear = _frozen
 
     def __hash__(self):
         return self._hash
 
     def __eq__(self, other):
         if isinstance(other, Row):
-            return self._items == other._items
-        return NotImplemented
+            return dict.__eq__(self, other)
+        # dict.__eq__ would find a plain dict with the same items equal
+        return False if isinstance(other, dict) else NotImplemented
+
+    def __ne__(self, other):
+        if isinstance(other, Row):
+            return dict.__ne__(self, other)
+        return True if isinstance(other, dict) else NotImplemented
+
+    def __reduce__(self):
+        # a dict subclass's default refills the copy through __setitem__
+        return Row, (dict(self),)
 
     def __repr__(self):
-        inner = ", ".join(f"{k}={v!r}" for k, v in self._items)
+        inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self.items()))
         return f"Row({inner})"
 
     def updated(self, **kw) -> "Row":
-        m = dict(self._map)
-        m.update(kw)
-        return Row(m)
+        return Row(self, **kw)
 
 
 def _bottoms(cls: ClassDecl) -> dict:

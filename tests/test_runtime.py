@@ -1,7 +1,10 @@
 """Single-node execution: backends, fixpoints, tick atomicity."""
 
 import collections
+import collections.abc
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -490,6 +493,58 @@ def test_serializable_reject_leaves_state_untouched():
     assert r.statuses == {"m0": "rejected"}
     assert t.state.vars["n"] == 1
     assert not t.has_pending_input()
+
+
+# --- rows ------------------------------------------------------------------------
+
+def test_row_reads_are_dicts_own():
+    for name in ("get", "__getitem__", "__contains__", "__iter__", "__len__",
+                 "items"):
+        assert getattr(Row, name) is getattr(dict, name), name
+    assert isinstance(Row(a=1), collections.abc.Mapping)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda r: r.__setitem__("a", 2), lambda r: r.__delitem__("a"),
+    lambda r: r.update(a=2), lambda r: r.pop("a"), lambda r: r.popitem(),
+    lambda r: r.setdefault("c", 3), lambda r: r.clear(),
+    lambda r: r.__ior__({"a": 2}),
+], ids=["setitem", "delitem", "update", "pop", "popitem", "setdefault",
+        "clear", "ior"])
+def test_row_refuses_every_mutator(mutate):
+    r = Row(a=1, b=2)
+    with pytest.raises(TypeError):
+        mutate(r)
+    assert r == Row(a=1, b=2) and list(r.items()) == [("a", 1), ("b", 2)]
+    assert hash(r) == hash(Row(a=1, b=2))
+
+
+def test_row_equals_only_a_row():
+    r, d = Row(a=1), {"a": 1}
+    assert r != d and d != r
+    assert not r == d and not d == r
+    assert r == Row(a=1) and not r != Row(a=1)
+    assert r != Row(a=2) and not r == Row(a=2)
+
+
+def test_row_hash_is_the_sorted_items_hash():
+    r = Row(b=frozenset({1}), a=(1, "x"), c=None)
+    assert hash(r) == hash(tuple(sorted(r.items())))
+    with pytest.raises(TypeError):
+        Row(x=[1])
+
+
+def test_row_survives_copy_and_pickle():
+    r = Row(a=1, b=Row(c=frozenset({2})))
+    for other in (copy.copy(r), copy.deepcopy(r),
+                  pickle.loads(pickle.dumps(r))):
+        assert type(other) is Row and other == r and hash(other) == hash(r)
+
+
+def test_row_updated_leaves_the_row_unchanged():
+    r = Row(a=1)
+    assert r.updated(b=2) == Row(a=1, b=2)
+    assert r == Row(a=1) and repr(r) == "Row(a=1)"
 
 
 # --- copy-on-write state ---------------------------------------------------------
