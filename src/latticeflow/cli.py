@@ -78,6 +78,9 @@ def cmd_simulate(args) -> int:
     from .sim import NODE_FAILURES, NoQuiescence
     from .state import encode_value
 
+    if args.seeds < 1:
+        print(f"error: --seeds {args.seeds}: runs no seed", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         sc = load_scenario(args.scenario)
     except (ScenarioError, OSError, json.JSONDecodeError) as exc:
@@ -97,7 +100,7 @@ def cmd_simulate(args) -> int:
         try:
             cluster = run_scenario(sc, backend=args.backend, seed=seed,
                                    trace_path=trace_path)
-        except ScenarioError as exc:
+        except (ScenarioError, OSError) as exc:   # OSError: the trace path
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
         except NoQuiescence as exc:
@@ -129,14 +132,29 @@ def cmd_simulate(args) -> int:
 
 
 def _load_machines(path):
+    """The machine catalog at `path`, a JSON list of objects with `name`,
+    `capacity`, `price` and optional `features`, or the sample catalog;
+    ValueError for a file that does not hold one."""
     from .patterns import sample_machines
     from .planner import MachineType
     if path is None:
         return sample_machines()
     with open(path) as f:
         raw = json.load(f)
-    return [MachineType(m["name"], m["capacity"], m["price"],
-                        tuple(m.get("features", ()))) for m in raw]
+    if not isinstance(raw, list) or not all(isinstance(m, dict) for m in raw):
+        raise ValueError(f"{path}: a machine catalog is a list of objects")
+    try:
+        machines = [MachineType(m["name"], m["capacity"], m["price"],
+                                tuple(m.get("features", ()))) for m in raw]
+    except KeyError as exc:
+        raise ValueError(f"{path}: a machine has no field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for m in machines:
+        if not m.capacity > 0:   # the cost model divides by it
+            raise ValueError(f"{path}: machine {m.name!r} has capacity "
+                             f"{m.capacity:g}, not above 0")
+    return machines
 
 
 def cmd_plan(args) -> int:
@@ -147,7 +165,7 @@ def cmd_plan(args) -> int:
     try:
         program = _load_program(args.program)
         machines = _load_machines(args.machines)
-    except (ScenarioError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ScenarioError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
@@ -167,8 +185,12 @@ def cmd_plan(args) -> int:
 
     out = json.dumps(plan.to_dict(), indent=2, sort_keys=True)
     if args.dump_plan:
-        with open(args.dump_plan, "w") as f:
-            f.write(out + "\n")
+        try:
+            with open(args.dump_plan, "w") as f:
+                f.write(out + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
         print(f"plan written to {args.dump_plan}")
     else:
         print(out)

@@ -23,12 +23,6 @@ from .lattice import FIELD_SHAPES
 
 MESSAGE_ID = "_message_id"
 REPLY_TO = "_reply_to"
-# the fields of a commit record: its sequence number and its batch's
-# decisions, each request's message id with the `state.Delta` it committed
-# or None if rejected (see `transducer.commit_record`); `validate` refuses
-# them as program fields, so that no request looks like a record
-ORDERED = "_ordered"
-EFFECTS = "_effects"
 
 
 def response_mailbox(handler_name: str) -> str:
@@ -664,9 +658,6 @@ def validate(p: Program) -> ValidationReport:
         for fname, ftype in c.fields:
             if ftype not in FIELD_TYPES:
                 rep.add("BadFieldType", f"class {c.name}.{fname}: {ftype!r}")
-            if fname in (ORDERED, EFFECTS):
-                rep.add("ReservedField",
-                        f"class {c.name}: field {fname!r} is reserved")
 
     for d in p.data:
         if d.kind == "table":
@@ -708,12 +699,6 @@ def validate(p: Program) -> ValidationReport:
                 check_expr(f, inner, where)
             check_expr(e.output, inner, where)
             return
-        elif isinstance(e, Record):
-            # a record may carry a message id: desugared responses write one
-            for fname, _ in e.fields:
-                if fname in (ORDERED, EFFECTS):
-                    rep.add("ReservedField",
-                            f"{where}: record field {fname!r} is reserved")
         elif isinstance(e, MakeRow):
             if e.cls not in classes:
                 rep.add("UnknownClass", f"{where}: class {e.cls!r}")
@@ -805,7 +790,7 @@ def validate(p: Program) -> ValidationReport:
             rep.add("HandlerNameClash",
                     f"handler {h.name!r} has the name of a {kind}")
         for pname in h.param_names:
-            if pname in (MESSAGE_ID, ORDERED, EFFECTS):
+            if pname == MESSAGE_ID:
                 rep.add("ReservedField",
                         f"handler {h.name}: parameter {pname!r} is reserved")
         env = set(_message_fields(h))

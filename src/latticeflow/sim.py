@@ -18,27 +18,30 @@ a replicated handler fans them out to every live replica, and a sequenced
 replica; `Cluster.sequencer` picks it for routing and for nothing else. A
 request whose group has no live node is traced as `NoLiveReplica`.
 
-Which node may decide a sequenced request is the node's own rule, and the
-deciding node issues the commit record (see `transducer`): a node decides
-only when it has applied every record of the handler's commit log, and
-then decides its whole backlog in one tick, which ships as one record of
-every accepted and rejected decision, appended to the log. The cluster
-posts the record to the other live replicas, which apply it without
-re-running the handler, and answers each client. A node that applies a
-record takes every request id it decided, so a retransmission of a
-decided request is traced as `Deduplicated` wherever it lands: on arrival
-if the record came first, or as the record applies if the retransmission
-outran it.
+A node decides a sequenced request by its own rule (see `transducer`): it
+first brings itself to the tail of the handler's commit log, then
+decides its whole backlog in one tick, which makes one record of every
+accepted and rejected decision, appended to the log. Decisions reach the
+other replicas through the log alone, never over the network: as a node
+appends a record, the cluster brings each other live replica of the
+handler to the log's tail (`Transducer.catch_up`), tracing each record
+it applies as `Applied` (the node, the handler, the record's sequence
+number and the ids it decided), and answers each client. A replica that
+catches up takes every request id the records decided, so a
+retransmission of a decided request is traced as `Deduplicated` wherever
+it lands: on arrival, or as the replica catches up if it was already
+pending there.
 
 The failure model: the commit log (`Cluster.log`, handler -> the records
 issued, in sequence order) is durable and outlives every node's crash,
-as a replicated log service would; every other piece of a node's state
-is lost when it crashes. A recovered node rejoins empty and replays the
-log, so it holds the sequenced state and the decided request ids of
-every record issued before it rejoined, and a retransmission that
-reaches it after every replica that decided or applied the request has
-crashed is not decided again. It holds none of the eventual data written
-before it rejoined.
+as a replicated log service would, and every live replica reads each
+record as it is appended; every other piece of a node's state is lost
+when it crashes. A recovered node rejoins empty and replays the log, so
+it holds the sequenced state and the decided request ids of every record
+issued before it rejoined, and a retransmission that reaches it after
+every replica that decided or applied the request has crashed is not
+decided again. It holds none of the eventual data written before it
+rejoined.
 
 A tick's cost does not grow with the backlog of requests. Scheduled
 requests wait in a queue ordered by (tick, schedule order), and messages on
@@ -64,7 +67,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .ir import EFFECTS, MESSAGE_ID, ORDERED, Program, response_mailbox
+from .ir import MESSAGE_ID, Program, response_mailbox
 from .lowering import lower
 from .state import Row, canonical_state
 from .transducer import NODE_FAILURES, Transducer
@@ -121,14 +124,6 @@ class _InFlight(NamedTuple):
 
 def domain_prefix_matches(domain: tuple, prefix: tuple) -> bool:
     return tuple(domain[:len(prefix)]) == tuple(prefix)
-
-
-def _carried_ids(payload: Row) -> dict:
-    """The trace detail naming the requests `payload` carries: the ids a
-    commit record decided, or a message's own id."""
-    if ORDERED in payload:
-        return {"message_ids": [mid for mid, _ in payload[EFFECTS]]}
-    return {"message_id": payload.get(MESSAGE_ID)}
 
 
 class _ProxyState:
@@ -258,7 +253,7 @@ class Cluster:
                 kept.append(m)
             else:
                 self._emit("Dropped", m.dest, mailbox=m.mailbox,
-                           **_carried_ids(m.payload))
+                           message_id=m.payload.get(MESSAGE_ID))
         self.in_flight = kept
 
     def schedule_failure(self, tick: int, domain_prefix):
@@ -315,14 +310,16 @@ class Cluster:
         heapq.heappush(self.in_flight, _InFlight(
             self.tick + delay, self._seq, dest, mailbox, payload))
         self._emit("Sent", None, dest=dest, mailbox=mailbox,
-                   deliver_tick=self.tick + delay, **_carried_ids(payload))
+                   deliver_tick=self.tick + delay,
+                   message_id=payload.get(MESSAGE_ID))
         if net.dup_prob and self.rng.random() < net.dup_prob:
             delay2 = self.rng.randrange(net.delay_min, net.delay_max + 1)
             self._seq += 1
             heapq.heappush(self.in_flight, _InFlight(
                 self.tick + delay2, self._seq, dest, mailbox, payload))
             self._emit("Duplicated", None, dest=dest, mailbox=mailbox,
-                       deliver_tick=self.tick + delay2, **_carried_ids(payload))
+                       deliver_tick=self.tick + delay2,
+                       message_id=payload.get(MESSAGE_ID))
 
     def _route(self, mailbox: str, payload: Row, sender: Optional[str]):
         route = self.routes[mailbox]
@@ -334,32 +331,27 @@ class Cluster:
             self._post(dest, mailbox, payload)
 
     # --- delivery -----------------------------------------------------------
-    def _deliver_due(self) -> bool:
+    def _deliver_due(self):
         """Deliver the due messages in (deliver_tick, seq) order, popped
         from the heap; a delivery posts nothing, so none becomes due.
         Every destination is up: nothing is posted to a crashed node, and
-        `inject_failure` drops what was on its way to one.
-        True if a node applied a commit record, which makes the tick
-        active as the decision it replays did."""
+        `inject_failure` drops what was on its way to one. No message
+        carries a commit record: decisions reach replicas through the
+        commit log (see `_serial_results`)."""
         heap = self.in_flight
-        applied = False
         while heap and heap[0].deliver_tick <= self.tick:
             m = heapq.heappop(heap)
             if m.dest == "sink":
                 self.sink_outputs.setdefault(m.mailbox, []).append(m.payload)
                 self._emit("Delivered", "sink", mailbox=m.mailbox)
-                continue
-            if m.dest.startswith("client:"):
+            elif m.dest.startswith("client:"):
                 self._deliver_client(m)
-                continue
-            if m.dest in self.proxy_state:
+            elif m.dest in self.proxy_state:
                 self.proxy_state[m.dest].inbox.append((m.mailbox, m.payload))
                 self._emit("Delivered", m.dest, mailbox=m.mailbox,
                            message_id=m.payload.get(MESSAGE_ID))
-                continue
-            if self._deliver_worker(m):
-                applied = True
-        return applied
+            else:
+                self._deliver_worker(m)
 
     def _deliver_client(self, m: _InFlight):
         client = m.dest.split(":", 1)[1]
@@ -372,33 +364,18 @@ class Cluster:
         self._emit("Response", None, client=client, message_id=mid,
                    duplicate=not fresh)
 
-    def _deliver_worker(self, m: _InFlight) -> bool:
-        """Deliver `m` to its worker; True if it applied commit records."""
+    def _deliver_worker(self, m: _InFlight):
+        """Deliver `m` to its worker; a sequenced request whose id the node
+        has taken before is traced `Deduplicated` and dropped."""
         node = self.nodes[m.dest]
-        payload = m.payload
-        if self.routes[m.mailbox].sequenced:
-            if ORDERED in payload:
-                # commit records apply strictly in sequence order, as they
-                # arrive; a duplicate of an applied one is dropped unseen,
-                # and a retransmission that outran its record leaves the
-                # mailbox as the record applies
-                applied, removed = node.apply_record(m.mailbox, payload)
-                for record in applied:
-                    self._emit("Delivered", m.dest, mailbox=m.mailbox,
-                               ordered=record[ORDERED], **_carried_ids(record))
-                for mid in removed:
-                    self._emit("Deduplicated", m.dest, mailbox=m.mailbox,
-                               message_id=mid)
-                return bool(applied)
-            if not node.take_request(m.mailbox, payload):
-                self._emit("Deduplicated", m.dest, mailbox=m.mailbox,
-                           message_id=payload.get(MESSAGE_ID))
-                return False
-        else:
-            node.deliver(m.mailbox, payload)
-        self._emit("Delivered", m.dest, mailbox=m.mailbox,
-                   message_id=payload.get(MESSAGE_ID))
-        return False
+        mid = m.payload.get(MESSAGE_ID)
+        if not self.routes[m.mailbox].sequenced:
+            node.deliver(m.mailbox, m.payload)
+        elif not node.take_request(m.mailbox, m.payload):
+            self._emit("Deduplicated", m.dest, mailbox=m.mailbox,
+                       message_id=mid)
+            return
+        self._emit("Delivered", m.dest, mailbox=m.mailbox, message_id=mid)
 
     # --- tick ---------------------------------------------------------------
     def step(self) -> bool:
@@ -417,8 +394,7 @@ class Cluster:
                        message_id=payload.get(MESSAGE_ID))
             self._route(mailbox, payload, sender=None)
             active = True
-        if self._deliver_due():
-            active = True
+        self._deliver_due()
 
         for nid in self._proxy_ids:
             if not self.alive.get(nid):
@@ -505,13 +481,24 @@ class Cluster:
                    message_id=mid, dests=list(dests))
 
     def _serial_results(self, nid: str, result):
-        """Post each commit record that node `nid` issued to the other live
-        replicas, and answer the requests it decided, in decision order."""
+        """For each handler whose log node `nid` appended a record to, bring
+        the handler's other live replicas to the log's tail, tracing each
+        record a replica applies as `Applied` and each pending copy of a
+        decided request it drops as `Deduplicated`; then answer the
+        requests `nid` decided, in decision order."""
         for handler, record in sorted(result.records.items()):
+            log = self.log[handler]
             for backup in self.live_group(handler):
-                if backup != nid:
-                    self._post(backup, handler, record)
-            for mid, _ in record[EFFECTS]:
+                if backup == nid:
+                    continue
+                applied, removed = self.nodes[backup].catch_up(handler)
+                for seq in applied:
+                    self._emit("Applied", backup, handler=handler, seq=seq,
+                               message_ids=[mid for mid, _ in log[seq]])
+                for mid in removed:
+                    self._emit("Deduplicated", backup, mailbox=handler,
+                               message_id=mid)
+            for mid, _ in record:
                 reply = Row({MESSAGE_ID: mid, "status": result.statuses[mid]})
                 self._route(response_mailbox(handler), reply, sender=nid)
 

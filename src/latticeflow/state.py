@@ -8,7 +8,7 @@ that a snapshot or fork may hold. Commit copies a table dict at most once,
 the first time it writes it. So a snapshot or fork copies only the outer
 dicts of tables, vars and mailboxes; rows are shared.
 
-A `Row` is every table row, message and commit record: a `dict` that
+A `Row` is every table row and message: a `dict` that
 refuses mutation, so its reads are dict's own, hashed once at
 construction, and equal only to another `Row`.
 
@@ -52,7 +52,7 @@ def _frozen(self, *args, **kw):
 
 
 class Row(dict):
-    """An immutable, hashable table row, message or commit record.
+    """An immutable, hashable table row or message.
 
     A `dict` that refuses mutation: reads are dict's own methods, and every
     mutator raises `TypeError`. The hash is computed once, at construction,
@@ -137,8 +137,9 @@ class OutMsg:
 
 
 class Delta(NamedTuple):
-    """The state effects of one commit, frozen: immutable and hashable, so
-    a commit record (a `Row`) can carry them."""
+    """The state effects of one commit, frozen, so a commit record (a
+    tuple of decisions) can hold them and every replica commit them as
+    they are."""
 
     table_merges: tuple   # (name, Row)
     field_merges: tuple   # (name, key, field, value)

@@ -34,28 +34,25 @@ leaves the node's other tables the same objects, and a rejected one leaves
 every table so.
 
 A node keeps, for each serializable handler, a commit log (`log`): the
-records issued for the handler, in sequence order. Under a cluster every
-node shares the cluster's log, which outlives their crashes; a node that
-stands alone keeps its own. A node's applied prefix (`applied`) counts
-the records of the log it has applied or issued. A node that decides a
-batch issues one record for it: it takes its prefix as the record's
-sequence number, appends the record to the log and advances the prefix.
-The record lists the batch's decisions in decision order, the
-`state.Delta` each accepted request committed and None for each
-rejected one, so backups learn rejections too. `apply_record` commits
-the log from the applied prefix through the record it is given, so a
-record that arrives early fills the gap from the log and one below the
-prefix applies nothing; it builds no fork, context, guard or invariant
-check, and needs no tick. The node decides only when its applied prefix
-equals the length of the log, and this gate alone decides which node
-may decide; it is checked once a tick, in `_run_request`, so a tick of
-eventual handlers pays nothing for it. A node built on a non-empty log
-replays it, so a recovered node starts from every decision made before
-it rejoined. A node takes each sequenced request's message id once
-(`take_request`), and takes every id that a record it applies decided,
-so it decides no request that another node decided before: a pending
-copy of a decided request, a retransmission that outran the record,
-leaves the mailbox as the record applies.
+records issued for the handler, in sequence order, each numbered by its
+index. Under a cluster every node shares the cluster's log, which
+outlives their crashes; a node that stands alone keeps its own. A node's
+applied prefix (`applied`) counts the records of the log it has applied
+or issued. A record is the tuple of one batch's decisions in decision
+order, `(message id, state.Delta)` for each accepted request, the effects
+it committed, and `(message id, None)` for each rejected one, so
+replicas learn rejections too. A replica learns each decision by reading
+the log as it grows: `catch_up` commits the log from the applied prefix
+to its tail, building no fork, context, guard or invariant check, and a
+tick catches up before it builds its context, so a node never decides on
+a prefix that misses a decision already made. The deciding node appends
+its batch's record to the log and advances its prefix past it. A node
+built on a non-empty log replays it, so a recovered node starts from
+every decision made before it rejoined. A node takes each sequenced
+request's message id once (`take_request`), and takes every id that a
+record it applies decided, so it decides no request that another node
+decided before: a pending copy of a decided request leaves the mailbox
+as the node catches up.
 
 An eventual handler with no eligible message is skipped when none of its
 desugared statements can act on an empty mailbox (see `_inert_when_empty`),
@@ -82,7 +79,7 @@ from .eval import MISSING, _order_key, bind, truthy
 from .interp import InterpContext
 from .ir import (
     Assign, Delete, ForEach, Handler, MergeMutation, Program, Send, UdfCall,
-    _MSG, EFFECTS, MESSAGE_ID, ORDERED, prepared,
+    _MSG, MESSAGE_ID, prepared,
 )
 from .lattice import IntOverflow, ShapeMismatch
 from .runtime import GraphContext, compile_queries
@@ -99,13 +96,6 @@ REJECTED = "rejected"
 # `sim.Cluster.step` adds the node id and the tick as `node_id` and `tick`
 NODE_FAILURES = (UdfFailure, FixpointDivergence, AmbiguousAssign,
                  ShapeMismatch, IntOverflow, BindError)
-
-
-def commit_record(seq: int, decisions: tuple) -> Row:
-    """The `seq`-th commit record of a handler: one tick's `decisions`, in
-    decision order, each `(message id, Delta)` for an accepted request and
-    `(message id, None)` for a rejected one."""
-    return Row({ORDERED: seq, EFFECTS: decisions})
 
 
 @dataclass
@@ -127,8 +117,8 @@ class Transducer:
         """`log`: serializable handler -> the commit records issued for it,
         in sequence order, a dict shared by every node of a cluster and kept
         by its owner across crashes; a node that stands alone keeps its
-        own. A node built on a non-empty log replays it (`apply_record`)
-        before it serves."""
+        own. A node built on a non-empty log replays it (`catch_up`) before
+        it serves."""
         if backend not in ("graph", "interp"):
             raise ValueError(f"unknown backend {backend!r}")
         self.program = program
@@ -163,8 +153,8 @@ class Transducer:
         self.applied: dict = {}
         self.taken: set = set()   # message ids of the sequenced requests taken
         for h in self.serializable:
-            if self.log.setdefault(h.name, []):
-                self.apply_record(h.name, self.log[h.name][-1])
+            self.log.setdefault(h.name, [])
+            self.catch_up(h.name)
 
     # --- context construction -----------------------------------------------
     def _context(self, snapshot):
@@ -191,25 +181,24 @@ class Transducer:
         self.state.deliver(mailbox, payload)
         return True
 
-    def apply_record(self, handler: str, record: Row) -> tuple:
-        """Commit the records of `handler`'s log from the applied prefix
-        through `record`, so one that arrives early fills the gap from the
-        log and one below the prefix, a duplicate, applies nothing. No
+    def catch_up(self, handler: str) -> tuple:
+        """Commit `handler`'s log from the applied prefix to its tail. No
         context is built and no guard or invariant runs: the records carry
-        the sequencer's decisions. Every decided id is taken, and a pending
-        copy of a decided request leaves the mailbox. Returns the records
-        applied and the message ids of the copies removed."""
-        done = self.applied.get(handler, 0)
-        applied = self.log[handler][done:record[ORDERED] + 1]
+        the deciding node's decisions. Every decided id is taken, and a
+        pending copy of a decided request leaves the mailbox. Returns the
+        sequence numbers applied, a range, and the message ids of the
+        copies removed."""
+        log = self.log[handler]
+        applied = range(self.applied.get(handler, 0), len(log))
         if not applied:
-            return [], []
+            return applied, []
         decided = set()
-        for rec in applied:
-            for mid, delta in rec[EFFECTS]:
+        for record in log[applied.start:]:
+            for mid, delta in record:
                 if delta is not None:
                     self.state.commit(delta)
                 decided.add(mid)
-        self.applied[handler] = done + len(applied)
+        self.applied[handler] = len(log)
         self.taken |= decided
         pending = self.state.mailboxes[handler]
         self.state.mailboxes[handler] = [m for m in pending
@@ -247,7 +236,13 @@ class Transducer:
         A `NODE_FAILURES` exception leaves it with `handlers`, the names of
         the handlers it is blamed on: the one that raised, or, when the
         commit of the eventual effects raises, every eventual handler whose
-        statements ran."""
+        statements ran.
+
+        It first brings each serializable handler to its log's tail
+        (`catch_up`), so the context, the guard and every decision read a
+        state that holds every decision already made."""
+        for h in self.serializable:
+            self.catch_up(h.name)
         boxes = self.state.mailboxes
         ctx = None
         if self._acts_when_idle or any(boxes.get(name)
@@ -299,13 +294,9 @@ class Transducer:
         the guard; it is None only if `h` has no guard or no pending
         message.
 
-        The node decides only once it has applied every record of `h`'s
-        log, so no decision reads a state that misses one already made.
-        The batch's commit record takes the prefix as its sequence number,
-        joins the log and advances the prefix."""
-        log = self.log[h.name]
-        if self.applied.get(h.name, 0) != len(log):
-            return
+        The tick has brought the node to the tail of `h`'s log, so the
+        batch's commit record joins the log as its last record and the
+        prefix moves past it."""
         guarded = self.prepared[h.name].guard is not None
         msg = self._next_request(h, ctx)
         if msg is not None:
@@ -348,10 +339,10 @@ class Transducer:
             if ctx is not None:   # the check or fresh context is done
                 result.udf_invocations += ctx.udf_invocations
         if decisions:
-            record = commit_record(len(log), tuple(decisions))
-            log.append(record)
+            log = self.log[h.name]
+            log.append(tuple(decisions))
             self.applied[h.name] = len(log)
-            result.records[h.name] = record
+            result.records[h.name] = log[-1]
 
     # --- statement execution ------------------------------------------------
     def _run_stmts(self, h: Handler, msgs, ctx, eff: Effects):

@@ -137,6 +137,23 @@ def test_simulate_multiple_seeds(tmp_path, capsys):
     assert out.count("quiesced at tick") == 3
 
 
+def test_simulate_with_no_seed_to_run_is_an_input_error(tmp_path, capsys):
+    path = write_scenario(tmp_path)
+    assert main(["simulate", path, "--seeds", "0"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: --seeds 0: runs no seed\n")
+
+
+def test_a_trace_path_that_cannot_be_written_is_an_input_error(tmp_path,
+                                                                capsys):
+    path = write_scenario(tmp_path)
+    trace = tmp_path / "missing" / "t.jsonl"
+    assert main(["simulate", path, "--trace", str(trace)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(trace) in err
+
+
 def test_simulate_interp_backend_agrees(tmp_path, capsys):
     path = write_scenario(tmp_path)
     assert main(["simulate", path, "--backend", "graph"]) == EXIT_OK
@@ -314,6 +331,33 @@ def test_plan_infeasible_without_gpu(tmp_path, capsys):
     assert "estimate" in err and "features" in err
 
 
+def test_a_plan_path_that_cannot_be_written_is_an_input_error(tmp_path,
+                                                               capsys):
+    out_path = tmp_path / "missing" / "plan.json"
+    assert main(["plan", "covid_tracker",
+                 "--dump-plan", str(out_path)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(out_path) in captured.err
+
+
+@pytest.mark.parametrize("catalog, message", [
+    ({"a": 1}, "a machine catalog is a list of objects"),
+    ([{"name": "big", "capacity": "big", "price": 1}],
+     "could not convert string to float: 'big'"),
+    ([{"name": "small", "price": 1}], "a machine has no field 'capacity'"),
+    ([{"name": "idle", "capacity": 0, "price": 1}],
+     "machine 'idle' has capacity 0, not above 0"),
+])
+def test_a_malformed_machine_catalog_is_an_input_error(tmp_path, capsys,
+                                                       catalog, message):
+    mpath = tmp_path / "machines.json"
+    mpath.write_text(json.dumps(catalog))
+    assert main(["plan", "covid_tracker",
+                 "--machines", str(mpath)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {mpath}: {message}\n"
+
+
 def test_plan_budget_infeasible(capsys):
     assert main(["plan", "covid_tracker", "--budget", "0.0"]) == EXIT_INFEASIBLE
     assert "budget" in capsys.readouterr().err
@@ -445,9 +489,11 @@ def test_an_unknown_operator_is_a_validation_error(tmp_path, capsys):
         "invalid: UnknownOperator: handler square: unknown operator '**'\n")
 
 
-def test_a_reserved_request_field_is_a_validation_error(tmp_path, capsys):
-    # the sequencer's replicas took the request for a commit record, and the
-    # run ended in KeyError: '_effects'
+def test_a_request_field_named_like_an_old_record_field_is_ordinary(
+        tmp_path, capsys):
+    # commit records once shared a replica's mailbox with requests, and a
+    # request with this field was taken for one; records now reach
+    # replicas through the commit log alone
     program = Program(
         "stock",
         data=(DataDecl("n", "var", scalar="int", init=5),),
@@ -460,10 +506,10 @@ def test_a_reserved_request_field_is_a_validation_error(tmp_path, capsys):
         program=json.loads(program_to_json(program)),
         workload=[{"tick": 0, "client": "c1", "handler": "spend",
                    "fields": {"_ordered": 0}}])))
-    assert main(["simulate", str(path)]) == EXIT_VALIDATION
-    assert capsys.readouterr().err == (
-        "invalid: ReservedField: handler spend: parameter '_ordered' is "
-        "reserved\n")
+    assert main(["simulate", str(path)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert '"status": "accepted"' in captured.out
 
 
 def test_a_program_that_does_not_lower_is_an_input_error(tmp_path, capsys):
@@ -643,7 +689,7 @@ def sequenced_scenario() -> dict:
 # sha256 of the trace of `sequenced_scenario`, which the demo's trace does
 # not cover: it has no serializable request
 SEQUENCED_TRACE_SHA256 = \
-    "01b7a88b24a40e64651cc809fa875f692a1754a94e664902272490d9723b2921"
+    "ab8fc53815022956dd69b89b92ee1f28a664b749ac73a01697b5e90e8cf7d58e"
 
 
 def test_the_sequenced_trace_is_byte_identical(tmp_path, capsys):

@@ -21,8 +21,7 @@ from latticeflow.ir import (
     Data, DataDecl, Delete,
     Field, Fold, Gen, Handler, In, Index, Len, Lit, Lookup, MakeRow,
     MergeMutation, Not, Program, QueryDef, RangeOf, Return, Send, Record, Slice,
-    TargetPath, TupleOf, UdfCall, UdfDecl, Var, Expr, EFFECTS, MESSAGE_ID,
-    ORDERED, REPLY_TO,
+    TargetPath, TupleOf, UdfCall, UdfDecl, Var, Expr, MESSAGE_ID, REPLY_TO,
     response_mailbox, validate, walk_expr,
 )
 from latticeflow.runtime import (
@@ -688,8 +687,9 @@ def test_a_tick_decides_the_whole_backlog_in_arrival_order(backend):
                                "m3": "accepted", "m4": "rejected",
                                "m5": "rejected"}
     [record] = result.records.values()
-    assert list(result.records) == ["vaccinate"] and record[ORDERED] == 0
-    assert [(mid, delta is not None) for mid, delta in record[EFFECTS]] == \
+    assert list(result.records) == ["vaccinate"]
+    assert t.log == {"vaccinate": [record]}
+    assert [(mid, delta is not None) for mid, delta in record] == \
         [("m1", True), ("m2", True), ("m3", True), ("m4", False),
          ("m5", False)]
     assert (result.fired, t.contexts) == (["vaccinate"], 10)
@@ -794,36 +794,38 @@ def test_a_guarded_request_stops_the_guard_at_the_first_pass(backend):
 def test_a_backup_applies_a_commit_record_without_a_context(backend):
     """Each of the sequencer's ticks appends a commit record of its
     decisions to the log it shares with the backup: the committed effects
-    of an accepted request, None for a rejected one. A backup commits the
-    log through each record it is given, with no context, guard or
-    invariant, even where its own state would reject the request (it has
-    no row for the person): a record that arrives early fills the gap from
-    the log, and a late or duplicate one applies nothing. It takes every
-    decided id, the rejected one too, and a pending copy of a decided
-    request leaves its mailbox as the record applies. A node built on the
-    log once it holds every record replays it and ends in the same state."""
+    of an accepted request, None for a rejected one. A backup catches up
+    by committing the log from its applied prefix to the tail, with no
+    context, guard or invariant, even where its own state would reject the
+    request (it has no row for the person); at the tail it applies
+    nothing. It takes every decided id, the rejected one too, and a
+    pending copy of a decided request leaves its mailbox as it catches up.
+    A node built on the log once it holds every record replays it and ends
+    in the same state, and a node that has read none of it catches up as
+    its tick starts, so it decides on the stock the log left."""
     program = covid_program(coordinated=True, vaccine_count=2)
     log = {}
     sequencer = Transducer(program, backend=backend, log=log)
     backup = CountingTransducer(program, backend=backend, log=log)
+    stale = Transducer(program, backend=backend, log=log)
     sequencer.deliver("add_person", request(0, pid=1, name="ana", country="ar"))
     sequencer.tick()
-    records = []
-    for i, status in ((1, "accepted"), (2, "accepted"), (3, "rejected")):
+
+    def decide(i, status):
         sequencer.deliver("vaccinate", request(i, pid=1))
         result = sequencer.tick()
         assert result.statuses == {f"m{i}": status}
-        records.append(result.records["vaccinate"])
-    assert log == {"vaccinate": records}
-    assert [r[ORDERED] for r in records] == [0, 1, 2]
-    assert records[2][EFFECTS] == (("m3", None),)
-    # a retransmission of m2 that outran the record of its decision
+        return result.records["vaccinate"]
+
+    records = [decide(1, "accepted"), decide(2, "accepted")]
+    # a copy of m2 that reached the backup before it read the log
     assert backup.take_request("vaccinate", request(2, pid=1))
-    assert backup.apply_record("vaccinate", records[1]) == \
-        (records[:2], ["m2"])
-    assert backup.apply_record("vaccinate", records[0]) == ([], [])
-    assert backup.apply_record("vaccinate", records[2]) == (records[2:], [])
-    assert backup.apply_record("vaccinate", records[0]) == ([], [])
+    assert backup.catch_up("vaccinate") == (range(0, 2), ["m2"])
+    assert backup.catch_up("vaccinate") == (range(2, 2), [])
+    records.append(decide(3, "rejected"))
+    assert log == {"vaccinate": records}
+    assert records[2] == (("m3", None),)
+    assert backup.catch_up("vaccinate") == (range(2, 3), [])
     assert backup.taken == {"m1", "m2", "m3"}
     assert not backup.take_request("vaccinate", request(3, pid=1))
     assert (backup.contexts, backup.applied) == (0, {"vaccinate": 3})
@@ -837,6 +839,12 @@ def test_a_backup_applies_a_commit_record_without_a_context(backend):
         (0, {"vaccinate": 3}, {"m1", "m2", "m3"})
     assert late.state.vars == backup.state.vars
     assert late.state.tables == backup.state.tables
+    assert stale.applied == {}
+    stale.deliver("add_person", request(4, pid=1, name="ana", country="ar"))
+    stale.deliver("vaccinate", request(5, pid=1))
+    assert stale.tick().statuses == {"m5": "rejected"}
+    assert stale.applied == {"vaccinate": 4} and log["vaccinate"][3] == \
+        (("m5", None),)
 
 
 def test_a_failing_tick_names_the_handlers_it_is_blamed_on():

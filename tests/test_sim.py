@@ -9,8 +9,8 @@ from conftest import client_statuses
 
 from latticeflow.facets import make_topology, replication_plan
 from latticeflow.ir import (
-    EFFECTS, MESSAGE_ID, ORDERED, AvailSpec, DataDecl, Handler, MergeMutation,
-    Program, TargetPath, Var,
+    MESSAGE_ID, AvailSpec, DataDecl, Handler, MergeMutation, Program,
+    TargetPath, Var,
 )
 from latticeflow.patterns import covid_tracker, covid_workload, run_workload
 from latticeflow.runtime import compile_queries
@@ -178,8 +178,9 @@ def vaccinations(cluster, tick, count):
 def test_a_recovered_node_applies_the_records_issued_after_it_rejoined():
     """A recovered node replays the commit log as it rejoins, so it holds
     the stock and the ids of the two doses given before, and of the person
-    only the field those records wrote; it then applies the records issued
-    after it rejoined and ends at the sequencer's stock."""
+    only the field those records wrote; it then applies the record issued
+    after it rejoined, which decides the last two doses in one batch, and
+    ends at the sequencer's stock."""
     pat = covid_tracker(coordinated=True, vaccine_count=5)
     cluster = build_scenario_cluster(
         Scenario(pat.program, seed=1, network=NetworkModel(1, 3, 0.0)))
@@ -199,17 +200,17 @@ def test_a_recovered_node_applies_the_records_issued_after_it_rejoined():
     assert (person["name"], person["vaccinated"]) == (None, True)
     vaccinations(cluster, cluster.tick, 2)
     cluster.run_to_quiescence()
-    assert node.applied == cluster.nodes["n01"].applied == {"vaccinate": 4}
-    assert len(cluster.log["vaccinate"]) == 4
+    assert node.applied == cluster.nodes["n01"].applied == {"vaccinate": 3}
+    assert [len(r) for r in cluster.log["vaccinate"]] == [1, 1, 2]
     assert [cluster.nodes[n].state.vars["vaccine_count"]
             for n in ("n01", "n02", "n03")] == [1, 1, 1]
     assert node.state.tables["people"][(1,)]["vaccinated"] is True
 
 
 def test_no_commit_record_is_held_after_quiescence():
-    """Every message is duplicated, so every record reaches each backup
-    twice; the copy below the applied prefix applies nothing and leaves no
-    trace event. A node built on the log afterwards replays it to the
+    """Every message is duplicated, and still each backup applies each
+    record once, traced as one `Applied` event, and every replica ends at
+    the log's tail. A node built on the log afterwards replays it to the
     replicas' stock."""
     pat = covid_tracker(coordinated=True, vaccine_count=3)
     cluster = build_scenario_cluster(
@@ -219,10 +220,11 @@ def test_no_commit_record_is_held_after_quiescence():
                                  {"pid": pid, "name": "a", "country": "x"})
     vaccinations(cluster, 4, 5)
     cluster.run_to_quiescence()
-    assert [r[ORDERED] for r in cluster.log["vaccinate"]] == [0, 1, 2]
-    ordered = [ev.detail["ordered"] for ev in cluster.trace
-               if ev.kind == "Delivered" and "ordered" in ev.detail]
-    assert sorted(ordered) == [0, 0, 1, 1, 2, 2]
+    assert len(cluster.log["vaccinate"]) == 3
+    applied = [(ev.node, ev.detail["seq"]) for ev in cluster.trace
+               if ev.kind == "Applied"]
+    assert sorted(applied) == [(n, seq) for n in ("n02", "n03")
+                               for seq in range(3)]
     for node in cluster.nodes.values():
         assert node.applied == {"vaccinate": 3}
         assert node.state.vars["vaccine_count"] == 0
@@ -251,36 +253,15 @@ def test_the_issued_count_follows_a_batch_decided_out_of_id_order():
         cluster.step()
         assert len(cluster.log["vaccinate"]) == \
             cluster.nodes["n01"].applied.get("vaccinate", 0)
-    assert [[mid for mid, _ in r[EFFECTS]]
+    assert [[mid for mid, _ in r]
             for r in cluster.log["vaccinate"]] == [["b", "a"], ["c"]]
-    ordered = [(ev.detail["ordered"], ev.detail["message_ids"])
+    applied = [(ev.detail["handler"], ev.detail["seq"],
+                ev.detail["message_ids"])
                for ev in cluster.trace
-               if ev.kind == "Delivered" and ev.node == "n02"
-               and "ordered" in ev.detail]
-    assert ordered == [(0, ["b", "a"]), (1, ["c"])]
+               if ev.kind == "Applied" and ev.node == "n02"]
+    assert applied == [("vaccinate", 0, ["b", "a"]),
+                       ("vaccinate", 1, ["c"])]
     assert set(cluster.responses["c1"]) == set(cluster.request_payload)
-
-
-def test_a_tick_that_only_applies_commit_records_is_active():
-    """A record applied as it is delivered is the node's work in that tick,
-    so the tick is active and the idle fast-forward does not skip the
-    next one."""
-    pat = covid_tracker(coordinated=True, vaccine_count=5)
-    cluster = build_scenario_cluster(
-        Scenario(pat.program, seed=0, network=NetworkModel(1, 6, 0.0)))
-    cluster.schedule_request(0, "c1", "add_person",
-                             {"pid": 1, "name": "a", "country": "x"})
-    vaccinations(cluster, 8, 1)
-    cluster.run_to_quiescence()
-    ticks = {}
-    for ev in cluster.trace:
-        ticks.setdefault(ev.tick, []).append(ev)
-    applying = [evs[-1] for evs in ticks.values()
-                if all("ordered" in ev.detail for ev in evs[:-1])
-                and len(evs) > 1]
-    assert applying
-    assert all(ev.kind == "TickCompleted" and ev.detail["active"]
-               for ev in applying)
 
 
 def test_every_node_of_a_program_runs_one_compiled_handler():
@@ -497,20 +478,41 @@ def test_narrowed_proxy_retries_match_a_full_scan():
     assert all(kinds.values()), kinds
 
 
-def _carried(detail):
-    """What a traced message carries: a commit record's decided ids, or a
-    message's own id."""
-    if "message_ids" in detail:
-        return tuple(detail["message_ids"])
-    return detail["message_id"]
+class _LogChecked(Cluster):
+    """Counts, after every step, the live replicas of a sequenced handler
+    that have not applied the whole commit log."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.lagging = 0
+
+    def step(self):
+        active = super().step()
+        self.lagging += sum(
+            self.nodes[nid].applied.get(h, 0) != len(records)
+            for h, records in self.log.items() for nid in self.live_group(h))
+        return active
+
+
+def test_every_live_replica_holds_the_whole_log_after_each_step():
+    """A replica learns each decision by reading the log as it grows, so
+    no live replica lags the log's tail after any step, crashes and
+    recoveries included."""
+    records = 0
+    for seed in range(40):
+        cluster = _crash_and_recover_run(_LogChecked, seed)
+        assert cluster.lagging == 0, seed
+        records += len(cluster.log["vaccinate"])
+    assert records
 
 
 def test_every_message_lost_to_a_crash_is_dropped_with_an_event():
     """Each message on the network to a node as it crashes, duplicates
     included, is removed with one `Dropped` event naming the node, the
-    mailbox and the message id, or a commit record's decided ids; judged
-    from the `Sent`, `Duplicated` and `Crashed` events alone."""
-    dropped = records = 0
+    mailbox and the message id; judged from the `Sent`, `Duplicated` and
+    `Crashed` events alone. No event of the network carries a commit
+    record."""
+    dropped = 0
     for seed in range(12):
         cluster = _crash_and_recover_run(Cluster, seed)
         crashed_at = {}
@@ -520,8 +522,10 @@ def test_every_message_lost_to_a_crash_is_dropped_with_an_event():
                 crashed_at.setdefault(ev.node, []).append(ev.tick)
             elif ev.kind == "Dropped":
                 seen[ev.tick, ev.node, ev.detail["mailbox"],
-                     _carried(ev.detail)] += 1
+                     ev.detail["message_id"]] += 1
         for ev in cluster.trace:
+            if ev.kind in ("Sent", "Duplicated", "Dropped"):
+                assert "message_ids" not in ev.detail, seed
             if ev.kind not in ("Sent", "Duplicated"):
                 continue
             dest, due = ev.detail["dest"], ev.detail["deliver_tick"]
@@ -530,11 +534,10 @@ def test_every_message_lost_to_a_crash_is_dropped_with_an_event():
                     if ev.tick < t <= due][:1]
             for t in lost:
                 expected[t, dest, ev.detail["mailbox"],
-                         _carried(ev.detail)] += 1
+                         ev.detail["message_id"]] += 1
         assert seen == expected, seed
         dropped += sum(seen.values())
-        records += sum(isinstance(key[3], tuple) for key in seen)
-    assert dropped and records
+    assert dropped
 
 
 def _vaccinations_across_a_demotion(seed, cls=Cluster):
@@ -606,14 +609,14 @@ def _assert_answered_and_agreed(cluster, victim):
 def test_a_demoted_sequencer_s_decisions_are_answered_and_shipped(seed):
     """At seed 21 the sequencer n01 is down from tick 8 to tick 11; n02,
     promoted meanwhile, keeps deciding the requests it holds after n01
-    takes the role back. Each decision is answered and its record reaches
-    the other replicas, n01 included, so no request waits for an answer
-    that never comes and the replicas that never crashed agree."""
+    takes the role back. Each decision is answered and the other
+    replicas, n01 included, apply its record from the log, so no request
+    waits for an answer that never comes and the replicas that never
+    crashed agree."""
     cluster, victim = _vaccinations_across_a_demotion(seed)
     assert victim == "n01"
     [back] = [ev.tick for ev in cluster.trace if ev.kind == "Recovered"]
-    assert any(ev.kind == "Delivered" and ev.node == victim
-               and "ordered" in ev.detail and ev.tick >= back
+    assert any(ev.kind == "Applied" and ev.node == victim and ev.tick >= back
                for ev in cluster.trace)
     _assert_answered_and_agreed(cluster, victim)
 
@@ -627,17 +630,17 @@ def test_a_recovered_sequencer_decides_on_the_stock_it_replayed():
     """At seed 4 the sequencer n01 is down from tick 9 to 12 while n02,
     promoted, accepts the three doses in stock. n01 rejoins holding the
     two records issued meanwhile, replayed from the commit log, and
-    applies the later ones as they arrive. It takes the role back and
-    decides the last eight requests and rejects them all; a node that
-    rejoined with the initial stock would accept three more."""
+    applies each later one, traced `Applied`, as n02 appends it. It takes
+    the role back and decides the last eight requests and rejects them
+    all; a node that rejoined with the initial stock would accept three
+    more."""
     cluster, victim = _vaccinations_across_a_demotion(4, _DecisionLog)
     assert victim == "n01"
     assert [(ev.tick, ev.kind) for ev in cluster.trace
             if ev.kind in ("Crashed", "Recovered")] == [(9, "Crashed"),
                                                         (12, "Recovered")]
-    assert [ev.detail["ordered"] for ev in cluster.trace
-            if ev.kind == "Delivered" and ev.node == "n01"
-            and "ordered" in ev.detail] == [2, 3, 4, 5, 6]
+    assert [ev.detail["seq"] for ev in cluster.trace
+            if ev.kind == "Applied" and ev.node == "n01"] == [2, 3, 4, 5, 6]
     assert collections.Counter((d[1], d[3]) for d in cluster.decisions) == {
         ("n02", "accepted"): 3, ("n02", "rejected"): 9,
         ("n01", "rejected"): 8}
@@ -675,12 +678,12 @@ def _sequencer_crash_run(seed, crash_tick):
     return cluster
 
 
-def _assert_outran_its_record(cluster, mid, status):
+def _assert_deduplicated_at_the_promoted_node(cluster, mid, status):
     """n01 decided `mid` as `status` in the tick before it crashed, before
     the proxy heard the answer, so the proxy sent `mid` again to the
-    promoted n02; the copy reached n02 before n01's record of the decision
-    and left n02's mailbox as the record applied, traced `Deduplicated`.
-    Every request is decided once and answered once."""
+    promoted n02. n02 applied n01's record from the log as n01 appended it,
+    so the copy is traced `Deduplicated` as it reaches n02. Every request
+    is decided once and answered once."""
     [(decided_at, node, _mid, decided)] = [d for d in cluster.decisions
                                            if d[2] == mid]
     assert (node, decided) == ("n01", status)
@@ -689,13 +692,12 @@ def _assert_outran_its_record(cluster, mid, status):
                and ev.detail["message_id"] == mid]
     assert crash == retry.tick == decided_at + 1
     assert retry.detail["dests"] == ["n02"]
-    at_n02 = [(ev.tick, ev.kind, "ordered" in ev.detail)
+    at_n02 = [(ev.tick, ev.kind)
               for ev in cluster.trace if ev.node == "n02" and mid in
               (ev.detail.get("message_id"), *ev.detail.get("message_ids", ()))]
-    [(copy, *arrived), (applied, *record), (dropped, *removed)] = at_n02
-    assert [arrived, record, removed] == [
-        ["Delivered", False], ["Delivered", True], ["Deduplicated", False]]
-    assert copy < applied == dropped
+    [(applied, first), (arrived, then)] = at_n02
+    assert (first, then) == ("Applied", "Deduplicated")
+    assert applied == decided_at < arrived
     requests = [m for m, (h, _p) in cluster.request_payload.items()
                 if h == "vaccinate"]
     assert sorted(d[2] for d in cluster.decisions) == sorted(requests)
@@ -706,18 +708,18 @@ def _assert_outran_its_record(cluster, mid, status):
     assert cluster.responses[cluster.client_of[mid]][mid]["status"] == status
 
 
-def test_a_retransmission_that_outran_its_record_leaves_as_it_applies():
-    # n01 accepts m000003 at tick 11 and crashes at 12; the copy reaches
-    # n02 at 13, the record at 15
-    _assert_outran_its_record(_sequencer_crash_run(6, 12), "m000003",
-                              "accepted")
+def test_a_retransmission_of_an_accepted_request_is_deduplicated():
+    # n01 accepts m000003 at tick 10 and crashes at 11; the copy reaches
+    # n02 at 17
+    _assert_deduplicated_at_the_promoted_node(_sequencer_crash_run(6, 11),
+                                              "m000003", "accepted")
 
 
 def test_a_request_rejected_before_the_crash_is_not_decided_again():
-    # n01 rejects m000002 at tick 12 and crashes at 13; the copy reaches
-    # n02 at 15, the record, which names the rejection, at 16
-    _assert_outran_its_record(_sequencer_crash_run(1, 13), "m000002",
-                              "rejected")
+    # n01 rejects m000005 at tick 13 and crashes at 14; the copy reaches
+    # n02 at 16
+    _assert_deduplicated_at_the_promoted_node(_sequencer_crash_run(1, 14),
+                                              "m000005", "rejected")
 
 
 def test_no_request_is_decided_twice_while_every_worker_crashes():
@@ -781,5 +783,5 @@ def test_a_request_decided_before_its_whole_group_crashed_is_not_decided_again()
     assert events == [(12, "Retransmitted", "proxy", ["n02"]),
                       (13, "NoLiveReplica", "proxy", None),
                       (14, "Retransmitted", "proxy", ["n01"]),
-                      (17, "Deduplicated", "n01", None)]
+                      (19, "Deduplicated", "n01", None)]
     assert client_statuses(cluster) == {mid: "accepted"}
