@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -151,9 +152,16 @@ def _load_machines(path):
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     for m in machines:
+        for field, value in (("capacity", m.capacity), ("price", m.price)):
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: machine {m.name!r} has {field} "
+                                 f"{value:g}, not a finite number")
         if not m.capacity > 0:   # the cost model divides by it
             raise ValueError(f"{path}: machine {m.name!r} has capacity "
                              f"{m.capacity:g}, not above 0")
+        if m.price < 0:
+            raise ValueError(f"{path}: machine {m.name!r} has price "
+                             f"{m.price:g}, below 0")
     return machines
 
 

@@ -2,9 +2,9 @@
 
 Availability: a handler annotated to survive ``f`` failures at some domain
 level gets ``f + 1`` replicas placed in distinct failure domains at that
-level, fronted by a client proxy in its own failure domain that fans
-requests out and forwards the first response per request back to the
-client.
+level. Clients send to the group directly and resend a request until it
+is answered (see `sim`), so no node fronts the group and no single
+failure domain outside it can lose a request.
 
 Consistency: serializable handlers are sequenced through the lowest-numbered
 live replica of their group; the plan places the group, and
@@ -24,8 +24,6 @@ from dataclasses import dataclass, field as dfield
 from .analysis import calm_report
 from .ir import Program
 from .sim import DOMAIN_LEVELS, NodeSpec
-
-PROXY_DOMAIN = ("proxy-dc", "proxy-az", "proxy-rack", "proxy-vm")
 
 
 class InsufficientDomains(Exception):
@@ -62,16 +60,13 @@ def _level_index(level: str) -> int:
 class ReplicationPlan:
     nodes: list = dfield(default_factory=list)     # NodeSpec
     groups: dict = dfield(default_factory=dict)    # handler -> node ids
-    proxies: dict = dfield(default_factory=dict)   # handler -> proxy node id
 
     def to_dict(self) -> dict:
         return {
             "nodes": [{"id": n.node_id, "role": n.role,
-                       "domain": list(n.domain), "behavior": n.behavior}
+                       "domain": list(n.domain)}
                       for n in self.nodes],
             "groups": {h: list(ids) for h, ids in sorted(self.groups.items())},
-            "proxies": {h: {"node": p, "synthesized": True}
-                        for h, p in sorted(self.proxies.items())},
         }
 
 
@@ -96,7 +91,6 @@ def replication_plan(program: Program, slots) -> ReplicationPlan:
             plan.nodes.append(NodeSpec(nid, role=role, domain=slot))
         return used[key]
 
-    need_proxy = False
     for h in sorted(program.handlers, key=lambda h: h.name):
         spec = program.avail_for(h.name)
         need = spec.failures + 1
@@ -114,16 +108,6 @@ def replication_plan(program: Program, slots) -> ReplicationPlan:
         if len(chosen) < need:
             raise InsufficientDomains(h.name, spec.domain, need, len(seen_domains))
         plan.groups[h.name] = [node_for(h.role, s) for s in chosen]
-        if need > 1:
-            need_proxy = True
-
-    if need_proxy:
-        proxy_id = "proxy"
-        plan.nodes.append(NodeSpec(proxy_id, role="proxy",
-                                   domain=PROXY_DOMAIN, behavior="proxy"))
-        for h in sorted(program.handlers, key=lambda h: h.name):
-            if len(plan.groups[h.name]) > 1:
-                plan.proxies[h.name] = proxy_id
     return plan
 
 

@@ -43,6 +43,10 @@ class Route:
     kinds: ``role`` (the handler's replica group, or its sequencer when
     `sequenced`), ``reply`` (back to the client that issued the matching
     request id of `handler`), ``client`` (an outbound sink).
+
+    A ``role`` route `replies` when its handler answers each request: it
+    is sequenced, or it sends to its own reply mailbox. A client resends
+    only such requests until it hears an answer (see `sim`).
     """
 
     mailbox: str
@@ -50,6 +54,7 @@ class Route:
     role: Optional[str] = None
     handler: Optional[str] = None      # the handler a reply route answers
     sequenced: bool = False            # a sequencer decides its requests
+    replies: bool = False              # each request is answered
 
 
 @dataclass
@@ -90,7 +95,8 @@ class LoweringPlan:
             "routes": {
                 m: {k: v for k, v in (("kind", r.kind), ("role", r.role),
                                       ("handler", r.handler),
-                                      ("sequenced", r.sequenced or None))
+                                      ("sequenced", r.sequenced or None),
+                                      ("replies", r.replies or None))
                     if v is not None}
                 for m, r in sorted(self.routes.items())
             },
@@ -157,11 +163,13 @@ def _lower(program: Program) -> LoweringPlan:
             chains[f"query:{name}"] = qplan.chains
 
     for h in program.handlers:
+        reply = response_mailbox(h.name)
+        sequenced = h.consistency.level == "serializable"
         plan.routes[h.name] = Route(
-            h.name, "role", h.role,
-            sequenced=h.consistency.level == "serializable")
-        plan.routes[response_mailbox(h.name)] = Route(
-            response_mailbox(h.name), "reply", handler=h.name)
+            h.name, "role", h.role, sequenced=sequenced,
+            replies=sequenced or any(s.mailbox == reply
+                                     for s in _sends(prepared(h).stmts)))
+        plan.routes[reply] = Route(reply, "reply", handler=h.name)
     for sink in program.sinks:
         plan.routes[sink] = Route(sink, "client")
 

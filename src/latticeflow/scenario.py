@@ -8,8 +8,9 @@ availability annotations over a failure-domain topology.
 `build_scenario_cluster` is the only code that turns a program into a
 `Cluster`; `patterns.run_workload` builds a `Scenario` to get one. Both
 ways of getting nodes end in one `ReplicationPlan`: explicit nodes give
-each handler every worker of its role and, if a proxy node is listed, put
-it in front of each handler with more than one replica.
+each handler every node of its role. Every node is a worker: clients send
+to a handler's group directly and own the resending of their requests
+(see `sim`), so a node whose `behavior` is not "worker" is refused.
 """
 
 from __future__ import annotations
@@ -144,14 +145,18 @@ def load_scenario(source) -> Scenario:
         for i, n in enumerate(raw["nodes"]):
             _require(isinstance(n, dict) and "id" in n and "domain" in n,
                      "each node needs 'id' and 'domain'")
-            for key in ("id", "role", "behavior"):
+            for key in ("id", "role"):
                 if not isinstance(n.get(key, ""), str):
                     raise ScenarioError(f"nodes[{i}].{key} must be a string, "
                                         f"got {json.dumps(n[key])}")
+            if n.get("behavior", "worker") != "worker":
+                raise ScenarioError(
+                    f"nodes[{i}].behavior must be \"worker\", got "
+                    f"{json.dumps(n['behavior'])}: clients resend their own "
+                    f"requests, and no node fronts a group")
             nodes.append(NodeSpec(n["id"], role=n.get("role", "main"),
                                   domain=_domain(n["domain"],
-                                                 f"nodes[{i}].domain"),
-                                  behavior=n.get("behavior", "worker")))
+                                                 f"nodes[{i}].domain")))
     failure_domains = None
     if "failure_domains" in raw:
         paths = raw["failure_domains"]
@@ -228,17 +233,11 @@ def build_scenario_cluster(sc: Scenario, backend: str = "graph",
             raise ScenarioError(str(exc)) from exc
     else:
         plan = ReplicationPlan(nodes=list(sc.nodes))
-        workers = [n for n in sc.nodes if n.behavior == "worker"]
         for h in sc.program.handlers:
-            group = sorted(n.node_id for n in workers if n.role == h.role)
+            group = sorted(n.node_id for n in sc.nodes if n.role == h.role)
             _require(group,
                      f"handler {h.name!r}: no worker node has role {h.role!r}")
             plan.groups[h.name] = group
-        proxy_ids = sorted(n.node_id for n in sc.nodes
-                           if n.behavior == "proxy")
-        if proxy_ids:
-            plan.proxies = {h: proxy_ids[0] for h, g in plan.groups.items()
-                            if len(g) > 1}
     for i, (_, prefix) in enumerate(sc.failures):
         _require(any(domain_prefix_matches(n.domain, prefix)
                      for n in plan.nodes),
@@ -247,8 +246,7 @@ def build_scenario_cluster(sc: Scenario, backend: str = "graph",
         cluster = Cluster(sc.program, plan.nodes, plan.groups,
                           network=sc.network,
                           seed=seed if seed is not None else sc.seed,
-                          backend=backend, proxies=plan.proxies,
-                          trace_path=trace_path)
+                          backend=backend, trace_path=trace_path)
     except LoweringError as exc:
         raise ScenarioError(f"lowering failed: {exc}") from exc
     for req in sc.workload:

@@ -27,36 +27,43 @@ appends a record, the cluster brings each other live replica of the
 handler to the log's tail (`Transducer.catch_up`), tracing each record
 it applies as `Applied` (the node, the handler, the record's sequence
 number and the ids it decided), and answers each client. A replica that
-catches up takes every request id the records decided, so a
+catches up keeps the status of every request the records decided, so a
 retransmission of a decided request is traced as `Deduplicated` wherever
 it lands: on arrival, or as the replica catches up if it was already
-pending there.
+pending there. The statuses live on the nodes; the cluster keeps no
+table of outcomes.
 
 The failure model: the commit log (`Cluster.log`, handler -> the records
 issued, in sequence order) is durable and outlives every node's crash,
 as a replicated log service would, and every live replica reads each
 record as it is appended; every other piece of a node's state is lost
 when it crashes. A recovered node rejoins empty and replays the log, so
-it holds the sequenced state and the decided request ids of every record
-issued before it rejoined, and a retransmission that reaches it after
-every replica that decided or applied the request has crashed is not
-decided again. It holds none of the eventual data written before it
-rejoined.
+it holds the sequenced state and the request statuses of every record
+issued before it rejoined, each record it replays traced as `Applied`,
+and a retransmission that reaches it after every replica that decided or
+applied the request has crashed is not decided again. It holds none of
+the eventual data written before it rejoined.
+
+A client is the end point of retries. It owns each request whose handler
+replies (`lowering.Route.replies`: a sequenced handler, or one that sends
+to its own reply mailbox) until it hears an answer, and resends it
+straight to the handler's group on a timer, traced as `Retransmitted`
+with the client as its node: first `4 * delay_max + 2` ticks after the
+request, time for two round trips, then after twice the previous wait.
+After `RESENDS` resends it waits once more and gives up, traced as one
+`GaveUp`, so every run quiesces, also while a group stays down. A
+request of a handler that sends no reply is never resent. A node that
+deduplicates a request it has decided answers it again with the status it
+keeps (`Transducer.status`), so a resend of a decided request is
+answered by whichever replica it reaches.
 
 A tick's cost does not grow with the backlog of requests. Scheduled
-requests wait in a queue ordered by (tick, schedule order), and messages on
-the network in a heap ordered by (delivery tick, send order); a tick takes
-only what is due from the head of each. Scheduling a request or a failure
-for a tick that has already run raises ValueError. Node and proxy ids are
-sorted once, since a recovery keeps its node's id. A proxy retransmits a
-request when every replica it was sent to has crashed since, recovered or
-not: a crash removes the crashed node from the recipients of each pending
-request and marks a request that it leaves with none as an orphan, and a
-proxy's tick retries only its orphans. A request forwarded to no live
-node is an orphan from the start. An orphan whose group has no live node
-leaves the proxy's orphans once that is traced, and only a recovery of a
-node of its group marks it again, so a tick costs nothing for the
-requests waiting out an outage.
+requests wait in a queue ordered by (tick, schedule order), messages on
+the network in a heap ordered by (delivery tick, send order), and resends
+in a heap ordered by (due tick, message id); a tick takes only what is
+due from the head of each. Scheduling a request or a failure for a tick
+that has already run raises ValueError. Node ids are sorted once, since a
+recovery keeps its node's id.
 """
 
 from __future__ import annotations
@@ -70,9 +77,17 @@ from typing import NamedTuple, Optional
 from .ir import MESSAGE_ID, Program, response_mailbox
 from .lowering import lower
 from .state import Row, canonical_state
-from .transducer import NODE_FAILURES, Transducer
+from .transducer import NODE_FAILURES, QUEUED, Transducer
 
 DOMAIN_LEVELS = ("dc", "az", "rack", "vm")
+
+# resends of a request before its client gives up. The waits double, so
+# the give-up comes 63 first waits after the request: 5166 ticks under the
+# default network (delay_max 20), inside a scenario's default max_ticks of
+# 10000, where a sixth resend would put it at 10414, past it. The last
+# resend goes out 31 first waits after the request, which outlasts every
+# outage of tests/test_sim.py's crash-and-recover schedules many times.
+RESENDS = 5
 
 
 class NoQuiescence(Exception):
@@ -82,9 +97,8 @@ class NoQuiescence(Exception):
 @dataclass(frozen=True)
 class NodeSpec:
     node_id: str
-    role: str = "main"            # worker role, or "proxy"
+    role: str = "main"            # the role of the handlers it runs
     domain: tuple = ()            # failure-domain path, dc/az/rack/vm order
-    behavior: str = "worker"      # "worker" | "proxy"
 
 
 @dataclass
@@ -126,26 +140,11 @@ def domain_prefix_matches(domain: tuple, prefix: tuple) -> bool:
     return tuple(domain[:len(prefix)]) == tuple(prefix)
 
 
-class _ProxyState:
-    """Client-facing fan-out node: forwards each request id to the replica
-    group, retransmits its orphans, and forwards the first response per
-    request id back to the client."""
-
-    def __init__(self):
-        self.inbox: list = []
-        self.seen_requests: set = set()
-        self.seen_responses: set = set()
-        self.pending: dict = {}  # mid -> {"mailbox", "payload", "dests"};
-                                 # dests: the recipients that have not crashed since
-        self.orphans: set = set()  # mids in `pending` to retry: their dests are empty
-
-
 class Cluster:
     def __init__(self, program: Program, nodes, groups, network=None,
                  seed: int = 0, backend: str = "graph",
-                 proxies=None, trace_path=None, max_rounds: int = 10000):
+                 trace_path=None, max_rounds: int = 10000):
         """groups: handler name -> ordered list of worker node ids.
-        proxies: handler name -> proxy node id (optional per handler).
         Raises `lowering.LoweringError` for a program that does not lower."""
         self.program = program
         self.routes = lower(program).routes  # mailbox -> lowering.Route
@@ -154,20 +153,14 @@ class Cluster:
         self.backend = backend
         self.max_rounds = max_rounds
         self.groups = {h: list(ids) for h, ids in groups.items()}
-        self.proxies = dict(proxies or {})
         self.specs = {s.node_id: s for s in nodes}
         self.log: dict = {}                  # handler -> commit records issued,
                                              # in sequence order; outlives crashes
-        self.nodes: dict = {}
+        self.nodes = {s.node_id: self._worker(s) for s in nodes}
+        # always empty; bench/tracing.py still reads it on every step
         self.proxy_state: dict = {}
-        for s in nodes:
-            if s.behavior == "proxy":
-                self.proxy_state[s.node_id] = _ProxyState()
-            else:
-                self.nodes[s.node_id] = self._worker(s)
         self.alive = {s.node_id: True for s in nodes}
         self._node_ids = sorted(self.nodes)   # a recovery keeps the ids
-        self._proxy_ids = sorted(self.proxy_state)
         self.tick = 0
         self.in_flight: list = []            # heap of _InFlight
         self._seq = 0
@@ -182,6 +175,13 @@ class Cluster:
         self.response_log: list = []         # every response delivery, in order
         self.sink_outputs: dict = {}         # sink mailbox -> payload list
         self.request_payload: dict = {}      # message_id -> (mailbox, payload)
+        self.outstanding: dict = {}          # message_id -> (due tick, resends
+                                             # so far) of each owned request
+                                             # not yet answered
+        self._resends: list = []             # heap of (due tick, message_id);
+                                             # an entry whose tick is not the
+                                             # request's due tick is stale
+        self._first_wait = 4 * self.network.delay_max + 2
 
     # --- bookkeeping --------------------------------------------------------
     def _emit(self, kind, node, **detail):
@@ -238,12 +238,6 @@ class Cluster:
                     self._emit("Crashed", nid, domain=list(spec.domain))
         if not matched:
             raise KeyError(f"no node under failure domain {prefix!r}")
-        for st in self.proxy_state.values():
-            for mid, entry in st.pending.items():
-                if entry["dests"]:
-                    entry["dests"] = [d for d in entry["dests"] if self.alive[d]]
-                    if not entry["dests"]:
-                        st.orphans.add(mid)
         # in-flight messages to crashed nodes are lost, each with an event;
         # a sorted list is a heap
         kept = []
@@ -263,43 +257,29 @@ class Cluster:
 
     def recover(self, node_id: str):
         """Crash-stop recovery: the node rejoins with empty state but for
-        the commit log, which it replays (see `_worker`). Every proxy marks
-        again the requests it holds with no live recipient whose group holds
-        the node."""
+        the commit log, which it replays (see `_worker`), tracing each
+        record it replays as `Applied`."""
         spec = self.specs[node_id]
-        if spec.behavior == "proxy":
-            self.proxy_state[node_id] = _ProxyState()
-        else:
-            self.nodes[node_id] = self._worker(spec)
+        node = self.nodes[node_id] = self._worker(spec)
         self.alive[node_id] = True
-        for st in self.proxy_state.values():
-            st.orphans.update(m for m, e in st.pending.items() if not e["dests"]
-                              and node_id in self.groups.get(e["mailbox"], ()))
         self._emit("Recovered", node_id, domain=list(spec.domain))
+        for handler, applied in sorted(node.applied.items()):
+            self._trace_applied(node_id, handler, range(applied))
 
     # --- message routing ----------------------------------------------------
-    def _dests(self, route, payload: Row, sender: Optional[str]) -> list:
+    def _dests(self, route, payload: Row) -> list:
+        """Where a message on `route` goes: a request to its handler's
+        sequencer if sequenced, else to every live replica; a reply to the
+        client that issued the request; anything else to the sink."""
         if route.kind == "role":
-            proxy = self.proxies.get(route.mailbox)
-            if proxy is not None and sender is None and self.alive.get(proxy):
-                return [proxy]
-            return self._group_dests(route)
+            if route.sequenced:
+                seq = self.sequencer(route.mailbox)
+                return [seq] if seq else []
+            return self.live_group(route.mailbox)
         if route.kind == "reply":
-            proxy = self.proxies.get(route.handler)
-            if proxy is not None and sender != proxy and self.alive.get(proxy):
-                return [proxy]
             client = self.client_of.get(payload.get(MESSAGE_ID))
             return [f"client:{client}"] if client is not None else []
         return ["sink"]
-
-    def _group_dests(self, route) -> list:
-        """Where a request on handler route `route` goes inside the
-        handler's group: its sequencer if sequenced, else every live
-        replica."""
-        if route.sequenced:
-            seq = self.sequencer(route.mailbox)
-            return [seq] if seq else []
-        return self.live_group(route.mailbox)
 
     def _post(self, dest: str, mailbox: str, payload: Row):
         # randrange(lo, hi + 1) is randint(lo, hi)'s own body, so the draws
@@ -321,9 +301,9 @@ class Cluster:
                        deliver_tick=self.tick + delay2,
                        message_id=payload.get(MESSAGE_ID))
 
-    def _route(self, mailbox: str, payload: Row, sender: Optional[str]):
+    def _route(self, mailbox: str, payload: Row):
         route = self.routes[mailbox]
-        dests = self._dests(route, payload, sender)
+        dests = self._dests(route, payload)
         if not dests and route.kind == "role":
             self._emit("NoLiveReplica", None, mailbox=mailbox,
                        message_id=payload.get(MESSAGE_ID))
@@ -333,11 +313,12 @@ class Cluster:
     # --- delivery -----------------------------------------------------------
     def _deliver_due(self):
         """Deliver the due messages in (deliver_tick, seq) order, popped
-        from the heap; a delivery posts nothing, so none becomes due.
-        Every destination is up: nothing is posted to a crashed node, and
-        `inject_failure` drops what was on its way to one. No message
-        carries a commit record: decisions reach replicas through the
-        commit log (see `_serial_results`)."""
+        from the heap; a delivery posts at most an answer, due a tick
+        later at the earliest, so none becomes due. Every destination is
+        up: nothing is posted to a crashed node, and `inject_failure`
+        drops what was on its way to one. No message carries a commit
+        record: decisions reach replicas through the commit log (see
+        `_serial_results`)."""
         heap = self.in_flight
         while heap and heap[0].deliver_tick <= self.tick:
             m = heapq.heappop(heap)
@@ -346,10 +327,6 @@ class Cluster:
                 self._emit("Delivered", "sink", mailbox=m.mailbox)
             elif m.dest.startswith("client:"):
                 self._deliver_client(m)
-            elif m.dest in self.proxy_state:
-                self.proxy_state[m.dest].inbox.append((m.mailbox, m.payload))
-                self._emit("Delivered", m.dest, mailbox=m.mailbox,
-                           message_id=m.payload.get(MESSAGE_ID))
             else:
                 self._deliver_worker(m)
 
@@ -360,13 +337,15 @@ class Cluster:
         fresh = mid not in box
         if fresh:
             box[mid] = m.payload
+        self.outstanding.pop(mid, None)
         self.response_log.append((self.tick, client, mid, m.payload, fresh))
         self._emit("Response", None, client=client, message_id=mid,
                    duplicate=not fresh)
 
     def _deliver_worker(self, m: _InFlight):
         """Deliver `m` to its worker; a sequenced request whose id the node
-        has taken before is traced `Deduplicated` and dropped."""
+        has taken before is traced `Deduplicated` and dropped, and answered
+        with its status if the node knows it decided."""
         node = self.nodes[m.dest]
         mid = m.payload.get(MESSAGE_ID)
         if not self.routes[m.mailbox].sequenced:
@@ -374,6 +353,10 @@ class Cluster:
         elif not node.take_request(m.mailbox, m.payload):
             self._emit("Deduplicated", m.dest, mailbox=m.mailbox,
                        message_id=mid)
+            status = node.status[mid]
+            if status != QUEUED:
+                self._route(response_mailbox(m.mailbox),
+                            Row({MESSAGE_ID: mid, "status": status}))
             return
         self._emit("Delivered", m.dest, mailbox=m.mailbox, message_id=mid)
 
@@ -390,19 +373,16 @@ class Cluster:
         queue = self.pending_injections
         while queue and queue[0][0] <= self.tick:
             _, _, client, mailbox, payload = heapq.heappop(queue)
+            mid = payload.get(MESSAGE_ID)
             self._emit("Injected", None, client=client, mailbox=mailbox,
-                       message_id=payload.get(MESSAGE_ID))
-            self._route(mailbox, payload, sender=None)
+                       message_id=mid)
+            self._route(mailbox, payload)
+            if self.routes[mailbox].replies:
+                self._await(mid, self.tick + self._first_wait, 0)
             active = True
         self._deliver_due()
-
-        for nid in self._proxy_ids:
-            if not self.alive.get(nid):
-                continue
-            if self._proxy_tick(nid):
-                active = True
-            if self._proxy_retry(nid):
-                active = True
+        if self._resend_due():
+            active = True
 
         for nid in self._node_ids:
             if not self.alive.get(nid):
@@ -418,67 +398,61 @@ class Cluster:
             if result.fired or result.sends:
                 active = True
             for out in result.sends:
-                self._route(out.mailbox, out.payload, sender=nid)
+                self._route(out.mailbox, out.payload)
             self._serial_results(nid, result)
         self._emit("TickCompleted", None, active=active)
         self.tick += 1
         return active
 
-    def _proxy_tick(self, nid: str) -> bool:
-        st = self.proxy_state[nid]
-        if not st.inbox:
-            return False
-        inbox, st.inbox = st.inbox, []
-        for mailbox, payload in inbox:
-            mid = payload.get(MESSAGE_ID)
-            route = self.routes[mailbox]
-            if route.kind == "role":
-                if mid in st.seen_requests:
-                    continue
-                st.seen_requests.add(mid)
-                dests = self._group_dests(route)
-                for dest in dests:
-                    self._post(dest, mailbox, payload)
-                st.pending[mid] = {"mailbox": mailbox, "payload": payload,
-                                   "dests": dests}
-                if not dests:
-                    st.orphans.add(mid)
-            else:  # a reply
-                st.pending.pop(mid, None)
-                st.orphans.discard(mid)
-                if mid in st.seen_responses:
-                    continue
-                st.seen_responses.add(mid)
-                client = self.client_of.get(mid)
-                if client is not None:
-                    self._post(f"client:{client}", mailbox, payload)
-        return True
+    def _resend_due(self) -> bool:
+        """Resend each owned request whose wait ends this tick and that is
+        still unanswered, or give it up after `RESENDS` resends; whether
+        any was."""
+        heap, active = self._resends, False
+        while heap and heap[0][0] <= self.tick:
+            due, mid = heapq.heappop(heap)
+            if not self._owned(due, mid):
+                continue
+            sent = self.outstanding[mid][1]
+            active = True
+            client = f"client:{self.client_of[mid]}"
+            mailbox, payload = self.request_payload[mid]
+            if sent == RESENDS:
+                del self.outstanding[mid]
+                self._emit("GaveUp", client, mailbox=mailbox, message_id=mid,
+                           resends=sent)
+                continue
+            sent += 1
+            self._emit("Retransmitted", client, mailbox=mailbox,
+                       message_id=mid, attempt=sent)
+            self._route(mailbox, payload)
+            self._await(mid, self.tick + (self._first_wait << sent), sent)
+        return active
 
-    def _proxy_retry(self, nid: str) -> bool:
-        """Retransmit the orphans of proxy `nid`: the pending requests
-        whose every recipient has crashed since it was sent. True if it
-        had any, since each emits an event."""
-        st = self.proxy_state[nid]
-        orphans = sorted(st.orphans)
-        for mid in orphans:
-            self._retry_entry(nid, mid, st.pending[mid])
-        return bool(orphans)
+    def _await(self, mid: str, due: int, sent: int):
+        """Set the timer of `mid`, owned after `sent` resends, for `due`."""
+        self.outstanding[mid] = (due, sent)
+        heapq.heappush(self._resends, (due, mid))
 
-    def _retry_entry(self, nid: str, mid: str, entry: dict):
-        """Send orphan `mid` of proxy `nid` to its group again, or trace
-        that the group has no live node; either way `mid` leaves the
-        orphans, until a crash or a recovery marks it again."""
-        self.proxy_state[nid].orphans.discard(mid)
-        dests = self._group_dests(self.routes[entry["mailbox"]])
-        if not dests:
-            self._emit("NoLiveReplica", nid, mailbox=entry["mailbox"],
-                       message_id=mid)
-            return
-        for dest in dests:
-            self._post(dest, entry["mailbox"], entry["payload"])
-        entry["dests"] = dests
-        self._emit("Retransmitted", nid, mailbox=entry["mailbox"],
-                   message_id=mid, dests=list(dests))
+    def _next_resend(self) -> Optional[int]:
+        """The due tick of the first resend of a request still unanswered,
+        dropping the heap's head entries of answered ones."""
+        heap = self._resends
+        while heap and not self._owned(*heap[0]):
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
+
+    def _owned(self, due: int, mid: str) -> bool:
+        """Whether the timer (due, mid) is live: `mid` is not answered nor
+        submitted again since it was set."""
+        entry = self.outstanding.get(mid)
+        return entry is not None and entry[0] == due
+
+    def _trace_applied(self, nid: str, handler: str, seqs):
+        log = self.log[handler]
+        for seq in seqs:
+            self._emit("Applied", nid, handler=handler, seq=seq,
+                       message_ids=[mid for mid, _ in log[seq]])
 
     def _serial_results(self, nid: str, result):
         """For each handler whose log node `nid` appended a record to, bring
@@ -487,37 +461,33 @@ class Cluster:
         decided request it drops as `Deduplicated`; then answer the
         requests `nid` decided, in decision order."""
         for handler, record in sorted(result.records.items()):
-            log = self.log[handler]
             for backup in self.live_group(handler):
                 if backup == nid:
                     continue
                 applied, removed = self.nodes[backup].catch_up(handler)
-                for seq in applied:
-                    self._emit("Applied", backup, handler=handler, seq=seq,
-                               message_ids=[mid for mid, _ in log[seq]])
+                self._trace_applied(backup, handler, applied)
                 for mid in removed:
                     self._emit("Deduplicated", backup, mailbox=handler,
                                message_id=mid)
             for mid, _ in record:
                 reply = Row({MESSAGE_ID: mid, "status": result.statuses[mid]})
-                self._route(response_mailbox(handler), reply, sender=nid)
+                self._route(response_mailbox(handler), reply)
 
     # --- run loop -----------------------------------------------------------
     def _has_work(self) -> bool:
-        if self.in_flight or self.pending_injections:
-            return True
-        if any(st.inbox for st in self.proxy_state.values()):
-            return True
-        return False
+        return bool(self.in_flight or self.pending_injections
+                    or self.outstanding)
 
     def run_to_quiescence(self, max_ticks: int = 10000) -> int:
         idle_streak = 0
         while self.tick < max_ticks:
             # idle fast-forward: nothing can happen until the next delivery
             if idle_streak > 0:
+                resend = self._next_resend()
                 due = ([m.deliver_tick for m in self.in_flight[:1]]
                        + [x[0] for x in self.pending_injections[:1]]
-                       + [x[0] for x in self.pending_failures])
+                       + [x[0] for x in self.pending_failures]
+                       + ([resend] if resend is not None else []))
                 if due and min(due) > self.tick:
                     self.tick = min(due)
             active = self.step()

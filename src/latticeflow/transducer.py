@@ -48,11 +48,14 @@ tick catches up before it builds its context, so a node never decides on
 a prefix that misses a decision already made. The deciding node appends
 its batch's record to the log and advances its prefix past it. A node
 built on a non-empty log replays it, so a recovered node starts from
-every decision made before it rejoined. A node takes each sequenced
-request's message id once (`take_request`), and takes every id that a
-record it applies decided, so it decides no request that another node
-decided before: a pending copy of a decided request leaves the mailbox
-as the node catches up.
+every decision made before it rejoined. A node keeps a status for each
+sequenced request id it has seen (`status`): queued when it takes the
+request (`take_request`, once per id), then the decision, from the
+record it issues or from one it applies, where `delta is None` means
+rejected. So it decides no request that another node decided before, a
+pending copy of a decided request leaves the mailbox as the node catches
+up, and a duplicate of a decided request can be answered with its
+status.
 
 An eventual handler with no eligible message is skipped when none of its
 desugared statements can act on an empty mailbox (see `_inert_when_empty`),
@@ -88,6 +91,7 @@ from .state import (
     NodeState, OutMsg, Row, UdfFailure, storage_key,
 )
 
+QUEUED = "queued"
 ACCEPTED = "accepted"
 REJECTED = "rejected"
 
@@ -151,7 +155,8 @@ class Transducer:
         # serializable handler -> its applied prefix: the records of the log
         # applied or issued here
         self.applied: dict = {}
-        self.taken: set = set()   # message ids of the sequenced requests taken
+        self.status: dict = {}    # sequenced request id -> QUEUED, ACCEPTED
+                                  # or REJECTED
         for h in self.serializable:
             self.log.setdefault(h.name, [])
             self.catch_up(h.name)
@@ -173,33 +178,35 @@ class Transducer:
 
     def take_request(self, mailbox: str, payload: Row) -> bool:
         """Queue request `payload` of a serializable handler unless this
-        node has taken its message id before; whether it did."""
+        node has a status for its message id; whether it did."""
         mid = payload.get(MESSAGE_ID)
-        if mid in self.taken:
+        if mid in self.status:
             return False
-        self.taken.add(mid)
+        self.status[mid] = QUEUED
         self.state.deliver(mailbox, payload)
         return True
 
     def catch_up(self, handler: str) -> tuple:
         """Commit `handler`'s log from the applied prefix to its tail. No
         context is built and no guard or invariant runs: the records carry
-        the deciding node's decisions. Every decided id is taken, and a
-        pending copy of a decided request leaves the mailbox. Returns the
-        sequence numbers applied, a range, and the message ids of the
-        copies removed."""
+        the deciding node's decisions. Every decided id gets its status,
+        and a pending copy of a decided request leaves the mailbox.
+        Returns the sequence numbers applied, a range, and the message ids
+        of the copies removed."""
         log = self.log[handler]
         applied = range(self.applied.get(handler, 0), len(log))
         if not applied:
             return applied, []
-        decided = set()
+        decided = {}
         for record in log[applied.start:]:
             for mid, delta in record:
-                if delta is not None:
+                if delta is None:
+                    decided[mid] = REJECTED
+                else:
                     self.state.commit(delta)
-                decided.add(mid)
+                    decided[mid] = ACCEPTED
         self.applied[handler] = len(log)
-        self.taken |= decided
+        self.status.update(decided)
         pending = self.state.mailboxes[handler]
         self.state.mailboxes[handler] = [m for m in pending
                                          if m.get(MESSAGE_ID) not in decided]
@@ -333,7 +340,7 @@ class Transducer:
                        if guarded and self.state.mailboxes.get(h.name)
                        else None)
             if mid is not None:
-                result.statuses[mid] = status
+                result.statuses[mid] = self.status[mid] = status
                 decisions.append((mid, delta))
             msg = self._next_request(h, ctx)
             if ctx is not None:   # the check or fresh context is done

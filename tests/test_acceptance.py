@@ -287,6 +287,11 @@ def test_three_zone_failures_may_lose_requests_but_say_so():
         if missing:
             lost += 1
             assert any(ev.kind == "NoLiveReplica" for ev in cluster.trace), seed
+        # the run quiesces: each client gives up, once, every request it
+        # never heard an answer to
+        gave_up = [ev.detail["message_id"] for ev in cluster.trace
+                   if ev.kind == "GaveUp"]
+        assert sorted(gave_up) == sorted(missing), seed
     assert lost > 0
 
 

@@ -21,7 +21,7 @@ from latticeflow.ir import (
 )
 from latticeflow.patterns import covid_program
 from latticeflow.progjson import program_to_json
-from latticeflow.scenario import load_scenario, run_scenario
+from latticeflow.scenario import ScenarioError, load_scenario, run_scenario
 from latticeflow.sim import trace_text
 
 
@@ -296,20 +296,22 @@ def test_a_malformed_scenario_field_is_named_without_a_traceback(
     assert captured.out == ""
 
 
-def test_explicit_nodes_build_groups_and_a_proxy():
+def test_explicit_nodes_build_groups_and_refuse_a_proxy():
     nodes = [{"id": f"w{i}", "domain": ["dc0", f"az{i}"]} for i in range(3)]
-    nodes.append({"id": "edge", "domain": ["proxy-dc"], "role": "proxy",
-                  "behavior": "proxy"})
     sc = load_scenario(scenario_dict(nodes=nodes))
     cluster = run_scenario(sc)
     handlers = ("add_contact", "add_person", "diagnose", "estimate", "trace",
                 "vaccinate")
     assert cluster.groups == {h: ["w0", "w1", "w2"] for h in handlers}
-    assert cluster.proxies == {h: "edge" for h in handlers}
     fresh = [mid for (_t, _c, mid, _p, is_fresh) in cluster.response_log
              if is_fresh]
     assert sorted(fresh) == sorted(cluster.request_payload)
     assert len(fresh) == len(sc.workload)
+    # clients resend their own requests, so no node fronts a group
+    nodes.append({"id": "edge", "domain": ["edge-dc"], "role": "edge",
+                  "behavior": "proxy"})
+    with pytest.raises(ScenarioError, match=r"^nodes\[3\]\.behavior "):
+        load_scenario(scenario_dict(nodes=nodes))
 
 
 def test_plan_defaults_are_feasible(tmp_path, capsys):
@@ -348,6 +350,12 @@ def test_a_plan_path_that_cannot_be_written_is_an_input_error(tmp_path,
     ([{"name": "small", "price": 1}], "a machine has no field 'capacity'"),
     ([{"name": "idle", "capacity": 0, "price": 1}],
      "machine 'idle' has capacity 0, not above 0"),
+    ([{"name": "x", "capacity": 4, "price": -1}],
+     "machine 'x' has price -1, below 0"),
+    ([{"name": "x", "capacity": 4, "price": float("nan")}],
+     "machine 'x' has price nan, not a finite number"),
+    ([{"name": "x", "capacity": float("inf"), "price": 1}],
+     "machine 'x' has capacity inf, not a finite number"),
 ])
 def test_a_malformed_machine_catalog_is_an_input_error(tmp_path, capsys,
                                                        catalog, message):
@@ -641,7 +649,7 @@ DEMO = Path(__file__).resolve().parent.parent / "demos" / "covid_scenario.json"
 # sha256 of the demo's trace at seed 9; any change to what a run does or to
 # how the trace is written moves it
 DEMO_TRACE_SHA256 = \
-    "c34b9000ca40e787b47d450f2432cc5ce3c9f3198ecee4a3bdab1236b27fd9a6"
+    "44ea17abe6c8fbfee98c75f8f8c9490a6887fbffd73ee83cfad8705294e70f04"
 
 
 def test_the_demo_trace_is_byte_identical(tmp_path):
@@ -689,7 +697,7 @@ def sequenced_scenario() -> dict:
 # sha256 of the trace of `sequenced_scenario`, which the demo's trace does
 # not cover: it has no serializable request
 SEQUENCED_TRACE_SHA256 = \
-    "ab8fc53815022956dd69b89b92ee1f28a664b749ac73a01697b5e90e8cf7d58e"
+    "52fbd22763776cfe1215037770f815600dabfefe4be3588660df16729178bc13"
 
 
 def test_the_sequenced_trace_is_byte_identical(tmp_path, capsys):

@@ -15,7 +15,7 @@ from latticeflow.sim import Cluster
 
 
 def planned_cluster(p, plan) -> Cluster:
-    return Cluster(p, plan.nodes, plan.groups, proxies=plan.proxies)
+    return Cluster(p, plan.nodes, plan.groups)
 
 
 def prog(handlers, availability=None):
@@ -67,20 +67,17 @@ def test_insufficient_domains_is_reported():
 
 
 def test_unreplicated_handler_gets_no_proxy():
-    p = prog([mono_handler()], {"h": AvailSpec("az", 0)})
-    plan = replication_plan(p, make_topology())
-    assert plan.proxies == {}
-    assert all(s.behavior == "worker" for s in plan.nodes)
-
-
-def test_replicated_handlers_share_one_proxy():
+    # nor does a replicated one: clients send to a group directly, so no
+    # node stands outside the topology in front of the replicas
     p = prog([mono_handler("a"), mono_handler("b")],
-             {"a": AvailSpec("az", 1), "b": AvailSpec("az", 2)})
-    plan = replication_plan(p, make_topology())
-    assert set(plan.proxies) == {"a", "b"}
-    assert len({v for v in plan.proxies.values()}) == 1
-    proxies = [s for s in plan.nodes if s.behavior == "proxy"]
-    assert len(proxies) == 1
+             {"a": AvailSpec("az", 0), "b": AvailSpec("az", 2)})
+    slots = make_topology()
+    plan = replication_plan(p, slots)
+    assert len(plan.groups["a"]) == 1 and len(plan.groups["b"]) == 3
+    assert {s.domain for s in plan.nodes} <= set(slots)
+    assert {s.node_id for s in plan.nodes} == \
+        set(plan.groups["a"]) | set(plan.groups["b"])
+    assert set(plan.to_dict()) == {"nodes", "groups"}
 
 
 def test_sequencer_is_synthesized_for_serializable_handlers():
@@ -91,8 +88,7 @@ def test_sequencer_is_synthesized_for_serializable_handlers():
     plan = replication_plan(p, make_topology())
     assert lower(p).routes["spend"].sequenced
     assert planned_cluster(p, plan).sequencer("spend") in plan.groups["spend"]
-    marks = plan.to_dict()
-    assert marks["proxies"]["spend"]["synthesized"] is True
+    assert plan.to_dict()["groups"]["spend"] == plan.groups["spend"]
 
 
 def test_handlers_sharing_a_role_share_workers():

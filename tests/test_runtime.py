@@ -826,7 +826,8 @@ def test_a_backup_applies_a_commit_record_without_a_context(backend):
     assert log == {"vaccinate": records}
     assert records[2] == (("m3", None),)
     assert backup.catch_up("vaccinate") == (range(2, 3), [])
-    assert backup.taken == {"m1", "m2", "m3"}
+    assert backup.status == {"m1": "accepted", "m2": "accepted",
+                             "m3": "rejected"}
     assert not backup.take_request("vaccinate", request(3, pid=1))
     assert (backup.contexts, backup.applied) == (0, {"vaccinate": 3})
     assert backup.state.vars["vaccine_count"] == 0
@@ -835,8 +836,8 @@ def test_a_backup_applies_a_commit_record_without_a_context(backend):
                   diagnosed=False, vaccinated=True, likelihood=INT_MIN)}
     assert not backup.has_pending_input()
     late = CountingTransducer(program, backend=backend, log=log)
-    assert (late.contexts, late.applied, late.taken) == \
-        (0, {"vaccinate": 3}, {"m1", "m2", "m3"})
+    assert (late.contexts, late.applied, late.status) == \
+        (0, {"vaccinate": 3}, backup.status)
     assert late.state.vars == backup.state.vars
     assert late.state.tables == backup.state.tables
     assert stale.applied == {}

@@ -12,12 +12,13 @@ from latticeflow.ir import (
     MESSAGE_ID, AvailSpec, DataDecl, Handler, MergeMutation, Program,
     TargetPath, Var,
 )
-from latticeflow.patterns import covid_tracker, covid_workload, run_workload
+from latticeflow.lowering import lower
+from latticeflow.patterns import (
+    covid_tracker, covid_workload, get_pattern, run_workload,
+)
 from latticeflow.runtime import compile_queries
 from latticeflow.scenario import Scenario, build_scenario_cluster
-from latticeflow.sim import (
-    Cluster, NetworkModel, NoQuiescence, domain_prefix_matches, trace_text,
-)
+from latticeflow.sim import Cluster, NetworkModel, trace_text
 from latticeflow.state import FixpointDivergence, Row
 from latticeflow.transducer import Transducer
 
@@ -93,6 +94,55 @@ def test_no_live_replica_is_logged():
     cluster.run_to_quiescence()
     assert any(ev.kind == "NoLiveReplica" for ev in cluster.trace)
     assert cluster.responses.get("c1", {}) == {}
+    # the client resends while no node is live, then gives up, so the run
+    # quiesces: the last resend is 14 + 28 + 56 + 112 + 224 ticks after the
+    # request, and the give-up one wait of 448 after that
+    [(mid, _)] = cluster.request_payload.items()
+    assert [(ev.tick, ev.kind) for ev in cluster.trace
+            if ev.kind in ("Retransmitted", "GaveUp")] == [
+        (5 + 14, "Retransmitted"), (5 + 42, "Retransmitted"),
+        (5 + 98, "Retransmitted"), (5 + 210, "Retransmitted"),
+        (5 + 434, "Retransmitted"), (5 + 882, "GaveUp")]
+    assert [ev.detail for ev in cluster.trace if ev.kind == "GaveUp"] == [
+        {"mailbox": "add_person", "message_id": mid, "resends": 5}]
+
+
+def test_a_duplicate_of_a_decided_request_is_answered_with_its_status():
+    """Every message is duplicated, so the second copy of each request
+    reaches a node that has decided it or applied its record: it is
+    traced `Deduplicated` and answered again with the status the log
+    recorded, where `delta is None` means rejected."""
+    pat = covid_tracker(coordinated=True, vaccine_count=2)
+    cluster = build_scenario_cluster(
+        Scenario(pat.program, seed=3, network=NetworkModel(1, 6, 1.0)))
+    cluster.schedule_request(0, "c1", "add_person",
+                             {"pid": 1, "name": "a", "country": "x"})
+    vaccinations(cluster, 4, 5)
+    cluster.run_to_quiescence()
+    logged = {mid: "rejected" if delta is None else "accepted"
+              for record in cluster.log["vaccinate"] for mid, delta in record}
+    assert sorted(logged.values()) == ["accepted"] * 2 + ["rejected"] * 3
+    answers = collections.defaultdict(list)
+    for _t, _c, mid, payload, _f in cluster.response_log:
+        if mid in logged:
+            answers[mid].append(payload["status"])
+    assert set(answers) == set(logged)
+    assert all(set(v) == {logged[mid]} for mid, v in answers.items())
+    assert any(len(v) > 1 for v in answers.values())
+    assert client_statuses(cluster) == logged
+
+
+def test_a_handler_that_sends_no_reply_is_never_resent():
+    # no mpi_collectives handler replies, so no client owns a request,
+    # though no request is ever answered
+    pat = get_pattern("mpi_collectives")
+    cluster = run_workload(pat.program, pat.workload(seed=4), seed=4)
+    assert not any(lower(pat.program).routes[h].replies
+                   for h, _p in cluster.request_payload.values())
+    assert cluster.request_payload and not cluster.response_log
+    assert not _events(cluster, "Retransmitted")
+    assert not _events(cluster, "GaveUp")
+    assert pat.observe(cluster) == pat.oracle(pat.workload(seed=4))
 
 
 def test_a_request_reaches_only_its_own_group():
@@ -120,8 +170,9 @@ def test_a_request_reaches_only_its_own_group():
 
 
 def test_retransmission_recovers_a_dropped_request():
-    # vaccinate routes through its sequencer; when that node dies with the
-    # request in flight, the proxy retries against the next live replica
+    # vaccinate goes to its sequencer n01; when n01 dies with the request
+    # in flight, the request is dropped, and its client resends it, to
+    # n02 now, a first wait of 4 * 6 + 2 ticks after it sent it
     pat = covid_tracker(vaccine_count=5)
     found = 0
     for seed in range(30):
@@ -129,12 +180,22 @@ def test_retransmission_recovers_a_dropped_request():
             Scenario(pat.program, seed=seed, network=NetworkModel(2, 6, 0.0)))
         cluster.schedule_request(0, "c1", "add_person",
                                  {"pid": 1, "name": "a", "country": "x"})
-        cluster.schedule_request(0, "c1", "vaccinate", {"pid": 1})
+        mid = cluster.schedule_request(3, "c1", "vaccinate", {"pid": 1})
         cluster.schedule_failure(7, ("dc0", "az0"))
         cluster.run_to_quiescence()
         assert len(cluster.responses.get("c1", {})) == 2
-        if any(ev.kind == "Retransmitted" for ev in cluster.trace):
-            found += 1
+        if not any(ev.kind == "Dropped" and ev.detail["message_id"] == mid
+                   for ev in cluster.trace):
+            continue
+        found += 1
+        [(at, resend)] = [(i, ev)
+                          for i, ev in _events(cluster, "Retransmitted")
+                          if ev.detail["message_id"] == mid]
+        assert (resend.tick, resend.node) == (3 + 26, "client:c1")
+        assert resend.detail == {"mailbox": "vaccinate", "message_id": mid,
+                                 "attempt": 1}
+        sent = cluster.trace[at + 1]
+        assert (sent.kind, sent.detail["dest"]) == ("Sent", "n02")
     assert found > 0
 
 
@@ -183,7 +244,7 @@ def test_a_recovered_node_applies_the_records_issued_after_it_rejoined():
     ends at the sequencer's stock."""
     pat = covid_tracker(coordinated=True, vaccine_count=5)
     cluster = build_scenario_cluster(
-        Scenario(pat.program, seed=1, network=NetworkModel(1, 3, 0.0)))
+        Scenario(pat.program, seed=6, network=NetworkModel(1, 3, 0.0)))
     cluster.schedule_request(0, "c1", "add_person",
                              {"pid": 1, "name": "a", "country": "x"})
     vaccinations(cluster, 3, 1)
@@ -194,7 +255,7 @@ def test_a_recovered_node_applies_the_records_issued_after_it_rejoined():
     cluster.recover("n03")
     node = cluster.nodes["n03"]
     assert node.applied == {"vaccinate": 2}
-    assert node.taken == {"m000002", "m000003"}
+    assert node.status == {"m000002": "accepted", "m000003": "accepted"}
     assert node.state.vars["vaccine_count"] == 3
     person = node.state.tables["people"][(1,)]
     assert (person["name"], person["vaccinated"]) == (None, True)
@@ -214,7 +275,7 @@ def test_no_commit_record_is_held_after_quiescence():
     replicas' stock."""
     pat = covid_tracker(coordinated=True, vaccine_count=3)
     cluster = build_scenario_cluster(
-        Scenario(pat.program, seed=2, network=NetworkModel(1, 6, 1.0)))
+        Scenario(pat.program, seed=0, network=NetworkModel(1, 6, 1.0)))
     for pid in (1, 2):
         cluster.schedule_request(0, "c1", "add_person",
                                  {"pid": pid, "name": "a", "country": "x"})
@@ -292,8 +353,7 @@ def test_every_node_of_a_program_runs_one_compiled_handler():
 def test_recovered_node_keeps_the_round_cap():
     program = covid_tracker().program
     plan = replication_plan(program, make_topology())
-    cluster = Cluster(program, plan.nodes, plan.groups, proxies=plan.proxies,
-                      max_rounds=3)
+    cluster = Cluster(program, plan.nodes, plan.groups, max_rounds=3)
     victim = sorted(cluster.nodes)[0]
     cluster.inject_failure(cluster.specs[victim].domain)
     cluster.recover(victim)
@@ -354,90 +414,11 @@ def _events(cluster, kind):
     return [(i, ev) for i, ev in enumerate(cluster.trace) if ev.kind == kind]
 
 
-def _orphaned_then_recovered(handler, fields):
-    """A request whose every recipient crashes before the proxy's forward
-    arrives must be sent again, to n02 alone, once n02 recovers."""
-    cluster = build_scenario_cluster(Scenario(
-        covid_tracker().program, seed=1,
-        network=NetworkModel(3, 3, 0.0)))
-    mid = cluster.schedule_request(0, "c1", handler, fields)
-    # the proxy forwards at tick 3; every replica crashes before delivery
-    for az in ("az0", "az1", "az2"):
-        cluster.schedule_failure(4, ("dc0", az))
-    for _ in range(9):
-        cluster.step()
-    [(lost_at, lost)] = _events(cluster, "NoLiveReplica")
-    assert (lost.tick, lost.detail["message_id"]) == (4, mid)
-    cluster.recover("n02")
-    cluster.run_to_quiescence()
-    [(recovered_at, _)] = _events(cluster, "Recovered")
-    [(retried_at, retried)] = _events(cluster, "Retransmitted")
-    assert lost_at < recovered_at < retried_at
-    assert retried.detail == {"mailbox": handler, "message_id": mid,
-                              "dests": ["n02"]}
-    fresh = [m for (_t, _c, m, _p, is_fresh) in cluster.response_log
-             if is_fresh]
-    assert fresh == [mid]
-
-
-def test_a_request_orphaned_by_crashes_is_retransmitted_after_recovery():
-    # the sequencer n01 is the only recipient
-    _orphaned_then_recovered("vaccinate", {"pid": 1})
-
-
-def test_a_request_is_retransmitted_to_a_recipient_that_crashed_and_recovered():
-    # all three replicas are recipients, n02 among them; it recovers empty
-    _orphaned_then_recovered("add_person",
-                             {"pid": 1, "name": "a", "country": "x"})
-
-
-class _FullScanCluster(Cluster):
-    """Checks every pending request on every tick, as the proxy once did:
-    each node has an incarnation number that every crash bumps, each entry
-    keeps the incarnation each recipient had when the proxy sent it, and an
-    entry is retried when no recipient is up in that incarnation. An entry
-    whose group has no live node is traced once, until a node of its group
-    recovers."""
-
-    def __init__(self, *args, **kw):
-        super().__init__(*args, **kw)
-        self.incarnation = dict.fromkeys(self.specs, 0)
-
-    def inject_failure(self, domain_prefix):
-        for nid, spec in self.specs.items():
-            if self.alive[nid] and domain_prefix_matches(spec.domain,
-                                                         domain_prefix):
-                self.incarnation[nid] += 1
-        super().inject_failure(domain_prefix)
-
-    def _addressed(self, entry):
-        entry["addressed"] = [(d, self.incarnation[d]) for d in entry["dests"]]
-
-    def _proxy_retry(self, nid):
-        st = self.proxy_state[nid]
-        active = False
-        for mid in sorted(st.pending):
-            entry = st.pending[mid]
-            if "addressed" not in entry:   # forwarded in this tick
-                self._addressed(entry)
-            if any(self.alive[d] and self.incarnation[d] == inc
-                   for d, inc in entry["addressed"]):
-                continue
-            lost = not self.live_group(entry["mailbox"])
-            if lost and entry.get("lost_traced"):
-                continue
-            self._retry_entry(nid, mid, entry)
-            entry["lost_traced"] = lost
-            active = True
-            self._addressed(entry)
-        return active
-
-
 def _crash_and_recover_run(cls, seed):
     rng = random.Random(seed)
     program = covid_tracker(vaccine_count=4).program
     plan = replication_plan(program, make_topology())
-    cluster = cls(program, plan.nodes, plan.groups, proxies=plan.proxies,
+    cluster = cls(program, plan.nodes, plan.groups,
                   seed=seed, network=NetworkModel(1, 6, 0.2))
     for pid in range(6):
         cluster.schedule_request(rng.randrange(4), "c1", "add_person",
@@ -465,17 +446,48 @@ def _crash_and_recover_run(cls, seed):
     return cluster
 
 
-def test_narrowed_proxy_retries_match_a_full_scan():
-    kinds = {"NoLiveReplica": 0, "Retransmitted": 0, "Recovered": 0}
-    for seed in range(12):
-        narrowed = _crash_and_recover_run(Cluster, seed)
-        full = _crash_and_recover_run(_FullScanCluster, seed)
-        assert trace_text(narrowed) == trace_text(full), seed
-        for ev in narrowed.trace:
-            if ev.kind in kinds:
-                kinds[ev.kind] += 1
-    # the schedules exercise every path the narrowing skips work on
-    assert all(kinds.values()), kinds
+def _assert_answered_once_or_given_up(cluster):
+    """Each request of a handler that replies has one fresh answer, or
+    none and one `GaveUp`, traced while no node of its group was live;
+    no request is answered with two statuses. Judged from the trace and
+    the responses alone."""
+    fresh = collections.Counter(mid for _t, _c, mid, _p, is_fresh
+                                in cluster.response_log if is_fresh)
+    statuses = {}
+    for _t, _c, mid, payload, _f in cluster.response_log:
+        if "status" in payload:
+            statuses.setdefault(mid, set()).add(payload["status"])
+    assert all(len(v) == 1 for v in statuses.values()), statuses
+    alive, gave_up = set(cluster.nodes), {}
+    for ev in cluster.trace:
+        if ev.kind == "Crashed":
+            alive.discard(ev.node)
+        elif ev.kind == "Recovered":
+            alive.add(ev.node)
+        elif ev.kind == "GaveUp":
+            mid = ev.detail["message_id"]
+            assert mid not in gave_up, mid
+            group = set(cluster.groups[ev.detail["mailbox"]])
+            gave_up[mid] = not alive & group
+    for mid, (handler, _payload) in cluster.request_payload.items():
+        if not cluster.routes[handler].replies:
+            continue
+        if mid in gave_up:
+            assert gave_up[mid] and fresh[mid] == 0, mid
+        else:
+            assert fresh[mid] == 1, mid
+
+
+def test_every_request_is_answered_once_across_crashes_and_recoveries():
+    """Crashes of single nodes and of every worker at once lose requests
+    in flight and queued; the clients resend them, so each is answered
+    once, with one status, or given up only while its group is down."""
+    resent = 0
+    for seed in range(20):
+        cluster = _crash_and_recover_run(Cluster, seed)
+        _assert_answered_once_or_given_up(cluster)
+        resent += len(_events(cluster, "Retransmitted"))
+    assert resent
 
 
 class _LogChecked(Cluster):
@@ -549,8 +561,8 @@ def _vaccinations_across_a_demotion(seed, cls=Cluster):
     rng = random.Random(seed)
     program = covid_tracker(coordinated=True, vaccine_count=3).program
     plan = replication_plan(program, make_topology())
-    cluster = cls(program, plan.nodes, plan.groups, proxies=plan.proxies,
-                      seed=seed, network=NetworkModel(1, 6, 0.2))
+    cluster = cls(program, plan.nodes, plan.groups,
+                  seed=seed, network=NetworkModel(1, 6, 0.2))
     for pid in range(3):
         cluster.schedule_request(0, "c1", "add_person",
                                  {"pid": pid, "name": str(pid), "country": "x"})
@@ -605,19 +617,30 @@ def _assert_answered_and_agreed(cluster, victim):
     _assert_stock_kept(cluster, 3)
 
 
-@pytest.mark.parametrize("seed", [16, 21, 28])
+def _replayed(cluster, victim):
+    """The trace after `victim`'s recovery, split at the end of the
+    `Applied` events of the records it replayed as it rejoined."""
+    [(back_at, _)] = _events(cluster, "Recovered")
+    after = cluster.trace[back_at + 1:]
+    cut = next((i for i, ev in enumerate(after)
+                if (ev.kind, ev.node) != ("Applied", victim)), len(after))
+    return after[:cut], after[cut:]
+
+
+@pytest.mark.parametrize("seed", [28, 35, 42])
 def test_a_demoted_sequencer_s_decisions_are_answered_and_shipped(seed):
-    """At seed 21 the sequencer n01 is down from tick 8 to tick 11; n02,
+    """At seed 28 the sequencer n01 is down from tick 5 to tick 10; n02,
     promoted meanwhile, keeps deciding the requests it holds after n01
     takes the role back. Each decision is answered and the other
-    replicas, n01 included, apply its record from the log, so no request
-    waits for an answer that never comes and the replicas that never
-    crashed agree."""
-    cluster, victim = _vaccinations_across_a_demotion(seed)
+    replicas, n01 included, apply its record from the log, n01 after the
+    records it replayed as it rejoined, so no request waits for an answer
+    that never comes and the replicas that never crashed agree."""
+    cluster, victim = _vaccinations_across_a_demotion(seed, _DecisionLog)
     assert victim == "n01"
     [back] = [ev.tick for ev in cluster.trace if ev.kind == "Recovered"]
-    assert any(ev.kind == "Applied" and ev.node == victim and ev.tick >= back
-               for ev in cluster.trace)
+    assert any(d[1] != victim and d[0] >= back for d in cluster.decisions)
+    _replay, later = _replayed(cluster, victim)
+    assert any((ev.kind, ev.node) == ("Applied", victim) for ev in later)
     _assert_answered_and_agreed(cluster, victim)
 
 
@@ -627,23 +650,27 @@ def test_every_crash_and_recovery_leaves_each_request_answered():
 
 
 def test_a_recovered_sequencer_decides_on_the_stock_it_replayed():
-    """At seed 4 the sequencer n01 is down from tick 9 to 12 while n02,
+    """At seed 28 the sequencer n01 is down from tick 5 to 10 while n02,
     promoted, accepts the three doses in stock. n01 rejoins holding the
-    two records issued meanwhile, replayed from the commit log, and
-    applies each later one, traced `Applied`, as n02 appends it. It takes
-    the role back and decides the last eight requests and rejects them
-    all; a node that rejoined with the initial stock would accept three
-    more."""
-    cluster, victim = _vaccinations_across_a_demotion(4, _DecisionLog)
+    three records issued meanwhile, replayed from the commit log and each
+    traced `Applied` as it rejoins, and applies each later one, traced
+    `Applied`, as n02 appends it. It takes the role back and decides the
+    last eleven requests and rejects them all; a node that rejoined with
+    the initial stock would accept three more."""
+    cluster, victim = _vaccinations_across_a_demotion(28, _DecisionLog)
     assert victim == "n01"
     assert [(ev.tick, ev.kind) for ev in cluster.trace
-            if ev.kind in ("Crashed", "Recovered")] == [(9, "Crashed"),
-                                                        (12, "Recovered")]
-    assert [ev.detail["seq"] for ev in cluster.trace
-            if ev.kind == "Applied" and ev.node == "n01"] == [2, 3, 4, 5, 6]
+            if ev.kind in ("Crashed", "Recovered")] == [(5, "Crashed"),
+                                                        (10, "Recovered")]
+    replay, later = _replayed(cluster, victim)
+    assert [ev.detail["seq"] for ev in replay] == [0, 1, 2]
+    assert [ev.detail["message_ids"] for ev in replay] == [
+        [mid for mid, _ in record] for record in cluster.log["vaccinate"][:3]]
+    assert [ev.detail["seq"] for ev in later
+            if ev.kind == "Applied" and ev.node == "n01"] == [3, 4]
     assert collections.Counter((d[1], d[3]) for d in cluster.decisions) == {
-        ("n02", "accepted"): 3, ("n02", "rejected"): 9,
-        ("n01", "rejected"): 8}
+        ("n02", "accepted"): 3, ("n02", "rejected"): 6,
+        ("n01", "rejected"): 11}
     _assert_answered_and_agreed(cluster, victim)
 
 
@@ -666,8 +693,7 @@ def _sequencer_crash_run(seed, crash_tick):
     the sequencer n01 crashes at `crash_tick`; no message is duplicated."""
     program = covid_tracker(coordinated=True, vaccine_count=1).program
     plan = replication_plan(program, make_topology())
-    cluster = _DecisionLog(program, plan.nodes, plan.groups,
-                           proxies=plan.proxies, seed=seed,
+    cluster = _DecisionLog(program, plan.nodes, plan.groups, seed=seed,
                            network=NetworkModel(1, 6, 0.0))
     cluster.schedule_request(0, "c1", "add_person",
                              {"pid": 1, "name": "a", "country": "x"})
@@ -679,19 +705,24 @@ def _sequencer_crash_run(seed, crash_tick):
 
 
 def _assert_deduplicated_at_the_promoted_node(cluster, mid, status):
-    """n01 decided `mid` as `status` in the tick before it crashed, before
-    the proxy heard the answer, so the proxy sent `mid` again to the
-    promoted n02. n02 applied n01's record from the log as n01 appended it,
-    so the copy is traced `Deduplicated` as it reaches n02. Every request
-    is decided once and answered once."""
+    """n01 decided `mid` as `status` in the tick before it crashed, and
+    n02 applied n01's record from the log as n01 appended it. Once the run
+    is over, the client submits `mid` again, under the same id, and the
+    copy goes to n02, the sequencer now: it is traced `Deduplicated` as it
+    reaches n02 and answered with the status the log holds. Every request
+    is decided once, each has one fresh answer, and `mid` two answers with
+    one status."""
     [(decided_at, node, _mid, decided)] = [d for d in cluster.decisions
                                            if d[2] == mid]
     assert (node, decided) == ("n01", status)
     [crash] = [ev.tick for ev in cluster.trace if ev.kind == "Crashed"]
-    [retry] = [ev for ev in cluster.trace if ev.kind == "Retransmitted"
-               and ev.detail["message_id"] == mid]
-    assert crash == retry.tick == decided_at + 1
-    assert retry.detail["dests"] == ["n02"]
+    assert crash == decided_at + 1
+    client, (handler, payload) = (cluster.client_of[mid],
+                                  cluster.request_payload[mid])
+    fields = {k: v for k, v in payload.items() if k != MESSAGE_ID}
+    cluster.schedule_request(cluster.tick, client, handler, fields,
+                             message_id=mid)
+    cluster.run_to_quiescence()
     at_n02 = [(ev.tick, ev.kind)
               for ev in cluster.trace if ev.node == "n02" and mid in
               (ev.detail.get("message_id"), *ev.detail.get("message_ids", ()))]
@@ -702,39 +733,61 @@ def _assert_deduplicated_at_the_promoted_node(cluster, mid, status):
                 if h == "vaccinate"]
     assert sorted(d[2] for d in cluster.decisions) == sorted(requests)
     assert any(d[1] == "n02" for d in cluster.decisions)
+    fresh = collections.Counter(m for _t, _c, m, _p, is_fresh
+                                in cluster.response_log if is_fresh)
+    assert fresh == dict.fromkeys(cluster.request_payload, 1)
     answers = collections.Counter(m for _t, _c, m, _p, _f
-                                  in cluster.response_log)
-    assert answers == dict.fromkeys(cluster.request_payload, 1)
-    assert cluster.responses[cluster.client_of[mid]][mid]["status"] == status
+                                  in cluster.response_log if m in requests)
+    assert answers == {m: 1 + (m == mid) for m in requests}
+    assert {p["status"] for _t, _c, m, p, _f in cluster.response_log
+            if m == mid} == {status}
 
 
 def test_a_retransmission_of_an_accepted_request_is_deduplicated():
-    # n01 accepts m000003 at tick 10 and crashes at 11; the copy reaches
-    # n02 at 17
-    _assert_deduplicated_at_the_promoted_node(_sequencer_crash_run(6, 11),
-                                              "m000003", "accepted")
+    # n01 accepts m000002 at tick 10 and crashes at 11
+    _assert_deduplicated_at_the_promoted_node(_sequencer_crash_run(5, 11),
+                                              "m000002", "accepted")
 
 
 def test_a_request_rejected_before_the_crash_is_not_decided_again():
-    # n01 rejects m000005 at tick 13 and crashes at 14; the copy reaches
-    # n02 at 16
-    _assert_deduplicated_at_the_promoted_node(_sequencer_crash_run(1, 14),
+    # n01 rejects m000005 at tick 11 and crashes at 12
+    _assert_deduplicated_at_the_promoted_node(_sequencer_crash_run(1, 12),
                                               "m000005", "rejected")
 
 
+def _resubmit_sequenced(cluster):
+    """Submit every sequenced request again under its own id, as a client
+    that restarted and lost track of its answers would, and run to
+    quiescence."""
+    for mid, (handler, payload) in sorted(cluster.request_payload.items()):
+        if cluster.routes[handler].sequenced:
+            fields = {k: v for k, v in payload.items() if k != MESSAGE_ID}
+            cluster.schedule_request(cluster.tick, cluster.client_of[mid],
+                                     handler, fields, message_id=mid)
+    cluster.run_to_quiescence()
+
+
 def test_no_request_is_decided_twice_while_every_worker_crashes():
-    """A schedule that at times crashes every worker sends orphans again
-    to nodes that rejoined empty after the decision; a recovered node
-    replays the commit log, so it takes the ids that the records issued
-    before it rejoined decided, and each sequenced request is decided at
-    most once; nor are more than the four doses in stock accepted, and the
+    """A schedule that at times crashes every worker, after which every
+    sequenced request is submitted again under its own id, sends copies of
+    decided requests to nodes that rejoined empty after the decision; a
+    recovered node replays the commit log, so it holds the status of every
+    request that the records issued before it rejoined decided, and each
+    sequenced request is decided at most once and answered with one
+    status; nor are more than the four doses in stock accepted, and the
     replicas hold one stock."""
     redecided = 0
     for seed in range(40):
         cluster = _crash_and_recover_run(_DecisionLog, seed)
+        _resubmit_sequenced(cluster)
         decided = collections.Counter(d[2] for d in cluster.decisions)
         assert all(n == 1 for n in decided.values()), seed
         _assert_stock_kept(cluster, 4)
+        statuses = {}
+        for _t, _c, mid, payload, _f in cluster.response_log:
+            if "status" in payload:
+                statuses.setdefault(mid, set()).add(payload["status"])
+        assert all(len(v) == 1 for v in statuses.values()), seed
         back = {}
         for ev in cluster.trace:
             if ev.kind == "Recovered":
@@ -748,40 +801,42 @@ def test_no_request_is_decided_twice_while_every_worker_crashes():
 
 
 def test_a_request_decided_before_its_whole_group_crashed_is_not_decided_again():
-    """n01 accepts m000002 at tick 11 and crashes at 12, and n02 and n03
-    at 13, before the proxy hears the answer; the proxy sends m000002 to
-    n02, then to no live node, then again to n01 as it rejoins at 14.
+    """n01 accepts m000002 at tick 9 and crashes at 10, and n02 and n03
+    at 11. Once the client has the answer, it submits m000002 again under
+    its id at 13, when no node is live; n01 rejoins, and the client's
+    resend at 39, the first wait of 4 * 6 + 2 ticks later, reaches it.
     n01 replayed the commit log as it rejoined and takes the request as
-    decided: it is decided and answered once."""
+    decided: it is decided once, and the copy is answered with its
+    status."""
     program = covid_tracker(coordinated=True, vaccine_count=3).program
     plan = replication_plan(program, make_topology())
-    cluster = _DecisionLog(program, plan.nodes, plan.groups,
-                           proxies=plan.proxies, seed=0,
+    cluster = _DecisionLog(program, plan.nodes, plan.groups, seed=0,
                            network=NetworkModel(1, 6, 0.0))
     cluster.schedule_request(0, "c1", "add_person",
                              {"pid": 1, "name": "a", "country": "x"})
     mid = cluster.schedule_request(4, "c1", "vaccinate", {"pid": 1})
     while not cluster.decisions:
         cluster.step()
-    assert cluster.decisions == [(11, "n01", mid, "accepted")]
+    assert cluster.decisions == [(9, "n01", mid, "accepted")]
     cluster.inject_failure(("dc0", "az0"))
     cluster.step()
     cluster.inject_failure(("dc0",))
+    while mid not in cluster.responses["c1"]:
+        cluster.step()
+    cluster.schedule_request(cluster.tick, "c1", "vaccinate", {"pid": 1},
+                             message_id=mid)
     cluster.step()
-    # traced once with no live node, the request waits unvisited until a
-    # recovery marks it again
-    proxy = cluster.proxy_state["proxy"]
-    assert mid in proxy.pending and not proxy.orphans
     cluster.recover("n01")
-    assert proxy.orphans == {mid}
     cluster.run_to_quiescence()
-    assert cluster.decisions == [(11, "n01", mid, "accepted")]
-    events = [(ev.tick, ev.kind, ev.node, ev.detail.get("dests"))
+    assert cluster.decisions == [(9, "n01", mid, "accepted")]
+    events = [(ev.tick, ev.kind, ev.node)
               for ev in cluster.trace
-              if ev.kind in ("NoLiveReplica", "Retransmitted", "Deduplicated")
+              if ev.kind in ("NoLiveReplica", "Retransmitted", "Deduplicated",
+                             "GaveUp")
               and ev.detail["message_id"] == mid]
-    assert events == [(12, "Retransmitted", "proxy", ["n02"]),
-                      (13, "NoLiveReplica", "proxy", None),
-                      (14, "Retransmitted", "proxy", ["n01"]),
-                      (19, "Deduplicated", "n01", None)]
+    assert events == [(13, "NoLiveReplica", None),
+                      (39, "Retransmitted", "client:c1"),
+                      (43, "Deduplicated", "n01")]
     assert client_statuses(cluster) == {mid: "accepted"}
+    assert [p["status"] for _t, _c, m, p, _f in cluster.response_log
+            if m == mid] == ["accepted", "accepted"]
