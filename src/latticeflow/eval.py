@@ -103,7 +103,9 @@ class EvalContext:
 
     # --- UDFs ---------------------------------------------------------------
     def call_udf(self, name: str, args: tuple):
-        """Invoke a host UDF, memoized per (input, tick)."""
+        """Invoke a host UDF, memoized per (input, tick). A result that is
+        not hashable is refused here, naming the UDF: a `Row` is hashed on
+        first use, so one holding it would fail far from its source."""
         key = (name, args)
         if key in self.udf_memo:
             return self.udf_memo[key]
@@ -114,6 +116,11 @@ class EvalContext:
             result = fn(*args)
         except Exception as exc:  # propagate with context
             raise UdfFailure(f"udf {name!r} failed: {exc}") from exc
+        try:
+            hash(result)
+        except TypeError as exc:
+            raise UdfFailure(f"udf {name!r} returned a value that is not "
+                             f"hashable ({exc})") from exc
         self.udf_invocations += 1
         self.udf_memo[key] = result
         return result

@@ -72,6 +72,7 @@ import heapq
 import json
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .ir import MESSAGE_ID, Program, response_mailbox
@@ -101,18 +102,32 @@ class NodeSpec:
     domain: tuple = ()            # failure-domain path, dc/az/rack/vm order
 
 
-@dataclass
-class TraceEvent:
-    tick: int
-    kind: str
-    node: Optional[str]
-    detail: dict
+class TraceEvent(tuple):
+    """One trace event, kept as the tuple ``(tick, kind, node, names,
+    values)``: `names` are its detail's field names and `values` their
+    values, in order. Emitting one builds no dict and encodes nothing: the
+    `detail` dict is built when read, and the JSON line when written
+    (`to_json`), so an untraced run pays for neither."""
+
+    __slots__ = ()
+
+    tick = property(itemgetter(0))
+    kind = property(itemgetter(1))
+    node = property(itemgetter(2))      # None for the network and the tick
+
+    @property
+    def detail(self) -> dict:
+        # strict: an emit that passes more or fewer values than names fails
+        # here, not by silently losing a field
+        return dict(zip(self[3], self[4], strict=True))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"tick": self.tick, "kind": self.kind, "node": self.node,
-             "detail": self.detail},
-            sort_keys=True)
+        return json.dumps({"tick": self[0], "kind": self[1], "node": self[2],
+                           "detail": self.detail}, sort_keys=True)
+
+
+# the detail of a `Sent` or `Duplicated` event
+_POSTED = ("dest", "mailbox", "deliver_tick", "message_id")
 
 
 @dataclass(frozen=True)
@@ -184,8 +199,10 @@ class Cluster:
         self._first_wait = 4 * self.network.delay_max + 2
 
     # --- bookkeeping --------------------------------------------------------
-    def _emit(self, kind, node, **detail):
-        ev = TraceEvent(self.tick, kind, node, detail)
+    def _emit(self, kind, node, names, *values):
+        """Trace event `kind` at `node`, whose detail maps `names` to
+        `values` in order."""
+        ev = TraceEvent((self.tick, kind, node, names, values))
         self.trace.append(ev)
         if self._trace_file:
             self._trace_file.write(ev.to_json() + "\n")
@@ -235,7 +252,7 @@ class Cluster:
                 matched = True
                 if self.alive.get(nid):
                     self.alive[nid] = False
-                    self._emit("Crashed", nid, domain=list(spec.domain))
+                    self._emit("Crashed", nid, ("domain",), list(spec.domain))
         if not matched:
             raise KeyError(f"no node under failure domain {prefix!r}")
         # in-flight messages to crashed nodes are lost, each with an event;
@@ -246,8 +263,8 @@ class Cluster:
                     or self.alive.get(m.dest)):
                 kept.append(m)
             else:
-                self._emit("Dropped", m.dest, mailbox=m.mailbox,
-                           message_id=m.payload.get(MESSAGE_ID))
+                self._emit("Dropped", m.dest, ("mailbox", "message_id"),
+                           m.mailbox, m.payload.get(MESSAGE_ID))
         self.in_flight = kept
 
     def schedule_failure(self, tick: int, domain_prefix):
@@ -262,7 +279,7 @@ class Cluster:
         spec = self.specs[node_id]
         node = self.nodes[node_id] = self._worker(spec)
         self.alive[node_id] = True
-        self._emit("Recovered", node_id, domain=list(spec.domain))
+        self._emit("Recovered", node_id, ("domain",), list(spec.domain))
         for handler, applied in sorted(node.applied.items()):
             self._trace_applied(node_id, handler, range(applied))
 
@@ -289,24 +306,22 @@ class Cluster:
         self._seq += 1
         heapq.heappush(self.in_flight, _InFlight(
             self.tick + delay, self._seq, dest, mailbox, payload))
-        self._emit("Sent", None, dest=dest, mailbox=mailbox,
-                   deliver_tick=self.tick + delay,
-                   message_id=payload.get(MESSAGE_ID))
+        self._emit("Sent", None, _POSTED, dest, mailbox, self.tick + delay,
+                   payload.get(MESSAGE_ID))
         if net.dup_prob and self.rng.random() < net.dup_prob:
             delay2 = self.rng.randrange(net.delay_min, net.delay_max + 1)
             self._seq += 1
             heapq.heappush(self.in_flight, _InFlight(
                 self.tick + delay2, self._seq, dest, mailbox, payload))
-            self._emit("Duplicated", None, dest=dest, mailbox=mailbox,
-                       deliver_tick=self.tick + delay2,
-                       message_id=payload.get(MESSAGE_ID))
+            self._emit("Duplicated", None, _POSTED, dest, mailbox,
+                       self.tick + delay2, payload.get(MESSAGE_ID))
 
     def _route(self, mailbox: str, payload: Row):
         route = self.routes[mailbox]
         dests = self._dests(route, payload)
         if not dests and route.kind == "role":
-            self._emit("NoLiveReplica", None, mailbox=mailbox,
-                       message_id=payload.get(MESSAGE_ID))
+            self._emit("NoLiveReplica", None, ("mailbox", "message_id"),
+                       mailbox, payload.get(MESSAGE_ID))
         for dest in dests:
             self._post(dest, mailbox, payload)
 
@@ -324,7 +339,7 @@ class Cluster:
             m = heapq.heappop(heap)
             if m.dest == "sink":
                 self.sink_outputs.setdefault(m.mailbox, []).append(m.payload)
-                self._emit("Delivered", "sink", mailbox=m.mailbox)
+                self._emit("Delivered", "sink", ("mailbox",), m.mailbox)
             elif m.dest.startswith("client:"):
                 self._deliver_client(m)
             else:
@@ -339,8 +354,8 @@ class Cluster:
             box[mid] = m.payload
         self.outstanding.pop(mid, None)
         self.response_log.append((self.tick, client, mid, m.payload, fresh))
-        self._emit("Response", None, client=client, message_id=mid,
-                   duplicate=not fresh)
+        self._emit("Response", None, ("client", "message_id", "duplicate"),
+                   client, mid, not fresh)
 
     def _deliver_worker(self, m: _InFlight):
         """Deliver `m` to its worker; a sequenced request whose id the node
@@ -351,14 +366,15 @@ class Cluster:
         if not self.routes[m.mailbox].sequenced:
             node.deliver(m.mailbox, m.payload)
         elif not node.take_request(m.mailbox, m.payload):
-            self._emit("Deduplicated", m.dest, mailbox=m.mailbox,
-                       message_id=mid)
+            self._emit("Deduplicated", m.dest, ("mailbox", "message_id"),
+                       m.mailbox, mid)
             status = node.status[mid]
             if status != QUEUED:
                 self._route(response_mailbox(m.mailbox),
                             Row({MESSAGE_ID: mid, "status": status}))
             return
-        self._emit("Delivered", m.dest, mailbox=m.mailbox, message_id=mid)
+        self._emit("Delivered", m.dest, ("mailbox", "message_id"),
+                   m.mailbox, mid)
 
     # --- tick ---------------------------------------------------------------
     def step(self) -> bool:
@@ -374,8 +390,8 @@ class Cluster:
         while queue and queue[0][0] <= self.tick:
             _, _, client, mailbox, payload = heapq.heappop(queue)
             mid = payload.get(MESSAGE_ID)
-            self._emit("Injected", None, client=client, mailbox=mailbox,
-                       message_id=mid)
+            self._emit("Injected", None, ("client", "mailbox", "message_id"),
+                       client, mailbox, mid)
             self._route(mailbox, payload)
             if self.routes[mailbox].replies:
                 self._await(mid, self.tick + self._first_wait, 0)
@@ -400,7 +416,7 @@ class Cluster:
             for out in result.sends:
                 self._route(out.mailbox, out.payload)
             self._serial_results(nid, result)
-        self._emit("TickCompleted", None, active=active)
+        self._emit("TickCompleted", None, ("active",), active)
         self.tick += 1
         return active
 
@@ -419,12 +435,14 @@ class Cluster:
             mailbox, payload = self.request_payload[mid]
             if sent == RESENDS:
                 del self.outstanding[mid]
-                self._emit("GaveUp", client, mailbox=mailbox, message_id=mid,
-                           resends=sent)
+                self._emit("GaveUp", client,
+                           ("mailbox", "message_id", "resends"),
+                           mailbox, mid, sent)
                 continue
             sent += 1
-            self._emit("Retransmitted", client, mailbox=mailbox,
-                       message_id=mid, attempt=sent)
+            self._emit("Retransmitted", client,
+                       ("mailbox", "message_id", "attempt"),
+                       mailbox, mid, sent)
             self._route(mailbox, payload)
             self._await(mid, self.tick + (self._first_wait << sent), sent)
         return active
@@ -451,8 +469,8 @@ class Cluster:
     def _trace_applied(self, nid: str, handler: str, seqs):
         log = self.log[handler]
         for seq in seqs:
-            self._emit("Applied", nid, handler=handler, seq=seq,
-                       message_ids=[mid for mid, _ in log[seq]])
+            self._emit("Applied", nid, ("handler", "seq", "message_ids"),
+                       handler, seq, [mid for mid, _ in log[seq]])
 
     def _serial_results(self, nid: str, result):
         """For each handler whose log node `nid` appended a record to, bring
@@ -467,8 +485,8 @@ class Cluster:
                 applied, removed = self.nodes[backup].catch_up(handler)
                 self._trace_applied(backup, handler, applied)
                 for mid in removed:
-                    self._emit("Deduplicated", backup, mailbox=handler,
-                               message_id=mid)
+                    self._emit("Deduplicated", backup,
+                               ("mailbox", "message_id"), handler, mid)
             for mid, _ in record:
                 reply = Row({MESSAGE_ID: mid, "status": result.statuses[mid]})
                 self._route(response_mailbox(handler), reply)
@@ -479,9 +497,12 @@ class Cluster:
                     or self.outstanding)
 
     def run_to_quiescence(self, max_ticks: int = 10000) -> int:
+        """Step until a tick does nothing and no work is left; the tick it
+        ends at. Raises `NoQuiescence` if work is left at `max_ticks`."""
         idle_streak = 0
         while self.tick < max_ticks:
-            # idle fast-forward: nothing can happen until the next delivery
+            # idle fast-forward: nothing can happen until the next due
+            # event, and no tick runs at or past the limit
             if idle_streak > 0:
                 resend = self._next_resend()
                 due = ([m.deliver_tick for m in self.in_flight[:1]]
@@ -489,7 +510,9 @@ class Cluster:
                        + [x[0] for x in self.pending_failures]
                        + ([resend] if resend is not None else []))
                 if due and min(due) > self.tick:
-                    self.tick = min(due)
+                    self.tick = min(min(due), max_ticks)
+                    if self.tick == max_ticks:
+                        break
             active = self.step()
             if active:
                 idle_streak = 0
@@ -514,7 +537,7 @@ class Cluster:
     def record_state_dump(self):
         for nid in sorted(self.nodes):
             if self.alive.get(nid):
-                self._emit("StateDump", nid, state=self.node_state(nid))
+                self._emit("StateDump", nid, ("state",), self.node_state(nid))
 
 
 def trace_text(cluster: Cluster) -> str:

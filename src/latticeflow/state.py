@@ -9,8 +9,8 @@ the first time it writes it. So a snapshot or fork copies only the outer
 dicts of tables, vars and mailboxes; rows are shared.
 
 A `Row` is every table row and message: a `dict` that
-refuses mutation, so its reads are dict's own, hashed once at
-construction, and equal only to another `Row`.
+refuses mutation, so its construction and reads are dict's own, hashed
+on first use, and equal only to another `Row`.
 
 A `Delta` is the frozen state part of a tick's `Effects`: the merges,
 assigns and deletes, without the consumed messages and the sends. It is
@@ -54,23 +54,24 @@ def _frozen(self, *args, **kw):
 class Row(dict):
     """An immutable, hashable table row or message.
 
-    A `dict` that refuses mutation: reads are dict's own methods, and every
-    mutator raises `TypeError`. The hash is computed once, at construction,
-    as ``hash(tuple(sorted(items)))``, so a value that is not hashable is
-    refused there. A Row equals only a Row: it never compares equal to a
-    plain dict with the same items."""
+    A `dict` that refuses mutation: construction and reads are dict's own
+    methods, and every mutator raises `TypeError`. The hash is
+    ``hash(tuple(sorted(items)))``, computed the first time it is asked for
+    and kept, so a row that is never hashed, as most messages and merge
+    results are not, never pays for it; hashing a row that holds a value
+    that is not hashable raises `TypeError`. A Row equals only a Row: it
+    never compares equal to a plain dict with the same items."""
 
     __slots__ = ("_hash",)
-
-    def __init__(self, fields=(), **kw):
-        dict.__init__(self, fields, **kw)
-        self._hash = hash(tuple(sorted(self.items())))
 
     __setitem__ = __delitem__ = __ior__ = _frozen
     update = pop = popitem = setdefault = clear = _frozen
 
     def __hash__(self):
-        return self._hash
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = self._hash = hash(tuple(sorted(self.items())))
+        return h
 
     def __eq__(self, other):
         if isinstance(other, Row):

@@ -1,9 +1,10 @@
 """Shared builders: a transitive-closure program, random graphs, a
-breadth-first-search reachability oracle, a one-node cluster, and the
-statuses that a cluster's clients heard."""
+breadth-first-search reachability oracle, a one-node cluster, the
+statuses that a cluster's clients heard, and the demo scenario's path."""
 
 import collections
 import random
+from pathlib import Path
 
 from latticeflow.interp import InterpContext
 from latticeflow.ir import (
@@ -14,6 +15,8 @@ from latticeflow.ir import (
 from latticeflow.runtime import GraphContext, compile_queries
 from latticeflow.sim import Cluster, NetworkModel, NodeSpec
 from latticeflow.state import NodeState, Row
+
+DEMO = Path(__file__).resolve().parent.parent / "demos" / "covid_scenario.json"
 
 
 def closure_program() -> Program:

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import DEMO
 
 from latticeflow.cli import (
     EXIT_CLOSED_PIPE, EXIT_INFEASIBLE, EXIT_NO_QUIESCENCE, EXIT_OK,
@@ -19,10 +20,12 @@ from latticeflow.ir import (
     DataDecl, Fold, Gen, Handler, Lit, MergeMutation, Program, Record,
     Return, Send, TargetPath, TupleOf, UdfDecl, Var,
 )
+from latticeflow import progjson
 from latticeflow.patterns import covid_program
 from latticeflow.progjson import program_to_json
 from latticeflow.scenario import ScenarioError, load_scenario, run_scenario
 from latticeflow.sim import trace_text
+from latticeflow.state import UdfFailure
 
 
 def scenario_dict(**kw):
@@ -212,6 +215,30 @@ def test_simulate_reports_a_failing_udf_without_a_traceback(tmp_path, capsys):
     assert re.fullmatch(
         r"seed 3: UdfFailure at tick \d+ on node n\d+ in handler estimate: "
         r"udf 'not_registered' has no host implementation\n", err), err
+
+
+def test_a_udf_result_that_is_not_hashable_is_refused_with_its_node(
+        tmp_path, capsys, monkeypatch):
+    """A `covid_predict` that returns a list fails where its result enters,
+    in the demo's `estimate` request, not where a row holding it is first
+    hashed."""
+    monkeypatch.setitem(progjson._UDF_REGISTRY, "covid_predict",
+                        lambda symptoms: [symptoms])
+    raw = json.loads(DEMO.read_text())
+    raw["program"] = json.loads(program_to_json(covid_program()))
+    with pytest.raises(UdfFailure, match="udf 'covid_predict' returned a "
+                       "value that is not hashable") as info:
+        run_scenario(load_scenario(raw))
+    assert info.value.node_id.startswith("n") and info.value.tick >= 6
+    assert info.value.handlers == ("estimate",)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(raw))
+    assert main(["simulate", str(path)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"seed 7: UdfFailure at tick \d+ on node n\d+ in handler estimate: "
+        r"udf 'covid_predict' returned a value that is not hashable "
+        r"\(unhashable type: 'list'\)\n", err), err
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -645,7 +672,6 @@ def test_an_object_in_a_payload_is_refused(tmp_path, capsys):
         "scalars and arrays\n")
 
 
-DEMO = Path(__file__).resolve().parent.parent / "demos" / "covid_scenario.json"
 # sha256 of the demo's trace at seed 9; any change to what a run does or to
 # how the trace is written moves it
 DEMO_TRACE_SHA256 = \

@@ -529,8 +529,19 @@ def test_row_equals_only_a_row():
 def test_row_hash_is_the_sorted_items_hash():
     r = Row(b=frozenset({1}), a=(1, "x"), c=None)
     assert hash(r) == hash(tuple(sorted(r.items())))
+    # a row is hashed on first use, so an unhashable value is refused there
+    # (a UDF's result is refused where it enters: see
+    # test_a_udf_result_that_is_not_hashable_is_refused_with_its_node)
+    unhashable = Row(x=[1])
     with pytest.raises(TypeError):
-        Row(x=[1])
+        hash(unhashable)
+    # a copy hashes alike whether the row was hashed before it was copied
+    for hashed in (False, True):
+        r = Row(a=1, b=Row(c=frozenset({2})))
+        if hashed:
+            hash(r)
+        for other in (copy.copy(r), pickle.loads(pickle.dumps(r))):
+            assert hash(other) == hash(r) == hash(tuple(sorted(r.items())))
 
 
 def test_row_survives_copy_and_pickle():

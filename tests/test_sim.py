@@ -1,11 +1,13 @@
 """Deterministic network simulation: delays, duplication, failures."""
 
 import collections
+import functools
+import json
 import random
 from dataclasses import replace
 
 import pytest
-from conftest import client_statuses
+from conftest import DEMO, client_statuses
 
 from latticeflow.facets import make_topology, replication_plan
 from latticeflow.ir import (
@@ -17,8 +19,10 @@ from latticeflow.patterns import (
     covid_tracker, covid_workload, get_pattern, run_workload,
 )
 from latticeflow.runtime import compile_queries
-from latticeflow.scenario import Scenario, build_scenario_cluster
-from latticeflow.sim import Cluster, NetworkModel, trace_text
+from latticeflow.scenario import (
+    Scenario, build_scenario_cluster, load_scenario,
+)
+from latticeflow.sim import Cluster, NetworkModel, NoQuiescence, trace_text
 from latticeflow.state import FixpointDivergence, Row
 from latticeflow.transducer import Transducer
 
@@ -105,6 +109,34 @@ def test_no_live_replica_is_logged():
         (5 + 434, "Retransmitted"), (5 + 882, "GaveUp")]
     assert [ev.detail for ev in cluster.trace if ev.kind == "GaveUp"] == [
         {"mailbox": "add_person", "message_id": mid, "resends": 5}]
+
+
+def _demo_with_every_zone_down(max_ticks, trace_path=None):
+    """The demo's first request, on a slow network, with every node of the
+    cluster crashed at tick 1: its client resends it five times into no
+    live replica and gives up 63 waits of 202 ticks after it, at 12726."""
+    with open(DEMO) as f:
+        raw = json.load(f)
+    raw["workload"] = raw["workload"][:1]
+    raw["network"]["delay_max"] = 50
+    raw["failures"] = [{"tick": 1, "domain": ["dc0"]}]
+    raw["max_ticks"] = max_ticks
+    sc = load_scenario(raw)
+    return sc, build_scenario_cluster(sc, seed=1, trace_path=trace_path)
+
+
+def test_the_idle_fast_forward_stops_at_the_tick_limit():
+    sc, cluster = _demo_with_every_zone_down(10000)
+    with pytest.raises(NoQuiescence):
+        cluster.run_to_quiescence(max_ticks=sc.max_ticks)
+    assert cluster.tick == 10000
+    assert max(ev.tick for ev in cluster.trace) < 10000
+    assert not any(ev.kind == "GaveUp" for ev in cluster.trace)
+
+    sc, cluster = _demo_with_every_zone_down(20000)
+    assert cluster.run_to_quiescence(max_ticks=sc.max_ticks) == 12728
+    assert [(ev.tick, ev.kind) for ev in cluster.trace
+            if ev.kind == "GaveUp"] == [(12726, "GaveUp")]
 
 
 def test_a_duplicate_of_a_decided_request_is_answered_with_its_status():
@@ -444,6 +476,35 @@ def _crash_and_recover_run(cls, seed):
         cluster.recover(nid)
     cluster.run_to_quiescence()
     return cluster
+
+
+def test_the_trace_file_and_trace_text_agree(tmp_path):
+    """The trace file is written as the run goes, `trace_text` after it,
+    both from each event's `to_json`; they must match byte for byte, and
+    each event's `detail` must hold what its JSON line holds. A crash and
+    recovery run and a run whose client gives up cover every kind."""
+    recovered = tmp_path / "recovered.jsonl"
+    cluster = _crash_and_recover_run(
+        functools.partial(Cluster, trace_path=recovered), 0)
+    cluster.record_state_dump()
+    runs = [(recovered, cluster)]
+    given_up = tmp_path / "given-up.jsonl"
+    sc, cluster = _demo_with_every_zone_down(20000, trace_path=given_up)
+    cluster.run_to_quiescence(max_ticks=sc.max_ticks)
+    runs.append((given_up, cluster))
+    kinds = set()
+    for path, cluster in runs:
+        cluster.close()
+        assert path.read_text() == trace_text(cluster)
+        for ev in cluster.trace:
+            assert json.loads(ev.to_json()) == {
+                "tick": ev.tick, "kind": ev.kind, "node": ev.node,
+                "detail": ev.detail}
+            kinds.add(ev.kind)
+    assert kinds == {
+        "Applied", "Crashed", "Deduplicated", "Delivered", "Dropped",
+        "Duplicated", "GaveUp", "Injected", "NoLiveReplica", "Recovered",
+        "Response", "Retransmitted", "Sent", "StateDump", "TickCompleted"}
 
 
 def _assert_answered_once_or_given_up(cluster):
