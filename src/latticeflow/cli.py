@@ -40,7 +40,7 @@ def cmd_analyze(args) -> int:
     from .analysis import calm_report, metaconsistency_conflicts
     from .facets import facet_warnings
     from .ir import validate
-    from .lowering import lower
+    from .lowering import LoweringError, lower
     from .scenario import ScenarioError
 
     try:
@@ -65,7 +65,7 @@ def cmd_analyze(args) -> int:
 
     try:
         plan = lower(program)
-    except Exception as exc:
+    except LoweringError as exc:
         print(f"lowering failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if args.inspect:

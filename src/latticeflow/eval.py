@@ -43,13 +43,16 @@ MISSING = _Missing()
 class EvalContext:
     """Per-tick evaluation context over an immutable snapshot."""
 
+    # rounds a recursive query group may take before it raises
+    # `FixpointDivergence`, on either backend
+    max_rounds = 10000
+
     def __init__(self, program, snapshot: Snapshot):
         self.program = program
         self.snapshot = snapshot
         self.firing = {}  # handler -> the messages it runs on this tick
         self.query_overrides = {}
-        self.udf_memo = {}
-        self.udf_invocations = 0
+        self.udf_memo = {}  # a transducer's tick shares one (see `call_udf`)
         self._query_names = program.query_map  # read for membership
         self._sorted = {}  # name -> ordered view, fixed for the snapshot
 
@@ -103,7 +106,8 @@ class EvalContext:
 
     # --- UDFs ---------------------------------------------------------------
     def call_udf(self, name: str, args: tuple):
-        """Invoke a host UDF, memoized per (input, tick). A result that is
+        """Invoke a host UDF, memoized per (input, tick): a transducer
+        points every context of a tick at one `udf_memo`. A result that is
         not hashable is refused here, naming the UDF: a `Row` is hashed on
         first use, so one holding it would fail far from its source."""
         key = (name, args)
@@ -121,7 +125,6 @@ class EvalContext:
         except TypeError as exc:
             raise UdfFailure(f"udf {name!r} returned a value that is not "
                              f"hashable ({exc})") from exc
-        self.udf_invocations += 1
         self.udf_memo[key] = result
         return result
 

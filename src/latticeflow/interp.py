@@ -59,9 +59,8 @@ def _inline_output(output):
 
 
 class InterpContext(EvalContext):
-    def __init__(self, program, snapshot, max_rounds=10000):
+    def __init__(self, program, snapshot):
         super().__init__(program, snapshot)
-        self.max_rounds = max_rounds
         self.rounds = {}
         self._qmemo = {}
 

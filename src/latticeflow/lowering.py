@@ -20,12 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 from typing import Optional
 
-from .analysis import metaconsistency_conflicts, stratify
+from .analysis import Unstratifiable, metaconsistency_conflicts, stratify
 from .ir import (
     Comp, ForEach, Program, Send, kept, prepared, response_mailbox,
     statement_exprs, validate,
 )
-from .runtime import compile_comp, compile_expr, compile_queries
+from .runtime import (
+    NonMonotoneRecursion, compile_comp, compile_expr, compile_queries,
+)
 
 
 class LoweringError(Exception):
@@ -149,8 +151,11 @@ def _lower(program: Program) -> LoweringPlan:
         raise LoweringError(
             "MetaconsistencyConflict: " + "; ".join(str(c) for c in conflicts),
             entries=conflicts)
-    strata = stratify(program)            # raises Unstratifiable
-    compiled = compile_queries(program)   # raises NonMonotoneRecursion
+    try:
+        strata = stratify(program)
+        compiled = compile_queries(program)
+    except (Unstratifiable, NonMonotoneRecursion) as exc:
+        raise LoweringError(f"{type(exc).__name__}: {exc}") from exc
 
     plan = LoweringPlan(program)
     qstrata = dict(strata.query_strata)

@@ -894,10 +894,9 @@ def _compile_queries(program) -> CompiledQueries:
 
 class GraphContext(EvalContext):
     def __init__(self, program, snapshot, compiled: CompiledQueries,
-                 max_rounds=10000, views=None):
+                 views=None):
         super().__init__(program, snapshot)
         self.compiled = compiled
-        self.max_rounds = max_rounds
         # scc -> _View, see apply_fixpoint; a join step's id or a chain's
         # scan_index -> (source, index), see _kept_index
         self.views = {} if views is None else views

@@ -158,7 +158,7 @@ def domain_prefix_matches(domain: tuple, prefix: tuple) -> bool:
 class Cluster:
     def __init__(self, program: Program, nodes, groups, network=None,
                  seed: int = 0, backend: str = "graph",
-                 trace_path=None, max_rounds: int = 10000):
+                 trace_path=None):
         """groups: handler name -> ordered list of worker node ids.
         Raises `lowering.LoweringError` for a program that does not lower."""
         self.program = program
@@ -166,7 +166,6 @@ class Cluster:
         self.network = network or NetworkModel()
         self.rng = random.Random(seed)
         self.backend = backend
-        self.max_rounds = max_rounds
         self.groups = {h: list(ids) for h, ids in groups.items()}
         self.specs = {s.node_id: s for s in nodes}
         self.log: dict = {}                  # handler -> commit records issued,
@@ -216,7 +215,7 @@ class Cluster:
         """A worker node on the cluster's commit log; it replays the records
         issued so far (see `transducer.Transducer`)."""
         return Transducer(self.program, role=spec.role, backend=self.backend,
-                          max_rounds=self.max_rounds, log=self.log)
+                          log=self.log)
 
     def new_message_id(self) -> str:
         self._mid += 1
@@ -232,8 +231,16 @@ class Cluster:
     # --- workload -----------------------------------------------------------
     def schedule_request(self, tick: int, client: str, handler: str, fields: dict,
                          message_id: Optional[str] = None):
+        """Inject a request to `handler` from `client` at `tick`. A list,
+        dict or set field is refused by its type, not by hashing the row,
+        which a node's tick would otherwise do far from here."""
         if tick < self.tick:
             raise ValueError(f"tick {tick} has passed; now {self.tick}")
+        for name, value in fields.items():
+            if isinstance(value, (list, dict, set)):
+                raise ValueError(
+                    f"request to {handler!r}: field {name!r} is a "
+                    f"{type(value).__name__}, which is not hashable")
         mid = message_id or self.new_message_id()
         payload = Row(dict(fields, **{MESSAGE_ID: mid}))
         self.client_of[mid] = client

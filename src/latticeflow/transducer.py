@@ -6,10 +6,10 @@ the tick. Sends buffered during a tick become visible no earlier than the
 next tick, even to the sending node itself.
 
 A tick pays only for what its input needs: it builds its context, over the
-snapshot taken as it starts, only when some handler will read it (an
-eventual handler with a pending message or one that acts on an idle tick,
-or a serializable handler with a pending message and a guard), and commits
+snapshot taken as it starts, only when an eventual handler will read it
+(one with a pending message or one that acts on an idle tick), and commits
 the eventual effects only when some eventual handler's statements ran.
+Every context a tick builds shares one UDF memo (`udf_memo`).
 
 Every expression of a handler is evaluated by the context's `eval` hook,
 each backend's own evaluator. Handlers are prepared once per handler object
@@ -18,20 +18,21 @@ ones included, runs the same generated functions (see `runtime`).
 
 Handlers marked serializable decide their whole backlog in one tick, one
 request at a time in arrival order, until the mailbox is empty or the guard
-passes on no pending message. Each request runs against a fork of the
-state the previous decision left, the handler's invariants are checked on
-the outcome, and the fork is either adopted (accepted) or discarded
-(rejected), so the tick's decisions are one serial order. The guard picks
-each request on that same state, and runs on the pending messages only up
-to the first that passes: after an accept it reads the accepted request's
-check context, whose snapshot is the adopted state, and after a reject a
-fresh context over the node's state, since an expression can read a
-mailbox. Each request builds two contexts, its fork's and its invariant
-check's. A fork and its snapshots share every table dict and mailbox list
-with the node, since commit and deliver replace, and never mutate, one (see
-`state`): a request copies only the tables it writes, an accepted one
-leaves the node's other tables the same objects, and a rejected one leaves
-every table so.
+passes on no pending message. A decision's guard pick and statements read
+one context over the state the previous decision left, which the guard
+reads only up to the first pending message that passes; the statements'
+effects are committed to a fork of that state, the handler's invariants
+read a context over the fork, and the fork is either adopted (accepted) or
+discarded (rejected), so the tick's decisions are one serial order. An
+accepted request's check context is the next decision's context, so the
+query values it memoized (`_qmemo`) serve the next request's statements,
+as the eventual handlers share the tick's context. A fresh one is built
+only after a reject, since an expression can read a mailbox, or once the
+tick has committed eventual effects. A fork and its snapshots share every
+table dict and mailbox list with the node, since commit and deliver
+replace, and never mutate, one (see `state`): a request copies only the
+tables it writes, an accepted one leaves the node's other tables the same
+objects, and a rejected one leaves every table so.
 
 A node keeps, for each serializable handler, a commit log (`log`): the
 records issued for the handler, in sequence order, each numbered by its
@@ -64,7 +65,7 @@ target still runs on an idle tick, so with one the tick always builds its
 context.
 
 On the graph backend a node's recursive query results outlive the tick:
-every context the node builds, the fork and invariant-check contexts
+every context the node builds, the request and invariant-check contexts
 included, shares the node's `views`, so a later tick resumes a query whose
 inputs only grew (see `runtime.apply_fixpoint`). The same dict holds every
 index that a join keeps of a query result or a kept view, the ones that
@@ -108,7 +109,7 @@ class TickResult:
     sends: list = dfield(default_factory=list)        # OutMsg
     statuses: dict = dfield(default_factory=dict)     # message_id -> accepted/rejected
     records: dict = dfield(default_factory=dict)      # handler -> the commit record of its batch
-    udf_invocations: int = 0                          # host UDF calls in every context the tick built
+    udf_invocations: int = 0                          # host UDF calls: the tick's memo size
 
 
 class Transducer:
@@ -116,8 +117,7 @@ class Transducer:
     tick returns its sends, and `sim.Cluster` routes them."""
 
     def __init__(self, program: Program, role: str = "main",
-                 backend: str = "graph", max_rounds: int = 10000,
-                 log=None):
+                 backend: str = "graph", log=None):
         """`log`: serializable handler -> the commit records issued for it,
         in sequence order, a dict shared by every node of a cluster and kept
         by its owner across crashes; a node that stands alone keeps its
@@ -128,7 +128,6 @@ class Transducer:
         self.program = program
         self.role = role
         self.backend = backend
-        self.max_rounds = max_rounds
         self.state = NodeState(program)
         self.handlers = sorted(
             (h for h in program.handlers if h.role == role),
@@ -141,16 +140,13 @@ class Transducer:
         self.serializable = [h for h in self.handlers
                              if h.consistency.level == "serializable"]
         # a tick builds its context only if some eventual handler acts on
-        # an idle tick, or one of these handlers has a pending message: an
-        # eventual one, or a serializable one whose guard picks its request
+        # an idle tick or has a pending message
         self._acts_when_idle = not all(self.idle_when_empty[h.name]
                                        for h in self.eventual)
-        self._context_readers = tuple(
-            h.name for h in self.handlers
-            if h.consistency.level != "serializable"
-            or self.prepared[h.name].guard is not None)
         self.compiled = compile_queries(program) if backend == "graph" else None
         self.views: dict = {}     # recursive query results kept between ticks
+        self.udf_memo: dict = {}  # (udf, args) -> result, for every context
+                                  # of the tick; a tick starts a new one
         self.log: dict = {} if log is None else log
         # serializable handler -> its applied prefix: the records of the log
         # applied or issued here
@@ -164,9 +160,12 @@ class Transducer:
     # --- context construction -----------------------------------------------
     def _context(self, snapshot):
         if self.backend == "graph":
-            return GraphContext(self.program, snapshot, self.compiled,
-                                max_rounds=self.max_rounds, views=self.views)
-        return InterpContext(self.program, snapshot, max_rounds=self.max_rounds)
+            ctx = GraphContext(self.program, snapshot, self.compiled,
+                               views=self.views)
+        else:
+            ctx = InterpContext(self.program, snapshot)
+        ctx.udf_memo = self.udf_memo
+        return ctx
 
     # --- message intake -----------------------------------------------------
     def deliver(self, mailbox: str, payload: Row):
@@ -222,23 +221,14 @@ class Transducer:
             return pending
         return [msg for msg in pending if truthy(ctx.eval(guard, {_MSG: msg}))]
 
-    def _next_request(self, h: Handler, ctx):
-        """The first pending message whose guard passes, or None; the guard
-        runs on no message after it."""
-        pending = self.state.mailboxes.get(h.name, ())
-        guard = self.prepared[h.name].guard
-        if guard is None:
-            return pending[0] if pending else None
-        return next((msg for msg in pending
-                     if truthy(ctx.eval(guard, {_MSG: msg}))), None)
-
     # --- tick ---------------------------------------------------------------
     def tick(self) -> TickResult:
-        """One tick. It builds its context, over a snapshot taken as it
-        starts, only when a handler will read it (see `__init__`), and
-        commits the eventual effects only when some eventual handler's
-        statements ran; each request builds its own two contexts (see
-        `_run_request`).
+        """One tick: the eventual handlers on the tick's context, built
+        only when one of them will read it (see `__init__`), then each
+        serializable handler's backlog (see `_run_request`), first on the
+        tick's context unless the tick committed eventual effects. Every
+        context of the tick shares `udf_memo`, whose size is the result's
+        `udf_invocations`.
 
         A `NODE_FAILURES` exception leaves it with `handlers`, the names of
         the handlers it is blamed on: the one that raised, or, when the
@@ -246,20 +236,18 @@ class Transducer:
         statements ran.
 
         It first brings each serializable handler to its log's tail
-        (`catch_up`), so the context, the guard and every decision read a
-        state that holds every decision already made."""
+        (`catch_up`), so every context, guard and decision reads a state
+        that holds every decision already made."""
         for h in self.serializable:
             self.catch_up(h.name)
-        boxes = self.state.mailboxes
-        ctx = None
-        if self._acts_when_idle or any(boxes.get(name)
-                                       for name in self._context_readers):
-            ctx = self._context(self.state.snapshot())
+        self.udf_memo = {}
         result = TickResult()
         ran = []
-        h = None
+        h = ctx = None
         try:
-            if ctx is not None:
+            if self._acts_when_idle or any(self.state.mailboxes.get(e.name)
+                                           for e in self.eventual):
+                ctx = self._context(self.state.snapshot())
                 eff = Effects()
                 for h in self.eventual:
                     if self._run_eventual(h, ctx, eff, result):
@@ -268,15 +256,14 @@ class Transducer:
                 if ran:
                     self.state.commit(eff)
                     result.sends.extend(eff.sends)
+                    ctx = None
 
             for h in self.serializable:
-                self._run_request(h, ctx, result)
+                ctx = self._run_request(h, ctx, result)
         except NODE_FAILURES as exc:
             exc.handlers = (h.name,) if h is not None else tuple(ran)
             raise
-
-        if ctx is not None:
-            result.udf_invocations += ctx.udf_invocations
+        result.udf_invocations = len(self.udf_memo)
         return result
 
     def _run_eventual(self, h: Handler, ctx, eff: Effects,
@@ -297,59 +284,55 @@ class Transducer:
 
     def _run_request(self, h: Handler, ctx, result: TickResult):
         """Decide the backlog of `h` by the batch rule of this module's
-        docstring. `ctx`, the tick's context, picks the first request by
-        the guard; it is None only if `h` has no guard or no pending
-        message.
+        docstring, and return the context it ends with. `ctx`, like the
+        context returned, is None or a context over the node's state as it
+        stands: an accepted request's check context, or one built over a
+        state the tick has not changed since. A decision builds a fresh one
+        only when there is none.
 
         The tick has brought the node to the tail of `h`'s log, so the
         batch's commit record joins the log as its last record and the
         prefix moves past it."""
-        guarded = self.prepared[h.name].guard is not None
-        msg = self._next_request(h, ctx)
-        if msg is not None:
-            result.fired.append(h.name)
+        prep = self.prepared[h.name]
         decisions = []
-        while msg is not None:
+        while pending := self.state.mailboxes.get(h.name):
+            if ctx is None:
+                ctx = self._context(self.state.snapshot())
+            msg = (pending[0] if prep.guard is None else
+                   next((m for m in pending
+                         if truthy(ctx.eval(prep.guard, {_MSG: m}))), None))
+            if msg is None:
+                break
+            if h.name not in result.fired:
+                result.fired.append(h.name)
             fork = self.state.fork()
-            eff = Effects()
-            fctx = self._context(fork.snapshot())
-            fctx.firing[h.name] = (msg,)
-            self._run_stmts(h, (msg,), fctx, eff)
-            result.udf_invocations += fctx.udf_invocations
-            eff.consumed.setdefault(h.name, []).append(msg)
+            eff = Effects(consumed={h.name: [msg]})
+            ctx.firing[h.name] = (msg,)   # ctx is replaced below
+            self._run_stmts(h, (msg,), ctx, eff)
             fork.commit(eff)
 
-            ctx = self._context(fork.snapshot())
-            ok = all(truthy(ctx.eval(inv, {_MSG: msg}))
-                     for inv in self.prepared[h.name].invariants)
+            check = self._context(fork.snapshot())
             mid = msg.get(MESSAGE_ID)
-            if ok:
+            if all(truthy(check.eval(inv, {_MSG: msg}))
+                   for inv in prep.invariants):
                 self.state.tables = fork.tables
                 self.state.vars = fork.vars
                 self.state.mailboxes = fork.mailboxes
                 result.sends.extend(eff.sends)
-                status, delta = ACCEPTED, eff.delta()
+                status, delta, ctx = ACCEPTED, eff.delta(), check
             else:
                 # reject: consume the request, discard everything else
-                drop = Effects(consumed={h.name: [msg]})
-                self.state.commit(drop)
-                status, delta = REJECTED, None
-                # the check context saw the discarded fork
-                result.udf_invocations += ctx.udf_invocations
-                ctx = (self._context(self.state.snapshot())
-                       if guarded and self.state.mailboxes.get(h.name)
-                       else None)
+                self.state.commit(Effects(consumed={h.name: [msg]}))
+                status, delta, ctx = REJECTED, None, None
             if mid is not None:
                 result.statuses[mid] = self.status[mid] = status
                 decisions.append((mid, delta))
-            msg = self._next_request(h, ctx)
-            if ctx is not None:   # the check or fresh context is done
-                result.udf_invocations += ctx.udf_invocations
         if decisions:
             log = self.log[h.name]
             log.append(tuple(decisions))
             self.applied[h.name] = len(log)
             result.records[h.name] = log[-1]
+        return ctx
 
     # --- statement execution ------------------------------------------------
     def _run_stmts(self, h: Handler, msgs, ctx, eff: Effects):

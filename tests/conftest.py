@@ -1,6 +1,7 @@
-"""Shared builders: a transitive-closure program, random graphs, a
-breadth-first-search reachability oracle, a one-node cluster, the
-statuses that a cluster's clients heard, and the demo scenario's path."""
+"""Shared builders: a transitive-closure program, a program that validates
+but does not lower, random graphs, a breadth-first-search reachability
+oracle, a one-node cluster, the statuses that a cluster's clients heard,
+and the demo scenario's path."""
 
 import collections
 import random
@@ -8,9 +9,9 @@ from pathlib import Path
 
 from latticeflow.interp import InterpContext
 from latticeflow.ir import (
-    BinOp, ClassDecl, Comp, Data, DataDecl, Field, Gen, Handler, Lit,
-    MakeRow, MergeMutation, Program, QueryDef, Return, TargetPath, TupleOf,
-    Var,
+    BinOp, ClassDecl, Comp, Data, DataDecl, Field, Gen, Handler, In, Lit,
+    MakeRow, MergeMutation, Not, Program, QueryDef, Return, TargetPath,
+    TupleOf, Var,
 )
 from latticeflow.runtime import GraphContext, compile_queries
 from latticeflow.sim import Cluster, NetworkModel, NodeSpec
@@ -43,6 +44,26 @@ def closure_program() -> Program:
         data=(DataDecl("edges", "table", cls="Edge"),),
         queries=(links, tc),
         handlers=(add_edge,))
+
+
+def unlowerable_program(negated: str) -> Program:
+    """A program whose recursive query `r` keeps the elements of `acc`, and
+    of `r` itself those not in collection `negated`; it validates but does
+    not lower. Negating `r` is a negative edge inside a recursive group,
+    which stratification refuses; negating the base var `blocked` is no
+    edge between queries, and only the classification of the recursive
+    rule's body refuses it (see `runtime.compile_queries`)."""
+    r = QueryDef("r", (), (
+        Comp(Var("x"), (Gen("x", Data("acc")),)),
+        Comp(Var("x"), (Gen("x", Data("r")),),
+             (Not(In(Var("x"), Data(negated))),))), recursive=True)
+    return Program(
+        "unlowerable",
+        data=(DataDecl("acc", "var", shape="set"),
+              DataDecl("blocked", "var", shape="set")),
+        queries=(r,),
+        handlers=(Handler("put", {"x": "int"},
+                          (MergeMutation(TargetPath("acc"), Var("x")),)),))
 
 
 def random_edges(rng: random.Random, max_nodes=50, density=0.08):

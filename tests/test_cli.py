@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import DEMO
+from conftest import DEMO, unlowerable_program
 
 from latticeflow.cli import (
     EXIT_CLOSED_PIPE, EXIT_INFEASIBLE, EXIT_NO_QUIESCENCE, EXIT_OK,
@@ -239,6 +239,27 @@ def test_a_udf_result_that_is_not_hashable_is_refused_with_its_node(
         r"seed 7: UdfFailure at tick \d+ on node n\d+ in handler estimate: "
         r"udf 'covid_predict' returned a value that is not hashable "
         r"\(unhashable type: 'list'\)\n", err), err
+
+
+@pytest.mark.parametrize("negated, kind", [
+    ("r", "Unstratifiable"), ("blocked", "NonMonotoneRecursion"),
+], ids=["negated-self", "negated-base-var"])
+def test_a_program_that_validates_but_does_not_lower_is_an_input_error(
+        tmp_path, capsys, negated, kind):
+    """`simulate` reports such a program in one `error:` line and exits 2,
+    and `analyze` in one `lowering failed:` line, neither with a
+    traceback."""
+    program = json.loads(program_to_json(unlowerable_program(negated)))
+    path = write_scenario(tmp_path, program=program, workload=[
+        {"tick": 0, "client": "c1", "handler": "put", "fields": {"x": 1}}])
+    assert main(["simulate", path]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: lowering failed: {kind}: [^\n]+\n", err), err
+    program_path = tmp_path / "program.json"
+    program_path.write_text(json.dumps(program))
+    assert main(["analyze", str(program_path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"lowering failed: {kind}: [^\n]+\n", err), err
 
 
 @pytest.mark.parametrize("fields, message", [

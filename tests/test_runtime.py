@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (bfs_closure, closure_contexts, closure_program,
-                      loaded_state, one_node_cluster)
-from latticeflow.eval import (MISSING, _order_key, bind, eval_expr,
-                              iter_source, truthy)
+                      loaded_state, one_node_cluster, unlowerable_program)
+from latticeflow.analysis import query_graph
+from latticeflow.eval import (MISSING, EvalContext, _order_key, bind,
+                              eval_expr, iter_source, truthy)
 from latticeflow.interp import InterpContext
 from latticeflow import lattice
 from latticeflow.ir import (
@@ -124,7 +125,7 @@ def test_a_udf_fold_agrees_on_both_backends():
         graph, interp = both_backends(program, state)
         fold = Fold("udf:cat", source)
         assert graph.eval(fold, {}) == interp.eval(fold, {}) == want
-        assert graph.udf_invocations == interp.udf_invocations
+        assert len(graph.udf_memo) == len(interp.udf_memo)
 
 
 # --- compiled chains against the interpreter ---------------------------------
@@ -351,11 +352,23 @@ def test_nonmonotone_recursion_rejected(body):
         compile_queries(p)
 
 
-def test_fixpoint_round_cap():
+def test_a_recursive_rule_that_negates_a_base_var_is_refused_by_its_body():
+    """Negating a base var inside a recursive rule adds no edge between
+    queries, so the edge check passes it; the classification of the rule
+    body refuses it. The refusal keeps a resumed fixpoint sound: a grown
+    `blocked` would remove facts, which a resume never does (see
+    `runtime.apply_fixpoint`)."""
+    program = unlowerable_program("blocked")
+    assert query_graph(program).bad_edge is None
+    with pytest.raises(NonMonotoneRecursion, match="non-monotone rule body "
+                       "in recursive query r"):
+        compile_queries(program)
+
+
+def test_fixpoint_round_cap(monkeypatch):
+    monkeypatch.setattr(EvalContext, "max_rounds", 3)
     edges = [(i, i + 1) for i in range(10)]
     ic, gc = closure_contexts(edges)
-    ic.max_rounds = 3
-    gc.max_rounds = 3
     with pytest.raises(FixpointDivergence):
         ic.query_value("tc")
     with pytest.raises(FixpointDivergence):
@@ -418,9 +431,9 @@ def test_udf_memoized_within_a_tick():
 
 @pytest.mark.parametrize("backend", ["graph", "interp"])
 def test_a_tick_counts_the_udf_calls_of_every_context_it_builds(backend):
-    """A serializable request runs in its own fork context, so the UDF
-    calls of three requests decided in one tick are counted from those
-    contexts, not only from the tick's."""
+    """Three requests decided in one tick each run on a context of their
+    own, the one before's check context or a fresh one, and every one of
+    them shares the tick's UDF memo, which counts their calls."""
     calls = []
     p = Program(
         "gate",
@@ -438,6 +451,57 @@ def test_a_tick_counts_the_udf_calls_of_every_context_it_builds(backend):
     assert r.statuses == {"m0": "accepted", "m1": "accepted",
                           "m2": "accepted"}
     assert calls == [0, 1, 2] and r.udf_invocations == 3
+
+
+@pytest.mark.parametrize("backend", ["graph", "interp"])
+def test_deleting_a_var_resets_it(backend):
+    """Deleting a lattice var resets it to its bottom, and a scalar var to
+    None; the next tick's reads see the reset."""
+    p = Program(
+        "reset",
+        data=(DataDecl("acc", "var", shape="set", init=frozenset({1, 2})),
+              DataDecl("n", "var", scalar="int", init=3),
+              DataDecl("seen", "var", shape="set")),
+        handlers=(
+            Handler("reset", {},
+                    (Delete(TargetPath("acc")), Delete(TargetPath("n")))),
+            Handler("look", {}, (MergeMutation(TargetPath("seen"), TupleOf(
+                Len(Data("acc")), BinOp("==", Data("n"), Lit(None)))),))))
+    t = Transducer(p, backend=backend)
+    t.deliver("reset", request(0))
+    assert t.tick().fired == ["reset"]
+    assert t.state.vars["acc"] == lattice.bottom("set")
+    assert t.state.vars["n"] is None
+    t.deliver("look", request(1))
+    t.tick()
+    assert lattice.unwrap(t.state.vars["seen"]) == frozenset({(0, True)})
+
+
+@pytest.mark.parametrize("backend", ["graph", "interp"])
+def test_a_udf_a_request_and_its_invariant_call_alike_runs_once(backend):
+    """`take`'s statement and its invariant both call `add(1, 2)`: the
+    request's context and its check context share the tick's UDF memo, so
+    `add` runs once in the tick, and again only in a later tick."""
+    calls = []
+    p = Program(
+        "sums",
+        data=(DataDecl("s", "var", shape="set", init=frozenset({1, 2})),
+              DataDecl("n", "var", scalar="int", init=0)),
+        udfs=(UdfDecl("add", 2,
+                      fn=lambda a, b: calls.append((a, b)) or a + b),),
+        handlers=(Handler(
+            "take", {"x": "int"},
+            (UdfCall("add", (Var("x"), Lit(2)), binder="y"),
+             Assign(TargetPath("n"), Var("y"))),
+            consistency=ConsistencySpec("serializable", invariants=(
+                BinOp("==", Data("n"), Fold("udf:add", Data("s"))),))),))
+    t = Transducer(p, backend=backend)
+    t.deliver("take", request(0, x=1))
+    r = t.tick()
+    assert (r.statuses, r.udf_invocations) == ({"m0": "accepted"}, 1)
+    assert calls == [(1, 2)]
+    t.deliver("take", request(1, x=1))
+    assert t.tick().udf_invocations == 1 and calls == [(1, 2)] * 2
 
 
 def test_batching_does_not_change_final_state():
@@ -640,8 +704,9 @@ class CountingTransducer(Transducer):
 def test_a_lone_request_builds_only_its_fork_and_check_contexts(
         backend, monkeypatch):
     """A sequencer tick whose only input is one request builds no tick
-    context and commits no empty effects: the request's fork and invariant
-    check are its two contexts, and it commits the fork, plus, when
+    context and commits no empty effects: the request's two contexts are
+    one over the node's state, which its statements read, and its
+    invariant check's over its fork, and it commits the fork, plus, when
     rejected, the request's consumption."""
     commits = []
     commit = NodeState.commit
@@ -673,7 +738,8 @@ def test_a_lone_request_builds_only_its_fork_and_check_contexts(
     assert (t.contexts, len(commits)) == (2, 2)
     assert commits[1] is t.state and t.state.vars["vaccine_count"] == 0
 
-    # a backlog is decided in the same tick, two contexts a request
+    # a backlog is decided in the same tick; after each rejection the next
+    # request reads a fresh context
     assert tick("vaccinate", 3, 4, pid=1) == {"m3": "rejected",
                                               "m4": "rejected"}
     assert (t.contexts, len(commits)) == (4, 4)
@@ -684,8 +750,11 @@ def test_a_lone_request_builds_only_its_fork_and_check_contexts(
 def test_a_tick_decides_the_whole_backlog_in_arrival_order(backend):
     """Five requests against three doses in one tick: each runs on the
     state the one before left, so the first three are accepted and the
-    last two rejected, all five ship in one commit record in decision
-    order, and each request builds only its fork and check contexts."""
+    last two rejected, and all five ship in one commit record in decision
+    order. The batch builds one context over the node's state, one check
+    context per request, and one fresh context after m4's rejection, since
+    m5 is still pending; an accepted request's check context is the next
+    request's."""
     t = CountingTransducer(covid_program(coordinated=True, vaccine_count=3),
                            backend=backend)
     t.deliver("add_person", request(0, pid=1, name="ana", country="ar"))
@@ -703,7 +772,7 @@ def test_a_tick_decides_the_whole_backlog_in_arrival_order(backend):
     assert [(mid, delta is not None) for mid, delta in record] == \
         [("m1", True), ("m2", True), ("m3", True), ("m4", False),
          ("m5", False)]
-    assert (result.fired, t.contexts) == (["vaccinate"], 10)
+    assert (result.fired, t.contexts) == (["vaccinate"], 7)
     assert t.state.mailboxes["vaccinate"] == []
     assert t.state.vars["vaccine_count"] == 0
 
@@ -733,16 +802,17 @@ def gate_program(n: int, amount) -> Program:
                 invariants=(BinOp(">=", Data("n"), Lit(0)),))),))
 
 
-def test_a_guarded_request_is_picked_in_the_tick_context():
-    # the guard reads the tick context for the first request and the
-    # accepted request's check context for the next, so m2 stays pending in
-    # the tick that accepts m1: its guard reads the state m1 left
+def test_a_guarded_request_is_picked_on_the_state_the_last_decision_left():
+    # the guard and m1's statement read one context over the node's state,
+    # and the guard reads m1's check context for the next request, so m2
+    # stays pending in the tick that accepts m1: its guard reads the state
+    # m1 left
     for backend in ("graph", "interp"):
         t = CountingTransducer(gate_program(1, Lit(1)), backend=backend)
         t.deliver("take", request(1, x=1))
         t.deliver("take", request(2, x=1))
         assert t.tick().statuses == {"m1": "accepted"}
-        assert t.contexts == 3
+        assert t.contexts == 2
         assert [m[MESSAGE_ID] for m in t.state.mailboxes["take"]] == ["m2"]
         t.contexts = 0
         result = t.tick()
@@ -761,9 +831,35 @@ def test_after_a_rejection_the_guard_reads_the_node_s_state(backend):
         t.deliver("take", request(i, x=x))
     assert t.tick().statuses == {"m1": "rejected", "m2": "accepted",
                                  "m3": "accepted"}
-    # the tick's, one fork and one check per request, and the fresh one
-    assert t.contexts == 1 + 3 * 2 + 1
+    # one over the node's state, one check per request, and the fresh one
+    assert t.contexts == 1 + 3 + 1
     assert [m[MESSAGE_ID] for m in t.state.mailboxes["take"]] == ["m4"]
+    assert t.state.vars["n"] == 0
+
+
+@pytest.mark.parametrize("backend", ["graph", "interp"])
+def test_a_guard_reads_the_eventual_effects_its_tick_committed(backend):
+    """An eventual `close` and a `take` guarded by `not closed` arrive in
+    one tick: the tick commits `closed` <- true before `take` is picked,
+    so the guard reads it and `take` stays pending, as in a serial order
+    that runs `close` first."""
+    p = Program(
+        "door",
+        data=(DataDecl("closed", "var", shape="bool_or"),
+              DataDecl("n", "var", scalar="int", init=0)),
+        handlers=(
+            Handler("close", {},
+                    (MergeMutation(TargetPath("closed"), Lit(True)),)),
+            Handler("take", {"x": "int"}, (Assign(TargetPath("n"), Var("x")),),
+                    guard=Not(Data("closed")),
+                    consistency=ConsistencySpec("serializable"))))
+    t = Transducer(p, backend=backend)
+    t.deliver("close", request(0))
+    t.deliver("take", request(1, x=1))
+    result = t.tick()
+    assert (result.fired, result.statuses) == (["close"], {})
+    assert lattice.unwrap(t.state.vars["closed"]) is True
+    assert [m[MESSAGE_ID] for m in t.state.mailboxes["take"]] == ["m1"]
     assert t.state.vars["n"] == 0
 
 
@@ -1093,12 +1189,14 @@ def test_a_resume_pass_probes_an_index_of_the_totals():
     assert not [k for k in plain.views if str(k).startswith("scanindex")]
 
 
-def test_kept_views_diverge_exactly_when_a_fresh_evaluation_does():
+def test_kept_views_diverge_exactly_when_a_fresh_evaluation_does(
+        monkeypatch):
     # a chain grown one edge per tick passes the cap at its third edge;
     # shortcuts then bring every path back to one edge
+    monkeypatch.setattr(EvalContext, "max_rounds", 3)
     program = edited_closure_program()
     compiled = compile_queries(program)
-    t = Transducer(program, max_rounds=3)
+    t = Transducer(program)
     chain = [(i, i + 1) for i in range(5)]
     shortcuts = [(a, b) for a in range(6) for b in range(a + 2, 6)]
 
@@ -1113,7 +1211,7 @@ def test_kept_views_diverge_exactly_when_a_fresh_evaluation_does():
         t.deliver("link", request(i, a=a, b=b))
         t.tick()
         snap = t.state.snapshot()
-        fresh = outcome(GraphContext(program, snap, compiled, max_rounds=3))
+        fresh = outcome(GraphContext(program, snap, compiled))
         assert outcome(t._context(snap)) == fresh
         seen.append(fresh == "diverged")
     assert seen[:2] == [False, False] and seen[2] and not seen[-1]

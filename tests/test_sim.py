@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 from conftest import DEMO, client_statuses
 
+from latticeflow.eval import EvalContext
 from latticeflow.facets import make_topology, replication_plan
 from latticeflow.ir import (
     MESSAGE_ID, AvailSpec, DataDecl, Handler, MergeMutation, Program,
@@ -382,15 +383,15 @@ def test_every_node_of_a_program_runs_one_compiled_handler():
     assert sizes[0] > 0 and sizes == [sizes[0]] * 3
 
 
-def test_recovered_node_keeps_the_round_cap():
+def test_recovered_node_keeps_the_round_cap(monkeypatch):
+    monkeypatch.setattr(EvalContext, "max_rounds", 3)
     program = covid_tracker().program
     plan = replication_plan(program, make_topology())
-    cluster = Cluster(program, plan.nodes, plan.groups, max_rounds=3)
+    cluster = Cluster(program, plan.nodes, plan.groups)
     victim = sorted(cluster.nodes)[0]
     cluster.inject_failure(cluster.specs[victim].domain)
     cluster.recover(victim)
     node = cluster.nodes[victim]
-    assert node.max_rounds == 3
     # a contact chain 0-1-...-5 needs more than three rounds to close
     for i in range(6):
         node.deliver("add_person", Row(pid=i, name=str(i), country="x",
@@ -421,6 +422,19 @@ def test_requests_scheduled_mid_run_keep_their_schedule_order():
     assert injected == mids
     assert set(mids) <= set(cluster.responses["c1"])
 
+@pytest.mark.parametrize("value", [["a"], {"a": 1}, {"a"}],
+                         ids=["list", "dict", "set"])
+def test_a_request_field_that_is_not_hashable_is_refused_when_scheduled(
+        value):
+    cluster = build_scenario_cluster(Scenario(
+        covid_tracker().program, seed=4,
+        network=NetworkModel(1, 3, 0.0)))
+    kind = type(value).__name__
+    with pytest.raises(ValueError, match=f"request to 'add_person': field "
+                       f"'name' is a {kind}, which is not hashable"):
+        cluster.schedule_request(0, "c1", "add_person",
+                                 {"pid": 1, "name": value, "country": "x"})
+    assert cluster.pending_injections == [] and cluster.request_payload == {}
 
 
 def test_scheduling_in_a_past_tick_is_rejected():
