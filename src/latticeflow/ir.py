@@ -781,6 +781,12 @@ def validate(p: Program) -> ValidationReport:
         for qd in defs:
             for body in qd.bodies:
                 check_expr(body, set(), f"query {qname}")
+                # a context keeps a query's value, while the messages a
+                # mailbox shows change with the handler that runs
+                read = {e.name for e in walk_expr(body) if isinstance(e, Data)}
+                for box in sorted(read & mailboxes - set(datam) - set(queries)):
+                    rep.add("QueryReadsMailbox", f"query {qname}: reads "
+                            f"mailbox {box!r}")
 
     for h in p.handlers:
         if h.name in datam or h.name in queries:

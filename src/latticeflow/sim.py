@@ -155,6 +155,15 @@ def domain_prefix_matches(domain: tuple, prefix: tuple) -> bool:
     return tuple(domain[:len(prefix)]) == tuple(prefix)
 
 
+def _unhashable(value) -> Optional[str]:
+    """The type name of the first list, dict or set in `value`, looking into
+    tuples and rows, or None; it hashes nothing."""
+    if isinstance(value, (tuple, Row)):
+        inner = value.values() if isinstance(value, Row) else value
+        return next(filter(None, map(_unhashable, inner)), None)
+    return type(value).__name__ if isinstance(value, (list, dict, set)) else None
+
+
 class Cluster:
     def __init__(self, program: Program, nodes, groups, network=None,
                  seed: int = 0, backend: str = "graph",
@@ -231,16 +240,16 @@ class Cluster:
     # --- workload -----------------------------------------------------------
     def schedule_request(self, tick: int, client: str, handler: str, fields: dict,
                          message_id: Optional[str] = None):
-        """Inject a request to `handler` from `client` at `tick`. A list,
-        dict or set field is refused by its type, not by hashing the row,
-        which a node's tick would otherwise do far from here."""
+        """Inject a request to `handler` from `client` at `tick`. A field
+        holding a list, dict or set at any depth is refused by its type,
+        not by hashing the row, which a node's tick would do far from here."""
         if tick < self.tick:
             raise ValueError(f"tick {tick} has passed; now {self.tick}")
         for name, value in fields.items():
-            if isinstance(value, (list, dict, set)):
-                raise ValueError(
-                    f"request to {handler!r}: field {name!r} is a "
-                    f"{type(value).__name__}, which is not hashable")
+            if isinstance(value, (list, dict, set, tuple)) and (
+                    kind := _unhashable(value)) is not None:
+                raise ValueError(f"request to {handler!r}: field {name!r} "
+                                 f"holds a {kind}, which is not hashable")
         mid = message_id or self.new_message_id()
         payload = Row(dict(fields, **{MESSAGE_ID: mid}))
         self.client_of[mid] = client

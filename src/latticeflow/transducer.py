@@ -26,13 +26,14 @@ read a context over the fork, and the fork is either adopted (accepted) or
 discarded (rejected), so the tick's decisions are one serial order. An
 accepted request's check context is the next decision's context, so the
 query values it memoized (`_qmemo`) serve the next request's statements,
-as the eventual handlers share the tick's context. A fresh one is built
-only after a reject, since an expression can read a mailbox, or once the
-tick has committed eventual effects. A fork and its snapshots share every
-table dict and mailbox list with the node, since commit and deliver
-replace, and never mutate, one (see `state`): a request copies only the
-tables it writes, an accepted one leaves the node's other tables the same
-objects, and a rejected one leaves every table so.
+as the eventual handlers share the tick's context: a query reads no
+mailbox (`ir.validate`). A fresh one is built only after a reject, since
+an expression can read a mailbox, or once the tick has committed eventual
+effects. A fork and its snapshots share every table dict and mailbox list
+with the node, since commit and deliver replace, and never mutate, one
+(see `state`): a request copies only the tables it writes, an accepted one
+leaves the node's other tables the same objects, and a rejected one leaves
+every table so.
 
 A node keeps, for each serializable handler, a commit log (`log`): the
 records issued for the handler, in sequence order, each numbered by its

@@ -6,12 +6,14 @@ import pytest
 
 from latticeflow.ir import (
     MAX_GENERATORS, Assign, BinOp, ClassDecl, Comp, ConsistencySpec, Data,
-    DataDecl, Field, ForEach, Gen, Handler, In, Lit, Lookup, MakeRow,
+    DataDecl, Field, ForEach, Gen, Handler, In, Len, Lit, Lookup, MakeRow,
     MergeMutation, Program, QueryDef, Record, Return, Send, TargetPath,
     UdfCall, UdfDecl, Var, desugar_handler, response_mailbox, validate,
 )
+from latticeflow.lowering import LoweringError
 from latticeflow.patterns import get_pattern, pattern_names
 from latticeflow.progjson import program_from_json, program_to_json
+from latticeflow.sim import Cluster, NodeSpec
 
 
 def tiny_program(**kw):
@@ -286,3 +288,31 @@ def test_a_handler_named_like_a_collection_is_rejected(name, kind):
     assert [(e.code, e.message) for e in rep] == [
         ("HandlerNameClash", f"handler {name!r} has the name of a {kind}")]
     assert validate(mailbox_clash_program("put")).ok
+
+
+def queued_program() -> Program:
+    """Serializable `take`, whose statement assigns, and whose invariant
+    reads, the size of a query over `take`'s own mailbox."""
+    queued = Comp(Field(Var("m"), "x"), (Gen("m", Data("take")),))
+    return tiny_program(
+        data=(DataDecl("n", "var", scalar="int", init=0),),
+        queries=(QueryDef("queued", (), (queued,)),),
+        handlers=(Handler(
+            "take", {"x": "int"},
+            (Assign(TargetPath("n"), Len(Data("queued"))),),
+            consistency=ConsistencySpec("serializable", invariants=(
+                BinOp(">=", Len(Data("queued")), Lit(0)),))),))
+
+
+@pytest.mark.parametrize("backend", ["graph", "interp"])
+def test_a_query_over_a_mailbox_is_rejected(backend):
+    # a context memoizes a query's value once, but a mailbox shows the
+    # invariants every pending message and the statements only the firing
+    # one: run on its predecessor's check context, the second of three
+    # requests decided in one tick would assign n = 2, not 1
+    rep = validate(queued_program())
+    assert [(e.code, e.message) for e in rep] == [
+        ("QueryReadsMailbox", "query queued: reads mailbox 'take'")]
+    with pytest.raises(LoweringError, match="QueryReadsMailbox"):
+        Cluster(queued_program(), [NodeSpec("n1")],
+                {"take": ["n1"]}, backend=backend)

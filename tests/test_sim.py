@@ -422,16 +422,17 @@ def test_requests_scheduled_mid_run_keep_their_schedule_order():
     assert injected == mids
     assert set(mids) <= set(cluster.responses["c1"])
 
-@pytest.mark.parametrize("value", [["a"], {"a": 1}, {"a"}],
-                         ids=["list", "dict", "set"])
+@pytest.mark.parametrize("value, kind", [
+    (["a"], "list"), ({"a": 1}, "dict"), ({"a"}, "set"),
+    ((["a"],), "list"), ((1, Row(a={"b"})), "set")],
+    ids=["list", "dict", "set", "list-in-tuple", "set-in-row-in-tuple"])
 def test_a_request_field_that_is_not_hashable_is_refused_when_scheduled(
-        value):
+        value, kind):
     cluster = build_scenario_cluster(Scenario(
         covid_tracker().program, seed=4,
         network=NetworkModel(1, 3, 0.0)))
-    kind = type(value).__name__
     with pytest.raises(ValueError, match=f"request to 'add_person': field "
-                       f"'name' is a {kind}, which is not hashable"):
+                       f"'name' holds a {kind}, which is not hashable"):
         cluster.schedule_request(0, "c1", "add_person",
                                  {"pid": 1, "name": value, "country": "x"})
     assert cluster.pending_injections == [] and cluster.request_payload == {}
