@@ -180,7 +180,7 @@ def cmd_plan(args) -> int:
     try:
         plan = solve(program, machines, objective=args.objective,
                      model=CostModel(), budget=args.budget)
-    except ModelError as exc:
+    except (ModelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Infeasible as exc:

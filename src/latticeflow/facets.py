@@ -9,7 +9,10 @@ failure domain outside it can lose a request.
 Consistency: serializable handlers are sequenced through the lowest-numbered
 live replica of their group; the plan places the group, and
 `sim.Cluster.sequencer` is the one place that picks the sequencer as nodes
-crash and recover. A handler runs only on the nodes of its own group.
+crash and recover. The same node serves the group's reads
+(`lowering.Route.read`): the `f + 1` replicas hold the data for
+availability, and one of them answers a request that writes nothing. A
+handler runs only on the nodes of its own group.
 `facet_warnings` cross-checks the two annotations against the monotonicity
 analysis.
 

@@ -49,6 +49,13 @@ class Route:
     A ``role`` route `replies` when its handler answers each request: it
     is sequenced, or it sends to its own reply mailbox. A client resends
     only such requests until it hears an answer (see `sim`).
+
+    It is a `read` when its handler is not sequenced, replies, and every
+    desugared statement, inside a `ForEach` too, sends to its own reply
+    mailbox: it writes no data, calls no UDF and sends nothing else. One
+    replica answers a read, the one that `sim.Cluster.sequencer` picks;
+    how many replicas answer is a target of optimization, not a semantic
+    choice, since the client resends until it hears one answer.
     """
 
     mailbox: str
@@ -57,6 +64,7 @@ class Route:
     handler: Optional[str] = None      # the handler a reply route answers
     sequenced: bool = False            # a sequencer decides its requests
     replies: bool = False              # each request is answered
+    read: bool = False                 # one replica answers each request
 
 
 @dataclass
@@ -98,7 +106,8 @@ class LoweringPlan:
                 m: {k: v for k, v in (("kind", r.kind), ("role", r.role),
                                       ("handler", r.handler),
                                       ("sequenced", r.sequenced or None),
-                                      ("replies", r.replies or None))
+                                      ("replies", r.replies or None),
+                                      ("read", r.read or None))
                     if v is not None}
                 for m, r in sorted(self.routes.items())
             },
@@ -170,10 +179,12 @@ def _lower(program: Program) -> LoweringPlan:
     for h in program.handlers:
         reply = response_mailbox(h.name)
         sequenced = h.consistency.level == "serializable"
+        answers = [isinstance(s, Send) and s.mailbox == reply
+                   for s in _statements(prepared(h).stmts)]
+        replies = sequenced or any(answers)
         plan.routes[h.name] = Route(
-            h.name, "role", h.role, sequenced=sequenced,
-            replies=sequenced or any(s.mailbox == reply
-                                     for s in _sends(prepared(h).stmts)))
+            h.name, "role", h.role, sequenced=sequenced, replies=replies,
+            read=replies and not sequenced and all(answers))
         plan.routes[reply] = Route(reply, "reply", handler=h.name)
     for sink in program.sinks:
         plan.routes[sink] = Route(sink, "client")
@@ -210,9 +221,14 @@ def _unsequenceable(program: Program, routes: dict) -> list:
     return out
 
 
-def _sends(stmts):
+def _statements(stmts):
+    """Each statement of `stmts`, those inside a `ForEach` in its place."""
     for s in stmts:
         if isinstance(s, ForEach):
-            yield from _sends(s.body)
-        elif isinstance(s, Send):
+            yield from _statements(s.body)
+        else:
             yield s
+
+
+def _sends(stmts):
+    return (s for s in _statements(stmts) if isinstance(s, Send))

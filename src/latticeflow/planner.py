@@ -17,6 +17,7 @@ deterministic: fewer instances, then lower cost, then machine name.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dfield
 from typing import Optional
 
@@ -211,9 +212,13 @@ def _plan_key(objective: str, entries) -> tuple:
 def solve(program: Program, machines, objective: str = "min_instances",
           model: CostModel = None, budget: Optional[float] = None,
           n_cap: int = 64) -> DeployPlan:
-    """Optimal assignment by branch and bound; deterministic tie-breaks."""
+    """Optimal assignment by branch and bound; deterministic tie-breaks.
+    ValueError for an unknown objective or a budget that is not a finite
+    number, which every comparison below would silently pass."""
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
+    if budget is not None and not math.isfinite(budget):
+        raise ValueError(f"budget {budget:g} is not a finite number")
     model = model or CostModel()
     handlers = sorted(h.name for h in program.handlers)
     if not handlers:

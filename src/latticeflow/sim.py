@@ -12,11 +12,16 @@ it had already put on the network.
 
 Messages go where the program's lowered plan (`lowering.lower`) routes
 their mailbox, so the plan `analyze --inspect` prints is the one the
-cluster runs. A handler's requests reach only the nodes of its own group:
-a replicated handler fans them out to every live replica, and a sequenced
-(serializable) one sends them to its sequencer, the lowest-numbered live
-replica; `Cluster.sequencer` picks it for routing and for nothing else. A
-request whose group has no live node is traced as `NoLiveReplica`.
+cluster runs. A handler's requests reach only the nodes of its own group.
+A sequenced (serializable) handler sends them to its sequencer, the
+lowest-numbered live replica, and so does a read (`lowering.Route.read`, a
+handler that does nothing but reply), whose client needs one answer. The
+same node serves every read, so its kept query views resume by the delta
+and the other replicas never evaluate them; a read lost with that node is
+resent by its client to the next live replica. Any other handler fans its
+requests out to every live replica. `Cluster.sequencer` picks the node for
+routing and for nothing else. A request whose group has no live node is
+traced as `NoLiveReplica`.
 
 A node decides a sequenced request by its own rule (see `transducer`): it
 first brings itself to the tail of the handler's commit log, then
@@ -42,7 +47,8 @@ it holds the sequenced state and the request statuses of every record
 issued before it rejoined, each record it replays traced as `Applied`,
 and a retransmission that reaches it after every replica that decided or
 applied the request has crashed is not decided again. It holds none of
-the eventual data written before it rejoined.
+the eventual data written before it rejoined, so a recovered
+lowest-numbered replica answers reads without that data.
 
 A client is the end point of retries. It owns each request whose handler
 replies (`lowering.Route.replies`: a sequenced handler, or one that sends
@@ -302,10 +308,11 @@ class Cluster:
     # --- message routing ----------------------------------------------------
     def _dests(self, route, payload: Row) -> list:
         """Where a message on `route` goes: a request to its handler's
-        sequencer if sequenced, else to every live replica; a reply to the
-        client that issued the request; anything else to the sink."""
+        sequencer if sequenced or a read, else to every live replica; a
+        reply to the client that issued the request; anything else to the
+        sink."""
         if route.kind == "role":
-            if route.sequenced:
+            if route.sequenced or route.read:
                 seq = self.sequencer(route.mailbox)
                 return [seq] if seq else []
             return self.live_group(route.mailbox)

@@ -419,6 +419,18 @@ def test_plan_budget_infeasible(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
+def test_a_budget_that_is_not_a_finite_number_is_an_input_error(capsys,
+                                                                budget):
+    # every comparison with nan is false, so a nan budget passed each check
+    # and the plan came out as if there were none
+    assert main(["plan", "covid_tracker",
+                 f"--budget={budget}"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == f"error: budget {budget} is not a finite number\n"
+    assert captured.out == ""
+
+
 def test_plan_objective_flag(capsys):
     assert main(["plan", "covid_tracker",
                  "--objective", "max_throughput"]) == EXIT_OK
@@ -696,7 +708,7 @@ def test_an_object_in_a_payload_is_refused(tmp_path, capsys):
 # sha256 of the demo's trace at seed 9; any change to what a run does or to
 # how the trace is written moves it
 DEMO_TRACE_SHA256 = \
-    "44ea17abe6c8fbfee98c75f8f8c9490a6887fbffd73ee83cfad8705294e70f04"
+    "042eb8cf650edd4ece8a91330eae33f6d33f5e4c8a1673ae6689af06dab3e48c"
 
 
 def test_the_demo_trace_is_byte_identical(tmp_path):

@@ -12,12 +12,13 @@ from conftest import DEMO, client_statuses
 from latticeflow.eval import EvalContext
 from latticeflow.facets import make_topology, replication_plan
 from latticeflow.ir import (
-    MESSAGE_ID, AvailSpec, DataDecl, Handler, MergeMutation, Program,
-    TargetPath, Var,
+    MESSAGE_ID, Assign, AvailSpec, ConsistencySpec, Data, DataDecl, Field,
+    ForEach, Handler, Lit, MergeMutation, Program, Record, Return, Send,
+    TargetPath, UdfCall, UdfDecl, Var, response_mailbox,
 )
 from latticeflow.lowering import lower
 from latticeflow.patterns import (
-    covid_tracker, covid_workload, get_pattern, run_workload,
+    covid_tracker, covid_workload, get_pattern, pattern_names, run_workload,
 )
 from latticeflow.runtime import compile_queries
 from latticeflow.scenario import (
@@ -916,3 +917,112 @@ def test_a_request_decided_before_its_whole_group_crashed_is_not_decided_again()
     assert client_statuses(cluster) == {mid: "accepted"}
     assert [p["status"] for _t, _c, m, p, _f in cluster.response_log
             if m == mid] == ["accepted", "accepted"]
+
+
+# --- reads --------------------------------------------------------------------
+
+def test_trace_is_the_only_read_of_the_bundled_patterns():
+    assert [(name, mailbox) for name in pattern_names()
+            for mailbox, route in sorted(lower(get_pattern(name).program)
+                                         .routes.items())
+            if route.read] == [("covid_tracker", "trace")]
+
+
+def test_a_handler_is_a_read_only_when_it_does_nothing_but_reply():
+    """A read replies and every statement, inside a `ForEach` too, is a
+    send to its own reply mailbox; a handler that writes, sends to a sink,
+    calls a UDF, sends no reply or is sequenced is not one."""
+    ok = Return(Lit("ok"))
+    handlers = {
+        "get": (Return(Data("acc")),),
+        # already desugared, so `prepared` keeps its `ForEach`
+        "get_each": (ForEach("get_each", "m", (Send(
+            response_mailbox("get_each"),
+            Record(((MESSAGE_ID, Field(Var("m"), MESSAGE_ID)),
+                    ("payload", Data("acc"))))),)),),
+        "put": (MergeMutation(TargetPath("acc"), Var("x")), ok),
+        "set_n": (Assign(TargetPath("n"), Var("x")), ok),
+        "tell": (Send("out", Record(v=Var("x"))), ok),
+        "score": (UdfCall("f", (Var("x"),), binder="s"), Return(Var("s"))),
+        "quiet": (MergeMutation(TargetPath("acc"), Var("x")),),
+    }
+    program = Program(
+        "reads",
+        data=(DataDecl("acc", "var", shape="set"),
+              DataDecl("n", "var", scalar="int", init=0)),
+        handlers=tuple(Handler(name, {"x": "int"}, body)
+                       for name, body in handlers.items())
+        # a sequenced request's one reply is its status, so `take` replies
+        # though it has no statement
+        + (Handler("take", {}, (),
+                   consistency=ConsistencySpec("serializable")),),
+        udfs=(UdfDecl("f", 1, fn=lambda x: x),),
+        sinks=("out",))
+    routes = lower(program).routes
+    assert {h.name for h in program.handlers if routes[h.name].read} == {
+        "get", "get_each"}
+    assert routes["take"].replies and routes["put"].replies
+    assert not routes["quiet"].replies
+
+
+def _one_trace(backend="graph", crash_tick=None):
+    """Two people in contact, then one `trace` request at tick 8, on
+    covid's three replicas n01, n02 and n03 over a network of delays 2 to
+    6; n01's zone crashes at `crash_tick` if one is given."""
+    cluster = build_scenario_cluster(
+        Scenario(covid_tracker().program, seed=1,
+                 network=NetworkModel(2, 6, 0.0)), backend=backend)
+    for pid in (1, 2):
+        cluster.schedule_request(0, "c1", "add_person",
+                                 {"pid": pid, "name": str(pid), "country": "x"})
+    cluster.schedule_request(1, "c1", "add_contact", {"pid": 1, "contact": 2})
+    if crash_tick is not None:
+        cluster.schedule_failure(crash_tick, ("dc0", "az0"))
+    mid = cluster.schedule_request(8, "c1", "trace", {"pid": 1})
+    cluster.run_to_quiescence()
+    return cluster, mid
+
+
+def _hops(cluster, mid):
+    return [(ev.tick, ev.kind, ev.node or ev.detail.get("dest"))
+            for ev in cluster.trace
+            if ev.kind in ("Sent", "Delivered", "Dropped", "Retransmitted")
+            and ev.detail.get("message_id") == mid
+            and ev.detail.get("mailbox") == "trace"]
+
+
+@pytest.mark.parametrize("backend", ["graph", "interp"])
+def test_a_read_reaches_one_live_replica(backend):
+    """A read goes to its group's lowest-numbered live replica alone, which
+    answers it once; only that node keeps views of the recursive query it
+    reads (the interpreter keeps none)."""
+    cluster, mid = _one_trace(backend)
+    assert cluster.groups["trace"] == ["n01", "n02", "n03"]
+    assert [(kind, node) for _t, kind, node in _hops(cluster, mid)] == [
+        ("Sent", "n01"), ("Delivered", "n01")]
+    assert [nid for nid, node in sorted(cluster.nodes.items())
+            if node.views] == (["n01"] if backend == "graph" else [])
+    assert [(p["payload"], fresh) for _t, _c, m, p, fresh
+            in cluster.response_log if m == mid] == [(frozenset({2}), True)]
+
+
+def test_a_read_reaches_the_next_live_replica_after_a_crash():
+    cluster, mid = _one_trace(crash_tick=4)
+    assert [(kind, node) for _t, kind, node in _hops(cluster, mid)] == [
+        ("Sent", "n02"), ("Delivered", "n02")]
+    assert [fresh for _t, _c, m, _p, fresh in cluster.response_log
+            if m == mid] == [True]
+
+
+def test_a_read_dropped_by_a_crash_is_answered_once_after_one_resend():
+    """The read leaves at tick 8 for n01, which crashes at 9, before any
+    delivery, since every delay is at least 2; the client resends it a
+    first wait of 4 * 6 + 2 ticks later, to n02, which answers it."""
+    cluster, mid = _one_trace(crash_tick=9)
+    hops = _hops(cluster, mid)
+    assert [(kind, node) for _t, kind, node in hops] == [
+        ("Sent", "n01"), ("Dropped", "n01"), ("Retransmitted", "client:c1"),
+        ("Sent", "n02"), ("Delivered", "n02")]
+    assert hops[2][0] == 8 + 26
+    assert [(p["payload"], fresh) for _t, _c, m, p, fresh
+            in cluster.response_log if m == mid] == [(frozenset({2}), True)]
