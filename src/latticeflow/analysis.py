@@ -14,8 +14,8 @@ from typing import Optional, Tuple
 
 from .ir import (
     Assign, BinOp, Data, Delete, Fold, ForEach, In, Len, Lookup,
-    MergeMutation, Not, Program, Return, Send, UdfCall, kept, prepared,
-    statement_exprs, walk_expr, _children,
+    MergeMutation, Not, Program, Return, Send, UdfCall, flat_statements,
+    kept, prepared, statement_exprs, walk_expr, _children,
 )
 
 MONOTONE_FOLDS = ("count", "set")
@@ -204,24 +204,14 @@ def calm_report(p: Program) -> CalmReport:
 
 
 def _handler_writes(h, p: Program) -> set:
-    out = set()
-
-    def visit(s):
-        if isinstance(s, ForEach):
-            for inner in s.body:
-                visit(inner)
-        elif isinstance(s, (MergeMutation, Assign, Delete)):
-            out.add(s.target.data)
-
-    for s in prepared(h).stmts:
-        visit(s)
-    return out
+    return {s.target.data for s in flat_statements(prepared(h).stmts)
+            if isinstance(s, (MergeMutation, Assign, Delete))}
 
 
 def _handler_reads(h, p: Program) -> set:
     out, prep = set(), prepared(h)
     exprs = [e for e in (prep.guard, *prep.invariants) if e is not None]
-    for s in prep.stmts:
+    for s in flat_statements(prep.stmts):
         exprs.extend(statement_exprs(s))
     qmap = p.query_map
     seen_queries = set()

@@ -9,8 +9,10 @@ Subcommands:
 Exit codes: 0 success, 2 validation or input error, 3 the simulation did
 not reach quiescence, 4 the deployment problem is infeasible, 5 a node
 failed while the simulation ran (a UDF failed, a fixpoint diverged, an
-assignment was ambiguous, a lattice shape mismatched or an integer
-overflowed), 141 the reader of standard output closed it before the
+assignment was ambiguous, a lattice shape mismatched, an integer
+overflowed, a tuple binder met an item of the wrong length, or a handler's
+own expression or statement raised, as a division by zero does:
+`HandlerError`), 141 the reader of standard output closed it before the
 output ended (as ``| head`` does), the status a shell gives a process
 that SIGPIPE ends.
 """

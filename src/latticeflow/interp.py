@@ -147,7 +147,7 @@ class InterpContext(EvalContext):
             val = self.base_facts(name)
             for qd in self.program.query_map[name]:
                 for body in qd.bodies:
-                    val |= self._eval_body(body)
+                    val |= self.eval_comp(body, {})
             self._qmemo[name] = val
             return val
 
@@ -165,7 +165,7 @@ class InterpContext(EvalContext):
                 val = self.base_facts(q)
                 for qd in self.program.query_map[q]:
                     for body in qd.bodies:
-                        val |= self._eval_body(body)
+                        val |= self.eval_comp(body, {})
                 new[q] = val
             if new == est:
                 break
@@ -175,14 +175,4 @@ class InterpContext(EvalContext):
             self._qmemo[q] = est[q]
         self.rounds[",".join(sorted(scc))] = rounds
         return self._qmemo[name]
-
-    def _eval_body(self, body) -> frozenset:
-        v = eval_expr(body, {}, self)
-        if v is MISSING:
-            return frozenset()
-        if isinstance(v, frozenset):
-            return v
-        if isinstance(v, tuple):
-            return frozenset(v)
-        return frozenset([v])
 

@@ -9,7 +9,9 @@ format in :mod:`latticeflow.progjson`.
 Handlers are syntactic sugar: :func:`desugar_handler` rewrites a handler
 body into statements quantified over the handler's mailbox, with ``Return``
 turned into a send on the implicit ``<name><response>`` mailbox keyed by
-message id; :func:`prepared` does it once per handler object.
+message id; :func:`prepared` does it once per handler object. A handler
+body is written in surface statements alone: a ``ForEach``, the loop that
+desugaring writes, is refused as source (see :func:`validate`).
 """
 
 from __future__ import annotations
@@ -305,7 +307,8 @@ class UdfCall:
 
 @dataclass(frozen=True)
 class ForEach:
-    """Desugared handler fragment: body statements run once per message."""
+    """Desugared handler fragment: body statements run once per message.
+    Only `desugar_handler` writes one; `validate` refuses it as source."""
 
     mailbox: str
     binder: str
@@ -614,11 +617,6 @@ def statement_exprs(s: Statement):
         out = [s.expr]
     elif isinstance(s, UdfCall):
         out = list(s.args)
-    elif isinstance(s, ForEach):
-        out = []
-        for inner in s.body:
-            out.extend(statement_exprs(inner))
-        return out
     else:
         raise TypeError(f"unknown statement: {s!r}")
     if getattr(s, "when", None) is not None:
@@ -748,9 +746,10 @@ def validate(p: Program) -> ValidationReport:
 
     def check_stmt(s: Statement, env: set, where: str):
         if isinstance(s, ForEach):
-            inner = env | {s.binder}
-            for st in s.body:
-                check_stmt(st, inner, where)  # binders persist down the body
+            # the loop `desugar_handler` writes; as source it would skip
+            # the desugaring that binds each eligible message
+            rep.add("ForEachInHandler", f"{where}: a loop over mailbox "
+                    f"{s.mailbox!r} is desugared form, not a statement")
             return
         if isinstance(s, (MergeMutation, Assign, Delete)):
             check_target(s.target, env, where, merging=isinstance(s, MergeMutation))
@@ -780,6 +779,10 @@ def validate(p: Program) -> ValidationReport:
                                 f"query {qname!r} replaces var also merge-mutated in {h.name}")
         for qd in defs:
             for body in qd.bodies:
+                if not isinstance(body, Comp):
+                    rep.add("QueryBodyNotComprehension", f"query {qname}: a "
+                            f"rule body is a {type(body).__name__}, not a "
+                            "comprehension")
                 check_expr(body, set(), f"query {qname}")
                 # a context keeps a query's value, while the messages a
                 # mailbox shows change with the handler that runs
@@ -874,21 +877,6 @@ def _needs_foreach(s: Statement) -> bool:
     return False
 
 
-def is_desugared(stmts, mailbox: str) -> bool:
-    for s in stmts:
-        if isinstance(s, ForEach):
-            if s.mailbox != mailbox:
-                return False
-            continue
-        if isinstance(s, (MergeMutation, Send)):
-            if not (isinstance(s.expr, Comp) and s.expr.gens
-                    and s.expr.gens[0].source == Data(mailbox)):
-                return False
-        else:
-            return False
-    return True
-
-
 def _message_fields(h: Handler) -> dict:
     """Each name a handler may read unbound, as a field of the message
     `_MSG`: `validate` checks the handler in this scope."""
@@ -917,14 +905,8 @@ def _prepare(h: Handler) -> Prepared:
 
 
 def desugar_handler(h: Handler) -> list:
-    """Rewrite a handler body into mailbox-quantified statements.
-
-    Idempotent: applying it to an already-desugared statement list is the
-    identity.
-    """
-    if is_desugared(h.body, h.name):
-        return list(h.body)
-
+    """Rewrite a handler body of surface statements into
+    mailbox-quantified statements."""
     mapping = _message_fields(h)
     mbox_gen = Gen(_MSG, Data(h.name))
 
@@ -936,6 +918,16 @@ def desugar_handler(h: Handler) -> list:
     for s in h.body:
         out.append(_quantify(s, h, mapping, mbox_gen))
     return out
+
+
+def flat_statements(stmts):
+    """Each desugared statement of `stmts`, a loop's body in the loop's
+    place: `desugar_handler` nests no loop in another."""
+    for s in stmts:
+        if isinstance(s, ForEach):
+            yield from s.body
+        else:
+            yield s
 
 
 def _sub_when(when, mapping):

@@ -22,7 +22,7 @@ from typing import Optional
 
 from .analysis import Unstratifiable, metaconsistency_conflicts, stratify
 from .ir import (
-    Comp, ForEach, Program, Send, kept, prepared, response_mailbox,
+    Comp, Program, Send, flat_statements, kept, prepared, response_mailbox,
     statement_exprs, validate,
 )
 from .runtime import (
@@ -136,7 +136,8 @@ def _handler_source(program: Program, name: str) -> list:
     `name`: its guard, its statements' and its invariants, in that order."""
     p = prepared(program.handler_map[name])
     exprs = [p.guard] if p.guard is not None else []
-    exprs += [e for s in p.stmts for e in statement_exprs(s)]
+    exprs += [e for s in flat_statements(p.stmts)
+              for e in statement_exprs(s)]
     return [_chain_source(compile_comp(e, program)) if isinstance(e, Comp)
             else compile_expr(e, program)[1].splitlines()
             for e in exprs + list(p.invariants)]
@@ -180,7 +181,7 @@ def _lower(program: Program) -> LoweringPlan:
         reply = response_mailbox(h.name)
         sequenced = h.consistency.level == "serializable"
         answers = [isinstance(s, Send) and s.mailbox == reply
-                   for s in _statements(prepared(h).stmts)]
+                   for s in flat_statements(prepared(h).stmts)]
         replies = sequenced or any(answers)
         plan.routes[h.name] = Route(
             h.name, "role", h.role, sequenced=sequenced, replies=replies,
@@ -221,14 +222,5 @@ def _unsequenceable(program: Program, routes: dict) -> list:
     return out
 
 
-def _statements(stmts):
-    """Each statement of `stmts`, those inside a `ForEach` in its place."""
-    for s in stmts:
-        if isinstance(s, ForEach):
-            yield from _statements(s.body)
-        else:
-            yield s
-
-
 def _sends(stmts):
-    return (s for s in _statements(stmts) if isinstance(s, Send))
+    return (s for s in flat_statements(stmts) if isinstance(s, Send))

@@ -373,19 +373,15 @@ class _Writer:
 
     def member(self, e: In, table: str) -> tuple:
         """``x in {p.k for p in t}`` for a key `k` of table `t`: a lookup of
-        ``(x,)`` in the table's dict, or, while `t` is a firing mailbox, the
-        membership in the comprehension's value."""
+        ``(x,)`` in the table's dict. No mailbox shadows a table, since no
+        handler has a table's name (see `ir.validate`)."""
         item, maybe = self.value(e.item)
-        item, name = self.let(item), self.name("c", table)
-        firing = f"{name} in ctx.firing"
-        go = self.when(f"{item} is not MISSING and {firing}" if maybe
-                       else firing)
-        coll = self.under(go, e.coll)[0]
+        item = self.let(item)
         op = "not in" if e.negated else "in"
-        text = (f"({item} {op} {coll}) if {go} else "
-                f"(({item},) {op} ctx.snapshot.tables[{name}])")
+        text = (f"(({item},) {op} "
+                f"ctx.snapshot.tables[{self.name('c', table)}])")
         if maybe:
-            text = f"MISSING if {item} is MISSING else ({text})"
+            text = f"MISSING if {item} is MISSING else {text}"
         return self.let(text), maybe
 
     def record(self, e) -> tuple:
@@ -657,7 +653,7 @@ class _Sources:
             return self.totals[name]
         if name in ctx._query_names:
             return ctx.query_value(name)
-        if name in ctx.snapshot.tables and name not in ctx.firing:
+        if name in ctx.snapshot.tables:
             return ctx.snapshot.tables[name].values()
         return _items(ctx.collection(name))
 
@@ -859,8 +855,6 @@ def _compile_queries(program) -> CompiledQueries:
             chains = []
             for qd in program.query_map[q]:
                 for body in qd.bodies:
-                    if not isinstance(body, Comp):
-                        body = Comp(body, ())
                     chains.append(compile_comp(body, program))
             plans[q] = QueryPlan(q, chains)
         if comp in graph.recursive:
@@ -930,14 +924,13 @@ class GraphContext(EvalContext):
 
     def input_value(self, name: str):
         """A group input as the resume check compares it: a set for a
-        query, a table or a set var, else the value a rule reads."""
+        query, a table or a set var, else the var's value. A group input is
+        one of these, since a query reads no mailbox (see `ir.validate`)."""
         if name in self._query_names:
             return self.query_value(name)
         if name in self.snapshot.tables:
             return self.base_facts(name)
-        if name in self.snapshot.vars:
-            return self.var(name)
-        return self.collection(name)
+        return self.var(name)
 
     def query_value(self, name: str) -> frozenset:
         if name in self._qmemo:

@@ -42,6 +42,13 @@ class UdfFailure(Exception):
     """A host UDF raised; the original error is chained."""
 
 
+class HandlerError(Exception):
+    """A handler's guard, statement or invariant failed with a Python error
+    of its own (a division by zero, an operator on values of the wrong
+    types, a merge of a non-row into a table); the original error, if any,
+    is chained."""
+
+
 class BindError(TypeError):
     """A tuple binder met an item that is not one value per name."""
 

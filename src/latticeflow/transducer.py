@@ -6,9 +6,11 @@ the tick. Sends buffered during a tick become visible no earlier than the
 next tick, even to the sending node itself.
 
 A tick pays only for what its input needs: it builds its context, over the
-snapshot taken as it starts, only when an eventual handler will read it
-(one with a pending message or one that acts on an idle tick), and commits
-the eventual effects only when some eventual handler's statements ran.
+snapshot taken as it starts, only when an eventual handler has a pending
+message, and commits the eventual effects only when some eventual
+handler's statements ran. An eventual handler with no eligible message is
+skipped: every desugared statement is a loop over the messages or a
+comprehension over the mailbox, so it does nothing on an empty one.
 Every context a tick builds shares one UDF memo (`udf_memo`).
 
 Every expression of a handler is evaluated by the context's `eval` hook,
@@ -59,12 +61,6 @@ pending copy of a decided request leaves the mailbox as the node catches
 up, and a duplicate of a decided request can be answered with its
 status.
 
-An eventual handler with no eligible message is skipped when none of its
-desugared statements can act on an empty mailbox (see `_inert_when_empty`),
-which is decided once per handler; a handler with a `when` or a keyed
-target still runs on an idle tick, so with one the tick always builds its
-context.
-
 On the graph backend a node's recursive query results outlive the tick:
 every context the node builds, the request and invariant-check contexts
 included, shares the node's `views`, so a later tick resumes a query whose
@@ -80,7 +76,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 
 from . import lattice
-from .eval import MISSING, _order_key, bind, truthy
+from .eval import MISSING, _order_key, truthy
 from .interp import InterpContext
 from .ir import (
     Assign, Delete, ForEach, Handler, MergeMutation, Program, Send, UdfCall,
@@ -89,7 +85,7 @@ from .ir import (
 from .lattice import IntOverflow, ShapeMismatch
 from .runtime import GraphContext, compile_queries
 from .state import (
-    AmbiguousAssign, BindError, Effects, FixpointDivergence,
+    AmbiguousAssign, BindError, Effects, FixpointDivergence, HandlerError,
     NodeState, OutMsg, Row, UdfFailure, storage_key,
 )
 
@@ -97,11 +93,12 @@ QUEUED = "queued"
 ACCEPTED = "accepted"
 REJECTED = "rejected"
 
-# what a tick raises on a defect of the program it runs; `Transducer.tick`
-# names the handlers it blames in the exception's `handlers`, and
-# `sim.Cluster.step` adds the node id and the tick as `node_id` and `tick`
+# what a tick raises on a defect of the program it runs, any other error a
+# handler raises chained to a `HandlerError`; `Transducer.tick` names the
+# handlers it blames in the exception's `handlers`, and `sim.Cluster.step`
+# adds the node id and the tick as `node_id` and `tick`
 NODE_FAILURES = (UdfFailure, FixpointDivergence, AmbiguousAssign,
-                 ShapeMismatch, IntOverflow, BindError)
+                 ShapeMismatch, IntOverflow, BindError, HandlerError)
 
 
 @dataclass
@@ -134,16 +131,10 @@ class Transducer:
             (h for h in program.handlers if h.role == role),
             key=lambda h: h.name)
         self.prepared = {h.name: prepared(h) for h in self.handlers}
-        self.idle_when_empty = {name: all(map(_inert_when_empty, p.stmts))
-                                for name, p in self.prepared.items()}
         self.eventual = [h for h in self.handlers
                          if h.consistency.level != "serializable"]
         self.serializable = [h for h in self.handlers
                              if h.consistency.level == "serializable"]
-        # a tick builds its context only if some eventual handler acts on
-        # an idle tick or has a pending message
-        self._acts_when_idle = not all(self.idle_when_empty[h.name]
-                                       for h in self.eventual)
         self.compiled = compile_queries(program) if backend == "graph" else None
         self.views: dict = {}     # recursive query results kept between ticks
         self.udf_memo: dict = {}  # (udf, args) -> result, for every context
@@ -225,7 +216,7 @@ class Transducer:
     # --- tick ---------------------------------------------------------------
     def tick(self) -> TickResult:
         """One tick: the eventual handlers on the tick's context, built
-        only when one of them will read it (see `__init__`), then each
+        only when one of them has a pending message, then each
         serializable handler's backlog (see `_run_request`), first on the
         tick's context unless the tick committed eventual effects. Every
         context of the tick shares `udf_memo`, whose size is the result's
@@ -234,7 +225,8 @@ class Transducer:
         A `NODE_FAILURES` exception leaves it with `handlers`, the names of
         the handlers it is blamed on: the one that raised, or, when the
         commit of the eventual effects raises, every eventual handler whose
-        statements ran.
+        statements ran. Any other error, such as a `ZeroDivisionError` of a
+        handler's expression, leaves it chained to a `HandlerError`.
 
         It first brings each serializable handler to its log's tail
         (`catch_up`), so every context, guard and decision reads a state
@@ -246,8 +238,7 @@ class Transducer:
         ran = []
         h = ctx = None
         try:
-            if self._acts_when_idle or any(self.state.mailboxes.get(e.name)
-                                           for e in self.eventual):
+            if any(self.state.mailboxes.get(e.name) for e in self.eventual):
                 ctx = self._context(self.state.snapshot())
                 eff = Effects()
                 for h in self.eventual:
@@ -261,26 +252,30 @@ class Transducer:
 
             for h in self.serializable:
                 ctx = self._run_request(h, ctx, result)
-        except NODE_FAILURES as exc:
-            exc.handlers = (h.name,) if h is not None else tuple(ran)
-            raise
+        except Exception as exc:
+            failure = exc if isinstance(exc, NODE_FAILURES) else \
+                HandlerError(f"{type(exc).__name__}: {exc}")
+            failure.handlers = (h.name,) if h is not None else tuple(ran)
+            if failure is exc:
+                raise
+            raise failure from exc
         result.udf_invocations = len(self.udf_memo)
         return result
 
     def _run_eventual(self, h: Handler, ctx, eff: Effects,
                       result: TickResult) -> bool:
-        """Run `h` on its eligible messages; whether its statements ran."""
+        """Run `h` on its eligible messages, if it has any; whether it
+        did."""
         msgs = self._eligible(h, ctx)
-        if not msgs and self.idle_when_empty[h.name]:
+        if not msgs:
             return False
         ctx.firing[h.name] = tuple(msgs)
         try:
             self._run_stmts(h, msgs, ctx, eff)
         finally:
             ctx.firing.pop(h.name, None)
-        if msgs:
-            eff.consumed.setdefault(h.name, []).extend(msgs)
-            result.fired.append(h.name)
+        eff.consumed.setdefault(h.name, []).extend(msgs)
+        result.fired.append(h.name)
         return True
 
     def _run_request(self, h: Handler, ctx, result: TickResult):
@@ -338,18 +333,16 @@ class Transducer:
     # --- statement execution ------------------------------------------------
     def _run_stmts(self, h: Handler, msgs, ctx, eff: Effects):
         """The handler's statements: a loop body once per message of `msgs`,
-        any other statement once."""
+        under an env of its own that a UDF binder extends, and any other
+        statement once."""
         for s in self.prepared[h.name].stmts:
             if isinstance(s, ForEach):
                 for m in msgs:
-                    self._run_body(s.body, {s.binder: m}, ctx, eff)
+                    env = {s.binder: m}
+                    for inner in s.body:
+                        self._run_stmt(inner, env, ctx, eff)
             else:
                 self._run_stmt(s, {}, ctx, eff)
-
-    def _run_body(self, body, env: dict, ctx, eff: Effects):
-        """`body` under `env`, a dict of its own that a UDF binder extends."""
-        for s in body:
-            self._run_stmt(s, env, ctx, eff)
 
     def _run_stmt(self, s, env: dict, ctx, eff: Effects):
         when = getattr(s, "when", None)
@@ -372,9 +365,6 @@ class Transducer:
             value = ctx.call_udf(s.udf, args)
             if s.binder is not None:
                 env[s.binder] = value
-        elif isinstance(s, ForEach):
-            for m in ctx.snapshot.mailboxes.get(s.mailbox, []):
-                self._run_body(s.body, bind(env, s.binder, m), ctx, eff)
         else:
             raise TypeError(f"unknown statement: {s!r}")
 
@@ -406,7 +396,7 @@ class Transducer:
                 if not all(isinstance(row, Row) for row in rows):
                     bad = next(row for row in sorted(rows, key=_order_key)
                                if not isinstance(row, Row))
-                    raise TypeError(
+                    raise HandlerError(
                         f"merge into table {s.target.data!r} needs rows, got {bad!r}")
                 eff.table_merges.extend((s.target.data, row) for row in rows)
         else:
@@ -441,17 +431,6 @@ class Transducer:
                     if isinstance(value, frozenset) else [value])
         for p in payloads:
             if not isinstance(p, Row):
-                raise TypeError(f"send to {s.mailbox!r} needs records, got {p!r}")
+                raise HandlerError(f"send to {s.mailbox!r} needs records, got {p!r}")
             eff.sends.append(OutMsg(s.mailbox, p))
 
-
-def _inert_when_empty(s) -> bool:
-    """Whether the desugared statement `s` does nothing while its handler
-    has no eligible message: a loop over the messages, or a merge or send
-    of a comprehension over the mailbox with no `when` to evaluate and no
-    keyed target (a keyed merge creates its row even from an empty set)."""
-    if isinstance(s, ForEach):
-        return True
-    if isinstance(s, MergeMutation):
-        return s.when is None and s.target.key is None
-    return isinstance(s, Send) and s.when is None

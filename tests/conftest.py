@@ -1,5 +1,6 @@
 """Shared builders: a transitive-closure program, a program that validates
-but does not lower, random graphs, a breadth-first-search reachability
+but does not lower, the handler loops and query bodies that validation
+refuses, random graphs, a breadth-first-search reachability
 oracle, a one-node cluster, the statuses that a cluster's clients heard,
 and the demo scenario's path."""
 
@@ -9,8 +10,8 @@ from pathlib import Path
 
 from latticeflow.interp import InterpContext
 from latticeflow.ir import (
-    BinOp, ClassDecl, Comp, Data, DataDecl, Field, Gen, Handler, In, Lit,
-    MakeRow, MergeMutation, Not, Program, QueryDef, Return, TargetPath,
+    BinOp, ClassDecl, Comp, Data, DataDecl, Field, ForEach, Gen, Handler, In,
+    Lit, MakeRow, MergeMutation, Not, Program, QueryDef, Return, TargetPath,
     TupleOf, Var,
 )
 from latticeflow.runtime import GraphContext, compile_queries
@@ -129,3 +130,32 @@ def client_statuses(cluster, handler: str = "vaccinate") -> dict:
     return {mid: cluster.responses[cluster.client_of[mid]][mid]["status"]
             for mid, (h, _payload) in cluster.request_payload.items()
             if h == handler}
+
+
+def loop_program(*body):
+    """A handler `put` with `body`, beside a handler `other` and a set var
+    `acc`."""
+    return Program(
+        "loops", data=(DataDecl("acc", "var", shape="set"),),
+        handlers=(Handler("put", {"x": "int"}, body),
+                  Handler("other", {"x": "int"}, (MergeMutation(
+                      TargetPath("acc"), Var("x")),))))
+
+
+def merge_field(binder):
+    return MergeMutation(TargetPath("acc"), Field(Var(binder), "x"))
+
+
+# a loop over the handler's own mailbox validated and ran; one nested in it
+# read the whole snapshot mailbox, messages the guard rejected included; one
+# over another mailbox validated, then `analyze` raised a TypeError
+LOOPS = {
+    "top-level": ForEach("put", "m", (merge_field("m"),)),
+    "nested": ForEach("put", "m", (ForEach("put", "n", (merge_field("n"),)),)),
+    "other-mailbox": ForEach("other", "m", (merge_field("m"),)),
+}
+
+
+# the graph backend read a bare `Data` body as one fact, the set, and the
+# interpreter as the set's elements
+BARE_BODIES = {"data": Data("acc"), "tuple": TupleOf(Lit(1), Lit(2))}

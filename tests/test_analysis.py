@@ -1,5 +1,7 @@
 """Monotonicity classification, stratification, and cross-handler checks."""
 
+from dataclasses import replace
+
 import pytest
 
 from latticeflow.analysis import (
@@ -8,8 +10,8 @@ from latticeflow.analysis import (
 )
 from latticeflow.ir import (
     Assign, BinOp, ClassDecl, Comp, ConsistencySpec, Data, DataDecl, Delete,
-    Field, Fold, Gen, Handler, In, Len, Lit, MergeMutation, Not, Program,
-    QueryDef, Return, TargetPath, UdfCall, UdfDecl, Var,
+    Field, Fold, Gen, Handler, In, Len, Lit, Lookup, MergeMutation, Not,
+    Program, QueryDef, Return, TargetPath, UdfCall, UdfDecl, Var, validate,
 )
 from latticeflow.patterns import get_pattern
 
@@ -124,6 +126,17 @@ def test_declared_monotone_udf_is_trusted():
     assert "f" in calm_report(p).trusted_udfs
 
 
+@pytest.mark.parametrize("monotone, reasons", [
+    (True, ()), (False, (("handler h stmt 0", "undeclared-udf-fold"),)),
+], ids=["declared-monotone", "not-declared-monotone"])
+def test_a_udf_fold_is_monotone_only_by_declaration(monotone, reasons):
+    p = prog([Handler("h", {}, (MergeMutation(
+        TargetPath("acc"), Fold("udf:join", Data("acc"))),))],
+             udfs=[UdfDecl("join", 2, monotone=monotone)])
+    assert validate(p).ok
+    assert cls_of(p).reasons == reasons and cls_of(p).monotone is monotone
+
+
 def test_calm_coordination_free_requires_eventual():
     p = prog([
         Handler("mono", {"x": "int"},
@@ -211,6 +224,24 @@ def test_a_read_through_queries_conflicts():
     ], queries=[above, top])
     assert metaconsistency_conflicts(p) == [
         MetaconsistencyConflict("serial", "messy", "n")]
+
+
+def test_a_read_through_a_lookup_conflicts():
+    # `serial` reads the table `people` only by key, in its guard, which
+    # passes for a known person
+    person = ClassDecl("Person", {"pid": "int", "name": "str"}, key="pid")
+    p = prog([
+        Handler("drop", {"pid": "int"},
+                (Delete(TargetPath("people", Var("pid"))),)),
+        Handler("serial", {"pid": "int"},
+                (MergeMutation(TargetPath("acc"), Var("pid")),),
+                consistency=ConsistencySpec("serializable"),
+                guard=Lookup("people", Var("pid"))),
+    ], data=[DataDecl("people", "table", cls="Person")])
+    p = replace(p, classes=(person,))
+    assert validate(p).ok
+    assert metaconsistency_conflicts(p) == [
+        MetaconsistencyConflict("serial", "drop", "people")]
 
 
 def test_monotone_writers_do_not_conflict():

@@ -6,10 +6,12 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from conftest import DEMO, unlowerable_program
+from conftest import (BARE_BODIES, DEMO, LOOPS, loop_program,
+                      unlowerable_program)
 
 from latticeflow.cli import (
     EXIT_CLOSED_PIPE, EXIT_INFEASIBLE, EXIT_NO_QUIESCENCE, EXIT_OK,
@@ -17,8 +19,8 @@ from latticeflow.cli import (
 )
 from latticeflow.ir import (
     Assign, AvailSpec, BinOp, ClassDecl, Comp, ConsistencySpec, Data,
-    DataDecl, Fold, Gen, Handler, Lit, MergeMutation, Program, Record,
-    Return, Send, TargetPath, TupleOf, UdfDecl, Var,
+    DataDecl, Fold, Gen, Handler, Lit, MergeMutation, Program, QueryDef,
+    Record, Return, Send, TargetPath, TupleOf, UdfDecl, Var,
 )
 from latticeflow import progjson
 from latticeflow.patterns import covid_program
@@ -694,6 +696,57 @@ def test_two_assigns_of_one_var_in_a_tick_fail_the_node(tmp_path, capsys):
     assert re.fullmatch(
         r"seed 3: AmbiguousAssign at tick \d+ on node n\d+ in handler put: "
         r"conflicting assignments to \('n', None, None\): 1 vs 2\n", err), err
+
+
+# each ended `simulate` in a traceback and exit 1: a Python error of a
+# handler's own expression, or a statement's value of the wrong kind, was
+# no node failure
+FAILING_STATEMENTS = {
+    "division-by-zero": (
+        MergeMutation(TargetPath("acc"), BinOp("//", Lit(1), Var("x"))),
+        "ZeroDivisionError: integer division or modulo by zero"),
+    "str-plus-int": (
+        MergeMutation(TargetPath("acc"), BinOp("+", Lit("a"), Var("x"))),
+        r'TypeError: can only concatenate str \(not "int"\) to str'),
+    "merge-non-row": (MergeMutation(TargetPath("items"), Var("x")),
+                      "merge into table 'items' needs rows, got 0"),
+    "send-non-record": (Send("out", Var("x")),
+                        "send to 'out' needs records, got 0"),
+}
+
+
+@pytest.mark.parametrize("stmt, message", FAILING_STATEMENTS.values(),
+                         ids=FAILING_STATEMENTS.keys())
+def test_a_handler_that_raises_fails_its_node(tmp_path, capsys, stmt,
+                                              message):
+    program = Program(
+        "raises", classes=(ClassDecl("Item", {"k": "int"}, key="k"),),
+        data=(DataDecl("acc", "var", shape="set"),
+              DataDecl("items", "table", cls="Item")),
+        handlers=(Handler("put", {"x": "int"}, (stmt,)),), sinks=("out",))
+    assert simulate_inline(tmp_path, program, [(0, "put", {"x": 0})]) \
+        == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"seed 3: HandlerError at tick \d+ on node n\d+ in "
+                        rf"handler put: {message}\n", err), err
+
+
+@pytest.mark.parametrize("program", [
+    *(loop_program(loop) for loop in LOOPS.values()),
+    *(replace(loop_program(), queries=(QueryDef("q", (), (body,)),))
+      for body in BARE_BODIES.values()),
+], ids=[*LOOPS, *BARE_BODIES])
+def test_analyze_refuses_a_loop_or_a_bare_query_body(tmp_path, capsys,
+                                                     program):
+    # at first each validated; the loop over another mailbox then ended
+    # `analyze` in a traceback, and the bare bodies read differently on
+    # the two backends
+    path = tmp_path / "p.json"
+    path.write_text(program_to_json(program))
+    assert main(["analyze", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"invalid: (ForEachInHandler|QueryBodyNotComprehension)"
+                        r": [^\n]*\n", err), err
 
 
 def test_an_object_in_a_payload_is_refused(tmp_path, capsys):

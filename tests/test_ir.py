@@ -4,11 +4,13 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import BARE_BODIES, LOOPS, loop_program
 from latticeflow.ir import (
     MAX_GENERATORS, Assign, BinOp, ClassDecl, Comp, ConsistencySpec, Data,
     DataDecl, Field, ForEach, Gen, Handler, In, Len, Lit, Lookup, MakeRow,
     MergeMutation, Program, QueryDef, Record, Return, Send, TargetPath,
-    UdfCall, UdfDecl, Var, desugar_handler, response_mailbox, validate,
+    UdfCall, UdfDecl, ValidationEntry, Var, desugar_handler,
+    response_mailbox, validate,
 )
 from latticeflow.lowering import LoweringError
 from latticeflow.patterns import get_pattern, pattern_names
@@ -98,14 +100,43 @@ def test_desugar_produces_foreach_for_keyed_merge():
     assert stmts[0].mailbox == "put"
 
 
-def test_desugar_is_idempotent():
+def test_a_desugared_loop_is_refused_as_a_handler_body():
+    """`desugar_handler` writes a `ForEach`, the compiler's next stage, which
+    is no source form: a pattern whose handler body is its own desugared
+    form fails validation with one `ForEachInHandler` per loop."""
+    loops = 0
     for name in pattern_names():
-        for h in get_pattern(name).program.handlers:
-            once = desugar_handler(h)
-            again = desugar_handler(Handler(h.name, h.params, tuple(once),
-                                            consistency=h.consistency,
-                                            guard=h.guard, role=h.role))
-            assert once == again, h.name
+        p = get_pattern(name).program
+        for h in p.handlers:
+            stmts = desugar_handler(h)
+            n = sum(isinstance(s, ForEach) for s in stmts)
+            again = replace(p, handlers=tuple(
+                replace(o, body=tuple(stmts)) if o is h else o
+                for o in p.handlers))
+            codes = [e.code for e in validate(again)]
+            assert codes.count("ForEachInHandler") == n, h.name
+            loops += n
+    assert loops
+
+
+@pytest.mark.parametrize("loop", LOOPS.values(), ids=LOOPS.keys())
+def test_a_loop_in_a_handler_body_is_refused(loop):
+    assert validate(loop_program(loop)).entries == [ValidationEntry(
+        "ForEachInHandler", f"handler put: a loop over mailbox "
+        f"{loop.mailbox!r} is desugared form, not a statement")]
+    # the surface form of the first loop is valid
+    assert validate(loop_program(MergeMutation(TargetPath("acc"),
+                                               Var("x")))).ok
+
+
+@pytest.mark.parametrize("body", BARE_BODIES.values(), ids=BARE_BODIES.keys())
+def test_a_query_body_that_is_not_a_comprehension_is_refused(body):
+    p = replace(loop_program(), queries=(QueryDef("q", (), (body,)),))
+    assert validate(p).entries == [ValidationEntry(
+        "QueryBodyNotComprehension", f"query q: a rule body is a "
+        f"{type(body).__name__}, not a comprehension")]
+    comp = Comp(Var("a"), (Gen("a", Data("acc")),))
+    assert validate(replace(p, queries=(QueryDef("q", (), (comp,)),))).ok
 
 
 def test_return_becomes_response_send():

@@ -16,7 +16,7 @@ from latticeflow.analysis import query_graph
 from latticeflow.eval import (MISSING, EvalContext, _order_key, bind,
                               eval_expr, iter_source, truthy)
 from latticeflow.interp import InterpContext
-from latticeflow import lattice
+from latticeflow import lattice, runtime
 from latticeflow.ir import (
     ARITH, MAX_GENERATORS, Assign, BinOp, ClassDecl, Comp, ConsistencySpec,
     Data, DataDecl, Delete,
@@ -1240,6 +1240,72 @@ def test_a_view_whose_input_is_read_whole_is_recomputed_when_it_grows():
         assert {n for _, n in kept} == {i + 1}
 
 
+# a recursive rule of `reach` reads the table `nodes` outside its
+# generators: by key, by a key membership, whose comprehension is nested in
+# the rule, or under a fold; whether a grown `nodes` resumes the kept view
+GATES = {
+    "lookup": (Lookup("nodes", Field(Var("e"), "b")), True),
+    "member": (In(Field(Var("e"), "b"),
+                  Comp(Field(Var("n"), "k"), (Gen("n", Data("nodes")),))),
+               True),
+    "fold": (BinOp(">=", Fold("count", Comp(
+        Var("n"), (Gen("n", Data("nodes")),),
+        (BinOp("==", Field(Var("n"), "k"), Field(Var("e"), "b")),))), Lit(1)),
+             False),
+}
+
+
+@pytest.mark.parametrize("gate, resumes", GATES.values(), ids=GATES.keys())
+def test_a_rule_that_reads_a_table_by_element_resumes_as_it_grows(
+        monkeypatch, gate, resumes):
+    """`reach` follows edges into the nodes that `nodes` admits. A rule
+    that reads `nodes` element by element resumes the kept view as `nodes`
+    grows, and one that reads it under a fold recomputes from the base
+    facts (see `runtime._rule_reads`); the graph backend answers like the
+    interpreter after each tick."""
+    e = Var("e")
+    reach = QueryDef("reach", (), (
+        Comp(TupleOf(Field(e, "a"), Field(e, "b")), (Gen("e", Data("edges")),)),
+        Comp(TupleOf(Var("a"), Field(e, "b")),
+             (Gen(("a", "b"), Data("reach")), Gen("e", Data("edges"))),
+             (BinOp("==", Var("b"), Field(e, "a")), gate))), recursive=True)
+    p = Program(
+        "gated",
+        classes=(ClassDecl("Edge", {"a": "int", "b": "int"}, key=("a", "b")),
+                 ClassDecl("Node", {"k": "int"}, key="k")),
+        data=(DataDecl("edges", "table", cls="Edge"),
+              DataDecl("nodes", "table", cls="Node")),
+        queries=(reach,),
+        handlers=(
+            Handler("link", {"a": "int", "b": "int"}, (MergeMutation(
+                TargetPath("edges"), MakeRow("Edge", a=Var("a"), b=Var("b"))),)),
+            Handler("admit", {"k": "int"}, (MergeMutation(
+                TargetPath("nodes"), MakeRow("Node", k=Var("k"))),))))
+    assert validate(p).ok
+    [group] = compile_queries(p).groups
+    assert ("nodes" in group.value_reads) is not resumes
+    calls = collections.Counter()
+    for name in ("_first_round", "_resume_round"):
+        monkeypatch.setattr(runtime, name, lambda *args, f=getattr(
+            runtime, name), name=name: calls.update([name]) or f(*args))
+    t, mid = Transducer(p), itertools.count()
+    for edits in ((("link", 1, 2), ("link", 2, 3), ("link", 3, 4)),
+                  (("admit", 3),), (("admit", 4),),
+                  (("link", 4, 5), ("admit", 5))):
+        for handler, *args in edits:
+            fields = dict(zip(("a", "b"), args)) if handler == "link" \
+                else {"k": args[0]}
+            t.deliver(handler, request(next(mid), **fields))
+        t.tick()
+        snap = t.state.snapshot()
+        value = t._context(snap).query_value("reach")
+        assert value == InterpContext(p, snap).query_value("reach")
+    assert value == {(1, 2), (2, 3), (3, 4), (4, 5), (1, 3), (1, 4), (2, 4),
+                     (1, 5), (2, 5), (3, 5)}
+    assert calls == ({"_first_round": 1, "_resume_round": 3} if resumes
+                     else {"_first_round": 4})
+
+
 # --- one binding rule ----------------------------------------------------------
 
 def both_backends(program, state):
@@ -1729,8 +1795,7 @@ def test_a_join_on_two_missing_keys_pairs_nothing():
 def test_a_key_membership_answers_like_the_interpreter():
     """`x in {i.k for i in items}` reads the table's dict on the graph
     backend, in a chain and in a handler statement; a list raises on both
-    backends, as a set membership of it does, and a table that a firing
-    mailbox shadows is read as the mailbox."""
+    backends, as a set membership of it does."""
     state = chain_state(nums={0, 1, 2, 3})
     state.tables["items"] = {(k,): Row(k=k, v=0, tags=frozenset())
                              for k in (1, 3)}
@@ -1754,17 +1819,13 @@ def test_a_key_membership_answers_like_the_interpreter():
         # `v` is not the key: its values are {0}
         values = Comp(Field(Var("i"), "v"), (Gen("i", Data("items")),))
         assert ctx.eval(In(Var("x"), values), {"x": 1}) is False
-    for ctx in both_backends(CHAIN_PROGRAM, state):
-        ctx.firing["items"] = (Row(k=2, v=0, tags=frozenset()),)
-        assert ctx.eval(member, {"x": 2}) is True
-        assert ctx.eval_comp(in_chain, {}) == {2}
 
 
 def test_a_handler_expression_evaluates_alike_on_both_backends():
     """`ctx.eval` at a handler's top level gives the same value on both
-    backends for each of the 17 expression kinds, with MISSING operands, an
-    `and` or `or` whose right side would raise and is not reached, and a
-    key membership while its table is firing. A comprehension evaluated
+    backends for each of the 17 expression kinds, with MISSING operands and
+    an `and` or `or` whose right side would raise and is not reached. A
+    comprehension evaluated
     there, or directly under such an expression, compiles to the chain
     `compile_comp` gives it on its own, scan index included, and the graph
     backend's `eval` and `eval_comp` share it."""
@@ -1809,22 +1870,19 @@ def test_a_handler_expression_evaluates_alike_on_both_backends():
         Slice(nums, one, Lit(3)), Slice(nums, ABSENT, one),
     ]
     assert {type(e) for e in exprs} == set(Expr.__args__)
-    for firing in ({}, {"items": (Row(k=2, v=0, tags=frozenset()),)}):
-        graph, interp = both_backends(CHAIN_PROGRAM, state)
-        chains = []
-        eval_comp = graph.eval_comp
-        graph.eval_comp = lambda e, env, slots=(), chain=None: \
-            chains.append((e, chain)) or eval_comp(e, env, slots, chain)
+    graph, interp = both_backends(CHAIN_PROGRAM, state)
+    chains = []
+    eval_comp = graph.eval_comp
+    graph.eval_comp = lambda e, env, slots=(), chain=None: \
+        chains.append((e, chain)) or eval_comp(e, env, slots, chain)
+    for e in exprs:
+        for v in (0, 1, 2):
+            assert graph.eval(e, {"x": v}) == interp.eval(e, {"x": v}), e
+    assert graph.eval(In(x, keys), {"x": 2}) is False
+    for e in (BinOp("or", Lit(0), boom), BinOp("and", one, boom)):
         for ctx in (graph, interp):
-            ctx.firing.update(firing)
-        for e in exprs:
-            for v in (0, 1, 2):
-                assert graph.eval(e, {"x": v}) == interp.eval(e, {"x": v}), e
-        assert graph.eval(In(x, keys), {"x": 2}) is bool(firing)
-        for e in (BinOp("or", Lit(0), boom), BinOp("and", one, boom)):
-            for ctx in (graph, interp):
-                with pytest.raises(ZeroDivisionError):
-                    ctx.eval(e, {})
+            with pytest.raises(ZeroDivisionError):
+                ctx.eval(e, {})
     # a comprehension directly under another expression passes its chain;
     # one evaluated alone is kept on `compiled`
     assert any(c is not None for e, c in chains if e is scan_join)
@@ -1977,26 +2035,33 @@ def test_a_tuple_key_is_one_value_of_a_one_field_key():
             t.tick()
 
 
-def test_a_keyed_merge_acts_on_an_idle_tick():
-    # written already desugared: the merge's target key does not depend on
-    # the mailbox, so an empty mailbox still creates the row; only handlers
-    # whose every statement does nothing on an empty mailbox are skipped
+def test_an_eventual_handler_with_an_empty_mailbox_never_fires():
+    """An eventual handler runs only on eligible messages, and a tick with
+    no pending eventual message builds no context: every desugared
+    statement loops over the messages or reads the mailbox, so even a keyed
+    merge, whose key reads no message, creates no row on an idle tick."""
     p = Program(
         "idle", classes=(ITEM,),
-        data=(DataDecl("items", "table", cls="Item"),
-              DataDecl("acc", "var", shape="set")),
-        handlers=(
-            Handler("touch", {"x": "int"}, (MergeMutation(
-                TargetPath("items", Lit(1), "tags"),
-                Comp(Field(Var("m"), "x"), (Gen("m", Data("touch")),))),)),
-            Handler("add", {"x": "int"},
-                    (MergeMutation(TargetPath("acc"), Var("x")),))))
+        data=(DataDecl("items", "table", cls="Item"),),
+        handlers=(Handler("touch", {"x": "int"}, (MergeMutation(
+            TargetPath("items", Lit(1), "tags"),
+            Comp(Field(Var("m"), "x"), (Gen("m", Data("touch")),))),),
+            guard=BinOp(">=", Var("x"), Lit(5))),))
     for backend in ("graph", "interp"):
         t = Transducer(p, backend=backend)
-        assert t.idle_when_empty == {"add": True, "touch": False}
+        build = t._context
+        t._context = lambda snapshot: pytest.fail("a context was built")
         assert t.tick().fired == []
+        t._context = build
+        t.deliver("touch", request(0, x=1))
+        assert t.tick().fired == []
+        assert t.state.tables["items"] == {}
+        t.deliver("touch", request(1, x=7))
+        assert t.tick().fired == ["touch"]
+        # the comprehension over the mailbox reads the eligible message
         assert t.state.tables["items"] == {
-            (1,): Row(k=1, v=None, tags=frozenset())}
+            (1,): Row(k=1, v=None, tags=frozenset({7}))}
+        assert t.state.mailboxes["touch"] == [request(0, x=1)]
 
 
 # --- generated chain functions ---------------------------------------------------

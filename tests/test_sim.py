@@ -12,9 +12,9 @@ from conftest import DEMO, client_statuses
 from latticeflow.eval import EvalContext
 from latticeflow.facets import make_topology, replication_plan
 from latticeflow.ir import (
-    MESSAGE_ID, Assign, AvailSpec, ConsistencySpec, Data, DataDecl, Field,
-    ForEach, Handler, Lit, MergeMutation, Program, Record, Return, Send,
-    TargetPath, UdfCall, UdfDecl, Var, response_mailbox,
+    MESSAGE_ID, Assign, AvailSpec, BinOp, ConsistencySpec, Data, DataDecl,
+    Handler, Lit, MergeMutation, Program, Record, Return, Send, TargetPath,
+    UdfCall, UdfDecl, Var,
 )
 from latticeflow.lowering import lower
 from latticeflow.patterns import (
@@ -929,17 +929,13 @@ def test_trace_is_the_only_read_of_the_bundled_patterns():
 
 
 def test_a_handler_is_a_read_only_when_it_does_nothing_but_reply():
-    """A read replies and every statement, inside a `ForEach` too, is a
-    send to its own reply mailbox; a handler that writes, sends to a sink,
-    calls a UDF, sends no reply or is sequenced is not one."""
+    """A read replies and every desugared statement is a send to its own
+    reply mailbox; a handler that writes, sends to a sink, calls a UDF,
+    sends no reply or is sequenced is not one."""
     ok = Return(Lit("ok"))
     handlers = {
         "get": (Return(Data("acc")),),
-        # already desugared, so `prepared` keeps its `ForEach`
-        "get_each": (ForEach("get_each", "m", (Send(
-            response_mailbox("get_each"),
-            Record(((MESSAGE_ID, Field(Var("m"), MESSAGE_ID)),
-                    ("payload", Data("acc"))))),)),),
+        "get_some": (Return(Data("acc"), when=BinOp(">", Var("x"), Lit(0))),),
         "put": (MergeMutation(TargetPath("acc"), Var("x")), ok),
         "set_n": (Assign(TargetPath("n"), Var("x")), ok),
         "tell": (Send("out", Record(v=Var("x"))), ok),
@@ -960,7 +956,7 @@ def test_a_handler_is_a_read_only_when_it_does_nothing_but_reply():
         sinks=("out",))
     routes = lower(program).routes
     assert {h.name for h in program.handlers if routes[h.name].read} == {
-        "get", "get_each"}
+        "get", "get_some"}
     assert routes["take"].replies and routes["put"].replies
     assert not routes["quiet"].replies
 
