@@ -156,6 +156,15 @@ def classify_handler(h, p: Program) -> MonoClass:
     return out
 
 
+def handler_classes(p: Program) -> tuple:
+    """`classify_handler`'s verdict on each handler of `p`, in
+    `p.handlers` order, computed once per program and kept on it (see
+    `ir.kept`), so the report, the metaconsistency check and the
+    replication plan of one program share them."""
+    return kept(p, "_handler_classes",
+                lambda p: tuple(classify_handler(h, p) for h in p.handlers))
+
+
 # --- CALM report -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -195,8 +204,8 @@ class CalmReport:
 def calm_report(p: Program) -> CalmReport:
     """Classify every handler: coordination-free iff monotone and eventual."""
     rows = []
-    for h in sorted(p.handlers, key=lambda h: h.name):
-        cls = classify_handler(h, p)
+    for h, cls in sorted(zip(p.handlers, handler_classes(p)),
+                         key=lambda hc: hc[0].name):
         free = cls.monotone and h.consistency.level == "eventual"
         rows.append((h.name, cls, "CoordinationFree" if free else "NeedsCoordination"))
     trusted = tuple(sorted(u.name for u in p.udfs if u.monotone))
@@ -255,10 +264,8 @@ def metaconsistency_conflicts(p: Program) -> list:
     if not serial:
         return conflicts
     dirty = []  # (handler name, write set)
-    for h in p.handlers:
-        if h.consistency.level != "eventual":
-            continue
-        if classify_handler(h, p).monotone:
+    for h, cls in zip(p.handlers, handler_classes(p)):
+        if h.consistency.level != "eventual" or cls.monotone:
             continue
         dirty.append((h.name, _handler_writes(h, p)))
     for sh in sorted(serial, key=lambda h: h.name):

@@ -17,7 +17,7 @@ desugaring writes, is refused as source (see :func:`validate`).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional, Tuple, Union
 
@@ -552,12 +552,9 @@ class ValidationEntry:
     message: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
-    entries: list = dfield(default_factory=list)
-
-    def add(self, code, message):
-        self.entries.append(ValidationEntry(code, message))
+    entries: Tuple[ValidationEntry, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -625,8 +622,18 @@ def statement_exprs(s: Statement):
 
 
 def validate(p: Program) -> ValidationReport:
-    """Resolution and shape checks; an empty report means executable."""
-    rep = ValidationReport()
+    """Resolution and shape checks; an empty report means executable. The
+    report is computed once per program and kept on it (see `kept`), so
+    the analysis, the lowering and the CLI of one program share it."""
+    return kept(p, "_validated", _validate)
+
+
+def _validate(p: Program) -> ValidationReport:
+    entries = []
+
+    def add(code, message):
+        entries.append(ValidationEntry(code, message))
+
     classes = p.class_map
     datam = p.data_map
     queries = p.query_map
@@ -642,27 +649,27 @@ def validate(p: Program) -> ValidationReport:
         seen = set()
         for n in names:
             if n in seen:
-                rep.add("DuplicateName", f"duplicate {group} name {n!r}")
+                add("DuplicateName", f"duplicate {group} name {n!r}")
             seen.add(n)
 
     for c in p.classes:
         fm = c.field_map
         for k in c.key:
             if k not in fm:
-                rep.add("BadKey", f"class {c.name}: key field {k!r} not declared")
+                add("BadKey", f"class {c.name}: key field {k!r} not declared")
         if c.partition is not None and c.partition not in fm:
-            rep.add("BadPartition",
-                    f"class {c.name}: partition field {c.partition!r} not declared")
+            add("BadPartition",
+                f"class {c.name}: partition field {c.partition!r} not declared")
         for fname, ftype in c.fields:
             if ftype not in FIELD_TYPES:
-                rep.add("BadFieldType", f"class {c.name}.{fname}: {ftype!r}")
+                add("BadFieldType", f"class {c.name}.{fname}: {ftype!r}")
 
     for d in p.data:
         if d.kind == "table":
             if d.cls not in classes:
-                rep.add("UnknownClass", f"table {d.name}: class {d.cls!r} undeclared")
+                add("UnknownClass", f"table {d.name}: class {d.cls!r} undeclared")
         elif d.kind != "var":
-            rep.add("BadDataKind", f"{d.name}: kind {d.kind!r}")
+            add("BadDataKind", f"{d.name}: kind {d.kind!r}")
 
     def resolvable(name: str) -> bool:
         return name in datam or name in queries or name in mailboxes
@@ -670,25 +677,25 @@ def validate(p: Program) -> ValidationReport:
     def check_expr(e: Expr, env: set, where: str):
         if isinstance(e, Var):
             if e.name not in env:
-                rep.add("UnresolvedName", f"{where}: unbound variable {e.name!r}")
+                add("UnresolvedName", f"{where}: unbound variable {e.name!r}")
         elif isinstance(e, Data):
             if not resolvable(e.name):
-                rep.add("UnresolvedName", f"{where}: unknown collection {e.name!r}")
+                add("UnresolvedName", f"{where}: unknown collection {e.name!r}")
         elif isinstance(e, Lookup):
             d = datam.get(e.data)
             if d is None or d.kind != "table":
-                rep.add("UnresolvedName", f"{where}: lookup on non-table {e.data!r}")
+                add("UnresolvedName", f"{where}: lookup on non-table {e.data!r}")
             check_expr(e.key, env, where)
             return
         elif isinstance(e, Comp):
             name = e.repeated_binder()
             if name is not None:
-                rep.add("RepeatedBinder",
-                        f"{where}: comprehension binds {name!r} twice")
+                add("RepeatedBinder",
+                    f"{where}: comprehension binds {name!r} twice")
             if len(e.gens) > MAX_GENERATORS:
-                rep.add("TooManyGenerators",
-                        f"{where}: comprehension has {len(e.gens)} "
-                        f"generators, more than {MAX_GENERATORS}")
+                add("TooManyGenerators",
+                    f"{where}: comprehension has {len(e.gens)} "
+                    f"generators, more than {MAX_GENERATORS}")
             inner = set(env)
             for g in e.gens:
                 check_expr(g.source, inner, where)
@@ -699,70 +706,70 @@ def validate(p: Program) -> ValidationReport:
             return
         elif isinstance(e, MakeRow):
             if e.cls not in classes:
-                rep.add("UnknownClass", f"{where}: class {e.cls!r}")
+                add("UnknownClass", f"{where}: class {e.cls!r}")
         elif isinstance(e, BinOp):
             if e.op not in ARITH and e.op not in ("and", "or"):
-                rep.add("UnknownOperator",
-                        f"{where}: unknown operator {e.op!r}")
+                add("UnknownOperator",
+                    f"{where}: unknown operator {e.op!r}")
         elif isinstance(e, Fold):
             if e.kind.startswith("udf:"):
                 u = udfs.get(e.kind[4:])
                 if u is None:
-                    rep.add("UnresolvedName",
-                            f"{where}: fold by unknown udf {e.kind[4:]!r}")
+                    add("UnresolvedName",
+                        f"{where}: fold by unknown udf {e.kind[4:]!r}")
                 elif u.arity != 2:
-                    rep.add("ArityMismatch", f"{where}: fold by udf {u.name} "
-                            f"needs 2 args, it takes {u.arity}")
+                    add("ArityMismatch", f"{where}: fold by udf {u.name} "
+                        f"needs 2 args, it takes {u.arity}")
             elif e.kind not in FOLD_KINDS:
-                rep.add("UnknownFold",
-                        f"{where}: unknown fold kind {e.kind!r}")
+                add("UnknownFold",
+                    f"{where}: unknown fold kind {e.kind!r}")
         for child in _children(e):
             check_expr(child, env, where)
 
     def check_target(t: TargetPath, env: set, where: str, merging: bool):
         d = datam.get(t.data)
         if d is None:
-            rep.add("UnresolvedName", f"{where}: unknown data {t.data!r}")
+            add("UnresolvedName", f"{where}: unknown data {t.data!r}")
             return
         if t.key is not None:
             check_expr(t.key, env, where)
             if d.kind != "table":
-                rep.add("NotATable", f"{where}: keyed target on var {t.data!r}")
+                add("NotATable", f"{where}: keyed target on var {t.data!r}")
         cls = classes.get(d.cls) if d.kind == "table" else None
         if cls is not None and t.field in cls.key:
             # a row is stored under its key fields, so writing one would
             # leave the row under a key it no longer holds
-            rep.add("KeyFieldWrite",
-                    f"{where}: write to key field {t.data}.{t.field}")
+            add("KeyFieldWrite",
+                f"{where}: write to key field {t.data}.{t.field}")
         if merging:
             if d.kind == "var" and d.shape is None:
-                rep.add("NotALattice",
-                        f"{where}: merge into plain scalar var {t.data!r}")
+                add("NotALattice",
+                    f"{where}: merge into plain scalar var {t.data!r}")
             if d.kind == "table" and t.field is not None:
                 ftype = classes[d.cls].field_map.get(t.field) if d.cls in classes else None
                 if ftype not in MERGEABLE_FIELD_TYPES:
-                    rep.add("NotALattice",
-                            f"{where}: merge into non-lattice field {t.data}.{t.field}")
+                    add("NotALattice",
+                        f"{where}: merge into non-lattice field {t.data}.{t.field}")
 
     def check_stmt(s: Statement, env: set, where: str):
         if isinstance(s, ForEach):
             # the loop `desugar_handler` writes; as source it would skip
             # the desugaring that binds each eligible message
-            rep.add("ForEachInHandler", f"{where}: a loop over mailbox "
-                    f"{s.mailbox!r} is desugared form, not a statement")
+            add("ForEachInHandler", f"{where}: a loop over mailbox "
+                f"{s.mailbox!r} is desugared form, not a statement")
             return
         if isinstance(s, (MergeMutation, Assign, Delete)):
             check_target(s.target, env, where, merging=isinstance(s, MergeMutation))
         if isinstance(s, Send):
             if s.mailbox not in mailboxes:
-                rep.add("UnresolvedName", f"{where}: send to unknown mailbox {s.mailbox!r}")
+                add("UnresolvedName", f"{where}: send to unknown mailbox {s.mailbox!r}")
         if isinstance(s, UdfCall):
             u = udfs.get(s.udf)
             if u is None:
-                rep.add("UnresolvedName", f"{where}: unknown udf {s.udf!r}")
+                add("UnresolvedName", f"{where}: unknown udf {s.udf!r}")
             elif u.arity != len(s.args):
-                rep.add("ArityMismatch",
-                        f"{where}: udf {s.udf} expects {u.arity} args, got {len(s.args)}")
+                add("ArityMismatch",
+                    f"{where}: udf {s.udf} expects {u.arity} args, got {len(s.args)}")
             if s.binder:
                 env.add(s.binder)
         for e in statement_exprs(s):
@@ -775,38 +782,44 @@ def validate(p: Program) -> ValidationReport:
             for h in p.handlers:
                 for s in h.body:
                     if isinstance(s, MergeMutation) and s.target.data == qname:
-                        rep.add("QueryVarMergeConflict",
-                                f"query {qname!r} replaces var also merge-mutated in {h.name}")
+                        add("QueryVarMergeConflict",
+                            f"query {qname!r} replaces var also merge-mutated in {h.name}")
         for qd in defs:
             for body in qd.bodies:
                 if not isinstance(body, Comp):
-                    rep.add("QueryBodyNotComprehension", f"query {qname}: a "
-                            f"rule body is a {type(body).__name__}, not a "
-                            "comprehension")
+                    add("QueryBodyNotComprehension", f"query {qname}: a "
+                        f"rule body is a {type(body).__name__}, not a "
+                        "comprehension")
                 check_expr(body, set(), f"query {qname}")
                 # a context keeps a query's value, while the messages a
                 # mailbox shows change with the handler that runs
                 read = {e.name for e in walk_expr(body) if isinstance(e, Data)}
                 for box in sorted(read & mailboxes - set(datam) - set(queries)):
-                    rep.add("QueryReadsMailbox", f"query {qname}: reads "
-                            f"mailbox {box!r}")
+                    add("QueryReadsMailbox", f"query {qname}: reads "
+                        f"mailbox {box!r}")
 
     for h in p.handlers:
         if h.name in datam or h.name in queries:
             # a comprehension over the handler's mailbox names the same
             # collection, so it would read the data or the query instead
             kind = "data" if h.name in datam else "query"
-            rep.add("HandlerNameClash",
-                    f"handler {h.name!r} has the name of a {kind}")
+            add("HandlerNameClash",
+                f"handler {h.name!r} has the name of a {kind}")
         for pname in h.param_names:
             if pname == MESSAGE_ID:
-                rep.add("ReservedField",
-                        f"handler {h.name}: parameter {pname!r} is reserved")
+                add("ReservedField",
+                    f"handler {h.name}: parameter {pname!r} is reserved")
         env = set(_message_fields(h))
         if h.guard is not None:
             check_expr(h.guard, set(env), f"handler {h.name} guard")
         for inv in h.consistency.invariants:
             check_expr(inv, set(env), f"handler {h.name} invariant")
+        if h.consistency.invariants and h.consistency.level != "serializable":
+            # only the sequencer checks invariants, as it decides a request
+            add("InvariantWithoutSequencing",
+                f"handler {h.name}: invariants are checked only on a "
+                f"serializable handler, and this one is "
+                f"{h.consistency.level!r}")
         body_env = set(env)  # udf binders stay visible to later statements
         for s in h.body:
             check_stmt(s, body_env, f"handler {h.name}")
@@ -814,9 +827,9 @@ def validate(p: Program) -> ValidationReport:
     for label, mapping in (("availability", p.avail_map), ("target", p.target_map)):
         for hname in mapping:
             if hname != "default" and hname not in handlers:
-                rep.add("UnknownHandlerRef", f"{label} block names unknown handler {hname!r}")
+                add("UnknownHandlerRef", f"{label} block names unknown handler {hname!r}")
 
-    return rep
+    return ValidationReport(tuple(entries))
 
 
 # --- desugaring --------------------------------------------------------------

@@ -10,9 +10,10 @@ cost model is
     throughput(n) = rate * capacity * n
 
 The solver is branch and bound over handlers with per-handler lower bounds;
-`brute_force` solves the same problem by exhaustive enumeration and exists
-to cross-check the solver. All tie-breaks are lexicographic and
-deterministic: fewer instances, then lower cost, then machine name.
+the tests check it against an exhaustive enumeration of the same problem,
+which ranks plans by the same `_plan_key`. All tie-breaks are
+lexicographic and deterministic: fewer instances, then lower cost, then
+machine name.
 """
 
 from __future__ import annotations
@@ -288,35 +289,6 @@ def solve(program: Program, machines, objective: str = "min_instances",
     return DeployPlan(objective, incumbent["entries"])
 
 
-def brute_force(program: Program, machines, objective: str = "min_instances",
-                model: CostModel = None, budget: Optional[float] = None,
-                n_cap: int = 64) -> DeployPlan:
-    """Exhaustive reference solver; exponential, for cross-checking only."""
-    import itertools
-    if objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}")
-    model = model or CostModel()
-    handlers = sorted(h.name for h in program.handlers)
-    if not handlers:
-        raise Infeasible("program has no handlers to place")
-    options = [_candidates(h, program, machines, model, n_cap) for h in handlers]
-    best = None
-    best_key = None
-    for combo in itertools.product(*options):
-        if budget is not None and sum(e.cost for e in combo) > budget + 1e-12:
-            continue
-        key = _plan_key(objective, combo)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = list(combo)
-    if best is None:
-        raise Infeasible(
-            "no assignment satisfies the global budget",
-            requests=(BacktrackRequest(None, ("budget",),
-                                       "raise the global budget"),))
-    return DeployPlan(objective, best)
-
-
 def verify(plan: DeployPlan, program: Program, machines, model: CostModel = None,
            budget: Optional[float] = None) -> list:
     """Re-check every constraint against a finished plan; returns violations."""
@@ -349,25 +321,3 @@ def verify(plan: DeployPlan, program: Program, machines, model: CostModel = None
     if budget is not None and plan.total_cost > budget + 1e-12:
         problems.append(f"total cost {plan.total_cost:.6g} exceeds budget {budget}")
     return problems
-
-
-def plan_delta(previous: DeployPlan, current: DeployPlan) -> dict:
-    """Instance-count change per machine type between two plans."""
-    counts: dict = {}
-    for e in current.entries:
-        counts[e.machine] = counts.get(e.machine, 0) + e.count
-    for e in previous.entries:
-        counts[e.machine] = counts.get(e.machine, 0) - e.count
-    return {m: d for m, d in sorted(counts.items()) if d != 0}
-
-
-def replan(previous: DeployPlan, program: Program, machines,
-           model: CostModel = None, budget: Optional[float] = None,
-           n_cap: int = 64):
-    """Solve against changed inputs and report the instance delta.
-
-    Returns (plan, delta) where delta maps machine type to the net change
-    in instance count versus the previous plan. Infeasibility propagates.
-    """
-    plan = solve(program, machines, previous.objective, model, budget, n_cap)
-    return plan, plan_delta(previous, plan)

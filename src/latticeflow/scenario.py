@@ -11,6 +11,11 @@ ways of getting nodes end in one `ReplicationPlan`: explicit nodes give
 each handler every node of its role. Every node is a worker: clients send
 to a handler's group directly and own the resending of their requests
 (see `sim`), so a node whose `behavior` is not "worker" is refused.
+
+`load_scenario` checks each workload item in one pass, and a workload can
+hold thousands of items: a check builds its error message, and any sorted
+list of names in it, only on the branch that raises, and each handler's
+parameter set is built once per load, not once per item.
 """
 
 from __future__ import annotations
@@ -72,6 +77,8 @@ def load_program(ref) -> Program:
 
 
 _SCALARS = (bool, int, str)
+_ITEM_KEYS = frozenset({"tick", "client", "mailbox", "handler", "payload",
+                        "fields", "message_id"})
 
 
 def _field_value(v, i: int, name: str):
@@ -167,25 +174,28 @@ def load_scenario(source) -> Scenario:
                            for i, d in enumerate(paths)]
 
     workload = []
-    item_keys = {"tick", "client", "mailbox", "handler", "payload", "fields",
-                 "message_id"}
+    params = {h.name: frozenset(h.param_names) for h in program.handlers}
     for i, item in enumerate(raw.get("workload", [])):
-        _require(isinstance(item, dict), f"workload[{i}] must be an object")
-        unknown = set(item) - item_keys
-        _require(not unknown,
-                 f"workload[{i}]: unknown keys {sorted(unknown)}")
+        if not isinstance(item, dict):
+            raise ScenarioError(f"workload[{i}] must be an object")
+        if not _ITEM_KEYS.issuperset(item):
+            raise ScenarioError(f"workload[{i}]: unknown keys "
+                                f"{sorted(set(item) - _ITEM_KEYS)}")
         mailbox = item.get("mailbox", item.get("handler"))
-        _require(mailbox is not None, f"workload[{i}] needs a 'mailbox'")
-        _require(mailbox in program.handler_map,
-                 f"workload[{i}]: no handler {mailbox!r}")
+        if mailbox is None:
+            raise ScenarioError(f"workload[{i}] needs a 'mailbox'")
+        if mailbox not in params:
+            raise ScenarioError(f"workload[{i}]: no handler {mailbox!r}")
         payload = item.get("payload", item.get("fields", {}))
         if not isinstance(payload, dict):
             raise ScenarioError(f"workload[{i}]: payload must be an object")
-        params = set(program.handler_map[mailbox].param_names)
-        extra = set(payload) - params
-        _require(not extra,
-                 f"workload[{i}]: unknown fields {sorted(extra)} for {mailbox!r}")
-        tick = _count(item.get("tick", 0), f"workload[{i}].tick")
+        if not params[mailbox].issuperset(payload):
+            raise ScenarioError(
+                f"workload[{i}]: unknown fields "
+                f"{sorted(set(payload) - params[mailbox])} for {mailbox!r}")
+        tick = item.get("tick", 0)
+        if type(tick) is not int or tick < 0:
+            _count(tick, f"workload[{i}].tick")  # raises
         fields = dict(payload)
         for name, v in fields.items():
             if type(v) not in _SCALARS:

@@ -257,7 +257,7 @@ class Cluster:
                 raise ValueError(f"request to {handler!r}: field {name!r} "
                                  f"holds a {kind}, which is not hashable")
         mid = message_id or self.new_message_id()
-        payload = Row(dict(fields, **{MESSAGE_ID: mid}))
+        payload = Row(fields, **{MESSAGE_ID: mid})
         self.client_of[mid] = client
         self.request_payload[mid] = (handler, payload)
         self._order += 1

@@ -1,8 +1,9 @@
 """Shared builders: a transitive-closure program, a program that validates
 but does not lower, the handler loops and query bodies that validation
-refuses, random graphs, a breadth-first-search reachability
-oracle, a one-node cluster, the statuses that a cluster's clients heard,
-and the demo scenario's path."""
+refuses, a handler with an invariant at a chosen consistency, random
+graphs, a breadth-first-search reachability oracle, a one-node cluster,
+the statuses that a cluster's clients heard, and the demo scenario's
+path."""
 
 import collections
 import random
@@ -10,9 +11,9 @@ from pathlib import Path
 
 from latticeflow.interp import InterpContext
 from latticeflow.ir import (
-    BinOp, ClassDecl, Comp, Data, DataDecl, Field, ForEach, Gen, Handler, In,
-    Lit, MakeRow, MergeMutation, Not, Program, QueryDef, Return, TargetPath,
-    TupleOf, Var,
+    BinOp, ClassDecl, Comp, ConsistencySpec, Data, DataDecl, Field, ForEach,
+    Gen, Handler, In, Len, Lit, MakeRow, MergeMutation, Not, Program,
+    QueryDef, Return, TargetPath, TupleOf, Var,
 )
 from latticeflow.runtime import GraphContext, compile_queries
 from latticeflow.sim import Cluster, NetworkModel, NodeSpec
@@ -65,6 +66,18 @@ def unlowerable_program(negated: str) -> Program:
         queries=(r,),
         handlers=(Handler("put", {"x": "int"},
                           (MergeMutation(TargetPath("acc"), Var("x")),)),))
+
+
+def capped_set_program(level: str) -> Program:
+    """One set var `s` and one handler `add` at consistency `level`, which
+    merges `x` into `s` under the invariant `len(s) <= 2`."""
+    cap = BinOp("<=", Len(Data("s")), Lit(2))
+    return Program(
+        "capped",
+        data=(DataDecl("s", "var", shape="set"),),
+        handlers=(Handler("add", {"x": "int"},
+                          (MergeMutation(TargetPath("s"), Var("x")),),
+                          consistency=ConsistencySpec(level, (cap,))),))
 
 
 def random_edges(rng: random.Random, max_nodes=50, density=0.08):

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from conftest import bfs_closure, client_statuses, closure_contexts
+from planner_reference import brute_force
 from latticeflow.ir import TargetSpec
 from latticeflow.lattice import (
     BoolOr, MapUnion, MaxInt, MinInt, Pair, SetUnion, WriteOnce, leq, merge,
@@ -20,7 +21,7 @@ from latticeflow.patterns import (
 )
 from latticeflow.planner import (
     CostModel, HandlerLoad, Infeasible, MachineType, backtrack_signal,
-    brute_force, solve, verify,
+    solve, verify,
 )
 from latticeflow.sim import NetworkModel, trace_text
 

@@ -1,19 +1,25 @@
 """Monotonicity classification, stratification, and cross-handler checks."""
 
+import collections
 from dataclasses import replace
 
 import pytest
 
+from latticeflow import analysis, ir
 from latticeflow.analysis import (
     MetaconsistencyConflict, Unstratifiable, calm_report, classify_handler,
     metaconsistency_conflicts, stratify,
 )
+from latticeflow.facets import facet_warnings
 from latticeflow.ir import (
     Assign, BinOp, ClassDecl, Comp, ConsistencySpec, Data, DataDecl, Delete,
     Field, Fold, Gen, Handler, In, Len, Lit, Lookup, MergeMutation, Not,
     Program, QueryDef, Return, TargetPath, UdfCall, UdfDecl, Var, validate,
 )
-from latticeflow.patterns import get_pattern
+from latticeflow.lowering import lower
+from latticeflow.patterns import covid_program, get_pattern, sample_machines
+from latticeflow.planner import solve
+from latticeflow.scenario import build_scenario_cluster, load_scenario
 
 
 def prog(handlers=(), queries=(), data=(), udfs=()):
@@ -271,3 +277,36 @@ def test_patterns_are_conflict_free():
     from latticeflow.patterns import pattern_names
     for name in pattern_names():
         assert metaconsistency_conflicts(get_pattern(name).program) == []
+
+
+def test_a_program_is_validated_once_and_each_handler_classified_once(
+        monkeypatch):
+    """What `latticeflow analyze` and a benchmark set-up run, and then the
+    cluster build, share one validation report and one verdict per handler,
+    kept on the program: lowering does not validate again, and the report,
+    the metaconsistency check and the replication plan do not each
+    classify every handler."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ir, "_validate", counted("validate", ir._validate))
+    monkeypatch.setattr(analysis, "classify_handler",
+                        counted("classify", analysis.classify_handler))
+    program = covid_program(coordinated=True, vaccine_count=2)
+    assert validate(program).ok
+    calm_report(program)
+    facet_warnings(program)
+    metaconsistency_conflicts(program)
+    stratify(program)
+    lower(program)
+    solve(program, sample_machines())
+    sc = load_scenario({"program": "covid_tracker", "seed": 1, "workload": [
+        {"tick": 0, "handler": "add_person",
+         "fields": {"pid": 1, "name": "ana", "country": "ar"}}]})
+    build_scenario_cluster(replace(sc, program=program)).close()
+    assert calls == {"validate": 1, "classify": len(program.handlers)}

@@ -10,8 +10,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from conftest import (BARE_BODIES, DEMO, LOOPS, loop_program,
-                      unlowerable_program)
+from conftest import (BARE_BODIES, DEMO, LOOPS, capped_set_program,
+                      loop_program, unlowerable_program)
 
 from latticeflow.cli import (
     EXIT_CLOSED_PIPE, EXIT_INFEASIBLE, EXIT_NO_QUIESCENCE, EXIT_OK,
@@ -264,6 +264,27 @@ def test_a_program_that_validates_but_does_not_lower_is_an_input_error(
     assert re.fullmatch(rf"lowering failed: {kind}: [^\n]+\n", err), err
 
 
+def test_an_invariant_on_a_handler_that_is_not_serializable_is_invalid(
+        tmp_path, capsys):
+    """Only the sequencer checks invariants, so one declared on an eventual
+    handler would never be checked: `analyze` and `simulate` refuse it in
+    one `invalid:` line, and accept the same handler when serializable."""
+    program = json.loads(program_to_json(capped_set_program("eventual")))
+    program_path = tmp_path / "program.json"
+    program_path.write_text(json.dumps(program))
+    scenario_path = write_scenario(tmp_path, program=program, workload=[
+        {"tick": 0, "client": "c1", "handler": "add", "fields": {"x": x}}
+        for x in range(5)])
+    line = ("invalid: InvariantWithoutSequencing: handler add: invariants "
+            "are checked only on a serializable handler, and this one is "
+            "'eventual'\n")
+    for argv in (["analyze", str(program_path)], ["simulate", scenario_path]):
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == line
+    program_path.write_text(program_to_json(capped_set_program("serializable")))
+    assert main(["analyze", str(program_path)]) == EXIT_OK
+
+
 @pytest.mark.parametrize("fields, message", [
     ({"failures": [{"tick": 2, "domain": ["dc0", "az0"]},
                    {"tick": 5, "domain": ["dc7"]}]},
@@ -328,12 +349,45 @@ def failure(tick, domain=None):
     ({"workload": [person(name=["ana", [None]])]},
      "workload[0]: field 'name' holds null; fields hold bools, integers, "
      "strings and arrays of them"),
+    ({"workload": [person(), 5]}, "workload[1] must be an object"),
+    ({"workload": [dict(person(), zeta=1, alpha=2)]},
+     "workload[0]: unknown keys ['alpha', 'zeta']"),
+    ({"workload": [{"tick": 0, "fields": {"pid": 1}}]},
+     "workload[0] needs a 'mailbox'"),
+    ({"workload": [dict(person(), handler="vaccinat")]},
+     "workload[0]: no handler 'vaccinat'"),
+    ({"workload": [dict(person(), fields=[1])]},
+     "workload[0]: payload must be an object"),
+    ({"workload": [person(zip=1, age=2)]},
+     "workload[0]: unknown fields ['age', 'zip'] for 'add_person'"),
+    ({"workload": [dict(person(), tick=-1)]},
+     "workload[0].tick must be a non-negative integer, got -1"),
+    ({"workload": [person(pid={"n": 1})]},
+     "workload[0]: field 'pid' holds an object; fields hold scalars and "
+     "arrays"),
+    # an item with two faults is refused for the first check it fails
+    ({"workload": [{"tick": -1, "frob": 1}]},
+     "workload[0]: unknown keys ['frob']"),
+    ({"workload": [{"tick": 0, "handler": "nope", "fields": 3}]},
+     "workload[0]: no handler 'nope'"),
+    ({"workload": [dict(person(age=None), tick=0.5)]},
+     "workload[0]: unknown fields ['age'] for 'add_person'"),
+    ({"workload": [dict(person(pid=None), tick=0.5)]},
+     "workload[0].tick must be a non-negative integer, got 0.5"),
+    ({"workload": [person(pid=None, name={})]},
+     "workload[0]: field 'pid' holds null; fields hold bools, integers, "
+     "strings and arrays of them"),
 ], ids=["tick-text", "tick-fraction", "failure-tick-text",
         "failure-tick-fraction", "failure-domain-text", "max-ticks-text",
         "max-ticks-fraction", "seed-bool", "node-domain-number",
         "node-id-number", "failure-domains-number", "dup-prob-text",
         "delay-fraction", "payload-fraction", "payload-null",
-        "payload-nested-null"])
+        "payload-nested-null", "item-number", "item-unknown-keys",
+        "item-no-mailbox", "item-unknown-handler", "payload-array",
+        "payload-unknown-fields", "tick-negative", "payload-object",
+        "unknown-keys-and-tick", "unknown-handler-and-payload",
+        "unknown-fields-and-tick", "tick-and-null-field",
+        "null-field-and-object-field"])
 def test_a_malformed_scenario_field_is_named_without_a_traceback(
         tmp_path, capsys, fields, message):
     # a value of the wrong type is refused with its field named: it used to

@@ -121,9 +121,9 @@ def test_a_desugared_loop_is_refused_as_a_handler_body():
 
 @pytest.mark.parametrize("loop", LOOPS.values(), ids=LOOPS.keys())
 def test_a_loop_in_a_handler_body_is_refused(loop):
-    assert validate(loop_program(loop)).entries == [ValidationEntry(
+    assert validate(loop_program(loop)).entries == (ValidationEntry(
         "ForEachInHandler", f"handler put: a loop over mailbox "
-        f"{loop.mailbox!r} is desugared form, not a statement")]
+        f"{loop.mailbox!r} is desugared form, not a statement"),)
     # the surface form of the first loop is valid
     assert validate(loop_program(MergeMutation(TargetPath("acc"),
                                                Var("x")))).ok
@@ -132,9 +132,9 @@ def test_a_loop_in_a_handler_body_is_refused(loop):
 @pytest.mark.parametrize("body", BARE_BODIES.values(), ids=BARE_BODIES.keys())
 def test_a_query_body_that_is_not_a_comprehension_is_refused(body):
     p = replace(loop_program(), queries=(QueryDef("q", (), (body,)),))
-    assert validate(p).entries == [ValidationEntry(
+    assert validate(p).entries == (ValidationEntry(
         "QueryBodyNotComprehension", f"query q: a rule body is a "
-        f"{type(body).__name__}, not a comprehension")]
+        f"{type(body).__name__}, not a comprehension"),)
     comp = Comp(Var("a"), (Gen("a", Data("acc")),))
     assert validate(replace(p, queries=(QueryDef("q", (), (comp,)),))).ok
 

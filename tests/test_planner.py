@@ -11,8 +11,9 @@ from latticeflow.ir import (
 from latticeflow.patterns import covid_tracker, sample_machines
 from latticeflow.planner import (
     CostModel, HandlerLoad, Infeasible, MachineType, ModelError,
-    backtrack_signal, brute_force, plan_delta, replan, solve, verify,
+    backtrack_signal, solve, verify,
 )
+from planner_reference import brute_force, plan_delta, replan
 
 
 def placement_program(targets):
