@@ -51,7 +51,6 @@ class EvalContext:
         self.program = program
         self.snapshot = snapshot
         self.firing = {}  # handler -> the messages it runs on this tick
-        self.query_overrides = {}
         self.udf_memo = {}  # a transducer's tick shares one (see `call_udf`)
         self._query_names = program.query_map  # read for membership
         self._sorted = {}  # name -> ordered view, fixed for the snapshot
@@ -83,8 +82,6 @@ class EvalContext:
         """Ordered view of a named collection for iteration. Views of
         queries, tables and vars are sorted once per context; the handler
         inputs in `firing` change during a tick and are not kept."""
-        if name in self.query_overrides:
-            return self.query_overrides[name]
         if name in self._sorted:
             return self._sorted[name]
         if name in self._query_names:

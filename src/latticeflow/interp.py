@@ -158,7 +158,8 @@ class InterpContext(EvalContext):
             if rounds > self.max_rounds:
                 raise FixpointDivergence(
                     f"naive fixpoint over {sorted(scc)} exceeded {self.max_rounds} rounds")
-            self.query_overrides.update(
+            # each rule reads this round's estimate as the members' views
+            self._sorted.update(
                 {q: tuple(sorted(v, key=_order_key)) for q, v in est.items()})
             new = {}
             for q in sorted(scc):
@@ -171,7 +172,7 @@ class InterpContext(EvalContext):
                 break
             est = new
         for q in scc:
-            self.query_overrides.pop(q, None)
+            self._sorted.pop(q, None)
             self._qmemo[q] = est[q]
         self.rounds[",".join(sorted(scc))] = rounds
         return self._qmemo[name]

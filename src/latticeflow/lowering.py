@@ -95,7 +95,7 @@ class LoweringPlan:
                     "recursive_groups": [list(x) for x in g.recursive_groups],
                     "operators": {k: list(v) for k, v in sorted(g.operators.items())},
                     "source": {
-                        **{k: [_chain_source(c) for c in v]
+                        **{k: [c.source.splitlines() for c in v]
                            for k, v in g.chains.items()},
                         **{f"handler:{h}": _handler_source(self.program, h)
                            for h in g.handlers}},
@@ -121,16 +121,6 @@ def _chain_kinds(chains) -> list:
     return out
 
 
-def _chain_source(chain) -> list:
-    """The lines of a chain's generated function, then of its twin's."""
-    lines = chain.source.splitlines()
-    if chain.scan_index is not None:
-        lines += ["# runs instead when the join's source is the smaller "
-                  "(see runtime._scan_join):"]
-        lines += chain.swapped().source.splitlines()
-    return lines
-
-
 def _handler_source(program: Program, name: str) -> list:
     """The lines of the function generated for each expression of handler
     `name`: its guard, its statements' and its invariants, in that order."""
@@ -138,7 +128,8 @@ def _handler_source(program: Program, name: str) -> list:
     exprs = [p.guard] if p.guard is not None else []
     exprs += [e for s in flat_statements(p.stmts)
               for e in statement_exprs(s)]
-    return [_chain_source(compile_comp(e, program)) if isinstance(e, Comp)
+    return [compile_comp(e, program).source.splitlines()
+            if isinstance(e, Comp)
             else compile_expr(e, program)[1].splitlines()
             for e in exprs + list(p.invariants)]
 

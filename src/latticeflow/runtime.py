@@ -29,14 +29,13 @@ object (`_code`). A tuple binder takes its item's values by
 that this backend is tested against and never calls.
 
 Access paths. A generator over a named collection is a hash join or a
-scan (`compile_comp`). The function reads the run-time choices from the
-plan: which step reads a fixpoint's delta, which index a join keeps
-(`_join_index`), whether a key can be hashed (if not, it is compared with
-each item), and whether a scan and a join run as their twin
-(`_scan_join`). A generator reads its named source when a row first
-reaches it, and a join over an empty source evaluates no key. A
-membership ``x in {p.k for p in t}``, where `k` is the whole key of table
-`t`, is ``(x,) in`` the table's dict.
+scan, chosen once when `compile_comp` writes the chain's one function.
+At run time the function reads which step takes a fixpoint's delta,
+which index a join keeps (`_join_index`) and whether a key can be hashed
+(if not, it is compared with each item). A generator reads its named
+source when a row first reaches it, and a join over an empty source
+evaluates no key. A membership ``x in {p.k for p in t}``, where `k` is
+the whole key of table `t`, is ``(x,) in`` the table's dict.
 
 Kept results. A context's `views`, which a Transducer shares among its
 contexts, keep each recursive group's result, resumed while its inputs
@@ -108,28 +107,10 @@ class Chain:
     # text, then the text of its joins' index functions
     fn: object = None
     source: str = ""
-    # for a scan and then a join on a key over the scan's names: the id
-    # under which the twin's join keeps its index of the scanned collection
-    # in `views`, the twin once compiled, and its program (see _scan_join)
-    scan_index: Optional[str] = None
-    twin: Optional["Chain"] = None
-    program: object = None
 
     def recursive_refs(self, scc) -> list:
         return [s for s in self.steps if isinstance(s, ExpandStep)
                 and isinstance(s.source, Data) and s.source.name in scc]
-
-    def swapped(self) -> "Chain":
-        """The twin: the chain with its first two generators swapped, so
-        that its join probes an index of the scanned collection; compiled
-        at first use."""
-        if self.twin is None:
-            first, second, *rest = self.comp.gens
-            self.twin = compile_comp(
-                Comp(self.comp.output, (second, first, *rest),
-                     self.comp.filters), self.program)
-            self.twin.steps[1].op_id = self.scan_index
-        return self.twin
 
 
 _counter = [0]
@@ -527,14 +508,13 @@ def compile_expr(e: Expr, program) -> tuple:
 
 def compile_comp(e: Comp, program, outer: Optional[_Scope] = None) -> Chain:
     """Compile a comprehension of `program` into a chain: its plan and the
-    function generated from it; `outer` is the scope of the chain a nested
-    comprehension sits in.
+    one function generated from it, with its joins' index functions;
+    `outer` is the scope of the chain a nested comprehension sits in.
 
     Each filter runs right after the generator that `Comp.filter_levels`
     puts it at. A generator over a named collection is a hash join when the
     first filter due after it is an equality that `_access_path` takes, and
-    a scan otherwise. A scan of a named collection and then a join on a key
-    over the scan's names also get a twin (see `Chain.swapped`). A
+    a scan otherwise; the generators run in the order they are written. A
     comprehension that binds a name twice, or has more than
     `ir.MAX_GENERATORS` generators, is rejected, as `ir.validate` rejects
     it.
@@ -546,12 +526,10 @@ def compile_comp(e: Comp, program, outer: Optional[_Scope] = None) -> Chain:
         raise ValueError(f"comprehension has more than {MAX_GENERATORS} "
                          "generators")
     scope = outer.nested() if outer is not None else _Scope(program)
-    top = not scope.slots  # no enclosing chain binds a slot
     names = {n for g in e.gens for n in g.names}
     code = _Writer(scope)
     steps, texts = [], []
     bound: set = set()
-    swap = False
 
     def filter_steps(filters):
         for f in filters:
@@ -572,13 +550,6 @@ def compile_comp(e: Comp, program, outer: Optional[_Scope] = None) -> Chain:
             step.fill, text = _Writer(_Scope(scope.program)).index(step, g,
                                                                    own)
             texts.append(text)
-            # a scan of a named collection, then this join on a key over the
-            # scan's names: the twin indexes the collection by that key
-            swap = swap or top and len(steps) == 1 \
-                and steps[0].kind == "expand" \
-                and isinstance(steps[0].source, Data) \
-                and _context_free(other) and _free_vars(other) \
-                and _free_vars(other) <= bound
         else:
             other, step = None, ExpandStep(_oid("expand"), "expand", g.binder,
                                            g.source, width)
@@ -594,8 +565,6 @@ def compile_comp(e: Comp, program, outer: Optional[_Scope] = None) -> Chain:
     chain.fn, text = code.function("chain(env, ctx, sources, slots)",
                                    ("out = set()", "add = out.add"))
     chain.source = text + "".join(texts)
-    if swap:
-        chain.scan_index, chain.program = _oid("scanindex"), program
     return chain
 
 
@@ -721,21 +690,6 @@ def _join_index(step: HashJoinStep, src, sources: _Sources, env: dict, ctx):
         return step.fill(src, env, ctx, _Compared())
 
 
-def _scan_join(chain: Chain, sources: _Sources) -> bool:
-    """Whether a chain is to run as its twin, whose join probes the kept
-    index of the chain's scanned source once per item of the chain's join
-    source: when the scan reads a frozenset other than the delta, and the
-    join's source has fewer items, but some. An empty scan reads no other
-    source."""
-    scan, join = chain.steps[0], chain.steps[1]
-    if scan is sources.delta_step:
-        return False
-    items = sources.rows(scan)
-    if type(items) is not frozenset or not items:
-        return False
-    return 0 < len(sources.rows(join)) < len(items)
-
-
 # the names a generated function reads besides its namespace entries
 _HELPERS = {"MISSING": MISSING, "UNSET": object(), "ARITH": ARITH,
             "Row": Row, "default_row": default_row, "fold_value": fold_value,
@@ -745,20 +699,12 @@ _HELPERS = {"MISSING": MISSING, "UNSET": object(), "ARITH": ARITH,
 
 def run_chain(chain: Chain, env0: dict, ctx: "GraphContext",
               delta_step=None, totals=None, delta=None, slots=()) -> set:
-    """The new set of outputs of a run of the chain's function (or its
-    twin's) from the binding `slots` (a nested comprehension's enclosing
-    row), reading outer names from `env0`; `delta_step` marks the one
-    occurrence of a name in `totals` fed with `delta` instead. The set's
-    size is noted under the project step's id."""
-    sources, fn = _Sources(ctx, totals, delta, delta_step), chain.fn
-    if chain.scan_index is not None and _scan_join(chain, sources):
-        twin = chain.swapped()
-        fn = twin.fn
-        if delta_step is not None:
-            # the twin has the chain's steps, the first two swapped
-            i = [s is delta_step for s in chain.steps].index(True)
-            sources.delta_step = twin.steps[i ^ 1 if i < 2 else i]
-    out = fn(env0, ctx, sources, slots)
+    """The new set of outputs of a run of the chain's function from the
+    binding `slots` (a nested comprehension's enclosing row), reading outer
+    names from `env0`; `delta_step` marks the one occurrence of a name in
+    `totals` fed with `delta` instead. The set's size is noted under the
+    project step's id."""
+    out = chain.fn(env0, ctx, _Sources(ctx, totals, delta, delta_step), slots)
     ctx.note(chain.steps[-1].op_id, len(out))
     return out
 
@@ -891,8 +837,7 @@ class GraphContext(EvalContext):
                  views=None):
         super().__init__(program, snapshot)
         self.compiled = compiled
-        # scc -> _View, see apply_fixpoint; a join step's id or a chain's
-        # scan_index -> (source, index), see _kept_index
+        # scc -> _View, see apply_fixpoint; join id -> _kept_index's entry
         self.views = {} if views is None else views
         self.rounds = {}
         self._qmemo = {}
@@ -969,10 +914,10 @@ def apply_fixpoint(group: FixpointGroup, ctx: GraphContext):
     facts get one delta pass per generator over a grown input (a full pass
     for a rule that reads a grown input anywhere else), then the
     semi-naive loop runs from the facts that are new. The passes read the
-    stored totals as they are, so a delta joined after a scan of them
-    probes the scan's kept index (see `_scan_join`). After any other change
-    (a deletion, an assignment, a replaced table row, a changed scalar, a
-    rejected fork's state) it recomputes from the base facts. Resuming is
+    stored totals as they are, so a join of them keeps its index across
+    calls (see `_kept_index`). After any other change (a deletion, an
+    assignment, a replaced table row, a changed scalar, a rejected fork's
+    state) it recomputes from the base facts. Resuming is
     sound because compile_queries admits only monotone rules into a
     recursive group. Either way the inputs, base facts and result are
     stored for the next call.
@@ -1048,9 +993,9 @@ def _first_round(group: FixpointGroup, ctx: GraphContext, base: dict):
 def _resume_round(group: FixpointGroup, ctx: GraphContext, view: _View,
                   inputs: dict, grown: dict):
     """(totals, delta) after the passes over the grown inputs. The passes
-    read the stored totals plus the new base facts as frozensets, so a scan
-    of them followed by a join with a delta probes the scan's kept index
-    (see `_scan_join`)."""
+    read the stored totals plus the new base facts as frozensets, so a join
+    of them probes its kept index, grown by the new facts (`_kept_index`),
+    and a delta is scanned or joined where the chain's one plan puts it."""
     scc, old = group.scc, view.totals
     members = {q: old[q] | grown[q] if q in grown else old[q] for q in scc}
     grown_inputs = grown.keys() - scc

@@ -106,6 +106,13 @@ def _count(v, where: str) -> int:
     return v
 
 
+def _string(v, where: str) -> str:
+    """`v` if it is a string, else a ScenarioError naming `where`."""
+    if not isinstance(v, str):
+        raise ScenarioError(f"{where} must be a string, got {json.dumps(v)}")
+    return v
+
+
 def _domain(v, where: str) -> tuple:
     """A failure-domain path: a JSON array of strings."""
     if not (isinstance(v, list) and all(isinstance(x, str) for x in v)):
@@ -153,9 +160,7 @@ def load_scenario(source) -> Scenario:
             _require(isinstance(n, dict) and "id" in n and "domain" in n,
                      "each node needs 'id' and 'domain'")
             for key in ("id", "role"):
-                if not isinstance(n.get(key, ""), str):
-                    raise ScenarioError(f"nodes[{i}].{key} must be a string, "
-                                        f"got {json.dumps(n[key])}")
+                _string(n.get(key, ""), f"nodes[{i}].{key}")
             if n.get("behavior", "worker") != "worker":
                 raise ScenarioError(
                     f"nodes[{i}].behavior must be \"worker\", got "
@@ -184,6 +189,9 @@ def load_scenario(source) -> Scenario:
         mailbox = item.get("mailbox", item.get("handler"))
         if mailbox is None:
             raise ScenarioError(f"workload[{i}] needs a 'mailbox'")
+        if type(mailbox) is not str:
+            _string(mailbox, f"workload[{i}]."  # raises
+                    f"{'mailbox' if 'mailbox' in item else 'handler'}")
         if mailbox not in params:
             raise ScenarioError(f"workload[{i}]: no handler {mailbox!r}")
         payload = item.get("payload", item.get("fields", {}))
@@ -196,16 +204,22 @@ def load_scenario(source) -> Scenario:
         tick = item.get("tick", 0)
         if type(tick) is not int or tick < 0:
             _count(tick, f"workload[{i}].tick")  # raises
+        client = item.get("client", "client")
+        if type(client) is not str:
+            _string(client, f"workload[{i}].client")  # raises
+        message_id = item.get("message_id")
+        if type(message_id) is not str and "message_id" in item:
+            _string(message_id, f"workload[{i}].message_id")  # raises
         fields = dict(payload)
         for name, v in fields.items():
             if type(v) not in _SCALARS:
                 fields[name] = _field_value(v, i, name)
         workload.append({
             "tick": tick,
-            "client": item.get("client", "client"),
+            "client": client,
             "handler": mailbox,
             "fields": fields,
-            "message_id": item.get("message_id"),
+            "message_id": message_id,
         })
 
     failures = []

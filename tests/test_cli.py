@@ -83,8 +83,12 @@ def test_inspect_prints_each_rules_function_alike_under_any_hash_seed():
     [role] = plan["roles"].values()
     first, joined = role["source"]["query:reachable"]
     assert first[0] == joined[0] == "def chain(env, ctx, sources, slots):"
-    # the twin probes an index of `reachable`, the collection scanned first
-    assert joined.count("def chain(env, ctx, sources, slots):") == 2
+    # one plan per rule: the chain's function, then its join's index
+    # function, and no other that runs in its place
+    assert joined.count("def chain(env, ctx, sources, slots):") == 1
+    assert [line for line in joined if line.startswith("def ")] == [
+        "def chain(env, ctx, sources, slots):",
+        "def index(items, env, ctx, out):"]
 
 
 def test_a_closed_pipe_ends_without_a_traceback():
@@ -377,6 +381,16 @@ def failure(tick, domain=None):
     ({"workload": [person(pid=None, name={})]},
      "workload[0]: field 'pid' holds null; fields hold bools, integers, "
      "strings and arrays of them"),
+    # an item's mailbox, client and id are strings: a list used to end in a
+    # traceback, and a list client or a numeric id to load
+    ({"workload": [dict(person(), mailbox=["add_person"])]},
+     'workload[0].mailbox must be a string, got ["add_person"]'),
+    ({"workload": [dict(person(), client=["x"])]},
+     'workload[0].client must be a string, got ["x"]'),
+    ({"workload": [dict(person(), message_id=["x"])]},
+     'workload[0].message_id must be a string, got ["x"]'),
+    ({"workload": [dict(person(), message_id=7)]},
+     "workload[0].message_id must be a string, got 7"),
 ], ids=["tick-text", "tick-fraction", "failure-tick-text",
         "failure-tick-fraction", "failure-domain-text", "max-ticks-text",
         "max-ticks-fraction", "seed-bool", "node-domain-number",
@@ -387,7 +401,8 @@ def failure(tick, domain=None):
         "payload-unknown-fields", "tick-negative", "payload-object",
         "unknown-keys-and-tick", "unknown-handler-and-payload",
         "unknown-fields-and-tick", "tick-and-null-field",
-        "null-field-and-object-field"])
+        "null-field-and-object-field", "mailbox-array", "client-array",
+        "message-id-array", "message-id-number"])
 def test_a_malformed_scenario_field_is_named_without_a_traceback(
         tmp_path, capsys, fields, message):
     # a value of the wrong type is refused with its field named: it used to

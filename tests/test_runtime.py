@@ -478,6 +478,42 @@ def test_deleting_a_var_resets_it(backend):
 
 
 @pytest.mark.parametrize("backend", ["graph", "interp"])
+def test_a_statement_with_a_missing_operand_does_nothing(backend):
+    """A statement whose UDF argument, key or value is MISSING (here a field
+    of a row no key holds) calls no UDF, writes nothing and sends nothing;
+    an assignment into a lattice var stores its value wrapped in the var's
+    lattice."""
+    calls = []
+    p = Program(
+        "missing", classes=(ITEM,),
+        data=(DataDecl("items", "table", cls="Item"),
+              DataDecl("n", "var", scalar="int", init=0),
+              DataDecl("s", "var", shape="set")),
+        udfs=(UdfDecl("f", 1, fn=lambda x: calls.append(x) or x),))
+    t = Transducer(p, backend=backend)
+    ctx = t._context(t.state.snapshot())
+    absent = Field(Lookup("items", Lit(-1)), "v")
+    row = TargetPath("items", key=absent, field="v")
+    env, eff = {}, Effects()
+    for s in (UdfCall("f", (absent,), binder="y"),
+              MergeMutation(row, Lit(1)),                    # key
+              MergeMutation(TargetPath("s"), absent),        # merge value
+              MergeMutation(TargetPath("items"), absent),
+              Assign(TargetPath("n"), absent),               # assign value
+              Assign(row, Lit(1)),                           # key
+              Delete(TargetPath("items", key=absent)),       # key
+              Send("out", absent)):                          # send value
+        t._run_stmt(s, env, ctx, eff)
+    assert calls == [] and env == {}
+    assert eff == Effects()
+    t._run_stmt(Assign(TargetPath("s"), Lit(frozenset({1, 2}))), env, ctx,
+                eff)
+    assert eff.assigns == {("s", None, None):
+                           lattice.wrap(frozenset({1, 2}), "set")}
+    assert type(eff.assigns["s", None, None]) is lattice.SetUnion
+
+
+@pytest.mark.parametrize("backend", ["graph", "interp"])
 def test_a_udf_a_request_and_its_invariant_call_alike_runs_once(backend):
     """`take`'s statement and its invariant both call `add(1, 2)`: the
     request's context and its check context share the tick's UDF memo, so
@@ -1138,19 +1174,18 @@ def test_kept_views_match_a_fresh_evaluation(schedule):
             snap.tables["edges"], snap.tables["tc"], snap.tables["hops"])
 
 
-def test_a_resume_pass_probes_an_index_of_the_totals():
-    """A grown `jumps` or `edges` is joined with the stored `tc` by probing
-    the kept index of `tc` once per delta item (see `runtime._scan_join`).
-    The facts and rounds are those of a transducer whose chains expand the
-    scan of `tc` instead, and the interpreter's; the index grows with `tc`,
-    and the first probe after a recompute from the base facts rebuilds it.
-    """
-    indexed, plain = (Transducer(edited_closure_program()) for _ in range(2))
-    for chain in plain.compiled.groups[0].plans["tc"].chains:
-        chain.scan_index = None
-    chains = indexed.compiled.groups[0].plans["tc"].chains
-    slots = [c.scan_index for c in chains if c.scan_index is not None]
-    assert len(slots) == 2  # the rules that join `edges` and `jumps`
+def test_a_resume_pass_agrees_with_a_fresh_evaluation_after_each_edit():
+    """A grown `jumps` or `edges` is joined with the stored `tc` by the
+    rule's one plan: a scan of `tc`, then a join. After every tick the
+    facts are a fresh context's and the interpreter's. A tick that
+    recomputes from the base facts takes a fresh context's rounds, and one
+    that resumes takes fewer. The `jumps` join keeps its index of the
+    query across ticks, while the `edges` join, whose source is a table,
+    keeps none."""
+    t = Transducer(edited_closure_program())
+    joins = [s.op_id for c in t.compiled.groups[0].plans["tc"].chains
+             for s in c.steps if s.kind == "hashjoin"]
+    assert len(joins) == 2  # the rules that join `edges` and `jumps`
     mid = itertools.count()
 
     def change(before, after):
@@ -1160,33 +1195,29 @@ def test_a_resume_pass_probes_an_index_of_the_totals():
             return "built"
         return "grown" if after[1] is before[1] else "rebuilt"
 
-    # what each tick does to the index of the rules that join `edges` and
-    # `jumps`
-    for edits, changes in (
-            ((("link", 0, 1), ("hop", 1, 2)), (None, None)),  # from scratch
-            ((("hop", 2, 3),), (None, "built")),
-            # the index grows by (0, 3) and the new base fact (5, 3), which
-            # both meet the new jump
-            ((("shortcut", 5, 3), ("hop", 3, 0)), (None, "grown")),
-            ((("cut", 0, 1),), (None, "kept")),               # recomputed
-            # an index that was not rebuilt would send (0, 3) on to 4
-            ((("hop", 3, 4),), (None, "rebuilt")),
-            ((("link", 4, 5),), ("built", "kept"))):          # `edges` grew
-        before = [indexed.views.get(slot) for slot in slots]
-        seen = []
-        for t in (indexed, plain):
-            for handler, a, b in edits:
-                t.deliver(handler, request(next(mid), a=a, b=b))
-            t.tick()
-            snap = t.state.snapshot()
-            ctx = t._context(snap)
-            value = ctx.query_value("tc")
-            assert value == InterpContext(t.program, snap).query_value("tc")
-            seen.append((value, ctx.rounds))
-        assert seen[0] == seen[1]
-        after = [indexed.views.get(slot) for slot in slots]
+    # each tick's edits, its rounds, whether it recomputes, and what it does
+    # to the kept indexes of the `edges` and `jumps` joins
+    for edits, rounds, scratch, changes in (
+            ((("link", 0, 1), ("hop", 1, 2)), 3, True, (None, "built")),
+            ((("hop", 2, 3),), 2, False, (None, "grown")),
+            ((("shortcut", 5, 3), ("hop", 3, 0)), 4, False, (None, "grown")),
+            ((("cut", 0, 1),), 3, True, (None, "grown")),
+            ((("hop", 3, 4),), 2, False, (None, "grown")),
+            ((("link", 4, 5),), 2, False, (None, "grown"))):  # `edges` grew
+        before = [t.views.get(j) for j in joins]
+        for handler, a, b in edits:
+            t.deliver(handler, request(next(mid), a=a, b=b))
+        t.tick()
+        snap = t.state.snapshot()
+        ctx = t._context(snap)
+        fresh = GraphContext(t.program, snap, t.compiled)
+        assert ctx.query_value("tc") == fresh.query_value("tc") \
+            == InterpContext(t.program, snap).query_value("tc")
+        assert ctx.rounds == {"tc": rounds}
+        assert (rounds == fresh.rounds["tc"]) if scratch \
+            else (rounds < fresh.rounds["tc"])
+        after = [t.views.get(j) for j in joins]
         assert tuple(map(change, before, after)) == changes
-    assert not [k for k in plain.views if str(k).startswith("scanindex")]
 
 
 def test_kept_views_diverge_exactly_when_a_fresh_evaluation_does(
@@ -1653,24 +1684,23 @@ def test_a_probe_over_a_kept_view_stays_right():
     assert (3, 5) in t.state.tables["edges"]
 
 
-def test_a_scan_then_join_probes_the_kept_index_of_the_scan():
-    """A scan of `halves` joined with smaller `items` probes a kept index of
-    `halves` by `half` once per item, in contexts that share views: it is
-    built, grown with `halves` and rebuilt when `halves` shrinks. With no
-    item, as many items as halves, or an item key that cannot be hashed,
-    the scan is expanded and joined as before, and the index stays the
-    same. An empty scan builds no index and evaluates no item's key. Every
-    answer is the interpreter's."""
+def test_a_scan_then_join_agrees_with_the_interpreter():
+    """A scan of `halves` joined with `items` on a key over the scan's names
+    runs as one plan, whatever the sizes of the two sources: with fewer
+    items than halves, as many, none, or an item key that cannot be
+    hashed, every answer is the interpreter's. An empty scan reads no other
+    source, so no item's key is evaluated and no item is unpacked."""
     # an item's key is its `v`, or the list [0] when it has a tag
     key = Index(TupleOf(Field(Var("i"), "v"), Lit([0])),
                 Len(Field(Var("i"), "tags")))
     comp = Comp(TupleOf(Var("h"), Field(Var("i"), "k")),
                 (Gen(("h", "half"), Data("halves")), Gen("i", Data("items"))),
                 (BinOp("==", Var("half"), key),))
-    compiled, views = compile_queries(CHAIN_PROGRAM), {}
+    compiled = compile_queries(CHAIN_PROGRAM)
     chain = compiled.handler_expr(
         comp, lambda c: compile_comp(c, CHAIN_PROGRAM))
-    assert chain.scan_index is not None
+    assert [s.kind for s in chain.steps] == [
+        "expand", "hashjoin", "project"]
 
     def answer(nums, vs, tagged=()):
         state = chain_state(nums=nums)
@@ -1678,26 +1708,20 @@ def test_a_scan_then_join_probes_the_kept_index_of_the_scan():
             (k,): Row(k=k, v=v, tags=frozenset({0} if k in tagged else ()))
             for k, v in enumerate(vs)}
         snap = state.snapshot()
-        graph = GraphContext(CHAIN_PROGRAM, snap, compiled, views=views)
+        graph = GraphContext(CHAIN_PROGRAM, snap, compiled)
         value = graph.eval_comp(comp, {})
         assert value == InterpContext(CHAIN_PROGRAM, snap).eval_comp(comp, {})
-        return value, views.get(chain.scan_index)
+        return value
 
-    value, built = answer(range(6), (1, 2))
-    assert value == {(2, 0), (3, 0), (4, 1), (5, 1)} and built is not None
-    value, grown = answer(range(10), (1, 4))
-    assert value == {(2, 0), (3, 0), (8, 1), (9, 1)}
-    assert grown[1] is built[1] and len(grown[0]) == 10
-    value, rebuilt = answer(range(4, 8), (2, 3))
-    assert value == {(4, 0), (5, 0), (6, 1), (7, 1)}
-    assert rebuilt[1] is not grown[1]
-    for vs, tagged, expect in (
-            ((), (), frozenset()),
-            ((2, 2, 3, 3), (), {(4, 0), (5, 0), (4, 1), (5, 1),
-                                (6, 2), (7, 2), (6, 3), (7, 3)}),
-            ((2, 3), (0,), {(6, 1), (7, 1)})):
-        value, entry = answer(range(4, 8), vs, tagged)
-        assert value == expect and entry[1] is rebuilt[1]
+    for nums, vs, tagged, expect in (
+            (range(6), (1, 2), (), {(2, 0), (3, 0), (4, 1), (5, 1)}),
+            (range(10), (1, 4), (), {(2, 0), (3, 0), (8, 1), (9, 1)}),
+            (range(4, 8), (2, 3), (), {(4, 0), (5, 0), (6, 1), (7, 1)}),
+            (range(4, 8), (), (), frozenset()),
+            (range(4, 8), (2, 2, 3, 3), (), {(4, 0), (5, 0), (4, 1), (5, 1),
+                                            (6, 2), (7, 2), (6, 3), (7, 3)}),
+            (range(4, 8), (2, 3), (0,), {(6, 1), (7, 1)})):
+        assert answer(nums, vs, tagged) == expect
     # an empty scan reads no other source, so no item's key is evaluated and
     # no item is unpacked: 1 // 0 and a row bound to (a, b) would raise
     state = chain_state(nums=())
@@ -1709,36 +1733,28 @@ def test_a_scan_then_join_probes_the_kept_index_of_the_scan():
                         BinOp("//", Lit(1), Field(Var("i"), "v"))),)),
             Comp(Var("h"), (comp.gens[0], Gen(("a", "b"), Data("items"))),
                  (BinOp("==", Var("half"), Var("a")),))):
-        chain = compiled.handler_expr(
-            empty, lambda c: compile_comp(c, CHAIN_PROGRAM))
-        assert chain.scan_index is not None
-        graph = GraphContext(CHAIN_PROGRAM, snap, compiled, views=views)
+        graph = GraphContext(CHAIN_PROGRAM, snap, compiled)
         assert graph.eval_comp(empty, {}) == frozenset() == \
             InterpContext(CHAIN_PROGRAM, snap).eval_comp(empty, {})
-        assert chain.scan_index not in views
 
 
-def test_the_twin_runs_the_generators_after_the_join():
-    """A scan, a join on the scan's names and a third generator: when the
-    join's source is the smaller, the twin runs, probes the scan's kept
-    index, and runs the third generator as the chain would."""
+def test_a_scan_a_join_and_a_third_generator_agree_with_the_interpreter():
+    """A scan, a join on the scan's names and a third generator joined on
+    the scan's: the one plan runs them in the order written, with the
+    interpreter's answer, when the join's source is the smaller."""
     comp = Comp(TupleOf(Var("h"), Var("q")),
                 (Gen(("h", "half"), Data("halves")), Gen("i", Data("items")),
                  Gen(("p", "q"), Data("pairs"))),
                 (BinOp("==", Var("half"), Field(Var("i"), "k")),
                  BinOp("==", Var("p"), Var("h"))))
-    compiled, views = compile_queries(CHAIN_PROGRAM), {}
-    chain = compiled.handler_expr(
-        comp, lambda c: compile_comp(c, CHAIN_PROGRAM))
     state = chain_state(nums=range(8), pairs={(h, h * 10) for h in range(8)})
     state.tables["items"] = {(k,): Row(k=k, v=0, tags=frozenset())
                              for k in (1, 3)}
-    snap = state.snapshot()
-    graph = GraphContext(CHAIN_PROGRAM, snap, compiled, views=views)
-    assert graph.eval_comp(comp, {}) == \
-        InterpContext(CHAIN_PROGRAM, snap).eval_comp(comp, {}) == \
+    graph, interp = both_backends(CHAIN_PROGRAM, state)
+    assert graph.eval_comp(comp, {}) == interp.eval_comp(comp, {}) == \
         {(2, 20), (3, 30), (6, 60), (7, 70)}
-    assert chain.scan_index in views
+    assert [s.kind for s in compile_comp(comp, CHAIN_PROGRAM).steps] == [
+        "expand", "hashjoin", "hashjoin", "project"]
 
 
 @pytest.mark.parametrize("gens, own", [
@@ -1827,8 +1843,8 @@ def test_a_handler_expression_evaluates_alike_on_both_backends():
     an `and` or `or` whose right side would raise and is not reached. A
     comprehension evaluated
     there, or directly under such an expression, compiles to the chain
-    `compile_comp` gives it on its own, scan index included, and the graph
-    backend's `eval` and `eval_comp` share it."""
+    `compile_comp` gives it on its own, and the graph backend's `eval` and
+    `eval_comp` share it."""
     state = chain_state(nums={0, 1, 2, 3}, pairs={(1, 2), (3, 4)})
     state.tables["items"] = {(k,): Row(k=k, v=k * 10, tags=frozenset({k}))
                              for k in (1, 3)}
@@ -1890,8 +1906,6 @@ def test_a_handler_expression_evaluates_alike_on_both_backends():
         chain = chain or graph.compiled.handler_expr(comp, None)
         alone = compile_comp(comp, CHAIN_PROGRAM)
         assert [s.kind for s in chain.steps] == [s.kind for s in alone.steps]
-        assert (chain.scan_index is None) == (alone.scan_index is None)
-        assert chain.scan_index or comp is not scan_join
     assert graph.eval_comp(scan_join, {}) == graph.eval(scan_join, {}) \
         == interp.eval(scan_join, {})
 
