@@ -10,12 +10,12 @@ true.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .ir import (
-    Assign, BinOp, Data, Delete, Fold, ForEach, In, Len, Lookup,
-    MergeMutation, Not, Program, Return, Send, UdfCall, flat_statements,
-    kept, prepared, statement_exprs, walk_expr, _children,
+    Assign, BinOp, Comp, Data, Delete, Fold, ForEach, In, Index, Len, Lookup,
+    MergeMutation, Not, Program, Return, Send, Slice, UdfCall,
+    flat_statements, kept, prepared, statement_exprs, walk_expr, _children,
 )
 
 MONOTONE_FOLDS = ("count", "set")
@@ -119,9 +119,7 @@ def classify_statement(s, p: Program, where: str = "stmt") -> MonoClass:
     when = getattr(s, "when", None)
     base = MonoClass.mono()
     if when is not None:
-        cls = classify_expression(when, p, where)
-        if not cls.monotone and not (isinstance(when, BinOp) and _is_threshold(when, p)):
-            base = base & cls
+        base = classify_expression(when, p, where)
     if isinstance(s, MergeMutation):
         out = base & classify_expression(s.expr, p, where)
         if s.target.key is not None:
@@ -148,9 +146,7 @@ def classify_statement(s, p: Program, where: str = "stmt") -> MonoClass:
 def classify_handler(h, p: Program) -> MonoClass:
     out = MonoClass.mono()
     if h.guard is not None:
-        cls = classify_expression(h.guard, p, f"handler {h.name} guard")
-        if not (isinstance(h.guard, BinOp) and _is_threshold(h.guard, p)):
-            out = out & cls
+        out = classify_expression(h.guard, p, f"handler {h.name} guard")
     for i, s in enumerate(prepared(h).stmts):
         out = out & classify_statement(s, p, f"handler {h.name} stmt {i}")
     return out
@@ -218,28 +214,21 @@ def _handler_writes(h, p: Program) -> set:
 
 
 def _handler_reads(h, p: Program) -> set:
-    out, prep = set(), prepared(h)
+    """The names `h` reads, and through each query it reads, the names its
+    rules read (`QueryGraph.reads`)."""
+    prep = prepared(h)
     exprs = [e for e in (prep.guard, *prep.invariants) if e is not None]
     for s in flat_statements(prep.stmts):
         exprs.extend(statement_exprs(s))
-    qmap = p.query_map
-    seen_queries = set()
-
-    def note(name):
-        if name in qmap and name not in seen_queries:
-            seen_queries.add(name)
-            for qd in qmap[name]:
-                for body in qd.bodies:
-                    exprs.append(body)
-        out.add(name)
-
-    while exprs:
-        e = exprs.pop()
-        for sub in walk_expr(e):
-            if isinstance(sub, Data):
-                note(sub.name)
-            elif isinstance(sub, Lookup):
-                note(sub.data)
+    todo = [sub.name if isinstance(sub, Data) else sub.data
+            for e in exprs for sub in walk_expr(e)
+            if isinstance(sub, (Data, Lookup))]
+    rules, out = query_graph(p).reads, set()
+    while todo:
+        name = todo.pop()
+        if name not in out:
+            out.add(name)
+            todo.extend(r.name for reads in rules.get(name, ()) for r in reads)
     return out
 
 
@@ -298,36 +287,51 @@ class StratumAssignment:
         return any(qname in g for g in self.recursive_groups)
 
 
-def _query_edges(p: Program):
-    """(q, dep, label) for each query-to-query reference."""
-    qnames = set(p.query_map)
-    edges = []
+class Read(NamedTuple):
+    """One reference of a query rule to a named collection."""
+    name: str
+    label: str    # "neg" under a negation, else "agg" under a fold or a
+                  # length, else "pos"
+    whole: bool   # read as one value rather than element by element
+    scan: bool    # the source of one of the rule's own generators
 
-    def walk(e, neg: bool, agg: bool, q: str):
-        if isinstance(e, (Data, Lookup)):
-            name = e.name if isinstance(e, Data) else e.data
-            if name in qnames:
-                label = "neg" if neg else ("agg" if agg else "pos")
-                edges.append((q, name, label))
-        if isinstance(e, Not):
-            walk(e.expr, True, agg, q)
-            return
-        if isinstance(e, In):
-            walk(e.item, neg, agg, q)
-            walk(e.coll, e.negated or neg, agg, q)
-            return
-        if isinstance(e, (Fold, Len)):
-            for c in _children(e):
-                walk(c, neg, True, q)
-            return
-        for c in _children(e):
-            walk(c, neg, agg, q)
 
-    for qname, defs in p.query_map.items():
-        for qd in defs:
-            for body in qd.bodies:
-                walk(body, False, False, qname)
-    return edges
+def rule_reads(body: Comp) -> tuple:
+    """A `Read` for each reference of the rule `body` to a named collection,
+    in `_children` order. The collection of an `In` and a keyed `Lookup`
+    are read element by element, like a generator's source; a name read
+    anywhere else, and anything under a fold, a length, an index, a
+    negation or an output, is one value."""
+    out = []
+
+    def walk(e, label: str, whole: bool, each: bool = False,
+             scan: bool = False):
+        if isinstance(e, Data):
+            out.append(Read(e.name, label, whole or not each, scan))
+        elif isinstance(e, Lookup):
+            out.append(Read(e.data, label, whole, False))
+            walk(e.key, label, whole)
+        elif isinstance(e, Comp):
+            for g in e.gens:
+                walk(g.source, label, whole, True, e is body)
+            for f in e.filters:
+                walk(f, label, whole)
+            walk(e.output, label, True)
+        elif isinstance(e, Not):
+            walk(e.expr, "neg", True)
+        elif isinstance(e, In):
+            walk(e.item, label, whole)
+            walk(e.coll, "neg" if e.negated else label, whole or e.negated,
+                 True)
+        else:
+            if isinstance(e, (Fold, Len)) and label == "pos":
+                label = "agg"
+            whole = whole or isinstance(e, (Fold, Len, Index, Slice))
+            for child in _children(e):
+                walk(child, label, whole)
+
+    walk(body, "pos", False)
+    return tuple(out)
 
 
 def _sccs(nodes, edges):
@@ -372,12 +376,16 @@ def _sccs(nodes, edges):
 
 @dataclass(frozen=True)
 class QueryGraph:
-    """The query dependency graph that stratification and both backends read.
+    """The query dependency graph that stratification, both backends and
+    the metaconsistency check read.
 
-    `bad_edge` is the first edge labelled ``neg`` or ``agg`` between two
-    members of a recursive SCC, taking the SCCs in Tarjan order; a program
-    with one can be neither stratified nor evaluated by fixpoint."""
+    `reads` maps each query to its rules' `rule_reads`, one tuple per rule
+    body in declaration order; each read of a query is an edge. `bad_edge`
+    is the first edge labelled ``neg`` or ``agg`` between two members of a
+    recursive SCC, taking the SCCs in Tarjan order; a program with one can
+    be neither stratified nor evaluated by fixpoint."""
 
+    reads: dict                   # query -> (rule_reads of each rule body)
     edges: tuple                  # (query, dependency, label)
     sccs: tuple                   # frozensets in Tarjan order
     comp_of: dict                 # query -> its SCC
@@ -392,7 +400,10 @@ def query_graph(p: Program) -> QueryGraph:
 
 
 def _build_query_graph(p: Program) -> QueryGraph:
-    edges = tuple(_query_edges(p))
+    reads = {q: tuple(rule_reads(body) for qd in defs for body in qd.bodies)
+             for q, defs in p.query_map.items()}
+    edges = tuple((q, r.name, r.label) for q, rules in reads.items()
+                  for rule in rules for r in rule if r.name in reads)
     comps = _sccs(sorted(p.query_map), edges)
     comp_of = {q: comp for comp in comps for q in comp}
     recursive = set()
@@ -403,41 +414,28 @@ def _build_query_graph(p: Program) -> QueryGraph:
             recursive.add(comp)
             if bad_edge is None:
                 bad_edge = next((e for e in inner if e[2] != "pos"), None)
-    return QueryGraph(edges, tuple(comps), comp_of, frozenset(recursive),
-                      bad_edge)
+    return QueryGraph(reads, edges, tuple(comps), comp_of,
+                      frozenset(recursive), bad_edge)
 
 
 def stratify(p: Program) -> StratumAssignment:
-    """Assign strata; negation/aggregation may never occur inside a cycle."""
-    qnames = sorted(p.query_map)
+    """Assign strata; negation/aggregation may never occur inside a cycle.
+
+    One pass over the SCCs: Tarjan emits a component only after every
+    component it depends on, so a component's stratum is the largest
+    ``strata[dep] + 1`` over its ``neg`` and ``agg`` edges out of it and
+    ``strata[dep]`` over its ``pos`` ones, or 0 with none."""
     graph = query_graph(p)
-    edges, comp_of = graph.edges, graph.comp_of
     if graph.bad_edge is not None:
         a, _, label = graph.bad_edge
-        raise Unstratifiable(comp_of[a], label)
-
-    # condensation longest path: +1 across neg/agg edges
-    strata = {q: 0 for q in qnames}
-    changed = True
-    rounds = 0
-    while changed:
-        changed = False
-        rounds += 1
-        if rounds > len(qnames) + len(edges) + 2:
-            raise Unstratifiable(qnames, "stratum-cycle")
-        for a, b, label in edges:
-            if comp_of[a] == comp_of[b]:
-                continue
-            need = strata[b] + (1 if label != "pos" else 0)
-            if strata[a] < need:
-                strata[a] = need
-                for q in comp_of[a]:
-                    if strata[q] < need:
-                        strata[q] = need
-                changed = True
-
+        raise Unstratifiable(graph.comp_of[a], label)
+    strata = {}
+    for comp in graph.sccs:
+        level = max((strata[b] + (label != "pos")
+                     for a, b, label in graph.edges
+                     if a in comp and b not in comp), default=0)
+        strata.update(dict.fromkeys(comp, level))
     return StratumAssignment(
         tuple(sorted(strata.items())),
         tuple(sorted(graph.recursive, key=lambda c: sorted(c))),
     )
-

@@ -61,14 +61,17 @@ from .analysis import classify_expression, query_graph
 from .eval import EvalContext, MISSING, fold_value, iter_source, unpack
 from .ir import (
     ARITH, MAX_GENERATORS, BinOp, Comp, Data, Expr, Field, Fold, Gen, In,
-    Index, Len, Lit, Lookup, MakeRow, Not, Record, RangeOf, Slice, TupleOf,
-    Var, _children, kept, walk_expr,
+    Index, Len, Lit, Lookup, MakeRow, Not, Record, RangeOf, TupleOf, Var,
+    _children, kept, walk_expr,
 )
 from .state import FixpointDivergence, Row, default_row
 
 
 class NonMonotoneRecursion(Exception):
-    """A non-monotone operator would run inside a recursive group."""
+    """A recursive group that semi-naive iteration cannot evaluate: a rule
+    of it runs a non-monotone operator, or reads a member of the group
+    other than as the source of one of its own generators, which a delta
+    pass never feeds."""
 
 
 def _free_vars(e: Expr) -> set:
@@ -745,46 +748,6 @@ class CompiledQueries:
         return entry[1]
 
 
-def _rule_reads(comp: Comp):
-    """(sources, side) for one rule: the names its generators scan, and each
-    name it reads anywhere else mapped to whether some read takes the
-    collection as one value. The collection of an `In` and a keyed `Lookup`
-    are read element by element, like a generator's source; anything under
-    a fold, a length, an index, a negation or an output is one value."""
-    side = {}
-
-    def walk(e, whole: bool, each: bool = False):
-        if isinstance(e, Data):
-            side[e.name] = side.get(e.name, False) or whole or not each
-        elif isinstance(e, Lookup):
-            side[e.data] = side.get(e.data, False) or whole
-            walk(e.key, whole)
-        elif isinstance(e, Comp):
-            for g in e.gens:
-                walk(g.source, whole, True)
-            for f in e.filters:
-                walk(f, whole)
-            walk(e.output, True)
-        elif isinstance(e, In):
-            walk(e.item, whole)
-            walk(e.coll, whole or e.negated, True)
-        else:
-            whole = whole or isinstance(e, (Fold, Len, Index, Slice, Not))
-            for child in _children(e):
-                walk(child, whole)
-
-    sources = set()
-    for g in comp.gens:
-        if isinstance(g.source, Data):
-            sources.add(g.source.name)
-        else:
-            walk(g.source, False)
-    for f in comp.filters:
-        walk(f, False)
-    walk(comp.output, True)
-    return sources, side
-
-
 def compile_queries(program) -> CompiledQueries:
     """The program's compiled queries, built once per program object and
     kept on it (see `ir.kept`), so every node, context and lowering plan of
@@ -809,7 +772,7 @@ def _compile_queries(program) -> CompiledQueries:
                 raise NonMonotoneRecursion(
                     f"{bad[2]} reference to {bad[1]} inside recursive group {sorted(comp)}")
             inputs, value_reads = set(), set()
-            for q in comp:
+            for q in sorted(comp):
                 for qd in program.query_map[q]:
                     for body in qd.bodies:
                         cls = classify_expression(body, program, f"query {q}")
@@ -817,11 +780,16 @@ def _compile_queries(program) -> CompiledQueries:
                             raise NonMonotoneRecursion(
                                 f"non-monotone rule body in recursive query {q}: "
                                 f"{cls.reasons}")
-                for chain in plans[q].chains:
-                    sources, side = _rule_reads(chain.comp)
-                    chain.side_reads = frozenset(side)
-                    inputs |= sources | side.keys()
-                    value_reads |= {n for n, whole in side.items() if whole}
+                for chain, reads in zip(plans[q].chains, graph.reads[q]):
+                    for r in reads:
+                        if r.name in comp and not r.scan:
+                            raise NonMonotoneRecursion(
+                                f"recursive query {q} reads {r.name}, a member "
+                                f"of its group, other than by its own generator")
+                    chain.side_reads = frozenset(r.name for r in reads
+                                                 if not r.scan)
+                    inputs.update(r.name for r in reads)
+                    value_reads.update(r.name for r in reads if r.whole)
             group = FixpointGroup(comp, plans, frozenset(inputs - comp),
                                   frozenset(value_reads - comp))
             out.groups.append(group)
@@ -913,14 +881,16 @@ def apply_fixpoint(group: FixpointGroup, ctx: GraphContext):
     value (under a fold, say) has changed: the old totals plus the new base
     facts get one delta pass per generator over a grown input (a full pass
     for a rule that reads a grown input anywhere else), then the
-    semi-naive loop runs from the facts that are new. The passes read the
+    semi-naive loop runs from the facts that are new. Which input a rule
+    reads how comes from its `analysis.rule_reads` in the query graph
+    (`Chain.side_reads`, `FixpointGroup.value_reads`). The passes read the
     stored totals as they are, so a join of them keeps its index across
     calls (see `_kept_index`). After any other change (a deletion, an
     assignment, a replaced table row, a changed scalar, a rejected fork's
-    state) it recomputes from the base facts. Resuming is
-    sound because compile_queries admits only monotone rules into a
-    recursive group. Either way the inputs, base facts and result are
-    stored for the next call.
+    state) it recomputes from the base facts. Resuming is sound because
+    compile_queries admits into a recursive group only monotone rules that
+    read the group's members through their own generators. Either way the
+    inputs, base facts and result are stored for the next call.
 
     Returns (totals, rounds), where `rounds` counts the rounds of this call.
     It raises FixpointDivergence exactly when a from-scratch evaluation of

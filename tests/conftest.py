@@ -48,24 +48,37 @@ def closure_program() -> Program:
         handlers=(add_edge,))
 
 
-def unlowerable_program(negated: str) -> Program:
-    """A program whose recursive query `r` keeps the elements of `acc`, and
-    of `r` itself those not in collection `negated`; it validates but does
-    not lower. Negating `r` is a negative edge inside a recursive group,
-    which stratification refuses; negating the base var `blocked` is no
-    edge between queries, and only the classification of the recursive
-    rule's body refuses it (see `runtime.compile_queries`)."""
-    r = QueryDef("r", (), (
-        Comp(Var("x"), (Gen("x", Data("acc")),)),
-        Comp(Var("x"), (Gen("x", Data("r")),),
-             (Not(In(Var("x"), Data(negated))),))), recursive=True)
+def unlowerable_program(case: str) -> Program:
+    """A program whose recursive query `r` validates but does not lower,
+    one for each `case` (see `runtime.compile_queries`):
+    - ``negated-self``: `r` keeps the elements of `acc`, and of `r` itself
+      those not in `r`. That is a negative edge inside a recursive group,
+      which stratification refuses;
+    - ``negated-base-var``: the same, with those not in the base var
+      `blocked`. That is no edge between queries, and only the
+      classification of the recursive rule's body refuses it;
+    - ``member-read``: `r` keeps the elements of `acc` below 2, and each
+      `x` of `acc` with `x - 1` in `r`. The rule reads `r` by membership,
+      not by a generator of its own, which a delta pass never feeds.
+    Handler `put` merges into `acc`, and `get` returns `r`."""
+    x, acc = Var("x"), Data("acc")
+    if case == "member-read":
+        rules = (Comp(x, (Gen("x", acc),), (BinOp("<", x, Lit(2)),)),
+                 Comp(x, (Gen("x", acc),),
+                      (In(BinOp("-", x, Lit(1)), Data("r")),)))
+    else:
+        negated = {"negated-self": "r", "negated-base-var": "blocked"}[case]
+        rules = (Comp(x, (Gen("x", acc),)),
+                 Comp(x, (Gen("x", Data("r")),),
+                      (Not(In(x, Data(negated))),)))
     return Program(
         "unlowerable",
         data=(DataDecl("acc", "var", shape="set"),
               DataDecl("blocked", "var", shape="set")),
-        queries=(r,),
+        queries=(QueryDef("r", (), rules, recursive=True),),
         handlers=(Handler("put", {"x": "int"},
-                          (MergeMutation(TargetPath("acc"), Var("x")),)),))
+                          (MergeMutation(TargetPath("acc"), x),)),
+                  Handler("get", {}, (Return(Data("r")),))))
 
 
 def capped_set_program(level: str) -> Program:

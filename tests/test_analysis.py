@@ -7,14 +7,15 @@ import pytest
 
 from latticeflow import analysis, ir
 from latticeflow.analysis import (
-    MetaconsistencyConflict, Unstratifiable, calm_report, classify_handler,
-    metaconsistency_conflicts, stratify,
+    MetaconsistencyConflict, Read, Unstratifiable, calm_report,
+    classify_handler, metaconsistency_conflicts, rule_reads, stratify,
 )
 from latticeflow.facets import facet_warnings
 from latticeflow.ir import (
     Assign, BinOp, ClassDecl, Comp, ConsistencySpec, Data, DataDecl, Delete,
-    Field, Fold, Gen, Handler, In, Len, Lit, Lookup, MergeMutation, Not,
-    Program, QueryDef, Return, TargetPath, UdfCall, UdfDecl, Var, validate,
+    Field, Fold, Gen, Handler, In, Index, Len, Lit, Lookup, MergeMutation,
+    Not, Program, QueryDef, Return, Slice, TargetPath, TupleOf, UdfCall,
+    UdfDecl, Var, validate,
 )
 from latticeflow.lowering import lower
 from latticeflow.patterns import covid_program, get_pattern, sample_machines
@@ -106,6 +107,36 @@ def test_threshold_with_stateful_bound_is_not_monotone():
                                      when=BinOp(">=", Len(Data("acc")),
                                                 Data("n"))),))])
     assert not cls_of(p).monotone
+
+
+SCALAR_TEST = BinOp("==", Data("n"), Lit(0))
+THRESHOLD = BinOp(">=", Len(Data("acc")), Lit(3))
+
+
+@pytest.mark.parametrize("when, guard, reasons", [
+    (SCALAR_TEST, None, (("handler h stmt 0", "state-comparison"),
+                         ("handler h stmt 0", "scalar-var-read"))),
+    (THRESHOLD, None, ()),
+    (None, SCALAR_TEST, (("handler h guard", "state-comparison"),
+                         ("handler h guard", "scalar-var-read"))),
+    (None, THRESHOLD, ()),
+], ids=["scalar-when", "threshold-when", "scalar-guard", "threshold-guard"])
+def test_a_condition_is_classified_like_any_expression(when, guard, reasons):
+    """A merge gated on a comparison with a scalar var is not monotone, for
+    the reasons `classify_expression` gives its `when`; a threshold, which
+    it calls monotone, leaves the merge monotone. A handler's guard is
+    classified the same way. The merge is keyed, so it runs once per
+    message and keeps its `when` (a keyless one's becomes a filter of the
+    comprehension it desugars to)."""
+    item = ClassDecl("Item", {"k": "int", "tags": "set"}, key="k")
+    p = prog([Handler("h", {"k": "int"},
+                      (MergeMutation(TargetPath("items", Var("k"), "tags"),
+                                     Var("k"), when=when),), guard=guard)],
+             data=[DataDecl("items", "table", cls="Item")])
+    p = replace(p, classes=(item,))
+    assert validate(p).ok
+    assert cls_of(p).reasons == reasons
+    assert cls_of(p).monotone is (reasons == ())
 
 
 def test_message_only_comparison_is_monotone():
@@ -202,6 +233,75 @@ def test_recursive_group_detected():
     sa = stratify(p)
     assert any("reachable" in g for g in sa.recursive_groups)
     assert not sa.is_recursive("contact_edges")
+
+
+X = Var("x")
+READ_CASES = {
+    "generator": ((), X, ()),
+    "nested-generator": (
+        (In(X, Comp(Var("y"), (Gen("y", Data("c")),))),), X,
+        (Read("c", "pos", False, False),)),
+    "in-collection": ((In(X, Data("c")),), X,
+                      (Read("c", "pos", False, False),)),
+    "negated-in": ((In(X, Data("c"), negated=True),), X,
+                   (Read("c", "neg", True, False),)),
+    "not": ((Not(In(X, Data("c"))),), X, (Read("c", "neg", True, False),)),
+    "fold": ((BinOp(">=", Fold("count", Data("c")), Lit(1)),), X,
+             (Read("c", "agg", True, False),)),
+    "len": ((BinOp(">=", Len(Data("c")), Lit(1)),), X,
+            (Read("c", "agg", True, False),)),
+    "negated-fold": ((Not(BinOp(">=", Fold("count", Data("c")), Lit(1))),), X,
+                     (Read("c", "neg", True, False),)),
+    "fold-of-a-negation": (
+        (BinOp(">=", Fold("count", Comp(
+            Var("y"), (Gen("y", Data("c")),), (Not(In(Var("y"), Data("d"))),))),
+            Lit(1)),), X,
+        (Read("c", "agg", True, False), Read("d", "neg", True, False))),
+    "index-and-slice": (
+        (BinOp("==", Index(Data("c"), Lit(0)), X),
+         In(X, Slice(Data("d"), Lit(0), Lit(2)))), X,
+        (Read("c", "pos", True, False), Read("d", "pos", True, False))),
+    "lookup": ((BinOp("==", Field(Lookup("t", X), "v"), Data("c")),), X,
+               (Read("t", "pos", False, False), Read("c", "pos", True, False))),
+    "output": ((), TupleOf(X, Data("c")), (Read("c", "pos", True, False),)),
+    "bare-data-in-a-filter": ((BinOp("==", Data("c"), Lit(1)),), X,
+                              (Read("c", "pos", True, False),)),
+}
+
+
+@pytest.mark.parametrize("filters, output, reads", READ_CASES.values(),
+                         ids=READ_CASES.keys())
+def test_rule_reads_records_each_reference_once(filters, output, reads):
+    """Each reference of a rule to a named collection is one record, in
+    `_children` order after the generator's own `g`: its edge label (a
+    negation wins over a fold), whether it reads the collection as one
+    value, and whether a generator of the rule ranges over it."""
+    body = Comp(output, (Gen("x", Data("g")),), filters)
+    assert rule_reads(body) == (Read("g", "pos", False, True),) + reads
+
+
+def test_strata_follow_the_longest_path_through_a_recursive_component():
+    """`base` <-neg- `n1` <-neg- `n2`; the recursive component {m1, m2}
+    reads `n1` positively and counts `n2`, so it sits one above `n2`; `top`
+    reads `m1` positively and negates `base`, and `last` counts `m2`."""
+    def q(name, source, *filters, recursive=False):
+        return QueryDef(name, (), (Comp(X, (Gen("x", Data(source)),),
+                                        filters),), recursive=recursive)
+    count = BinOp(">=", Fold("count", Data("n2")), Lit(1))
+    m1 = QueryDef("m1", (), (Comp(X, (Gen("x", Data("n1")),)),
+                             Comp(X, (Gen("x", Data("m2")),))),
+                  recursive=True)
+    p = prog(queries=[
+        q("base", "acc"),
+        q("n1", "acc", Not(In(X, Data("base")))),
+        q("n2", "acc", In(X, Data("n1"), negated=True)),
+        m1, q("m2", "m1", count, recursive=True),
+        q("top", "m1", Not(In(X, Data("base")))),
+        q("last", "acc", BinOp(">=", Len(Data("m2")), Lit(1)))])
+    sa = stratify(p)
+    assert sa.strata == {"base": 0, "n1": 1, "n2": 2, "m1": 3, "m2": 3,
+                         "top": 3, "last": 4}
+    assert sa.recursive_groups == (frozenset({"m1", "m2"}),)
 
 
 # --- metaconsistency ---------------------------------------------------------

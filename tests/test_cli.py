@@ -247,20 +247,27 @@ def test_a_udf_result_that_is_not_hashable_is_refused_with_its_node(
         r"\(unhashable type: 'list'\)\n", err), err
 
 
-@pytest.mark.parametrize("negated, kind", [
-    ("r", "Unstratifiable"), ("blocked", "NonMonotoneRecursion"),
-], ids=["negated-self", "negated-base-var"])
+@pytest.mark.parametrize("case, kind", [
+    ("negated-self", "Unstratifiable"),
+    ("negated-base-var", "NonMonotoneRecursion"),
+    ("member-read", "NonMonotoneRecursion"),
+], ids=["negated-self", "negated-base-var", "member-read"])
 def test_a_program_that_validates_but_does_not_lower_is_an_input_error(
-        tmp_path, capsys, negated, kind):
-    """`simulate` reports such a program in one `error:` line and exits 2,
-    and `analyze` in one `lowering failed:` line, neither with a
-    traceback."""
-    program = json.loads(program_to_json(unlowerable_program(negated)))
+        tmp_path, capsys, case, kind):
+    """`simulate` reports such a program in one `error:` line and exits 2
+    on either backend, and `analyze` in one `lowering failed:` line,
+    neither with a traceback."""
+    program = json.loads(program_to_json(unlowerable_program(case)))
     path = write_scenario(tmp_path, program=program, workload=[
-        {"tick": 0, "client": "c1", "handler": "put", "fields": {"x": 1}}])
-    assert main(["simulate", path]) == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert re.fullmatch(rf"error: lowering failed: {kind}: [^\n]+\n", err), err
+        {"tick": 0, "client": "c1", "handler": "put", "fields": {"x": x}}
+        for x in (1, 2, 3, 5)] + [
+        {"tick": 4, "client": "c1", "handler": "get", "fields": {}}])
+    for backend in ("graph", "interp"):
+        assert main(["simulate", path, "--backend", backend]) \
+            == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: lowering failed: {kind}: [^\n]+\n",
+                            err), err
     program_path = tmp_path / "program.json"
     program_path.write_text(json.dumps(program))
     assert main(["analyze", str(program_path)]) == EXIT_VALIDATION

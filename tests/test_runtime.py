@@ -6,6 +6,7 @@ import copy
 import itertools
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -358,11 +359,37 @@ def test_a_recursive_rule_that_negates_a_base_var_is_refused_by_its_body():
     body refuses it. The refusal keeps a resumed fixpoint sound: a grown
     `blocked` would remove facts, which a resume never does (see
     `runtime.apply_fixpoint`)."""
-    program = unlowerable_program("blocked")
+    program = unlowerable_program("negated-base-var")
     assert query_graph(program).bad_edge is None
     with pytest.raises(NonMonotoneRecursion, match="non-monotone rule body "
                        "in recursive query r"):
         compile_queries(program)
+
+
+@pytest.mark.parametrize("read", [
+    In(BinOp("-", Var("x"), Lit(1)), Data("r")),
+    In(BinOp("-", Var("x"), Lit(1)), Comp(Var("y"), (Gen("y", Data("r")),))),
+], ids=["membership", "nested-generator"])
+def test_a_recursive_rule_that_reads_a_member_not_by_a_generator_is_refused(
+        read):
+    """A semi-naive pass feeds a delta only to a generator of the rule
+    itself, so a rule that reads a member of its recursive group any other
+    way would never see the member grow; the graph backend cannot evaluate
+    it, and compile_queries refuses it, naming the query and the member.
+    The interpreter, which reruns every rule each round, answers it."""
+    program = unlowerable_program("member-read")
+    r = program.query_map["r"][0]
+    program = replace(program, queries=(replace(r, bodies=(
+        r.bodies[0], replace(r.bodies[1], filters=(read,)))),))
+    assert validate(program).ok and query_graph(program).bad_edge is None
+    with pytest.raises(NonMonotoneRecursion, match="recursive query r reads "
+                       "r, a member of its group, other than by its own "
+                       "generator"):
+        compile_queries(program)
+    state = NodeState(program)
+    state.vars["acc"] = lattice.SetUnion(frozenset({1, 2, 3, 5}))
+    assert InterpContext(program, state.snapshot()).query_value("r") \
+        == frozenset({1, 2, 3})
 
 
 def test_fixpoint_round_cap(monkeypatch):
@@ -1292,7 +1319,7 @@ def test_a_rule_that_reads_a_table_by_element_resumes_as_it_grows(
     """`reach` follows edges into the nodes that `nodes` admits. A rule
     that reads `nodes` element by element resumes the kept view as `nodes`
     grows, and one that reads it under a fold recomputes from the base
-    facts (see `runtime._rule_reads`); the graph backend answers like the
+    facts (see `analysis.rule_reads`); the graph backend answers like the
     interpreter after each tick."""
     e = Var("e")
     reach = QueryDef("reach", (), (
