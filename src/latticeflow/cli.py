@@ -3,7 +3,7 @@
 Subcommands:
   analyze        validate a program and print its coordination report
   simulate       run a scenario file on the deterministic cluster simulator
-  plan           compute an optimal deployment plan
+  plan           validate a program and compute an optimal deployment plan
   list-patterns  show the bundled example programs
 
 Exit codes: 0 success, 2 validation or input error, 3 the simulation did
@@ -38,10 +38,19 @@ def _load_program(ref):
     return load_program(ref)
 
 
+def _invalid(program) -> bool:
+    """Whether `program` fails validation; prints one `invalid:` line to
+    standard error per fault."""
+    from .ir import validate
+    report = validate(program)
+    for e in report:
+        print(f"invalid: {e.code}: {e.message}", file=sys.stderr)
+    return not report.ok
+
+
 def cmd_analyze(args) -> int:
     from .analysis import calm_report, metaconsistency_conflicts
     from .facets import facet_warnings
-    from .ir import validate
     from .lowering import LoweringError, lower
     from .scenario import ScenarioError
 
@@ -51,10 +60,7 @@ def cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    report = validate(program)
-    if not report.ok:
-        for e in report:
-            print(f"invalid: {e.code}: {e.message}", file=sys.stderr)
+    if _invalid(program):
         return EXIT_VALIDATION
 
     calm = calm_report(program)
@@ -76,7 +82,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .ir import validate
     from .scenario import ScenarioError, load_scenario, run_scenario
     from .sim import NODE_FAILURES, NoQuiescence
     from .state import encode_value
@@ -89,10 +94,7 @@ def cmd_simulate(args) -> int:
     except (ScenarioError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    report = validate(sc.program)
-    if not report.ok:
-        for e in report:
-            print(f"invalid: {e.code}: {e.message}", file=sys.stderr)
+    if _invalid(sc.program):
         return EXIT_VALIDATION
 
     base_seed = args.seed if args.seed is not None else sc.seed
@@ -177,6 +179,8 @@ def cmd_plan(args) -> int:
         machines = _load_machines(args.machines)
     except (ScenarioError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    if _invalid(program):
         return EXIT_VALIDATION
 
     try:

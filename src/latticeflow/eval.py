@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from . import lattice
 from .ir import (
     ARITH, BinOp, Comp, Data, Field, Fold, In, Index, Len, Lit, Lookup,
     MakeRow, Not, Record, RangeOf, Slice, TupleOf, Var,
@@ -68,8 +67,9 @@ class EvalContext:
         return self.snapshot.tables[name].get(storage_key(cls, key), MISSING)
 
     def var(self, name: str):
-        """A var's plain value: a set var's elements, a scalar's value."""
-        return lattice.unwrap(self.snapshot.vars[name])
+        """A var's value, as the state holds it: a set var's frozenset, a
+        scalar's value."""
+        return self.snapshot.vars[name]
 
     def base_facts(self, name: str) -> frozenset:
         """Same-name data variable contents, implicitly included in a query."""

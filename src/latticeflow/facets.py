@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 
 from .analysis import calm_report
-from .ir import Program
-from .sim import DOMAIN_LEVELS, NodeSpec
+from .ir import DOMAIN_LEVELS, Program
+from .sim import NodeSpec
 
 
 class InsufficientDomains(Exception):

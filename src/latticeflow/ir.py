@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional, Tuple, Union
 
-from .lattice import FIELD_SHAPES
+from .lattice import FIELD_SHAPES, IntOverflow, ShapeMismatch, bottom, lift
 
 MESSAGE_ID = "_message_id"
 REPLY_TO = "_reply_to"
@@ -429,9 +429,14 @@ class UdfDecl:
         return hash((self.name, self.arity, self.monotone))
 
 
+# failure-domain levels, outermost first: a node's domain is a path with
+# one name per level
+DOMAIN_LEVELS = ("dc", "az", "rack", "vm")
+
+
 @dataclass(frozen=True)
 class AvailSpec:
-    domain: str = "az"  # az | dc | rack | vm
+    domain: str = "az"  # one of DOMAIN_LEVELS
     failures: int = 2
 
 
@@ -670,6 +675,18 @@ def _validate(p: Program) -> ValidationReport:
                 add("UnknownClass", f"table {d.name}: class {d.cls!r} undeclared")
         elif d.kind != "var":
             add("BadDataKind", f"{d.name}: kind {d.kind!r}")
+        elif d.shape is not None:
+            # each would fail as a node's state is built, on no tick
+            try:
+                bottom(d.shape)
+                if d.init is not None:
+                    lift(d.init, d.shape)
+            except ValueError:
+                add("BadShape", f"var {d.name}: {d.shape!r} is not a "
+                    "lattice shape")
+            except (ShapeMismatch, IntOverflow) as exc:
+                add("BadInit", f"var {d.name}: init {d.init!r} does not "
+                    f"lift into {d.shape!r}: {exc}")
 
     def resolvable(name: str) -> bool:
         return name in datam or name in queries or name in mailboxes
@@ -823,6 +840,14 @@ def _validate(p: Program) -> ValidationReport:
         body_env = set(env)  # udf binders stay visible to later statements
         for s in h.body:
             check_stmt(s, body_env, f"handler {h.name}")
+
+    for hname, spec in p.availability:
+        if spec.domain not in DOMAIN_LEVELS:
+            add("BadAvailability", f"availability of {hname}: domain "
+                f"{spec.domain!r} is not one of {', '.join(DOMAIN_LEVELS)}")
+        if type(spec.failures) is not int or spec.failures < 0:
+            add("BadAvailability", f"availability of {hname}: failures "
+                f"{spec.failures!r} is not a non-negative int")
 
     for label, mapping in (("availability", p.avail_map), ("target", p.target_map)):
         for hname in mapping:

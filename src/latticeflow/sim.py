@@ -86,8 +86,6 @@ from .lowering import lower
 from .state import Row, canonical_state
 from .transducer import NODE_FAILURES, QUEUED, Transducer
 
-DOMAIN_LEVELS = ("dc", "az", "rack", "vm")
-
 # resends of a request before its client gives up. The waits double, so
 # the give-up comes 63 first waits after the request: 5166 ticks under the
 # default network (delay_max 20), inside a scenario's default max_ticks of
@@ -105,7 +103,7 @@ class NoQuiescence(Exception):
 class NodeSpec:
     node_id: str
     role: str = "main"            # the role of the handlers it runs
-    domain: tuple = ()            # failure-domain path, dc/az/rack/vm order
+    domain: tuple = ()            # failure-domain path, in `ir.DOMAIN_LEVELS` order
 
 
 class TraceEvent(tuple):

@@ -103,21 +103,28 @@ class Row(dict):
         return Row(self, **kw)
 
 
-def _bottoms(cls: ClassDecl) -> dict:
-    return {fname: lattice.unwrap(lattice.bottom(FIELD_SHAPES[ftype]))
-            for fname, ftype in cls.fields}
+def _shapes(cls: ClassDecl) -> tuple:
+    return tuple((fname, FIELD_SHAPES[ftype],
+                  lattice.bottom(FIELD_SHAPES[ftype]))
+                 for fname, ftype in cls.fields)
 
 
 def default_row(cls: ClassDecl, fields: Mapping) -> Row:
     """A row of `cls` whose missing fields hold their shape's bottom."""
     return Row({fname: fields.get(fname, bottom)
-                for fname, bottom in kept(cls, "_bottoms", _bottoms).items()})
+                for fname, _, bottom in kept(cls, "_shapes", _shapes)})
+
+
+def lift_row(cls: ClassDecl, fields: Mapping) -> Row:
+    """A row of `cls` whose fields are lifted into their shapes, a missing
+    one at its shape's bottom: the row a merge writes."""
+    return Row({fname: lattice.lift(fields.get(fname, bottom), shape)
+                for fname, shape, bottom in kept(cls, "_shapes", _shapes)})
 
 
 def merge_rows(cls: ClassDecl, a: Row, b: Row) -> Row:
-    return Row({fname: lattice.join(FIELD_SHAPES[ftype], a.get(fname),
-                                    b.get(fname))
-                for fname, ftype in cls.fields})
+    return Row({fname: lattice.join(shape, a[fname], b[fname])
+                for fname, shape, _ in kept(cls, "_shapes", _shapes)})
 
 
 def row_key(cls: ClassDecl, row: Mapping) -> tuple:
@@ -147,22 +154,25 @@ class OutMsg:
 class Delta(NamedTuple):
     """The state effects of one commit, frozen, so a commit record (a
     tuple of decisions) can hold them and every replica commit them as
-    they are."""
+    they are. Its values are lifted, as an `Effects`' are."""
 
     table_merges: tuple   # (name, Row)
     field_merges: tuple   # (name, key, field, value)
-    var_merges: tuple     # (name, wrapped value)
+    var_merges: tuple     # (name, value)
     assigns: tuple        # (target tuple, value)
     deletes: tuple        # (name, key-or-None)
 
 
 @dataclass
 class Effects:
-    """Buffered within-tick effects, applied atomically at commit."""
+    """Buffered within-tick effects, applied atomically at commit. Each
+    value written to lattice state comes lifted into its shape (see
+    `lift_row` and `transducer.Transducer._do_merge`), so commit only
+    joins."""
 
     table_merges: list = dfield(default_factory=list)   # (name, Row)
     field_merges: list = dfield(default_factory=list)   # (name, key, field, value)
-    var_merges: list = dfield(default_factory=list)     # (name, wrapped value)
+    var_merges: list = dfield(default_factory=list)     # (name, value)
     assigns: dict = dfield(default_factory=dict)        # target tuple -> value
     deletes: list = dfield(default_factory=list)        # (name, key-or-None)
     sends: list = dfield(default_factory=list)          # OutMsg
@@ -184,7 +194,12 @@ class Effects:
 class NodeState:
     """Changed between ticks only; reads during a tick use `snapshot()`.
     Every change replaces the table dict or mailbox list it touches (see
-    the module docstring), so snapshots and forks share the rest."""
+    the module docstring), so snapshots and forks share the rest.
+
+    A var holds its plain value, as a row field does: a lattice var a
+    value of its declared shape (see `lattice`), starting at its `init`
+    lifted into the shape, or at the shape's bottom, and a scalar var its
+    `init`."""
 
     def __init__(self, program: Program):
         self.program = program
@@ -195,8 +210,8 @@ class NodeState:
             if d.kind == "table":
                 self.tables[d.name] = {}
             elif d.shape is not None:
-                init = d.init if d.init is not None else lattice.bottom(d.shape)
-                self.vars[d.name] = lattice.wrap(init, d.shape)
+                self.vars[d.name] = (lattice.bottom(d.shape) if d.init is None
+                                     else lattice.lift(d.init, d.shape))
             else:
                 self.vars[d.name] = d.init
 
@@ -247,10 +262,9 @@ class NodeState:
 
         for name, row in table_merges:
             cls = classes[datam[name].cls]
-            full = default_row(cls, row)
-            key = row_key(cls, full)
+            key = row_key(cls, row)
             table = self._own(name, owned)
-            table[key] = merge_rows(cls, table[key], full) if key in table else full
+            table[key] = merge_rows(cls, table[key], row) if key in table else row
 
         for name, key, fname, value in field_merges:
             cls = classes[datam[name].cls]
@@ -261,11 +275,12 @@ class NodeState:
                 seed = dict(zip(cls.key, key))
                 old = default_row(cls, seed)
             merged = lattice.join(FIELD_SHAPES[cls.field_map[fname]],
-                                  old.get(fname), value)
+                                  old[fname], value)
             table[key] = old.updated(**{fname: merged})
 
         for name, value in var_merges:
-            self.vars[name] = lattice.merge(self.vars[name], value)
+            self.vars[name] = lattice.join(datam[name].shape, self.vars[name],
+                                           value)
 
         for (name, key, fname), value in assigns:
             if key is None and fname is None:
@@ -318,18 +333,26 @@ class Snapshot:
 # --- canonical serialization -------------------------------------------------
 
 def encode_value(v):
-    if type(v) in lattice.VARIANT_NAMES:
-        return {"lattice": lattice.encode(v)}
+    """`v` as canonical JSON: a set, a tuple, a row and a map (a map var's
+    dict) each tagged, a set's elements and a map's keys in `scalar_key`
+    order; any other value as itself."""
     if isinstance(v, frozenset):
         return {"set": [encode_value(x) for x in sorted(v, key=scalar_key)]}
     if isinstance(v, tuple):
         return {"tuple": [encode_value(x) for x in v]}
     if isinstance(v, Row):
         return {"row": {k: encode_value(x) for k, x in v.items()}}
+    if type(v) is dict:
+        return {"map": [[encode_value(k), encode_value(x)]
+                        for k, x in sorted(v.items(),
+                                           key=lambda kv: scalar_key(kv[0]))]}
     return v
 
 
 def canonical_state(state: NodeState, include_mailboxes=True) -> dict:
+    """`state` as canonical JSON: each table's rows in key order, each
+    var's plain value (a lattice var's as any other value, see
+    `encode_value`), and each non-empty mailbox's messages sorted."""
     out = {
         "tables": {
             name: [[encode_value(k), encode_value(row)]

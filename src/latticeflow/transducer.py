@@ -82,11 +82,11 @@ from .ir import (
     Assign, Delete, ForEach, Handler, MergeMutation, Program, Send, UdfCall,
     _MSG, MESSAGE_ID, prepared,
 )
-from .lattice import IntOverflow, ShapeMismatch
+from .lattice import FIELD_SHAPES, IntOverflow, ShapeMismatch
 from .runtime import GraphContext, compile_queries
 from .state import (
     AmbiguousAssign, BindError, Effects, FixpointDivergence, HandlerError,
-    NodeState, OutMsg, Row, UdfFailure, storage_key,
+    NodeState, OutMsg, Row, UdfFailure, lift_row, storage_key,
 )
 
 QUEUED = "queued"
@@ -378,37 +378,57 @@ class Transducer:
         return storage_key(self.program.class_map[cls], value)
 
     def _do_merge(self, s: MergeMutation, env, ctx, eff: Effects):
+        """Buffer a merge with its value lifted into the shape of what it
+        writes: a field's or a var's shape (`lattice.lift`), or a table's
+        rows field by field (`state.lift_row`). So a value of the wrong
+        shape raises in the handler that merges it, and commit only joins.
+        A set merged into a var of another shape merges element by
+        element: a mailbox-quantified merge hands it the set of
+        per-message values."""
         value = ctx.eval(s.expr, env)
         if value is MISSING:
             return
-        d = self.program.data_map[s.target.data]
+        name = s.target.data
+        d = self.program.data_map[name]
         if d.kind == "table":
+            cls = self.program.class_map[d.cls]
             if s.target.key is not None:
                 key = self._key(s.target, env, ctx)
                 if key is MISSING:
                     return
-                eff.field_merges.append((s.target.data, key, s.target.field, value))
-            else:
-                # commit joins rows field by field, so their order cannot
-                # matter; only the bad item an error names is picked in
-                # sorted order, to keep the message deterministic
-                rows = value if isinstance(value, frozenset) else (value,)
-                if not all(isinstance(row, Row) for row in rows):
-                    bad = next(row for row in sorted(rows, key=_order_key)
-                               if not isinstance(row, Row))
+                shape = FIELD_SHAPES[cls.field_map[s.target.field]]
+                eff.field_merges.append((name, key, s.target.field,
+                                         lattice.lift(value, shape)))
+                return
+
+            def lifted(row):
+                if not isinstance(row, Row):
                     raise HandlerError(
-                        f"merge into table {s.target.data!r} needs rows, got {bad!r}")
-                eff.table_merges.extend((s.target.data, row) for row in rows)
+                        f"merge into table {name!r} needs rows, got {row!r}")
+                return lift_row(cls, row)
+
+            rows = value if isinstance(value, frozenset) else (value,)
+            try:
+                rows = [lifted(row) for row in rows]
+            except (HandlerError, ShapeMismatch, IntOverflow):
+                # commit joins rows field by field, so their order cannot
+                # matter; they are lifted again in sorted order only so
+                # that the error names the same bad row on every run
+                for row in sorted(rows, key=_order_key):
+                    lifted(row)
+                raise
+            eff.table_merges.extend((name, row) for row in rows)
         else:
             values = (sorted(value, key=_order_key)
                       if isinstance(value, frozenset) and d.shape != "set"
                       else (value,))
-            # wrapped here, so that a value of the wrong shape raises in the
-            # handler that merges it and not in the end-of-tick commit
-            eff.var_merges.extend((s.target.data, lattice.wrap(v, d.shape))
+            eff.var_merges.extend((name, lattice.lift(v, d.shape))
                                   for v in values)
 
     def _do_assign(self, s: Assign, env, ctx, eff: Effects):
+        """Buffer an assignment with its value lifted into the shape of
+        what it writes, a field's or a lattice var's, as `_do_merge` lifts
+        a merge's; a scalar var takes its value as it is."""
         value = ctx.eval(s.expr, env)
         if value is MISSING:
             return
@@ -417,10 +437,13 @@ class Transducer:
             key = self._key(s.target, env, ctx)
             if key is MISSING:
                 return
-            eff.assign((s.target.data, key, s.target.field), value)
+            cls = self.program.class_map[d.cls]
+            shape = FIELD_SHAPES[cls.field_map[s.target.field]]
+            eff.assign((s.target.data, key, s.target.field),
+                       lattice.lift(value, shape))
         else:
             if d.shape is not None:
-                value = lattice.wrap(value, d.shape)
+                value = lattice.lift(value, d.shape)
             eff.assign((s.target.data, None, None), value)
 
     def _do_send(self, s: Send, env, ctx, eff: Effects):

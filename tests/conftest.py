@@ -2,8 +2,8 @@
 but does not lower, the handler loops and query bodies that validation
 refuses, a handler with an invariant at a chosen consistency, random
 graphs, a breadth-first-search reachability oracle, a one-node cluster,
-the statuses that a cluster's clients heard, and the demo scenario's
-path."""
+the statuses that a cluster's clients heard, the demo scenario's path,
+and each lattice shape's order."""
 
 import collections
 import random
@@ -15,6 +15,7 @@ from latticeflow.ir import (
     Gen, Handler, In, Len, Lit, MakeRow, MergeMutation, Not, Program,
     QueryDef, Return, TargetPath, TupleOf, Var,
 )
+from latticeflow.lattice import scalar_key
 from latticeflow.runtime import GraphContext, compile_queries
 from latticeflow.sim import Cluster, NetworkModel, NodeSpec
 from latticeflow.state import NodeState, Row
@@ -185,3 +186,24 @@ LOOPS = {
 # the graph backend read a bare `Data` body as one fact, the set, and the
 # interpreter as the set's elements
 BARE_BODIES = {"data": Data("acc"), "tuple": TupleOf(Lit(1), Lit(2))}
+
+
+def below(shape, a, b) -> bool:
+    """Whether lattice value `a` is at or below `b` in the order of
+    `shape`, defined from what each shape means rather than by
+    `lattice.join`: a write-once value is above None, and of two that
+    differ the larger by `scalar_key` is above."""
+    if shape == "bool_or":
+        return not a or b
+    if shape == "max":
+        return a <= b
+    if shape == "min":
+        return a >= b
+    if shape == "set":
+        return a <= b
+    if shape == "write_once":
+        return a is None or a == b or (
+            b is not None and scalar_key(a) < scalar_key(b))
+    if shape[0] == "map":
+        return all(k in b and below(shape[1], v, b[k]) for k, v in a.items())
+    return below(shape[1], a[0], b[0]) and below(shape[2], a[1], b[1])

@@ -9,12 +9,10 @@ import time
 
 import pytest
 
-from conftest import bfs_closure, client_statuses, closure_contexts
+from conftest import below, bfs_closure, client_statuses, closure_contexts
 from planner_reference import brute_force
 from latticeflow.ir import TargetSpec
-from latticeflow.lattice import (
-    BoolOr, MapUnion, MaxInt, MinInt, Pair, SetUnion, WriteOnce, leq, merge,
-)
+from latticeflow.lattice import bottom, join
 from latticeflow.patterns import (
     covid_tracker, covid_workload, get_pattern, run_workload, sample_machines,
     scatter_chunks,
@@ -33,20 +31,18 @@ def test_lattice_laws_hold_for_a_thousand_cases_per_variant():
 
     def rand(shape):
         if shape == "bool_or":
-            return BoolOr(rng.random() < 0.5)
-        if shape == "max":
-            return MaxInt(rng.randint(-10**12, 10**12))
-        if shape == "min":
-            return MinInt(rng.randint(-10**12, 10**12))
+            return rng.random() < 0.5
+        if shape in ("max", "min"):
+            return rng.randint(-10**12, 10**12)
         if shape == "set":
-            return SetUnion(rng.sample(range(60), rng.randint(0, 8)))
+            return frozenset(rng.sample(range(60), rng.randint(0, 8)))
         if shape == "write_once":
-            return WriteOnce(rng.choice((None, True, rng.randint(-9, 9),
-                                         rng.choice("xyz"), (1, "x"))))
+            return rng.choice((None, True, rng.randint(-9, 9),
+                               rng.choice("xyz"), (1, "x")))
         if shape[0] == "map":
-            return MapUnion({k: rand(shape[1])
-                             for k in rng.sample(range(10), rng.randint(0, 5))})
-        return Pair(rand(shape[1]), rand(shape[2]))
+            return {k: rand(shape[1])
+                    for k in rng.sample(range(10), rng.randint(0, 5))}
+        return (rand(shape[1]), rand(shape[2]))
 
     shapes = ["bool_or", "max", "min", "set", "write_once",
               ("map", "set"), ("pair", "max", ("map", "min")),
@@ -55,12 +51,13 @@ def test_lattice_laws_hold_for_a_thousand_cases_per_variant():
     for shape in shapes:
         for _ in range(1000):
             a, b, c = rand(shape), rand(shape), rand(shape)
-            ab = merge(a, b)
-            assert ab == merge(b, a)                      # commutative
-            assert merge(ab, c) == merge(a, merge(b, c))  # associative
-            assert merge(a, a) == a                       # idempotent
-            assert leq(a, ab) and leq(b, ab)              # join is an upper bound
-            assert leq(a, b) == (ab == b)                 # leq agrees with merge
+            ab = join(shape, a, b)
+            assert ab == join(shape, b, a)                          # commutative
+            assert join(shape, ab, c) == join(shape, a, join(shape, b, c))
+            assert join(shape, a, a) == a                           # idempotent
+            assert join(shape, bottom(shape), a) == a               # identity
+            assert below(shape, a, ab) and below(shape, b, ab)      # upper bound
+            assert below(shape, a, b) == (ab == b)                  # agrees with the order
     assert time.monotonic() - start < 10.0
 
 

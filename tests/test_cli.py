@@ -593,7 +593,7 @@ def test_json_arrays_in_a_payload_arrive_as_tuples(tmp_path, capsys):
     path.write_text(json.dumps(triples_scenario({"ps": [[1, 2, 3]]})))
     assert main(["simulate", str(path), "--inspect"]) == EXIT_OK
     state = json.loads(capsys.readouterr().out.split("\n", 1)[1])
-    assert {node["vars"]["acc"]["lattice"]["value"][0]["tuple"] == [3, 2, 1]
+    assert {node["vars"]["acc"]["set"][0]["tuple"] == [3, 2, 1]
             for node in state.values()} == {True}
     sc = load_scenario(triples_scenario({"ps": [[1, [2, [3]]], []]}))
     assert sc.workload[0]["fields"] == {"ps": ((1, (2, (3,))), ())}
@@ -823,6 +823,60 @@ def test_analyze_refuses_a_loop_or_a_bare_query_body(tmp_path, capsys,
     err = capsys.readouterr().err
     assert re.fullmatch(r"invalid: (ForEachInHandler|QueryBodyNotComprehension)"
                         r": [^\n]*\n", err), err
+
+
+MALFORMED = {
+    "shape-name": (dict(data=(DataDecl("acc", "var", shape="set"),
+                              DataDecl("s", "var", shape="bogus"))),
+                   "BadShape"),
+    "shape-map-value": (dict(data=(DataDecl("acc", "var", shape="set"),
+                                   DataDecl("s", "var",
+                                            shape=("map", "nope")))),
+                        "BadShape"),
+    "init": (dict(data=(DataDecl("acc", "var", shape="set"),
+                        DataDecl("hi", "var", shape="max", init="x"))),
+             "BadInit"),
+    "domain": (dict(availability={"put": AvailSpec("zone", 1)}),
+               "BadAvailability"),
+    "failures": (dict(availability={"default": AvailSpec("az", "2")}),
+                 "BadAvailability"),
+}
+
+
+@pytest.mark.parametrize("kw, code", MALFORMED.values(), ids=list(MALFORMED))
+def test_a_malformed_declaration_is_invalid_before_a_cluster_is_built(
+        tmp_path, capsys, kw, code):
+    # each validated, and `simulate` then failed as it built the cluster:
+    # with a ValueError or a TypeError traceback, or with a ShapeMismatch
+    # that named no node or tick
+    program = Program("decls", **{
+        "data": (DataDecl("acc", "var", shape="set"),),
+        "handlers": (Handler("put", {"x": "int"}, (MergeMutation(
+            TargetPath("acc"), Var("x")),)),),
+        **kw})
+    path = tmp_path / "p.json"
+    path.write_text(program_to_json(program))
+    assert main(["analyze", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"invalid: {code}: [^\n]*\n", err), err
+    assert simulate_inline(tmp_path, program,
+                           [(0, "put", {"x": 1})]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == err
+
+
+def test_plan_validates_its_program(tmp_path, capsys):
+    # `plan` printed a plan for this program and exited 0
+    program = Program("ghost", handlers=(Handler("put", {}, (MergeMutation(
+        TargetPath("nope"), Var("y")),)),))
+    path = tmp_path / "p.json"
+    path.write_text(program_to_json(program))
+    for command in ("analyze", "plan"):
+        assert main([command, str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "invalid: UnresolvedName: handler put: unknown data 'nope'\n"
+            "invalid: UnresolvedName: handler put: unbound variable 'y'\n")
 
 
 def test_an_object_in_a_payload_is_refused(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import BARE_BODIES, LOOPS, loop_program
 from latticeflow.ir import (
-    MAX_GENERATORS, Assign, BinOp, ClassDecl, Comp, ConsistencySpec, Data,
+    MAX_GENERATORS, Assign, AvailSpec, BinOp, ClassDecl, Comp, ConsistencySpec, Data,
     DataDecl, Field, ForEach, Gen, Handler, In, Len, Lit, Lookup, MakeRow,
     MergeMutation, Program, QueryDef, Record, Return, Send, TargetPath,
     UdfCall, UdfDecl, ValidationEntry, Var, desugar_handler,
@@ -88,9 +88,44 @@ def test_duplicate_names_rejected():
 
 
 def test_availability_must_name_real_handler():
-    p = tiny_program(availability={"ghost": __import__(
-        "latticeflow.ir", fromlist=["AvailSpec"]).AvailSpec("az", 1)})
+    p = tiny_program(availability={"ghost": AvailSpec("az", 1)})
     assert any(e.code == "UnknownHandlerRef" for e in validate(p))
+
+
+@pytest.mark.parametrize("failures", [0, 2])
+def test_every_failure_domain_level_validates(failures):
+    for level in ("dc", "az", "rack", "vm"):
+        assert validate(tiny_program(
+            availability={"put": AvailSpec(level, failures)})).ok
+
+
+@pytest.mark.parametrize("failures", [-1, True, 2.0],
+                         ids=["negative", "bool", "float"])
+def test_a_failure_count_is_a_non_negative_int(failures):
+    assert [e.code for e in validate(tiny_program(
+        availability={"put": AvailSpec("az", failures)}))] == [
+        "BadAvailability"]
+
+
+@pytest.mark.parametrize("shape, init", [
+    ("set", [1, 2]), ("max", 3), ("min", True), ("bool_or", False),
+    ("write_once", "x"), (("map", "max"), (("a", 1),)),
+    (("pair", "set", "min"), (1, 2)),
+])
+def test_an_init_that_lifts_into_its_shape_validates(shape, init):
+    assert validate(tiny_program(data=(
+        DataDecl("items", "table", cls="Item"),
+        DataDecl("s", "var", shape=shape, init=init)))).ok
+
+
+@pytest.mark.parametrize("shape, init", [
+    ("bool_or", 1), ("max", 2**63), (("map", "max"), 3),
+    (("pair", "set", "min"), (1, "x")), (("pair", "set", "min"), (1,)),
+], ids=["bool", "overflow", "map", "pair-part", "pair-arity"])
+def test_an_init_that_does_not_lift_into_its_shape_is_refused(shape, init):
+    assert [e.code for e in validate(tiny_program(data=(
+        DataDecl("items", "table", cls="Item"),
+        DataDecl("s", "var", shape=shape, init=init))))] == ["BadInit"]
 
 
 def test_desugar_produces_foreach_for_keyed_merge():
@@ -253,10 +288,30 @@ COUNTER = (DataDecl("items", "table", cls="Item"),
           handlers=put(MergeMutation(TargetPath("seen"), Var("k")))),
      "QueryVarMergeConflict",
      "query 'seen' replaces var also merge-mutated in put"),
+    # each case below validated, and then `simulate` failed as it
+    # built the cluster, with a traceback or with a ShapeMismatch that
+    # named no node or tick
+    (dict(data=(DataDecl("items", "table", cls="Item"),
+                DataDecl("s", "var", shape="bogus"))),
+     "BadShape", "var s: 'bogus' is not a lattice shape"),
+    (dict(data=(DataDecl("items", "table", cls="Item"),
+                DataDecl("s", "var", shape=("map", "nope")))),
+     "BadShape", "var s: ('map', 'nope') is not a lattice shape"),
+    (dict(data=(DataDecl("items", "table", cls="Item"),
+                DataDecl("hi", "var", shape="max", init="x"))),
+     "BadInit", "var hi: init 'x' does not lift into 'max': cannot merge "
+     "'x' into a max lattice"),
+    (dict(availability={"put": AvailSpec("zone", 1)}),
+     "BadAvailability", "availability of put: domain 'zone' is not one of "
+     "dc, az, rack, vm"),
+    (dict(availability={"default": AvailSpec("az", "2")}),
+     "BadAvailability", "availability of default: failures '2' is not a "
+     "non-negative int"),
 ], ids=["BadKey", "BadPartition", "BadFieldType", "UnknownClass-table",
         "UnknownClass-row", "BadDataKind", "NotATable", "unknown-target",
         "lookup-on-var", "unknown-mailbox", "unknown-udf",
-        "QueryVarMergeConflict"])
+        "QueryVarMergeConflict", "BadShape-name", "BadShape-map-value",
+        "BadInit", "BadAvailability-domain", "BadAvailability-failures"])
 def test_each_validation_code_names_its_fault(kw, code, message):
     assert [(e.code, e.message) for e in validate(tiny_program(**kw))] == [
         (code, message)]

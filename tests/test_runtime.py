@@ -117,7 +117,7 @@ def test_a_udf_fold_agrees_on_both_backends():
                        DataDecl("none", "var", shape="set")),
         udfs=(UdfDecl("cat", 2, fn=lambda a, b: f"({a}{b})"),))
     state = NodeState(program)
-    state.vars["s"] = lattice.SetUnion(frozenset({3, 1, 2}))
+    state.vars["s"] = frozenset({3, 1, 2})
     tens = Comp(BinOp("*", Var("x"), Lit(10)), (Gen("x", Data("s")),))
     one = Comp(Var("x"), (Gen("x", Data("s")),), (BinOp("==", Var("x"),
                                                          Lit(2)),))
@@ -289,10 +289,9 @@ def chain_cases(draw):
     state = NodeState(CHAIN_PROGRAM)
     state.tables["items"] = {(k,): Row(k=k, v=v, tags=tags)
                              for k, (v, tags) in items.items()}
-    state.vars["nums"] = lattice.SetUnion(
-        draw(st.frozensets(small, min_size=2, max_size=5)))
-    state.vars["pairs"] = lattice.SetUnion(
-        draw(st.frozensets(st.tuples(small, small), min_size=2, max_size=6)))
+    state.vars["nums"] = draw(st.frozensets(small, min_size=2, max_size=5))
+    state.vars["pairs"] = draw(
+        st.frozensets(st.tuples(small, small), min_size=2, max_size=6))
     return cmp, env, state.snapshot()
 
 
@@ -387,7 +386,7 @@ def test_a_recursive_rule_that_reads_a_member_not_by_a_generator_is_refused(
                        "generator"):
         compile_queries(program)
     state = NodeState(program)
-    state.vars["acc"] = lattice.SetUnion(frozenset({1, 2, 3, 5}))
+    state.vars["acc"] = frozenset({1, 2, 3, 5})
     assert InterpContext(program, state.snapshot()).query_value("r") \
         == frozenset({1, 2, 3})
 
@@ -413,7 +412,7 @@ def test_reads_see_the_pre_tick_snapshot():
     replies = [s.payload for s in r.sends
                if s.mailbox == response_mailbox("add")]
     assert [p["payload"] for p in replies] == [0, 0]
-    assert t.state.vars["acc"].elems == frozenset({7, 8})
+    assert t.state.vars["acc"] == frozenset({7, 8})
 
 
 def test_self_sends_arrive_next_tick():
@@ -431,9 +430,9 @@ def test_self_sends_arrive_next_tick():
     c.step()  # the request arrives at tick 1
     c.step()  # front runs and sends to back
     node = c.nodes["n1"]
-    assert node.state.vars["acc"].elems == frozenset()
+    assert node.state.vars["acc"] == frozenset()
     c.step()
-    assert node.state.vars["acc"].elems == frozenset({3})
+    assert node.state.vars["acc"] == frozenset({3})
 
 
 def test_udf_memoized_within_a_tick():
@@ -501,15 +500,15 @@ def test_deleting_a_var_resets_it(backend):
     assert t.state.vars["n"] is None
     t.deliver("look", request(1))
     t.tick()
-    assert lattice.unwrap(t.state.vars["seen"]) == frozenset({(0, True)})
+    assert t.state.vars["seen"] == frozenset({(0, True)})
 
 
 @pytest.mark.parametrize("backend", ["graph", "interp"])
 def test_a_statement_with_a_missing_operand_does_nothing(backend):
     """A statement whose UDF argument, key or value is MISSING (here a field
     of a row no key holds) calls no UDF, writes nothing and sends nothing;
-    an assignment into a lattice var stores its value wrapped in the var's
-    lattice."""
+    an assignment into a lattice var stores its value lifted into the var's
+    shape."""
     calls = []
     p = Program(
         "missing", classes=(ITEM,),
@@ -535,9 +534,7 @@ def test_a_statement_with_a_missing_operand_does_nothing(backend):
     assert eff == Effects()
     t._run_stmt(Assign(TargetPath("s"), Lit(frozenset({1, 2}))), env, ctx,
                 eff)
-    assert eff.assigns == {("s", None, None):
-                           lattice.wrap(frozenset({1, 2}), "set")}
-    assert type(eff.assigns["s", None, None]) is lattice.SetUnion
+    assert eff.assigns == {("s", None, None): frozenset({1, 2})}
 
 
 @pytest.mark.parametrize("backend", ["graph", "interp"])
@@ -715,7 +712,8 @@ def test_a_snapshot_or_fork_is_unchanged_by_a_later_commit_and_deliver():
 
     state.commit(Effects(
         table_merges=[("items", Row(k=3, v=0, tags=frozenset()))],
-        field_merges=[("items", (1,), "tags", 5), ("log", (1,), "tags", 5)],
+        field_merges=[("items", (1,), "tags", frozenset({5})),
+                      ("log", (1,), "tags", frozenset({5}))],
         assigns={("items", (2,), "v"): 7, ("n", None, None): 0},
         deletes=[("items", (2,)), ("log", None)],
         consumed={"note": [request(0, k=1)]}))
@@ -726,7 +724,7 @@ def test_a_snapshot_or_fork_is_unchanged_by_a_later_commit_and_deliver():
     assert (fork.tables["items"], fork.tables["log"], fork.mailboxes["note"],
             fork.vars) == held
 
-    fork.commit(Effects(field_merges=[("items", (3,), "tags", 6)],
+    fork.commit(Effects(field_merges=[("items", (3,), "tags", frozenset({6}))],
                         consumed={"note": [request(0, k=1)]}))
     fork.deliver("spend", request(3, k=3))
     assert state.tables["items"].keys() == {(1,), (3,)}
@@ -848,7 +846,7 @@ def test_a_guard_consumes_only_the_messages_it_picked():
         t.deliver("add", request(i, x=x))
     assert t.tick().fired == ["add"]
     assert [m["x"] for m in t.state.mailboxes["add"]] == [1, 2, 3]
-    assert lattice.unwrap(t.state.vars["acc"]) == frozenset({7, 9})
+    assert t.state.vars["acc"] == frozenset({7, 9})
 
 
 def gate_program(n: int, amount) -> Program:
@@ -921,7 +919,7 @@ def test_a_guard_reads_the_eventual_effects_its_tick_committed(backend):
     t.deliver("take", request(1, x=1))
     result = t.tick()
     assert (result.fired, result.statuses) == (["close"], {})
-    assert lattice.unwrap(t.state.vars["closed"]) is True
+    assert t.state.vars["closed"] is True
     assert [m[MESSAGE_ID] for m in t.state.mailboxes["take"]] == ["m1"]
     assert t.state.vars["n"] == 0
 
@@ -1045,6 +1043,140 @@ def test_a_failing_tick_names_the_handlers_it_is_blamed_on():
     with pytest.raises(UdfFailure) as info:
         t.tick()
     assert info.value.handlers == ("crash",)
+
+
+SCORE = ClassDecl("Score", {"k": "int", "m": "max", "s": "set", "b": "bool"},
+                  key="k")
+
+
+def score_program(*body):
+    """A handler `put` with `body` over a table `scores` whose rows hold a
+    max, a set and a bool field, beside a handler `other` that fires in
+    the same tick."""
+    return Program(
+        "scores", classes=(SCORE,),
+        data=(DataDecl("scores", "table", cls="Score"),
+              DataDecl("acc", "var", shape="set")),
+        handlers=(Handler("put", {"k": "int", "v": "opaque"}, body),
+                  Handler("other", {"x": "int"}, (MergeMutation(
+                      TargetPath("acc"), Var("x")),))))
+
+
+@pytest.mark.parametrize("backend", ["graph", "interp"])
+def test_the_first_row_merged_under_a_key_holds_lifted_fields(backend):
+    """A merged row's fields are lifted into their shapes by the handler
+    that merges it. The first row under a key was stored as it came, a
+    scalar in a set field and a string in a max field, and only a second
+    merge of the key raised."""
+    t = Transducer(score_program(MergeMutation(TargetPath("scores"), MakeRow(
+        "Score", k=Var("k"), m=Var("v"), s=Var("v")))), backend=backend)
+    t.deliver("put", request(0, k=1, v=5))
+    t.tick()
+    assert t.state.tables["scores"] == {
+        (1,): Row(k=1, m=5, s=frozenset({5}), b=False)}
+    t.deliver("put", request(1, k=2, v="s"))
+    t.deliver("other", request(2, x=1))
+    with pytest.raises(ShapeMismatch, match="'s' into a max") as info:
+        t.tick()
+    assert info.value.handlers == ("put",)
+    assert (2,) not in t.state.tables["scores"]
+
+
+@pytest.mark.parametrize("backend", ["graph", "interp"])
+def test_a_keyed_assign_is_lifted_into_its_field_s_shape(backend):
+    """A keyed assignment's value is lifted as a merge's is: a scalar
+    assigned to a set field is stored as a one-element set, and a string
+    assigned to a max field raises in its handler, where it was stored."""
+    t = Transducer(score_program(
+        Assign(TargetPath("scores", Var("k"), "m"), Var("v")),
+        Assign(TargetPath("scores", Var("k"), "s"), Var("v"))),
+        backend=backend)
+    t.deliver("put", request(0, k=1, v=3))
+    t.tick()
+    assert t.state.tables["scores"] == {
+        (1,): Row(k=1, m=3, s=frozenset({3}), b=False)}
+    t.deliver("put", request(1, k=1, v="s"))
+    t.deliver("other", request(2, x=1))
+    with pytest.raises(ShapeMismatch, match="'s' into a max") as info:
+        t.tick()
+    assert info.value.handlers == ("put",)
+    assert t.state.tables["scores"][(1,)]["m"] == 3
+
+
+@pytest.mark.parametrize("backend", ["graph", "interp"])
+def test_an_ill_shaped_field_merge_is_blamed_on_its_handler_alone(backend):
+    """A field merge's value is lifted by the handler that merges it, as a
+    var merge's is, so a value of the wrong shape is not blamed on every
+    eventual handler whose effects the tick's commit joins."""
+    t = Transducer(score_program(MergeMutation(
+        TargetPath("scores", Var("k"), "m"), Var("v"))), backend=backend)
+    t.deliver("other", request(0, x=1))
+    t.deliver("put", request(1, k=1, v="s"))
+    with pytest.raises(ShapeMismatch, match="'s' into a max") as info:
+        t.tick()
+    assert info.value.handlers == ("put",)
+
+
+@pytest.mark.parametrize("backend", ["graph", "interp"])
+def test_a_set_merged_into_a_var_of_another_shape_merges_element_wise(
+        backend):
+    """A mailbox-quantified merge hands a var the set of its per-message
+    values, so a set merged into a max var joins each element."""
+    p = Program("top", data=(DataDecl("hi", "var", shape="max"),),
+                handlers=(Handler("put", {"n": "int"}, (MergeMutation(
+                    TargetPath("hi"),
+                    Comp(Var("x"), (Gen("x", RangeOf(Var("n"))),))),)),))
+    t = Transducer(p, backend=backend)
+    t.deliver("put", request(0, n=4))
+    t.tick()
+    assert t.state.vars["hi"] == 3
+
+
+def every_shape_program() -> Program:
+    """A var of each lattice shape, three of them with an `init`, and a
+    handler `put` that merges its `x` into each."""
+    x = Var("x")
+    merges = {
+        "acc": x, "hi": x, "lo": x, "flag": BinOp(">", x, Lit(1)),
+        "first": x, "best": Record(a=x, b=BinOp("-", Lit(0), x)),
+        "pr": TupleOf(x, x),
+    }
+    return Program(
+        "shapes",
+        data=(DataDecl("acc", "var", shape="set", init=[0]),
+              DataDecl("hi", "var", shape="max"),
+              DataDecl("lo", "var", shape="min", init=2),
+              DataDecl("flag", "var", shape="bool_or"),
+              DataDecl("first", "var", shape="write_once"),
+              DataDecl("best", "var", shape=("map", "max"),
+                       init=(("c", 7),)),
+              DataDecl("pr", "var", shape=("pair", "set", "min"))),
+        handlers=(Handler("put", {"x": "int"}, tuple(
+            MergeMutation(TargetPath(name), e)
+            for name, e in merges.items())),))
+
+
+def test_a_var_of_each_shape_ends_alike_on_both_backends():
+    """Each lattice var holds its plain value, and the final-state dump
+    encodes it as it encodes any other value: a set and a map tagged, in
+    sorted order, a pair as a tuple, a scalar as itself."""
+    dumps = []
+    for backend in ("graph", "interp"):
+        c = one_node_cluster(every_shape_program(), backend=backend)
+        for tick, x in enumerate((3, 1, 2)):
+            c.schedule_request(tick, "c1", "put", {"x": x})
+        c.run_to_quiescence()
+        dumps.append(c.dump_states())
+    assert dumps[0] == dumps[1]
+    assert dumps[0]["n1"]["vars"] == {
+        "acc": {"set": [0, 1, 2, 3]},
+        "hi": 3,
+        "lo": 1,
+        "flag": True,
+        "first": 3,
+        "best": {"map": [["a", 3], ["b", -1], ["c", 7]]},
+        "pr": {"tuple": [{"set": [1, 2, 3]}, 1]},
+    }
 
 
 def test_backends_agree_on_transducer_runs():
@@ -1375,7 +1507,7 @@ def both_backends(program, state):
 def chain_state(**var_elems):
     state = NodeState(CHAIN_PROGRAM)
     for name, elems in var_elems.items():
-        state.vars[name] = lattice.SetUnion(elems)
+        state.vars[name] = frozenset(elems)
     return state
 
 
@@ -1462,8 +1594,8 @@ def test_a_recursive_rule_filters_its_delta_before_a_later_generator():
     for pairs, expect in ((set(), ZeroDivisionError),
                           ({(1, 1)}, ZeroDivisionError)):
         state = NodeState(p)
-        state.vars["nums"] = lattice.SetUnion({0, 1})
-        state.vars["pairs"] = lattice.SetUnion(pairs)
+        state.vars["nums"] = frozenset({0, 1})
+        state.vars["pairs"] = frozenset(pairs)
         for ctx in both_backends(p, state):
             try:
                 assert ctx.query_value("r") == expect
@@ -1664,7 +1796,7 @@ def test_a_tuple_merged_into_a_set_is_one_element():
         t = Transducer(p, backend=backend)
         t.deliver("add", request(0, k=7))
         t.tick()
-        assert t.state.vars["acc"] == lattice.SetUnion([(1, None)])
+        assert t.state.vars["acc"] == {(1, None)}
         assert t.state.tables["items"][(7,)]["tags"] == {(1, None)}
 
 
@@ -2020,7 +2152,7 @@ def test_a_handler_reads_the_reply_address_of_its_message():
                       for m in result.sends) == [
             ("each<response>", (2, "c1")),
             ("echo<response>", "c1"), ("echo<response>", "c2")]
-        assert lattice.unwrap(t.state.vars["seen"]) == {(0, "c1")}
+        assert t.state.vars["seen"] == {(0, "c1")}
 
 
 # A filter over earlier names runs before a later generator, on both
@@ -2146,8 +2278,7 @@ def test_generated_code_holds_no_value_of_the_program():
     state = NodeState(program)
     state.tables["notes"] = {(k,): Row(k=k, text=text)
                              for k, text in enumerate(HOSTILE + ("plain",))}
-    state.vars["pairs"] = lattice.SetUnion(
-        frozenset((a, b) for a in HOSTILE for b in HOSTILE))
+    state.vars["pairs"] = frozenset((a, b) for a in HOSTILE for b in HOSTILE)
     snap = state.snapshot()
     compiled = compile_queries(program)
     value = GraphContext(program, snap, compiled).query_value("marked")

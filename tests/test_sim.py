@@ -199,7 +199,7 @@ def test_a_request_reaches_only_its_own_group():
                                                       "NoLiveReplica")] == [
         (None, {"mailbox": "a", "message_id": mid})]
     assert not _events(cluster, "Sent")
-    assert all(node.state.vars["acc"].elems == frozenset()
+    assert all(node.state.vars["acc"] == frozenset()
                for node in cluster.nodes.values())
 
 
