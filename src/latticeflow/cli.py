@@ -33,11 +33,6 @@ EXIT_RUNTIME = 5
 EXIT_CLOSED_PIPE = 141
 
 
-def _load_program(ref):
-    from .scenario import load_program
-    return load_program(ref)
-
-
 def _invalid(program) -> bool:
     """Whether `program` fails validation; prints one `invalid:` line to
     standard error per fault."""
@@ -52,10 +47,10 @@ def cmd_analyze(args) -> int:
     from .analysis import calm_report, metaconsistency_conflicts
     from .facets import facet_warnings
     from .lowering import LoweringError, lower
-    from .scenario import ScenarioError
+    from .scenario import ScenarioError, load_program
 
     try:
-        program = _load_program(args.program)
+        program = load_program(args.program)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -124,13 +119,12 @@ def cmd_simulate(args) -> int:
         print(f"seed {seed}: quiesced at tick {cluster.tick}")
         for client, box in sorted(cluster.responses.items()):
             for mid, payload in sorted(box.items()):
-                body = {k: encode_value(v) for k, v in payload.items()}
                 print(f"  response {client}/{mid}: "
-                      + json.dumps(body, sort_keys=True))
+                      + json.dumps(encode_value(payload)["row"], sort_keys=True))
         for sink, msgs in sorted(cluster.sink_outputs.items()):
             for m in msgs:
-                body = {k: encode_value(v) for k, v in m.items()}
-                print(f"  sink {sink}: " + json.dumps(body, sort_keys=True))
+                print(f"  sink {sink}: "
+                      + json.dumps(encode_value(m)["row"], sort_keys=True))
         if args.inspect:
             print(json.dumps(cluster.dump_states(), indent=2, sort_keys=True))
     return EXIT_OK
@@ -172,10 +166,10 @@ def _load_machines(path):
 def cmd_plan(args) -> int:
     from .planner import (CostModel, Infeasible, ModelError, backtrack_signal,
                           solve)
-    from .scenario import ScenarioError
+    from .scenario import ScenarioError, load_program
 
     try:
-        program = _load_program(args.program)
+        program = load_program(args.program)
         machines = _load_machines(args.machines)
     except (ScenarioError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,13 +15,14 @@ queries total.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Iterable
 
 from .ir import (
     ARITH, BinOp, Comp, Data, Field, Fold, In, Index, Len, Lit, Lookup,
     MakeRow, Not, Record, RangeOf, Slice, TupleOf, Var,
 )
-from .lattice import scalar_key
+from .lattice import _by_key, order_key
 from .state import (BindError, Row, Snapshot, UdfFailure, default_row,
                     storage_key)
 
@@ -57,8 +58,7 @@ class EvalContext:
     # --- collections --------------------------------------------------------
     def table_rows(self, name: str):
         table = self.snapshot.tables[name]
-        return tuple(row for _, row in sorted(table.items(),
-                                              key=lambda kv: scalar_key(kv[0])))
+        return tuple(row for _, row in sorted(table.items(), key=_by_key))
 
     def table_row(self, name: str, key):
         """The row of table `name` whose key expression has the value `key`
@@ -85,7 +85,7 @@ class EvalContext:
         if name in self._sorted:
             return self._sorted[name]
         if name in self._query_names:
-            view = tuple(sorted(self.query_value(name), key=_order_key))
+            view = tuple(sorted(self.query_value(name), key=order_key))
         elif name in self.firing:
             return tuple(self.firing[name])
         elif name in self.snapshot.tables:
@@ -93,7 +93,7 @@ class EvalContext:
         elif name in self.snapshot.vars:
             view = self.var(name)
             if isinstance(view, frozenset):
-                view = tuple(sorted(view, key=scalar_key))
+                view = tuple(sorted(view, key=order_key))
         elif name in self.snapshot.mailboxes:
             return tuple(self.snapshot.mailboxes[name])
         else:
@@ -126,21 +126,6 @@ class EvalContext:
         return result
 
 
-def _order_key(v):
-    t = type(v)
-    if t is int or t is str or t is bool:
-        return scalar_key(v)
-    if isinstance(v, Row):
-        return (6, tuple((k, _order_key(x)) for k, x in sorted(v.items())))
-    if isinstance(v, frozenset):
-        return (5, tuple(sorted([_order_key(x) for x in v])))
-    if isinstance(v, tuple):
-        return (4, tuple([_order_key(x) for x in v]))
-    if v is None:
-        return (-1, 0)
-    return scalar_key(v)
-
-
 def iter_source(value) -> Iterable:
     """Iterate a generator source value; MISSING yields nothing."""
     if value is MISSING:
@@ -148,7 +133,7 @@ def iter_source(value) -> Iterable:
     if isinstance(value, Row):
         return (value,)
     if isinstance(value, frozenset):
-        return sorted(value, key=_order_key)
+        return sorted(value, key=order_key)
     if isinstance(value, (tuple, list)):
         return value
     raise TypeError(f"not iterable: {value!r}")
@@ -268,8 +253,7 @@ def eval_expr(e, env: dict, ctx: EvalContext):
 
 def fold_value(kind: str, src, ctx: EvalContext):
     """Fold an evaluated source; a MISSING source folds as an empty one."""
-    values = list(iter_source(() if src is MISSING else src))
-    return apply_fold(kind, values, ctx)
+    return apply_fold(kind, list(iter_source(src)), ctx)
 
 
 def apply_fold(kind: str, values: list, ctx: EvalContext):
@@ -282,25 +266,19 @@ def apply_fold(kind: str, values: list, ctx: EvalContext):
             values = [v for _, v in values]
     if kind == "sum":
         return sum(values)
-    if kind == "min":
-        return min(values, key=scalar_key) if values else MISSING
-    if kind == "max":
-        return max(values, key=scalar_key) if values else MISSING
+    if kind == "min" or kind == "max":
+        pick = min if kind == "min" else max
+        return pick(values, key=order_key) if values else MISSING
     if kind == "set":
         return frozenset(values)
     if kind == "array_agg":
         # values are (ix, val) pairs; emit vals ordered by ix
-        pairs = sorted(values, key=lambda p: scalar_key(p[0]))
-        return tuple(v for _, v in pairs)
+        return tuple(v for _, v in sorted(values, key=_by_key))
     if kind.startswith("udf:"):
-        name = kind[4:]
-        ordered = sorted(values, key=_order_key)
-        if not ordered:
+        if not values:
             return MISSING
-        acc = ordered[0]
-        for v in ordered[1:]:
-            acc = ctx.call_udf(name, (acc, v))
-        return acc
+        return reduce(lambda acc, v: ctx.call_udf(kind[4:], (acc, v)),
+                      sorted(values, key=order_key))
     raise ValueError(f"unknown fold kind {kind!r}")
 
 

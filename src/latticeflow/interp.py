@@ -32,8 +32,8 @@ speed-up.
 from __future__ import annotations
 
 from .analysis import query_graph
-from .eval import (EvalContext, MISSING, _order_key, bind, eval_expr,
-                   iter_source, truthy, unpack)
+from .eval import (EvalContext, MISSING, bind, eval_expr, iter_source,
+                   truthy, unpack)
 from .ir import ARITH, BinOp, Comp, TupleOf, Var
 from .state import FixpointDivergence
 
@@ -160,7 +160,7 @@ class InterpContext(EvalContext):
                     f"naive fixpoint over {sorted(scc)} exceeded {self.max_rounds} rounds")
             # each rule reads this round's estimate as the members' views
             self._sorted.update(
-                {q: tuple(sorted(v, key=_order_key)) for q, v in est.items()})
+                {q: tuple(iter_source(v)) for q, v in est.items()})
             new = {}
             for q in sorted(scc):
                 val = self.base_facts(q)

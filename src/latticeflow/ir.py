@@ -330,6 +330,9 @@ Statement = Union[MergeMutation, Assign, Delete, Send, Return, UdfCall, ForEach]
 FIELD_TYPES = tuple(FIELD_SHAPES)
 MERGEABLE_FIELD_TYPES = tuple(t for t, shape in FIELD_SHAPES.items()
                               if shape != "write_once")
+# The type a request field holds, by its parameter's declared type (others
+# take any value); a bool is no int, as `lattice.order_key` orders them apart
+PARAM_TYPES = {"int": int, "max": int, "min": int, "bool": bool, "str": str}
 
 
 @dataclass(frozen=True)
@@ -396,6 +399,12 @@ class Handler:
     @property
     def param_names(self) -> Tuple[str, ...]:
         return tuple(n for n, _ in self.params)
+
+    @cached_property
+    def typed_params(self) -> tuple:
+        """Each parameter typed in `PARAM_TYPES`, with its request field's type."""
+        return tuple((n, PARAM_TYPES[t]) for n, t in self.params
+                     if t in PARAM_TYPES)
 
 
 @dataclass(frozen=True)

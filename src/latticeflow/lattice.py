@@ -4,16 +4,17 @@ A shape is a string or a tuple, and a value of it is a plain value:
 - ``"bool_or"``: a bool, joined by ``or``;
 - ``"max"`` and ``"min"``: a 64-bit int, joined by ``max`` and ``min``;
 - ``"set"``: a frozenset, joined by union;
-- ``"write_once"``: any scalar, with None as bottom; of two writes that
-  differ the `scalar_key` maximum wins, so every replica keeps the same one;
-- ``("map", s)``: a dict of values of shape ``s``, in `scalar_key` order of
+- ``"write_once"``: any plain value, with None as bottom; of two writes
+  that differ the `order_key` maximum wins, so every replica keeps it;
+- ``("map", s)``: a dict of values of shape ``s``, in `order_key` order of
   its keys, joined key by key;
 - ``("pair", s1, s2)``: a 2-tuple, joined part by part.
 
 A value enters lattice state once, lifted into its shape by `lift`. After
 that it is only joined by `join`, which is associative, commutative and
 idempotent and has `bottom` as its identity; ``join(shape, a, b) == b``
-holds exactly when `a` is below `b`.
+holds exactly when `a` is below `b`. Every sort, fold, tie-break and
+encoding of plain values uses the one order of `order_key`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
 
-_KIND_RANK = {bool: 0, int: 1, str: 2, tuple: 3}
+_SCALAR_RANK = {bool: 0, int: 1, str: 2}
 
 
 class ShapeMismatch(Exception):
@@ -32,16 +33,26 @@ class IntOverflow(Exception):
     """Raised when a max or min value falls outside the 64-bit range."""
 
 
-def scalar_key(v):
-    """Total-order sort key for scalars: by kind, then value (tuples lexicographic)."""
+def order_key(v):
+    """Key of the one total order over plain values: None < bool < int <
+    str < tuple < set < row (any dict, as `state.Row` is out of reach),
+    each kind by value. TypeError for any other value, such as a float."""
     t = type(v)
-    if t is tuple:
-        return (3, tuple(scalar_key(x) for x in v))
-    return (_KIND_RANK[t], v)
+    if t is int or t is str or t is bool:
+        return (_SCALAR_RANK[t], v)
+    if isinstance(v, tuple):
+        return (4, tuple([order_key(x) for x in v]))
+    if isinstance(v, frozenset):
+        return (5, tuple(sorted([order_key(x) for x in v])))
+    if isinstance(v, dict):
+        return (6, tuple((k, order_key(x)) for k, x in sorted(v.items())))
+    if v is None:
+        return (-1, 0)
+    raise TypeError(f"{v!r} has no place in the order of plain values")
 
 
 def _by_key(item):
-    return scalar_key(item[0])
+    return order_key(item[0])
 
 
 # The shape of each row field type; int, str, ref and opaque fields are
@@ -70,9 +81,9 @@ def bottom(shape):
 def lift(value, shape):
     """`value` as a value of `shape`. A set takes the elements of a
     frozenset, a set or a list, and any other value as one element; a map
-    takes what `dict` takes, with scalar keys, and a pair a 2-tuple or a
-    2-list, each part lifted into its own shape. ShapeMismatch for a value
-    that does not fit, IntOverflow for an int outside 64 bits."""
+    takes what `dict` takes, and a pair a 2-tuple or a 2-list, each part
+    lifted into its own shape. ShapeMismatch for a value that does not fit,
+    IntOverflow for an int outside 64 bits."""
     if shape == "write_once":
         return value
     if shape == "set":
@@ -95,10 +106,9 @@ def lift(value, shape):
     if shape[0] == "map":
         try:
             items = sorted(dict(value).items(), key=_by_key)
-        except (TypeError, ValueError, KeyError):
-            items = None
-        if items is not None:
             return {k: lift(v, shape[1]) for k, v in items}
+        except (TypeError, ValueError):
+            pass
     raise ShapeMismatch(f"cannot merge {value!r} into a {shape} lattice")
 
 
@@ -106,7 +116,7 @@ def join(shape, a, b):
     """The least upper bound of `a` and `b`, two values of `shape`."""
     if shape == "write_once":
         if a is None or (b is not None and b is not a
-                         and scalar_key(b) > scalar_key(a)):
+                         and order_key(b) > order_key(a)):
             return b
         return a
     if shape == "set":

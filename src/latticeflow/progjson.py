@@ -13,7 +13,7 @@ import dataclasses
 import json
 
 from . import ir
-from .lattice import scalar_key
+from .lattice import order_key
 
 _NODE_TYPES = {
     cls.__name__: cls
@@ -47,7 +47,7 @@ def encode_node(v):
     if isinstance(v, tuple):
         return {"seq": [encode_node(x) for x in v]}
     if isinstance(v, frozenset):
-        return {"set": [encode_node(x) for x in sorted(v, key=scalar_key)]}
+        return {"set": [encode_node(x) for x in sorted(v, key=order_key)]}
     if v is None or isinstance(v, (bool, int, float, str)):
         return v
     raise TypeError(f"cannot encode {v!r}")

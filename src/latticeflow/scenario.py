@@ -29,7 +29,8 @@ from .facets import (InsufficientDomains, ReplicationPlan, make_topology,
 from .ir import Program
 from .lowering import LoweringError
 from .progjson import decode_node
-from .sim import Cluster, NetworkModel, NodeSpec, domain_prefix_matches
+from .sim import (Cluster, NetworkModel, NodeSpec, check_fields,
+                  domain_prefix_matches)
 
 
 class ScenarioError(Exception):
@@ -83,8 +84,9 @@ _ITEM_KEYS = frozenset({"tick", "client", "mailbox", "handler", "payload",
 
 def _field_value(v, i: int, name: str):
     """Field `name` of workload item `i` as a row holds it: a JSON array
-    becomes a tuple, at any depth, so that the row is hashable; a JSON
-    object, a fraction or null is refused, as no lattice orders it."""
+    becomes a tuple, at any depth, so that the row is hashable. Refused: an
+    object, which could be a row or a map; a fraction, which has no place in
+    `lattice.order_key`; null, a write-once field's bottom (never written)."""
     if isinstance(v, list):
         return tuple(_field_value(x, i, name) for x in v)
     if isinstance(v, dict):
@@ -214,6 +216,10 @@ def load_scenario(source) -> Scenario:
         for name, v in fields.items():
             if type(v) not in _SCALARS:
                 fields[name] = _field_value(v, i, name)
+        try:
+            check_fields(program.handler_map[mailbox], fields)
+        except ValueError as exc:
+            raise ScenarioError(f"workload[{i}]: {exc}") from None
         workload.append({
             "tick": tick,
             "client": client,

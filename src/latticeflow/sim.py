@@ -81,7 +81,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .ir import MESSAGE_ID, Program, response_mailbox
+from .ir import MESSAGE_ID, Handler, Program, response_mailbox
 from .lowering import lower
 from .state import Row, canonical_state
 from .transducer import NODE_FAILURES, QUEUED, Transducer
@@ -166,6 +166,15 @@ def _unhashable(value) -> Optional[str]:
         inner = value.values() if isinstance(value, Row) else value
         return next(filter(None, map(_unhashable, inner)), None)
     return type(value).__name__ if isinstance(value, (list, dict, set)) else None
+
+
+def check_fields(h: Handler, fields: dict):
+    """ValueError unless each of `fields`, a request's to `h`, holds a
+    value of its parameter's type (see `Handler.typed_params`)."""
+    for name, want in h.typed_params:
+        if name in fields and type(fields[name]) is not want:
+            raise ValueError(f"field {name!r} of {h.name!r} must be of type "
+                             f"{want.__name__}, got {fields[name]!r}")
 
 
 class Cluster:
@@ -254,6 +263,8 @@ class Cluster:
                     kind := _unhashable(value)) is not None:
                 raise ValueError(f"request to {handler!r}: field {name!r} "
                                  f"holds a {kind}, which is not hashable")
+        if (h := self.program.handler_map.get(handler)) is not None:
+            check_fields(h, fields)
         mid = message_id or self.new_message_id()
         payload = Row(fields, **{MESSAGE_ID: mid})
         self.client_of[mid] = client

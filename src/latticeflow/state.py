@@ -19,7 +19,6 @@ what a sequencer's commit record carries, and a replica commits it as is.
 
 from __future__ import annotations
 
-import json
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dfield
@@ -27,7 +26,7 @@ from typing import NamedTuple
 
 from . import lattice
 from .ir import ClassDecl, Program, kept
-from .lattice import FIELD_SHAPES, scalar_key
+from .lattice import FIELD_SHAPES, _by_key, order_key
 
 
 class AmbiguousAssign(Exception):
@@ -269,11 +268,7 @@ class NodeState:
         for name, key, fname, value in field_merges:
             cls = classes[datam[name].cls]
             table = self._own(name, owned)
-            if key in table:
-                old = table[key]
-            else:
-                seed = dict(zip(cls.key, key))
-                old = default_row(cls, seed)
+            old = table.get(key) or default_row(cls, dict(zip(cls.key, key)))
             merged = lattice.join(FIELD_SHAPES[cls.field_map[fname]],
                                   old[fname], value)
             table[key] = old.updated(**{fname: merged})
@@ -288,10 +283,8 @@ class NodeState:
             else:
                 cls = classes[datam[name].cls]
                 table = self._own(name, owned)
-                if key in table:
-                    old = table[key]
-                else:
-                    old = default_row(cls, dict(zip(cls.key, key)))
+                old = (table.get(key)
+                       or default_row(cls, dict(zip(cls.key, key))))
                 table[key] = old.updated(**{fname: value})
 
         for name, key in deletes:
@@ -334,18 +327,17 @@ class Snapshot:
 
 def encode_value(v):
     """`v` as canonical JSON: a set, a tuple, a row and a map (a map var's
-    dict) each tagged, a set's elements and a map's keys in `scalar_key`
+    dict) each tagged, a set's elements and a map's keys in `order_key`
     order; any other value as itself."""
     if isinstance(v, frozenset):
-        return {"set": [encode_value(x) for x in sorted(v, key=scalar_key)]}
+        return {"set": [encode_value(x) for x in sorted(v, key=order_key)]}
     if isinstance(v, tuple):
         return {"tuple": [encode_value(x) for x in v]}
     if isinstance(v, Row):
         return {"row": {k: encode_value(x) for k, x in v.items()}}
     if type(v) is dict:
         return {"map": [[encode_value(k), encode_value(x)]
-                        for k, x in sorted(v.items(),
-                                           key=lambda kv: scalar_key(kv[0]))]}
+                        for k, x in sorted(v.items(), key=_by_key)]}
     return v
 
 
@@ -356,14 +348,14 @@ def canonical_state(state: NodeState, include_mailboxes=True) -> dict:
     out = {
         "tables": {
             name: [[encode_value(k), encode_value(row)]
-                   for k, row in sorted(table.items(), key=lambda kv: scalar_key(kv[0]))]
+                   for k, row in sorted(table.items(), key=_by_key)]
             for name, table in sorted(state.tables.items())
         },
         "vars": {name: encode_value(v) for name, v in sorted(state.vars.items())},
     }
     if include_mailboxes:
         out["mailboxes"] = {
-            name: sorted((json.dumps(encode_value(m), sort_keys=True) for m in msgs))
+            name: [encode_value(m) for m in sorted(msgs, key=order_key)]
             for name, msgs in sorted(state.mailboxes.items()) if msgs
         }
     return out

@@ -76,13 +76,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 
 from . import lattice
-from .eval import MISSING, _order_key, truthy
+from .eval import MISSING, truthy
 from .interp import InterpContext
 from .ir import (
     Assign, Delete, ForEach, Handler, MergeMutation, Program, Send, UdfCall,
     _MSG, MESSAGE_ID, prepared,
 )
-from .lattice import FIELD_SHAPES, IntOverflow, ShapeMismatch
+from .lattice import FIELD_SHAPES, IntOverflow, ShapeMismatch, order_key
 from .runtime import GraphContext, compile_queries
 from .state import (
     AmbiguousAssign, BindError, Effects, FixpointDivergence, HandlerError,
@@ -414,12 +414,12 @@ class Transducer:
                 # commit joins rows field by field, so their order cannot
                 # matter; they are lifted again in sorted order only so
                 # that the error names the same bad row on every run
-                for row in sorted(rows, key=_order_key):
+                for row in sorted(rows, key=order_key):
                     lifted(row)
                 raise
             eff.table_merges.extend((name, row) for row in rows)
         else:
-            values = (sorted(value, key=_order_key)
+            values = (sorted(value, key=order_key)
                       if isinstance(value, frozenset) and d.shape != "set"
                       else (value,))
             eff.var_merges.extend((name, lattice.lift(v, d.shape))
@@ -450,7 +450,7 @@ class Transducer:
         value = ctx.eval(s.expr, env)
         if value is MISSING:
             return
-        payloads = (sorted(value, key=_order_key)
+        payloads = (sorted(value, key=order_key)
                     if isinstance(value, frozenset) else [value])
         for p in payloads:
             if not isinstance(p, Row):

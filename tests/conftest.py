@@ -3,11 +3,13 @@ but does not lower, the handler loops and query bodies that validation
 refuses, a handler with an invariant at a chosen consistency, random
 graphs, a breadth-first-search reachability oracle, a one-node cluster,
 the statuses that a cluster's clients heard, the demo scenario's path,
-and each lattice shape's order."""
+each lattice shape's order, and a strategy drawing every plain value."""
 
 import collections
 import random
 from pathlib import Path
+
+from hypothesis import strategies as st
 
 from latticeflow.interp import InterpContext
 from latticeflow.ir import (
@@ -15,7 +17,7 @@ from latticeflow.ir import (
     Gen, Handler, In, Len, Lit, MakeRow, MergeMutation, Not, Program,
     QueryDef, Return, TargetPath, TupleOf, Var,
 )
-from latticeflow.lattice import scalar_key
+from latticeflow.lattice import order_key
 from latticeflow.runtime import GraphContext, compile_queries
 from latticeflow.sim import Cluster, NetworkModel, NodeSpec
 from latticeflow.state import NodeState, Row
@@ -188,11 +190,21 @@ LOOPS = {
 BARE_BODIES = {"data": Data("acc"), "tuple": TupleOf(Lit(1), Lit(2))}
 
 
+# every plain value: None, scalars, and tuples, frozensets and rows of them
+ORDERED_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3).map(tuple)
+                   | st.frozensets(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from("abc"), inner,
+                                     max_size=3).map(Row)),
+    max_leaves=12)
+
+
 def below(shape, a, b) -> bool:
     """Whether lattice value `a` is at or below `b` in the order of
     `shape`, defined from what each shape means rather than by
     `lattice.join`: a write-once value is above None, and of two that
-    differ the larger by `scalar_key` is above."""
+    differ the larger by `order_key` is above."""
     if shape == "bool_or":
         return not a or b
     if shape == "max":
@@ -203,7 +215,7 @@ def below(shape, a, b) -> bool:
         return a <= b
     if shape == "write_once":
         return a is None or a == b or (
-            b is not None and scalar_key(a) < scalar_key(b))
+            b is not None and order_key(a) < order_key(b))
     if shape[0] == "map":
         return all(k in b and below(shape[1], v, b[k]) for k, v in a.items())
     return below(shape[1], a[0], b[0]) and below(shape[2], a[1], b[1])

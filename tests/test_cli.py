@@ -398,6 +398,20 @@ def failure(tick, domain=None):
      'workload[0].message_id must be a string, got ["x"]'),
     ({"workload": [dict(person(), message_id=7)]},
      "workload[0].message_id must be a string, got 7"),
+    # a field holds a value of its parameter's declared type: Python takes
+    # True for 1, and a set holding one of the two kept whichever it saw
+    # first, so replicas that saw them in two orders diverged
+    ({"workload": [person(pid=True)]},
+     "workload[0]: field 'pid' of 'add_person' must be of type int, got "
+     "True"),
+    ({"workload": [person(pid="1")]},
+     "workload[0]: field 'pid' of 'add_person' must be of type int, got "
+     "'1'"),
+    ({"workload": [person(name=1)]},
+     "workload[0]: field 'name' of 'add_person' must be of type str, got 1"),
+    ({"workload": [person(name=["ana"])]},
+     "workload[0]: field 'name' of 'add_person' must be of type str, got "
+     "('ana',)"),
 ], ids=["tick-text", "tick-fraction", "failure-tick-text",
         "failure-tick-fraction", "failure-domain-text", "max-ticks-text",
         "max-ticks-fraction", "seed-bool", "node-domain-number",
@@ -409,7 +423,8 @@ def failure(tick, domain=None):
         "unknown-keys-and-tick", "unknown-handler-and-payload",
         "unknown-fields-and-tick", "tick-and-null-field",
         "null-field-and-object-field", "mailbox-array", "client-array",
-        "message-id-array", "message-id-number"])
+        "message-id-array", "message-id-number", "int-field-bool",
+        "int-field-str", "str-field-int", "str-field-array"])
 def test_a_malformed_scenario_field_is_named_without_a_traceback(
         tmp_path, capsys, fields, message):
     # a value of the wrong type is refused with its field named: it used to
@@ -529,12 +544,13 @@ def test_list_patterns(capsys):
 ], ids=["max-var", "max-field"])
 def test_simulate_reports_a_value_that_does_not_fit_its_lattice(
         tmp_path, capsys, target):
+    # `v` is opaque, so the loader passes the string to the handler
     program = Program(
         "bump", classes=(ClassDecl("Score", {"k": "int", "hi": "max"},
                                    key="k"),),
         data=(DataDecl("scores", "table", cls="Score"),
               DataDecl("hi", "var", shape="max")),
-        handlers=(Handler("bump", {"k": "int", "v": "int"},
+        handlers=(Handler("bump", {"k": "int", "v": "opaque"},
                           (MergeMutation(target, Var("v")),)),))
     sc = scenario_dict(program=json.loads(program_to_json(program)),
                        workload=[{"tick": 0, "client": "c1", "handler": "bump",
@@ -877,6 +893,42 @@ def test_plan_validates_its_program(tmp_path, capsys):
         assert captured.err == (
             "invalid: UnresolvedName: handler put: unknown data 'nope'\n"
             "invalid: UnresolvedName: handler put: unbound variable 'y'\n")
+
+
+RECORDS = DEMO.parent / "records_scenario.json"
+
+
+def test_the_records_demo_prints_rows_in_the_one_order_on_both_backends(
+        capsys):
+    """The records demo's `get` returns a table's rows as a set, a set
+    var of records, a comprehension over that var and a max fold over the
+    rows. Each used to raise KeyError on a row, in the handler or in
+    `--inspect`; both backends now print the same output, rows in the
+    order of `lattice.order_key`."""
+    outs = []
+    for backend in ("graph", "interp"):
+        assert main(["simulate", str(RECORDS), "--inspect",
+                     "--backend", backend]) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    lines = outs[0].splitlines()
+    assert lines[0] == "seed 5: quiesced at tick 48"
+
+    def row(name, city):
+        return {"row": {"city": city, "name": name}}
+
+    visits = [row("ana", "lima"), row("cy", "lima"), row("ana", "oslo"),
+              row("bo", "oslo")]
+    assert json.loads(lines[5].split(": ", 1)[1])["payload"] == {"row": {
+        # "ana" moved to oslo: of two writes, write-once keeps the larger
+        "people": {"set": [row("cy", "lima"), row("ana", "oslo"),
+                           row("bo", "oslo")]},
+        "visits": {"tuple": visits},
+        "cities": {"set": ["lima", "oslo"]},
+        "last": row("bo", "oslo")}}
+    states = json.loads("\n".join(lines[6:]))
+    assert {nid: state["vars"] for nid, state in states.items()} == {
+        nid: {"visits": {"set": visits}} for nid in ("n01", "n02", "n03")}
 
 
 def test_an_object_in_a_payload_is_refused(tmp_path, capsys):

@@ -5,10 +5,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import below
+from conftest import ORDERED_VALUES, below
 from latticeflow.lattice import (
     INT_MAX, INT_MIN, IntOverflow, ShapeMismatch, bottom, join, lift,
+    order_key,
 )
+from latticeflow.state import Row
 
 scalars = st.one_of(st.booleans(), st.integers(-50, 50),
                     st.text("abc", max_size=3))
@@ -35,7 +37,7 @@ def values(shape):
     if shape == "set":
         return st.frozensets(scalars, max_size=5)
     if shape == "write_once":
-        return st.one_of(st.none(), scalars)
+        return ORDERED_VALUES
     if shape[0] == "map":
         return st.dictionaries(st.integers(0, 5), values(shape[1]),
                                max_size=4)
@@ -156,7 +158,10 @@ def test_seeded_bulk_properties():
         if shape == "set":
             return frozenset(rng.sample(range(40), rng.randint(0, 6)))
         if shape == "write_once":
-            return rng.choice((None, rng.randint(-5, 5), "a", "b"))
+            return rng.choice((None, rng.randint(-5, 5), "a", "b",
+                               (rng.randint(0, 2), None),
+                               frozenset({rng.randint(0, 2)}),
+                               Row(x=rng.randint(0, 2))))
         if shape[0] == "map":
             return {k: rand(shape[1])
                     for k in rng.sample(range(8), rng.randint(0, 4))}
@@ -183,6 +188,33 @@ def test_write_once_keeps_the_first_value_or_the_larger_of_two():
     assert join("write_once", 3, "a") == "a"
     assert join("write_once", 3, 2) == 3
     assert bottom("write_once") is None
+
+
+@pytest.mark.parametrize("a, b", [
+    (Row(x=1), Row(x=2)), (Row(x=1), Row(x=1, y=0)),
+    (frozenset({1}), frozenset({2})), (frozenset({1, 2}), frozenset({3})),
+    ((1, None), (1, "a")), (frozenset({9}), Row(x=0)), ((9, 9), frozenset()),
+], ids=["row-field", "row-fields", "set", "set-size", "tuple-none",
+        "set-row", "tuple-set"])
+def test_a_write_once_join_of_two_values_keeps_the_larger(a, b):
+    # rows, sets and tuples holding None had no order, and raised KeyError
+    assert join("write_once", a, b) == b == join("write_once", b, a)
+
+
+def test_the_order_puts_each_kind_above_the_last():
+    values = [None, True, 0, "a", (), frozenset(), Row()]
+    assert sorted(reversed(values), key=order_key) == values
+    # Python takes True for 1; the order does not
+    assert order_key(True) < order_key(1) and order_key(True) != order_key(1)
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 1.5), frozenset({1.5}),
+                                   Row(x=1.5)],
+                         ids=["float", "in-tuple", "in-set", "in-row"])
+def test_a_value_outside_the_order_is_a_type_error_naming_it(value):
+    # a float from a UDF used to raise KeyError: <class 'float'>
+    with pytest.raises(TypeError, match=r"^1\.5 has no place"):
+        order_key(value)
 
 
 def test_a_value_that_is_not_a_set_joins_a_set_as_one_element():

@@ -439,6 +439,22 @@ def test_a_request_field_that_is_not_hashable_is_refused_when_scheduled(
     assert cluster.pending_injections == [] and cluster.request_payload == {}
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"pid": True}, "field 'pid' of 'add_person' must be of type int, got "
+                    "True"),
+    ({"pid": 1, "name": 7}, "field 'name' of 'add_person' must be of type "
+                            "str, got 7"),
+], ids=["bool-for-int", "int-for-str"])
+def test_a_request_field_of_another_type_is_refused_when_scheduled(
+        fields, message):
+    cluster = build_scenario_cluster(Scenario(
+        covid_tracker().program, seed=4,
+        network=NetworkModel(1, 3, 0.0)))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cluster.schedule_request(0, "c1", "add_person", fields)
+    assert cluster.pending_injections == [] and cluster.request_payload == {}
+
+
 def test_scheduling_in_a_past_tick_is_rejected():
     cluster = build_scenario_cluster(Scenario(
         covid_tracker().program, seed=4,
